@@ -1,12 +1,8 @@
 from .accelerating import accelerating_force
 from .build3 import build_3tree
 from .common import (
-    CandidateShortage,
-    Condition,
-    FuelExhausted,
     LabeledCondition,
     RunRecord,
-    ScheduleUnrepairable,
     check_label_invariants,
     schedule,
     schedule_prefix,
@@ -16,12 +12,8 @@ from .traceable import initial_condition, traceable_prune
 from .verify import verify_record
 
 __all__ = [
-    "CandidateShortage",
-    "Condition",
-    "FuelExhausted",
     "LabeledCondition",
     "RunRecord",
-    "ScheduleUnrepairable",
     "accelerating_force",
     "build_3tree",
     "check_label_invariants",

@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..staged import AdversaryFamily, TriState, tree_bound_violation
-from ..traces import LevelBound, TraceTable
+from ..traces import TraceTable
 from ..trees import FiniteTree, Word, is_prefix, prefixes, subtree_above, word_key
-from .common import FuelMeter, RunRecord
+from .common import OutputTable, RunRecord, nodes_above, trace_from_outputs
 
 _PROBE_ENTRIES = 4
 _PROBE_LEN = 3
@@ -54,7 +54,7 @@ def _digits(j: int, count: int) -> Word:
 
 
 def _case4(
-    meter: FuelMeter, stem: Word, depth: int
+    table: OutputTable, stem: Word, depth: int
 ) -> tuple[Optional[FiniteTree], Optional[TraceTable], dict]:
     """Majority-vote prune: the i-th split level keeps i+3 successors whose
     outputs disagree pairwise at staged positions, so output prefixes form
@@ -77,7 +77,7 @@ def _case4(
         next_nodes = []
         failed = False
         for sigma in split_nodes:
-            kept, positions = _prune_split(meter, sigma, rounds, depth)
+            kept, positions = _prune_split(table, sigma, rounds)
             if kept is None:
                 failed = True
                 break
@@ -98,13 +98,7 @@ def _case4(
     for w in split_nodes:
         all_nodes.update(prefixes(w + (0,) * (depth - len(w))))
     tree = FiniteTree.from_words(all_nodes)
-    levels: list[set[Word]] = [set() for _ in range(depth + 1)]
-    levels[0].add(())
-    for w in tree.nodes:
-        o = meter.converged_prefix(w, depth)
-        for p in prefixes(o[:depth]):
-            levels[len(p)].add(p)
-    trace = TraceTable(tuple(frozenset(s) for s in levels), LevelBound("pow", 2))
+    trace = trace_from_outputs(map(table.converged, tree.nodes), depth, 2)
     log = {"case": "4", "levels": log_levels}
     if shortage is not None:
         log["shortage"] = shortage
@@ -112,7 +106,7 @@ def _case4(
 
 
 def _prune_split(
-    meter: FuelMeter, sigma: Word, rounds: int, depth: int
+    table: OutputTable, sigma: Word, rounds: int
 ) -> tuple[Optional[list[Word]], list[int]]:
     """From 3^rounds candidate extensions of sigma, keep a survivor plus one
     dissenter per round; kept nodes take distinct first entries and their
@@ -121,7 +115,7 @@ def _prune_split(
     cands = {
         j: sigma + (j,) + _digits(j, rounds - 1) for j in range(n_cand)
     }
-    outs = {j: meter.converged_prefix(w, depth) for j, w in cands.items()}
+    outs = {j: table.converged(w) for j, w in cands.items()}
     alive = sorted(cands)
     reps: list[int] = []
     positions: list[int] = []
@@ -210,13 +204,13 @@ def accelerating_force(
             stage_log.append({"stage": s, "requirement": None, "case": "skip"})
             continue
         fn = adversaries.functionals[idx]
-        meter = FuelMeter(fn, fuel)
+        table = OutputTable(fn, fuel, depth)
         probes = _probes(stem, tree, depth)
         case1 = next(
             (
                 n
                 for n in range(depth)
-                if all(meter.eval(p, n) is None for p in probes)
+                if all(table.value(p, n) is None for p in probes)
             ),
             None,
         )
@@ -227,13 +221,13 @@ def accelerating_force(
             )
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "1",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             continue
         case2 = None
         for n in range(depth):
             for p in probes:
-                v = meter.eval(p, n)
+                v = table.value(p, n)
                 if v is not None and v >= 3:
                     case2 = (p[: n + 1], n, v)
                     break
@@ -251,10 +245,10 @@ def accelerating_force(
             )
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "2",
-                 "position": n, "fuel_spent": meter.calls}
+                 "position": n, "fuel_spent": table.evals}
             )
             continue
-        outs = [meter.converged_prefix(p, depth) for p in probes]
+        outs = [table.converged(p) for p in probes]
         if len({o for o in outs}) <= 1 or _pairwise_consistent(outs):
             certificates.append(
                 {"kind": "constant_outputs", "functional": fn.id,
@@ -262,20 +256,20 @@ def accelerating_force(
             )
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "3",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             continue
         if tree is not None:
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "stuck",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             status = "incomplete"
             break
-        new_tree, trace, log = _case4(meter, stem, depth)
+        new_tree, trace, log = _case4(table, stem, depth)
         if new_tree is None:
             stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "fuel_spent": meter.calls, **log}
+                {"stage": s, "requirement": f"P{idx}", "fuel_spent": table.evals, **log}
             )
             status = "incomplete"
             break
@@ -286,7 +280,7 @@ def accelerating_force(
              "trace_index": len(traces) - 1, "fuel": fuel}
         )
         stage_log.append(
-            {"stage": s, "requirement": f"P{idx}", "fuel_spent": meter.calls, **log}
+            {"stage": s, "requirement": f"P{idx}", "fuel_spent": table.evals, **log}
         )
 
     if tree is None:
@@ -321,8 +315,8 @@ def _even_exit(
                 return stem + (i,)
         return None
     cm = tree.child_map()
-    for w in sorted(tree.nodes, key=word_key):
-        if not is_prefix(stem, w) or len(cm.get(w, ())) < k + 1:
+    for w in nodes_above(tree, stem):
+        if len(cm[w]) < k + 1:
             continue
         for c in cm[w]:
             if adv.decide(w + (c,), query) is TriState.OUT:

@@ -1,9 +1,11 @@
-"""Shared condition types, the task schedule, fuel metering and run records."""
+"""Shared condition types, the task schedule, per-stage output tables,
+tree walks, trace building and run records."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from ..io_formats import (
     json_to_tree,
@@ -12,24 +14,8 @@ from ..io_formats import (
     tree_to_json,
 )
 from ..staged import AdversaryFamily, OracleFunctional, family_from_config
-from ..traces import TraceTable
+from ..traces import LevelBound, TraceTable
 from ..trees import FiniteTree, Word, prefixes, word_key
-
-
-class FuelExhausted(Exception):
-    def __init__(self, stage: int, what: str = ""):
-        super().__init__(f"stage {stage} could not complete within budget: {what}")
-        self.stage = stage
-
-
-class CandidateShortage(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
-
-class ScheduleUnrepairable(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
 
 
 def schedule(i: int) -> int:
@@ -49,19 +35,6 @@ def schedule_prefix(n: int) -> list[int]:
 
 def is_schedule_prefix(seq: list[int]) -> bool:
     return all(v == schedule(i) for i, v in enumerate(seq))
-
-
-@dataclass(frozen=True)
-class Condition:
-    """A stem plus the tree of allowed futures, all extending the stem."""
-
-    stem: Word
-    tree: FiniteTree
-    alphabet_bound: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.stem not in self.tree:
-            raise ValueError("stem must be a node of the tree")
 
 
 @dataclass(frozen=True)
@@ -104,35 +77,112 @@ def check_label_invariants(c: LabeledCondition) -> Optional[str]:
     return None
 
 
-class FuelMeter:
-    """Counts functional evaluations so stage logs can report fuel spent."""
+_UNSET = object()
 
-    def __init__(self, functional: OracleFunctional, fuel: int):
+
+class OutputTable:
+    """One stage's outputs of a functional under a fixed fuel.
+
+    Position n < depth of node w is evaluated the first time it is read and
+    never again, so ``evals`` counts distinct (node, position) evaluations.
+    """
+
+    def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
         self.functional = functional
         self.fuel = fuel
-        self.calls = 0
+        self.depth = depth
+        self.evals = 0
+        self._rows: dict[Word, list] = {}
+        self._converged: dict[Word, Word] = {}
 
-    def eval(self, sigma: Word, n: int) -> Optional[int]:
-        self.calls += 1
-        return self.functional.eval(sigma, n, self.fuel)
+    def value(self, w: Word, n: int) -> Optional[int]:
+        row = self._rows.get(w)
+        if row is None:
+            row = self._rows[w] = [_UNSET] * self.depth
+        v = row[n]
+        if v is _UNSET:
+            v = row[n] = self.functional.eval(w, n, self.fuel)
+            self.evals += 1
+        return v
 
-    def total_on(self, sigma: Word, upto: int) -> Optional[Word]:
-        out = []
-        for n in range(upto):
-            v = self.eval(sigma, n)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
+    def outputs(self, w: Word) -> list[Optional[int]]:
+        """Positions 0..depth-1 of w, None where not yet converged."""
+        if w in self._rows:
+            return [self.value(w, n) for n in range(self.depth)]
+        ev, fuel = self.functional.eval, self.fuel
+        row = self._rows[w] = [ev(w, n, fuel) for n in range(self.depth)]
+        self.evals += self.depth
+        return row
 
-    def converged_prefix(self, sigma: Word, cap: int) -> Word:
-        out = []
-        for n in range(cap):
-            v = self.eval(sigma, n)
-            if v is None:
-                break
-            out.append(v)
-        return tuple(out)
+    def converged(self, w: Word) -> Word:
+        """Longest output prefix (up to depth) converged on w itself."""
+        out = self._converged.get(w)
+        if out is None:
+            acc = []
+            for n in range(self.depth):
+                v = self.value(w, n)
+                if v is None:
+                    break
+                acc.append(v)
+            out = self._converged[w] = tuple(acc)
+        return out
+
+
+def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:
+    """The nodes of tree extending node, in shortest-then-lex order.
+
+    Breadth-first with sorted children visits each level in lex order.
+    """
+    if node not in tree.nodes:
+        return
+    cm = tree.child_map()
+    queue = deque([node])
+    while queue:
+        w = queue.popleft()
+        yield w
+        queue.extend(w + (i,) for i in cm[w])
+
+
+def divergence_escape(
+    table: OutputTable, stem: Word, tree: FiniteTree
+) -> Optional[tuple[Word, int]]:
+    """First (node, position) past which every branch stays unconverged.
+
+    Bit n of a node's mask is set when position n is unconverged on every
+    leaf above it; masks are and-ed bottom-up, so each leaf is read once.
+    """
+    cm = tree.child_map()
+    order = list(nodes_above(tree, stem))
+    mask: dict[Word, int] = {}
+    for w in reversed(order):
+        kids = cm[w]
+        if kids:
+            m = -1
+            for i in kids:
+                m &= mask[w + (i,)]
+        else:
+            m = 0
+            for n, v in enumerate(table.outputs(w)):
+                if v is None:
+                    m |= 1 << n
+        mask[w] = m
+    for t in order:
+        m = mask[t]
+        if m:
+            return t, (m & -m).bit_length() - 1
+    return None
+
+
+def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:
+    """The levelwise prefixes of the outputs, bounded by base^n."""
+    levels: list[set[Word]] = [set() for _ in range(depth + 1)]
+    for o in outs:
+        o = o[:depth]
+        levels[len(o)].add(o)
+    for n in range(depth, 0, -1):
+        levels[n - 1].update(p[:-1] for p in levels[n])
+    levels[0].add(())
+    return TraceTable(tuple(frozenset(s) for s in levels), LevelBound("pow", base))
 
 
 @dataclass

@@ -9,26 +9,25 @@ the shortest-then-lexicographically-first node.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily, StagedTree, tree_bound_violation
-from ..traces import LevelBound, TraceTable
+from ..traces import TraceTable
 from ..trees import (
     FiniteTree,
     TriState,
     Word,
-    is_prefix,
     prefixes,
     subtree_above,
     word_key,
 )
-from .common import FuelMeter, RunRecord
-
-
-def _nodes_above(tree: FiniteTree, node: Word) -> list[Word]:
-    return sorted(
-        (w for w in tree.nodes if is_prefix(node, w)), key=word_key
-    )
+from .common import (
+    OutputTable,
+    RunRecord,
+    divergence_escape,
+    nodes_above,
+    trace_from_outputs,
+)
 
 
 def _tree_stage(
@@ -54,8 +53,8 @@ def _tree_stage(
         }
         return None, tree, {"case": "already-out"}, cert
     cm = tree.child_map()
-    for q in _nodes_above(tree, stem):
-        for i in cm.get(q, ()):
+    for q in nodes_above(tree, stem):
+        for i in cm[q]:
             if adv.decide(q + (i,), query) is TriState.OUT:
                 new_stem = q + (i,)
                 cert = {
@@ -69,138 +68,79 @@ def _tree_stage(
     return None, tree, {"case": "stuck"}, None
 
 
-def _case_a(
-    meter: FuelMeter, stem: Word, tree: FiniteTree, depth: int
-) -> Optional[tuple[Word, int]]:
-    """First (node, position) past which every branch stays unconverged.
-
-    Divergence of "all leaves above t at position n" is aggregated bottom-up
-    so each leaf is evaluated once per position.
-    """
-    cm = tree.child_map()
-    div: dict[Word, list[bool]] = {}
-    for w in sorted(tree.nodes, key=word_key, reverse=True):
-        kids = cm.get(w, ())
-        if not kids:
-            div[w] = [meter.eval(w, n) is None for n in range(depth)]
-        else:
-            div[w] = [
-                all(div[w + (i,)][n] for i in kids) for n in range(depth)
-            ]
-    for t in _nodes_above(tree, stem):
-        for n in range(depth):
-            if div[t][n]:
-                return t, n
-    return None
-
-
 def _case_b(
-    meter: FuelMeter, k: int, stem: Word, tree: FiniteTree, depth: int
+    table: OutputTable, k: int, stem: Word, tree: FiniteTree
 ) -> Optional[Word]:
     """First non-leaf node whose branch outputs take at most k values per level.
 
-    Per-level value sets are merged bottom-up, collapsing to an "over the
-    cap" marker as soon as a level exceeds k distinct prefixes.
+    The distinct outputs of a node's branches are merged bottom-up.  A
+    level over k stays over k in every ancestor, so the node and all its
+    ancestors are ruled out at once and their merges skipped.
     """
     cm = tree.child_map()
-    OVER = None  # marker: more than k values at this level
-    vals: dict[Word, list] = {}
-    for w in sorted(tree.nodes, key=word_key, reverse=True):
-        kids = cm.get(w, ())
-        if not kids:
-            o = meter.converged_prefix(w, depth)
-            vals[w] = [
-                {o[:n]} if len(o) >= n else set() for n in range(1, depth + 1)
-            ]
-        else:
-            merged = []
-            for n in range(depth):
-                acc: Optional[set] = set()
-                for i in kids:
-                    part = vals[w + (i,)][n]
-                    if part is OVER or acc is OVER:
-                        acc = OVER
-                        break
-                    acc = acc | part
-                    if len(acc) > k:
-                        acc = OVER
-                        break
-                merged.append(acc)
-            vals[w] = merged
-    for tau in _nodes_above(tree, stem):
-        if len(tau) >= tree.depth:
+    order = list(nodes_above(tree, stem))
+    over: set[Word] = set()
+    merged: dict[Word, set[Word]] = {}
+    for w in reversed(order):
+        if w in over:
             continue
-        if all(v is not OVER for v in vals[tau]):
-            return tau
-    return None
+        kids = cm[w]
+        if not kids:
+            merged[w] = {table.converged(w)}
+            continue
+        outs = set().union(*(merged.pop(w + (i,)) for i in kids))
+        if _widest_level(outs) > k:
+            a = w
+            while len(a) >= len(stem) and a not in over:
+                over.add(a)
+                a = a[:-1]
+        else:
+            merged[w] = outs
+    return next(
+        (t for t in order if len(t) < tree.depth and t not in over), None
+    )
 
 
-def _trace_from_outputs(outs: list[Word], depth: int, base: int) -> TraceTable:
-    levels: list[set[Word]] = [set() for _ in range(depth + 1)]
-    for o in outs:
-        o = o[:depth]
-        for p in prefixes(o):
-            levels[len(p)].add(p)
-    levels[0].add(())
-    return TraceTable(tuple(frozenset(s) for s in levels), LevelBound("pow", base))
-
-
-def _descendants_map(tree: FiniteTree) -> dict[Word, list[Word]]:
-    """Node -> its subtree in shortest-then-lex order, computed bottom-up."""
-    cm = tree.child_map()
-    desc: dict[Word, list[Word]] = {}
-    for w in sorted(tree.nodes, key=word_key, reverse=True):
-        bucket = [w]
-        for i in cm.get(w, ()):
-            bucket.extend(desc[w + (i,)])
-        desc[w] = bucket
-    for w, bucket in desc.items():
-        bucket.sort(key=word_key)
-    return desc
+def _widest_level(outs: set[Word]) -> int:
+    """The largest number of distinct length-n prefixes of outs, n >= 1."""
+    level: set[Word] = set()
+    widest = 0
+    for n in range(max(map(len, outs)), 0, -1):
+        level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
+        widest = max(widest, len(level))
+    return widest
 
 
 def _case_c(
-    meter: FuelMeter, k: int, stem: Word, tree: FiniteTree, depth: int
+    table: OutputTable, k: int, stem: Word, tree: FiniteTree
 ) -> Optional[tuple[FiniteTree, TraceTable]]:
     """Simultaneous splitting: rebuild the condition so sibling subtrees
     carry pairwise distinct output prefixes, collecting those prefixes
     into a trace bounded by (k+1)^n."""
     b = k + 1
+    depth = table.depth
     cm = tree.child_map()
-    desc = _descendants_map(tree)
-    conv_cache: dict[Word, Word] = {}
-
-    def conv(w: Word) -> Word:
-        if w not in conv_cache:
-            conv_cache[w] = meter.converged_prefix(w, depth)
-        return conv_cache[w]
-
     t_map: dict[Word, Word] = {(): stem}
     u_map: dict[Word, Word] = {(): ()}
     level: list[Word] = [()]
     while True:
         additions: dict[Word, tuple[Word, Word]] = {}
-        ok = True
         for sigma in level:
             # the working tree is full above the stem, so the first node
             # with a complete set of b children is the split to use
-            q = None
-            for cand in desc[t_map[sigma]]:
-                if len(cm.get(cand, ())) == b:
-                    q = cand
-                    break
-            if q is None:
-                ok = False
-                break
-            assigned = _assign_distinct(
-                conv, desc, q, tree.children_of(q), len(sigma), depth
+            q = next(
+                (w for w in nodes_above(tree, t_map[sigma]) if len(cm[w]) == b),
+                None,
+            )
+            assigned = (
+                None if q is None else _assign_distinct(table, tree, q, len(sigma))
             )
             if assigned is None:
-                ok = False
+                additions = {}
                 break
             for i, (v, out) in enumerate(assigned):
                 additions[sigma + (i,)] = (v, out)
-        if not ok or not additions:
+        if not additions:
             break
         for key, (v, out) in additions.items():
             t_map[key] = v
@@ -209,51 +149,79 @@ def _case_c(
     if len(t_map) == 1:
         return None
     deepest = max(len(s) for s in t_map)
-    nodes = set()
+    nodes = {()}
     for s, w in t_map.items():
         if len(s) == deepest:
-            nodes.update(prefixes(w + (0,) * (depth - len(w))))
-    new_tree = FiniteTree.from_words(nodes, alphabet_bound=tree.alphabet_bound)
-    trace = _trace_from_outputs(list(u_map.values()), depth, b)
-    return new_tree, trace
+            p = w + (0,) * (depth - len(w))
+            while p not in nodes:
+                nodes.add(p)
+                p = p[:-1]
+    new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
+    return new_tree, trace_from_outputs(u_map.values(), depth, b)
+
+
+class _Drawn:
+    """The items of an iterator, drawn only as far as they are read."""
+
+    def __init__(self, it: Iterator[tuple[Word, Word]]):
+        self._it = it
+        self.items: list[tuple[Word, Word]] = []
+
+    def get(self, j: int) -> Optional[tuple[Word, Word]]:
+        while len(self.items) <= j:
+            nxt = next(self._it, None)
+            if nxt is None:
+                return None
+            self.items.append(nxt)
+        return self.items[j]
+
+
+def _first_per_prefix(
+    table: OutputTable, tree: FiniteTree, top: Word, n: int
+) -> Iterator[tuple[Word, Word]]:
+    """(v, length-n output prefix) for the nodes v above top, in
+    shortest-then-lex order, keeping the first node of each prefix: a later
+    node with a prefix already offered can never be picked."""
+    seen: set[Word] = set()
+    for v in nodes_above(tree, top):
+        o = table.converged(v)
+        if len(o) >= n and o[:n] not in seen:
+            seen.add(o[:n])
+            yield v, o[:n]
 
 
 def _assign_distinct(
-    conv: Callable[[Word], Word],
-    desc: dict[Word, list[Word]],
-    q: Word,
-    child_entries: tuple[int, ...],
-    sigma_len: int,
-    depth: int,
+    table: OutputTable, tree: FiniteTree, q: Word, sigma_len: int
 ) -> Optional[list[tuple[Word, Word]]]:
     """For each child of q, a node above it whose output prefix at some
     common length n > sigma_len differs from all the siblings' prefixes."""
-    per_child = [desc[q + (i,)] for i in child_entries]
-    for n in range(sigma_len + 1, depth + 1):
-        viable = [
-            [(v, conv(v)[:n]) for v in cands if len(conv(v)) >= n]
-            for cands in per_child
+    for n in range(sigma_len + 1, table.depth + 1):
+        pools = [
+            _Drawn(_first_per_prefix(table, tree, q + (i,), n))
+            for i in tree.child_map()[q]
         ]
-        if any(not v for v in viable):
+        if any(p.get(0) is None for p in pools):
             continue
-        chosen = _pick_distinct(viable, [])
+        chosen = _pick_distinct(pools, [])
         if chosen is not None:
             return chosen
     return None
 
 
 def _pick_distinct(
-    viable: list[list[tuple[Word, Word]]], acc: list[tuple[Word, Word]]
+    pools: list[_Drawn], acc: list[tuple[Word, Word]]
 ) -> Optional[list[tuple[Word, Word]]]:
-    if len(acc) == len(viable):
+    if len(acc) == len(pools):
         return acc
     used = {o for _, o in acc}
-    for v, o in viable[len(acc)]:
-        if o in used:
-            continue
-        res = _pick_distinct(viable, acc + [(v, o)])
-        if res is not None:
-            return res
+    pool = pools[len(acc)]
+    j = 0
+    while (cand := pool.get(j)) is not None:
+        if cand[1] not in used:
+            res = _pick_distinct(pools, acc + [cand])
+            if res is not None:
+                return res
+        j += 1
     return None
 
 
@@ -295,8 +263,8 @@ def diagonalize_surviving(
             stage_log.append({"stage": s, "requirement": None, "case": "skip"})
             continue
         fn = adversaries.functionals[idx]
-        meter = FuelMeter(fn, fuel)
-        hit = _case_a(meter, stem, tree, depth)
+        table = OutputTable(fn, fuel, depth)
+        hit = divergence_escape(table, stem, tree)
         if hit is not None:
             node, n = hit
             stem = node
@@ -312,20 +280,15 @@ def diagonalize_surviving(
             )
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "A",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             continue
-        tau = _case_b(meter, k, stem, tree, depth)
+        tau = _case_b(table, k, stem, tree)
         if tau is not None:
             stem = tau
             tree = subtree_above(tree, stem)
-            outs = [
-                meter.converged_prefix(L, depth)
-                for L in tree.leaves()
-                if is_prefix(stem, L)
-            ]
-            trace = _trace_from_outputs(outs, depth, b)
-            traces.append((fn.id, trace))
+            outs = map(table.converged, tree.leaves())
+            traces.append((fn.id, trace_from_outputs(outs, depth, b)))
             certificates.append(
                 {
                     "kind": "trace",
@@ -337,15 +300,15 @@ def diagonalize_surviving(
             )
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "B",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             continue
-        built = _case_c(meter, k, stem, tree, depth)
+        built = _case_c(table, k, stem, tree)
         if built is None:
             status = "incomplete"
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "stuck",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             break
         tree, trace = built
@@ -361,7 +324,7 @@ def diagonalize_surviving(
         )
         stage_log.append(
             {"stage": s, "requirement": f"P{idx}", "case": "C",
-             "fuel_spent": meter.calls}
+             "fuel_spent": table.evals}
         )
 
     certificates.append(

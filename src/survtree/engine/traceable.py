@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..staged import AdversaryFamily, StagedTree, tree_bound_violation
-from ..traces import LevelBound, TraceTable
+from ..traces import TraceTable
 from ..trees import (
     FiniteTree,
     TriState,
@@ -28,11 +28,14 @@ from ..trees import (
 )
 from .build3 import build_3tree
 from .common import (
-    FuelMeter,
     LabeledCondition,
+    OutputTable,
     RunRecord,
+    divergence_escape,
+    nodes_above,
     schedule,
     schedule_prefix,
+    trace_from_outputs,
 )
 
 
@@ -72,10 +75,6 @@ def _relabel(stem: Word, tree: FiniteTree) -> dict[Word, int]:
     return labels
 
 
-def _nodes_above(tree: FiniteTree, node: Word) -> list[Word]:
-    return sorted((w for w in tree.nodes if is_prefix(node, w)), key=word_key)
-
-
 def _even_stage(
     adv: StagedTree,
     k: int,
@@ -104,7 +103,7 @@ def _even_stage(
         }
         return None, {"case": "already-out"}, cert
     cm = tree.child_map()
-    for tau in _nodes_above(tree, stem):
+    for tau in nodes_above(tree, stem):
         if labels[tau] != r:
             continue
         for c in cm.get(tau, ()):
@@ -120,26 +119,8 @@ def _even_stage(
     return None, {"case": "stuck"}, None
 
 
-def _divergence_escape(
-    meter: FuelMeter, stem: Word, tree: FiniteTree, depth: int
-) -> Optional[tuple[Word, int]]:
-    cm = tree.child_map()
-    div: dict[Word, list[bool]] = {}
-    for w in sorted(tree.nodes, key=word_key, reverse=True):
-        kids = cm.get(w, ())
-        if not kids:
-            div[w] = [meter.eval(w, n) is None for n in range(depth)]
-        else:
-            div[w] = [all(div[w + (i,)][n] for i in kids) for n in range(depth)]
-    for t in _nodes_above(tree, stem):
-        for n in range(depth):
-            if div[t][n]:
-                return t, n
-    return None
-
-
 def _prune_once(
-    meter: FuelMeter,
+    table: OutputTable,
     stem: Word,
     tree: FiniteTree,
     labels: dict[Word, int],
@@ -147,15 +128,8 @@ def _prune_once(
 ) -> tuple[Word, FiniteTree, dict[Word, int], dict]:
     """Steps 1-8: admit labeled-node successors one at a time."""
     cm = tree.child_map()
-    conv_cache: dict[Word, Word] = {}
-
-    def conv(w: Word) -> Word:
-        if w not in conv_cache:
-            conv_cache[w] = meter.converged_prefix(w, depth)
-        return conv_cache[w]
-
     p_next = next(
-        (w for w in _nodes_above(tree, stem) if labels[w] == 1), stem
+        (w for w in nodes_above(tree, stem) if labels[w] == 1), stem
     )
     new_labels: dict[Word, int] = {}
     for w in prefixes(p_next):
@@ -181,7 +155,7 @@ def _prune_once(
             break
         q = candidate
         plan = _admission_plan(
-            conv, tree, labels, new_labels, q, depth,
+            table.converged, tree, labels, new_labels, q, depth,
             _members_leaves(new_labels, cm),
         )
         if plan is None:
@@ -252,7 +226,7 @@ def _admission_plan(
     want = schedule(consumed)
 
     def repair(tau: Word) -> Optional[Word]:
-        for qp in _nodes_above(tree, tau):
+        for qp in nodes_above(tree, tau):
             if labels[qp] == want:
                 return qp
         return None
@@ -264,7 +238,7 @@ def _admission_plan(
         return q, qp, []
 
     for m in range(len(q) + 1, depth):
-        for tau in _nodes_above(tree, q):
+        for tau in nodes_above(tree, q):
             o_tau = conv(tau)
             if len(o_tau) < m + 1:
                 continue
@@ -272,7 +246,7 @@ def _admission_plan(
             ok = True
             for sigma in others:
                 found = None
-                for ts in _nodes_above(tree, sigma):
+                for ts in nodes_above(tree, sigma):
                     if labels[ts] != new_labels[sigma]:
                         continue
                     o_ts = conv(ts)
@@ -338,8 +312,8 @@ def traceable_prune(
             stage_log.append({"stage": s, "requirement": None, "case": "skip"})
             continue
         fn = adversaries.functionals[idx]
-        meter = FuelMeter(fn, fuel)
-        hit = _divergence_escape(meter, stem, tree, depth)
+        table = OutputTable(fn, fuel, depth)
+        hit = divergence_escape(table, stem, tree)
         if hit is not None:
             node, n = hit
             stem = node
@@ -356,20 +330,12 @@ def traceable_prune(
             )
             stage_log.append(
                 {"stage": s, "requirement": f"P{idx}", "case": "escape",
-                 "fuel_spent": meter.calls}
+                 "fuel_spent": table.evals}
             )
             continue
-        stem, tree, labels, log = _prune_once(meter, stem, tree, labels, depth)
-        outs = [meter.converged_prefix(w, depth) for w in tree.sorted_nodes()]
-        levels: list[set[Word]] = [set() for _ in range(depth + 1)]
-        levels[0].add(())
-        for o in outs:
-            for p in prefixes(o[:depth]):
-                levels[len(p)].add(p)
-        trace = TraceTable(
-            tuple(frozenset(x) for x in levels), LevelBound("pow", 3)
-        )
-        traces.append((fn.id, trace))
+        stem, tree, labels, log = _prune_once(table, stem, tree, labels, depth)
+        outs = map(table.converged, tree.nodes)
+        traces.append((fn.id, trace_from_outputs(outs, depth, 3)))
         certificates.append(
             {
                 "kind": "trace",
@@ -380,7 +346,7 @@ def traceable_prune(
             }
         )
         stage_log.append(
-            {"stage": s, "requirement": f"P{idx}", "fuel_spent": meter.calls, **log}
+            {"stage": s, "requirement": f"P{idx}", "fuel_spent": table.evals, **log}
         )
 
     certificates.append({"kind": "labels"})

@@ -27,7 +27,7 @@ from survtree.engine import (
     traceable_prune,
     verify_record,
 )
-from survtree.engine.common import FuelMeter, LabeledCondition, labels_of_payload
+from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.io_formats import (
     canonical_json,
     json_to_tree,
@@ -35,6 +35,7 @@ from survtree.io_formats import (
 )
 from survtree.staged import (
     EMPTY_CONFIG,
+    converged_prefix,
     family_from_config,
     standard_library,
 )
@@ -197,9 +198,9 @@ def test_acceptance_4_surviving_run_and_verify():
                 trace = traced[cert["functional"]]
                 for n, level in enumerate(trace.levels):
                     assert len(level) <= 3**n
-                meter = FuelMeter(LIB.functionals[cert["functional"]], 10**4)
+                fn = LIB.functionals[cert["functional"]]
                 for leaf in rec.final_tree.leaves():
-                    out = meter.converged_prefix(leaf, trace.depth)
+                    out = converged_prefix(fn, leaf, trace.depth, 10**4)
                     assert goes_through(out, trace)
         above = subtree_above(rec.final_tree, rec.final_stem)
         assert is_k_branching_to_depth(above, 3, 8) is None
@@ -244,9 +245,9 @@ def test_acceptance_6_traceable_schedule_labels_and_traces():
         for fid, trace in rec.traces:
             for n, level in enumerate(trace.levels):
                 assert len(level) <= 3**n
-            meter = FuelMeter(LIB.functionals[fid], 10**4)
+            fn = LIB.functionals[fid]
             for leaf in rec.final_tree.leaves():
-                out = meter.converged_prefix(leaf, trace.depth)
+                out = converged_prefix(fn, leaf, trace.depth, 10**4)
                 assert goes_through(out, trace)
 
 
@@ -265,9 +266,8 @@ def test_acceptance_7_accelerating_shape_and_cases():
         assert any(c["functional"] == 1 for c in two)
         trace = dict(rec.traces)[1]
         assert is_k_tree_to_depth(to_tree(trace), 2, trace.depth) is None
-        meter = FuelMeter(LIB.functionals[1], 10**4)
         for leaf in tree.leaves():
-            out = meter.converged_prefix(leaf, trace.depth)
+            out = converged_prefix(LIB.functionals[1], leaf, trace.depth, 10**4)
             assert goes_through(out[: trace.depth], trace)
         # the constant-3 functional forces a large value at position 0
         values = [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from survtree.engine import accelerating_force, verify_record
 from survtree.io_formats import json_to_trace
-from survtree.staged import family_from_config, standard_library
+from survtree.staged import converged_prefix, family_from_config, standard_library
 from survtree.traces import goes_through, to_tree
 from survtree.trees import (
     TriState,
@@ -62,12 +62,9 @@ def test_mod_functional_yields_two_tree_trace():
 
 def test_two_tree_trace_branch_go_through():
     rec = run()
-    from survtree.engine.common import FuelMeter
-
     trace = dict(rec.traces)[1]
-    meter = FuelMeter(LIB.functionals[1], 10000)
     for leaf in rec.final_tree.leaves():
-        out = meter.converged_prefix(leaf, trace.depth)
+        out = converged_prefix(LIB.functionals[1], leaf, trace.depth, 10000)
         assert goes_through(out[: trace.depth], trace)
 
 

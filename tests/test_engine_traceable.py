@@ -14,7 +14,7 @@ from survtree.engine import (
 )
 from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.io_formats import json_to_trace
-from survtree.staged import standard_library
+from survtree.staged import converged_prefix, standard_library
 from survtree.traces import goes_through
 from survtree.trees import is_k_tree_to_depth
 
@@ -85,16 +85,13 @@ def test_traces_bounded_and_followed():
 
 def test_trace_branch_go_through():
     rec = run()
-    from survtree.engine.common import FuelMeter
-
     for cert in rec.certificates:
         if cert["kind"] != "trace" or cert.get("case") != "prune":
             continue
         fid = cert["functional"]
         trace = dict(rec.traces)[fid]
-        meter = FuelMeter(LIB.functionals[fid], 5000)
         for leaf in rec.final_tree.leaves():
-            out = meter.converged_prefix(leaf, trace.depth)
+            out = converged_prefix(LIB.functionals[fid], leaf, trace.depth, 5000)
             assert goes_through(out, trace)
 
 

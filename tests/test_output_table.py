@@ -1,0 +1,143 @@
+"""Per-stage output tables: evaluation counts and the lazy case-C search."""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from survtree.engine import diagonalize_surviving
+from survtree.engine.common import OutputTable
+from survtree.engine.surviving import _assign_distinct
+from survtree.staged import AdversaryFamily, OracleFunctional, standard_library
+from survtree.trees import FiniteTree, Word, word_key
+
+
+def _counting_family(calls: dict[int, Counter]) -> AdversaryFamily:
+    lib = standard_library()
+
+    def counting(fn: OracleFunctional) -> OracleFunctional:
+        seen = calls.setdefault(fn.id, Counter())
+
+        def rule(sigma, n, fuel):
+            seen[sigma, n] += 1
+            return fn.rule(sigma, n, fuel)
+
+        return OracleFunctional(fn.id, fn.kind, rule)
+
+    return AdversaryFamily(
+        lib.staged_trees, tuple(counting(f) for f in lib.functionals), lib.config
+    )
+
+
+def test_each_node_position_is_evaluated_once_per_stage():
+    calls: dict[int, Counter] = {}
+    rec = diagonalize_surviving(2, _counting_family(calls), 8, 6, 4000)
+    spent = {
+        int(entry["requirement"][1:]): entry["fuel_spent"]
+        for entry in rec.stage_log
+        if "fuel_spent" in entry
+    }
+    # functional e is only read in stage 2e+1, so its calls are one stage's
+    assert set(spent) == set(calls) == {0, 1, 2, 3}
+    for fid, seen in calls.items():
+        assert max(seen.values()) == 1, f"functional {fid} re-evaluated"
+        assert spent[fid] == sum(seen.values())
+    assert sum(spent.values()) == sum(sum(c.values()) for c in calls.values())
+
+
+def test_table_serves_values_outputs_and_converged_prefixes():
+    fn = standard_library().functionals[0]  # identity
+    table = OutputTable(fn, 4000, 4)
+    assert table.value((2, 1), 1) == 1
+    assert table.converged((2, 1)) == (2, 1)
+    assert table.outputs((2, 1)) == [2, 1, None, None]
+    assert table.evals == 4
+
+
+# -- the lazy case-C candidate search against the full-list search -----------
+
+
+def _descendants_map(tree: FiniteTree) -> dict[Word, list[Word]]:
+    cm = tree.child_map()
+    desc: dict[Word, list[Word]] = {}
+    for w in sorted(tree.nodes, key=word_key, reverse=True):
+        bucket = [w]
+        for i in cm.get(w, ()):
+            bucket.extend(desc[w + (i,)])
+        desc[w] = bucket
+    for bucket in desc.values():
+        bucket.sort(key=word_key)
+    return desc
+
+
+def _reference_assign_distinct(conv, desc, q, child_entries, sigma_len, depth):
+    per_child = [desc[q + (i,)] for i in child_entries]
+    for n in range(sigma_len + 1, depth + 1):
+        viable = [
+            [(v, conv(v)[:n]) for v in cands if len(conv(v)) >= n]
+            for cands in per_child
+        ]
+        if any(not v for v in viable):
+            continue
+        chosen = _reference_pick_distinct(viable, [])
+        if chosen is not None:
+            return chosen
+    return None
+
+
+def _reference_pick_distinct(viable, acc) -> Optional[list]:
+    if len(acc) == len(viable):
+        return acc
+    used = {o for _, o in acc}
+    for v, o in viable[len(acc)]:
+        if o in used:
+            continue
+        res = _reference_pick_distinct(viable, acc + [(v, o)])
+        if res is not None:
+            return res
+    return None
+
+
+DEPTH = 4
+
+
+@st.composite
+def trees_with_outputs(draw):
+    nodes = {()}
+    frontier = [()]
+    while frontier:
+        w = frontier.pop()
+        if len(w) == DEPTH:
+            continue
+        for i in draw(st.sets(st.integers(0, 2), max_size=3)):
+            nodes.add(w + (i,))
+            frontier.append(w + (i,))
+    tree = FiniteTree(frozenset(nodes), 3)
+    outs = {
+        w: tuple(draw(st.lists(st.integers(0, 2), max_size=DEPTH)))
+        for w in sorted(nodes, key=word_key)
+    }
+    splits = sorted((w for w in nodes if tree.child_map()[w]), key=word_key)
+    q = draw(st.sampled_from(splits)) if splits else ()
+    sigma_len = draw(st.integers(0, DEPTH - 1))
+    return tree, outs, q, sigma_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_outputs())
+def test_lazy_candidate_search_matches_full_lists(case):
+    tree, outs, q, sigma_len = case
+
+    def rule(sigma, n, fuel):
+        o = outs[sigma]
+        return o[n] if n < len(o) else None
+
+    table = OutputTable(OracleFunctional(0, "table", rule), 1, DEPTH)
+    expected = _reference_assign_distinct(
+        table.converged, _descendants_map(tree), q,
+        tree.child_map()[q], sigma_len, DEPTH,
+    )
+    assert _assign_distinct(table, tree, q, sigma_len) == expected

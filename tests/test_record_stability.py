@@ -1,0 +1,80 @@
+"""Run records pinned byte for byte, apart from stage-log fuel_spent.
+
+Each hash is the sha256 of ``canonical_json`` of a payload with its
+``digest`` and every stage-log ``fuel_spent`` removed.  The hashes were
+taken before the engines moved to per-stage output tables, which changed
+only what ``fuel_spent`` counts.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+
+import pytest
+
+from survtree.engine import (
+    accelerating_force,
+    diagonalize_surviving,
+    initial_condition,
+    traceable_prune,
+)
+from survtree.io_formats import canonical_json
+from survtree.staged import STANDARD_CONFIG, family_from_config, standard_library
+
+LIB = standard_library()
+
+
+def _with_functionals(functionals):
+    config = copy.deepcopy(STANDARD_CONFIG)
+    config["functionals"] = functionals
+    return family_from_config(config)
+
+
+MOD4 = _with_functionals(
+    [{"kind": "entry_mod", "modulus": 4}, {"kind": "identity"}]
+)
+CONST3 = _with_functionals(
+    [{"kind": "constant", "value": 3}, {"kind": "entry_mod", "modulus": 2}]
+)
+
+PINNED = {
+    "surviving-d6": (
+        lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
+        "4ebcfd71bffb651ce5e2bc817f6a4e6764852a01654555d52863b9a3a1b60d6d",
+    ),
+    "surviving-d8": (
+        lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4),
+        "62870b405757378fa5bb590a0ec5772753e51d4624f8d443e01b78788deebdd4",
+    ),
+    "traceable-d8": (
+        lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
+        "fe575d9756076419db5385e59200d033435e17579954e6b1d97b5d9c2fcf12a0",
+    ),
+    "accelerating-d8": (
+        lambda: accelerating_force(LIB, 8, 8, 10**4),
+        "b0bc7d42fde2ce7ee665c1b7db1e688a87e00c1004eed7c7d09ea6878910e269",
+    ),
+    "surviving-d8-entry-mod-4": (
+        lambda: diagonalize_surviving(2, MOD4, 14, 8, 10**4),
+        "f683503ff3d0a749f5266e08caebfe5447575cc03d5763577fd45f47eea66924",
+    ),
+    "surviving-d8-constant-3": (
+        lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
+        "5f4580dde3516e3b8707c3c1409e7eb7d0f1aa3032a714daedc4e120d8563dd4",
+    ),
+}
+
+
+def _hash_without_fuel(payload: dict) -> str:
+    p = copy.deepcopy(payload)
+    del p["digest"]
+    for entry in p["stage_log"]:
+        entry.pop("fuel_spent", None)
+    return hashlib.sha256(canonical_json(p).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_record_bytes_pinned_apart_from_fuel_spent(name):
+    build, expected = PINNED[name]
+    assert _hash_without_fuel(build().to_payload()) == expected
