@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Print the exact minimum-cover table for all in-guard (b, k, d) triples.
 
+A triple whose search runs out of work prints its bracket lower..upper
+instead of a value.  Exits 1 on any witness defect.
+
 Usage: cover_table.py [--max-b B] [--max-d D] [--witness-dir DIR]
 """
 
@@ -10,16 +13,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from survtree.cover import SIZE_LIMIT, min_cover, verify_cover
+from survtree.cover import SIZE_LIMIT, CoverBudgetExceeded, min_cover, verify_cover
 from survtree.io_formats import dump_tree
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-b", type=int, default=4)
-    # d = 3 instances are inside the size guard but exact search on them
-    # runs for minutes; opt in explicitly
-    parser.add_argument("--max-d", type=int, default=2)
+    parser.add_argument("--max-d", type=int, default=3)
     parser.add_argument("--witness-dir", type=Path)
     args = parser.parse_args()
 
@@ -29,7 +30,11 @@ def main() -> int:
             if b**d > SIZE_LIMIT:
                 continue
             for k in range(2, b):
-                value, witness = min_cover(b, k, d)
+                try:
+                    value, witness = min_cover(b, k, d)
+                except CoverBudgetExceeded as e:
+                    print(f"{b:>3} {k:>3} {d:>3} {e.bracket:>6}")
+                    continue
                 defect = verify_cover(witness)
                 if defect is not None:
                     print(f"witness defect at ({b},{k},{d}): {defect}",

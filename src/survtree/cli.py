@@ -2,7 +2,8 @@
 
 Exit statuses: 0 all requested checks pass; 1 a verification defect;
 2 usage or parse error; 3 an engine ran out of budget (the record is still
-written, marked incomplete).
+written, marked incomplete) or min-cover ran out of work and printed a
+bracket lower..upper.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cover import SizeGuard, min_cover, verify_cover
+from .cover import CoverBudgetExceeded, SizeGuard, min_cover, verify_cover
 from .engine import (
     accelerating_force,
     build_3tree,
@@ -122,6 +123,10 @@ def _cmd_verify(args) -> int:
 def _cmd_min_cover(args) -> int:
     try:
         value, witness = min_cover(args.b, args.k, args.d)
+    except CoverBudgetExceeded as e:
+        print(e.bracket)
+        print(str(e), file=sys.stderr)
+        return BUDGET
     except (SizeGuard, ValueError) as e:
         print(str(e), file=sys.stderr)
         return USAGE

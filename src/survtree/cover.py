@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Optional
+from heapq import heapify, heappop
+from itertools import combinations_with_replacement, product
+from typing import Iterator, Optional
 
 from .trees import FiniteTree, Word, is_k_branching_to_depth
 
 SIZE_LIMIT = 729  # 3 ** 6
+WORK_BUDGET = 1_000_000  # candidate trees one min_cover call may generate
 
 
 class SizeGuard(ValueError):
@@ -28,6 +30,17 @@ class SizeGuard(ValueError):
         )
         self.b = b
         self.d = d
+
+
+class CoverBudgetExceeded(RuntimeError):
+    """WORK_BUDGET ran out: the minimum is at least ``lower`` (the need bound
+    of the full leaf set) and at most ``upper`` (the best cover found, or
+    None)."""
+
+    def __init__(self, lower: int, upper: Optional[int]):
+        self.lower, self.upper = lower, upper
+        self.bracket = f"{lower}..{'?' if upper is None else upper}"
+        super().__init__(f"work budget exhausted: min cover in {self.bracket}")
 
 
 @dataclass(frozen=True)
@@ -41,87 +54,138 @@ class CoverWitness:
         return len(self.trees)
 
 
-def _leafsets_through(leaf: Word, b: int, k: int) -> list[frozenset[Word]]:
-    """Leaf sets of all fully k-splitting depth-d trees containing leaf."""
-    d = len(leaf)
-    results: list[frozenset[Word]] = []
-
-    def extend(level_nodes: list[Word], depth: int) -> None:
-        if depth == d:
-            results.append(frozenset(level_nodes))
-            return
-        choices_per_node = []
-        for node in level_nodes:
-            opts = []
-            if leaf[:depth] == node:
-                # the node on the path to `leaf` must keep leaf's next entry
-                forced = leaf[depth]
-                for rest in combinations(
-                    [i for i in range(b) if i != forced], k - 1
-                ):
-                    opts.append((forced,) + rest)
-            else:
-                opts.extend(combinations(range(b), k))
-            choices_per_node.append(opts)
-        for combo in product(*choices_per_node):
-            nxt = [
-                node + (i,)
-                for node, chosen in zip(level_nodes, combo)
-                for i in chosen
-            ]
-            extend(nxt, depth + 1)
-
-    extend([()], 0)
-    return results
+def _need(uncovered: int, b: int, k: int, d: int) -> int:
+    """Lower bound on the trees covering ``uncovered``: need(root), where a
+    leaf needs 1 if uncovered, else 0, and need(v) = max(max_c need(c),
+    ceil(sum_c need(c) / k)), as every fully k-splitting tree through v
+    passes through exactly k of v's children."""
+    level = [int(bit) for bit in reversed(format(uncovered, f"0{b ** d}b"))]
+    for _ in range(d):
+        level = [
+            max(max(group), -(-sum(group) // k))
+            for group in (level[i:i + b] for i in range(0, len(level), b))
+        ]
+    return level[0]
 
 
-def _all_prefixes(w: Word) -> list[Word]:
-    return [w[:i] for i in range(len(w) + 1)]
+def _counts(sizes: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    """The ways to take n items from groups of the given sizes, as counts."""
+    if not sizes:
+        if n == 0:
+            yield ()
+        return
+    for j in range(min(n, sizes[0]) + 1):
+        for rest in _counts(sizes[1:], n - j):
+            yield (j, *rest)
 
 
 def min_cover(b: int, k: int, d: int) -> tuple[int, CoverWitness]:
-    """Least m with m k-branching subtrees of b^{<=d} covering b^d, plus witness."""
-    if b < 2 or k < 1 or k > b or d < 0:
-        raise ValueError("need 2 <= b, 1 <= k <= b, 0 <= d")
+    """Least m with m k-branching subtrees of b^{<=d} covering b^d, plus witness.
+
+    Leaf i is the i-th word of b^d in lexicographic order, and a leaf set is
+    an int bitmask.  Each search node branches over the trees through its
+    least uncovered leaf, one per orbit of the automorphisms of b^{<=d} that
+    fix the uncovered leaves and that leaf; so the first tree is the
+    canonical one, with children 0..k-1 at every node.  Raises
+    CoverBudgetExceeded after more than WORK_BUDGET candidate trees.
+    """
+    if not 2 <= k <= b or d < 0:
+        raise ValueError("need 2 <= k <= b and 0 <= d")
     if b ** d > SIZE_LIMIT:
         raise SizeGuard(b, d)
-    all_leaves = frozenset(product(range(b), repeat=d))
-    best: list[frozenset[Word]] = []
+    leaves = list(product(range(b), repeat=d))
+    n = len(leaves)
+    lower = _need((1 << n) - 1, b, k, d)
+    work = 0
+    best: list[int] = []
 
-    def search(covered: frozenset[Word], chosen: list[frozenset[Word]]) -> None:
+    def spend(count: int) -> None:
+        nonlocal work
+        work += count
+        if work > WORK_BUDGET:
+            raise CoverBudgetExceeded(lower, len(best) or None)
+
+    # canonical[h]: leaf mask of the height-h tree on leaves 0.. that takes
+    # children 0..k-1 at every node
+    canonical = [1]
+    for h in range(d):
+        canonical.append(sum(canonical[-1] << c * b ** h for c in range(k)))
+
+    def options(h: int, base: int, target: int, uncovered: int) -> dict[int, int]:
+        """gain -> leaf mask, over the fully k-splitting trees of height
+        h on the leaves from ``base`` (through ``target`` if it is one of
+        them), one per orbit: a wholly covered or uncovered node takes its
+        canonical subtree, children with equal uncovered leaves are taken
+        lowest first, and their subtrees as a multiset."""
+        span = b ** h
+        part = uncovered >> base & (1 << span) - 1
+        if part in (0, (1 << span) - 1):
+            # a wholly uncovered node holds the target, the least uncovered
+            # leaf, only as its first leaf, which the canonical tree takes
+            mask = canonical[h] << base
+            return {mask & uncovered: mask}
+        width = span // b
+        path = (target - base) // width if base <= target < base + span else None
+        by_pattern: dict[int, list[int]] = {}
+        for c in range(b):
+            if c != path:
+                pattern = uncovered >> base + c * width & (1 << width) - 1
+                by_pattern.setdefault(pattern, []).append(c)
+        groups = list(by_pattern.values())
+        kids = [options(h - 1, base + cs[0] * width, target, uncovered) for cs in groups]
+        fixed = [] if path is None else [options(h - 1, base + path * width, target, uncovered)]
+        shares: dict[tuple[int, int], dict[int, int]] = {}
+        out: dict[int, int] = {}
+        for counts in _counts([len(cs) for cs in groups], k - len(fixed)):
+            for i, j in enumerate(counts):
+                if j and (i, j) not in shares:
+                    spend(math.comb(len(kids[i]) + j - 1, j))
+                    shifts = [(c - groups[i][0]) * width for c in groups[i][:j]]
+                    share = shares[i, j] = {}
+                    for combo in combinations_with_replacement(kids[i].items(), j):
+                        gain = sum(g << s for (g, _), s in zip(combo, shifts))
+                        share[gain] = sum(m << s for (_, m), s in zip(combo, shifts))
+            parts = sorted(fixed + [shares[i, j] for i, j in enumerate(counts) if j], key=len)
+            spend(math.prod(map(len, parts)))
+            trees = {0: 0}
+            for part in parts:
+                trees = {g + pg: m + pm for g, m in trees.items() for pg, pm in part.items()}
+            for gain, mask in trees.items():
+                if mask < out.get(gain, mask + 1):
+                    out[gain] = mask
+        return out
+
+    def search(uncovered: int, chosen: list[int]) -> None:
         nonlocal best
-        uncovered = all_leaves - covered
         if not uncovered:
             if not best or len(chosen) < len(best):
                 best = list(chosen)
             return
-        bound = math.ceil(len(uncovered) / (k ** d))
+        bound = _need(uncovered, b, k, d)
         if best and len(chosen) + bound >= len(best):
             return
-        target = min(uncovered)
-        seen_gain: set[frozenset[Word]] = set()
-        options = []
-        for ls in _leafsets_through(target, b, k):
-            gain = ls - covered
-            if gain in seen_gain:
-                continue
-            seen_gain.add(gain)
-            options.append((len(gain), ls))
-        options.sort(key=lambda p: (-p[0], sorted(p[1])))
-        for _, ls in options:
-            chosen.append(ls)
-            search(covered | ls, chosen)
+        target = (uncovered & -uncovered).bit_length() - 1
+        # most gain first, then least mask; popped lazily, because the bound
+        # often ends the loop after the first option
+        heap = [(n - (m & uncovered).bit_count()) << n | m
+                for m in options(d, 0, target, uncovered).values()]
+        heapify(heap)
+        while heap:
+            mask = heappop(heap) & (1 << n) - 1
+            chosen.append(mask)
+            search(uncovered & ~mask, chosen)
             chosen.pop()
+            if best and len(chosen) + bound >= len(best):
+                return
 
-    search(frozenset(), [])
+    search((1 << n) - 1, [])
     trees = tuple(
         FiniteTree.from_words(
-            [p for leaf in ls for p in _all_prefixes(leaf)], alphabet_bound=b
+            [w for i, w in enumerate(leaves) if tree >> i & 1], alphabet_bound=b
         )
-        for ls in best
+        for tree in best
     )
-    witness = CoverWitness(trees, all_leaves, (b, k, d))
-    return len(trees), witness
+    return len(trees), CoverWitness(trees, frozenset(leaves), (b, k, d))
 
 
 def verify_cover(w: CoverWitness) -> Optional[str]:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from survtree import cover
 from survtree.cli import main
 from survtree.io_formats import dump_tree, load_record, load_tree
 from survtree.trees import FiniteTree
@@ -24,6 +25,17 @@ def test_min_cover_prints_value(capsys):
 
 def test_min_cover_out_of_guard_is_usage_error(capsys):
     assert main(["min-cover", "--b", "4", "--k", "2", "--d", "6"]) == 2
+
+
+def test_min_cover_k_below_two_is_usage_error(capsys):
+    assert main(["min-cover", "--b", "3", "--k", "1", "--d", "2"]) == 2
+    assert "2 <= k <= b" in capsys.readouterr().err
+
+
+def test_min_cover_out_of_work_prints_bracket(monkeypatch, capsys):
+    monkeypatch.setattr(cover, "WORK_BUDGET", 100)
+    assert main(["min-cover", "--b", "4", "--k", "3", "--d", "3"]) == 3
+    assert capsys.readouterr().out.strip() == "4..?"
 
 
 def test_run_build3_empty_family_then_verify(tmp_path, capsys):

@@ -2,20 +2,98 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import replace
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import survtree.cover as cover
 from survtree.cover import (
+    CoverBudgetExceeded,
     CoverWitness,
     SizeGuard,
     min_cover,
     monotonicity_table,
     verify_cover,
 )
-from survtree.trees import FiniteTree
+from survtree.trees import FiniteTree, Word
+
+
+def _reference_min_cover(b: int, k: int, d: int) -> int:
+    """The earlier exhaustive search: leaf-set lists and a counting bound."""
+
+    def leafsets_through(leaf: Word) -> list[frozenset[Word]]:
+        results: list[frozenset[Word]] = []
+
+        def extend(level_nodes: list[Word], depth: int) -> None:
+            if depth == d:
+                results.append(frozenset(level_nodes))
+                return
+            choices_per_node = []
+            for node in level_nodes:
+                if leaf[:depth] == node:
+                    forced = leaf[depth]
+                    rests = itertools.combinations(
+                        [i for i in range(b) if i != forced], k - 1
+                    )
+                    choices_per_node.append([(forced,) + r for r in rests])
+                else:
+                    choices_per_node.append(list(itertools.combinations(range(b), k)))
+            for combo in itertools.product(*choices_per_node):
+                nxt = [
+                    node + (i,)
+                    for node, chosen in zip(level_nodes, combo)
+                    for i in chosen
+                ]
+                extend(nxt, depth + 1)
+
+        extend([()], 0)
+        return results
+
+    all_leaves = frozenset(itertools.product(range(b), repeat=d))
+    best: list[frozenset[Word]] = []
+
+    def search(covered: frozenset[Word], chosen: list[frozenset[Word]]) -> None:
+        nonlocal best
+        uncovered = all_leaves - covered
+        if not uncovered:
+            if not best or len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if best and len(chosen) + math.ceil(len(uncovered) / k**d) >= len(best):
+            return
+        seen_gain: set[frozenset[Word]] = set()
+        options = []
+        for ls in leafsets_through(min(uncovered)):
+            gain = ls - covered
+            if gain not in seen_gain:
+                seen_gain.add(gain)
+                options.append((len(gain), ls))
+        options.sort(key=lambda p: (-p[0], sorted(p[1])))
+        for _, ls in options:
+            chosen.append(ls)
+            search(covered | ls, chosen)
+            chosen.pop()
+
+    search(frozenset(), [])
+    return len(best)
+
+
+def _tree_masks(b: int, k: int, d: int) -> list[int]:
+    """Leaf masks of all fully k-splitting depth-d trees, by direct recursion."""
+    if d == 0:
+        return [1]
+    below = _tree_masks(b, k, d - 1)
+    width = b ** (d - 1)
+    return [
+        sum(m << c * width for c, m in zip(cs, ms))
+        for cs in itertools.combinations(range(b), k)
+        for ms in itertools.product(below, repeat=k)
+    ]
 
 
 def test_min_cover_3_2_1():
@@ -74,6 +152,73 @@ def test_monotonicity_4_rows():
 
 def test_monotonicity_3_2():
     assert monotonicity_table(3, 2, range(2, 3)) == [(2, 3)]
+
+
+@pytest.mark.parametrize(
+    "b,k,d,value",
+    [(4, 2, 3, 8), (5, 2, 2, 8), (3, 2, 3, 5), (5, 3, 2, 4), (5, 4, 2, 3)]
+    + [(4, 3, 3, 4), (9, 4, 2, 7), (3, 2, 4, 8), (5, 2, 3, 20), (6, 2, 3, 27)]
+    + [(6, 3, 3, 8), (13, 7, 2, 4), (7, 2, 3, 49)],
+)
+def test_min_cover_values_meet_the_need_bound(b, k, d, value):
+    # the verified witness bounds the minimum from above, the need bound of
+    # the full leaf set from below
+    found, witness = min_cover(b, k, d)
+    assert found == value == len(witness.trees)
+    assert verify_cover(witness) is None
+    assert cover._need((1 << b**d) - 1, b, k, d) == value
+
+
+@pytest.mark.parametrize(
+    "b,k,d",
+    [(3, 2, 1), (3, 2, 2), (4, 2, 1), (4, 2, 2), (4, 3, 2)]
+    + [(5, k, 1) for k in range(2, 6)],
+)
+def test_min_cover_agrees_with_reference_search(b, k, d):
+    assert min_cover(b, k, d)[0] == _reference_min_cover(b, k, d)
+
+
+TREES_3_2_2 = _tree_masks(3, 2, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2**9 - 1))
+def test_need_bound_never_exceeds_brute_force_cover(uncovered):
+    assert len(TREES_3_2_2) == 27
+    need = cover._need(uncovered, 3, 2, 2)
+    size = next(
+        m
+        for m in itertools.count(1)
+        if any(
+            uncovered & ~functools.reduce(operator.or_, ts) == 0
+            for ts in itertools.combinations(TREES_3_2_2, m)
+        )
+    )
+    assert need <= size
+
+
+def test_budget_exhaustion_reports_the_need_bound(monkeypatch):
+    monkeypatch.setattr(cover, "WORK_BUDGET", 100)
+    with pytest.raises(CoverBudgetExceeded) as info:
+        min_cover(4, 3, 3)
+    assert info.value.lower == 4
+    assert info.value.upper is None
+
+
+def test_budget_exhaustion_after_a_cover_reports_its_size(monkeypatch):
+    # the first descent on (7,2,3) finds 53 trees; backtracking lowers that
+    # to the need bound 49 with about 13,000 candidate trees
+    monkeypatch.setattr(cover, "WORK_BUDGET", 10_000)
+    with pytest.raises(CoverBudgetExceeded) as info:
+        min_cover(7, 2, 3)
+    assert info.value.lower == 49 < info.value.upper <= 53
+    assert info.value.bracket == f"49..{info.value.upper}"
+
+
+def test_k_outside_2_to_b_is_rejected():
+    for k in (0, 1, 4):
+        with pytest.raises(ValueError):
+            min_cover(3, k, 2)
 
 
 def test_min_cover_matches_brute_force_3_2_1():
