@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run every engine on the standard family over a fixed parameter grid,
-write the records, and re-verify each one.
+write the records, read each one back from its file and re-verify it.
 
 Usage: run_golden_suite.py [OUTPUT_DIR]   (default: ./golden)
 """
@@ -19,7 +19,7 @@ from survtree.engine import (
     verify_record,
 )
 from survtree.engine.common import RunRecord
-from survtree.io_formats import dump_record
+from survtree.io_formats import dump_record, load_record
 from survtree.staged import standard_library
 
 
@@ -62,11 +62,11 @@ def main() -> int:
     ]
     failed = 0
     for name, record in grid:
-        payload = record.to_payload()
         path = out_dir / f"{name}.json"
         with open(path, "w") as fp:
-            dump_record(payload, fp)
-        defects = verify_record(payload)
+            dump_record(record.to_payload(), fp)
+        with open(path) as fp:
+            defects = verify_record(load_record(fp))
         status = "ok" if not defects else f"DEFECTS: {defects}"
         print(f"{name}: {record.status}, {status} -> {path}")
         failed += bool(defects)

@@ -91,18 +91,10 @@ def _cmd_run(args) -> int:
     else:
         print(f"unknown engine {args.engine!r}", file=sys.stderr)
         return USAGE
-    _write_record(record, args.out)
+    with open(args.out, "w") as fp:
+        dump_record(record.to_payload(), fp)
     print(f"{args.engine}: status {record.status}, stem {list(record.final_stem)}")
     return OK if record.status == "complete" else BUDGET
-
-
-def _write_record(record: RunRecord, out: str) -> None:
-    _write_record_payload(record.to_payload(), out)
-
-
-def _write_record_payload(payload: dict, out: str) -> None:
-    with open(out, "w") as fp:
-        dump_record(payload, fp)
 
 
 def _cmd_verify(args) -> int:

@@ -2,9 +2,10 @@
 
 Tree files are a one-line header followed by one node per line (entries
 separated by spaces, the empty line after the header being the root),
-sorted shortest-first then lexicographically.  Run records carry a sha256
-digest of their canonical JSON payload so byte-level tampering is cheap to
-detect.
+sorted shortest-first then lexicographically.  A run record is written as
+one line of canonical JSON (sorted keys, no whitespace) carrying a sha256
+digest of the canonical JSON of the rest, so byte-level tampering is cheap
+to detect.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ def load_tree(fp: TextIO) -> FiniteTree:
 
 def dump_trace(tr: TraceTable, fp: TextIO) -> None:
     fp.write(f"trace bound=pow {tr.bound.base} d={tr.depth}\n")
-    all_words = sorted(tr.words(), key=word_key)
-    for w in all_words:
+    for w in tr.words():
         fp.write(_word_line(w) + "\n")
 
 
@@ -74,13 +74,21 @@ def load_trace(fp: TextIO) -> TraceTable:
     if not parts[3].startswith("d="):
         raise FormatError(f"line 1: bad trace header: {header!r}")
     depth = int(parts[3][2:])
-    words = []
-    for i, raw in enumerate(fp.read().splitlines(), start=2):
-        words.append(_parse_word(raw, i))
-    levels = tuple(
-        frozenset(w for w in words if len(w) == n) for n in range(depth + 1)
+    words = (
+        _parse_word(raw, i)
+        for i, raw in enumerate(fp.read().splitlines(), start=2)
     )
-    return TraceTable(levels, LevelBound("pow", base))
+    return TraceTable(_levels(words, depth), LevelBound("pow", base))
+
+
+def _levels(words: Iterable[Word], depth: int) -> tuple[frozenset[Word], ...]:
+    """Words bucketed by length into levels 0..depth, in one pass."""
+    levels: list[set[Word]] = [set() for _ in range(depth + 1)]
+    for w in words:
+        if len(w) > depth:
+            raise FormatError(f"word {list(w)} is longer than the trace depth {depth}")
+        levels[len(w)].add(w)
+    return tuple(frozenset(lv) for lv in levels)
 
 
 def tree_to_dot(t: FiniteTree, name: str = "tree") -> str:
@@ -113,10 +121,9 @@ def payload_digest(payload: dict) -> str:
 
 
 def dump_record(payload: dict, fp: TextIO) -> None:
-    payload = dict(payload)
-    payload["digest"] = payload_digest(payload)
-    json.dump(payload, fp, sort_keys=True, indent=2)
-    fp.write("\n")
+    """Stamp the digest and write the payload as one line of canonical JSON."""
+    payload = dict(payload, digest=payload_digest(payload))
+    fp.write(canonical_json(payload) + "\n")
 
 
 def load_record(fp: TextIO) -> dict:
@@ -141,7 +148,7 @@ def words_to_json(words: Iterable[Word]) -> list[list[int]]:
 
 
 def json_to_words(data: Any) -> list[Word]:
-    return [tuple(int(e) for e in w) for w in data]
+    return [tuple(map(int, w)) for w in data]
 
 
 def tree_to_json(t: FiniteTree) -> dict:
@@ -161,14 +168,10 @@ def trace_to_json(tr: TraceTable) -> dict:
     return {
         "bound": {"kind": tr.bound.kind, "base": tr.bound.base},
         "depth": tr.depth,
-        "words": words_to_json(tr.words()),
+        "words": [list(w) for w in tr.words()],
     }
 
 
 def json_to_trace(data: dict) -> TraceTable:
-    depth = int(data["depth"])
-    words = json_to_words(data["words"])
-    levels = tuple(
-        frozenset(w for w in words if len(w) == n) for n in range(depth + 1)
-    )
+    levels = _levels(json_to_words(data["words"]), int(data["depth"]))
     return TraceTable(levels, LevelBound(data["bound"]["kind"], int(data["bound"]["base"])))

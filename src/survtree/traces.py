@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import FiniteTree, Word, word_key
+from .trees import FiniteTree, Word
 
 
 class BoundExceeded(Exception):
@@ -64,7 +64,8 @@ class TraceTable:
         return len(self.levels) - 1
 
     def words(self) -> list[Word]:
-        return sorted((w for lv in self.levels for w in lv), key=word_key)
+        """All words shortest-first, then lexicographically (``word_key`` order)."""
+        return [w for lv in self.levels for w in sorted(lv)]
 
     def value_sets(self, n: int) -> frozenset[int]:
         """Positional view: the values occurring at position n."""

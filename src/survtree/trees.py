@@ -94,14 +94,14 @@ class FiniteTree:
     )
 
     def __post_init__(self) -> None:
-        if self.nodes:
-            for w in self.nodes:
-                if w and w[:-1] not in self.nodes:
-                    raise ValueError(f"not prefix-closed at {w}")
-                if self.alphabet_bound is not None and any(
-                    e >= self.alphabet_bound for e in w
-                ):
-                    raise ValueError(f"entry out of alphabet bound in {w}")
+        # every entry is the last entry of some node, since the nodes are
+        # prefix-closed; so checking last entries checks them all
+        bound = self.alphabet_bound
+        for w in self.nodes:
+            if w and w[:-1] not in self.nodes:
+                raise ValueError(f"not prefix-closed at {w}")
+            if w and bound is not None and w[-1] >= bound:
+                raise ValueError(f"entry out of alphabet bound in {w}")
         object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_depth", None)
 

@@ -66,6 +66,23 @@ def test_run_surviving_then_verify(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+def test_verify_accepts_legacy_indented_record(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    main(
+        [
+            "run", "--engine", "surviving", "--family", "standard",
+            "--k", "2", "--stages", "6", "--depth", "5",
+            "--fuel", "2000", "--out", str(out),
+        ]
+    )
+    text = out.read_text()
+    assert text.count("\n") == 1
+    out.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 def test_verify_rejects_tampered_record(tmp_path, capsys):
     out = tmp_path / "rec.json"
     main(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,10 @@ from survtree.io_formats import (
     tree_to_dot,
     tree_to_json,
 )
+from survtree.engine import diagonalize_surviving, verify_record
+from survtree.staged import standard_library
 from survtree.traces import LevelBound, from_tree
-from survtree.trees import FiniteTree
+from survtree.trees import FiniteTree, word_key
 
 
 def roundtrip_tree(t: FiniteTree) -> FiniteTree:
@@ -84,6 +87,13 @@ def test_trace_round_trip():
     assert out.levels == tr.levels and out.bound == tr.bound
 
 
+def test_load_trace_rejects_word_longer_than_depth():
+    text = "trace bound=pow 2 d=1\n\n0\n0 0\n"
+    with pytest.raises(FormatError) as e:
+        load_trace(io.StringIO(text))
+    assert "longer than the trace depth 1" in str(e.value)
+
+
 def test_json_tree_round_trip():
     t = make_tree([(), (1,), (1, 4)], bound=None)
     assert json_to_tree(tree_to_json(t)).nodes == t.nodes
@@ -132,6 +142,39 @@ def test_record_dump_is_byte_stable():
     assert bufs[0] == bufs[1]
 
 
+def surviving_d6_payload() -> dict:
+    return diagonalize_surviving(2, standard_library(), 8, 6, 4000).to_payload()
+
+
+def test_record_file_is_the_canonical_json_the_digest_signs():
+    payload = surviving_d6_payload()
+    unsigned = {k: v for k, v in payload.items() if k != "digest"}
+    buf = io.StringIO()
+    dump_record(unsigned, buf)
+    assert buf.getvalue() == canonical_json(payload) + "\n"
+
+
+def test_indented_record_still_loads_and_verifies():
+    payload = surviving_d6_payload()
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True, indent=2)
+    buf.write("\n")
+    buf.seek(0)
+    loaded = load_record(buf)
+    assert loaded == payload
+    assert verify_record(loaded) == []
+
+
+def test_overlong_trace_word_is_a_malformed_record():
+    payload = surviving_d6_payload()
+    payload["traces"][0]["words"] += [[9] * 12, [7] * 7]
+    payload["digest"] = payload_digest(payload)
+    defects = verify_record(payload)
+    assert len(defects) == 1
+    assert defects[0].startswith("malformed record: ")
+    assert "longer than the trace depth 6" in defects[0]
+
+
 def test_dot_output_marks_splitting_nodes():
     dot = tree_to_dot(FiniteTree.full(2, 1))
     assert dot.startswith("digraph")
@@ -158,3 +201,14 @@ def tree_strategy(draw):
 @given(tree_strategy())
 def test_tree_round_trip_property(t):
     assert roundtrip_tree(t).nodes == t.nodes
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_strategy())
+def test_trace_json_is_word_key_ordered_and_round_trips(t):
+    tr = from_tree(t, LevelBound("pow", 4))
+    data = trace_to_json(tr)
+    words = [w for lv in tr.levels for w in lv]
+    assert data["words"] == [list(w) for w in sorted(words, key=word_key)]
+    out = json_to_trace(data)
+    assert out.levels == tr.levels and out.bound == tr.bound

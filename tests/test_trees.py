@@ -55,6 +55,54 @@ def test_word_key_orders_shortest_then_lex():
     ]
 
 
+# --- validation ----------------------------------------------------------
+
+
+def test_tree_must_be_prefix_closed():
+    with pytest.raises(ValueError, match="not prefix-closed"):
+        FiniteTree(frozenset({(), (0, 1)}))
+
+
+def test_out_of_bound_last_entry_is_rejected():
+    with pytest.raises(ValueError, match="alphabet bound"):
+        FiniteTree(frozenset({(), (0,), (0, 5)}), 3)
+
+
+def test_out_of_bound_middle_entry_is_rejected():
+    with pytest.raises(ValueError, match="alphabet bound"):
+        FiniteTree(frozenset({(), (5,), (5, 0)}), 3)
+
+
+def _valid_per_entry(nodes, bound) -> bool:
+    """The check FiniteTree made before: prefix closure plus every entry."""
+    for w in nodes:
+        if w and w[:-1] not in nodes:
+            return False
+        if bound is not None and any(e >= bound for e in w):
+            return False
+    return True
+
+
+def _accepted(nodes, bound) -> bool:
+    try:
+        FiniteTree(nodes, bound)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.frozensets(st.lists(st.integers(0, 4), max_size=3).map(tuple), max_size=12),
+    st.none() | st.integers(1, 5),
+    st.booleans(),
+)
+def test_validation_matches_the_per_entry_check(words, bound, closed):
+    # closing half of the sets makes the alphabet check the deciding one
+    nodes = FiniteTree.from_words(words).nodes if closed else words
+    assert _accepted(nodes, bound) == _valid_per_entry(nodes, bound)
+
+
 # --- children ------------------------------------------------------------
 
 
