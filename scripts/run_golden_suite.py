@@ -12,32 +12,14 @@ from pathlib import Path
 
 from survtree.engine import (
     accelerating_force,
-    build_3tree,
+    build3_record,
     diagonalize_surviving,
     initial_condition,
     traceable_prune,
     verify_record,
 )
-from survtree.engine.common import RunRecord
 from survtree.io_formats import dump_record, load_record
 from survtree.staged import standard_library
-
-
-def build3_record(family, depth, stages):
-    tree, path = build_3tree(family, depth, stages)
-    return RunRecord(
-        engine="build3",
-        parameters={"depth": depth, "stages": stages},
-        family_config=family.config,
-        stage_log=[],
-        final_stem=path,
-        final_tree=tree,
-        traces=[],
-        certificates=[
-            {"kind": "shape", "predicate": "ktree", "k": 3, "depth": depth}
-        ],
-        status="complete",
-    )
 
 
 def main() -> int:

@@ -16,13 +16,12 @@ from pathlib import Path
 from .cover import CoverBudgetExceeded, SizeGuard, min_cover, verify_cover
 from .engine import (
     accelerating_force,
-    build_3tree,
+    build3_record,
     diagonalize_surviving,
     initial_condition,
     traceable_prune,
     verify_record,
 )
-from .engine.common import RunRecord
 from .io_formats import (
     FormatError,
     dump_record,
@@ -64,25 +63,7 @@ def _cmd_run(args) -> int:
             args.k, family, args.stages, args.depth, args.fuel
         )
     elif args.engine == "build3":
-        tree, path = build_3tree(family, args.depth, args.stages)
-        record = RunRecord(
-            engine="build3",
-            parameters={"depth": args.depth, "stages": args.stages},
-            family_config=family.config,
-            stage_log=[],
-            final_stem=path,
-            final_tree=tree,
-            traces=[],
-            certificates=[
-                {
-                    "kind": "shape",
-                    "predicate": "ktree",
-                    "k": 3,
-                    "depth": args.depth,
-                }
-            ],
-            status="complete",
-        )
+        record = build3_record(family, args.depth, args.stages)
     elif args.engine == "traceable":
         start = initial_condition(family, args.depth, 2 * args.depth + 8)
         record = traceable_prune(start, family, args.stages, args.depth, args.fuel)

@@ -1,5 +1,5 @@
 from .accelerating import accelerating_force
-from .build3 import build_3tree
+from .build3 import build3_record, build_3tree
 from .common import (
     LabeledCondition,
     RunRecord,
@@ -15,6 +15,7 @@ __all__ = [
     "LabeledCondition",
     "RunRecord",
     "accelerating_force",
+    "build3_record",
     "build_3tree",
     "check_label_invariants",
     "diagonalize_surviving",

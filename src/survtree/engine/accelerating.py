@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..staged import AdversaryFamily, TriState, tree_bound_violation
+from ..staged import AdversaryFamily, TriState, index_pair, tree_bound_violation
 from ..traces import TraceTable
 from ..trees import FiniteTree, Word, is_prefix, prefixes, subtree_above, word_key
 from .common import OutputTable, RunRecord, nodes_above, trace_from_outputs
@@ -161,7 +161,7 @@ def accelerating_force(
     for s in range(stages):
         idx = s // 2
         if s % 2 == 0:
-            e0, k0 = adversaries.index_pair(idx)
+            e0, k0 = index_pair(idx)
             if e0 >= len(adversaries.staged_trees):
                 stage_log.append({"stage": s, "requirement": None, "case": "skip"})
                 continue

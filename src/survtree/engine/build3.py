@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from ..staged import AdversaryFamily, Verdict, index_pair, looks_like_branching
 from ..trees import FiniteTree, TriState, Word, word_key
+from .common import RunRecord
 
 LevelCode = Callable[[int], tuple[int, int]]
 
@@ -83,3 +84,22 @@ def build_3tree(
     while cm.get(path):
         path = path + (max(cm[path]),)
     return tree, path
+
+
+def build3_record(adversaries: AdversaryFamily, depth: int, stages: int) -> RunRecord:
+    """The run record of ``build_3tree``: its tree, with the rightmost path
+    as the stem, and the 3-tree shape it promises."""
+    tree, path = build_3tree(adversaries, depth, stages)
+    return RunRecord(
+        engine="build3",
+        parameters={"depth": depth, "stages": stages},
+        family_config=adversaries.config,
+        stage_log=[],
+        final_stem=path,
+        final_tree=tree,
+        traces=[],
+        certificates=[
+            {"kind": "shape", "predicate": "ktree", "k": 3, "depth": depth}
+        ],
+        status="complete",
+    )

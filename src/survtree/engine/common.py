@@ -3,8 +3,8 @@ tree walks, trace building and run records."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from ..io_formats import (
@@ -15,7 +15,7 @@ from ..io_formats import (
 )
 from ..staged import AdversaryFamily, OracleFunctional, family_from_config
 from ..traces import LevelBound, TraceTable
-from ..trees import FiniteTree, Word, prefixes, word_key
+from ..trees import FiniteTree, Word, levels_above, prefixes, word_key
 
 
 def schedule(i: int) -> int:
@@ -118,29 +118,24 @@ class OutputTable:
         """Longest output prefix (up to depth) converged on w itself."""
         out = self._converged.get(w)
         if out is None:
-            acc = []
-            for n in range(self.depth):
-                v = self.value(w, n)
+            row = self._rows.get(w)
+            if row is None:
+                row = self._rows[w] = [_UNSET] * self.depth
+            ev, fuel, n = self.functional.eval, self.fuel, 0
+            for v in row:
+                if v is _UNSET:
+                    v = row[n] = ev(w, n, fuel)
+                    self.evals += 1
                 if v is None:
                     break
-                acc.append(v)
-            out = self._converged[w] = tuple(acc)
+                n += 1
+            out = self._converged[w] = tuple(row[:n])
         return out
 
 
 def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:
-    """The nodes of tree extending node, in shortest-then-lex order.
-
-    Breadth-first with sorted children visits each level in lex order.
-    """
-    if node not in tree.nodes:
-        return
-    cm = tree.child_map()
-    queue = deque([node])
-    while queue:
-        w = queue.popleft()
-        yield w
-        queue.extend(w + (i,) for i in cm[w])
+    """The nodes of tree extending node, in shortest-then-lex order."""
+    return chain.from_iterable(levels_above(tree, node))
 
 
 def divergence_escape(
@@ -149,28 +144,40 @@ def divergence_escape(
     """First (node, position) past which every branch stays unconverged.
 
     Bit n of a node's mask is set when position n is unconverged on every
-    leaf above it; masks are and-ed bottom-up, so each leaf is read once.
+    leaf above it.  Masks are folded up the sorted levels above the stem:
+    a node's children are the next run of the level below, so each leaf
+    is read once and no mask is looked up by word.
     """
     cm = tree.child_map()
-    order = list(nodes_above(tree, stem))
-    mask: dict[Word, int] = {}
-    for w in reversed(order):
-        kids = cm[w]
-        if kids:
-            m = -1
-            for i in kids:
-                m &= mask[w + (i,)]
-        else:
-            m = 0
-            for n, v in enumerate(table.outputs(w)):
-                if v is None:
-                    m |= 1 << n
-        mask[w] = m
-    for t in order:
-        m = mask[t]
-        if m:
-            return t, (m & -m).bit_length() - 1
-    return None
+    found: Optional[tuple[Word, int]] = None
+    below: list[int] = []
+    for lv in reversed(list(levels_above(tree, stem))):
+        row: list[int] = []
+        j = 0
+        for w in lv:
+            c = len(cm[w])
+            if c:
+                m = below[j]
+                for x in below[j + 1:j + c]:
+                    m &= x
+                j += c
+            else:
+                m = 0
+                outs = table.outputs(w)
+                if None in outs:
+                    for n, v in enumerate(outs):
+                        if v is None:
+                            m |= 1 << n
+            row.append(m)
+        # the answer is the first hit on the shortest level with one
+        hit = next((i for i, m in enumerate(row) if m), None)
+        if hit is not None:
+            found = lv[hit], row[hit]
+        below = row
+    if found is None:
+        return None
+    w, m = found
+    return w, (m & -m).bit_length() - 1
 
 
 def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:

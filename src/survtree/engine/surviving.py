@@ -13,14 +13,7 @@ from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily, StagedTree, tree_bound_violation
 from ..traces import TraceTable
-from ..trees import (
-    FiniteTree,
-    TriState,
-    Word,
-    prefixes,
-    subtree_above,
-    word_key,
-)
+from ..trees import FiniteTree, TriState, Word, levels_above, subtree_above
 from .common import (
     OutputTable,
     RunRecord,
@@ -52,63 +45,70 @@ def _tree_stage(
             "stage": query,
         }
         return None, tree, {"case": "already-out"}, cert
-    cm = tree.child_map()
-    for q in nodes_above(tree, stem):
-        for i in cm[q]:
-            if adv.decide(q + (i,), query) is TriState.OUT:
-                new_stem = q + (i,)
-                cert = {
-                    "kind": "avoidance",
-                    "tree": adv.id,
-                    "witness": list(new_stem),
-                    "stage": query,
-                }
-                log = {"case": "exit", "witness": list(new_stem)}
-                return new_stem, subtree_above(tree, new_stem), log, cert
+    # the children of the nodes above the stem, taken node by node, are
+    # the nodes above the stem after the stem itself, in the same order
+    for new_stem in nodes_above(tree, stem):
+        if new_stem != stem and adv.decide(new_stem, query) is TriState.OUT:
+            cert = {
+                "kind": "avoidance",
+                "tree": adv.id,
+                "witness": list(new_stem),
+                "stage": query,
+            }
+            log = {"case": "exit", "witness": list(new_stem)}
+            return new_stem, subtree_above(tree, new_stem), log, cert
     return None, tree, {"case": "stuck"}, None
 
 
 def _case_b(
     table: OutputTable, k: int, stem: Word, tree: FiniteTree
 ) -> Optional[Word]:
-    """First non-leaf node whose branch outputs take at most k values per level.
+    """First node below the tree's depth whose branch outputs take at most
+    k values per level.
 
-    The distinct outputs of a node's branches are merged bottom-up.  A
-    level over k stays over k in every ancestor, so the node and all its
-    ancestors are ruled out at once and their merges skipped.
+    The distinct outputs of each node's branches are merged up the sorted
+    levels above the stem, in lists aligned with the levels: a node's
+    children are the next run of the level below.  A level over k stays
+    over k in every ancestor, so a node with a child over k is marked over
+    (None) without a merge.
     """
     cm = tree.child_map()
-    order = list(nodes_above(tree, stem))
-    over: set[Word] = set()
-    merged: dict[Word, set[Word]] = {}
-    for w in reversed(order):
-        if w in over:
-            continue
-        kids = cm[w]
-        if not kids:
-            merged[w] = {table.converged(w)}
-            continue
-        outs = set().union(*(merged.pop(w + (i,)) for i in kids))
-        if _widest_level(outs) > k:
-            a = w
-            while len(a) >= len(stem) and a not in over:
-                over.add(a)
-                a = a[:-1]
-        else:
-            merged[w] = outs
-    return next(
-        (t for t in order if len(t) < tree.depth and t not in over), None
-    )
+    found: Optional[Word] = None
+    below: list[Optional[set[Word]]] = []
+    for lv in reversed(list(levels_above(tree, stem))):
+        row: list[Optional[set[Word]]] = []
+        j = 0
+        for w in lv:
+            c = len(cm[w])
+            if not c:
+                row.append({table.converged(w)})
+                continue
+            kids = below[j:j + c]
+            j += c
+            if None in kids:
+                row.append(None)
+                continue
+            outs = set().union(*kids)
+            row.append(None if _more_than_k(outs, k) else outs)
+        # the answer is the first node not over k on the shortest level
+        # with one, leaves at the tree's depth aside
+        if len(lv[0]) < tree.depth:
+            found = next((w for w, o in zip(lv, row) if o is not None), found)
+        below = row
+    return found
 
 
-def _widest_level(outs: set[Word]) -> int:
-    """The largest number of distinct length-n prefixes of outs, n >= 1."""
+def _more_than_k(outs: set[Word], k: int) -> bool:
+    """Whether more than k distinct length-n prefixes of outs exist for
+    some n >= 1, trying the longest n first."""
+    if len(outs) <= k:
+        return False
     level: set[Word] = set()
-    widest = 0
     for n in range(max(map(len, outs)), 0, -1):
         level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
-        widest = max(widest, len(level))
-    return widest
+        if len(level) > k:
+            return True
+    return False
 
 
 def _case_c(
@@ -116,48 +116,47 @@ def _case_c(
 ) -> Optional[tuple[FiniteTree, TraceTable]]:
     """Simultaneous splitting: rebuild the condition so sibling subtrees
     carry pairwise distinct output prefixes, collecting those prefixes
-    into a trace bounded by (k+1)^n."""
+    into a trace bounded by (k+1)^n.
+
+    Level m lists the nodes t(sigma) for the length-m words sigma in lex
+    order.  The b nodes assigned above t(sigma) are t(sigma 0) ...
+    t(sigma k), so appending each node's assignment in turn lists the next
+    level in lex order too, and no map keyed by sigma is needed.
+    """
     b = k + 1
     depth = table.depth
     cm = tree.child_map()
-    t_map: dict[Word, Word] = {(): stem}
-    u_map: dict[Word, Word] = {(): ()}
-    level: list[Word] = [()]
+    tops = [stem]
+    outs: list[Word] = [()]
+    m = 0
     while True:
-        additions: dict[Word, tuple[Word, Word]] = {}
-        for sigma in level:
+        chosen: list[tuple[Word, Word]] = []
+        for top in tops:
             # the working tree is full above the stem, so the first node
             # with a complete set of b children is the split to use
-            q = next(
-                (w for w in nodes_above(tree, t_map[sigma]) if len(cm[w]) == b),
-                None,
+            q = top if len(cm[top]) == b else next(
+                (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
             )
-            assigned = (
-                None if q is None else _assign_distinct(table, tree, q, len(sigma))
-            )
+            assigned = None if q is None else _assign_distinct(table, tree, q, m)
             if assigned is None:
-                additions = {}
+                chosen = []
                 break
-            for i, (v, out) in enumerate(assigned):
-                additions[sigma + (i,)] = (v, out)
-        if not additions:
+            chosen += assigned
+        if not chosen:
             break
-        for key, (v, out) in additions.items():
-            t_map[key] = v
-            u_map[key] = out
-        level = sorted(additions, key=word_key)
-    if len(t_map) == 1:
+        tops = [v for v, _ in chosen]
+        outs += [o for _, o in chosen]
+        m += 1
+    if m == 0:
         return None
-    deepest = max(len(s) for s in t_map)
     nodes = {()}
-    for s, w in t_map.items():
-        if len(s) == deepest:
-            p = w + (0,) * (depth - len(w))
-            while p not in nodes:
-                nodes.add(p)
-                p = p[:-1]
+    for w in tops:
+        p = w + (0,) * (depth - len(w))
+        while p not in nodes:
+            nodes.add(p)
+            p = p[:-1]
     new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
-    return new_tree, trace_from_outputs(u_map.values(), depth, b)
+    return new_tree, trace_from_outputs(outs, depth, b)
 
 
 class _Drawn:
@@ -195,17 +194,35 @@ def _assign_distinct(
 ) -> Optional[list[tuple[Word, Word]]]:
     """For each child of q, a node above it whose output prefix at some
     common length n > sigma_len differs from all the siblings' prefixes."""
+    kids = [q + (i,) for i in tree.child_map()[q]]
     for n in range(sigma_len + 1, table.depth + 1):
-        pools = [
-            _Drawn(_first_per_prefix(table, tree, q + (i,), n))
-            for i in tree.child_map()[q]
-        ]
+        chosen = _own_prefixes(table, kids, n)
+        if chosen is not None:
+            return chosen
+        pools = [_Drawn(_first_per_prefix(table, tree, v, n)) for v in kids]
         if any(p.get(0) is None for p in pools):
             continue
         chosen = _pick_distinct(pools, [])
         if chosen is not None:
             return chosen
     return None
+
+
+def _own_prefixes(
+    table: OutputTable, kids: list[Word], n: int
+) -> Optional[list[tuple[Word, Word]]]:
+    """The first choice the pool search at length n tries: every child with
+    its own length-n output prefix, if each is long enough and no two are
+    equal.  It reads no output the pool search would not read."""
+    chosen: list[tuple[Word, Word]] = []
+    seen: set[Word] = set()
+    for v in kids:
+        o = table.converged(v)[:n]
+        if len(o) < n or o in seen:
+            return None
+        seen.add(o)
+        chosen.append((v, o))
+    return chosen
 
 
 def _pick_distinct(

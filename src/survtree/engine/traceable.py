@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..staged import AdversaryFamily, StagedTree, tree_bound_violation
+from ..staged import AdversaryFamily, StagedTree, index_pair, tree_bound_violation
 from ..traces import TraceTable
 from ..trees import (
     FiniteTree,
@@ -48,7 +48,7 @@ def initial_condition(
         adversaries,
         depth,
         stages,
-        level_code=lambda n: adversaries.index_pair(schedule(n) - 1),
+        level_code=lambda n: index_pair(schedule(n) - 1),
     )
     tree = _prune_to_depth(tree, depth)
     labels = {w: schedule(len(w)) for w in tree.nodes}
@@ -289,7 +289,7 @@ def traceable_prune(
     for s in range(stages):
         idx = s // 2
         if s % 2 == 0:
-            code = adversaries.index_pair(idx)
+            code = index_pair(idx)
             e0, k0 = code
             if e0 >= len(adversaries.staged_trees):
                 stage_log.append({"stage": s, "requirement": None, "case": "skip"})

@@ -47,6 +47,14 @@ def verify_record(payload: dict) -> list[str]:
         stem = stem_of_payload(payload)
         tree = tree_of_payload(payload)
         labels = labels_of_payload(payload)
+        depth = int(payload["parameters"]["depth"])
+        # every engine builds its traces at the record's depth; checking it
+        # first keeps a forged depth from costing anything to decode
+        for t in payload["traces"]:
+            if int(t["depth"]) != depth:
+                raise ValueError(
+                    f"trace depth {t['depth']} differs from the record depth {depth}"
+                )
         traces = [
             (int(t["functional"]), json_to_trace(t)) for t in payload["traces"]
         ]
@@ -55,7 +63,6 @@ def verify_record(payload: dict) -> list[str]:
     if stem not in tree:
         defects.append(f"final stem {stem} not in final tree")
     fuel_default = int(payload["parameters"].get("fuel", 0))
-    depth = int(payload["parameters"]["depth"])
     leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
     for i, cert in enumerate(payload.get("certificates", [])):
         try:

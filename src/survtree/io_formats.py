@@ -15,7 +15,7 @@ import json
 from typing import Any, Iterable, TextIO
 
 from .traces import LevelBound, TraceTable
-from .trees import FiniteTree, Word, word_key
+from .trees import FiniteTree, Word
 
 
 class FormatError(ValueError):
@@ -115,15 +115,32 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _join_object(encoded: dict[str, str]) -> str:
+    """canonical_json of an object, given its values' canonical JSON."""
+    items = (json.dumps(k) + ":" + encoded[k] for k in sorted(encoded))
+    return "{" + ",".join(items) + "}"
+
+
+def _signed(payload: dict) -> tuple[str, dict[str, str]]:
+    """The digest of a payload and the canonical JSON of each of its
+    values, the digest left out: every value is encoded once."""
+    encoded = {k: canonical_json(v) for k, v in payload.items() if k != "digest"}
+    body = _join_object(encoded)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest(), encoded
+
+
 def payload_digest(payload: dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "digest"}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+    return _signed(payload)[0]
 
 
 def dump_record(payload: dict, fp: TextIO) -> None:
-    """Stamp the digest and write the payload as one line of canonical JSON."""
-    payload = dict(payload, digest=payload_digest(payload))
-    fp.write(canonical_json(payload) + "\n")
+    """Stamp the digest and write the payload as one line of canonical JSON.
+
+    The file text is canonical_json of the stamped payload, joined from
+    the same value encodings the digest was taken over."""
+    digest, encoded = _signed(payload)
+    encoded["digest"] = json.dumps(digest)
+    fp.write(_join_object(encoded) + "\n")
 
 
 def load_record(fp: TextIO) -> dict:
@@ -143,10 +160,6 @@ def record_digest_ok(payload: dict) -> bool:
 # JSON-friendly encodings of words and trees used inside records.
 
 
-def words_to_json(words: Iterable[Word]) -> list[list[int]]:
-    return [list(w) for w in sorted(words, key=word_key)]
-
-
 def json_to_words(data: Any) -> list[Word]:
     return [tuple(map(int, w)) for w in data]
 
@@ -154,7 +167,7 @@ def json_to_words(data: Any) -> list[Word]:
 def tree_to_json(t: FiniteTree) -> dict:
     return {
         "alphabet_bound": t.alphabet_bound,
-        "nodes": words_to_json(t.nodes),
+        "nodes": [list(w) for w in t.sorted_nodes()],
     }
 
 

@@ -112,12 +112,6 @@ class AdversaryFamily:
     functionals: tuple[OracleFunctional, ...]
     config: dict = field(compare=False, default_factory=dict)
 
-    def pair_index(self, e: int, k: int) -> int:
-        return pair_index(e, k)
-
-    def index_pair(self, i: int) -> tuple[int, int]:
-        return index_pair(i)
-
 
 # ---------------------------------------------------------------------------
 # Honesty inspection.

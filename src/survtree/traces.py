@@ -50,13 +50,18 @@ class TraceTable:
     bound: LevelBound
 
     def __post_init__(self) -> None:
+        small = self.bound.base < 2
+        above: frozenset[Word] = frozenset()
         for n, lv in enumerate(self.levels):
             for w in lv:
                 if len(w) != n:
                     raise ValueError(f"word {w} in level {n} has wrong length")
-                if n > 0 and w[:-1] not in self.levels[n - 1]:
+                if n > 0 and w[:-1] not in above:
                     raise ValueError(f"level {n} not prefix-coherent at {w}")
-            if len(lv) > self.bound(n):
+            above = lv
+            # base**n >= 2**n exceeds len(lv) once n reaches its bit length,
+            # so huge powers of deep, small levels are never computed
+            if (small or n < len(lv).bit_length()) and len(lv) > self.bound(n):
                 raise BoundExceeded(n, len(lv), self.bound(n))
 
     @property

@@ -8,14 +8,20 @@ Operations that accept both say so.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
+
+_parent = itemgetter(slice(None, -1))
+_last = itemgetter(-1)
 
 
 def prefixes(w: Word) -> Iterator[Word]:
@@ -92,6 +98,9 @@ class FiniteTree:
     _depth: Optional[int] = field(
         default=None, compare=False, repr=False, hash=False
     )
+    _levels: Optional[list] = field(
+        default=None, compare=False, repr=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         # every entry is the last entry of some node, since the nodes are
@@ -104,28 +113,40 @@ class FiniteTree:
                 raise ValueError(f"entry out of alphabet bound in {w}")
         object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_depth", None)
+        object.__setattr__(self, "_levels", None)
 
     @property
     def depth(self) -> int:
         if self._depth is None:
             object.__setattr__(
-                self, "_depth", max((len(w) for w in self.nodes), default=0)
+                self, "_depth", max(map(len, self.nodes), default=0)
             )
         return self._depth
 
     def __contains__(self, w: Word) -> bool:
         return w in self.nodes
 
+    def levels(self) -> list[list[Word]]:
+        """Per length n = 0..depth, the sorted nodes of length n, built once."""
+        if self._levels is None:
+            levels: list[list[Word]] = [[] for _ in range(self.depth + 1)]
+            for w in self.nodes:
+                levels[len(w)].append(w)
+            for lv in levels:
+                lv.sort()
+            object.__setattr__(self, "_levels", levels)
+        return self._levels
+
     def child_map(self) -> dict[Word, tuple[int, ...]]:
         """Node -> sorted child entries, built once per tree."""
         if self._children is None:
-            cm: dict[Word, list[int]] = {w: [] for w in self.nodes}
-            for w in self.nodes:
-                if w:
-                    cm[w[:-1]].append(w[-1])
-            object.__setattr__(
-                self, "_children", {w: tuple(sorted(c)) for w, c in cm.items()}
-            )
+            cm: dict[Word, tuple[int, ...]] = dict.fromkeys(self.nodes, ())
+            # on a sorted level, each node's children form one run, in
+            # entry order
+            for lv in self.levels()[1:]:
+                for parent, run in groupby(lv, _parent):
+                    cm[parent] = tuple(map(_last, run))
+            object.__setattr__(self, "_children", cm)
         return self._children
 
     def children_of(self, w: Word) -> tuple[int, ...]:
@@ -135,11 +156,12 @@ class FiniteTree:
             raise NotInTree(f"{w} is not a member") from None
 
     def sorted_nodes(self) -> list[Word]:
-        return sorted(self.nodes, key=word_key)
+        """All nodes in shortest-then-lex (``word_key``) order."""
+        return [w for lv in self.levels() for w in lv]
 
     def leaves(self) -> list[Word]:
         cm = self.child_map()
-        return sorted((w for w in self.nodes if not cm[w]), key=word_key)
+        return [w for lv in self.levels() for w in lv if not cm[w]]
 
     def level(self, n: int) -> frozenset[Word]:
         return frozenset(w for w in self.nodes if len(w) == n)
@@ -349,15 +371,36 @@ def covered_fraction(t: FiniteTree, d: int) -> Fraction:
     return Fraction(len(t.level(d)), t.alphabet_bound**d)
 
 
+def levels_above(t: FiniteTree, node: Word) -> Iterator[list[Word]]:
+    """Per length from len(node) on, the sorted nodes of t extending node.
+
+    On each sorted level the extensions of node form one slice, from node
+    up to (not including) node with its last entry raised by one; the walk
+    ends at the first empty slice.  Nothing is yielded for a non-member.
+    The lists may be the tree's own cached levels: read them, never change
+    them.
+    """
+    if node not in t.nodes:
+        return
+    yield [node]
+    levels = t.levels()
+    if not node:
+        yield from levels[1:]
+        return
+    after = node[:-1] + (node[-1] + 1,)
+    for lv in levels[len(node) + 1:]:
+        lo = bisect_left(lv, node)
+        hi = bisect_left(lv, after, lo)
+        if lo == hi:
+            return
+        yield lv[lo:hi]
+
+
 def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
     """Nodes comparable with the stem (the restriction of a condition)."""
     if stem not in t.nodes:
         raise NotInTree(f"stem {stem} is not a member")
-    return FiniteTree(
-        frozenset(
-            w
-            for w in t.nodes
-            if is_prefix(w, stem) or is_prefix(stem, w)
-        ),
-        t.alphabet_bound,
-    )
+    nodes = set(prefixes(stem))
+    for lv in levels_above(t, stem):
+        nodes.update(lv)
+    return FiniteTree(frozenset(nodes), t.alphabet_bound)

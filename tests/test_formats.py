@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,28 @@ def test_overlong_trace_word_is_a_malformed_record():
     assert len(defects) == 1
     assert defects[0].startswith("malformed record: ")
     assert "longer than the trace depth 6" in defects[0]
+
+
+def test_deep_forged_trace_decodes_quickly():
+    # a few bytes declaring 100,000 levels: no level may cost a power of
+    # the base that its size could not reach
+    forged = {"bound": {"kind": "pow", "base": 2}, "depth": 100_000, "words": [[]]}
+    start = time.perf_counter()
+    table = json_to_trace(forged)
+    assert time.perf_counter() - start < 1.0
+    assert table.depth == 100_000
+
+
+def test_trace_depth_other_than_the_record_depth_is_a_malformed_record():
+    payload = surviving_d6_payload()
+    payload["traces"][0]["depth"] = 100_000
+    payload["digest"] = payload_digest(payload)
+    start = time.perf_counter()
+    defects = verify_record(payload)
+    assert time.perf_counter() - start < 1.0
+    assert defects == [
+        "malformed record: trace depth 100000 differs from the record depth 6"
+    ]
 
 
 def test_dot_output_marks_splitting_nodes():

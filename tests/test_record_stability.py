@@ -1,14 +1,18 @@
-"""Run records pinned byte for byte, apart from stage-log fuel_spent.
+"""Run records pinned byte for byte, apart from stage-log fuel_spent,
+and their stage-log fuel_spent values pinned on their own.
 
 Each hash is the sha256 of ``canonical_json`` of a payload with its
 ``digest`` and every stage-log ``fuel_spent`` removed.  The hashes were
 taken before the engines moved to per-stage output tables, which changed
-only what ``fuel_spent`` counts.
+only what ``fuel_spent`` counts.  The fuel_spent lists were taken with the
+output tables in place; a change to the set of (node, position) pairs a
+stage evaluates shows up there and nowhere else in the record.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 
 import pytest
@@ -66,6 +70,23 @@ PINNED = {
 }
 
 
+# the fuel_spent of each functional stage, in stage order
+FUEL_SPENT = {
+    "surviving-d6": [6378, 6378, 1458, 486],
+    "surviving-d8": [77091, 77091, 17496, 5832],
+    "traceable-d8": [152, 44],
+    "accelerating-d8": [8, 1427, 8, 12],
+    "surviving-d8-entry-mod-4": [77091, 77091],
+    "surviving-d8-constant-3": [52488, 52488],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _payload(name: str) -> dict:
+    build, _ = PINNED[name]
+    return build().to_payload()
+
+
 def _hash_without_fuel(payload: dict) -> str:
     p = copy.deepcopy(payload)
     del p["digest"]
@@ -76,5 +97,11 @@ def _hash_without_fuel(payload: dict) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_record_bytes_pinned_apart_from_fuel_spent(name):
-    build, expected = PINNED[name]
-    assert _hash_without_fuel(build().to_payload()) == expected
+    _, expected = PINNED[name]
+    assert _hash_without_fuel(_payload(name)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(FUEL_SPENT))
+def test_stage_fuel_spent_pinned(name):
+    spent = [e["fuel_spent"] for e in _payload(name)["stage_log"] if "fuel_spent" in e]
+    assert spent == FUEL_SPENT[name]

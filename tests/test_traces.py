@@ -159,3 +159,17 @@ def test_goes_through_iff_member(t):
     for n in range(t.depth + 1):
         for w in itertools.product(range(3), repeat=n):
             assert goes_through(w, tr) == (w in t.nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tree(), st.integers(1, 3))
+def test_bound_check_agrees_with_every_level_compared(t, base):
+    first_over = next(
+        (n for n in range(t.depth + 1) if len(t.level(n)) > base**n), None
+    )
+    if first_over is None:
+        assert from_tree(t, LevelBound("pow", base)).depth == t.depth
+    else:
+        with pytest.raises(BoundExceeded) as e:
+            from_tree(t, LevelBound("pow", base))
+        assert e.value.level == first_over

@@ -1,0 +1,244 @@
+"""Walks over sorted tree levels against word-keyed reference walks.
+
+The references are the breadth-first ``nodes_above``, the dict-based case
+A/B folds and the prefix-testing ``subtree_above`` that the level walks
+replaced; they are kept here to check the level walks on random trees.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, deque
+from itertools import takewhile
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from survtree.engine.common import OutputTable, divergence_escape, nodes_above
+from survtree.engine.surviving import (
+    _Drawn,
+    _assign_distinct,
+    _case_b,
+    _first_per_prefix,
+    _pick_distinct,
+)
+from survtree.staged import OracleFunctional
+from survtree.trees import (
+    FiniteTree,
+    Word,
+    is_prefix,
+    levels_above,
+    subtree_above,
+    word_key,
+)
+
+DEPTH = 4
+
+
+def _reference_nodes_above(tree: FiniteTree, node: Word) -> list[Word]:
+    if node not in tree.nodes:
+        return []
+    cm = tree.child_map()
+    out, queue = [], deque([node])
+    while queue:
+        w = queue.popleft()
+        out.append(w)
+        queue.extend(w + (i,) for i in cm[w])
+    return out
+
+
+def _reference_divergence_escape(table, stem, tree):
+    cm = tree.child_map()
+    order = _reference_nodes_above(tree, stem)
+    mask: dict[Word, int] = {}
+    for w in reversed(order):
+        kids = cm[w]
+        if kids:
+            m = -1
+            for i in kids:
+                m &= mask[w + (i,)]
+        else:
+            m = 0
+            for n, v in enumerate(table.outputs(w)):
+                if v is None:
+                    m |= 1 << n
+        mask[w] = m
+    for t in order:
+        if mask[t]:
+            return t, (mask[t] & -mask[t]).bit_length() - 1
+    return None
+
+
+def _reference_widest_level(outs: set[Word]) -> int:
+    level: set[Word] = set()
+    widest = 0
+    for n in range(max(map(len, outs)), 0, -1):
+        level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
+        widest = max(widest, len(level))
+    return widest
+
+
+def _reference_case_b(table, k, stem, tree) -> Optional[Word]:
+    cm = tree.child_map()
+    order = _reference_nodes_above(tree, stem)
+    over: set[Word] = set()
+    merged: dict[Word, set[Word]] = {}
+    for w in reversed(order):
+        if w in over:
+            continue
+        kids = cm[w]
+        if not kids:
+            merged[w] = {table.converged(w)}
+            continue
+        outs = set().union(*(merged.pop(w + (i,)) for i in kids))
+        if _reference_widest_level(outs) > k:
+            a = w
+            while len(a) >= len(stem) and a not in over:
+                over.add(a)
+                a = a[:-1]
+        else:
+            merged[w] = outs
+    return next((t for t in order if len(t) < tree.depth and t not in over), None)
+
+
+def _reference_subtree_above(tree: FiniteTree, stem: Word) -> FiniteTree:
+    return FiniteTree(
+        frozenset(w for w in tree.nodes if is_prefix(w, stem) or is_prefix(stem, w)),
+        tree.alphabet_bound,
+    )
+
+
+@st.composite
+def trees(draw, b=3):
+    """Random prefix-closed trees; branches end at any length up to DEPTH."""
+    nodes = {()}
+    frontier = [()]
+    while frontier:
+        w = frontier.pop()
+        if len(w) == DEPTH:
+            continue
+        for i in draw(st.sets(st.integers(0, b - 1), max_size=b)):
+            nodes.add(w + (i,))
+            frontier.append(w + (i,))
+    return FiniteTree(frozenset(nodes), b)
+
+
+@st.composite
+def trees_with_table(draw):
+    """A tree, a node of it, and a functional read from a table of outputs
+    per (node, position): a value in 0..2 or None, in any pattern.  The
+    table repeats a drawn list of cells, so an example stays small."""
+    tree = draw(trees())
+    cell = st.one_of(st.none(), st.integers(0, 2))
+    cells = draw(st.lists(cell, min_size=1, max_size=3 * DEPTH))
+    nodes = tree.sorted_nodes()
+    outs = {
+        w: [cells[(i * DEPTH + n) % len(cells)] for n in range(DEPTH)]
+        for i, w in enumerate(nodes)
+    }
+    return tree, outs, draw(st.sampled_from(nodes))
+
+
+def _table(outs: dict[Word, list], calls: Optional[Counter] = None) -> OutputTable:
+    def rule(sigma, n, fuel):
+        if calls is not None:
+            calls[sigma, n] += 1
+        return outs[sigma][n]
+
+    return OutputTable(OracleFunctional(0, "table", rule), 1, DEPTH)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees())
+def test_levels_and_child_map_match_the_node_set(tree):
+    levels = tree.levels()
+    assert [w for lv in levels for w in lv] == sorted(tree.nodes, key=word_key)
+    assert all(len(w) == n for n, lv in enumerate(levels) for w in lv)
+    kids: dict[Word, list[int]] = {w: [] for w in tree.nodes}
+    for w in tree.nodes - {()}:
+        kids[w[:-1]].append(w[-1])
+    assert tree.child_map() == {w: tuple(sorted(c)) for w, c in kids.items()}
+    assert tree.leaves() == sorted((w for w in kids if not kids[w]), key=word_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(), st.lists(st.integers(0, 3), max_size=3))
+def test_nodes_above_matches_breadth_first_walk(tree, probe):
+    for node in tree.sorted_nodes() + [tuple(probe)]:
+        expected = _reference_nodes_above(tree, node)
+        assert list(nodes_above(tree, node)) == expected
+        slices = list(levels_above(tree, node))
+        assert [w for lv in slices for w in lv] == expected
+        assert all(
+            lv and all(len(w) == len(node) + i for w in lv)
+            for i, lv in enumerate(slices)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees())
+def test_subtree_above_matches_prefix_filter(tree):
+    for stem in tree.sorted_nodes():
+        assert subtree_above(tree, stem) == _reference_subtree_above(tree, stem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_table())
+def test_divergence_escape_matches_dict_fold(case):
+    tree, outs, stem = case
+    assert divergence_escape(_table(outs), stem, tree) == _reference_divergence_escape(
+        _table(outs), stem, tree
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_table(), st.integers(1, 3))
+def test_case_b_matches_dict_fold(case, k):
+    tree, outs, stem = case
+    assert _case_b(_table(outs), k, stem, tree) == _reference_case_b(
+        _table(outs), k, stem, tree
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_table(), st.lists(st.integers(0, DEPTH - 1), max_size=6))
+def test_converged_fills_rows_in_order_and_counts_each_eval_once(case, read):
+    tree, outs, _ = case
+    calls: Counter = Counter()
+    table = _table(outs, calls)
+    nodes = tree.sorted_nodes()
+    # read some single positions first, so rows are partly filled
+    for i, n in enumerate(read):
+        table.value(nodes[i % len(nodes)], n)
+    for w in nodes:
+        assert table.converged(w) == tuple(takewhile(lambda v: v is not None, outs[w]))
+    assert max(calls.values(), default=1) == 1
+    assert table.evals == len(calls)
+
+
+def _pool_search(table, tree, q, sigma_len):
+    """The case-C pool search alone, without the own-prefix shortcut."""
+    for n in range(sigma_len + 1, table.depth + 1):
+        pools = [
+            _Drawn(_first_per_prefix(table, tree, q + (i,), n))
+            for i in tree.child_map()[q]
+        ]
+        if any(p.get(0) is None for p in pools):
+            continue
+        chosen = _pick_distinct(pools, [])
+        if chosen is not None:
+            return chosen
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_table(), st.integers(0, DEPTH - 1))
+def test_own_prefix_shortcut_reads_what_the_pool_search_reads(case, sigma_len):
+    tree, outs, q = case
+    if not tree.child_map()[q]:
+        return
+    fast_calls: Counter = Counter()
+    pool_calls: Counter = Counter()
+    fast = _assign_distinct(_table(outs, fast_calls), tree, q, sigma_len)
+    assert fast == _pool_search(_table(outs, pool_calls), tree, q, sigma_len)
+    assert fast_calls == pool_calls
