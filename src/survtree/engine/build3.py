@@ -1,17 +1,23 @@
 """Staged growth of a 3-tree that escapes a family of claimed branching trees.
 
 Every node always keeps its 0-successor.  At stage s a node p may gain the
-candidate successor p^s, decided by how many successors p already has and
-by what the level's adversary has revealed so far:
+candidate successor p^s, decided by how many successors p has at the start
+of the stage and by what the level's adversary has revealed so far:
 
   one successor yet   - admit the fresh candidate only while the adversary
                         looks like a k-branching tree containing p and has
-                        already shown p^0; otherwise candidates up to s are
-                        forbidden for good.
+                        already shown p^0.
   two successors      - admit only at the moment the adversary shows exactly
                         k successors of p (it must split there, and the
                         fresh entry can never join it).
   three successors    - nothing more, ever.
+
+A node is probed only until its outcome is fixed.  It is settled for good
+once it has three successors, once its level has no adversary (after its
+0-successor is added), or once it is not admitted at a stage from which the
+adversary's answers about it no longer change (``probe_settled``).  Within a
+stage the order of the nodes does not matter: each node's successor count is
+its own, and the adversary's decisions are pure.
 
 The pairing of levels to adversaries is injectable so other constructions
 can reuse the growth loop with their own level coding.
@@ -21,8 +27,15 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..staged import AdversaryFamily, Verdict, index_pair, looks_like_branching
-from ..trees import FiniteTree, TriState, Word, word_key
+from ..staged import (
+    AdversaryFamily,
+    Verdict,
+    index_pair,
+    looks_like_branching,
+    probe_settled,
+    shown_successors,
+)
+from ..trees import FiniteTree, TriState, Word
 from .common import RunRecord
 
 LevelCode = Callable[[int], tuple[int, int]]
@@ -38,47 +51,44 @@ def build_3tree(
     rightmost (largest-entry) path from the root."""
     if level_code is None:
         level_code = index_pair
-    nodes: set[Word] = {()}
-    forbidden: set[Word] = set()
+    trees = adversaries.staged_trees
+    claims = []  # per level below the depth: (adversary or None, k)
+    for n in range(depth):
+        e, k = level_code(n)
+        claims.append((trees[e] if 0 <= e < len(trees) else None, k))
+    succ: dict[Word, int] = {(): 0}  # node -> successor count
+    open_nodes: list[Word] = [()] if depth > 0 else []
     for s in range(1, stages + 1):
-        snapshot = sorted((w for w in nodes if len(w) < depth), key=word_key)
-        counts = {p: 0 for p in snapshot}
-        for w in nodes:
-            if w and w[:-1] in counts:
-                counts[w[:-1]] += 1
-        for p in snapshot:
-            nodes.add(p + (0,))
-            cand = p + (s,)
-            if cand in forbidden:
+        still_open: list[Word] = []
+        for p in open_nodes:
+            nsucc = succ[p]
+            if nsucc == 0:
+                succ[p] = 1
+                succ[p + (0,)] = 0
+                if len(p) + 1 < depth:
+                    still_open.append(p + (0,))
+            adv, k = claims[len(p)]
+            if adv is None:
                 continue
-            e, k = level_code(len(p))
-            adv = (
-                adversaries.staged_trees[e]
-                if 0 <= e < len(adversaries.staged_trees)
-                else None
-            )
-            nsucc = counts[p]
             if nsucc <= 1:
-                if adv is None or looks_like_branching(adv, k, p, s) is not Verdict.YES:
-                    forbidden.update(p + (i,) for i in range(1, s + 1))
-                    continue
-                if adv.decide(p + (0,), s) is not TriState.IN:
-                    forbidden.add(cand)
-                    continue
-                if adv.decide(cand, s) is not TriState.IN:
-                    nodes.add(cand)
-            elif nsucc == 2:
-                if adv is None:
-                    continue
-                shown = sum(
-                    1
-                    for i in range(min(s, adv.alphabet_bound or s))
-                    if adv.decide(p + (i,), s) is TriState.IN
+                # the candidate p^s is fresh at stage s, so never decided In
+                admit = (
+                    looks_like_branching(adv, k, p, s) is Verdict.YES
+                    and adv.decide(p + (0,), s) is TriState.IN
                 )
-                if shown == k:
-                    nodes.add(cand)
-            # three successors: the node is closed for good
-    tree = FiniteTree.from_words(nodes)
+            else:
+                admit = shown_successors(adv, p, s) == k
+            if admit:
+                succ[p] += 1
+                succ[p + (s,)] = 0
+                if len(p) + 1 < depth:
+                    still_open.append(p + (s,))
+                if succ[p] < 3:
+                    still_open.append(p)
+            elif not probe_settled(adv, p, s):
+                still_open.append(p)
+        open_nodes = still_open
+    tree = FiniteTree(frozenset(succ))
     path: Word = ()
     cm = tree.child_map()
     while cm.get(path):

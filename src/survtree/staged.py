@@ -162,6 +162,30 @@ def looks_like_branching(
     return Verdict.YES
 
 
+def shown_successors(t: StagedTree, w: Word, stage: int) -> int:
+    """How many successors of w the tree has decided In at the stage."""
+    horizon = min(stage, t.alphabet_bound or stage)
+    return sum(1 for i in range(horizon) if t.decide(w + (i,), stage) is TriState.IN)
+
+
+def probe_settled(t: StagedTree, root: Word, stage: int) -> bool:
+    """Do ``looks_like_branching(t, k, root, s)`` and
+    ``shown_successors(t, root, s)`` give the same answer at every s >= stage?
+
+    They do once every word they decide is decided by ``member`` alone: the
+    delay has passed, the root's entries are below the stage, the walk's
+    words (at most _BFS_DEPTH_CAP below the root) are shorter than the stage,
+    and the horizon has stopped at the alphabet bound.  Without a bound the
+    horizon grows with the stage, so the answers never settle.
+    """
+    return (
+        bool(t.alphabet_bound)
+        and stage >= max(t.delay, t.alphabet_bound)
+        and stage > len(root) + _BFS_DEPTH_CAP
+        and all(e < stage for e in root)
+    )
+
+
 def tree_bound_violation(
     t: StagedTree, k: int, stage: int
 ) -> Optional[Word]:
@@ -212,6 +236,28 @@ class ConfigError(ValueError):
     pass
 
 
+# the keys each kind reads, besides those every entry of its list may have
+_TREE_KEYS = {
+    "full_subtree": {"alphabet"},
+    "full_subtree_plus": {"alphabet", "extra"},
+    "comb": {"entry"},
+}
+_FUNCTIONAL_KEYS = {
+    "identity": set(),
+    "entry_mod": {"modulus"},
+    "constant": {"value"},
+    "diverging": set(),
+}
+
+
+def _check_keys(entry: dict, read: set[str], where: str) -> None:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: not a JSON object")
+    unknown = sorted(set(entry) - read)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _subtree_member(alphabet: frozenset[int]) -> Callable[[Word], bool]:
     return lambda w: all(e in alphabet for e in w)
 
@@ -229,6 +275,9 @@ def _comb_member(entry: int) -> Callable[[Word], bool]:
 
 def staged_tree_from_config(entry: dict, index: int) -> StagedTree:
     kind = entry.get("kind")
+    if kind in _TREE_KEYS:
+        read = _TREE_KEYS[kind] | {"id", "kind", "claim", "delay"}
+        _check_keys(entry, read, f"staged tree entry {index}")
     claim = entry.get("claim")
     claimed = (claim[0], int(claim[1])) if claim else None
     delay = int(entry.get("delay", 0))
@@ -284,6 +333,9 @@ def _diverging_rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
 
 def functional_from_config(entry: dict, index: int) -> OracleFunctional:
     kind = entry.get("kind")
+    if kind in _FUNCTIONAL_KEYS:
+        read = _FUNCTIONAL_KEYS[kind] | {"id", "kind"}
+        _check_keys(entry, read, f"functional entry {index}")
     fid = int(entry.get("id", index))
     if kind == "identity":
         return OracleFunctional(fid, kind, _identity_rule)
@@ -297,6 +349,7 @@ def functional_from_config(entry: dict, index: int) -> OracleFunctional:
 
 
 def family_from_config(config: dict) -> AdversaryFamily:
+    _check_keys(config, {"staged_trees", "functionals"}, "family config")
     trees = tuple(
         staged_tree_from_config(e, i)
         for i, e in enumerate(config.get("staged_trees", []))

@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+from hypothesis import strategies as st
+
+from survtree.staged import StagedTree
 from survtree.trees import FiniteTree, Word
 
 
@@ -52,3 +55,44 @@ def full_tree_words(b: int, d: int) -> frozenset[Word]:
 
 def make_tree(nodes, bound=None) -> FiniteTree:
     return FiniteTree(frozenset(nodes), alphabet_bound=bound)
+
+
+LETTERS = 6  # staged-tree alphabets are drawn from 0..LETTERS-1
+
+
+@st.composite
+def staged_tree_entries(draw) -> dict:
+    """A config entry of any documented staged-tree kind, maybe delayed."""
+    kind = draw(st.sampled_from(["full_subtree", "full_subtree_plus", "comb"]))
+    if kind == "comb":
+        entry = {"kind": kind, "entry": draw(st.integers(0, 3))}
+    else:
+        letters = st.lists(
+            st.integers(0, LETTERS - 1), min_size=1, max_size=4, unique=True
+        )
+        entry = {"kind": kind, "alphabet": sorted(draw(letters))}
+    if kind == "full_subtree_plus":
+        # an extra word leaves the alphabet in its last entry at most
+        extra = st.tuples(
+            st.lists(st.sampled_from(entry["alphabet"]), max_size=4),
+            st.integers(0, LETTERS),
+        ).map(lambda t: t[0] + [t[1]])
+        entry["extra"] = draw(st.lists(extra, min_size=1, max_size=3))
+    entry["delay"] = draw(st.sampled_from([0, 0, 1, 3, 6, 9]))
+    return entry
+
+
+@st.composite
+def unbounded_trees(draw) -> StagedTree:
+    """A directly built staged tree with no alphabet bound: the full subtree
+    over letters that may lie far above the other trees' alphabets."""
+    letters = frozenset(
+        draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
+    )
+    return StagedTree(
+        id=-1,
+        kind="unbounded",
+        member=lambda w: all(e in letters for e in w),
+        alphabet_bound=None,
+        delay=draw(st.sampled_from([0, 0, 4])),
+    )

@@ -9,7 +9,7 @@ import pytest
 
 from survtree import cover
 from survtree.cli import main
-from survtree.io_formats import dump_tree, load_record, load_tree
+from survtree.io_formats import dump_record, dump_tree, load_record, load_tree
 from survtree.trees import FiniteTree
 
 
@@ -96,6 +96,53 @@ def test_verify_rejects_tampered_record(tmp_path, capsys):
     out.write_text(json.dumps(payload))
     assert main(["verify", str(out)]) == 1
     assert "defect" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"staged_trees": [], "functionals": [], "trees": []}, "trees"),
+        (
+            {
+                "staged_trees": [
+                    {"kind": "full_subtree", "alphabet": [0, 1],
+                     "claimed_shape": ["branching", 2]}
+                ],
+                "functionals": [],
+            },
+            "claimed_shape",
+        ),
+        # a key that another kind reads
+        (
+            {"staged_trees": [], "functionals": [{"kind": "identity", "modulus": 3}]},
+            "modulus",
+        ),
+    ],
+)
+def test_unknown_family_config_key_is_usage_error(tmp_path, capsys, config, key):
+    f = tmp_path / "fam.json"
+    f.write_text(json.dumps(config))
+    out = tmp_path / "rec.json"
+    argv = ["run", "--engine", "build3", "--family", str(f), "--depth", "4"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_reports_unknown_family_key_as_malformed(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    main(
+        [
+            "run", "--engine", "build3", "--family", "empty",
+            "--depth", "4", "--out", str(out),
+        ]
+    )
+    payload = json.loads(out.read_text())
+    payload["family"]["trees"] = []
+    with open(out, "w") as fp:
+        dump_record(payload, fp)  # signed again, so only the key is wrong
+    assert main(["verify", str(out)]) == 1
+    assert "malformed record" in capsys.readouterr().out
 
 
 def test_verify_missing_file_is_usage_error(tmp_path):

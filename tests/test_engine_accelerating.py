@@ -31,7 +31,7 @@ def test_even_stage_exits_honest_binary_claimant():
                 "id": 0,
                 "kind": "full_subtree",
                 "alphabet": [0, 1],
-                "claimed_shape": ["branching", 2],
+                "claim": ["branching", 2],
             }
         ],
         "functionals": [],

@@ -2,15 +2,137 @@
 
 from __future__ import annotations
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import staged_tree_entries, unbounded_trees
 from survtree.engine import build_3tree
+from survtree.engine.common import schedule
 from survtree.staged import (
     EMPTY_CONFIG,
+    AdversaryFamily,
+    StagedTree,
+    Verdict,
     family_from_config,
+    index_pair,
+    looks_like_branching,
     standard_library,
+    staged_tree_from_config,
 )
-from survtree.trees import TriState, is_k_tree_to_depth
+from survtree.trees import FiniteTree, TriState, is_k_tree_to_depth, word_key
 
 LIB = standard_library()
+
+
+def _reference_build_3tree(adversaries, depth, stages, level_code=index_pair):
+    """The growth loop as first written: every stage re-sorts and re-probes
+    every node below the depth, and keeps a set of forbidden candidates."""
+    nodes = {()}
+    forbidden = set()
+    for s in range(1, stages + 1):
+        snapshot = sorted((w for w in nodes if len(w) < depth), key=word_key)
+        counts = {p: 0 for p in snapshot}
+        for w in nodes:
+            if w and w[:-1] in counts:
+                counts[w[:-1]] += 1
+        for p in snapshot:
+            nodes.add(p + (0,))
+            cand = p + (s,)
+            if cand in forbidden:
+                continue
+            e, k = level_code(len(p))
+            adv = (
+                adversaries.staged_trees[e]
+                if 0 <= e < len(adversaries.staged_trees)
+                else None
+            )
+            nsucc = counts[p]
+            if nsucc <= 1:
+                if adv is None or looks_like_branching(adv, k, p, s) is not Verdict.YES:
+                    forbidden.update(p + (i,) for i in range(1, s + 1))
+                    continue
+                if adv.decide(p + (0,), s) is not TriState.IN:
+                    forbidden.add(cand)
+                    continue
+                if adv.decide(cand, s) is not TriState.IN:
+                    nodes.add(cand)
+            elif nsucc == 2:
+                if adv is None:
+                    continue
+                shown = sum(
+                    1
+                    for i in range(min(s, adv.alphabet_bound or s))
+                    if adv.decide(p + (i,), s) is TriState.IN
+                )
+                if shown == k:
+                    nodes.add(cand)
+    tree = FiniteTree.from_words(nodes)
+    path = ()
+    cm = tree.child_map()
+    while cm.get(path):
+        path = path + (max(cm[path]),)
+    return tree, path
+
+
+def _traceable_code(n):
+    return index_pair(schedule(n) - 1)
+
+
+@st.composite
+def growth_inputs(draw):
+    bounded = [
+        staged_tree_from_config(e, i)
+        for i, e in enumerate(draw(st.lists(staged_tree_entries(), max_size=5)))
+    ]
+    unbounded = draw(st.lists(unbounded_trees(), max_size=2))
+    trees = draw(st.permutations(bounded + unbounded))
+    depth = draw(st.integers(0, 7))
+    code = draw(st.sampled_from(["pairing", "traceable", "table"]))
+    if code == "pairing":
+        level_code = index_pair
+    elif code == "traceable":
+        level_code = _traceable_code
+    else:
+        # any adversary index (or none) and any claimed k, level by level
+        table = draw(
+            st.lists(
+                st.tuples(st.integers(-1, len(trees)), st.integers(1, 4)),
+                min_size=depth,
+                max_size=depth,
+            )
+        )
+        level_code = table.__getitem__
+    family = AdversaryFamily(tuple(trees), ())
+    return family, depth, draw(st.integers(0, 32)), level_code
+
+
+def _one_claimant(tree):
+    """Every level claims k = 2 against the given tree alone."""
+    return AdversaryFamily((tree,), ()), 3, 20, lambda n: (0, 2)
+
+
+def _full(alphabet, delay=0):
+    entry = {"kind": "full_subtree", "alphabet": alphabet, "delay": delay}
+    return staged_tree_from_config(entry, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(growth_inputs())
+# the root's second split waits for the decision of (12,), (7,) or, at the
+# delay, of everything: settling on an earlier stage would miss it
+@example(
+    _one_claimant(
+        StagedTree(0, "unbounded", lambda w: all(e in (0, 12) for e in w))
+    )
+)
+@example(_one_claimant(_full([0, 7])))
+@example(_one_claimant(_full([0, 1], delay=9)))
+def test_build_3tree_matches_reference_loop(inputs):
+    family, depth, stages, level_code = inputs
+    tree, path = build_3tree(family, depth, stages, level_code=level_code)
+    ref_tree, ref_path = _reference_build_3tree(family, depth, stages, level_code)
+    assert tree.nodes == ref_tree.nodes
+    assert path == ref_path
 
 
 def test_empty_family_zero_comb():

@@ -37,7 +37,7 @@ def test_single_honest_binary_adversary_exits_right():
                 "id": 0,
                 "kind": "full_subtree",
                 "alphabet": [0, 1],
-                "claimed_shape": ["branching", 2],
+                "claim": ["branching", 2],
             }
         ],
         "functionals": [],

@@ -4,7 +4,9 @@ and their stage-log fuel_spent values pinned on their own.
 Each hash is the sha256 of ``canonical_json`` of a payload with its
 ``digest`` and every stage-log ``fuel_spent`` removed.  The hashes were
 taken before the engines moved to per-stage output tables, which changed
-only what ``fuel_spent`` counts.  The fuel_spent lists were taken with the
+only what ``fuel_spent`` counts; the build3 hashes and the traceable base
+condition's were taken while the 3-tree growth loop still re-probed every
+node at every stage.  The fuel_spent lists were taken with the
 output tables in place; a change to the set of (node, position) pairs a
 stage evaluates shows up there and nowhere else in the record.
 """
@@ -19,12 +21,14 @@ import pytest
 
 from survtree.engine import (
     accelerating_force,
+    build3_record,
     diagonalize_surviving,
     initial_condition,
     traceable_prune,
 )
 from survtree.io_formats import canonical_json
 from survtree.staged import STANDARD_CONFIG, family_from_config, standard_library
+from survtree.trees import word_key
 
 LIB = standard_library()
 
@@ -67,6 +71,14 @@ PINNED = {
         lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
         "5f4580dde3516e3b8707c3c1409e7eb7d0f1aa3032a714daedc4e120d8563dd4",
     ),
+    "build3-d12": (
+        lambda: build3_record(LIB, 12, 36),
+        "ff2bdc2984bd3c53221e669e9f73835aa347fe751c4ff069852606ce5f0618c1",
+    ),
+    "build3-d16": (
+        lambda: build3_record(LIB, 16, 48),
+        "ac48cc3cdf1a4ccbd60c4d95c225f765fd80688a5f54bb469a78d000d9bd3a80",
+    ),
 }
 
 
@@ -99,6 +111,21 @@ def _hash_without_fuel(payload: dict) -> str:
 def test_record_bytes_pinned_apart_from_fuel_spent(name):
     _, expected = PINNED[name]
     assert _hash_without_fuel(_payload(name)) == expected
+
+
+# the traceable engine's base condition, as its word_key-sorted [node, label]
+# pairs
+INITIAL_CONDITION_D10 = (
+    "e912eeea296055afabc0849dab65a66c708482a7f430fb026afff70f3e59c874"
+)
+
+
+def test_initial_condition_pinned():
+    c = initial_condition(LIB, 10, 28)
+    pairs = [[list(w), c.labels[w]] for w in sorted(c.tree.nodes, key=word_key)]
+    assert hashlib.sha256(canonical_json(pairs).encode()).hexdigest() == (
+        INITIAL_CONDITION_D10
+    )
 
 
 @pytest.mark.parametrize("name", sorted(FUEL_SPENT))

@@ -6,7 +6,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import LETTERS, staged_tree_entries, unbounded_trees
 from survtree.staged import (
     ConfigError,
     Verdict,
@@ -16,7 +19,10 @@ from survtree.staged import (
     index_pair,
     looks_like_branching,
     pair_index,
+    probe_settled,
     pushforward_staged,
+    shown_successors,
+    staged_tree_from_config,
     standard_library,
     tree_bound_violation,
 )
@@ -98,6 +104,38 @@ def test_never_yes_and_no_and_no_downgrade():
             if seen_yes:
                 assert v is Verdict.YES
             seen_yes = seen_yes or v is Verdict.YES
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        staged_tree_entries().map(lambda e: staged_tree_from_config(e, 0)),
+        unbounded_trees(),
+    ),
+    st.lists(st.integers(0, LETTERS), max_size=3).map(tuple),
+    st.integers(1, 4),
+)
+# a violation exactly _BFS_DEPTH_CAP levels below the root: the walk sees it
+# only once the words of that length are decided
+@example(
+    staged_tree_from_config(
+        {"kind": "full_subtree_plus", "alphabet": [0, 1], "extra": [[0, 0, 0, 2]]}, 0
+    ),
+    (),
+    2,
+)
+def test_settled_probe_answers_stay_fixed(t, root, k):
+    settled_at = next((s for s in range(40) if probe_settled(t, root, s)), None)
+    if settled_at is None:
+        # only an unbounded tree keeps widening its horizon
+        assert t.alphabet_bound is None
+        return
+    verdict = looks_like_branching(t, k, root, settled_at)
+    shown = shown_successors(t, root, settled_at)
+    for later in range(settled_at, settled_at + 21):
+        assert probe_settled(t, root, later)
+        assert looks_like_branching(t, k, root, later) is verdict
+        assert shown_successors(t, root, later) == shown
 
 
 def test_tree_bound_violation_on_wide_tree():
@@ -193,6 +231,11 @@ def test_unknown_kind_rejected_naming_entry():
     with pytest.raises(ConfigError) as e:
         family_from_config(config)
     assert "0" in str(e.value)
+
+
+def test_config_that_is_not_an_object_rejected():
+    with pytest.raises(ConfigError):
+        family_from_config([{"kind": "comb"}])
 
 
 def test_duplicate_ids_rejected():
