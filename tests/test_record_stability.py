@@ -59,6 +59,14 @@ PINNED = {
         lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
         "fe575d9756076419db5385e59200d033435e17579954e6b1d97b5d9c2fcf12a0",
     ),
+    "traceable-d6": (
+        lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
+        "1dd1c8346301ec86988a55f85c77fa40640cb678a2254343259f6c2a760b92ee",
+    ),
+    "accelerating-d6": (
+        lambda: accelerating_force(LIB, 6, 6, 4000),
+        "b78f9f5aadc5ab1d106d343a72e2b2ad80a2d98e8f654b2bcfa57fbb90a9e324",
+    ),
     "accelerating-d8": (
         lambda: accelerating_force(LIB, 8, 8, 10**4),
         "b0bc7d42fde2ce7ee665c1b7db1e688a87e00c1004eed7c7d09ea6878910e269",
@@ -75,6 +83,10 @@ PINNED = {
         lambda: build3_record(LIB, 12, 36),
         "ff2bdc2984bd3c53221e669e9f73835aa347fe751c4ff069852606ce5f0618c1",
     ),
+    "build3-d8": (
+        lambda: build3_record(LIB, 8, 24),
+        "de4f1af66e50ad2a4319c649b8d5e0ece969f94d1bcb95678f71a4a4d7044b5f",
+    ),
     "build3-d16": (
         lambda: build3_record(LIB, 16, 48),
         "ac48cc3cdf1a4ccbd60c4d95c225f765fd80688a5f54bb469a78d000d9bd3a80",
@@ -86,7 +98,9 @@ PINNED = {
 FUEL_SPENT = {
     "surviving-d6": [6378, 6378, 1458, 486],
     "surviving-d8": [77091, 77091, 17496, 5832],
+    "traceable-d6": [81, 27],
     "traceable-d8": [152, 44],
+    "accelerating-d6": [6, 465, 6],
     "accelerating-d8": [8, 1427, 8, 12],
     "surviving-d8-entry-mod-4": [77091, 77091],
     "surviving-d8-constant-3": [52488, 52488],
