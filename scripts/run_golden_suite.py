@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every engine on the standard family over a fixed parameter grid,
 write the records, read each one back from its file and re-verify it.
+Exits 1 when a record has defects or is incomplete: every record of the
+grid completes, so an incomplete one means an engine got stuck where it
+used to finish.
 
 Usage: run_golden_suite.py [OUTPUT_DIR]   (default: ./golden)
 """
@@ -51,7 +54,7 @@ def main() -> int:
             defects = verify_record(load_record(fp))
         status = "ok" if not defects else f"DEFECTS: {defects}"
         print(f"{name}: {record.status}, {status} -> {path}")
-        failed += bool(defects)
+        failed += bool(defects) or record.status != "complete"
     return 1 if failed else 0
 
 

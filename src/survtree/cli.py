@@ -53,7 +53,11 @@ def _load_family(name: str):
     if name == "empty":
         return family_from_config(EMPTY_CONFIG)
     with open(name) as fp:
-        return family_from_config(json.load(fp))
+        try:
+            config = json.load(fp)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{name} is not JSON: {e}") from None
+    return family_from_config(config)
 
 
 def _cmd_run(args) -> int:

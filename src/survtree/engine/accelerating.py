@@ -10,12 +10,20 @@ time Case 4 prunes it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
-from ..staged import AdversaryFamily, TriState, index_pair, tree_bound_violation
+from ..staged import AdversaryFamily
 from ..traces import TraceTable
 from ..trees import FiniteTree, Word, is_prefix, prefixes, subtree_above, word_key
-from .common import OutputTable, RunRecord, nodes_above, trace_from_outputs
+from .common import (
+    OutputTable,
+    RunRecord,
+    divergence_certificate,
+    nodes_above,
+    requirements,
+    trace_from_outputs,
+    tree_stage,
+)
 
 _PROBE_ENTRIES = 4
 _PROBE_LEN = 3
@@ -158,52 +166,21 @@ def accelerating_force(
     traces: list[tuple[int, TraceTable]] = []
     status = "complete"
 
-    for s in range(stages):
-        idx = s // 2
-        if s % 2 == 0:
-            e0, k0 = index_pair(idx)
-            if e0 >= len(adversaries.staged_trees):
-                stage_log.append({"stage": s, "requirement": None, "case": "skip"})
-                continue
-            adv = adversaries.staged_trees[e0]
-            witness = tree_bound_violation(adv, k0, query)
-            if witness is not None:
-                certificates.append(
-                    {"kind": "vacuous_tree_requirement", "tree": adv.id,
-                     "k": k0, "witness": list(witness), "stage": query}
-                )
-                stage_log.append({"stage": s, "requirement": f"R{idx}", "case": "vacuous"})
-                continue
-            if adv.decide(stem, query) is TriState.OUT:
-                certificates.append(
-                    {"kind": "avoidance", "tree": adv.id,
-                     "witness": list(stem), "stage": query}
-                )
-                stage_log.append(
-                    {"stage": s, "requirement": f"R{idx}", "case": "already-out"}
-                )
-                continue
-            new_stem = _even_exit(adv, k0, stem, tree, query, depth)
-            if new_stem is None:
-                stage_log.append({"stage": s, "requirement": f"R{idx}", "case": "stuck"})
+    for _, adv, k, entry in requirements(stages, adversaries, stage_log):
+        if k is not None:
+            exits = _exits(stem, tree, k, query, depth)
+            new_stem, log, cert = tree_stage(adv, k, stem, exits, query)
+            entry.update(log)
+            if cert is None:
                 status = "incomplete"
                 break
-            stem = new_stem
-            if tree is not None:
-                tree = subtree_above(tree, stem)
-            certificates.append(
-                {"kind": "avoidance", "tree": adv.id,
-                 "witness": list(stem), "stage": query}
-            )
-            stage_log.append(
-                {"stage": s, "requirement": f"R{idx}", "case": "exit",
-                 "witness": list(stem)}
-            )
+            certificates.append(cert)
+            if new_stem is not None:
+                stem = new_stem
+                if tree is not None:
+                    tree = subtree_above(tree, stem)
             continue
-        if idx >= len(adversaries.functionals):
-            stage_log.append({"stage": s, "requirement": None, "case": "skip"})
-            continue
-        fn = adversaries.functionals[idx]
+        fn = adv
         table = OutputTable(fn, fuel, depth)
         probes = _probes(stem, tree, depth)
         case1 = next(
@@ -215,14 +192,8 @@ def accelerating_force(
             None,
         )
         if case1 is not None:
-            certificates.append(
-                {"kind": "presumed_divergence", "functional": fn.id,
-                 "node": list(stem), "position": case1, "fuel": fuel}
-            )
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "1",
-                 "fuel_spent": table.evals}
-            )
+            certificates.append(divergence_certificate(fn, stem, case1, fuel))
+            entry.update(case="1", fuel_spent=table.evals)
             continue
         case2 = None
         for n in range(depth):
@@ -243,10 +214,7 @@ def accelerating_force(
                 {"kind": "value_witness", "functional": fn.id,
                  "node": list(node), "position": n, "value": v, "fuel": fuel}
             )
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "2",
-                 "position": n, "fuel_spent": table.evals}
-            )
+            entry.update(case="2", position=n, fuel_spent=table.evals)
             continue
         outs = [table.converged(p) for p in probes]
         if len({o for o in outs}) <= 1 or _pairwise_consistent(outs):
@@ -254,23 +222,15 @@ def accelerating_force(
                 {"kind": "constant_outputs", "functional": fn.id,
                  "probes": [list(p) for p in probes], "fuel": fuel}
             )
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "3",
-                 "fuel_spent": table.evals}
-            )
+            entry.update(case="3", fuel_spent=table.evals)
             continue
         if tree is not None:
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "stuck",
-                 "fuel_spent": table.evals}
-            )
+            entry.update(case="stuck", fuel_spent=table.evals)
             status = "incomplete"
             break
         new_tree, trace, log = _case4(table, stem, depth)
         if new_tree is None:
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "fuel_spent": table.evals, **log}
-            )
+            entry.update(log, fuel_spent=table.evals)
             status = "incomplete"
             break
         tree = new_tree
@@ -279,9 +239,7 @@ def accelerating_force(
             {"kind": "two_tree_trace", "functional": fn.id,
              "trace_index": len(traces) - 1, "fuel": fuel}
         )
-        stage_log.append(
-            {"stage": s, "requirement": f"P{idx}", "fuel_spent": table.evals, **log}
-        )
+        entry.update(log, fuel_spent=table.evals)
 
     if tree is None:
         tree = FiniteTree.from_words(prefixes(stem + (0,) * (depth - len(stem))))
@@ -303,25 +261,21 @@ def accelerating_force(
     )
 
 
-def _even_exit(
-    adv, k: int, stem: Word, tree: Optional[FiniteTree], query: int, depth: int
-) -> Optional[Word]:
-    """Step to a successor, at a wide-enough node, decided out of adv."""
+def _exits(
+    stem: Word, tree: Optional[FiniteTree], k: int, query: int, depth: int
+) -> Iterator[Word]:
+    """The successors at nodes wide enough to leave a k-tree: below the
+    depth, stem^i for i < query while the tree is implicit; otherwise the
+    children of the nodes above the stem with more than k children."""
     if tree is None:
-        if len(stem) >= depth:
-            return None
-        for i in range(query):
-            if adv.decide(stem + (i,), query) is TriState.OUT:
-                return stem + (i,)
-        return None
+        if len(stem) < depth:
+            yield from (stem + (i,) for i in range(query))
+        return
     cm = tree.child_map()
     for w in nodes_above(tree, stem):
-        if len(cm[w]) < k + 1:
-            continue
-        for c in cm[w]:
-            if adv.decide(w + (c,), query) is TriState.OUT:
-                return w + (c,)
-    return None
+        if len(cm[w]) > k:
+            for c in cm[w]:
+                yield w + (c,)
 
 
 def _pairwise_consistent(outs: list[Word]) -> bool:

@@ -1,5 +1,6 @@
-"""Shared condition types, the task schedule, per-stage output tables,
-tree walks, trace building and run records."""
+"""Shared condition types, the task schedule, the stage schedule and the
+tree-requirement stage, per-stage output tables, tree walks, trace building
+and run records."""
 
 from __future__ import annotations
 
@@ -13,9 +14,16 @@ from ..io_formats import (
     trace_to_json,
     tree_to_json,
 )
-from ..staged import AdversaryFamily, OracleFunctional, family_from_config
+from ..staged import (
+    AdversaryFamily,
+    OracleFunctional,
+    StagedTree,
+    family_from_config,
+    index_pair,
+    tree_bound_violation,
+)
 from ..traces import LevelBound, TraceTable
-from ..trees import FiniteTree, Word, levels_above, prefixes, word_key
+from ..trees import FiniteTree, TriState, Word, levels_above, prefixes, word_key
 
 
 def schedule(i: int) -> int:
@@ -75,6 +83,73 @@ def check_label_invariants(c: LabeledCondition) -> Optional[str]:
         if c.labels[leaf] == 0:
             return f"leaf {leaf} carries no task"
     return None
+
+
+def requirement(
+    s: int, family: AdversaryFamily, k: Optional[int] = None
+) -> Optional[tuple[str, StagedTree | OracleFunctional, Optional[int]]]:
+    """The requirement of stage s as (name, adversary, k), or None (a skip).
+
+    Even s is R_i and odd s is P_i, for i = s // 2.  R_i exits staged tree
+    i at k, or, when k is None, staged tree e at k' for (e, k') =
+    index_pair(i).  P_i tames functional i, and its k is None.  A stage
+    whose adversary the family lacks is a skip.
+    """
+    i = s // 2
+    if s % 2:
+        funcs = family.functionals
+        return (f"P{i}", funcs[i], None) if i < len(funcs) else None
+    e, k_e = (i, k) if k is not None else index_pair(i)
+    trees = family.staged_trees
+    return (f"R{i}", trees[e], k_e) if e < len(trees) else None
+
+
+def requirements(
+    stages: int, family: AdversaryFamily, stage_log: list[dict],
+    k: Optional[int] = None,
+) -> Iterator[tuple[int, StagedTree | OracleFunctional, Optional[int], dict]]:
+    """The stage schedule: each stage s < stages gets a stage_log entry
+    naming its requirement.  A skip is marked so here; otherwise
+    (s, adversary, k, entry) is yielded for the engine to run the stage and
+    add its outcome to the entry."""
+    for s in range(stages):
+        req = requirement(s, family, k)
+        entry = {"stage": s, "requirement": req and req[0]}
+        stage_log.append(entry)
+        if req is None:
+            entry["case"] = "skip"
+        else:
+            yield s, req[1], req[2], entry
+
+
+def tree_stage(
+    adv: StagedTree, k: int, stem: Word, exits: Iterable[Word], query: int
+) -> tuple[Optional[Word], dict, Optional[dict]]:
+    """One tree requirement: leave the staged k-tree adv.
+
+    Returns (new stem or None, log, certificate or None) for the four
+    outcomes: vacuous (adv shows a node with more than k children, so it is
+    no k-tree), already-out (the stem is decided out of adv), exit (the
+    first of the engine's exit candidates decided out becomes the stem) and
+    stuck (none is; no certificate).  The candidates are drawn only on exit
+    or stuck, and none past the first one out.
+    """
+    witness = tree_bound_violation(adv, k, query)
+    if witness is not None:
+        cert = {"kind": "vacuous_tree_requirement", "tree": adv.id, "k": k,
+                "witness": list(witness), "stage": query}
+        return None, {"case": "vacuous", "witness": list(witness)}, cert
+    if adv.decide(stem, query) is TriState.OUT:
+        return None, {"case": "already-out"}, _avoidance(adv, stem, query)
+    for w in exits:
+        if adv.decide(w, query) is TriState.OUT:
+            return w, {"case": "exit", "witness": list(w)}, _avoidance(adv, w, query)
+    return None, {"case": "stuck"}, None
+
+
+def _avoidance(adv: StagedTree, witness: Word, query: int) -> dict:
+    return {"kind": "avoidance", "tree": adv.id, "witness": list(witness),
+            "stage": query}
 
 
 _UNSET = object()
@@ -178,6 +253,32 @@ def divergence_escape(
         return None
     w, m = found
     return w, (m & -m).bit_length() - 1
+
+
+def divergence_certificate(
+    fn: OracleFunctional, node: Word, n: int, fuel: int
+) -> dict:
+    """fn presumed to diverge at position n on every branch through node."""
+    return {
+        "kind": "presumed_divergence",
+        "functional": fn.id,
+        "node": list(node),
+        "position": n,
+        "fuel": fuel,
+    }
+
+
+def trace_certificate(
+    fn: OracleFunctional, case: str, trace_index: int, fuel: int
+) -> dict:
+    """The outputs of fn on every branch go through trace trace_index."""
+    return {
+        "kind": "trace",
+        "functional": fn.id,
+        "case": case,
+        "trace_index": trace_index,
+        "fuel": fuel,
+    }
 
 
 def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:

@@ -9,55 +9,23 @@ the shortest-then-lexicographically-first node.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional
 
-from ..staged import AdversaryFamily, StagedTree, tree_bound_violation
+from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, TriState, Word, levels_above, subtree_above
+from ..trees import FiniteTree, Word, levels_above, subtree_above
 from .common import (
     OutputTable,
     RunRecord,
+    divergence_certificate,
     divergence_escape,
     nodes_above,
+    requirements,
+    trace_certificate,
     trace_from_outputs,
+    tree_stage,
 )
-
-
-def _tree_stage(
-    adv: StagedTree, k: int, stem: Word, tree: FiniteTree, query: int
-) -> tuple[Optional[Word], FiniteTree, dict, Optional[dict]]:
-    """One avoidance stage; returns (new stem or None, tree, log, cert)."""
-    witness = tree_bound_violation(adv, k, query)
-    if witness is not None:
-        cert = {
-            "kind": "vacuous_tree_requirement",
-            "tree": adv.id,
-            "k": k,
-            "witness": list(witness),
-            "stage": query,
-        }
-        return None, tree, {"case": "vacuous", "witness": list(witness)}, cert
-    if adv.decide(stem, query) is TriState.OUT:
-        cert = {
-            "kind": "avoidance",
-            "tree": adv.id,
-            "witness": list(stem),
-            "stage": query,
-        }
-        return None, tree, {"case": "already-out"}, cert
-    # the children of the nodes above the stem, taken node by node, are
-    # the nodes above the stem after the stem itself, in the same order
-    for new_stem in nodes_above(tree, stem):
-        if new_stem != stem and adv.decide(new_stem, query) is TriState.OUT:
-            cert = {
-                "kind": "avoidance",
-                "tree": adv.id,
-                "witness": list(new_stem),
-                "stage": query,
-            }
-            log = {"case": "exit", "witness": list(new_stem)}
-            return new_stem, subtree_above(tree, new_stem), log, cert
-    return None, tree, {"case": "stuck"}, None
 
 
 def _case_b(
@@ -260,45 +228,29 @@ def diagonalize_surviving(
     traces: list[tuple[int, TraceTable]] = []
     status = "complete"
 
-    for s in range(stages):
-        idx = s // 2
-        if s % 2 == 0:
-            if idx >= len(adversaries.staged_trees):
-                stage_log.append({"stage": s, "requirement": None, "case": "skip"})
-                continue
-            adv = adversaries.staged_trees[idx]
-            new_stem, tree, log, cert = _tree_stage(adv, k, stem, tree, query)
-            stage_log.append({"stage": s, "requirement": f"R{idx}", **log})
+    for _, adv, k_s, entry in requirements(stages, adversaries, stage_log, k):
+        if k_s is not None:
+            # the exit candidates are the nodes above the stem, the stem
+            # itself aside
+            exits = islice(nodes_above(tree, stem), 1, None)
+            new_stem, log, cert = tree_stage(adv, k_s, stem, exits, query)
+            entry.update(log)
             if cert is None:
                 status = "incomplete"
                 break
             if new_stem is not None:
                 stem = new_stem
+                tree = subtree_above(tree, stem)
             certificates.append(cert)
             continue
-        if idx >= len(adversaries.functionals):
-            stage_log.append({"stage": s, "requirement": None, "case": "skip"})
-            continue
-        fn = adversaries.functionals[idx]
+        fn = adv
         table = OutputTable(fn, fuel, depth)
         hit = divergence_escape(table, stem, tree)
         if hit is not None:
-            node, n = hit
-            stem = node
+            stem, n = hit
             tree = subtree_above(tree, stem)
-            certificates.append(
-                {
-                    "kind": "presumed_divergence",
-                    "functional": fn.id,
-                    "node": list(node),
-                    "position": n,
-                    "fuel": fuel,
-                }
-            )
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "A",
-                 "fuel_spent": table.evals}
-            )
+            certificates.append(divergence_certificate(fn, stem, n, fuel))
+            entry.update(case="A", fuel_spent=table.evals)
             continue
         tau = _case_b(table, k, stem, tree)
         if tau is not None:
@@ -306,43 +258,18 @@ def diagonalize_surviving(
             tree = subtree_above(tree, stem)
             outs = map(table.converged, tree.leaves())
             traces.append((fn.id, trace_from_outputs(outs, depth, b)))
-            certificates.append(
-                {
-                    "kind": "trace",
-                    "functional": fn.id,
-                    "case": "B",
-                    "trace_index": len(traces) - 1,
-                    "fuel": fuel,
-                }
-            )
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "B",
-                 "fuel_spent": table.evals}
-            )
+            certificates.append(trace_certificate(fn, "B", len(traces) - 1, fuel))
+            entry.update(case="B", fuel_spent=table.evals)
             continue
         built = _case_c(table, k, stem, tree)
         if built is None:
             status = "incomplete"
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "stuck",
-                 "fuel_spent": table.evals}
-            )
+            entry.update(case="stuck", fuel_spent=table.evals)
             break
         tree, trace = built
         traces.append((fn.id, trace))
-        certificates.append(
-            {
-                "kind": "trace",
-                "functional": fn.id,
-                "case": "C",
-                "trace_index": len(traces) - 1,
-                "fuel": fuel,
-            }
-        )
-        stage_log.append(
-            {"stage": s, "requirement": f"P{idx}", "case": "C",
-             "fuel_spent": table.evals}
-        )
+        certificates.append(trace_certificate(fn, "C", len(traces) - 1, fuel))
+        entry.update(case="C", fuel_spent=table.evals)
 
     certificates.append(
         {"kind": "shape", "predicate": "kbranching", "k": b, "depth": depth}

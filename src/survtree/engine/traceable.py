@@ -13,13 +13,12 @@ branch so its label sequence continues the schedule.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
-from ..staged import AdversaryFamily, StagedTree, index_pair, tree_bound_violation
+from ..staged import AdversaryFamily, index_pair
 from ..traces import TraceTable
 from ..trees import (
     FiniteTree,
-    TriState,
     Word,
     is_prefix,
     prefixes,
@@ -31,11 +30,15 @@ from .common import (
     LabeledCondition,
     OutputTable,
     RunRecord,
+    divergence_certificate,
     divergence_escape,
     nodes_above,
+    requirements,
     schedule,
     schedule_prefix,
+    trace_certificate,
     trace_from_outputs,
+    tree_stage,
 )
 
 
@@ -75,48 +78,15 @@ def _relabel(stem: Word, tree: FiniteTree) -> dict[Word, int]:
     return labels
 
 
-def _even_stage(
-    adv: StagedTree,
-    k: int,
-    r: int,
-    stem: Word,
-    tree: FiniteTree,
-    labels: dict[Word, int],
-    query: int,
-) -> tuple[Optional[Word], dict, Optional[dict]]:
-    witness = tree_bound_violation(adv, k, query)
-    if witness is not None:
-        cert = {
-            "kind": "vacuous_tree_requirement",
-            "tree": adv.id,
-            "k": k,
-            "witness": list(witness),
-            "stage": query,
-        }
-        return None, {"case": "vacuous"}, cert
-    if adv.decide(stem, query) is TriState.OUT:
-        cert = {
-            "kind": "avoidance",
-            "tree": adv.id,
-            "witness": list(stem),
-            "stage": query,
-        }
-        return None, {"case": "already-out"}, cert
+def _exits(
+    stem: Word, tree: FiniteTree, labels: dict[Word, int], r: int
+) -> Iterator[Word]:
+    """The children of the nodes above the stem labeled r, node by node."""
     cm = tree.child_map()
     for tau in nodes_above(tree, stem):
-        if labels[tau] != r:
-            continue
-        for c in cm.get(tau, ()):
-            if adv.decide(tau + (c,), query) is TriState.OUT:
-                new_stem = tau + (c,)
-                cert = {
-                    "kind": "avoidance",
-                    "tree": adv.id,
-                    "witness": list(new_stem),
-                    "stage": query,
-                }
-                return new_stem, {"case": "exit", "witness": list(new_stem)}, cert
-    return None, {"case": "stuck"}, None
+        if labels[tau] == r:
+            for c in cm[tau]:
+                yield tau + (c,)
 
 
 def _prune_once(
@@ -286,19 +256,11 @@ def traceable_prune(
     traces: list[tuple[int, TraceTable]] = []
     status = "complete"
 
-    for s in range(stages):
-        idx = s // 2
-        if s % 2 == 0:
-            code = index_pair(idx)
-            e0, k0 = code
-            if e0 >= len(adversaries.staged_trees):
-                stage_log.append({"stage": s, "requirement": None, "case": "skip"})
-                continue
-            adv = adversaries.staged_trees[e0]
-            new_stem, log, cert = _even_stage(
-                adv, k0, idx + 1, stem, tree, labels, query
-            )
-            stage_log.append({"stage": s, "requirement": f"R{idx}", **log})
+    for s, adv, k, entry in requirements(stages, adversaries, stage_log):
+        if k is not None:
+            exits = _exits(stem, tree, labels, s // 2 + 1)
+            new_stem, log, cert = tree_stage(adv, k, stem, exits, query)
+            entry.update(log)
             if cert is None:
                 status = "incomplete"
                 break
@@ -308,46 +270,21 @@ def traceable_prune(
                 tree = subtree_above(tree, stem)
                 labels = _relabel(stem, tree)
             continue
-        if idx >= len(adversaries.functionals):
-            stage_log.append({"stage": s, "requirement": None, "case": "skip"})
-            continue
-        fn = adversaries.functionals[idx]
+        fn = adv
         table = OutputTable(fn, fuel, depth)
         hit = divergence_escape(table, stem, tree)
         if hit is not None:
-            node, n = hit
-            stem = node
+            stem, n = hit
             tree = subtree_above(tree, stem)
             labels = _relabel(stem, tree)
-            certificates.append(
-                {
-                    "kind": "presumed_divergence",
-                    "functional": fn.id,
-                    "node": list(node),
-                    "position": n,
-                    "fuel": fuel,
-                }
-            )
-            stage_log.append(
-                {"stage": s, "requirement": f"P{idx}", "case": "escape",
-                 "fuel_spent": table.evals}
-            )
+            certificates.append(divergence_certificate(fn, stem, n, fuel))
+            entry.update(case="escape", fuel_spent=table.evals)
             continue
         stem, tree, labels, log = _prune_once(table, stem, tree, labels, depth)
         outs = map(table.converged, tree.nodes)
         traces.append((fn.id, trace_from_outputs(outs, depth, 3)))
-        certificates.append(
-            {
-                "kind": "trace",
-                "functional": fn.id,
-                "case": "prune",
-                "trace_index": len(traces) - 1,
-                "fuel": fuel,
-            }
-        )
-        stage_log.append(
-            {"stage": s, "requirement": f"P{idx}", "fuel_spent": table.evals, **log}
-        )
+        certificates.append(trace_certificate(fn, "prune", len(traces) - 1, fuel))
+        entry.update(log, fuel_spent=table.evals)
 
     certificates.append({"kind": "labels"})
     certificates.append(

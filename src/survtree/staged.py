@@ -236,18 +236,39 @@ class ConfigError(ValueError):
     pass
 
 
-# the keys each kind reads, besides those every entry of its list may have
+def _nat(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _nats(v) -> bool:
+    return isinstance(v, list) and all(map(_nat, v))
+
+
+def _claim(v) -> bool:
+    return v is None or (
+        isinstance(v, list) and len(v) == 2 and isinstance(v[0], str) and _nat(v[1])
+    )
+
+
+# the keys each kind reads, with a check of each value: a kind's own keys
+# are required (comb's entry defaults to 0), those every entry of its list
+# may have are optional
 _TREE_KEYS = {
-    "full_subtree": {"alphabet"},
-    "full_subtree_plus": {"alphabet", "extra"},
-    "comb": {"entry"},
+    "full_subtree": {"alphabet": lambda v: _nats(v) and v != []},
+    "full_subtree_plus": {
+        "alphabet": lambda v: _nats(v) and v != [],
+        "extra": lambda v: isinstance(v, list) and all(map(_nats, v)),
+    },
+    "comb": {"entry": _nat},
 }
+_TREE_COMMON = {"id": _nat, "claim": _claim, "delay": _nat}
 _FUNCTIONAL_KEYS = {
-    "identity": set(),
-    "entry_mod": {"modulus"},
-    "constant": {"value"},
-    "diverging": set(),
+    "identity": {},
+    "entry_mod": {"modulus": lambda v: _nat(v) and v > 0},
+    "constant": {"value": _nat},
+    "diverging": {},
 }
+_FUNCTIONAL_COMMON = {"id": _nat}
 
 
 def _check_keys(entry: dict, read: set[str], where: str) -> None:
@@ -256,6 +277,24 @@ def _check_keys(entry: dict, read: set[str], where: str) -> None:
     unknown = sorted(set(entry) - read)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _checked_kind(entry: dict, kinds: dict, common: dict, where: str) -> str:
+    """The entry's kind, once the entry is an object of a known kind whose
+    keys are all read by that kind, present when required and well formed."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: not a JSON object")
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    checks = {**common, **kinds[kind]}
+    _check_keys(entry, {"kind", *checks}, where)
+    for key, ok in checks.items():
+        if key in entry and not ok(entry[key]):
+            raise ConfigError(f"{where}: malformed {key} {entry[key]!r}")
+        if key not in entry and key in kinds[kind] and key != "entry":
+            raise ConfigError(f"{where}: missing key {key!r}")
+    return kind
 
 
 def _subtree_member(alphabet: frozenset[int]) -> Callable[[Word], bool]:
@@ -274,35 +313,31 @@ def _comb_member(entry: int) -> Callable[[Word], bool]:
 
 
 def staged_tree_from_config(entry: dict, index: int) -> StagedTree:
-    kind = entry.get("kind")
-    if kind in _TREE_KEYS:
-        read = _TREE_KEYS[kind] | {"id", "kind", "claim", "delay"}
-        _check_keys(entry, read, f"staged tree entry {index}")
+    where = f"staged tree entry {index}"
+    kind = _checked_kind(entry, _TREE_KEYS, _TREE_COMMON, where)
     claim = entry.get("claim")
-    claimed = (claim[0], int(claim[1])) if claim else None
-    delay = int(entry.get("delay", 0))
-    tid = int(entry.get("id", index))
+    claimed = tuple(claim) if claim else None
+    delay = entry.get("delay", 0)
+    tid = entry.get("id", index)
     if kind == "full_subtree":
-        alphabet = frozenset(int(a) for a in entry["alphabet"])
+        alphabet = frozenset(entry["alphabet"])
         return StagedTree(
             tid, kind, _subtree_member(alphabet), claimed,
             alphabet_bound=max(alphabet) + 1, delay=delay,
         )
     if kind == "full_subtree_plus":
-        alphabet = frozenset(int(a) for a in entry["alphabet"])
-        extra = frozenset(tuple(int(e) for e in w) for w in entry["extra"])
+        alphabet = frozenset(entry["alphabet"])
+        extra = frozenset(map(tuple, entry["extra"]))
         bound = max(max(alphabet), *(max(w) for w in extra if w)) + 1
         return StagedTree(
             tid, kind, _subtree_plus_member(alphabet, extra), claimed,
             alphabet_bound=bound, delay=delay,
         )
-    if kind == "comb":
-        e = int(entry.get("entry", 0))
-        return StagedTree(
-            tid, kind, _comb_member(e), claimed,
-            alphabet_bound=e + 1, delay=delay,
-        )
-    raise ConfigError(f"staged tree entry {index}: unknown kind {kind!r}")
+    e = entry.get("entry", 0)
+    return StagedTree(
+        tid, kind, _comb_member(e), claimed,
+        alphabet_bound=e + 1, delay=delay,
+    )
 
 
 def _identity_rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
@@ -332,24 +367,23 @@ def _diverging_rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
 
 
 def functional_from_config(entry: dict, index: int) -> OracleFunctional:
-    kind = entry.get("kind")
-    if kind in _FUNCTIONAL_KEYS:
-        read = _FUNCTIONAL_KEYS[kind] | {"id", "kind"}
-        _check_keys(entry, read, f"functional entry {index}")
-    fid = int(entry.get("id", index))
+    where = f"functional entry {index}"
+    kind = _checked_kind(entry, _FUNCTIONAL_KEYS, _FUNCTIONAL_COMMON, where)
+    fid = entry.get("id", index)
     if kind == "identity":
         return OracleFunctional(fid, kind, _identity_rule)
     if kind == "entry_mod":
-        return OracleFunctional(fid, kind, _mod_rule(int(entry["modulus"])))
+        return OracleFunctional(fid, kind, _mod_rule(entry["modulus"]))
     if kind == "constant":
-        return OracleFunctional(fid, kind, _const_rule(int(entry["value"])))
-    if kind == "diverging":
-        return OracleFunctional(fid, kind, _diverging_rule)
-    raise ConfigError(f"functional entry {index}: unknown kind {kind!r}")
+        return OracleFunctional(fid, kind, _const_rule(entry["value"]))
+    return OracleFunctional(fid, kind, _diverging_rule)
 
 
 def family_from_config(config: dict) -> AdversaryFamily:
     _check_keys(config, {"staged_trees", "functionals"}, "family config")
+    for key in ("staged_trees", "functionals"):
+        if not isinstance(config.get(key, []), list):
+            raise ConfigError(f"family config: {key} is not a list")
     trees = tuple(
         staged_tree_from_config(e, i)
         for i, e in enumerate(config.get("staged_trees", []))

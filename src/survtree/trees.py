@@ -201,26 +201,6 @@ class FiniteTree:
         return cls(frozenset(prefixes(tuple(w))), alphabet_bound)
 
 
-def contains(t, w: Word, stage: int = 0) -> TriState:
-    """Uniform membership query for finite and staged trees.
-
-    For a FiniteTree the stage is ignored and the answer is never
-    Undecided; staged trees follow their own decision contract.
-    """
-    if isinstance(t, FiniteTree):
-        return TriState.IN if w in t.nodes else TriState.OUT
-    return t.decide(w, stage)
-
-
-def children(t, w: Word, bound: int, stage: int = 0) -> set[int]:
-    """Entries i < bound with w+(i,) a member. Non-members are an error."""
-    if contains(t, w, stage) is not TriState.IN:
-        raise NotInTree(f"{w} is not a decided member")
-    return {
-        i for i in range(bound) if contains(t, w + (i,), stage) is TriState.IN
-    }
-
-
 def is_k_tree_to_depth(
     t: FiniteTree, k: int, d: int
 ) -> Optional[ShapeViolation]:

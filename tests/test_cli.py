@@ -129,6 +129,41 @@ def test_unknown_family_config_key_is_usage_error(tmp_path, capsys, config, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"staged_trees": [5]}',
+        '{"staged_trees": [{"kind": "comb", "entry": "x"}]}',
+        '{"staged_trees": [{"kind": "full_subtree", "alphabet": []}]}',
+        '{"staged_trees": [',
+    ],
+)
+def test_malformed_family_config_is_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "fam.json"
+    f.write_text(text)
+    out = tmp_path / "rec.json"
+    argv = ["run", "--engine", "build3", "--family", str(f), "--depth", "4"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("bad family config: ")
+    assert not out.exists()
+
+
+def test_verify_reports_malformed_family_value_as_malformed(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    main(
+        [
+            "run", "--engine", "build3", "--family", "empty",
+            "--depth", "4", "--out", str(out),
+        ]
+    )
+    payload = json.loads(out.read_text())
+    payload["family"]["staged_trees"] = [5]
+    with open(out, "w") as fp:
+        dump_record(payload, fp)  # signed again, so only the value is wrong
+    assert main(["verify", str(out)]) == 1
+    assert "malformed record: staged tree entry 0" in capsys.readouterr().out
+
+
 def test_verify_reports_unknown_family_key_as_malformed(tmp_path, capsys):
     out = tmp_path / "rec.json"
     main(

@@ -2,11 +2,14 @@
 and their stage-log fuel_spent values pinned on their own.
 
 Each hash is the sha256 of ``canonical_json`` of a payload with its
-``digest`` and every stage-log ``fuel_spent`` removed.  The hashes were
-taken before the engines moved to per-stage output tables, which changed
-only what ``fuel_spent`` counts; the build3 hashes and the traceable base
+``digest`` and every stage-log ``fuel_spent`` removed.  The surviving,
+traceable-d8 and accelerating-d8 hashes were taken before the engines
+moved to per-stage output tables, which changed only what ``fuel_spent``
+counts; the build3-d12 and build3-d16 hashes and the traceable base
 condition's were taken while the 3-tree growth loop still re-probed every
-node at every stage.  The fuel_spent lists were taken with the
+node at every stage; the traceable-d6, accelerating-d6 and build3-d8
+hashes and fuel_spent lists were taken before the engines shared one
+tree-requirement stage.  The other fuel_spent lists were taken with the
 output tables in place; a change to the set of (node, position) pairs a
 stage evaluates shows up there and nowhere else in the record.
 """

@@ -1,0 +1,156 @@
+"""The stage schedule shared by the engines and the tree-requirement stage."""
+
+from __future__ import annotations
+
+import pytest
+
+from survtree.engine import (
+    accelerating_force,
+    diagonalize_surviving,
+    initial_condition,
+    traceable_prune,
+    verify_record,
+)
+from survtree.engine.common import requirement, tree_stage
+from survtree.staged import (
+    EMPTY_CONFIG,
+    family_from_config,
+    index_pair,
+    standard_library,
+)
+
+LIB = standard_library()
+QUERY = 40
+
+
+def _tree(entry: dict):
+    return family_from_config({"staged_trees": [entry]}).staged_trees[0]
+
+
+class Recorded:
+    """An iterator over words that records every word drawn from it."""
+
+    def __init__(self, words):
+        self._it = iter(words)
+        self.drawn = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        w = next(self._it)
+        self.drawn.append(w)
+        return w
+
+
+CANDIDATES = [(0,), (1,), (2,), (0, 0)]
+
+
+def test_vacuous_stage_reads_no_exit_candidate():
+    adv = _tree({"kind": "full_subtree", "alphabet": [0, 1, 2, 3]})
+    exits = Recorded(CANDIDATES)
+    new_stem, log, cert = tree_stage(adv, 3, (), exits, QUERY)
+    assert new_stem is None
+    assert log == {"case": "vacuous", "witness": []}
+    assert cert == {
+        "kind": "vacuous_tree_requirement", "tree": 0, "k": 3,
+        "witness": [], "stage": QUERY,
+    }
+    assert exits.drawn == []
+
+
+def test_already_out_stage_reads_no_exit_candidate():
+    adv = _tree({"kind": "comb", "entry": 0})
+    exits = Recorded(CANDIDATES)
+    new_stem, log, cert = tree_stage(adv, 2, (1,), exits, QUERY)
+    assert new_stem is None
+    assert log == {"case": "already-out"}
+    assert cert == {"kind": "avoidance", "tree": 0, "witness": [1], "stage": QUERY}
+    assert exits.drawn == []
+
+
+def test_exit_stage_stops_at_the_first_candidate_out():
+    adv = _tree({"kind": "full_subtree", "alphabet": [0, 1]})
+    exits = Recorded(CANDIDATES)
+    new_stem, log, cert = tree_stage(adv, 2, (), exits, QUERY)
+    assert new_stem == (2,)
+    assert log == {"case": "exit", "witness": [2]}
+    assert cert == {"kind": "avoidance", "tree": 0, "witness": [2], "stage": QUERY}
+    assert exits.drawn == [(0,), (1,), (2,)]
+
+
+def test_stuck_stage_reads_every_candidate_and_certifies_nothing():
+    adv = _tree({"kind": "full_subtree", "alphabet": [0, 1]})
+    exits = Recorded(CANDIDATES[:2])
+    assert tree_stage(adv, 2, (), exits, QUERY) == (None, {"case": "stuck"}, None)
+    assert exits.drawn == [(0,), (1,)]
+
+
+def test_requirement_maps_even_stages_to_trees_and_odd_to_functionals():
+    assert requirement(0, LIB, 2) == ("R0", LIB.staged_trees[0], 2)
+    assert requirement(12, LIB, 2) == ("R6", LIB.staged_trees[6], 2)
+    assert requirement(14, LIB, 2) is None
+    assert requirement(1, LIB) == ("P0", LIB.functionals[0], None)
+    assert requirement(7, LIB, 2) == ("P3", LIB.functionals[3], None)
+    assert requirement(9, LIB) is None
+
+
+def test_requirement_without_k_stages_the_index_pair():
+    for i in range(40):
+        e, k = index_pair(i)
+        expected = (f"R{i}", LIB.staged_trees[e], k) if e < 7 else None
+        assert requirement(2 * i, LIB) == expected
+
+
+def test_every_stage_of_the_empty_family_is_a_skip():
+    empty = family_from_config(EMPTY_CONFIG)
+    assert [requirement(s, empty, k) for s in range(6) for k in (2, None)] == [
+        None
+    ] * 12
+
+
+RUNS = {
+    "surviving": (lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4), 2),
+    "traceable": (
+        lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
+        None,
+    ),
+    "accelerating": (lambda: accelerating_force(LIB, 8, 8, 10**4), None),
+    "accelerating-skips": (lambda: accelerating_force(LIB, 60, 4, 1000), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_stage_log_follows_the_declared_schedule(name):
+    build, k = RUNS[name]
+    log = build().stage_log
+    for entry in log:
+        req = requirement(entry["stage"], LIB, k)
+        assert entry["requirement"] == (req and req[0])
+        assert (entry["case"] == "skip") == (req is None)
+    assert [e["stage"] for e in log] == list(range(len(log)))
+
+
+# a tree with four children at the root is no 3-tree, so R0 is vacuous
+VACUOUS = family_from_config(
+    {
+        "staged_trees": [{"kind": "full_subtree", "alphabet": [0, 1, 2, 3]}],
+        "functionals": [],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: accelerating_force(VACUOUS, 2, 4, 1000),
+        lambda: traceable_prune(initial_condition(VACUOUS, 4, 12), VACUOUS, 2, 4, 1000),
+    ],
+    ids=["accelerating", "traceable"],
+)
+def test_vacuous_stage_logs_its_witness_in_every_engine(build):
+    payload = build().to_payload()
+    assert payload["stage_log"][0] == {
+        "stage": 0, "requirement": "R0", "case": "vacuous", "witness": [],
+    }
+    assert verify_record(payload) == []

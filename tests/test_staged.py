@@ -233,6 +233,56 @@ def test_unknown_kind_rejected_naming_entry():
     assert "0" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "config, where",
+    [
+        ({"staged_trees": 5}, "family config"),
+        ({"functionals": {}}, "family config"),
+        ({"staged_trees": [5]}, "staged tree entry 0"),
+        ({"staged_trees": [{"kind": ["comb"]}]}, "staged tree entry 0"),
+        ({"staged_trees": [{"kind": "comb", "entry": "x"}]}, "staged tree entry 0"),
+        ({"staged_trees": [{"kind": "comb", "entry": -1}]}, "staged tree entry 0"),
+        ({"staged_trees": [{"kind": "comb", "delay": 1.5}]}, "staged tree entry 0"),
+        ({"staged_trees": [{"kind": "comb", "id": True}]}, "staged tree entry 0"),
+        ({"staged_trees": [{"kind": "comb", "claim": "x"}]}, "staged tree entry 0"),
+        (
+            {"staged_trees": [{"kind": "comb", "claim": ["tree", "1"]}]},
+            "staged tree entry 0",
+        ),
+        (
+            {"staged_trees": [{"kind": "comb"}, {"kind": "full_subtree"}]},
+            "staged tree entry 1",
+        ),
+        (
+            {"staged_trees": [{"kind": "full_subtree", "alphabet": []}]},
+            "staged tree entry 0",
+        ),
+        (
+            {"staged_trees": [{"kind": "full_subtree", "alphabet": [0, "1"]}]},
+            "staged tree entry 0",
+        ),
+        (
+            {"staged_trees": [{"kind": "full_subtree_plus", "alphabet": [0]}]},
+            "staged tree entry 0",
+        ),
+        (
+            {"staged_trees": [
+                {"kind": "full_subtree_plus", "alphabet": [0], "extra": [2]}
+            ]},
+            "staged tree entry 0",
+        ),
+        ({"functionals": [{"kind": "identity"}, 3]}, "functional entry 1"),
+        ({"functionals": [{"kind": "constant"}]}, "functional entry 0"),
+        ({"functionals": [{"kind": "constant", "value": None}]}, "functional entry 0"),
+        ({"functionals": [{"kind": "entry_mod", "modulus": 0}]}, "functional entry 0"),
+    ],
+)
+def test_malformed_value_rejected_naming_entry(config, where):
+    with pytest.raises(ConfigError) as e:
+        family_from_config(config)
+    assert str(e.value).startswith(f"{where}: ")
+
+
 def test_config_that_is_not_an_object_rejected():
     with pytest.raises(ConfigError):
         family_from_config([{"kind": "comb"}])

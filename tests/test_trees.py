@@ -14,9 +14,6 @@ from survtree.trees import (
     FiniteTree,
     NotInTree,
     Surjection,
-    TriState,
-    children,
-    contains,
     covered_fraction,
     embed_branching,
     is_accelerating_to_depth,
@@ -30,17 +27,6 @@ from survtree.trees import (
 
 FULL33 = FiniteTree.full(3, 3)
 COMB5 = FiniteTree.comb(5)
-
-
-# --- contains -----------------------------------------------------------
-
-
-def test_contains_full_tree_member():
-    assert contains(FULL33, (0, 2, 1)) is TriState.IN
-
-
-def test_contains_comb_rejects_nonzero():
-    assert contains(COMB5, (1,)) is TriState.OUT
 
 
 def test_word_key_orders_shortest_then_lex():
@@ -104,19 +90,6 @@ def test_validation_matches_the_per_entry_check(words, bound, closed):
 
 
 # --- children ------------------------------------------------------------
-
-
-def test_children_full_tree():
-    assert children(FULL33, (0,), 3) == {0, 1, 2}
-
-
-def test_children_comb_single():
-    assert children(COMB5, (0, 0), 10) == {0}
-
-
-def test_children_leaf_empty():
-    path = FiniteTree.single_path((2,))
-    assert children(path, (2,), 5) == set()
 
 
 def test_children_of_nonmember_is_an_error():
