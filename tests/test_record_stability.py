@@ -9,7 +9,9 @@ counts; the build3-d12 and build3-d16 hashes and the traceable base
 condition's were taken while the 3-tree growth loop still re-probed every
 node at every stage; the traceable-d6, accelerating-d6 and build3-d8
 hashes and fuel_spent lists were taken before the engines shared one
-tree-requirement stage.  The other fuel_spent lists were taken with the
+tree-requirement stage; the surviving-d8-comb-r1 hash and fuel_spent list
+were taken before the surviving engine folded cases A and B into one pass
+and built its trees from sorted levels.  The other fuel_spent lists were taken with the
 output tables in place; a change to the set of (node, position) pairs a
 stage evaluates shows up there and nowhere else in the record.
 """
@@ -49,6 +51,19 @@ CONST3 = _with_functionals(
     [{"kind": "constant", "value": 3}, {"kind": "entry_mod", "modulus": 2}]
 )
 
+
+def _comb_r1():
+    """The standard family with staged tree 1 a comb: R1 exits the stem,
+    so P1's case C has to search the pools above the children."""
+    config = copy.deepcopy(STANDARD_CONFIG)
+    config["staged_trees"][1] = {
+        "id": 1, "kind": "comb", "entry": 0, "claim": ["tree", 1],
+    }
+    return family_from_config(config)
+
+
+COMB_R1 = _comb_r1()
+
 PINNED = {
     "surviving-d6": (
         lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
@@ -82,6 +97,10 @@ PINNED = {
         lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
         "5f4580dde3516e3b8707c3c1409e7eb7d0f1aa3032a714daedc4e120d8563dd4",
     ),
+    "surviving-d8-comb-r1": (
+        lambda: diagonalize_surviving(2, COMB_R1, 14, 8, 10**4),
+        "ffda1db531def1db75242c3cbbb22318d245af08d55030e87cc786fd6d6e93f9",
+    ),
     "build3-d12": (
         lambda: build3_record(LIB, 12, 36),
         "ff2bdc2984bd3c53221e669e9f73835aa347fe751c4ff069852606ce5f0618c1",
@@ -107,6 +126,7 @@ FUEL_SPENT = {
     "accelerating-d8": [8, 1427, 8, 12],
     "surviving-d8-entry-mod-4": [77091, 77091],
     "surviving-d8-constant-3": [52488, 52488],
+    "surviving-d8-comb-r1": [77091, 25695, 5832, 1944],
 }
 
 
