@@ -207,52 +207,92 @@ class OutputTable:
             out = self._converged[w] = tuple(row[:n])
         return out
 
+    def cases_a_b(
+        self, stem: Word, tree: FiniteTree, k: Optional[int] = None
+    ) -> tuple[Optional[tuple[Word, int]], Optional[Word]]:
+        """Case A and, given k, case B, in one fold up the sorted levels
+        above the stem: (escape, tau).
+
+        escape is the first (node, position) past which every branch stays
+        unconverged.  Bit n of a node's mask is set when position n is
+        unconverged on every leaf above it, and the answer is the first
+        node with a mask on the shortest level with one.
+
+        tau, looked for only while no mask is found, is the first node
+        below the tree's depth whose branches' converged outputs take at
+        most k values per level.  A node's distinct outputs are merged
+        from its children's, or None once over k: a level over k stays
+        over k in every ancestor, so a child over k needs no merge.
+
+        A node's children are the next run of the level below, so each
+        leaf's row is read once, and its converged prefix is taken from it.
+        """
+        cm = tree.child_map()
+        depth = tree.depth
+        escape: Optional[tuple[Word, int]] = None
+        tau: Optional[Word] = None
+        masks: list[int] = []
+        sets: list[Optional[set[Word]]] = []
+        for lv in reversed(list(levels_above(tree, stem))):
+            few = k is not None and escape is None
+            row_masks: list[int] = []
+            row_sets: list[Optional[set[Word]]] = []
+            j = 0
+            for w in lv:
+                c = len(cm[w])
+                if c:
+                    m = masks[j]
+                    for x in masks[j + 1:j + c]:
+                        m &= x
+                    if few:
+                        kids = sets[j:j + c]
+                        if None in kids:
+                            row_sets.append(None)
+                        else:
+                            outs = set().union(*kids)
+                            row_sets.append(None if _more_than_k(outs, k) else outs)
+                    j += c
+                else:
+                    row = self.outputs(w)
+                    m = 0
+                    if None in row:
+                        n = row.index(None)
+                        for i in range(n, self.depth):
+                            if row[i] is None:
+                                m |= 1 << i
+                        o = tuple(row[:n])
+                    else:
+                        o = tuple(row)
+                    self._converged[w] = o
+                    if few:
+                        row_sets.append({o})
+                row_masks.append(m)
+            hit = next((i for i, m in enumerate(row_masks) if m), None)
+            if hit is not None:
+                m = row_masks[hit]
+                escape = lv[hit], (m & -m).bit_length() - 1
+            elif few and len(lv[0]) < depth:
+                tau = next((w for w, o in zip(lv, row_sets) if o is not None), tau)
+            masks, sets = row_masks, row_sets
+        return escape, None if escape is not None else tau
+
+
+def _more_than_k(outs: set[Word], k: int) -> bool:
+    """Whether more than k distinct length-n prefixes of outs exist for
+    some n >= 1, trying the longest n first."""
+    if len(outs) <= k:
+        return False
+    level: set[Word] = set()
+    for n in range(max(map(len, outs)), 0, -1):
+        level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
+        if len(level) > k:
+            return True
+    return False
+
 
 def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:
     """The nodes of tree extending node, in shortest-then-lex order."""
     return chain.from_iterable(levels_above(tree, node))
-
-
-def divergence_escape(
-    table: OutputTable, stem: Word, tree: FiniteTree
-) -> Optional[tuple[Word, int]]:
-    """First (node, position) past which every branch stays unconverged.
-
-    Bit n of a node's mask is set when position n is unconverged on every
-    leaf above it.  Masks are folded up the sorted levels above the stem:
-    a node's children are the next run of the level below, so each leaf
-    is read once and no mask is looked up by word.
-    """
-    cm = tree.child_map()
-    found: Optional[tuple[Word, int]] = None
-    below: list[int] = []
-    for lv in reversed(list(levels_above(tree, stem))):
-        row: list[int] = []
-        j = 0
-        for w in lv:
-            c = len(cm[w])
-            if c:
-                m = below[j]
-                for x in below[j + 1:j + c]:
-                    m &= x
-                j += c
-            else:
-                m = 0
-                outs = table.outputs(w)
-                if None in outs:
-                    for n, v in enumerate(outs):
-                        if v is None:
-                            m |= 1 << n
-            row.append(m)
-        # the answer is the first hit on the shortest level with one
-        hit = next((i for i, m in enumerate(row) if m), None)
-        if hit is not None:
-            found = lv[hit], row[hit]
-        below = row
-    if found is None:
-        return None
-    w, m = found
-    return w, (m & -m).bit_length() - 1
 
 
 def divergence_certificate(

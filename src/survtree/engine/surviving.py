@@ -9,74 +9,22 @@ the shortest-then-lexicographically-first node.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, Word, levels_above, subtree_above
+from ..trees import FiniteTree, Word, subtree_above
 from .common import (
     OutputTable,
     RunRecord,
     divergence_certificate,
-    divergence_escape,
     nodes_above,
     requirements,
     trace_certificate,
     trace_from_outputs,
     tree_stage,
 )
-
-
-def _case_b(
-    table: OutputTable, k: int, stem: Word, tree: FiniteTree
-) -> Optional[Word]:
-    """First node below the tree's depth whose branch outputs take at most
-    k values per level.
-
-    The distinct outputs of each node's branches are merged up the sorted
-    levels above the stem, in lists aligned with the levels: a node's
-    children are the next run of the level below.  A level over k stays
-    over k in every ancestor, so a node with a child over k is marked over
-    (None) without a merge.
-    """
-    cm = tree.child_map()
-    found: Optional[Word] = None
-    below: list[Optional[set[Word]]] = []
-    for lv in reversed(list(levels_above(tree, stem))):
-        row: list[Optional[set[Word]]] = []
-        j = 0
-        for w in lv:
-            c = len(cm[w])
-            if not c:
-                row.append({table.converged(w)})
-                continue
-            kids = below[j:j + c]
-            j += c
-            if None in kids:
-                row.append(None)
-                continue
-            outs = set().union(*kids)
-            row.append(None if _more_than_k(outs, k) else outs)
-        # the answer is the first node not over k on the shortest level
-        # with one, leaves at the tree's depth aside
-        if len(lv[0]) < tree.depth:
-            found = next((w for w, o in zip(lv, row) if o is not None), found)
-        below = row
-    return found
-
-
-def _more_than_k(outs: set[Word], k: int) -> bool:
-    """Whether more than k distinct length-n prefixes of outs exist for
-    some n >= 1, trying the longest n first."""
-    if len(outs) <= k:
-        return False
-    level: set[Word] = set()
-    for n in range(max(map(len, outs)), 0, -1):
-        level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
-        if len(level) > k:
-            return True
-    return False
 
 
 def _case_c(
@@ -105,7 +53,12 @@ def _case_c(
             q = top if len(cm[top]) == b else next(
                 (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
             )
-            assigned = None if q is None else _assign_distinct(table, tree, q, m)
+            # the children's own prefixes at m + 1 are the search's first
+            # choice, and usually the one taken
+            assigned = None if q is None else (
+                _own_prefixes(table, [q + (i,) for i in cm[q]], m + 1)
+                or _assign_distinct(table, tree, q, m)
+            )
             if assigned is None:
                 chosen = []
                 break
@@ -117,13 +70,13 @@ def _case_c(
         m += 1
     if m == 0:
         return None
-    nodes = {()}
-    for w in tops:
-        p = w + (0,) * (depth - len(w))
-        while p not in nodes:
-            nodes.add(p)
-            p = p[:-1]
-    new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
+    # the tops are pairwise incomparable and in lex order, so their
+    # zero-paddings are too, and each shorter level is the run of their
+    # distinct parents
+    levels = [[w + (0,) * (depth - len(w)) for w in tops]]
+    while len(levels[-1][0]):
+        levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
+    new_tree = FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
     return new_tree, trace_from_outputs(outs, depth, b)
 
 
@@ -245,14 +198,13 @@ def diagonalize_surviving(
             continue
         fn = adv
         table = OutputTable(fn, fuel, depth)
-        hit = divergence_escape(table, stem, tree)
+        hit, tau = table.cases_a_b(stem, tree, k)
         if hit is not None:
             stem, n = hit
             tree = subtree_above(tree, stem)
             certificates.append(divergence_certificate(fn, stem, n, fuel))
             entry.update(case="A", fuel_spent=table.evals)
             continue
-        tau = _case_b(table, k, stem, tree)
         if tau is not None:
             stem = tau
             tree = subtree_above(tree, stem)

@@ -31,7 +31,6 @@ from .common import (
     OutputTable,
     RunRecord,
     divergence_certificate,
-    divergence_escape,
     nodes_above,
     requirements,
     schedule,
@@ -272,7 +271,7 @@ def traceable_prune(
             continue
         fn = adv
         table = OutputTable(fn, fuel, depth)
-        hit = divergence_escape(table, stem, tree)
+        hit, _ = table.cases_a_b(stem, tree)
         if hit is not None:
             stem, n = hit
             tree = subtree_above(tree, stem)

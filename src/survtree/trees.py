@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -179,14 +179,32 @@ class FiniteTree:
         return cls(frozenset(nodes), alphabet_bound)
 
     @classmethod
+    def from_levels(
+        cls, levels: list[list[Word]], alphabet_bound: Optional[int] = None
+    ) -> "FiniteTree":
+        """The tree whose nodes of length n are levels[n].
+
+        Checked like any tree (prefix closure, alphabet bound), and each
+        level must be strictly increasing.  The lists become the tree's
+        sorted levels, so the caller must not change them afterwards.
+        """
+        tree = cls(frozenset(chain.from_iterable(levels)), alphabet_bound)
+        for n, lv in enumerate(levels):
+            # a sorted copy of a sorted list is one linear run
+            if lv != sorted(lv) or set(map(len, lv)) != {n}:
+                raise ValueError(f"level {n} is not sorted words of length {n}")
+        if len(tree.nodes) != sum(map(len, levels)):
+            raise ValueError("a node is listed twice")
+        object.__setattr__(tree, "_levels", levels)
+        return tree
+
+    @classmethod
     def full(cls, b: int, d: int) -> "FiniteTree":
         """The full b-ary tree of depth d."""
-        nodes: set[Word] = {EMPTY}
-        frontier: list[Word] = [EMPTY]
+        levels: list[list[Word]] = [[EMPTY]]
         for _ in range(d):
-            frontier = [w + (i,) for w in frontier for i in range(b)]
-            nodes.update(frontier)
-        return cls(frozenset(nodes), b)
+            levels.append([w + (i,) for w in levels[-1] for i in range(b)])
+        return cls.from_levels(levels, b)
 
     @classmethod
     def comb(cls, d: int, entry: int = 0) -> "FiniteTree":
@@ -380,7 +398,6 @@ def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
     """Nodes comparable with the stem (the restriction of a condition)."""
     if stem not in t.nodes:
         raise NotInTree(f"stem {stem} is not a member")
-    nodes = set(prefixes(stem))
-    for lv in levels_above(t, stem):
-        nodes.update(lv)
-    return FiniteTree(frozenset(nodes), t.alphabet_bound)
+    levels = [[stem[:n]] for n in range(len(stem))]
+    levels.extend(levels_above(t, stem))
+    return FiniteTree.from_levels(levels, t.alphabet_bound)

@@ -1,8 +1,10 @@
 """Walks over sorted tree levels against word-keyed reference walks.
 
 The references are the breadth-first ``nodes_above``, the dict-based case
-A/B folds and the prefix-testing ``subtree_above`` that the level walks
-replaced; they are kept here to check the level walks on random trees.
+A/B folds, the prefix-testing ``subtree_above`` and the case C that
+rebuilt its tree from a node set and searched every top's children through
+``_assign_distinct``; the level walks replaced them, and they are kept
+here to check the level walks on random trees.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from collections import Counter, deque
 from itertools import takewhile
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survtree.engine.common import OutputTable, divergence_escape, nodes_above
+from survtree.engine.common import OutputTable, nodes_above, trace_from_outputs
 from survtree.engine.surviving import (
     _Drawn,
     _assign_distinct,
-    _case_b,
+    _case_c,
     _first_per_prefix,
     _pick_distinct,
 )
@@ -101,6 +104,41 @@ def _reference_case_b(table, k, stem, tree) -> Optional[Word]:
     return next((t for t in order if len(t) < tree.depth and t not in over), None)
 
 
+def _reference_case_c(table, k, stem, tree):
+    b = k + 1
+    depth = table.depth
+    cm = tree.child_map()
+    tops = [stem]
+    outs: list[Word] = [()]
+    m = 0
+    while True:
+        chosen: list[tuple[Word, Word]] = []
+        for top in tops:
+            q = top if len(cm[top]) == b else next(
+                (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
+            )
+            assigned = None if q is None else _assign_distinct(table, tree, q, m)
+            if assigned is None:
+                chosen = []
+                break
+            chosen += assigned
+        if not chosen:
+            break
+        tops = [v for v, _ in chosen]
+        outs += [o for _, o in chosen]
+        m += 1
+    if m == 0:
+        return None
+    nodes = {()}
+    for w in tops:
+        p = w + (0,) * (depth - len(w))
+        while p not in nodes:
+            nodes.add(p)
+            p = p[:-1]
+    new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
+    return new_tree, trace_from_outputs(outs, depth, b)
+
+
 def _reference_subtree_above(tree: FiniteTree, stem: Word) -> FiniteTree:
     return FiniteTree(
         frozenset(w for w in tree.nodes if is_prefix(w, stem) or is_prefix(stem, w)),
@@ -123,12 +161,17 @@ def trees(draw, b=3):
     return FiniteTree(frozenset(nodes), b)
 
 
+def _full_ternary(d: int) -> FiniteTree:
+    return FiniteTree.full(3, d)
+
+
 @st.composite
 def trees_with_table(draw):
     """A tree, a node of it, and a functional read from a table of outputs
     per (node, position): a value in 0..2 or None, in any pattern.  The
-    table repeats a drawn list of cells, so an example stays small."""
-    tree = draw(trees())
+    table repeats a drawn list of cells, so an example stays small.  Full
+    trees are drawn as well, as case C needs nodes with three children."""
+    tree = draw(st.one_of(trees(), st.integers(1, DEPTH).map(_full_ternary)))
     cell = st.one_of(st.none(), st.integers(0, 2))
     cells = draw(st.lists(cell, min_size=1, max_size=3 * DEPTH))
     nodes = tree.sorted_nodes()
@@ -137,6 +180,24 @@ def trees_with_table(draw):
         for i, w in enumerate(nodes)
     }
     return tree, outs, draw(st.sampled_from(nodes))
+
+
+@st.composite
+def splitting_tables(draw):
+    """Like trees_with_table, but most nodes output their own entries
+    under a drawn permutation per position, so case C can split; the
+    others read the repeated cells, so its pool search has work."""
+    tree, cell_outs, stem = draw(trees_with_table())
+    perms = draw(st.lists(st.permutations(range(3)), min_size=DEPTH, max_size=DEPTH))
+    nodes = tree.sorted_nodes()
+    noisy = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes) // 4))
+    outs = {
+        w: cell_outs[w] if w in noisy else [
+            perms[n][w[n]] if n < len(w) else cell_outs[w][n] for n in range(DEPTH)
+        ]
+        for w in nodes
+    }
+    return tree, outs, stem
 
 
 def _table(outs: dict[Word, list], calls: Optional[Counter] = None) -> OutputTable:
@@ -159,6 +220,50 @@ def test_levels_and_child_map_match_the_node_set(tree):
         kids[w[:-1]].append(w[-1])
     assert tree.child_map() == {w: tuple(sorted(c)) for w, c in kids.items()}
     assert tree.leaves() == sorted((w for w in kids if not kids[w]), key=word_key)
+
+
+def _assert_indexes_match_node_set(tree: FiniteTree) -> None:
+    """A tree built from levels indexes like one built from its node set."""
+    fresh = FiniteTree(tree.nodes, tree.alphabet_bound)
+    assert tree == fresh
+    assert tree.levels() == fresh.levels()
+    assert tree.child_map() == fresh.child_map()
+
+
+@pytest.mark.parametrize("b, d", [(1, 0), (1, 3), (2, 4), (3, 3), (4, 2)])
+def test_full_tree_levels_match_its_node_set(b, d):
+    tree = FiniteTree.full(b, d)
+    assert len(tree.nodes) == sum(b**n for n in range(d + 1))
+    _assert_indexes_match_node_set(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees())
+def test_subtree_above_levels_match_its_node_set(tree):
+    for stem in tree.sorted_nodes():
+        _assert_indexes_match_node_set(subtree_above(tree, stem))
+
+
+@pytest.mark.parametrize(
+    "levels, match",
+    [
+        ([[()], [(1,), (0,)]], "level 1"),
+        ([[()], [(0,), (0,)]], "listed twice"),
+        ([[()], [(0,), (1,)], [(2, 0)]], "not prefix-closed"),
+        ([[()], [(0,), (0, 0)]], "level 1"),
+        ([[()], [(0,)], []], "level 2"),
+    ],
+)
+def test_from_levels_rejects_malformed_levels(levels, match):
+    with pytest.raises(ValueError, match=match):
+        FiniteTree.from_levels(levels, 3)
+
+
+def test_from_levels_keeps_its_levels():
+    levels = [[()], [(0,), (2,)], [(2, 1)]]
+    tree = FiniteTree.from_levels(levels, 3)
+    assert tree.levels() is levels
+    assert tree.child_map() == {(): (0, 2), (0,): (), (2,): (1,), (2, 1): ()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,18 +291,44 @@ def test_subtree_above_matches_prefix_filter(tree):
 @given(trees_with_table())
 def test_divergence_escape_matches_dict_fold(case):
     tree, outs, stem = case
-    assert divergence_escape(_table(outs), stem, tree) == _reference_divergence_escape(
-        _table(outs), stem, tree
-    )
+    fold_calls: Counter = Counter()
+    ref_calls: Counter = Counter()
+    hit, tau = _table(outs, fold_calls).cases_a_b(stem, tree)
+    assert hit == _reference_divergence_escape(_table(outs, ref_calls), stem, tree)
+    assert tau is None
+    assert fold_calls == ref_calls
 
 
 @settings(max_examples=300, deadline=None)
 @given(trees_with_table(), st.integers(1, 3))
 def test_case_b_matches_dict_fold(case, k):
     tree, outs, stem = case
-    assert _case_b(_table(outs), k, stem, tree) == _reference_case_b(
-        _table(outs), k, stem, tree
-    )
+    fold_calls: Counter = Counter()
+    ref_calls: Counter = Counter()
+    hit, tau = _table(outs, fold_calls).cases_a_b(stem, tree, k)
+    ref = _table(outs, ref_calls)
+    ref_hit = _reference_divergence_escape(ref, stem, tree)
+    ref_tau = _reference_case_b(ref, k, stem, tree)
+    assert hit == ref_hit
+    # case B is only looked for when case A finds nothing
+    assert tau == (ref_tau if ref_hit is None else None)
+    assert fold_calls == ref_calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trees_with_table(), splitting_tables()))
+def test_case_c_matches_node_set_rebuild(case):
+    tree, outs, stem = case
+    calls: Counter = Counter()
+    ref_calls: Counter = Counter()
+    table = _table(outs, calls)
+    ref = _table(outs, ref_calls)
+    built = _case_c(table, 2, stem, tree)
+    assert built == _reference_case_c(ref, 2, stem, tree)
+    assert table.evals == ref.evals
+    assert calls == ref_calls
+    if built is not None:
+        _assert_indexes_match_node_set(built[0])
 
 
 @settings(max_examples=300, deadline=None)
