@@ -9,6 +9,7 @@ bracket lower..upper.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -173,7 +174,10 @@ def _cmd_emit(args) -> int:
     return OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each add_argument sizes a help
+    formatter to the terminal, which costs about a millisecond in all."""
     parser = argparse.ArgumentParser(
         prog="survtree",
         description="run, verify and inspect tree-condition constructions",

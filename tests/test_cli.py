@@ -8,7 +8,7 @@ import json
 import pytest
 
 from survtree import cover
-from survtree.cli import main
+from survtree.cli import build_parser, main
 from survtree.io_formats import dump_record, dump_tree, load_record, load_tree
 from survtree.trees import FiniteTree
 
@@ -237,6 +237,20 @@ def test_unknown_subcommand_rejected():
 
 def test_unknown_flag_rejected():
     assert main(["min-cover", "--b", "3", "--k", "2", "--d", "1", "--x"]) == 2
+
+
+def test_one_parser_serves_consecutive_calls(capsys):
+    ok = ["min-cover", "--b", "3", "--k", "2", "--d", "1"]
+    assert main(ok) == 0
+    assert main(ok[:-2]) == 2  # --d missing
+    assert "--d" in capsys.readouterr().err
+    assert main(ok) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert build_parser() is build_parser()
+    # a value given in one call does not become the next call's default
+    run = ["run", "--engine", "build3", "--out", "r.json"]
+    assert build_parser().parse_args(run + ["--k", "3"]).k == 3
+    assert build_parser().parse_args(run).k == 2
 
 
 def test_bad_family_config_is_usage_error(tmp_path):
