@@ -61,19 +61,6 @@ class OracleFunctional:
         return self.rule(oracle_prefix, n, fuel)
 
 
-def eval_total_on(
-    t: OracleFunctional, sigma: Word, upto: int, fuel: int
-) -> Optional[Word]:
-    """The length-``upto`` output word, or None if any position is not yet."""
-    out = []
-    for n in range(upto):
-        v = t.eval(sigma, n, fuel)
-        if v is None:
-            return None
-        out.append(v)
-    return tuple(out)
-
-
 def converged_prefix(
     t: OracleFunctional, sigma: Word, cap: int, fuel: int
 ) -> Word:

@@ -14,7 +14,6 @@ from survtree.staged import (
     ConfigError,
     Verdict,
     converged_prefix,
-    eval_total_on,
     family_from_config,
     index_pair,
     looks_like_branching,
@@ -31,7 +30,6 @@ from survtree.trees import Surjection, TriState
 LIB = standard_library()
 IDENTITY = LIB.functionals[0]
 MOD3 = LIB.functionals[1]
-CONST3 = LIB.functionals[2]
 DIVERGING = LIB.functionals[3]
 FULL_TERNARY = LIB.staged_trees[0]
 FULL_BINARY = LIB.staged_trees[2]
@@ -146,18 +144,6 @@ def test_tree_bound_violation_on_wide_tree():
 
 
 # --- functionals ------------------------------------------------------------
-
-
-def test_eval_total_identity():
-    assert eval_total_on(IDENTITY, (1, 0, 2), 3, 10) == (1, 0, 2)
-
-
-def test_eval_total_constant():
-    assert eval_total_on(CONST3, (), 1, 5) == (3,)
-
-
-def test_eval_total_diverging():
-    assert eval_total_on(DIVERGING, (0, 1), 1, 10**6) is None
 
 
 def test_converged_prefix_stops_at_first_gap():
