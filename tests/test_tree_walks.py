@@ -161,17 +161,14 @@ def trees(draw, b=3):
     return FiniteTree(frozenset(nodes), b)
 
 
-def _full_ternary(d: int) -> FiniteTree:
-    return FiniteTree.full(3, d)
-
-
 @st.composite
 def trees_with_table(draw):
     """A tree, a node of it, and a functional read from a table of outputs
     per (node, position): a value in 0..2 or None, in any pattern.  The
     table repeats a drawn list of cells, so an example stays small.  Full
     trees are drawn as well, as case C needs nodes with three children."""
-    tree = draw(st.one_of(trees(), st.integers(1, DEPTH).map(_full_ternary)))
+    full = st.builds(FiniteTree.full, st.just(3), st.integers(1, DEPTH))
+    tree = draw(st.one_of(trees(), full))
     cell = st.one_of(st.none(), st.integers(0, 2))
     cells = draw(st.lists(cell, min_size=1, max_size=3 * DEPTH))
     nodes = tree.sorted_nodes()
@@ -237,13 +234,6 @@ def test_full_tree_levels_match_its_node_set(b, d):
     _assert_indexes_match_node_set(tree)
 
 
-@settings(max_examples=200, deadline=None)
-@given(trees())
-def test_subtree_above_levels_match_its_node_set(tree):
-    for stem in tree.sorted_nodes():
-        _assert_indexes_match_node_set(subtree_above(tree, stem))
-
-
 @pytest.mark.parametrize(
     "levels, match",
     [
@@ -284,7 +274,9 @@ def test_nodes_above_matches_breadth_first_walk(tree, probe):
 @given(trees())
 def test_subtree_above_matches_prefix_filter(tree):
     for stem in tree.sorted_nodes():
-        assert subtree_above(tree, stem) == _reference_subtree_above(tree, stem)
+        sub = subtree_above(tree, stem)
+        assert sub == _reference_subtree_above(tree, stem)
+        _assert_indexes_match_node_set(sub)
 
 
 @settings(max_examples=300, deadline=None)
