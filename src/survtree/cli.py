@@ -61,7 +61,16 @@ def _load_family(name: str):
     return family_from_config(config)
 
 
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
+    return int(text)
+
+
 def _cmd_run(args) -> int:
+    if args.engine == "surviving" and args.k < 2:
+        print("--k must be >= 2 for the surviving engine", file=sys.stderr)
+        return USAGE
     family = _load_family(args.family)
     if args.engine == "surviving":
         record = diagonalize_surviving(
@@ -190,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="standard",
                    help="standard | empty | path to a family config")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--stages", type=int, default=8)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--stages", type=_natural, default=8)
+    p.add_argument("--depth", type=_natural, default=8)
+    p.add_argument("--fuel", type=_natural, default=10000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_run)
 

@@ -184,8 +184,12 @@ class OutputTable:
         """Positions 0..depth-1 of w, None where not yet converged."""
         if w in self._rows:
             return [self.value(w, n) for n in range(self.depth)]
-        ev, fuel = self.functional.eval, self.fuel
-        row = self._rows[w] = [ev(w, n, fuel) for n in range(self.depth)]
+        if self.functional.prefix is not None:
+            p = self.functional.prefix(w, self.depth, self.fuel)
+            row = self._rows[w] = [*p, *[None] * (self.depth - len(p))]
+        else:
+            ev, fuel = self.functional.eval, self.fuel
+            row = self._rows[w] = [ev(w, n, fuel) for n in range(self.depth)]
         self.evals += self.depth
         return row
 
@@ -196,6 +200,13 @@ class OutputTable:
             row = self._rows.get(w)
             if row is None:
                 row = self._rows[w] = [_UNSET] * self.depth
+                prefix = self.functional.prefix
+                if prefix is not None:
+                    # read as far as the loop below would: the closed-form
+                    # prefix and the first None after it
+                    p = [*prefix(w, self.depth, self.fuel), None][:self.depth]
+                    row[:len(p)] = p
+                    self.evals += len(p)
             ev, fuel, n = self.functional.eval, self.fuel, 0
             for v in row:
                 if v is _UNSET:

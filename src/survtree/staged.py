@@ -51,11 +51,19 @@ class StagedTree:
 
 @dataclass(frozen=True)
 class OracleFunctional:
-    """Fuel-bounded model of phi_e^sigma(n); None means not-yet."""
+    """Fuel-bounded model of phi_e^sigma(n); None means not-yet.
+
+    ``prefix(sigma, cap, fuel)``, when set, is the converged output prefix
+    of length at most cap in one call.  A kind may set it only when no
+    position after its first None converges.
+    """
 
     id: int
     kind: str
     rule: Callable[[Word, int, int], Optional[int]] = field(compare=False)
+    prefix: Optional[Callable[[Word, int, int], Word]] = field(
+        default=None, compare=False
+    )
 
     def eval(self, oracle_prefix: Word, n: int, fuel: int) -> Optional[int]:
         return self.rule(oracle_prefix, n, fuel)
@@ -65,6 +73,8 @@ def converged_prefix(
     t: OracleFunctional, sigma: Word, cap: int, fuel: int
 ) -> Word:
     """Longest output prefix (up to cap) converged on sigma itself."""
+    if t.prefix is not None:
+        return t.prefix(sigma, cap, fuel)
     out = []
     for n in range(cap):
         v = t.eval(sigma, n, fuel)
@@ -327,43 +337,33 @@ def staged_tree_from_config(entry: dict, index: int) -> StagedTree:
     )
 
 
-def _identity_rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
-    if fuel > n and n < len(sigma):
-        return sigma[n]
-    return None
-
-
-def _mod_rule(m: int) -> Callable[[Word, int, int], Optional[int]]:
-    def rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
-        if fuel > n and n < len(sigma):
-            return sigma[n] % m
-        return None
-
-    return rule
-
-
-def _const_rule(c: int) -> Callable[[Word, int, int], Optional[int]]:
-    def rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
-        return c if fuel > n else None
-
-    return rule
-
-
-def _diverging_rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
-    return None
+def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
+    """The closed-form output prefix of a configured kind: its first
+    min(cap, fuel) outputs, after which no position converges."""
+    kind = entry["kind"]
+    if kind == "identity":
+        return lambda sigma, cap, fuel: sigma[:max(0, min(cap, fuel))]
+    if kind == "entry_mod":
+        m = entry["modulus"]
+        return lambda sigma, cap, fuel: tuple(
+            [e % m for e in sigma[:max(0, min(cap, fuel))]]
+        )
+    if kind == "constant":
+        c = entry["value"]
+        return lambda sigma, cap, fuel: (c,) * max(0, min(cap, fuel))
+    return lambda sigma, cap, fuel: ()
 
 
 def functional_from_config(entry: dict, index: int) -> OracleFunctional:
     where = f"functional entry {index}"
     kind = _checked_kind(entry, _FUNCTIONAL_KEYS, _FUNCTIONAL_COMMON, where)
-    fid = entry.get("id", index)
-    if kind == "identity":
-        return OracleFunctional(fid, kind, _identity_rule)
-    if kind == "entry_mod":
-        return OracleFunctional(fid, kind, _mod_rule(entry["modulus"]))
-    if kind == "constant":
-        return OracleFunctional(fid, kind, _const_rule(entry["value"]))
-    return OracleFunctional(fid, kind, _diverging_rule)
+    prefix = _config_prefix(entry)
+
+    def rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
+        p = prefix(sigma, n + 1, fuel)
+        return p[n] if n < len(p) else None
+
+    return OracleFunctional(entry.get("id", index), kind, rule, prefix)
 
 
 def family_from_config(config: dict) -> AdversaryFamily:

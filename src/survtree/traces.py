@@ -90,12 +90,13 @@ def to_tree(tr: TraceTable) -> FiniteTree:
 
 
 def goes_through(prefix: Word, tr: TraceTable) -> bool:
-    """True iff every initial segment of the prefix is in its level."""
+    """True iff every initial segment of the prefix is in its level: since
+    the levels are prefix-coherent, iff the prefix is in its own."""
     if len(prefix) > tr.depth:
         raise ValueError(
             f"prefix of length {len(prefix)} exceeds trace depth {tr.depth}"
         )
-    return all(prefix[:n] in tr.levels[n] for n in range(len(prefix) + 1))
+    return prefix in tr.levels[len(prefix)]
 
 
 def merge(tr1: TraceTable, tr2: TraceTable, bound: LevelBound) -> TraceTable:

@@ -400,4 +400,11 @@ def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
         raise NotInTree(f"stem {stem} is not a member")
     levels = [[stem[:n]] for n in range(len(stem))]
     levels.extend(levels_above(t, stem))
-    return FiniteTree.from_levels(levels, t.alphabet_bound)
+    tree = FiniteTree.from_levels(levels, t.alphabet_bound)
+    if t._children is not None:
+        # t's child map restricted to the nodes above the stem, plus the
+        # stem's own entry under each proper stem prefix
+        cm = {w: t._children[w] for lv in levels[len(stem):] for w in lv}
+        cm.update((stem[:n], (stem[n],)) for n in range(len(stem)))
+        object.__setattr__(tree, "_children", cm)
+    return tree

@@ -66,6 +66,37 @@ def test_run_surviving_then_verify(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "engine, flag, value, message",
+    [
+        ("surviving", "--k", "1", "--k must be >= 2"),
+        ("surviving", "--k", "-3", "--k must be >= 2"),
+        ("surviving", "--depth", "-1", "argument --depth: '-1' is not"),
+        ("surviving", "--stages", "-2", "argument --stages: '-2' is not"),
+        ("surviving", "--fuel", "-5", "argument --fuel: '-5' is not"),
+        ("build3", "--depth", "-1", "argument --depth"),
+        ("traceable", "--stages", "-1", "argument --stages"),
+        ("accelerating", "--fuel", "x", "argument --fuel: 'x' is not"),
+    ],
+)
+def test_bad_run_parameter_is_usage_error(tmp_path, capsys, engine, flag, value, message):
+    out = tmp_path / "rec.json"
+    argv = ["run", "--engine", engine, flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_zero_run_parameters_are_accepted(tmp_path):
+    out = tmp_path / "rec.json"
+    argv = ["run", "--engine", "surviving", "--stages", "0", "--depth", "3",
+            "--fuel", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["verify", str(out)]) == 0
+
+
 def test_verify_accepts_legacy_indented_record(tmp_path, capsys):
     out = tmp_path / "rec.json"
     main(

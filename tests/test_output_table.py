@@ -5,18 +5,30 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survtree.engine import diagonalize_surviving
+# the pinned family whose case C searches the pools above the children
+from test_record_stability import COMB_R1
+from survtree.engine import (
+    accelerating_force,
+    diagonalize_surviving,
+    initial_condition,
+    traceable_prune,
+)
 from survtree.engine.common import OutputTable
 from survtree.engine.surviving import _assign_distinct
 from survtree.staged import AdversaryFamily, OracleFunctional, standard_library
 from survtree.trees import FiniteTree, Word, word_key
 
 
-def _counting_family(calls: dict[int, Counter]) -> AdversaryFamily:
-    lib = standard_library()
+def _counting_family(
+    calls: dict[int, Counter], lib: Optional[AdversaryFamily] = None
+) -> AdversaryFamily:
+    """lib (the standard library by default) with each functional rebuilt
+    from its bare rule, counting calls: no closed-form prefix."""
+    lib = lib or standard_library()
 
     def counting(fn: OracleFunctional) -> OracleFunctional:
         seen = calls.setdefault(fn.id, Counter())
@@ -46,6 +58,55 @@ def test_each_node_position_is_evaluated_once_per_stage():
         assert max(seen.values()) == 1, f"functional {fid} re-evaluated"
         assert spent[fid] == sum(seen.values())
     assert sum(spent.values()) == sum(sum(c.values()) for c in calls.values())
+
+
+RUNS = {
+    "surviving-d6": lambda fam: diagonalize_surviving(2, fam, 8, 6, 4000),
+    "traceable-d8": lambda fam: traceable_prune(
+        initial_condition(fam, 8, 24), fam, 4, 8, 10**4
+    ),
+    "accelerating-d8": lambda fam: accelerating_force(fam, 8, 8, 10**4),
+    "surviving-d8-comb-r1": lambda fam: diagonalize_surviving(2, fam, 14, 8, 10**4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_closed_form_prefixes_and_bare_rules_give_equal_records(name):
+    """Rows read through the closed-form prefixes and rows read position by
+    position give byte-equal payloads, fuel_spent included."""
+    lib = COMB_R1 if name.endswith("comb-r1") else standard_library()
+    bare = _counting_family({}, lib)
+    assert all(fn.prefix is not None for fn in lib.functionals)
+    assert all(fn.prefix is None for fn in bare.functionals)
+    run = RUNS[name]
+    assert run(lib).to_payload() == run(bare).to_payload()
+
+
+reads = st.lists(
+    st.tuples(
+        st.sampled_from(["value", "outputs", "converged"]),
+        # few words, so that reads of one row mix
+        st.sampled_from([(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2), (4, 0, 1, 3, 2, 1)]),
+        st.integers(0, 5),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 6), st.integers(-1, 7), reads)
+def test_prefix_rows_read_like_per_position_rows(fid, depth, fuel, ops):
+    """Any sequence of reads returns the same and counts the same evals
+    whether rows come from the closed-form prefix or position by position."""
+    fn = standard_library().functionals[fid]
+    bare = OracleFunctional(fn.id, fn.kind, fn.rule)
+    fast, slow = OutputTable(fn, fuel, depth), OutputTable(bare, fuel, depth)
+    for op, w, n in ops:
+        args = (w, n) if op == "value" else (w,)
+        if op == "value" and n >= depth:
+            continue
+        assert getattr(fast, op)(*args) == getattr(slow, op)(*args)
+        assert fast.evals == slow.evals
 
 
 def test_table_serves_values_outputs_and_converged_prefixes():

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from conftest import LETTERS, staged_tree_entries, unbounded_trees
 from survtree.staged import (
     ConfigError,
+    OracleFunctional,
     Verdict,
     converged_prefix,
     family_from_config,
+    functional_from_config,
     index_pair,
     looks_like_branching,
     pair_index,
@@ -149,6 +151,49 @@ def test_tree_bound_violation_on_wide_tree():
 def test_converged_prefix_stops_at_first_gap():
     assert converged_prefix(IDENTITY, (4, 4), 5, 100) == (4, 4)
     assert converged_prefix(DIVERGING, (4, 4), 5, 100) == ()
+
+
+# the configured kinds written out position by position
+_REFERENCE_RULES = {
+    "identity": lambda e: lambda sigma, n, fuel: (
+        sigma[n] if fuel > n and n < len(sigma) else None
+    ),
+    "entry_mod": lambda e: lambda sigma, n, fuel: (
+        sigma[n] % e["modulus"] if fuel > n and n < len(sigma) else None
+    ),
+    "constant": lambda e: lambda sigma, n, fuel: e["value"] if fuel > n else None,
+    "diverging": lambda e: lambda sigma, n, fuel: None,
+}
+
+functional_entries = st.one_of(
+    st.just({"kind": "identity"}),
+    st.builds(lambda m: {"kind": "entry_mod", "modulus": m}, st.integers(1, 5)),
+    st.builds(lambda c: {"kind": "constant", "value": c}, st.integers(0, 5)),
+    st.just({"kind": "diverging"}),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    functional_entries,
+    st.lists(st.integers(0, 9), max_size=8).map(tuple),
+    st.integers(0, 12),
+    st.integers(-2, 15),
+)
+def test_closed_form_prefix_matches_per_position_loop(entry, sigma, cap, fuel):
+    fn = functional_from_config(entry, 0)
+    reference = _REFERENCE_RULES[entry["kind"]](entry)
+    p = fn.prefix(sigma, cap, fuel)
+    # converged_prefix reads a functional built from a bare rule position
+    # by position
+    for rule in (reference, fn.rule):
+        assert converged_prefix(OracleFunctional(0, "bare", rule), sigma, cap, fuel) == p
+    assert converged_prefix(fn, sigma, cap, fuel) == p
+    for n in range(cap + 2):
+        assert fn.eval(sigma, n, fuel) == reference(sigma, n, fuel)
+    # the field's contract: nothing converges after the first None
+    first = len(fn.prefix(sigma, 20, fuel))
+    assert all(fn.eval(sigma, n, fuel) is None for n in range(first, 20))
 
 
 def test_mod3_values_below_three():

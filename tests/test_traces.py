@@ -173,3 +173,24 @@ def test_bound_check_agrees_with_every_level_compared(t, base):
         with pytest.raises(BoundExceeded) as e:
             from_tree(t, LevelBound("pow", base))
         assert e.value.level == first_over
+
+
+def _all_prefixes_in_levels(prefix, tr) -> bool:
+    return all(prefix[:n] in tr.levels[n] for n in range(len(prefix) + 1))
+
+
+words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(words, min_size=1, max_size=8), st.lists(words, max_size=12))
+def test_goes_through_is_the_all_prefixes_check(members, probes):
+    """On a trace whose branches end at any length, one lookup in the
+    prefix's own level answers as the check of every initial segment."""
+    tr = from_tree(FiniteTree.from_words(members), LevelBound("pow", 4))
+    for w in [*members, *probes, *(m[:-1] + (3 - m[-1],) for m in members if m)]:
+        if len(w) > tr.depth:
+            with pytest.raises(ValueError, match="exceeds trace depth"):
+                goes_through(w, tr)
+        else:
+            assert goes_through(w, tr) == _all_prefixes_in_levels(w, tr)

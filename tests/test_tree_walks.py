@@ -273,10 +273,16 @@ def test_nodes_above_matches_breadth_first_walk(tree, probe):
 @settings(max_examples=200, deadline=None)
 @given(trees())
 def test_subtree_above_matches_prefix_filter(tree):
-    for stem in tree.sorted_nodes():
-        sub = subtree_above(tree, stem)
-        assert sub == _reference_subtree_above(tree, stem)
-        _assert_indexes_match_node_set(sub)
+    # a tree without a child map, then one whose map subtree_above restricts
+    bare = FiniteTree(tree.nodes, tree.alphabet_bound)
+    tree.child_map()
+    for t in (bare, tree):
+        for stem in tree.sorted_nodes():
+            sub = subtree_above(t, stem)
+            assert sub == _reference_subtree_above(tree, stem)
+            assert (sub._children is not None) == (t is tree)
+            _assert_indexes_match_node_set(sub)
+    assert bare._children is None
 
 
 @settings(max_examples=300, deadline=None)
