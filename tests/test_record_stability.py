@@ -14,6 +14,13 @@ were taken before the surviving engine folded cases A and B into one pass
 and built its trees from sorted levels.  The other fuel_spent lists were taken with the
 output tables in place; a change to the set of (node, position) pairs a
 stage evaluates shows up there and nowhere else in the record.
+
+``DECODED`` pins what each record means apart from how it is spelled: the
+sha256 of ``canonical_json`` of its final tree nodes, stem, labels, stage log,
+certificates and, for each trace read back through ``json_to_trace``, the
+functional, bound, depth and sorted words of every level.  These hashes were
+taken while traces were still written as word lists, before the level-order
+trace encoding, and hold across it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from survtree.engine import (
     initial_condition,
     traceable_prune,
 )
-from survtree.io_formats import canonical_json
+from survtree.engine.common import labels_of_payload, tree_of_payload
+from survtree.io_formats import canonical_json, json_to_trace
 from survtree.staged import STANDARD_CONFIG, family_from_config, standard_library
 from survtree.trees import word_key
 
@@ -148,6 +156,73 @@ def _hash_without_fuel(payload: dict) -> str:
 def test_record_bytes_pinned_apart_from_fuel_spent(name):
     _, expected = PINNED[name]
     assert _hash_without_fuel(_payload(name)) == expected
+
+
+def _decoded_hash(payload: dict) -> str:
+    labels = labels_of_payload(payload)
+    traces = []
+    for t in payload["traces"]:
+        table = json_to_trace(t)
+        traces.append({
+            "functional": t["functional"],
+            "bound": [table.bound.kind, table.bound.base],
+            "depth": table.depth,
+            "levels": [sorted(lv) for lv in table.levels],
+        })
+    content = {
+        "final_tree": sorted(tree_of_payload(payload).nodes, key=word_key),
+        "final_stem": payload["final_stem"],
+        "labels": None if labels is None else sorted(labels.items()),
+        "stage_log": payload["stage_log"],
+        "certificates": payload["certificates"],
+        "traces": traces,
+    }
+    return hashlib.sha256(canonical_json(content).encode()).hexdigest()
+
+
+DECODED = {
+    "accelerating-d6": (
+        "46ba979bdd944c7a59f7c8cbc36232272b9563d03fd3699085880a8595843d3f"
+    ),
+    "accelerating-d8": (
+        "211178ffdc6908266144ec68ba5a67ac906fe34966750dd2f86d02abf65e93f5"
+    ),
+    "build3-d12": (
+        "dace0d1dbbecf80d5527249ef725dfd666372fdcee0084ddc6c05d61489f4d57"
+    ),
+    "build3-d16": (
+        "de7ac18f76c1f532642ec17622f2c3e3933073f949741faf4b496d8911893bdb"
+    ),
+    "build3-d8": (
+        "925c060d94191a59b082db43e5fab71da9d1f9edbda41dbe31d802e97949eb8b"
+    ),
+    "surviving-d6": (
+        "96295c1bbd581c85d1356809032fdada654da36c111a1dd1b1804757c52a1546"
+    ),
+    "surviving-d8": (
+        "02cba0fb6b89187f4a4adacd19f71f9504673567a8ebd8a207642f7e7e2ef297"
+    ),
+    "surviving-d8-comb-r1": (
+        "fb93c9bd304d9e16067ebbb6ca29d67203aeb61661f826b538cd6fad524c3f34"
+    ),
+    "surviving-d8-constant-3": (
+        "688867f3acb63118f6fc80f142a5048352a9c6902abed27522869553dda5e5d2"
+    ),
+    "surviving-d8-entry-mod-4": (
+        "96ecc7333d505f46da2915e73b4b9661231bfd65e943fdd446b3252f2339970f"
+    ),
+    "traceable-d6": (
+        "e539d1de0dd02999b3959c9a142362f317c1f23b69e504708bc63d34ed6c32f2"
+    ),
+    "traceable-d8": (
+        "e3bf563d0ba8ae6813b27545a95f11b2b8214100cb88f62ee1425492b01ad936"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_decoded_record_content_pinned(name):
+    assert _decoded_hash(_payload(name)) == DECODED[name]
 
 
 # the traceable engine's base condition, as its word_key-sorted [node, label]
