@@ -53,7 +53,7 @@ def main() -> int:
         with open(path) as fp:
             defects = verify_record(load_record(fp))
         status = "ok" if not defects else f"DEFECTS: {defects}"
-        print(f"{name}: {record.status}, {status} -> {path}")
+        print(f"{name}: {record.status}, {status} -> {path} ({path.stat().st_size} bytes)")
         failed += bool(defects) or record.status != "complete"
     return 1 if failed else 0
 

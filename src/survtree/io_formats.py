@@ -1,18 +1,18 @@
-"""Plain-text and JSON interchange for trees, traces, families and run records.
+"""Plain-text interchange for trees, and JSON for trees, traces and run records.
 
 Tree files are a one-line header followed by one node per line (entries
 separated by spaces, the empty line after the header being the root),
 sorted shortest-first then lexicographically.  A run record is written as
 one line of canonical JSON (sorted keys, no whitespace) carrying a sha256
 digest of the canonical JSON of the rest, so byte-level tampering is cheap
-to detect.
+to detect.  Its traces are in level order: each word lists its children.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, TextIO
+from typing import Any, TextIO
 
 from .traces import LevelBound, TraceTable
 from .trees import FiniteTree, Word
@@ -57,38 +57,6 @@ def load_tree(fp: TextIO) -> FiniteTree:
     if not words:
         raise FormatError("tree file has no nodes")
     return FiniteTree.from_words(words, alphabet_bound=bound)
-
-
-def dump_trace(tr: TraceTable, fp: TextIO) -> None:
-    fp.write(f"trace bound=pow {tr.bound.base} d={tr.depth}\n")
-    for w in tr.words():
-        fp.write(_word_line(w) + "\n")
-
-
-def load_trace(fp: TextIO) -> TraceTable:
-    header = fp.readline().rstrip("\n")
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "trace" or parts[1] != "bound=pow":
-        raise FormatError(f"line 1: bad trace header: {header!r}")
-    base = int(parts[2])
-    if not parts[3].startswith("d="):
-        raise FormatError(f"line 1: bad trace header: {header!r}")
-    depth = int(parts[3][2:])
-    words = (
-        _parse_word(raw, i)
-        for i, raw in enumerate(fp.read().splitlines(), start=2)
-    )
-    return TraceTable(_levels(words, depth), LevelBound("pow", base))
-
-
-def _levels(words: Iterable[Word], depth: int) -> tuple[frozenset[Word], ...]:
-    """Words bucketed by length into levels 0..depth, in one pass."""
-    levels: list[set[Word]] = [set() for _ in range(depth + 1)]
-    for w in words:
-        if len(w) > depth:
-            raise FormatError(f"word {list(w)} is longer than the trace depth {depth}")
-        levels[len(w)].add(w)
-    return tuple(frozenset(lv) for lv in levels)
 
 
 def tree_to_dot(t: FiniteTree, name: str = "tree") -> str:
@@ -157,11 +125,7 @@ def record_digest_ok(payload: dict) -> bool:
     return payload.get("digest") == payload_digest(payload)
 
 
-# JSON-friendly encodings of words and trees used inside records.
-
-
-def json_to_words(data: Any) -> list[Word]:
-    return [tuple(map(int, w)) for w in data]
+# JSON-friendly encodings of trees and traces used inside records.
 
 
 def tree_to_json(t: FiniteTree) -> dict:
@@ -172,19 +136,54 @@ def tree_to_json(t: FiniteTree) -> dict:
 
 
 def json_to_tree(data: dict) -> FiniteTree:
-    return FiniteTree.from_words(
-        json_to_words(data["nodes"]), alphabet_bound=data.get("alphabet_bound")
-    )
+    words = [tuple(map(int, w)) for w in data["nodes"]]
+    return FiniteTree.from_words(words, alphabet_bound=data.get("alphabet_bound"))
+
+
+# A level-order trace of n rows can stand for words of total length about
+# n**2 / 2; decoding stops before it spells out more entries than this.
+TRACE_ENTRY_LIMIT = 1 << 24
 
 
 def trace_to_json(tr: TraceTable) -> dict:
-    return {
-        "bound": {"kind": tr.bound.kind, "base": tr.bound.base},
-        "depth": tr.depth,
-        "words": [list(w) for w in tr.words()],
-    }
+    """Level-order form: ``children[n]`` lists, for each length-n word in
+    lex order, the last entries of its children in increasing order."""
+    if tr.levels[0] != {()}:
+        raise ValueError("a trace without the empty word has no level-order form")
+    children = []
+    for n in range(tr.depth):
+        row: dict[Word, list[int]] = {w: [] for w in sorted(tr.levels[n])}
+        for w in tr.levels[n + 1]:
+            row[w[:-1]].append(w[-1])
+        children.append([sorted(es) for es in row.values()])
+    bound = {"kind": tr.bound.kind, "base": tr.bound.base}
+    return {"bound": bound, "depth": tr.depth, "children": children}
 
 
 def json_to_trace(data: dict) -> TraceTable:
-    levels = _levels(json_to_words(data["words"]), int(data["depth"]))
-    return TraceTable(levels, LevelBound(data["bound"]["kind"], int(data["bound"]["base"])))
+    """Rebuild each level by extending the words of the level above by their children."""
+    depth = int(data["depth"])
+    rows = data.get("children")
+    if type(rows) is not list or len(rows) != depth:
+        raise FormatError(f"a trace of depth {depth} needs {depth} children rows")
+    level: list[Word] = [()]
+    levels = [frozenset(level)]
+    spelled = 0
+    for n, row in enumerate(rows):
+        if (type(row) is not list or len(row) != len(level)
+                or any(type(es) is not list for es in row)):
+            raise FormatError(f"children row {n} does not list one list per word of level {n}")
+        spelled += (n + 1) * sum(map(len, row))
+        if spelled > TRACE_ENTRY_LIMIT:
+            raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
+        nxt: list[Word] = []
+        for w, es in zip(level, row):
+            last = -1
+            for e in es:
+                if type(e) is not int or e <= last:
+                    raise FormatError(f"children of {list(w)} are not increasing naturals: {es}")
+                last = e
+                nxt.append(w + (e,))
+        level = nxt
+        levels.append(frozenset(level))
+    return TraceTable(tuple(levels), LevelBound(data["bound"]["kind"], int(data["bound"]["base"])))

@@ -345,7 +345,9 @@ def _mutations(payload):
     def break_trace(p):
         if not p["traces"]:
             raise AssertionError("no trace to corrupt")
-        p["traces"][0]["words"] = [w for w in p["traces"][0]["words"] if w]
+        # the root row loses the root's entry, so the rows no longer
+        # cohere with the levels they extend
+        p["traces"][0]["children"][0] = []
 
     variant(break_trace, resign=True)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import io
 import json
 
@@ -9,7 +11,9 @@ import pytest
 
 from survtree import cover
 from survtree.cli import build_parser, main
-from survtree.io_formats import dump_record, dump_tree, load_record, load_tree
+from survtree.engine import diagonalize_surviving, verify_record
+from survtree.io_formats import dump_record, dump_tree, json_to_trace, load_record, load_tree
+from survtree.staged import standard_library
 from survtree.trees import FiniteTree
 
 
@@ -209,6 +213,60 @@ def test_verify_reports_unknown_family_key_as_malformed(tmp_path, capsys):
         dump_record(payload, fp)  # signed again, so only the key is wrong
     assert main(["verify", str(out)]) == 1
     assert "malformed record" in capsys.readouterr().out
+
+
+@functools.lru_cache(maxsize=None)
+def _surviving_d4_payload() -> dict:
+    return diagonalize_surviving(2, standard_library(), 8, 4, 4000).to_payload()
+
+
+def _as_word_list(trace: dict) -> None:
+    """Rewrite a trace in the word-list form records used to carry."""
+    levels = json_to_trace(trace).levels
+    del trace["children"]
+    trace["words"] = [list(w) for lv in levels for w in sorted(lv)]
+
+
+def _set_first_row1_entry(value):
+    def edit(trace):
+        trace["children"][1][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda t: t["children"].pop(), id="too-few-rows"),
+        pytest.param(lambda t: t["children"].append([]), id="too-many-rows"),
+        pytest.param(lambda t: t["children"][2].pop(), id="short-row"),
+        pytest.param(lambda t: t["children"][2].append([0]), id="long-row"),
+        pytest.param(lambda t: t.update(children=None), id="rows-not-a-list"),
+        pytest.param(lambda t: t["children"].__setitem__(1, {}), id="row-not-a-list"),
+        pytest.param(_set_first_row1_entry([0, 0, 1]), id="duplicate-entry"),
+        pytest.param(_set_first_row1_entry([0, 2, 1]), id="non-increasing-entry"),
+        pytest.param(_set_first_row1_entry([-1, 0, 1]), id="negative-entry"),
+        pytest.param(_set_first_row1_entry([0, True, 2]), id="bool-entry"),
+        pytest.param(_set_first_row1_entry([0, 1.0, 2]), id="float-entry"),
+        pytest.param(_set_first_row1_entry([0, "1", 2]), id="string-entry"),
+        pytest.param(_set_first_row1_entry([0, [1], 2]), id="list-entry"),
+        pytest.param(_set_first_row1_entry(3), id="int-for-entry-list"),
+        pytest.param(_as_word_list, id="word-list-trace"),
+    ],
+)
+def test_verify_reports_bad_trace_rows_as_one_malformed_defect(tmp_path, capsys, edit):
+    payload = copy.deepcopy(_surviving_d4_payload())
+    edit(payload["traces"][0])
+    del payload["digest"]
+    out = tmp_path / "rec.json"
+    with open(out, "w") as fp:
+        dump_record(payload, fp)  # signed again, so only the trace is wrong
+    with open(out) as fp:
+        defects = verify_record(load_record(fp))
+    assert len(defects) == 1 and defects[0].startswith("malformed record: ")
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"defect: {defects[0]}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_verify_missing_file_is_usage_error(tmp_path):

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from conftest import make_tree
 from survtree.io_formats import (
     FormatError,
+    TRACE_ENTRY_LIMIT,
     canonical_json,
     dump_record,
-    dump_trace,
     dump_tree,
     json_to_trace,
     json_to_tree,
     load_record,
-    load_trace,
     load_tree,
     payload_digest,
     record_digest_ok,
@@ -31,8 +30,8 @@ from survtree.io_formats import (
 )
 from survtree.engine import diagonalize_surviving, verify_record
 from survtree.staged import standard_library
-from survtree.traces import LevelBound, from_tree
-from survtree.trees import FiniteTree, word_key
+from survtree.traces import LevelBound, TraceTable, from_tree
+from survtree.trees import FiniteTree
 
 
 def roundtrip_tree(t: FiniteTree) -> FiniteTree:
@@ -79,22 +78,6 @@ def test_load_tree_rejects_bad_header():
     assert "1" in str(e.value)
 
 
-def test_trace_round_trip():
-    tr = from_tree(FiniteTree.full(2, 3), LevelBound("pow", 3))
-    buf = io.StringIO()
-    dump_trace(tr, buf)
-    buf.seek(0)
-    out = load_trace(buf)
-    assert out.levels == tr.levels and out.bound == tr.bound
-
-
-def test_load_trace_rejects_word_longer_than_depth():
-    text = "trace bound=pow 2 d=1\n\n0\n0 0\n"
-    with pytest.raises(FormatError) as e:
-        load_trace(io.StringIO(text))
-    assert "longer than the trace depth 1" in str(e.value)
-
-
 def test_json_tree_round_trip():
     t = make_tree([(), (1,), (1, 4)], bound=None)
     assert json_to_tree(tree_to_json(t)).nodes == t.nodes
@@ -104,6 +87,11 @@ def test_json_trace_round_trip():
     tr = from_tree(FiniteTree.comb(3), LevelBound("pow", 2))
     out = json_to_trace(trace_to_json(tr))
     assert out.levels == tr.levels and out.bound == tr.bound
+
+
+def test_trace_without_the_empty_word_has_no_json_form():
+    with pytest.raises(ValueError, match="without the empty word"):
+        trace_to_json(TraceTable((frozenset(),), LevelBound("pow", 2)))
 
 
 def test_canonical_json_is_key_sorted():
@@ -167,23 +155,34 @@ def test_indented_record_still_loads_and_verifies():
 
 
 def test_overlong_trace_word_is_a_malformed_record():
+    # a seventh row would spell words one entry longer than the depth
     payload = surviving_d6_payload()
-    payload["traces"][0]["words"] += [[9] * 12, [7] * 7]
+    children = payload["traces"][0]["children"]
+    children.append([[0]] * sum(map(len, children[-1])))
     payload["digest"] = payload_digest(payload)
     defects = verify_record(payload)
-    assert len(defects) == 1
-    assert defects[0].startswith("malformed record: ")
-    assert "longer than the trace depth 6" in defects[0]
+    assert defects == ["malformed record: a trace of depth 6 needs 6 children rows"]
 
 
 def test_deep_forged_trace_decodes_quickly():
     # a few bytes declaring 100,000 levels: no level may cost a power of
     # the base that its size could not reach
-    forged = {"bound": {"kind": "pow", "base": 2}, "depth": 100_000, "words": [[]]}
+    rows = [[[]]] + [[] for _ in range(99_999)]
+    forged = {"bound": {"kind": "pow", "base": 2}, "depth": 100_000, "children": rows}
     start = time.perf_counter()
     table = json_to_trace(forged)
     assert time.perf_counter() - start < 1.0
     assert table.depth == 100_000
+
+
+def test_deep_forged_comb_trace_is_refused_quickly():
+    # 100,000 one-entry rows stand for words of total length about 5 * 10**9
+    rows = [[[0]] for _ in range(100_000)]
+    forged = {"bound": {"kind": "pow", "base": 2}, "depth": 100_000, "children": rows}
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=f"more than {TRACE_ENTRY_LIMIT} entries"):
+        json_to_trace(forged)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_trace_depth_other_than_the_record_depth_is_a_malformed_record():
@@ -228,10 +227,14 @@ def test_tree_round_trip_property(t):
 
 @settings(max_examples=80, deadline=None)
 @given(tree_strategy())
-def test_trace_json_is_word_key_ordered_and_round_trips(t):
+def test_trace_json_is_level_order_and_round_trips(t):
     tr = from_tree(t, LevelBound("pow", 4))
     data = trace_to_json(tr)
-    words = [w for lv in tr.levels for w in lv]
-    assert data["words"] == [list(w) for w in sorted(words, key=word_key)]
-    out = json_to_trace(data)
+    assert data["depth"] == tr.depth and len(data["children"]) == tr.depth
+    for n, row in enumerate(data["children"]):
+        parents = sorted(tr.levels[n])
+        assert len(row) == len(parents)
+        for w, es in zip(parents, row):
+            assert es == sorted(c[-1] for c in tr.levels[n + 1] if c[:-1] == w)
+    out = json_to_trace(json.loads(canonical_json(data)))
     assert out.levels == tr.levels and out.bound == tr.bound

@@ -3,15 +3,18 @@ and their stage-log fuel_spent values pinned on their own.
 
 Each hash is the sha256 of ``canonical_json`` of a payload with its
 ``digest`` and every stage-log ``fuel_spent`` removed.  The surviving,
-traceable-d8 and accelerating-d8 hashes were taken before the engines
+traceable-d8 and accelerating-d8 hashes were first taken before the engines
 moved to per-stage output tables, which changed only what ``fuel_spent``
 counts; the build3-d12 and build3-d16 hashes and the traceable base
 condition's were taken while the 3-tree growth loop still re-probed every
 node at every stage; the traceable-d6, accelerating-d6 and build3-d8
 hashes and fuel_spent lists were taken before the engines shared one
-tree-requirement stage; the surviving-d8-comb-r1 hash and fuel_spent list
-were taken before the surviving engine folded cases A and B into one pass
-and built its trees from sorted levels.  The other fuel_spent lists were taken with the
+tree-requirement stage; the surviving-d8-comb-r1 fuel_spent list was taken
+before the surviving engine folded cases A and B into one pass and built its
+trees from sorted levels.  The surviving, traceable and accelerating hashes
+were re-taken when record traces moved from word lists to the level-order
+``children`` form, which changed only how traces are spelled (``DECODED``
+below did not move).  The other fuel_spent lists were taken with the
 output tables in place; a change to the set of (node, position) pairs a
 stage evaluates shows up there and nowhere else in the record.
 
@@ -75,39 +78,39 @@ COMB_R1 = _comb_r1()
 PINNED = {
     "surviving-d6": (
         lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
-        "4ebcfd71bffb651ce5e2bc817f6a4e6764852a01654555d52863b9a3a1b60d6d",
+        "bb81d616a64cb4aff3bc0bb79fc6ffb0c6efaaadfb732a5f6b1107c797a95128",
     ),
     "surviving-d8": (
         lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4),
-        "62870b405757378fa5bb590a0ec5772753e51d4624f8d443e01b78788deebdd4",
+        "345af49ae9fa78652afedd2bf24f5ae06ef866ec256294eb07a56a5bc2dcd95e",
     ),
     "traceable-d8": (
         lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
-        "fe575d9756076419db5385e59200d033435e17579954e6b1d97b5d9c2fcf12a0",
+        "7364a60a9400ba4695d326312dee183a3be4d25fd31037f12a4aacd19517032c",
     ),
     "traceable-d6": (
         lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
-        "1dd1c8346301ec86988a55f85c77fa40640cb678a2254343259f6c2a760b92ee",
+        "3c47beaecff9e0f72e54cbdfa0f79abe883147d056f27211a8147f1821705881",
     ),
     "accelerating-d6": (
         lambda: accelerating_force(LIB, 6, 6, 4000),
-        "b78f9f5aadc5ab1d106d343a72e2b2ad80a2d98e8f654b2bcfa57fbb90a9e324",
+        "93723c698ca5d5013bb0f0c30cdf954b3a53dfb09e32df63d37cb3f863c3b340",
     ),
     "accelerating-d8": (
         lambda: accelerating_force(LIB, 8, 8, 10**4),
-        "b0bc7d42fde2ce7ee665c1b7db1e688a87e00c1004eed7c7d09ea6878910e269",
+        "367855fd85cad4718e316381d66575868df707a5d4aa35cdb45df8dfa6c851fa",
     ),
     "surviving-d8-entry-mod-4": (
         lambda: diagonalize_surviving(2, MOD4, 14, 8, 10**4),
-        "f683503ff3d0a749f5266e08caebfe5447575cc03d5763577fd45f47eea66924",
+        "6cd803f76d5046030b88b67a6c5485e14e51fd569f2ad126e994b9754d153e01",
     ),
     "surviving-d8-constant-3": (
         lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
-        "5f4580dde3516e3b8707c3c1409e7eb7d0f1aa3032a714daedc4e120d8563dd4",
+        "94c8bba4582af804440c4e4f69854cce2ac41a242f86d0b291b0bf18b3c44838",
     ),
     "surviving-d8-comb-r1": (
         lambda: diagonalize_surviving(2, COMB_R1, 14, 8, 10**4),
-        "ffda1db531def1db75242c3cbbb22318d245af08d55030e87cc786fd6d6e93f9",
+        "a544641ed28aa802e18df28b9f4eb03c221b32c06c7e83fcc335ca1dfab2637a",
     ),
     "build3-d12": (
         lambda: build3_record(LIB, 12, 36),
