@@ -140,8 +140,7 @@ def json_to_tree(data: dict) -> FiniteTree:
     return FiniteTree.from_words(words, alphabet_bound=data.get("alphabet_bound"))
 
 
-# A level-order trace of n rows can stand for words of total length about
-# n**2 / 2; decoding stops before it spells out more entries than this.
+# Most entries a decoded trace may spell out: n level-order rows can stand for n**2 / 2.
 TRACE_ENTRY_LIMIT = 1 << 24
 
 
@@ -166,16 +165,17 @@ def json_to_trace(data: dict) -> TraceTable:
     rows = data.get("children")
     if type(rows) is not list or len(rows) != depth:
         raise FormatError(f"a trace of depth {depth} needs {depth} children rows")
+    size, spelled = 1, 0  # words on level n, entries on levels 1..n
+    for n, row in enumerate(rows):
+        if type(row) is not list or len(row) != size or any(type(es) is not list for es in row):
+            raise FormatError(f"children row {n} does not list one list per word of level {n}")
+        size = sum(map(len, row))
+        spelled += (n + 1) * size
+    if spelled > TRACE_ENTRY_LIMIT:
+        raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
     level: list[Word] = [()]
     levels = [frozenset(level)]
-    spelled = 0
-    for n, row in enumerate(rows):
-        if (type(row) is not list or len(row) != len(level)
-                or any(type(es) is not list for es in row)):
-            raise FormatError(f"children row {n} does not list one list per word of level {n}")
-        spelled += (n + 1) * sum(map(len, row))
-        if spelled > TRACE_ENTRY_LIMIT:
-            raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
+    for row in rows:
         nxt: list[Word] = []
         for w, es in zip(level, row):
             last = -1
