@@ -10,6 +10,7 @@ Usage: run_golden_suite.py [OUTPUT_DIR]   (default: ./golden)
 
 from __future__ import annotations
 
+import copy
 import sys
 from pathlib import Path
 
@@ -22,7 +23,17 @@ from survtree.engine import (
     verify_record,
 )
 from survtree.io_formats import dump_record, load_record
-from survtree.staged import standard_library
+from survtree.staged import STANDARD_CONFIG, family_from_config, standard_library
+
+
+def _comb_r1():
+    """The standard family with staged tree 1 a comb: R1 exits the stem,
+    so P1's case C runs the pool search above the children."""
+    config = copy.deepcopy(STANDARD_CONFIG)
+    config["staged_trees"][1] = {
+        "id": 1, "kind": "comb", "entry": 0, "claim": ["tree", 1],
+    }
+    return family_from_config(config)
 
 
 def main() -> int:
@@ -32,6 +43,7 @@ def main() -> int:
     grid = [
         ("surviving-d6", diagonalize_surviving(2, lib, 8, 6, 4000)),
         ("surviving-d8", diagonalize_surviving(2, lib, 14, 8, 10000)),
+        ("surviving-d8-comb-r1", diagonalize_surviving(2, _comb_r1(), 14, 8, 10000)),
         ("build3-d8", build3_record(lib, 8, 24)),
         ("build3-d12", build3_record(lib, 12, 36)),
         (

@@ -158,8 +158,12 @@ _UNSET = object()
 class OutputTable:
     """One stage's outputs of a functional under a fixed fuel.
 
-    Position n < depth of node w is evaluated the first time it is read and
-    never again, so ``evals`` counts distinct (node, position) evaluations.
+    ``evals`` counts the distinct (node, position) pairs the stage has read.
+    A functional with a closed-form ``prefix`` keeps no rows: a node holds
+    its converged prefix, once read, and an int mask of the positions read,
+    and every position past the prefix is None.  A functional built from a
+    bare ``rule`` keeps a row per node, each position evaluated the first
+    time it is read and never again.
     """
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
@@ -167,10 +171,26 @@ class OutputTable:
         self.fuel = fuel
         self.depth = depth
         self.evals = 0
+        self._full = (1 << depth) - 1
         self._rows: dict[Word, list] = {}
+        self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
 
+    def _mark(self, w: Word, bits: int) -> None:
+        """Count the positions in bits that w has not had read."""
+        old = self._read.get(w, 0)
+        if bits & ~old:
+            self._read[w] = old | bits
+            self.evals += (bits & ~old).bit_count()
+
     def value(self, w: Word, n: int) -> Optional[int]:
+        prefix = self.functional.prefix
+        if prefix is not None:
+            p = self._converged.get(w)
+            if p is None:
+                p = prefix(w, n + 1, self.fuel)
+            self._mark(w, 1 << n)
+            return p[n] if n < len(p) else None
         row = self._rows.get(w)
         if row is None:
             row = self._rows[w] = [_UNSET] * self.depth
@@ -182,31 +202,54 @@ class OutputTable:
 
     def outputs(self, w: Word) -> list[Optional[int]]:
         """Positions 0..depth-1 of w, None where not yet converged."""
+        if self.functional.prefix is not None:
+            p, _ = self._leaf(w)
+            return [*p, *[None] * (self.depth - len(p))]
         if w in self._rows:
             return [self.value(w, n) for n in range(self.depth)]
-        if self.functional.prefix is not None:
-            p = self.functional.prefix(w, self.depth, self.fuel)
-            row = self._rows[w] = [*p, *[None] * (self.depth - len(p))]
-        else:
-            ev, fuel = self.functional.eval, self.fuel
-            row = self._rows[w] = [ev(w, n, fuel) for n in range(self.depth)]
+        ev, fuel = self.functional.eval, self.fuel
+        row = self._rows[w] = [ev(w, n, fuel) for n in range(self.depth)]
         self.evals += self.depth
         return row
+
+    def _leaf(self, w: Word) -> tuple[Word, int]:
+        """Every position of w read: its converged prefix and the mask of
+        its unconverged positions."""
+        p = self._converged.get(w)
+        prefix = self.functional.prefix
+        if prefix is not None:
+            if p is None:
+                p = self._converged[w] = prefix(w, self.depth, self.fuel)
+            full = self._full
+            old = self._read.get(w, 0)
+            if old != full:
+                self._read[w] = full
+                self.evals += (full ^ old).bit_count()
+            return p, full ^ ((1 << len(p)) - 1)
+        row = self.outputs(w)
+        m = 0
+        for n, v in enumerate(row):
+            if v is None:
+                m |= 1 << n
+        if p is None:
+            p = self._converged[w] = tuple(row[:row.index(None)] if m else row)
+        return p, m
 
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself."""
         out = self._converged.get(w)
-        if out is None:
+        if out is not None:
+            return out
+        prefix = self.functional.prefix
+        if prefix is not None:
+            out = prefix(w, self.depth, self.fuel)
+            # the positions the per-position loop below would read: the
+            # prefix and the first None after it
+            self._mark(w, (2 << len(out)) - 1 & self._full)
+        else:
             row = self._rows.get(w)
             if row is None:
                 row = self._rows[w] = [_UNSET] * self.depth
-                prefix = self.functional.prefix
-                if prefix is not None:
-                    # read as far as the loop below would: the closed-form
-                    # prefix and the first None after it
-                    p = [*prefix(w, self.depth, self.fuel), None][:self.depth]
-                    row[:len(p)] = p
-                    self.evals += len(p)
             ev, fuel, n = self.functional.eval, self.fuel, 0
             for v in row:
                 if v is _UNSET:
@@ -215,7 +258,8 @@ class OutputTable:
                 if v is None:
                     break
                 n += 1
-            out = self._converged[w] = tuple(row[:n])
+            out = tuple(row[:n])
+        self._converged[w] = out
         return out
 
     def cases_a_b(
@@ -236,10 +280,12 @@ class OutputTable:
         over k in every ancestor, so a child over k needs no merge.
 
         A node's children are the next run of the level below, so each
-        leaf's row is read once, and its converged prefix is taken from it.
+        leaf is read once, whole, for its converged prefix and its mask;
+        under a closed-form prefix that is one step, with no row.
         """
         cm = tree.child_map()
         depth = tree.depth
+        leaf = self._leaf
         escape: Optional[tuple[Word, int]] = None
         tau: Optional[Word] = None
         masks: list[int] = []
@@ -264,17 +310,7 @@ class OutputTable:
                             row_sets.append(None if _more_than_k(outs, k) else outs)
                     j += c
                 else:
-                    row = self.outputs(w)
-                    m = 0
-                    if None in row:
-                        n = row.index(None)
-                        for i in range(n, self.depth):
-                            if row[i] is None:
-                                m |= 1 << i
-                        o = tuple(row[:n])
-                    else:
-                        o = tuple(row)
-                    self._converged[w] = o
+                    o, m = leaf(w)
                     if few:
                         row_sets.append({o})
                 row_masks.append(m)

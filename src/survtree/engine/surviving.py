@@ -53,12 +53,7 @@ def _case_c(
             q = top if len(cm[top]) == b else next(
                 (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
             )
-            # the children's own prefixes at m + 1 are the search's first
-            # choice, and usually the one taken
-            assigned = None if q is None else (
-                _own_prefixes(table, [q + (i,) for i in cm[q]], m + 1)
-                or _assign_distinct(table, tree, q, m)
-            )
+            assigned = None if q is None else _assign_distinct(table, tree, q, m)
             if assigned is None:
                 chosen = []
                 break
@@ -101,7 +96,15 @@ def _first_per_prefix(
 ) -> Iterator[tuple[Word, Word]]:
     """(v, length-n output prefix) for the nodes v above top, in
     shortest-then-lex order, keeping the first node of each prefix: a later
-    node with a prefix already offered can never be picked."""
+    node with a prefix already offered can never be picked.
+
+    A closed-form prefix is use-monotone, so when top's own prefix reaches
+    n, every node above top shares its n-prefix and top is the only one.
+    """
+    o = table.converged(top)
+    if len(o) >= n and table.functional.prefix is not None:
+        yield top, o[:n]
+        return
     seen: set[Word] = set()
     for v in nodes_above(tree, top):
         o = table.converged(v)
@@ -116,10 +119,15 @@ def _assign_distinct(
     """For each child of q, a node above it whose output prefix at some
     common length n > sigma_len differs from all the siblings' prefixes."""
     kids = [q + (i,) for i in tree.child_map()[q]]
+    closed = table.functional.prefix is not None
     for n in range(sigma_len + 1, table.depth + 1):
         chosen = _own_prefixes(table, kids, n)
         if chosen is not None:
             return chosen
+        if closed and all(len(table.converged(v)) >= n for v in kids):
+            # every pool is its child alone (see _first_per_prefix), so the
+            # search could only repeat the own-prefix check
+            continue
         pools = [_Drawn(_first_per_prefix(table, tree, v, n)) for v in kids]
         if any(p.get(0) is None for p in pools):
             continue

@@ -55,7 +55,10 @@ class OracleFunctional:
 
     ``prefix(sigma, cap, fuel)``, when set, is the converged output prefix
     of length at most cap in one call.  A kind may set it only when no
-    position after its first None converges.
+    position after its first None converges and it is use-monotone:
+    ``prefix(sigma + tail, cap, fuel)`` starts with ``prefix(sigma, cap,
+    fuel)``.  The surviving engine's case C relies on the latter to take a
+    child whose prefix is long enough as its own pool alone.
     """
 
     id: int

@@ -2,8 +2,7 @@
 
 The canonical semantics is level sets of prefixes: level n holds the
 length-n words, and a function "goes through" the trace when each of its
-prefixes lies in the matching level.  A positional value-set view is
-provided for interoperability with the textbook traceability definition.
+prefixes lies in the matching level.
 """
 
 from __future__ import annotations
@@ -71,17 +70,6 @@ class TraceTable:
     def words(self) -> list[Word]:
         """All words shortest-first, then lexicographically (``word_key`` order)."""
         return [w for lv in self.levels for w in sorted(lv)]
-
-    def value_sets(self, n: int) -> frozenset[int]:
-        """Positional view: the values occurring at position n."""
-        return frozenset(w[n] for w in self.levels[n + 1])
-
-
-def from_tree(u: FiniteTree, bound: LevelBound) -> TraceTable:
-    """Trace whose n-th level is the n-th level of the tree."""
-    depth = u.depth
-    levels = tuple(u.level(n) for n in range(depth + 1))
-    return TraceTable(levels, bound)
 
 
 def to_tree(tr: TraceTable) -> FiniteTree:

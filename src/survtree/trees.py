@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -149,12 +148,6 @@ class FiniteTree:
             object.__setattr__(self, "_children", cm)
         return self._children
 
-    def children_of(self, w: Word) -> tuple[int, ...]:
-        try:
-            return self.child_map()[w]
-        except KeyError:
-            raise NotInTree(f"{w} is not a member") from None
-
     def sorted_nodes(self) -> list[Word]:
         """All nodes in shortest-then-lex (``word_key``) order."""
         return [w for lv in self.levels() for w in lv]
@@ -213,10 +206,6 @@ class FiniteTree:
         return cls(
             frozenset(tuple([entry] * n) for n in range(d + 1)), bound
         )
-
-    @classmethod
-    def single_path(cls, w: Word, alphabet_bound: Optional[int] = None) -> "FiniteTree":
-        return cls(frozenset(prefixes(tuple(w))), alphabet_bound)
 
 
 def is_k_tree_to_depth(
@@ -318,55 +307,11 @@ def pushforward_preimage(t, g: Surjection):
     return pushforward_staged(t, g)
 
 
-def embed_branching(t: FiniteTree, k: int, d: int) -> FiniteTree:
-    """Pad an s-branching tree into a k-branching one, k >= s.
-
-    At every splitting node the k-s least entries not already used become
-    fresh children, each continued by an all-zeros path to depth d.  No
-    branch of the input is lost.
-    """
-    cm = t.child_map()
-    split_sizes = {len(c) for c in cm.values() if len(c) >= 2}
-    if not split_sizes:
-        return t
-    s = max(split_sizes)
-    if k < s:
-        raise ValueError(f"k={k} below observed splitting size {s}")
-    bad = is_k_branching_to_depth(t, s, d)
-    if bad is not None:
-        raise ValueError(f"input is not {s}-branching to depth {d}: {bad}")
-    nodes = set(t.nodes)
-    for w, cs in cm.items():
-        if len(w) >= d or len(cs) != s:
-            continue
-        used = set(cs)
-        fresh: list[int] = []
-        i = 0
-        while len(fresh) < k - s:
-            if i not in used:
-                fresh.append(i)
-            i += 1
-        for e in fresh:
-            path = w + (e,)
-            nodes.add(path)
-            while len(path) < d:
-                path = path + (0,)
-                nodes.add(path)
-    return FiniteTree(frozenset(nodes), None)
-
-
 def restrict(t: FiniteTree, b: int) -> FiniteTree:
     """Members whose entries are all < b; prefix-closure is automatic."""
     return FiniteTree(
         frozenset(w for w in t.nodes if all(e < b for e in w)), b
     )
-
-
-def covered_fraction(t: FiniteTree, d: int) -> Fraction:
-    """Exact fraction of depth-d words of b^d present in the tree."""
-    if t.alphabet_bound is None:
-        raise ValueError("covered_fraction needs an alphabet-bounded tree")
-    return Fraction(len(t.level(d)), t.alphabet_bound**d)
 
 
 def levels_above(t: FiniteTree, node: Word) -> Iterator[list[Word]]:

@@ -151,8 +151,7 @@ def test_child_growth_stops_at_three():
     # with an honest full claimant at the level code of the root, children
     # appear one at a time and never exceed three
     tree, _ = build_3tree(LIB, 6, 30)
-    for w in tree.nodes:
-        assert len(tree.children_of(w)) <= 3
+    assert all(len(c) <= 3 for c in tree.child_map().values())
 
 
 def test_rightmost_path_escapes_honest_claimants():

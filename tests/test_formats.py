@@ -29,8 +29,9 @@ from survtree.io_formats import (
     tree_to_json,
 )
 from survtree.engine import diagonalize_surviving, verify_record
+from survtree.engine.common import trace_from_outputs
 from survtree.staged import standard_library
-from survtree.traces import LevelBound, TraceTable, from_tree
+from survtree.traces import LevelBound, TraceTable
 from survtree.trees import FiniteTree
 
 
@@ -84,7 +85,7 @@ def test_json_tree_round_trip():
 
 
 def test_json_trace_round_trip():
-    tr = from_tree(FiniteTree.comb(3), LevelBound("pow", 2))
+    tr = trace_from_outputs([(0, 0, 0)], 3, 2)
     out = json_to_trace(trace_to_json(tr))
     assert out.levels == tr.levels and out.bound == tr.bound
 
@@ -228,7 +229,7 @@ def test_tree_round_trip_property(t):
 @settings(max_examples=80, deadline=None)
 @given(tree_strategy())
 def test_trace_json_is_level_order_and_round_trips(t):
-    tr = from_tree(t, LevelBound("pow", 4))
+    tr = trace_from_outputs(t.leaves(), t.depth, 4)
     data = trace_to_json(tr)
     assert data["depth"] == tr.depth and len(data["children"]) == tr.depth
     for n, row in enumerate(data["children"]):

@@ -196,6 +196,22 @@ def test_closed_form_prefix_matches_per_position_loop(entry, sigma, cap, fuel):
     assert all(fn.eval(sigma, n, fuel) is None for n in range(first, 20))
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    functional_entries,
+    st.lists(st.integers(0, 9), max_size=8).map(tuple),
+    st.lists(st.integers(0, 9), max_size=4).map(tuple),
+    st.integers(0, 12),
+    st.integers(-2, 15),
+)
+def test_closed_form_prefix_is_use_monotone(entry, sigma, tail, cap, fuel):
+    """The part of the prefix contract that case C's singleton pools rest
+    on: extending the oracle keeps every converged position."""
+    prefix = functional_from_config(entry, 0).prefix
+    p = prefix(sigma, cap, fuel)
+    assert prefix(sigma + tail, cap, fuel)[:len(p)] == p
+
+
 def test_mod3_values_below_three():
     rng = random.Random(7)
     for _ in range(200):

@@ -13,7 +13,6 @@ from survtree.traces import (
     BoundExceeded,
     LevelBound,
     TraceTable,
-    from_tree,
     goes_through,
     merge,
     to_tree,
@@ -23,18 +22,24 @@ from survtree.trees import FiniteTree
 POW3 = LevelBound("pow", 3)
 POW2 = LevelBound("pow", 2)
 
+
+def level_trace(u: FiniteTree, bound: LevelBound) -> TraceTable:
+    """The trace whose level n is the tree's level n."""
+    return TraceTable(tuple(u.level(n) for n in range(u.depth + 1)), bound)
+
+
 BINARY3 = make_tree(
     w for n in range(4) for w in itertools.product(range(2), repeat=n)
 )
 
 
 def test_from_tree_binary_under_pow3():
-    tr = from_tree(BINARY3, POW3)
+    tr = level_trace(BINARY3, POW3)
     assert [len(tr.levels[n]) for n in range(4)] == [1, 2, 4, 8]
 
 
 def test_from_tree_single_path():
-    tr = from_tree(FiniteTree.comb(4), LevelBound("pow", 1))
+    tr = level_trace(FiniteTree.comb(4), LevelBound("pow", 1))
     assert all(len(tr.levels[n]) == 1 for n in range(5))
 
 
@@ -42,7 +47,7 @@ def test_from_tree_bound_exceeded():
     # the first offending level of a full ternary tree under 2^n is level 1
     # (3 words against an allowance of 2)
     with pytest.raises(BoundExceeded) as e:
-        from_tree(FiniteTree.full(3, 2), POW2)
+        level_trace(FiniteTree.full(3, 2), POW2)
     assert e.value.level == 1 and e.value.size == 3
 
 
@@ -52,45 +57,45 @@ def test_bound_exceeded_at_deeper_level():
     words = [(), (0,), (1,)]
     words += [(0, i) for i in range(3)] + [(1, i) for i in range(3)]
     with pytest.raises(BoundExceeded) as e:
-        from_tree(FiniteTree.from_words(words), POW2)
+        level_trace(FiniteTree.from_words(words), POW2)
     assert e.value.level == 2 and e.value.size == 6 and e.value.allowed == 4
 
 
 def test_goes_through_empty_prefix():
-    tr = from_tree(FiniteTree.comb(2), POW3)
+    tr = level_trace(FiniteTree.comb(2), POW3)
     assert goes_through((), tr)
 
 
 def test_goes_through_binary_member():
-    tr = from_tree(BINARY3, POW3)
+    tr = level_trace(BINARY3, POW3)
     assert goes_through((0, 1), tr)
 
 
 def test_goes_through_rejects_foreign_entry():
-    tr = from_tree(BINARY3, POW3)
+    tr = level_trace(BINARY3, POW3)
     assert not goes_through((2,), tr)
 
 
 def test_merge_idempotent():
-    tr = from_tree(BINARY3, POW3)
+    tr = level_trace(BINARY3, POW3)
     assert merge(tr, tr, POW3).levels == tr.levels
 
 
 def test_merge_disjoint_paths():
-    t1 = from_tree(make_tree([(), (0,), (0, 0)]), POW3)
-    t2 = from_tree(make_tree([(), (1,), (1, 1)]), POW3)
+    t1 = level_trace(make_tree([(), (0,), (0, 0)]), POW3)
+    t2 = level_trace(make_tree([(), (1,), (1, 1)]), POW3)
     out = merge(t1, t2, POW3)
     assert [len(out.levels[n]) for n in range(3)] == [1, 2, 2]
 
 
 def test_merge_two_full_binaries_under_pow3():
-    t1 = from_tree(
+    t1 = level_trace(
         make_tree(
             w for n in range(3) for w in itertools.product((0, 1), repeat=n)
         ),
         POW3,
     )
-    t2 = from_tree(
+    t2 = level_trace(
         make_tree(
             w for n in range(3) for w in itertools.product((1, 2), repeat=n)
         ),
@@ -101,14 +106,14 @@ def test_merge_two_full_binaries_under_pow3():
 
 
 def test_merge_requires_equal_depths():
-    t1 = from_tree(FiniteTree.comb(2), POW3)
-    t2 = from_tree(FiniteTree.comb(3), POW3)
+    t1 = level_trace(FiniteTree.comb(2), POW3)
+    t2 = level_trace(FiniteTree.comb(3), POW3)
     with pytest.raises(ValueError):
         merge(t1, t2, POW3)
 
 
 def test_level_words_have_level_length():
-    tr = from_tree(BINARY3, POW3)
+    tr = level_trace(BINARY3, POW3)
     for n, words in enumerate(tr.levels):
         assert all(len(w) == n for w in words)
 
@@ -118,12 +123,6 @@ def test_prefix_coherence_enforced():
         TraceTable(
             (frozenset({()}), frozenset({(5,)}), frozenset({(1, 1)})), POW3
         )
-
-
-def test_value_sets_view():
-    tr = from_tree(BINARY3, POW3)
-    assert tr.value_sets(0) == {0, 1}
-    assert tr.value_sets(2) == {0, 1}
 
 
 # --- property tests ---------------------------------------------------------
@@ -148,14 +147,14 @@ def small_tree(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_tree())
 def test_from_tree_to_tree_round_trip(t):
-    tr = from_tree(t, POW3)
+    tr = level_trace(t, POW3)
     assert to_tree(tr).nodes == t.nodes
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_tree())
 def test_goes_through_iff_member(t):
-    tr = from_tree(t, POW3)
+    tr = level_trace(t, POW3)
     for n in range(t.depth + 1):
         for w in itertools.product(range(3), repeat=n):
             assert goes_through(w, tr) == (w in t.nodes)
@@ -168,10 +167,10 @@ def test_bound_check_agrees_with_every_level_compared(t, base):
         (n for n in range(t.depth + 1) if len(t.level(n)) > base**n), None
     )
     if first_over is None:
-        assert from_tree(t, LevelBound("pow", base)).depth == t.depth
+        assert level_trace(t, LevelBound("pow", base)).depth == t.depth
     else:
         with pytest.raises(BoundExceeded) as e:
-            from_tree(t, LevelBound("pow", base))
+            level_trace(t, LevelBound("pow", base))
         assert e.value.level == first_over
 
 
@@ -187,7 +186,7 @@ words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
 def test_goes_through_is_the_all_prefixes_check(members, probes):
     """On a trace whose branches end at any length, one lookup in the
     prefix's own level answers as the check of every initial segment."""
-    tr = from_tree(FiniteTree.from_words(members), LevelBound("pow", 4))
+    tr = level_trace(FiniteTree.from_words(members), LevelBound("pow", 4))
     for w in [*members, *probes, *(m[:-1] + (3 - m[-1],) for m in members if m)]:
         if len(w) > tr.depth:
             with pytest.raises(ValueError, match="exceeds trace depth"):

@@ -25,7 +25,7 @@ from survtree.engine.surviving import (
     _first_per_prefix,
     _pick_distinct,
 )
-from survtree.staged import OracleFunctional
+from survtree.staged import OracleFunctional, functional_from_config
 from survtree.trees import (
     FiniteTree,
     Word,
@@ -327,6 +327,50 @@ def test_case_c_matches_node_set_rebuild(case):
     assert calls == ref_calls
     if built is not None:
         _assert_indexes_match_node_set(built[0])
+
+
+# the configured kinds, with the moduli whose outputs repeat among three
+# siblings, so that own prefixes collide
+closed_form_entries = st.one_of(
+    st.just({"kind": "identity"}),
+    st.builds(lambda m: {"kind": "entry_mod", "modulus": m}, st.integers(1, 3)),
+    st.builds(lambda c: {"kind": "constant", "value": c}, st.integers(0, 2)),
+    st.just({"kind": "diverging"}),
+)
+
+
+@st.composite
+def full_trees_with_stems(draw):
+    """A full ternary tree of depth 3 to 6 and a stem below its depth."""
+    d = draw(st.integers(3, 6))
+    stem = draw(st.lists(st.integers(0, 2), max_size=d - 1))
+    return FiniteTree.full(3, d), tuple(stem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_trees_with_stems(), closed_form_entries, st.integers(0, 8), st.booleans())
+def test_singleton_pools_build_what_the_pool_walks_build(case, entry, fuel, staged):
+    """Case C read through a closed-form prefix, whose pools above a child
+    long enough are the child alone, against the reference case C read
+    through the bare rule, whose pools walk every node above each child.
+
+    Both build the same tree and trace.  The singleton pools read a subset
+    of what the walks read.  Where the engine runs case C, after a fold
+    that found neither case A nor case B, every node the walks read is
+    read by a later round anyway, so the counts are equal."""
+    tree, stem = case
+    fn = functional_from_config(entry, 0)
+    table = OutputTable(fn, fuel, tree.depth)
+    ref = OutputTable(OracleFunctional(fn.id, fn.kind, fn.rule), fuel, tree.depth)
+    if staged:
+        cases = table.cases_a_b(stem, tree, 2)
+        assert cases == ref.cases_a_b(stem, tree, 2)
+        if cases != (None, None):
+            return
+    assert _case_c(table, 2, stem, tree) == _reference_case_c(ref, 2, stem, tree)
+    assert table.evals <= ref.evals
+    if staged:
+        assert table.evals == ref.evals
 
 
 @settings(max_examples=300, deadline=None)

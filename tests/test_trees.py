@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +11,7 @@ from hypothesis import strategies as st
 from conftest import all_surjections, make_tree, subtree_nodesets
 from survtree.trees import (
     FiniteTree,
-    NotInTree,
     Surjection,
-    covered_fraction,
-    embed_branching,
     is_accelerating_to_depth,
     is_k_branching_to_depth,
     is_k_tree_to_depth,
@@ -87,14 +83,6 @@ def test_validation_matches_the_per_entry_check(words, bound, closed):
     # closing half of the sets makes the alphabet check the deciding one
     nodes = FiniteTree.from_words(words).nodes if closed else words
     assert _accepted(nodes, bound) == _valid_per_entry(nodes, bound)
-
-
-# --- children ------------------------------------------------------------
-
-
-def test_children_of_nonmember_is_an_error():
-    with pytest.raises(NotInTree):
-        FULL33.children_of((7,))
 
 
 # --- shape predicates -----------------------------------------------------
@@ -211,31 +199,7 @@ def test_map_path_out_of_range():
         map_path(Surjection.identity(2), (5,))
 
 
-# --- embed_branching -------------------------------------------------------
-
-
-def test_embed_same_k_is_identity():
-    t = make_tree(
-        w for n in range(3) for w in itertools.product(range(2), repeat=n)
-    )
-    assert embed_branching(t, 2, 2).nodes == t.nodes
-
-
-def test_embed_comb_unchanged():
-    assert embed_branching(COMB5, 3, 5).nodes == COMB5.nodes
-
-
-def test_embed_binary_to_ternary():
-    t = make_tree(
-        w for n in range(3) for w in itertools.product(range(2), repeat=n)
-    )
-    out = embed_branching(t, 3, 2)
-    assert is_k_branching_to_depth(out, 3, 2) is None
-    assert t.nodes <= out.nodes
-    assert (2,) in out.nodes and (2, 0) in out.nodes
-
-
-# --- restrict / covered_fraction -------------------------------------------
+# --- restrict ---------------------------------------------------------------
 
 
 def test_restrict_full_omega_to_three():
@@ -244,25 +208,8 @@ def test_restrict_full_omega_to_three():
 
 
 def test_restrict_high_path_to_root():
-    t = FiniteTree.single_path((5, 5))
+    t = FiniteTree.from_words([(5, 5)])
     assert restrict(t, 3).nodes == frozenset({()})
-
-
-def test_covered_fraction_full():
-    assert covered_fraction(FiniteTree.full(3, 2), 2) == 1
-
-
-def test_covered_fraction_single_path():
-    t = make_tree([(), (0,), (0, 0), (0, 0, 0)], bound=3)
-    assert covered_fraction(t, 3) == Fraction(1, 27)
-
-
-def test_covered_fraction_binary_in_ternary():
-    t = make_tree(
-        (w for n in range(3) for w in itertools.product(range(2), repeat=n)),
-        bound=3,
-    )
-    assert covered_fraction(t, 2) == Fraction(4, 9)
 
 
 # --- property tests ---------------------------------------------------------
