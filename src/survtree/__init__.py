@@ -34,7 +34,6 @@ from .trees import (
     is_k_tree_to_depth,
     map_path,
     pushforward_preimage,
-    restrict,
     subtree_above,
     word_key,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "monotonicity_table",
     "pair_index",
     "pushforward_preimage",
-    "restrict",
     "standard_library",
     "subtree_above",
     "to_tree",

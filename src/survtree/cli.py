@@ -81,11 +81,8 @@ def _cmd_run(args) -> int:
     elif args.engine == "traceable":
         start = initial_condition(family, args.depth, 2 * args.depth + 8)
         record = traceable_prune(start, family, args.stages, args.depth, args.fuel)
-    elif args.engine == "accelerating":
-        record = accelerating_force(family, args.stages, args.depth, args.fuel)
     else:
-        print(f"unknown engine {args.engine!r}", file=sys.stderr)
-        return USAGE
+        record = accelerating_force(family, args.stages, args.depth, args.fuel)
     with open(args.out, "w") as fp:
         dump_record(record.to_payload(), fp)
     print(f"{args.engine}: status {record.status}, stem {list(record.final_stem)}")
@@ -129,12 +126,20 @@ def _cmd_min_cover(args) -> int:
     return OK
 
 
-def _cmd_check_tree(args) -> int:
+def _read_tree(path: str):
+    """The tree in the file, or None once the reason it cannot be read is
+    printed."""
     try:
-        with open(args.file) as fp:
-            tree = load_tree(fp)
+        with open(path) as fp:
+            return load_tree(fp)
     except (OSError, FormatError, ValueError) as e:
         print(f"cannot read tree: {e}", file=sys.stderr)
+        return None
+
+
+def _cmd_check_tree(args) -> int:
+    tree = _read_tree(args.file)
+    if tree is None:
         return USAGE
     if args.pred == "ktree":
         bad = is_k_tree_to_depth(tree, args.k, args.d)
@@ -169,11 +174,8 @@ def _cmd_pushforward(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    try:
-        with open(args.file) as fp:
-            tree = load_tree(fp)
-    except (OSError, FormatError, ValueError) as e:
-        print(f"cannot read tree: {e}", file=sys.stderr)
+    tree = _read_tree(args.file)
+    if tree is None:
         return USAGE
     dot = tree_to_dot(tree)
     if args.dot:

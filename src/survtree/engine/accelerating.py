@@ -10,6 +10,7 @@ time Case 4 prunes it.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
@@ -20,6 +21,7 @@ from .common import (
     RunRecord,
     divergence_certificate,
     nodes_above,
+    pairwise_consistent,
     requirements,
     trace_from_outputs,
     tree_stage,
@@ -35,26 +37,13 @@ def _probes(stem: Word, tree: Optional[FiniteTree], depth: int) -> list[Word]:
         return sorted(
             (L for L in tree.leaves() if is_prefix(stem, L)), key=word_key
         )
-    out = []
+    padded = set()
     for length in range(_PROBE_LEN + 1):
-        for suffix in _words(length):
+        for suffix in product(range(_PROBE_ENTRIES), repeat=length):
             w = stem + suffix
             if len(w) <= depth:
-                out.append(w + (0,) * (depth - len(w)))
-    seen = set()
-    uniq = []
-    for w in sorted(out, key=word_key):
-        if w not in seen:
-            seen.add(w)
-            uniq.append(w)
-    return uniq
-
-
-def _words(length: int) -> list[Word]:
-    if length == 0:
-        return [()]
-    shorter = _words(length - 1)
-    return [w + (i,) for w in shorter for i in range(_PROBE_ENTRIES)]
+                padded.add(w + (0,) * (depth - len(w)))
+    return sorted(padded, key=word_key)
 
 
 def _digits(j: int, count: int) -> Word:
@@ -217,7 +206,7 @@ def accelerating_force(
             entry.update(case="2", position=n, fuel_spent=table.evals)
             continue
         outs = [table.converged(p) for p in probes]
-        if len({o for o in outs}) <= 1 or _pairwise_consistent(outs):
+        if pairwise_consistent(outs):
             certificates.append(
                 {"kind": "constant_outputs", "functional": fn.id,
                  "probes": [list(p) for p in probes], "fuel": fuel}
@@ -276,12 +265,3 @@ def _exits(
         if len(cm[w]) > k:
             for c in cm[w]:
                 yield w + (c,)
-
-
-def _pairwise_consistent(outs: list[Word]) -> bool:
-    for i, a in enumerate(outs):
-        for b in outs[i + 1:]:
-            n = min(len(a), len(b))
-            if a[:n] != b[:n]:
-                return False
-    return True

@@ -5,7 +5,7 @@ and run records."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
 from ..io_formats import (
@@ -335,6 +335,15 @@ def _more_than_k(outs: set[Word], k: int) -> bool:
         if len(level) > k:
             return True
     return False
+
+
+def pairwise_consistent(outs: list[Word]) -> bool:
+    """Whether every two output prefixes agree where both are defined."""
+    for a, b in combinations(outs, 2):
+        n = min(len(a), len(b))
+        if a[:n] != b[:n]:
+            return False
+    return True
 
 
 def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..io_formats import json_to_trace, record_digest_ok
-from ..staged import AdversaryFamily, converged_prefix
+from ..staged import AdversaryFamily, converged_prefix, shown_successors
 from ..traces import BoundExceeded, TraceTable, goes_through, to_tree
 from ..trees import (
     FiniteTree,
@@ -27,6 +27,7 @@ from .common import (
     check_label_invariants,
     family_of_payload,
     labels_of_payload,
+    pairwise_consistent,
     schedule_prefix,
     stem_of_payload,
     tree_of_payload,
@@ -76,18 +77,9 @@ def verify_record(payload: dict) -> list[str]:
     return defects
 
 
-def _staged(family: AdversaryFamily, tid: int):
-    for t in family.staged_trees:
-        if t.id == tid:
-            return t
-    return None
-
-
-def _functional(family: AdversaryFamily, fid: int):
-    for f in family.functionals:
-        if f.id == fid:
-            return f
-    return None
+def _by_id(adversaries, i: int):
+    """The staged tree or functional with id i, or None."""
+    return next((a for a in adversaries if a.id == i), None)
 
 
 def _check_certificate(
@@ -103,7 +95,7 @@ def _check_certificate(
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind == "avoidance":
-        adv = _staged(family, int(cert["tree"]))
+        adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
             return f"no staged tree with id {cert['tree']}"
         witness = tuple(int(e) for e in cert["witness"])
@@ -113,22 +105,18 @@ def _check_certificate(
             return f"witness {witness} is not out of tree {adv.id}"
         return None
     if kind == "vacuous_tree_requirement":
-        adv = _staged(family, int(cert["tree"]))
+        adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
             return f"no staged tree with id {cert['tree']}"
         w = tuple(int(e) for e in cert["witness"])
         k = int(cert["k"])
         stage = int(cert["stage"])
-        shown = sum(
-            1
-            for i in range(min(stage, adv.alphabet_bound or stage))
-            if adv.decide(w + (i,), stage) is TriState.IN
-        )
+        shown = shown_successors(adv, w, stage)
         if shown <= k:
             return f"node {w} shows only {shown} successors, not more than {k}"
         return None
     if kind == "presumed_divergence":
-        fn = _functional(family, int(cert["functional"]))
+        fn = _by_id(family.functionals, int(cert["functional"]))
         if fn is None:
             return f"no functional with id {cert['functional']}"
         node = tuple(int(e) for e in cert["node"])
@@ -142,7 +130,7 @@ def _check_certificate(
                 return f"branch {L} converges at position {n}"
         return None
     if kind == "value_witness":
-        fn = _functional(family, int(cert["functional"]))
+        fn = _by_id(family.functionals, int(cert["functional"]))
         if fn is None:
             return f"no functional with id {cert['functional']}"
         node = tuple(int(e) for e in cert["node"])
@@ -157,7 +145,7 @@ def _check_certificate(
             return f"functional does not output {v} at {n} on {node}"
         return None
     if kind == "constant_outputs":
-        fn = _functional(family, int(cert["functional"]))
+        fn = _by_id(family.functionals, int(cert["functional"]))
         if fn is None:
             return f"no functional with id {cert['functional']}"
         fuel = int(cert.get("fuel", fuel_default))
@@ -165,15 +153,12 @@ def _check_certificate(
             converged_prefix(fn, tuple(int(e) for e in p), depth, fuel)
             for p in cert["probes"]
         ]
-        for i, a in enumerate(outs):
-            for b in outs[i + 1:]:
-                n = min(len(a), len(b))
-                if a[:n] != b[:n]:
-                    return "recorded probes disagree"
+        if not pairwise_consistent(outs):
+            return "recorded probes disagree"
         return None
     if kind in ("trace", "two_tree_trace"):
         fid = int(cert["functional"])
-        fn = _functional(family, fid)
+        fn = _by_id(family.functionals, fid)
         if fn is None:
             return f"no functional with id {fid}"
         ti = int(cert["trace_index"])

@@ -13,11 +13,12 @@ in that configuration format.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .trees import Surjection, TriState, Word, map_path, word_key
+from .trees import TriState, Word
 
 
 class Verdict(Enum):
@@ -120,27 +121,23 @@ _BFS_NODE_BUDGET = 512
 _BFS_DEPTH_CAP = 4
 
 
-def looks_like_branching(
-    t: StagedTree, k: int, root: Word, stage: int
-) -> Verdict:
-    """Does the decided part of t look like a k-branching tree through root?
+def _walk(
+    t: StagedTree, root: Word, stage: int
+) -> Iterator[tuple[Word, list[int], bool]]:
+    """Breadth-first walk of the decided In-region from root.
 
-    Explores the decided In-region below the root (bounded breadth-first
-    walk).  A node whose within-horizon children are all decided must have
-    1 or k of them In; a decided irreparable violation answers no, missing
-    information answers undecided.
+    Yields each node below the depth cap with its In children within the
+    horizon and whether that count is final (every possible child is
+    decided).  At most _BFS_NODE_BUDGET nodes are visited; the caller
+    decides the root itself.
     """
-    r = t.decide(root, stage)
-    if r is TriState.OUT:
-        return Verdict.NO
-    if r is TriState.UNDECIDED:
-        return Verdict.UNDECIDED
     horizon = stage if t.alphabet_bound is None else min(stage, t.alphabet_bound)
     horizon = min(horizon, _BFS_NODE_BUDGET)
-    frontier = [root]
+    whole_alphabet = t.alphabet_bound is not None and horizon >= t.alphabet_bound
+    frontier = deque([root])
     seen = 0
     while frontier and seen < _BFS_NODE_BUDGET:
-        w = frontier.pop(0)
+        w = frontier.popleft()
         seen += 1
         if len(w) - len(root) >= _BFS_DEPTH_CAP:
             continue
@@ -152,13 +149,28 @@ def looks_like_branching(
                 in_children.append(i)
             elif d is TriState.UNDECIDED:
                 all_decided = False
-        if len(in_children) > k:
-            return Verdict.NO
-        if all_decided and t.alphabet_bound is not None and horizon >= t.alphabet_bound:
-            # every possible child is decided; the count is final
-            if len(in_children) not in (1, k):
-                return Verdict.NO
+        yield w, in_children, all_decided and whole_alphabet
         frontier.extend(w + (i,) for i in in_children)
+
+
+def looks_like_branching(
+    t: StagedTree, k: int, root: Word, stage: int
+) -> Verdict:
+    """Does the decided part of t look like a k-branching tree through root?
+
+    Explores the decided In-region below the root (the bounded walk
+    ``_walk``).  A node whose within-horizon children are all decided must
+    have 1 or k of them In; a decided irreparable violation answers no,
+    missing information answers undecided.
+    """
+    r = t.decide(root, stage)
+    if r is TriState.OUT:
+        return Verdict.NO
+    if r is TriState.UNDECIDED:
+        return Verdict.UNDECIDED
+    for _, kids, final in _walk(t, root, stage):
+        if len(kids) > k or (final and len(kids) not in (1, k)):
+            return Verdict.NO
     return Verdict.YES
 
 
@@ -194,38 +206,9 @@ def tree_bound_violation(
     Used to recognise that an adversary is provably not a k-tree, making a
     requirement against it vacuous.
     """
-    horizon = stage if t.alphabet_bound is None else min(stage, t.alphabet_bound)
-    horizon = min(horizon, _BFS_NODE_BUDGET)
     if t.decide((), stage) is not TriState.IN:
         return None
-    frontier: list[Word] = [()]
-    seen = 0
-    while frontier and seen < _BFS_NODE_BUDGET:
-        w = frontier.pop(0)
-        seen += 1
-        if len(w) >= _BFS_DEPTH_CAP:
-            continue
-        in_children = [
-            i for i in range(horizon) if t.decide(w + (i,), stage) is TriState.IN
-        ]
-        if len(in_children) > k:
-            return w
-        frontier.extend(w + (i,) for i in in_children)
-    return None
-
-
-def pushforward_staged(t: StagedTree, g: Surjection) -> StagedTree:
-    """Preimage tree as a staged oracle: decide w by deciding g*(w)."""
-    if t.alphabet_bound is not None and t.alphabet_bound > g.codomain_size:
-        raise ValueError("tree alphabet exceeds surjection codomain")
-    return StagedTree(
-        id=t.id,
-        kind=f"preimage({t.kind})",
-        member=lambda w: t.member(map_path(g, w)),
-        claimed_shape=None,
-        alphabet_bound=g.domain_size,
-        delay=t.delay,
-    )
+    return next((w for w, kids, _ in _walk(t, (), stage) if len(kids) > k), None)
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,3 @@ def goes_through(prefix: Word, tr: TraceTable) -> bool:
             f"prefix of length {len(prefix)} exceeds trace depth {tr.depth}"
         )
     return prefix in tr.levels[len(prefix)]
-
-
-def merge(tr1: TraceTable, tr2: TraceTable, bound: LevelBound) -> TraceTable:
-    """Levelwise union under a fresh bound; equal depths required."""
-    if tr1.depth != tr2.depth:
-        raise ValueError("traces have different depths")
-    levels = tuple(
-        tr1.levels[n] | tr2.levels[n] for n in range(tr1.depth + 1)
-    )
-    return TraceTable(levels, bound)

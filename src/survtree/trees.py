@@ -3,7 +3,6 @@
 Words are plain tuples of non-negative ints; the empty tuple is the root.
 Trees come in two flavours throughout the package: explicit finite node
 sets (this module) and staged membership oracles (``survtree.staged``).
-Operations that accept both say so.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
 
@@ -75,10 +74,6 @@ class Surjection:
 
     def __call__(self, i: int) -> int:
         return self.table[i]
-
-    @classmethod
-    def identity(cls, n: int) -> "Surjection":
-        return cls(n, n, tuple(range(n)))
 
 
 @dataclass(frozen=True)
@@ -274,44 +269,29 @@ def map_path(g: Surjection, a: Word) -> Word:
     return tuple(g(e) for e in a)
 
 
-def pushforward_preimage(t, g: Surjection):
-    """Inverse image {w over k+1 : g*(w) in T} of a tree over s+1.
-
-    Exact on finite trees; staged trees are handled by composing the
-    membership oracle (see survtree.staged.pushforward_staged).
-    """
-    if isinstance(t, FiniteTree):
-        if t.alphabet_bound is not None and t.alphabet_bound > g.codomain_size:
-            raise ValueError("tree alphabet exceeds surjection codomain")
-        for w in t.nodes:
-            if any(e >= g.codomain_size for e in w):
-                raise ValueError("tree entry outside surjection codomain")
-        nodes: set[Word] = set()
-        frontier = [EMPTY] if EMPTY in t.nodes else []
-        nodes.update(frontier)
-        depth = t.depth
-        while frontier:
-            new: list[Word] = []
-            for w in frontier:
-                if len(w) >= depth:
-                    continue
-                img = map_path(g, w)
-                for i in range(g.domain_size):
-                    if img + (g(i),) in t.nodes:
-                        new.append(w + (i,))
-            nodes.update(new)
-            frontier = new
-        return FiniteTree(frozenset(nodes), g.domain_size)
-    from .staged import pushforward_staged
-
-    return pushforward_staged(t, g)
-
-
-def restrict(t: FiniteTree, b: int) -> FiniteTree:
-    """Members whose entries are all < b; prefix-closure is automatic."""
-    return FiniteTree(
-        frozenset(w for w in t.nodes if all(e < b for e in w)), b
-    )
+def pushforward_preimage(t: FiniteTree, g: Surjection) -> FiniteTree:
+    """Inverse image {w over k+1 : g*(w) in T} of a tree over s+1."""
+    if t.alphabet_bound is not None and t.alphabet_bound > g.codomain_size:
+        raise ValueError("tree alphabet exceeds surjection codomain")
+    for w in t.nodes:
+        if any(e >= g.codomain_size for e in w):
+            raise ValueError("tree entry outside surjection codomain")
+    nodes: set[Word] = set()
+    frontier = [EMPTY] if EMPTY in t.nodes else []
+    nodes.update(frontier)
+    depth = t.depth
+    while frontier:
+        new: list[Word] = []
+        for w in frontier:
+            if len(w) >= depth:
+                continue
+            img = map_path(g, w)
+            for i in range(g.domain_size):
+                if img + (g(i),) in t.nodes:
+                    new.append(w + (i,))
+        nodes.update(new)
+        frontier = new
+    return FiniteTree(frozenset(nodes), g.domain_size)
 
 
 def levels_above(t: FiniteTree, node: Word) -> Iterator[list[Word]]:

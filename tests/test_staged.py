@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import LETTERS, staged_tree_entries, unbounded_trees
 from survtree.staged import (
+    _BFS_DEPTH_CAP,
+    _BFS_NODE_BUDGET,
     ConfigError,
     OracleFunctional,
     Verdict,
@@ -21,13 +23,12 @@ from survtree.staged import (
     looks_like_branching,
     pair_index,
     probe_settled,
-    pushforward_staged,
     shown_successors,
     staged_tree_from_config,
     standard_library,
     tree_bound_violation,
 )
-from survtree.trees import Surjection, TriState
+from survtree.trees import TriState
 
 LIB = standard_library()
 IDENTITY = LIB.functionals[0]
@@ -143,6 +144,105 @@ def test_tree_bound_violation_on_wide_tree():
     assert bad is not None
     assert len(FULL_TERNARY.decide(bad, 8).name) > 0  # witness is a word
     assert tree_bound_violation(FULL_BINARY, 2, 8) is None
+
+
+class _CountingTree:
+    """The parts of a staged tree the probes read, counting decide calls."""
+
+    def __init__(self, t):
+        self.t = t
+        self.alphabet_bound = t.alphabet_bound
+        self.calls = 0
+
+    def decide(self, w, stage):
+        self.calls += 1
+        return self.t.decide(w, stage)
+
+
+def _reference_looks_like_branching(t, k, root, stage):
+    """looks_like_branching with its own copy of the breadth-first walk."""
+    r = t.decide(root, stage)
+    if r is TriState.OUT:
+        return Verdict.NO
+    if r is TriState.UNDECIDED:
+        return Verdict.UNDECIDED
+    horizon = stage if t.alphabet_bound is None else min(stage, t.alphabet_bound)
+    horizon = min(horizon, _BFS_NODE_BUDGET)
+    frontier = [root]
+    seen = 0
+    while frontier and seen < _BFS_NODE_BUDGET:
+        w = frontier.pop(0)
+        seen += 1
+        if len(w) - len(root) >= _BFS_DEPTH_CAP:
+            continue
+        in_children = []
+        all_decided = True
+        for i in range(horizon):
+            d = t.decide(w + (i,), stage)
+            if d is TriState.IN:
+                in_children.append(i)
+            elif d is TriState.UNDECIDED:
+                all_decided = False
+        if len(in_children) > k:
+            return Verdict.NO
+        if all_decided and t.alphabet_bound is not None and horizon >= t.alphabet_bound:
+            if len(in_children) not in (1, k):
+                return Verdict.NO
+        frontier.extend(w + (i,) for i in in_children)
+    return Verdict.YES
+
+
+def _reference_tree_bound_violation(t, k, stage):
+    """tree_bound_violation with its own copy of the breadth-first walk."""
+    horizon = stage if t.alphabet_bound is None else min(stage, t.alphabet_bound)
+    horizon = min(horizon, _BFS_NODE_BUDGET)
+    if t.decide((), stage) is not TriState.IN:
+        return None
+    frontier = [()]
+    seen = 0
+    while frontier and seen < _BFS_NODE_BUDGET:
+        w = frontier.pop(0)
+        seen += 1
+        if len(w) >= _BFS_DEPTH_CAP:
+            continue
+        in_children = [
+            i for i in range(horizon) if t.decide(w + (i,), stage) is TriState.IN
+        ]
+        if len(in_children) > k:
+            return w
+        frontier.extend(w + (i,) for i in in_children)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        staged_tree_entries().map(lambda e: staged_tree_from_config(e, 0)),
+        unbounded_trees(),
+    ),
+    st.lists(st.integers(0, LETTERS), max_size=3).map(tuple),
+    st.integers(0, 40),
+    st.integers(1, 4),
+)
+# every node has 8 children, so at k = 8 neither probe stops before the
+# walk has visited _BFS_NODE_BUDGET nodes
+@example(
+    staged_tree_from_config({"kind": "full_subtree", "alphabet": list(range(8))}, 0),
+    (),
+    9,
+    8,
+)
+def test_probes_match_their_own_walks(t, root, stage, k):
+    ref, new = _CountingTree(t), _CountingTree(t)
+    assert looks_like_branching(new, k, root, stage) is (
+        _reference_looks_like_branching(ref, k, root, stage)
+    )
+    assert new.calls == ref.calls
+    ref, new = _CountingTree(t), _CountingTree(t)
+    assert tree_bound_violation(new, k, stage) == (
+        _reference_tree_bound_violation(ref, k, stage)
+    )
+    assert new.calls == ref.calls
 
 
 # --- functionals ------------------------------------------------------------
@@ -347,13 +447,3 @@ def test_standard_library_shape():
     assert len(LIB.functionals) >= 4
     assert standard_library().config == LIB.config
 
-
-# --- staged pushforward -----------------------------------------------------
-
-
-def test_pushforward_staged_membership():
-    g = Surjection(3, 3, (0, 2, 1))
-    out = pushforward_staged(FULL_BINARY, g)
-    # (2,) maps to (1,), a member of the {0,1} subtree
-    assert out.decide((2,), 10) is TriState.IN
-    assert out.decide((1,), 10) is TriState.OUT

@@ -1,4 +1,4 @@
-"""Level-indexed trace tables: bounds, go-through, merge, round trips."""
+"""Level-indexed trace tables: bounds, go-through, round trips."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from survtree.traces import (
     LevelBound,
     TraceTable,
     goes_through,
-    merge,
     to_tree,
 )
 from survtree.trees import FiniteTree
@@ -74,42 +73,6 @@ def test_goes_through_binary_member():
 def test_goes_through_rejects_foreign_entry():
     tr = level_trace(BINARY3, POW3)
     assert not goes_through((2,), tr)
-
-
-def test_merge_idempotent():
-    tr = level_trace(BINARY3, POW3)
-    assert merge(tr, tr, POW3).levels == tr.levels
-
-
-def test_merge_disjoint_paths():
-    t1 = level_trace(make_tree([(), (0,), (0, 0)]), POW3)
-    t2 = level_trace(make_tree([(), (1,), (1, 1)]), POW3)
-    out = merge(t1, t2, POW3)
-    assert [len(out.levels[n]) for n in range(3)] == [1, 2, 2]
-
-
-def test_merge_two_full_binaries_under_pow3():
-    t1 = level_trace(
-        make_tree(
-            w for n in range(3) for w in itertools.product((0, 1), repeat=n)
-        ),
-        POW3,
-    )
-    t2 = level_trace(
-        make_tree(
-            w for n in range(3) for w in itertools.product((1, 2), repeat=n)
-        ),
-        POW3,
-    )
-    out = merge(t1, t2, POW3)
-    assert all(len(out.levels[n]) <= 3**n for n in range(3))
-
-
-def test_merge_requires_equal_depths():
-    t1 = level_trace(FiniteTree.comb(2), POW3)
-    t2 = level_trace(FiniteTree.comb(3), POW3)
-    with pytest.raises(ValueError):
-        merge(t1, t2, POW3)
 
 
 def test_level_words_have_level_length():

@@ -17,7 +17,6 @@ from survtree.trees import (
     is_k_tree_to_depth,
     map_path,
     pushforward_preimage,
-    restrict,
     word_key,
 )
 
@@ -152,7 +151,7 @@ def test_accelerating_pure_path_ok():
 
 
 def test_pushforward_identity_is_identity():
-    g = Surjection.identity(3)
+    g = Surjection(3, 3, (0, 1, 2))
     assert pushforward_preimage(FULL33, g).nodes == FULL33.nodes
 
 
@@ -182,7 +181,7 @@ def test_pushforward_merge_is_3_tree():
 
 
 def test_map_path_identity():
-    assert map_path(Surjection.identity(3), (0, 2, 1)) == (0, 2, 1)
+    assert map_path(Surjection(3, 3, (0, 1, 2)), (0, 2, 1)) == (0, 2, 1)
 
 
 def test_map_path_collapse():
@@ -191,25 +190,12 @@ def test_map_path_collapse():
 
 
 def test_map_path_empty():
-    assert map_path(Surjection.identity(2), ()) == ()
+    assert map_path(Surjection(2, 2, (0, 1)), ()) == ()
 
 
 def test_map_path_out_of_range():
     with pytest.raises(ValueError):
-        map_path(Surjection.identity(2), (5,))
-
-
-# --- restrict ---------------------------------------------------------------
-
-
-def test_restrict_full_omega_to_three():
-    t = FiniteTree.full(5, 2)
-    assert restrict(t, 3).nodes == FiniteTree.full(3, 2).nodes
-
-
-def test_restrict_high_path_to_root():
-    t = FiniteTree.from_words([(5, 5)])
-    assert restrict(t, 3).nodes == frozenset({()})
+        map_path(Surjection(2, 2, (0, 1)), (5,))
 
 
 # --- property tests ---------------------------------------------------------
@@ -247,36 +233,6 @@ def test_pushforward_preserves_prefix_closure_and_shape(t):
         for w in out.nodes:
             assert not w or w[:-1] in out.nodes
         assert is_k_tree_to_depth(out, 3, t.depth) is None
-
-
-@st.composite
-def random_low_anchored_tree(draw, b=5, low=3, k=2, max_depth=4):
-    # every node keeps at least one child with a small entry, so restricting
-    # to the small alphabet never creates a dead end
-    nodes = {()}
-    frontier = [()]
-    depth = draw(st.integers(1, max_depth))
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            entries = {draw(st.integers(0, low - 1))}
-            if draw(st.booleans()):
-                entries.add(draw(st.integers(0, b - 1)))
-            for e in list(entries)[:k]:
-                nodes.add(w + (e,))
-                nxt.append(w + (e,))
-        frontier = nxt
-    return FiniteTree(frozenset(nodes), alphabet_bound=b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_low_anchored_tree())
-def test_restrict_preserves_k_tree(t):
-    out = restrict(t, 3)
-    for w in out.nodes:
-        assert not w or w[:-1] in out.nodes
-    assert out.depth == t.depth
-    assert is_k_tree_to_depth(out, 2, t.depth) is None
 
 
 def test_exhaustive_path_transfer_depth_2():
