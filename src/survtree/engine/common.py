@@ -289,11 +289,11 @@ class OutputTable:
         escape: Optional[tuple[Word, int]] = None
         tau: Optional[Word] = None
         masks: list[int] = []
-        sets: list[Optional[set[Word]]] = []
+        sets: list[Optional[Iterable[Word]]] = []
         for lv in reversed(list(levels_above(tree, stem))):
             few = k is not None and escape is None
             row_masks: list[int] = []
-            row_sets: list[Optional[set[Word]]] = []
+            row_sets: list[Optional[Iterable[Word]]] = []
             j = 0
             for w in lv:
                 c = len(cm[w])
@@ -312,7 +312,7 @@ class OutputTable:
                 else:
                     o, m = leaf(w)
                     if few:
-                        row_sets.append({o})
+                        row_sets.append((o,))
                 row_masks.append(m)
             hit = next((i for i, m in enumerate(row_masks) if m), None)
             if hit is not None:

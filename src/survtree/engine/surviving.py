@@ -9,6 +9,7 @@ the shortest-then-lexicographically-first node.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import groupby, islice
 from typing import Iterator, Optional
 
@@ -30,14 +31,20 @@ from .common import (
 def _case_c(
     table: OutputTable, k: int, stem: Word, tree: FiniteTree
 ) -> Optional[tuple[FiniteTree, TraceTable]]:
-    """Simultaneous splitting: rebuild the condition so sibling subtrees
-    carry pairwise distinct output prefixes, collecting those prefixes
-    into a trace bounded by (k+1)^n.
+    """Simultaneous splitting: the condition whose sibling subtrees carry
+    pairwise distinct output prefixes, with those prefixes collected into a
+    trace bounded by (k+1)^n.
 
     Level m lists the nodes t(sigma) for the length-m words sigma in lex
     order.  The b nodes assigned above t(sigma) are t(sigma 0) ...
     t(sigma k), so appending each node's assignment in turn lists the next
-    level in lex order too, and no map keyed by sigma is needed.
+    level in lex order too, and no map keyed by sigma is needed.  A
+    split's children are the tree's own words.
+
+    The condition is the prefix closure of the last level's zero-paddings:
+    the tree itself, handed back as it is, when those are its depth level
+    and no leaf ends above the depth (the only outcome for configured
+    functionals), and otherwise rebuilt from its levels.
     """
     b = k + 1
     depth = table.depth
@@ -66,12 +73,22 @@ def _case_c(
     if m == 0:
         return None
     # the tops are pairwise incomparable and in lex order, so their
-    # zero-paddings are too, and each shorter level is the run of their
-    # distinct parents
-    levels = [[w + (0,) * (depth - len(w)) for w in tops]]
-    while len(levels[-1][0]):
-        levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
-    new_tree = FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
+    # zero-paddings are too
+    padded = [w + (0,) * (depth - len(w)) for w in tops]
+    levels = tree.levels()
+    if (
+        tree.depth == depth
+        and padded == levels[depth]
+        and all(cm[w] for lv in levels[:depth] for w in lv)
+    ):
+        new_tree = tree
+    else:
+        # each shorter level is the run of the distinct parents of the
+        # level above it
+        levels = [padded]
+        while len(levels[-1][0]):
+            levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
+        new_tree = FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
     return new_tree, trace_from_outputs(outs, depth, b)
 
 
@@ -118,7 +135,11 @@ def _assign_distinct(
 ) -> Optional[list[tuple[Word, Word]]]:
     """For each child of q, a node above it whose output prefix at some
     common length n > sigma_len differs from all the siblings' prefixes."""
-    kids = [q + (i,) for i in tree.child_map()[q]]
+    # q's children are one run of the sorted level below it
+    c = len(tree.child_map()[q])
+    below = tree.levels()[len(q) + 1] if c else []
+    lo = bisect_left(below, q)
+    kids = below[lo:lo + c]
     closed = table.functional.prefix is not None
     for n in range(sigma_len + 1, table.depth + 1):
         chosen = _own_prefixes(table, kids, n)

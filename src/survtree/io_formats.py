@@ -136,8 +136,15 @@ def tree_to_json(t: FiniteTree) -> dict:
 
 
 def json_to_tree(data: dict) -> FiniteTree:
+    """The tree of exactly the listed nodes, which must be prefix-closed
+    and name each node once; no missing prefix is filled in."""
     words = [tuple(map(int, w)) for w in data["nodes"]]
-    return FiniteTree.from_words(words, alphabet_bound=data.get("alphabet_bound"))
+    nodes = frozenset(words)
+    if not nodes:
+        raise FormatError("tree has no nodes")
+    if len(nodes) != len(words):
+        raise FormatError("a tree node is listed twice")
+    return FiniteTree(nodes, alphabet_bound=data.get("alphabet_bound"))
 
 
 # Most entries a decoded trace may spell out: n level-order rows can stand for n**2 / 2.

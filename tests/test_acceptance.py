@@ -13,8 +13,6 @@ import json
 import random
 import time
 
-import pytest
-
 from conftest import all_surjections, make_tree, subtree_nodesets
 from survtree.cover import min_cover, monotonicity_table, verify_cover
 from survtree.engine import (

@@ -11,7 +11,14 @@ import pytest
 
 from survtree import cover
 from survtree.cli import build_parser, main
-from survtree.engine import diagonalize_surviving, verify_record
+from survtree.engine import (
+    accelerating_force,
+    build3_record,
+    diagonalize_surviving,
+    initial_condition,
+    traceable_prune,
+    verify_record,
+)
 from survtree.io_formats import dump_record, dump_tree, json_to_trace, load_record, load_tree
 from survtree.staged import standard_library
 from survtree.trees import FiniteTree
@@ -267,6 +274,52 @@ def test_verify_reports_bad_trace_rows_as_one_malformed_defect(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == f"defect: {defects[0]}\n"
     assert "Traceback" not in captured.err
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_payload(name: str) -> dict:
+    lib = standard_library()
+    records = {
+        "surviving-d6": lambda: diagonalize_surviving(2, lib, 8, 6, 4000),
+        "traceable-d6": lambda: traceable_prune(
+            initial_condition(lib, 6, 20), lib, 4, 6, 4000
+        ),
+        "accelerating-d6": lambda: accelerating_force(lib, 6, 6, 4000),
+        "build3-d8": lambda: build3_record(lib, 8, 24),
+    }
+    return records[name]().to_payload()
+
+
+def _drop_internal_node(nodes: list) -> None:
+    nodes.remove(nodes[-1][:-1])  # the parent of a deepest node
+
+
+@pytest.mark.parametrize(
+    "name", ["surviving-d6", "traceable-d6", "accelerating-d6", "build3-d8"]
+)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_drop_internal_node, "not prefix-closed", id="internal-node-dropped"),
+        pytest.param(lambda ns: ns.append(ns[-1]), "listed twice", id="node-listed-twice"),
+    ],
+)
+def test_verify_reports_a_final_tree_that_is_not_its_node_list(
+    tmp_path, capsys, name, edit, message
+):
+    payload = copy.deepcopy(_golden_payload(name))
+    assert verify_record(payload) == []
+    edit(payload["final_tree"]["nodes"])
+    del payload["digest"]
+    out = tmp_path / "rec.json"
+    with open(out, "w") as fp:
+        dump_record(payload, fp)  # signed again, so only the node list is wrong
+    with open(out) as fp:
+        defects = verify_record(load_record(fp))
+    assert len(defects) == 1 and defects[0].startswith("malformed record: ")
+    assert message in defects[0]
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().out == f"defect: {defects[0]}\n"
 
 
 def test_verify_missing_file_is_usage_error(tmp_path):

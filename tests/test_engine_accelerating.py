@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from survtree.engine import accelerating_force, verify_record
-from survtree.io_formats import json_to_trace
 from survtree.staged import converged_prefix, family_from_config, standard_library
 from survtree.traces import goes_through, to_tree
 from survtree.trees import (

@@ -13,7 +13,6 @@ from survtree.engine import (
     verify_record,
 )
 from survtree.engine.common import LabeledCondition, labels_of_payload
-from survtree.io_formats import json_to_trace
 from survtree.staged import converged_prefix, standard_library
 from survtree.traces import goes_through
 from survtree.trees import is_k_tree_to_depth

@@ -6,7 +6,7 @@ from collections import Counter
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 # the pinned family whose case C searches the pools above the children
@@ -189,6 +189,8 @@ def trees_with_outputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(trees_with_outputs())
+# a split node at the tree's depth, with no level below it
+@example((FiniteTree(frozenset({()}), 3), {(): ()}, (), 0))
 def test_lazy_candidate_search_matches_full_lists(case):
     tree, outs, q, sigma_len = case
 

@@ -14,9 +14,10 @@ from itertools import takewhile
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from survtree.engine import diagonalize_surviving, surviving
 from survtree.engine.common import OutputTable, nodes_above, trace_from_outputs
 from survtree.engine.surviving import (
     _Drawn,
@@ -25,7 +26,7 @@ from survtree.engine.surviving import (
     _first_per_prefix,
     _pick_distinct,
 )
-from survtree.staged import OracleFunctional, functional_from_config
+from survtree.staged import OracleFunctional, functional_from_config, standard_library
 from survtree.trees import (
     FiniteTree,
     Word,
@@ -313,8 +314,16 @@ def test_case_b_matches_dict_fold(case, k):
     assert fold_calls == ref_calls
 
 
+def _own_entry_outputs(tree: FiniteTree) -> dict[Word, list]:
+    """Each node outputs its own entries, then nothing: every split's
+    children carry distinct prefixes."""
+    return {w: [*w, *[None] * (DEPTH - len(w))] for w in tree.sorted_nodes()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(trees_with_table(), splitting_tables()))
+# a table deeper than the tree
+@example((FiniteTree.full(3, 1), _own_entry_outputs(FiniteTree.full(3, 1)), ()))
 def test_case_c_matches_node_set_rebuild(case):
     tree, outs, stem = case
     calls: Counter = Counter()
@@ -327,6 +336,35 @@ def test_case_c_matches_node_set_rebuild(case):
     assert calls == ref_calls
     if built is not None:
         _assert_indexes_match_node_set(built[0])
+
+
+def test_case_c_hands_back_the_working_tree_on_the_standard_record(monkeypatch):
+    handed: list[tuple[FiniteTree, FiniteTree]] = []
+
+    def recording_case_c(table, k, stem, tree):
+        built = _case_c(table, k, stem, tree)
+        handed.append((tree, built[0]))
+        return built
+
+    monkeypatch.setattr(surviving, "_case_c", recording_case_c)
+    rec = diagonalize_surviving(2, standard_library(), 8, 6, 4000)
+    assert rec.status == "complete"
+    assert handed and all(new is old for old, new in handed)
+
+
+def test_case_c_rebuilds_a_tree_with_a_leaf_above_the_depth():
+    # three chains from the root to the depth, so the root's split pads to
+    # the depth level; (2, 1) adds a leaf above the depth
+    chains = [(i,) + (0,) * n for i in range(3) for n in range(DEPTH)]
+    bare = FiniteTree.from_words(chains, 3)
+    tree = FiniteTree.from_words(chains + [(2, 1)], 3)
+    assert tree.levels()[DEPTH] == bare.levels()[DEPTH]
+    assert _case_c(_table(_own_entry_outputs(bare)), 2, (), bare)[0] is bare
+    outs = _own_entry_outputs(tree)
+    built = _case_c(_table(outs), 2, (), tree)
+    assert built == _reference_case_c(_table(outs), 2, (), tree)
+    assert built[0] == bare
+    _assert_indexes_match_node_set(built[0])
 
 
 # the configured kinds, with the moduli whose outputs repeat among three
