@@ -5,15 +5,10 @@ and run records."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from typing import Iterable, Iterator, Optional
 
-from ..io_formats import (
-    json_to_tree,
-    payload_digest,
-    trace_to_json,
-    tree_to_json,
-)
+from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
 from ..staged import (
     AdversaryFamily,
     OracleFunctional,
@@ -23,7 +18,7 @@ from ..staged import (
     tree_bound_violation,
 )
 from ..traces import LevelBound, TraceTable
-from ..trees import FiniteTree, TriState, Word, levels_above, prefixes, word_key
+from ..trees import FiniteTree, TriState, Word, _last, _parent, levels_above, prefixes, word_key
 
 
 def schedule(i: int) -> int:
@@ -378,15 +373,19 @@ def trace_certificate(
 
 
 def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:
-    """The levelwise prefixes of the outputs, bounded by base^n."""
-    levels: list[set[Word]] = [set() for _ in range(depth + 1)]
+    """The levelwise prefixes of the outputs, bounded by base^n, as level-order
+    rows, read bottom-up: the parents of a sorted level come in sorted order, so
+    a level is sorted only when some output ends on it."""
+    levels: list[set[Word]] = [{()}] + [set() for _ in range(depth)]
     for o in outs:
         o = o[:depth]
         levels[len(o)].add(o)
+    lv, rows = sorted(levels[depth]), []
     for n in range(depth, 0, -1):
-        levels[n - 1].update(p[:-1] for p in levels[n])
-    levels[0].add(())
-    return TraceTable(tuple(frozenset(s) for s in levels), LevelBound("pow", base))
+        runs = {p: tuple(map(_last, run)) for p, run in groupby(lv, _parent)}
+        lv = list(runs) if levels[n - 1] <= runs.keys() else sorted(levels[n - 1].union(runs))
+        rows.append(tuple(runs.get(w, ()) for w in lv))
+    return TraceTable(tuple(rows[::-1]), LevelBound("pow", base))
 
 
 @dataclass

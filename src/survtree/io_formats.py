@@ -43,20 +43,19 @@ def dump_tree(t: FiniteTree, fp: TextIO) -> None:
 
 
 def load_tree(fp: TextIO) -> FiniteTree:
+    """The tree of exactly the listed nodes, at the header's depth (the
+    same rule as ``json_to_tree``)."""
     header = fp.readline().rstrip("\n")
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "tree":
-        raise FormatError(f"line 1: bad tree header: {header!r}")
     fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-    if set(fields) != {"b", "d"}:
+    if len(parts) != 3 or parts[0] != "tree" or set(fields) != {"b", "d"}:
         raise FormatError(f"line 1: bad tree header: {header!r}")
     bound = None if fields["b"] == "-" else int(fields["b"])
-    words = []
-    for i, raw in enumerate(fp.read().splitlines(), start=2):
-        words.append(_parse_word(raw, i))
-    if not words:
-        raise FormatError("tree file has no nodes")
-    return FiniteTree.from_words(words, alphabet_bound=bound)
+    words = [_parse_word(raw, i) for i, raw in enumerate(fp.read().splitlines(), start=2)]
+    tree = json_to_tree({"alphabet_bound": bound, "nodes": words})
+    if str(tree.depth) != fields["d"]:
+        raise FormatError(f"tree has depth {tree.depth}, its header says d={fields['d']}")
+    return tree
 
 
 def tree_to_dot(t: FiniteTree, name: str = "tree") -> str:
@@ -129,10 +128,7 @@ def record_digest_ok(payload: dict) -> bool:
 
 
 def tree_to_json(t: FiniteTree) -> dict:
-    return {
-        "alphabet_bound": t.alphabet_bound,
-        "nodes": [list(w) for w in t.sorted_nodes()],
-    }
+    return {"alphabet_bound": t.alphabet_bound, "nodes": [list(w) for w in t.sorted_nodes()]}
 
 
 def json_to_tree(data: dict) -> FiniteTree:
@@ -144,30 +140,26 @@ def json_to_tree(data: dict) -> FiniteTree:
         raise FormatError("tree has no nodes")
     if len(nodes) != len(words):
         raise FormatError("a tree node is listed twice")
-    return FiniteTree(nodes, alphabet_bound=data.get("alphabet_bound"))
+    try:
+        return FiniteTree(nodes, alphabet_bound=data.get("alphabet_bound"))
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
-# Most entries a decoded trace may spell out: n level-order rows can stand for n**2 / 2.
+# Most entries the words of a decoded trace may spell out: n rows can stand for n**2 / 2.
 TRACE_ENTRY_LIMIT = 1 << 24
 
 
 def trace_to_json(tr: TraceTable) -> dict:
     """Level-order form: ``children[n]`` lists, for each length-n word in
     lex order, the last entries of its children in increasing order."""
-    if tr.levels[0] != {()}:
-        raise ValueError("a trace without the empty word has no level-order form")
-    children = []
-    for n in range(tr.depth):
-        row: dict[Word, list[int]] = {w: [] for w in sorted(tr.levels[n])}
-        for w in tr.levels[n + 1]:
-            row[w[:-1]].append(w[-1])
-        children.append([sorted(es) for es in row.values()])
+    children = [list(map(list, row)) for row in tr.children]
     bound = {"kind": tr.bound.kind, "base": tr.bound.base}
     return {"bound": bound, "depth": tr.depth, "children": children}
 
 
 def json_to_trace(data: dict) -> TraceTable:
-    """Rebuild each level by extending the words of the level above by their children."""
+    """The table of the level-order rows as they stand: no word is spelled out."""
     depth = int(data["depth"])
     rows = data.get("children")
     if type(rows) is not list or len(rows) != depth:
@@ -180,17 +172,4 @@ def json_to_trace(data: dict) -> TraceTable:
         spelled += (n + 1) * size
     if spelled > TRACE_ENTRY_LIMIT:
         raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
-    level: list[Word] = [()]
-    levels = [frozenset(level)]
-    for row in rows:
-        nxt: list[Word] = []
-        for w, es in zip(level, row):
-            last = -1
-            for e in es:
-                if type(e) is not int or e <= last:
-                    raise FormatError(f"children of {list(w)} are not increasing naturals: {es}")
-                last = e
-                nxt.append(w + (e,))
-        level = nxt
-        levels.append(frozenset(level))
-    return TraceTable(tuple(levels), LevelBound(data["bound"]["kind"], int(data["bound"]["base"])))
+    return TraceTable(rows, LevelBound(data["bound"]["kind"], int(data["bound"]["base"])))

@@ -2,12 +2,15 @@
 
 The canonical semantics is level sets of prefixes: level n holds the
 length-n words, and a function "goes through" the trace when each of its
-prefixes lies in the matching level.
+prefixes lies in the matching level.  A table keeps the levels as
+level-order rows of child entries, the form a run record stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .trees import FiniteTree, Word
 
@@ -19,9 +22,7 @@ class BoundExceeded(Exception):
         self.level = level
         self.size = size
         self.allowed = allowed
-        super().__init__(
-            f"level {level} has {size} words, bound allows {allowed}"
-        )
+        super().__init__(f"level {level} has {size} words, bound allows {allowed}")
 
 
 @dataclass(frozen=True)
@@ -43,45 +44,66 @@ class LevelBound:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Prefix-coherent levels of words, level n all of length n."""
+    """A trace as its level-order rows (LOUDS-style), the form records store:
+    level 0 is the empty word, and ``children[n]`` holds, per word of level n
+    in lex order, the increasing tuple of its children's last entries; those
+    children, in that order, are level n+1.  No word is spelled out."""
 
-    levels: tuple[frozenset[Word], ...]
+    children: tuple[tuple[tuple[int, ...], ...], ...]
     bound: LevelBound
+    # _offsets[n][i]: the index in level n+1 of word i's first child
+    _offsets: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        small = self.bound.base < 2
-        above: frozenset[Word] = frozenset()
-        for n, lv in enumerate(self.levels):
-            for w in lv:
-                if len(w) != n:
-                    raise ValueError(f"word {w} in level {n} has wrong length")
-                if n > 0 and w[:-1] not in above:
-                    raise ValueError(f"level {n} not prefix-coherent at {w}")
-            above = lv
-            # base**n >= 2**n exceeds len(lv) once n reaches its bit length,
+        rows = tuple(tuple(map(tuple, row)) for row in self.children)
+        offsets = []
+        size = 1  # words on level n
+        for n, row in enumerate(rows):
+            if len(row) != size:
+                raise ValueError(f"children row {n} has {len(row)} lists for {size} words")
+            for i, es in enumerate(row):
+                last = -1
+                for e in es:
+                    if type(e) is not int or e <= last:
+                        raise ValueError(f"level {n} word {i}: {list(es)} not increasing naturals")
+                    last = e
+            offsets.append(tuple(accumulate(map(len, row), initial=0)))
+            size = offsets[-1][-1]
+            # base**n >= 2**n exceeds size once n reaches its bit length,
             # so huge powers of deep, small levels are never computed
-            if (small or n < len(lv).bit_length()) and len(lv) > self.bound(n):
-                raise BoundExceeded(n, len(lv), self.bound(n))
+            if (self.bound.base < 2 or n + 1 < size.bit_length()) and size > self.bound(n + 1):
+                raise BoundExceeded(n + 1, size, self.bound(n + 1))
+        object.__setattr__(self, "children", rows)
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.children)
 
-    def words(self) -> list[Word]:
-        """All words shortest-first, then lexicographically (``word_key`` order)."""
-        return [w for lv in self.levels for w in sorted(lv)]
+    @property
+    def levels(self) -> list[list[Word]]:
+        """Per n = 0..depth, the words of level n in lex order, built on each call."""
+        levels = [[()]]
+        for row in self.children:
+            levels.append([w + (e,) for w, es in zip(levels[-1], row) for e in es])
+        return levels
 
 
 def to_tree(tr: TraceTable) -> FiniteTree:
     """The tree of all words appearing in a trace."""
-    return FiniteTree.from_words(tr.words())
+    return FiniteTree.from_levels(tr.levels)
 
 
 def goes_through(prefix: Word, tr: TraceTable) -> bool:
-    """True iff every initial segment of the prefix is in its level: since
-    the levels are prefix-coherent, iff the prefix is in its own."""
+    """True iff every initial segment of the prefix is in its level: the
+    prefix is followed down the rows, one child entry per position."""
     if len(prefix) > tr.depth:
-        raise ValueError(
-            f"prefix of length {len(prefix)} exceeds trace depth {tr.depth}"
-        )
-    return prefix in tr.levels[len(prefix)]
+        raise ValueError(f"prefix of length {len(prefix)} exceeds trace depth {tr.depth}")
+    i = 0  # index of the prefix so far in its level
+    for row, offsets, e in zip(tr.children, tr._offsets, prefix):
+        es = row[i]
+        j = bisect_left(es, e)
+        if j == len(es) or es[j] != e:
+            return False
+        i = offsets[i] + j
+    return True

@@ -353,6 +353,33 @@ def test_check_tree_malformed_file_reports_line(tmp_path, capsys):
     assert "4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("tree b=3 d=7\n0 1\n", id="no-prefixes"),
+        pytest.param("tree b=3 d=1\n\n0\n0\n", id="node-listed-twice"),
+        pytest.param("tree b=3 d=7\n\n0\n0 1\n", id="depth-not-the-header"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        pytest.param(["check-tree", "--pred", "ktree", "--k", "2", "--d", "1"], "cannot read tree",
+                     id="check-tree"),
+        pytest.param(["pushforward", "--g", "G"], "cannot read inputs", id="pushforward"),
+        pytest.param(["emit"], "cannot read tree", id="emit"),
+    ],
+)
+def test_tree_commands_refuse_a_file_that_is_not_its_tree(tmp_path, capsys, text, argv, error):
+    f = tmp_path / "t.tree"
+    f.write_text(text)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"domain": 3, "codomain": 3, "table": [0, 1, 2]}))
+    assert main([str(g) if a == "G" else a for a in argv] + [str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(error) and captured.out == ""
+
+
 def test_pushforward_maps_tree(tmp_path, capsys):
     tf = tmp_path / "t.tree"
     write_tree(tf, FiniteTree(frozenset({(), (0,), (0, 1)}), alphabet_bound=3))

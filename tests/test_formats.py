@@ -78,6 +78,22 @@ def test_load_tree_rejects_bad_header():
     assert "1" in str(e.value)
 
 
+# tree files that do not list exactly their tree: each is refused, not repaired
+NOT_THEIR_TREE = {
+    "no-prefixes": ("tree b=3 d=7\n0 1\n", "not prefix-closed"),
+    "internal-node-dropped": ("tree b=3 d=2\n\n0 1\n", "not prefix-closed"),
+    "node-listed-twice": ("tree b=3 d=1\n\n0\n0\n", "listed twice"),
+    "depth-below-header": ("tree b=3 d=7\n\n0\n0 1\n", "depth 2, its header says d=7"),
+    "depth-above-header": ("tree b=3 d=1\n\n0\n0 1\n", "depth 2, its header says d=1"),
+}
+
+
+@pytest.mark.parametrize("text, message", NOT_THEIR_TREE.values(), ids=NOT_THEIR_TREE)
+def test_load_tree_reads_exactly_the_listed_nodes(text, message):
+    with pytest.raises(FormatError, match=message):
+        load_tree(io.StringIO(text))
+
+
 def test_json_tree_round_trip():
     t = make_tree([(), (1,), (1, 4)], bound=None)
     assert json_to_tree(tree_to_json(t)).nodes == t.nodes
@@ -90,8 +106,9 @@ def test_json_trace_round_trip():
 
 
 def test_trace_without_the_empty_word_has_no_json_form():
-    with pytest.raises(ValueError, match="without the empty word"):
-        trace_to_json(TraceTable((frozenset(),), LevelBound("pow", 2)))
+    # level 0 is the empty word, so a first row without its list is refused
+    with pytest.raises(ValueError, match="row 0 has 0 lists for 1 words"):
+        TraceTable(((),), LevelBound("pow", 2))
 
 
 def test_canonical_json_is_key_sorted():
@@ -162,6 +179,30 @@ def test_overlong_trace_word_is_a_malformed_record():
     payload["digest"] = payload_digest(payload)
     defects = verify_record(payload)
     assert defects == ["malformed record: a trace of depth 6 needs 6 children rows"]
+
+
+# row 1 of a depth-2 ternary table, and of the first trace of surviving_d6_payload,
+# is three lists [0, 1, 2]; each of these replacements breaks it
+MALFORMED_ROW_1 = {
+    "duplicate-entry": ([[0, 0, 1], [0, 1, 2], [0, 1, 2]], "not increasing naturals"),
+    "decreasing-entry": ([[0, 2, 1], [0, 1, 2], [0, 1, 2]], "not increasing naturals"),
+    "negative-entry": ([[-1, 0, 1], [0, 1, 2], [0, 1, 2]], "not increasing naturals"),
+    "bool-entry": ([[0, True, 2], [0, 1, 2], [0, 1, 2]], "not increasing naturals"),
+    "non-int-entry": ([[0, 1.0, 2], [0, 1, 2], [0, 1, 2]], "not increasing naturals"),
+    "wrong-list-count": ([[0, 1, 2], [0, 1, 2]], "row 1 has 2 lists for 3 words"),
+}
+
+
+@pytest.mark.parametrize("row, message", MALFORMED_ROW_1.values(), ids=MALFORMED_ROW_1)
+def test_malformed_row_is_refused_by_the_table_and_the_verifier(row, message):
+    with pytest.raises(ValueError, match=message):
+        TraceTable(([[0, 1, 2]], row), LevelBound("pow", 3))
+    payload = surviving_d6_payload()
+    assert payload["traces"][0]["children"][:2] == [[[0, 1, 2]], [[0, 1, 2]] * 3]
+    payload["traces"][0]["children"][1] = row
+    payload["digest"] = payload_digest(payload)
+    defects = verify_record(payload)
+    assert len(defects) == 1 and defects[0].startswith("malformed record: ")
 
 
 def test_deep_forged_trace_decodes_quickly():

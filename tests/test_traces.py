@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tree
+from survtree.engine.common import trace_from_outputs
+from survtree.io_formats import canonical_json, json_to_trace, trace_to_json
 from survtree.traces import (
     BoundExceeded,
     LevelBound,
@@ -24,7 +27,7 @@ POW2 = LevelBound("pow", 2)
 
 def level_trace(u: FiniteTree, bound: LevelBound) -> TraceTable:
     """The trace whose level n is the tree's level n."""
-    return TraceTable(tuple(u.level(n) for n in range(u.depth + 1)), bound)
+    return trace_from_outputs(u.nodes, u.depth, bound.base)
 
 
 BINARY3 = make_tree(
@@ -82,10 +85,9 @@ def test_level_words_have_level_length():
 
 
 def test_prefix_coherence_enforced():
-    with pytest.raises(ValueError):
-        TraceTable(
-            (frozenset({()}), frozenset({(5,)}), frozenset({(1, 1)})), POW3
-        )
+    # level 1 is the one word (5,), so row 1 cannot give children to two
+    with pytest.raises(ValueError, match="row 1 has 2 lists for 1 words"):
+        TraceTable((((5,),), ((1,), (1,))), POW3)
 
 
 # --- property tests ---------------------------------------------------------
@@ -156,3 +158,54 @@ def test_goes_through_is_the_all_prefixes_check(members, probes):
                 goes_through(w, tr)
         else:
             assert goes_through(w, tr) == _all_prefixes_in_levels(w, tr)
+
+
+class _WordSetTrace:
+    """The reference semantics: a trace as a tuple of frozensets of words,
+    checked word by word, and going through it as one lookup per level."""
+
+    def __init__(self, levels: tuple[frozenset, ...], bound: LevelBound):
+        above: frozenset = frozenset()
+        for n, lv in enumerate(levels):
+            for w in lv:
+                if len(w) != n:
+                    raise ValueError(f"word {w} in level {n} has wrong length")
+                if n > 0 and w[:-1] not in above:
+                    raise ValueError(f"level {n} not prefix-coherent at {w}")
+            above = lv
+            if len(lv) > bound(n):
+                raise BoundExceeded(n, len(lv), bound(n))
+        self.levels = levels
+
+    @classmethod
+    def from_outputs(cls, outs, depth: int, base: int) -> "_WordSetTrace":
+        levels: list[set] = [set() for _ in range(depth + 1)]
+        for o in outs:
+            o = o[:depth]
+            levels[len(o)].add(o)
+        for n in range(depth, 0, -1):
+            levels[n - 1].update(p[:-1] for p in levels[n])
+        levels[0].add(())
+        return cls(tuple(frozenset(lv) for lv in levels), LevelBound("pow", base))
+
+    def goes_through(self, prefix) -> bool:
+        return prefix in self.levels[len(prefix)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(words, max_size=10), st.integers(0, 5), st.integers(1, 4))
+def test_rows_agree_with_the_word_set_reference(outs, depth, base):
+    try:
+        ref = _WordSetTrace.from_outputs(outs, depth, base)
+    except BoundExceeded as e:
+        with pytest.raises(BoundExceeded) as got:
+            trace_from_outputs(outs, depth, base)
+        assert (got.value.level, got.value.size, got.value.allowed) == (e.level, e.size, e.allowed)
+        return
+    tr = trace_from_outputs(outs, depth, base)
+    assert tr.depth == depth
+    assert tr.levels == [sorted(lv) for lv in ref.levels]
+    for n in range(depth + 1):
+        for w in itertools.product(range(4), repeat=n):
+            assert goes_through(w, tr) == ref.goes_through(w)
+    assert json_to_trace(json.loads(canonical_json(trace_to_json(tr)))) == tr
