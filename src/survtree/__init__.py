@@ -21,7 +21,7 @@ from .staged import (
     pair_index,
     standard_library,
 )
-from .traces import BoundExceeded, LevelBound, TraceTable, goes_through, to_tree
+from .traces import BoundExceeded, LevelBound, TraceTable, goes_through
 from .trees import (
     FiniteTree,
     NotInTree,
@@ -68,7 +68,6 @@ __all__ = [
     "pushforward_preimage",
     "standard_library",
     "subtree_above",
-    "to_tree",
     "verify_cover",
     "word_key",
 ]

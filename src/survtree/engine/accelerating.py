@@ -15,16 +15,14 @@ from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, Word, is_prefix, prefixes, subtree_above, word_key
+from ..trees import FiniteTree, Word, is_prefix, prefixes, word_key
 from .common import (
     OutputTable,
+    Run,
     RunRecord,
-    divergence_certificate,
     nodes_above,
     pairwise_consistent,
-    requirements,
     trace_from_outputs,
-    tree_stage,
 )
 
 _PROBE_ENTRIES = 4
@@ -147,31 +145,10 @@ def accelerating_force(
     depth: int,
     fuel: int,
 ) -> RunRecord:
-    query = depth + stages + 32
-    stem: Word = ()
-    tree: Optional[FiniteTree] = None  # None: implicit full tree above stem
-    stage_log: list[dict] = []
-    certificates: list[dict] = []
-    traces: list[tuple[int, TraceTable]] = []
-    status = "complete"
-
-    for _, adv, k, entry in requirements(stages, adversaries, stage_log):
-        if k is not None:
-            exits = _exits(stem, tree, k, query, depth)
-            new_stem, log, cert = tree_stage(adv, k, stem, exits, query)
-            entry.update(log)
-            if cert is None:
-                status = "incomplete"
-                break
-            certificates.append(cert)
-            if new_stem is not None:
-                stem = new_stem
-                if tree is not None:
-                    tree = subtree_above(tree, stem)
-            continue
-        fn = adv
-        table = OutputTable(fn, fuel, depth)
-        probes = _probes(stem, tree, depth)
+    run = Run(adversaries, stages, depth, fuel, None)  # None: implicit full tree above stem
+    for table, entry in run.p_stages(_exits):
+        fn = table.functional
+        probes = _probes(run.stem, run.tree, depth)
         case1 = next(
             (
                 n
@@ -181,8 +158,8 @@ def accelerating_force(
             None,
         )
         if case1 is not None:
-            certificates.append(divergence_certificate(fn, stem, case1, fuel))
-            entry.update(case="1", fuel_spent=table.evals)
+            run.diverge(fn, run.stem, case1)
+            entry["case"] = "1"
             continue
         case2 = None
         for n in range(depth):
@@ -195,73 +172,50 @@ def accelerating_force(
                 break
         if case2 is not None:
             node, n, v = case2
-            if is_prefix(stem, node):
-                stem = node
-                if tree is not None:
-                    tree = subtree_above(tree, stem)
-            certificates.append(
+            if is_prefix(run.stem, node):
+                run.move(node)
+            run.certificates.append(
                 {"kind": "value_witness", "functional": fn.id,
                  "node": list(node), "position": n, "value": v, "fuel": fuel}
             )
-            entry.update(case="2", position=n, fuel_spent=table.evals)
+            entry.update(case="2", position=n)
             continue
         outs = [table.converged(p) for p in probes]
         if pairwise_consistent(outs):
-            certificates.append(
+            run.certificates.append(
                 {"kind": "constant_outputs", "functional": fn.id,
                  "probes": [list(p) for p in probes], "fuel": fuel}
             )
-            entry.update(case="3", fuel_spent=table.evals)
+            entry["case"] = "3"
             continue
-        if tree is not None:
-            entry.update(case="stuck", fuel_spent=table.evals)
-            status = "incomplete"
-            break
-        new_tree, trace, log = _case4(table, stem, depth)
+        if run.tree is not None:
+            entry["case"] = "stuck"
+            continue
+        new_tree, trace, log = _case4(table, run.stem, depth)
+        entry.update(log)
         if new_tree is None:
-            entry.update(log, fuel_spent=table.evals)
-            status = "incomplete"
-            break
-        tree = new_tree
-        traces.append((fn.id, trace))
-        certificates.append(
-            {"kind": "two_tree_trace", "functional": fn.id,
-             "trace_index": len(traces) - 1, "fuel": fuel}
-        )
-        entry.update(log, fuel_spent=table.evals)
+            run.complete = False
+            continue
+        run.tree = new_tree
+        run.trace(fn, trace, kind="two_tree_trace")
 
-    if tree is None:
-        tree = FiniteTree.from_words(prefixes(stem + (0,) * (depth - len(stem))))
-    certificates.append(
-        {"kind": "shape", "predicate": "accelerating", "depth": depth}
-    )
-    return RunRecord(
-        engine="accelerating",
-        parameters={
-            "depth": depth, "stages": stages, "fuel": fuel, "query_stage": query,
-        },
-        family_config=adversaries.config,
-        stage_log=stage_log,
-        final_stem=stem,
-        final_tree=tree,
-        traces=traces,
-        certificates=certificates,
-        status=status,
+    if run.tree is None:
+        run.tree = FiniteTree.from_words(prefixes(run.stem + (0,) * (depth - len(run.stem))))
+    return run.record(
+        "accelerating", {"kind": "shape", "predicate": "accelerating", "depth": depth}
     )
 
 
-def _exits(
-    stem: Word, tree: Optional[FiniteTree], k: int, query: int, depth: int
-) -> Iterator[Word]:
+def _exits(run: Run, s: int, k: int) -> Iterator[Word]:
     """The successors at nodes wide enough to leave a k-tree: below the
     depth, stem^i for i < query while the tree is implicit; otherwise the
     children of the nodes above the stem with more than k children."""
-    if tree is None:
-        if len(stem) < depth:
-            yield from (stem + (i,) for i in range(query))
+    if run.tree is None:
+        if len(run.stem) < run.depth:
+            yield from (run.stem + (i,) for i in range(run.query))
         return
-    cm = tree.child_map()
-    for w in nodes_above(tree, stem):
+    cm = run.tree.child_map()
+    for w in nodes_above(run.tree, run.stem):
         if len(cm[w]) > k:
             for c in cm[w]:
                 yield w + (c,)

@@ -1,12 +1,12 @@
 """Shared condition types, the task schedule, the stage schedule and the
-tree-requirement stage, per-stage output tables, tree walks, trace building
-and run records."""
+tree-requirement stage, per-stage output tables, tree walks, trace building,
+run records and the run driver the staged engines share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
 from ..staged import (
@@ -18,7 +18,17 @@ from ..staged import (
     tree_bound_violation,
 )
 from ..traces import LevelBound, TraceTable
-from ..trees import FiniteTree, TriState, Word, _last, _parent, levels_above, prefixes, word_key
+from ..trees import (
+    FiniteTree,
+    TriState,
+    Word,
+    _last,
+    _parent,
+    levels_above,
+    prefixes,
+    subtree_above,
+    word_key,
+)
 
 
 def schedule(i: int) -> int:
@@ -97,24 +107,6 @@ def requirement(
     e, k_e = (i, k) if k is not None else index_pair(i)
     trees = family.staged_trees
     return (f"R{i}", trees[e], k_e) if e < len(trees) else None
-
-
-def requirements(
-    stages: int, family: AdversaryFamily, stage_log: list[dict],
-    k: Optional[int] = None,
-) -> Iterator[tuple[int, StagedTree | OracleFunctional, Optional[int], dict]]:
-    """The stage schedule: each stage s < stages gets a stage_log entry
-    naming its requirement.  A skip is marked so here; otherwise
-    (s, adversary, k, entry) is yielded for the engine to run the stage and
-    add its outcome to the entry."""
-    for s in range(stages):
-        req = requirement(s, family, k)
-        entry = {"stage": s, "requirement": req and req[0]}
-        stage_log.append(entry)
-        if req is None:
-            entry["case"] = "skip"
-        else:
-            yield s, req[1], req[2], entry
 
 
 def tree_stage(
@@ -346,32 +338,6 @@ def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:
     return chain.from_iterable(levels_above(tree, node))
 
 
-def divergence_certificate(
-    fn: OracleFunctional, node: Word, n: int, fuel: int
-) -> dict:
-    """fn presumed to diverge at position n on every branch through node."""
-    return {
-        "kind": "presumed_divergence",
-        "functional": fn.id,
-        "node": list(node),
-        "position": n,
-        "fuel": fuel,
-    }
-
-
-def trace_certificate(
-    fn: OracleFunctional, case: str, trace_index: int, fuel: int
-) -> dict:
-    """The outputs of fn on every branch go through trace trace_index."""
-    return {
-        "kind": "trace",
-        "functional": fn.id,
-        "case": case,
-        "trace_index": trace_index,
-        "fuel": fuel,
-    }
-
-
 def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:
     """The levelwise prefixes of the outputs, bounded by base^n, as level-order
     rows, read bottom-up: the parents of a sorted level come in sorted order, so
@@ -423,6 +389,114 @@ class RunRecord:
             ]
         payload["digest"] = payload_digest(payload)
         return payload
+
+
+class Run:
+    """One staged run: the stem and working tree it moves, and the stage
+    log, traces and certificates it writes into its record.
+
+    A tree of None stands for an implicit tree, which moving the stem
+    leaves as it is.  ``k``, when given, is the k of every tree
+    requirement (see ``requirement``) and a parameter of the record.
+    """
+
+    def __init__(
+        self, family: AdversaryFamily, stages: int, depth: int, fuel: int,
+        tree: Optional[FiniteTree], stem: Word = (), k: Optional[int] = None,
+    ):
+        self.family = family
+        self.stages = stages
+        self.depth = depth
+        self.fuel = fuel
+        self.k = k
+        self.query = depth + stages + 32
+        self.stem = stem
+        self.tree = tree
+        self.stage_log: list[dict] = []
+        self.traces: list[tuple[int, TraceTable]] = []
+        self.certificates: list[dict] = []
+        self.complete = True
+
+    def p_stages(
+        self, exits: Callable[[Run, int, int], Iterable[Word]]
+    ) -> Iterator[tuple[OutputTable, dict]]:
+        """The stage schedule.  Each stage s < stages gets a stage_log entry
+        naming its requirement, and a skip is marked so.  A tree stage runs
+        here, with exits(run, s, k) as its exit candidates.  A functional
+        stage is yielded as (a fresh output table of the functional, its
+        entry) for the engine to run and log its case in the entry; the
+        table's evaluations are then logged as the stage's fuel_spent.  A
+        stage logged stuck leaves the run incomplete, and the schedule ends
+        at the first stage that leaves it incomplete."""
+        for s in range(self.stages):
+            req = requirement(s, self.family, self.k)
+            entry = {"stage": s, "requirement": req and req[0]}
+            self.stage_log.append(entry)
+            if req is None:
+                entry["case"] = "skip"
+                continue
+            _, adv, k = req
+            if k is not None:
+                new_stem, log, cert = tree_stage(adv, k, self.stem, exits(self, s, k), self.query)
+                entry.update(log)
+                if cert is not None:
+                    self.certificates.append(cert)
+                if new_stem is not None:
+                    self.move(new_stem)
+            else:
+                table = OutputTable(adv, self.fuel, self.depth)
+                yield table, entry
+                entry["fuel_spent"] = table.evals
+            if entry["case"] == "stuck":
+                self.complete = False
+            if not self.complete:
+                return
+
+    def move(self, stem: Word) -> None:
+        """Make stem the stem and restrict the tree to the nodes above it."""
+        self.stem = stem
+        if self.tree is not None:
+            self.tree = subtree_above(self.tree, stem)
+
+    def diverge(self, fn: OracleFunctional, node: Word, n: int) -> None:
+        """Certify fn presumed to diverge at position n on every branch
+        through node."""
+        self.certificates.append({
+            "kind": "presumed_divergence", "functional": fn.id,
+            "node": list(node), "position": n, "fuel": self.fuel,
+        })
+
+    def trace(self, fn: OracleFunctional, table: TraceTable, **cert) -> None:
+        """Keep table as fn's trace, certified by cert (its kind and any
+        further fields) that the outputs of fn on every branch go through it."""
+        self.traces.append((fn.id, table))
+        self.certificates.append({
+            **cert, "functional": fn.id, "trace_index": len(self.traces) - 1,
+            "fuel": self.fuel,
+        })
+
+    def record(
+        self, engine: str, *closing: dict, labels: Optional[dict[Word, int]] = None
+    ) -> RunRecord:
+        """The run's record, its certificates followed by closing."""
+        parameters = {
+            "depth": self.depth, "stages": self.stages, "fuel": self.fuel,
+            "query_stage": self.query,
+        }
+        if self.k is not None:
+            parameters["k"] = self.k
+        return RunRecord(
+            engine=engine,
+            parameters=parameters,
+            family_config=self.family.config,
+            stage_log=self.stage_log,
+            final_stem=self.stem,
+            final_tree=self.tree,
+            traces=self.traces,
+            certificates=self.certificates + list(closing),
+            status="complete" if self.complete else "incomplete",
+            labels=labels,
+        )
 
 
 def family_of_payload(payload: dict) -> AdversaryFamily:

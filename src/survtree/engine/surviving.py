@@ -15,17 +15,8 @@ from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, Word, subtree_above
-from .common import (
-    OutputTable,
-    RunRecord,
-    divergence_certificate,
-    nodes_above,
-    requirements,
-    trace_certificate,
-    trace_from_outputs,
-    tree_stage,
-)
+from ..trees import FiniteTree, Word
+from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
 
 
 def _case_c(
@@ -192,6 +183,11 @@ def _pick_distinct(
     return None
 
 
+def _exits(run: Run, s: int, k: int) -> Iterator[Word]:
+    """The nodes above the stem, the stem itself aside."""
+    return islice(nodes_above(run.tree, run.stem), 1, None)
+
+
 def diagonalize_surviving(
     k: int,
     adversaries: AdversaryFamily,
@@ -202,70 +198,25 @@ def diagonalize_surviving(
     if k < 2:
         raise ValueError("k must be >= 2")
     b = k + 1
-    query = depth + stages + 32
-    stem: Word = ()
-    tree = FiniteTree.full(b, depth)
-    stage_log: list[dict] = []
-    certificates: list[dict] = []
-    traces: list[tuple[int, TraceTable]] = []
-    status = "complete"
-
-    for _, adv, k_s, entry in requirements(stages, adversaries, stage_log, k):
-        if k_s is not None:
-            # the exit candidates are the nodes above the stem, the stem
-            # itself aside
-            exits = islice(nodes_above(tree, stem), 1, None)
-            new_stem, log, cert = tree_stage(adv, k_s, stem, exits, query)
-            entry.update(log)
-            if cert is None:
-                status = "incomplete"
-                break
-            if new_stem is not None:
-                stem = new_stem
-                tree = subtree_above(tree, stem)
-            certificates.append(cert)
-            continue
-        fn = adv
-        table = OutputTable(fn, fuel, depth)
-        hit, tau = table.cases_a_b(stem, tree, k)
+    run = Run(adversaries, stages, depth, fuel, FiniteTree.full(b, depth), k=k)
+    for table, entry in run.p_stages(_exits):
+        fn = table.functional
+        hit, tau = table.cases_a_b(run.stem, run.tree, k)
         if hit is not None:
-            stem, n = hit
-            tree = subtree_above(tree, stem)
-            certificates.append(divergence_certificate(fn, stem, n, fuel))
-            entry.update(case="A", fuel_spent=table.evals)
-            continue
-        if tau is not None:
-            stem = tau
-            tree = subtree_above(tree, stem)
-            outs = map(table.converged, tree.leaves())
-            traces.append((fn.id, trace_from_outputs(outs, depth, b)))
-            certificates.append(trace_certificate(fn, "B", len(traces) - 1, fuel))
-            entry.update(case="B", fuel_spent=table.evals)
-            continue
-        built = _case_c(table, k, stem, tree)
-        if built is None:
-            status = "incomplete"
-            entry.update(case="stuck", fuel_spent=table.evals)
-            break
-        tree, trace = built
-        traces.append((fn.id, trace))
-        certificates.append(trace_certificate(fn, "C", len(traces) - 1, fuel))
-        entry.update(case="C", fuel_spent=table.evals)
-
-    certificates.append(
-        {"kind": "shape", "predicate": "kbranching", "k": b, "depth": depth}
-    )
-    return RunRecord(
-        engine="surviving",
-        parameters={
-            "k": k, "depth": depth, "stages": stages, "fuel": fuel,
-            "query_stage": query,
-        },
-        family_config=adversaries.config,
-        stage_log=stage_log,
-        final_stem=stem,
-        final_tree=tree,
-        traces=traces,
-        certificates=certificates,
-        status=status,
+            run.move(hit[0])
+            run.diverge(fn, *hit)
+            entry["case"] = "A"
+        elif tau is not None:
+            run.move(tau)
+            outs = map(table.converged, run.tree.leaves())
+            run.trace(fn, trace_from_outputs(outs, depth, b), kind="trace", case="B")
+            entry["case"] = "B"
+        elif (built := _case_c(table, k, run.stem, run.tree)) is not None:
+            run.tree, trace = built
+            run.trace(fn, trace, kind="trace", case="C")
+            entry["case"] = "C"
+        else:
+            entry["case"] = "stuck"
+    return run.record(
+        "surviving", {"kind": "shape", "predicate": "kbranching", "k": b, "depth": depth}
     )

@@ -16,28 +16,17 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily, index_pair
-from ..traces import TraceTable
-from ..trees import (
-    FiniteTree,
-    Word,
-    is_prefix,
-    prefixes,
-    subtree_above,
-    word_key,
-)
+from ..trees import FiniteTree, Word, is_prefix, prefixes, word_key
 from .build3 import build_3tree
 from .common import (
     LabeledCondition,
     OutputTable,
+    Run,
     RunRecord,
-    divergence_certificate,
     nodes_above,
-    requirements,
     schedule,
     schedule_prefix,
-    trace_certificate,
     trace_from_outputs,
-    tree_stage,
 )
 
 
@@ -67,23 +56,26 @@ def _prune_to_depth(tree: FiniteTree, depth: int) -> FiniteTree:
     return FiniteTree.from_words(alive, alphabet_bound=tree.alphabet_bound)
 
 
-def _relabel(stem: Word, tree: FiniteTree) -> dict[Word, int]:
-    labels = {}
-    for w in tree.nodes:
-        if is_prefix(w, stem) and w != stem:
-            labels[w] = 0
-        else:
-            labels[w] = schedule(len(w) - len(stem))
-    return labels
+class _LabeledRun(Run):
+    """A run whose nodes carry task labels: moving the stem renumbers every
+    node from it, 0 on the stem's proper prefixes."""
+
+    labels: dict[Word, int]
+
+    def move(self, stem: Word) -> None:
+        super().move(stem)
+        self.labels = {
+            w: 0 if is_prefix(w, stem) and w != stem else schedule(len(w) - len(stem))
+            for w in self.tree.nodes
+        }
 
 
-def _exits(
-    stem: Word, tree: FiniteTree, labels: dict[Word, int], r: int
-) -> Iterator[Word]:
-    """The children of the nodes above the stem labeled r, node by node."""
-    cm = tree.child_map()
-    for tau in nodes_above(tree, stem):
-        if labels[tau] == r:
+def _exits(run: _LabeledRun, s: int, k: int) -> Iterator[Word]:
+    """R_i's exit candidates, for i = s // 2: the children of the nodes
+    above the stem labeled i+1, node by node."""
+    cm = run.tree.child_map()
+    for tau in nodes_above(run.tree, run.stem):
+        if run.labels[tau] == s // 2 + 1:
             for c in cm[tau]:
                 yield tau + (c,)
 
@@ -244,62 +236,29 @@ def traceable_prune(
     depth: int,
     fuel: int,
 ) -> RunRecord:
-    query = depth + stages + 32
-    stem = start.stem
-    tree = start.tree
-    labels = dict(start.labels)
-    stage_log: list[dict] = []
-    certificates: list[dict] = [
+    run = _LabeledRun(adversaries, stages, depth, fuel, start.tree, start.stem)
+    run.labels = dict(start.labels)
+    run.certificates.append(
         {"kind": "schedule", "terms": schedule_prefix(max(10, depth + 2))}
-    ]
-    traces: list[tuple[int, TraceTable]] = []
-    status = "complete"
-
-    for s, adv, k, entry in requirements(stages, adversaries, stage_log):
-        if k is not None:
-            exits = _exits(stem, tree, labels, s // 2 + 1)
-            new_stem, log, cert = tree_stage(adv, k, stem, exits, query)
-            entry.update(log)
-            if cert is None:
-                status = "incomplete"
-                break
-            certificates.append(cert)
-            if new_stem is not None:
-                stem = new_stem
-                tree = subtree_above(tree, stem)
-                labels = _relabel(stem, tree)
-            continue
-        fn = adv
-        table = OutputTable(fn, fuel, depth)
-        hit, _ = table.cases_a_b(stem, tree)
-        if hit is not None:
-            stem, n = hit
-            tree = subtree_above(tree, stem)
-            labels = _relabel(stem, tree)
-            certificates.append(divergence_certificate(fn, stem, n, fuel))
-            entry.update(case="escape", fuel_spent=table.evals)
-            continue
-        stem, tree, labels, log = _prune_once(table, stem, tree, labels, depth)
-        outs = map(table.converged, tree.nodes)
-        traces.append((fn.id, trace_from_outputs(outs, depth, 3)))
-        certificates.append(trace_certificate(fn, "prune", len(traces) - 1, fuel))
-        entry.update(log, fuel_spent=table.evals)
-
-    certificates.append({"kind": "labels"})
-    certificates.append(
-        {"kind": "shape", "predicate": "ktree", "k": 3, "depth": depth}
     )
-    return RunRecord(
-        engine="traceable",
-        parameters={
-            "depth": depth, "stages": stages, "fuel": fuel, "query_stage": query,
-        },
-        family_config=adversaries.config,
-        stage_log=stage_log,
-        final_stem=stem,
-        final_tree=tree,
-        traces=traces,
-        certificates=certificates,
-        status=status,
-        labels=labels,
+    for table, entry in run.p_stages(_exits):
+        hit, _ = table.cases_a_b(run.stem, run.tree)
+        if hit is not None:
+            run.move(hit[0])
+            run.diverge(table.functional, *hit)
+            entry["case"] = "escape"
+            continue
+        run.stem, run.tree, run.labels, log = _prune_once(
+            table, run.stem, run.tree, run.labels, depth
+        )
+        outs = map(table.converged, run.tree.nodes)
+        run.trace(
+            table.functional, trace_from_outputs(outs, depth, 3), kind="trace", case="prune"
+        )
+        entry.update(log)
+    return run.record(
+        "traceable",
+        {"kind": "labels"},
+        {"kind": "shape", "predicate": "ktree", "k": 3, "depth": depth},
+        labels=run.labels,
     )

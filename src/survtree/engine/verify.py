@@ -12,7 +12,7 @@ from typing import Optional
 
 from ..io_formats import json_to_trace, record_digest_ok
 from ..staged import AdversaryFamily, converged_prefix, shown_successors
-from ..traces import BoundExceeded, TraceTable, goes_through, to_tree
+from ..traces import BoundExceeded, TraceTable, goes_through
 from ..trees import (
     FiniteTree,
     TriState,
@@ -169,9 +169,11 @@ def _check_certificate(
             return f"trace {ti} belongs to functional {owner}"
         fuel = int(cert.get("fuel", fuel_default))
         if kind == "two_tree_trace":
-            bad = is_k_tree_to_depth(to_tree(table), 2, table.depth)
-            if bad is not None:
-                return f"trace is not a 2-tree: node {bad.node}"
+            # every word below the trace's depth has 1 or 2 children
+            for n, row in enumerate(table.children):
+                for i, es in enumerate(row):
+                    if not 1 <= len(es) <= 2:
+                        return f"trace is not a 2-tree: level {n} word {i} has {len(es)} children"
         for L in leaves:
             o = converged_prefix(fn, L, table.depth, fuel)
             if not goes_through(o, table):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any, TextIO
 
 from .traces import LevelBound, TraceTable
@@ -48,7 +49,10 @@ def load_tree(fp: TextIO) -> FiniteTree:
     header = fp.readline().rstrip("\n")
     parts = header.split()
     fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-    if len(parts) != 3 or parts[0] != "tree" or set(fields) != {"b", "d"}:
+    if (
+        len(parts) != 3 or parts[0] != "tree" or set(fields) != {"b", "d"}
+        or not re.fullmatch("-|[0-9]+", fields["b"]) or not re.fullmatch("[0-9]+", fields["d"])
+    ):
         raise FormatError(f"line 1: bad tree header: {header!r}")
     bound = None if fields["b"] == "-" else int(fields["b"])
     words = [_parse_word(raw, i) for i, raw in enumerate(fp.read().splitlines(), start=2)]

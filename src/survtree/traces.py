@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .trees import FiniteTree, Word
+from .trees import Word
 
 
 class BoundExceeded(Exception):
@@ -87,11 +87,6 @@ class TraceTable:
         for row in self.children:
             levels.append([w + (e,) for w, es in zip(levels[-1], row) for e in es])
         return levels
-
-
-def to_tree(tr: TraceTable) -> FiniteTree:
-    """The tree of all words appearing in a trace."""
-    return FiniteTree.from_levels(tr.levels)
 
 
 def goes_through(prefix: Word, tr: TraceTable) -> bool:

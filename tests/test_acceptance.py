@@ -37,7 +37,7 @@ from survtree.staged import (
     family_from_config,
     standard_library,
 )
-from survtree.traces import goes_through, to_tree
+from survtree.traces import goes_through
 from survtree.trees import (
     FiniteTree,
     Surjection,
@@ -263,7 +263,7 @@ def test_acceptance_7_accelerating_shape_and_cases():
         two = [c for c in rec.certificates if c["kind"] == "two_tree_trace"]
         assert any(c["functional"] == 1 for c in two)
         trace = dict(rec.traces)[1]
-        assert is_k_tree_to_depth(to_tree(trace), 2, trace.depth) is None
+        assert is_k_tree_to_depth(FiniteTree.from_levels(trace.levels), 2, trace.depth) is None
         for leaf in tree.leaves():
             out = converged_prefix(LIB.functionals[1], leaf, trace.depth, 10**4)
             assert goes_through(out[: trace.depth], trace)

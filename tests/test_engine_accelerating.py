@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from survtree.engine import accelerating_force, verify_record
+from survtree.io_formats import payload_digest
 from survtree.staged import converged_prefix, family_from_config, standard_library
-from survtree.traces import goes_through, to_tree
+from survtree.traces import goes_through
 from survtree.trees import (
+    FiniteTree,
     TriState,
     is_accelerating_to_depth,
     is_k_tree_to_depth,
@@ -56,7 +58,21 @@ def test_mod_functional_yields_two_tree_trace():
     certs = [c for c in rec.certificates if c["kind"] == "two_tree_trace"]
     assert any(c["functional"] == 1 for c in certs)
     trace = dict(rec.traces)[1]
-    assert is_k_tree_to_depth(to_tree(trace), 2, trace.depth) is None
+    assert is_k_tree_to_depth(FiniteTree.from_levels(trace.levels), 2, trace.depth) is None
+
+
+def test_verifier_refuses_a_two_tree_trace_with_a_third_child():
+    payload = run().to_payload()
+    i = next(
+        i for i, c in enumerate(payload["certificates"]) if c["kind"] == "two_tree_trace"
+    )
+    trace = payload["traces"][payload["certificates"][i]["trace_index"]]
+    trace["children"][-1][0] = [0, 1, 2]
+    payload["digest"] = payload_digest(payload)
+    assert verify_record(payload) == [
+        f"certificate {i} (two_tree_trace): trace is not a 2-tree: "
+        f"level {trace['depth'] - 1} word 0 has 3 children"
+    ]
 
 
 def test_two_tree_trace_branch_go_through():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from survtree.cli import main
 from survtree.engine import (
     accelerating_force,
     diagonalize_surviving,
@@ -154,3 +157,32 @@ def test_vacuous_stage_logs_its_witness_in_every_engine(build):
         "stage": 0, "requirement": "R0", "case": "vacuous", "witness": [],
     }
     assert verify_record(payload) == []
+
+
+# a comb whose decisions wait for stage 1000 puts no candidate out by the
+# query stage, so R0 is stuck in every engine
+STUCK_CONFIG = {
+    "staged_trees": [{"kind": "comb", "entry": 0, "delay": 1000}],
+    "functionals": [{"kind": "identity"}],
+}
+STUCK = family_from_config(STUCK_CONFIG)
+STUCK_RUNS = {
+    "surviving": lambda: diagonalize_surviving(2, STUCK, 4, 4, 1000),
+    "traceable": lambda: traceable_prune(initial_condition(STUCK, 4, 4), STUCK, 4, 4, 1000),
+    "accelerating": lambda: accelerating_force(STUCK, 4, 4, 1000),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(STUCK_RUNS))
+def test_stuck_stage_ends_the_run_in_every_engine(engine, tmp_path):
+    rec = STUCK_RUNS[engine]()
+    assert rec.status == "incomplete"
+    assert rec.stage_log == [{"stage": 0, "requirement": "R0", "case": "stuck"}]
+    assert verify_record(rec.to_payload()) == []
+    family = tmp_path / "stuck.json"
+    family.write_text(json.dumps(STUCK_CONFIG))
+    argv = [
+        "run", "--engine", engine, "--family", str(family), "--stages", "4",
+        "--depth", "4", "--fuel", "1000", "--out", str(tmp_path / "rec.json"),
+    ]
+    assert main(argv) == 3

@@ -17,7 +17,6 @@ from survtree.traces import (
     LevelBound,
     TraceTable,
     goes_through,
-    to_tree,
 )
 from survtree.trees import FiniteTree
 
@@ -107,13 +106,6 @@ def small_tree(draw):
                 nxt.append(w + (e,))
         frontier = nxt
     return FiniteTree(frozenset(nodes))
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_tree())
-def test_from_tree_to_tree_round_trip(t):
-    tr = level_trace(t, POW3)
-    assert to_tree(tr).nodes == t.nodes
 
 
 @settings(max_examples=40, deadline=None)
