@@ -24,11 +24,13 @@ from .engine import (
     verify_record,
 )
 from .io_formats import (
+    TRACE_ENTRY_LIMIT,
     FormatError,
     dump_record,
     dump_tree,
     load_record,
     load_tree,
+    trace_fits,
     tree_to_dot,
 )
 from .staged import (
@@ -70,6 +72,10 @@ def _natural(text: str) -> int:
 def _cmd_run(args) -> int:
     if args.engine == "surviving" and args.k < 2:
         print("--k must be >= 2 for the surviving engine", file=sys.stderr)
+        return USAGE
+    if args.engine == "surviving" and not trace_fits(args.k + 1, args.depth):
+        print(f"--k {args.k} --depth {args.depth}: a trace could spell out more than "
+              f"{TRACE_ENTRY_LIMIT} entries, the most a record may hold", file=sys.stderr)
         return USAGE
     family = _load_family(args.family)
     if args.engine == "surviving":

@@ -5,7 +5,7 @@ run records and the run driver the staged engines share."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
@@ -24,8 +24,8 @@ from ..trees import (
     Word,
     _last,
     _parent,
-    levels_above,
     prefixes,
+    rows_above,
     subtree_above,
     word_key,
 )
@@ -202,17 +202,10 @@ class OutputTable:
     def _leaf(self, w: Word) -> tuple[Word, int]:
         """Every position of w read: its converged prefix and the mask of
         its unconverged positions."""
+        if self.functional.prefix is not None:
+            (p,), (m,) = self._prefix_row([w])
+            return p, m
         p = self._converged.get(w)
-        prefix = self.functional.prefix
-        if prefix is not None:
-            if p is None:
-                p = self._converged[w] = prefix(w, self.depth, self.fuel)
-            full = self._full
-            old = self._read.get(w, 0)
-            if old != full:
-                self._read[w] = full
-                self.evals += (full ^ old).bit_count()
-            return p, full ^ ((1 << len(p)) - 1)
         row = self.outputs(w)
         m = 0
         for n, v in enumerate(row):
@@ -221,6 +214,19 @@ class OutputTable:
         if p is None:
             p = self._converged[w] = tuple(row[:row.index(None)] if m else row)
         return p, m
+
+    def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
+        """``_leaf`` of each node in ws under a closed-form prefix, in one
+        pass: the converged prefixes, the masks and the read marks."""
+        conv, read, full = self._converged, self._read, self._full
+        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
+        ps = [conv[w] if w in conv else prefix(w, depth, fuel) for w in ws]
+        conv.update(zip(ws, ps))
+        # every mark is within full, so each node adds what it lacked of it
+        self.evals += depth * len(ws) - sum(map(int.bit_count, map(read.get, ws, repeat(0))))
+        read.update(dict.fromkeys(ws, full))
+        masks = [full ^ ((1 << n) - 1) for n in range(depth + 1)]
+        return ps, [masks[len(p)] for p in ps]
 
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself."""
@@ -266,41 +272,50 @@ class OutputTable:
         from its children's, or None once over k: a level over k stays
         over k in every ancestor, so a child over k needs no merge.
 
-        A node's children are the next run of the level below, so each
-        leaf is read once, whole, for its converged prefix and its mask;
-        under a closed-form prefix that is one step, with no row.
+        The fold reads ``rows_above``: a node's children are the next count
+        of nodes of the row below.  A row of parents whose row below holds
+        one mask (and one output set, while tau is looked for) repeats them,
+        so no set is merged above a row all over k.  Under a closed-form
+        prefix a row of leaves is read in one pass: else each leaf is read
+        once, whole, for its converged prefix and its mask.
         """
-        cm = tree.child_map()
         depth = tree.depth
-        leaf = self._leaf
         escape: Optional[tuple[Word, int]] = None
         tau: Optional[Word] = None
         masks: list[int] = []
-        sets: list[Optional[Iterable[Word]]] = []
-        for lv in reversed(list(levels_above(tree, stem))):
+        sets: list = []
+        for lv, cs in reversed(list(rows_above(tree, stem))):
             few = k is not None and escape is None
-            row_masks: list[int] = []
-            row_sets: list[Optional[Iterable[Word]]] = []
-            j = 0
-            for w in lv:
-                c = len(cm[w])
-                if c:
-                    m = masks[j]
-                    for x in masks[j + 1:j + c]:
-                        m &= x
-                    if few:
-                        kids = sets[j:j + c]
-                        if None in kids:
-                            row_sets.append(None)
-                        else:
-                            outs = set().union(*kids)
-                            row_sets.append(None if _more_than_k(outs, k) else outs)
-                    j += c
-                else:
-                    o, m = leaf(w)
-                    if few:
-                        row_sets.append((o,))
-                row_masks.append(m)
+            if 0 not in cs and masks.count(masks[0]) == len(masks) and (
+                not few or sets.count(sets[0]) == len(sets)
+            ):
+                # alike children: the union of equal sets is each of them
+                row_masks = [masks[0]] * len(lv)
+                row_sets = [sets[0]] * len(lv) if few else []
+            elif self.functional.prefix is not None and not any(cs):
+                outs, row_masks = self._prefix_row(lv)
+                row_sets = list(zip(outs)) if few else []
+            else:
+                row_masks, row_sets = [], []
+                j = 0
+                for w, c in zip(lv, cs):
+                    if c:
+                        m = masks[j]
+                        for x in masks[j + 1:j + c]:
+                            m &= x
+                        if few:
+                            kids = sets[j:j + c]
+                            if None in kids:
+                                row_sets.append(None)
+                            else:
+                                outs = set().union(*kids)
+                                row_sets.append(None if _more_than_k(outs, k) else outs)
+                        j += c
+                    else:
+                        o, m = self._leaf(w)
+                        if few:
+                            row_sets.append((o,))
+                    row_masks.append(m)
             hit = next((i for i, m in enumerate(row_masks) if m), None)
             if hit is not None:
                 m = row_masks[hit]
@@ -335,22 +350,23 @@ def pairwise_consistent(outs: list[Word]) -> bool:
 
 def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:
     """The nodes of tree extending node, in shortest-then-lex order."""
-    return chain.from_iterable(levels_above(tree, node))
+    return chain.from_iterable(lv for lv, _ in rows_above(tree, node))
 
 
 def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:
     """The levelwise prefixes of the outputs, bounded by base^n, as level-order
     rows, read bottom-up: the parents of a sorted level come in sorted order, so
-    a level is sorted only when some output ends on it."""
-    levels: list[set[Word]] = [{()}] + [set() for _ in range(depth)]
+    a level is sorted only when some output ends on it.  Each level keeps its
+    outputs in arrival order, so outputs that come sorted sort in one run."""
+    levels: list[dict[Word, None]] = [{(): None}] + [{} for _ in range(depth)]
     for o in outs:
         o = o[:depth]
-        levels[len(o)].add(o)
+        levels[len(o)][o] = None
     lv, rows = sorted(levels[depth]), []
     for n in range(depth, 0, -1):
         runs = {p: tuple(map(_last, run)) for p, run in groupby(lv, _parent)}
-        lv = list(runs) if levels[n - 1] <= runs.keys() else sorted(levels[n - 1].union(runs))
-        rows.append(tuple(runs.get(w, ()) for w in lv))
+        lv = list(runs) if levels[n - 1].keys() <= runs.keys() else sorted(levels[n - 1] | runs)
+        rows.append(tuple(map(runs.get, lv, repeat(()))))
     return TraceTable(tuple(rows[::-1]), LevelBound("pow", base))
 
 

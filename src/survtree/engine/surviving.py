@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, Word
+from ..trees import FiniteTree, Word, rows_above
 from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
 
 
@@ -39,18 +39,24 @@ def _case_c(
     """
     b = k + 1
     depth = table.depth
-    cm = tree.child_map()
+    levels, counts = tree.levels(), tree.counts()
+    closed = table.functional.prefix is not None
     tops = [stem]
     outs: list[Word] = [()]
     m = 0
     while True:
         chosen: list[tuple[Word, Word]] = []
-        for top in tops:
+        n, size = len(tops[0]), len(tops)
+        lo = bisect_left(levels[n], tops[0])
+        if closed and levels[n][lo:lo + size] == tops and counts[n][lo:lo + size].count(b) == size:
+            # the tops are one run of a level, each with b children: their
+            # children are one slice of the level below
+            start = bisect_left(levels[n + 1], tops[0])
+            chosen = _own_splits(table, levels[n + 1][start:start + b * size], b, m)
+        for top in tops[len(chosen) // b:]:
             # the working tree is full above the stem, so the first node
             # with a complete set of b children is the split to use
-            q = top if len(cm[top]) == b else next(
-                (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
-            )
+            q = next((w for row in rows_above(tree, top) for w, c in zip(*row) if c == b), None)
             assigned = None if q is None else _assign_distinct(table, tree, q, m)
             if assigned is None:
                 chosen = []
@@ -66,12 +72,7 @@ def _case_c(
     # the tops are pairwise incomparable and in lex order, so their
     # zero-paddings are too
     padded = [w + (0,) * (depth - len(w)) for w in tops]
-    levels = tree.levels()
-    if (
-        tree.depth == depth
-        and padded == levels[depth]
-        and all(cm[w] for lv in levels[:depth] for w in lv)
-    ):
+    if tree.depth == depth and padded == levels[depth] and all(map(all, counts[:depth])):
         new_tree = tree
     else:
         # each shorter level is the run of the distinct parents of the
@@ -126,11 +127,8 @@ def _assign_distinct(
 ) -> Optional[list[tuple[Word, Word]]]:
     """For each child of q, a node above it whose output prefix at some
     common length n > sigma_len differs from all the siblings' prefixes."""
-    # q's children are one run of the sorted level below it
-    c = len(tree.child_map()[q])
-    below = tree.levels()[len(q) + 1] if c else []
-    lo = bisect_left(below, q)
-    kids = below[lo:lo + c]
+    # q's children are the row after q's own
+    kids = next(islice(rows_above(tree, q), 1, None), ([],))[0]
     closed = table.functional.prefix is not None
     for n in range(sigma_len + 1, table.depth + 1):
         chosen = _own_prefixes(table, kids, n)
@@ -163,6 +161,27 @@ def _own_prefixes(
             return None
         seen.add(o)
         chosen.append((v, o))
+    return chosen
+
+
+def _own_splits(
+    table: OutputTable, kids: list[Word], b: int, sigma_len: int
+) -> list[tuple[Word, Word]]:
+    """The own-prefix steps of ``_assign_distinct`` under a closed-form
+    prefix, for the groups of b siblings in kids in turn: what each group
+    is assigned, up to the first group whose search would walk the pools."""
+    chosen: list[tuple[Word, Word]] = []
+    for g in range(0, len(kids), b):
+        group = kids[g:g + b]
+        for n in range(sigma_len + 1, table.depth + 1):
+            own = _own_prefixes(table, group, n)
+            if own is not None:
+                chosen += own
+                break
+            if not all(len(table.converged(v)) >= n for v in group):
+                return chosen
+        else:
+            return chosen
     return chosen
 
 

@@ -154,6 +154,13 @@ def json_to_tree(data: dict) -> FiniteTree:
 TRACE_ENTRY_LIMIT = 1 << 24
 
 
+def trace_fits(base: int, depth: int) -> bool:
+    """Whether every trace bounded by base^n (base >= 2) to the depth decodes:
+    its words spell out at most the sum of n * base^n over n = 1..depth."""
+    n_max = min(depth, TRACE_ENTRY_LIMIT.bit_length())  # 2**n_max alone is over
+    return sum(n * base**n for n in range(1, n_max + 1)) <= TRACE_ENTRY_LIMIT
+
+
 def trace_to_json(tr: TraceTable) -> dict:
     """Level-order form: ``children[n]`` lists, for each length-n word in
     lex order, the last entries of its children in increasing order."""

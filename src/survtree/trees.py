@@ -10,8 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain, groupby, repeat
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
@@ -95,6 +95,9 @@ class FiniteTree:
     _levels: Optional[list] = field(
         default=None, compare=False, repr=False, hash=False
     )
+    _counts: Optional[list] = field(
+        default=None, compare=False, repr=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         # every entry is the last entry of some node, since the nodes are
@@ -108,6 +111,7 @@ class FiniteTree:
         object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_depth", None)
         object.__setattr__(self, "_levels", None)
+        object.__setattr__(self, "_counts", None)
 
     @property
     def depth(self) -> int:
@@ -131,6 +135,20 @@ class FiniteTree:
             object.__setattr__(self, "_levels", levels)
         return self._levels
 
+    def counts(self) -> list[list[int]]:
+        """Per level, each node's number of children, built once: a node's
+        children are the next that many nodes of the level below."""
+        if self._counts is None:
+            levels = self.levels()
+            counts = []
+            for lv, below in zip(levels, levels[1:]):
+                # a node's children start where it would sort in the level below
+                starts = [*map(bisect_left, repeat(below), lv), len(below)]
+                counts.append(list(map(sub, starts[1:], starts)))
+            counts.append([0] * len(levels[-1]))
+            object.__setattr__(self, "_counts", counts)
+        return self._counts
+
     def child_map(self) -> dict[Word, tuple[int, ...]]:
         """Node -> sorted child entries, built once per tree."""
         if self._children is None:
@@ -148,8 +166,7 @@ class FiniteTree:
         return [w for lv in self.levels() for w in lv]
 
     def leaves(self) -> list[Word]:
-        cm = self.child_map()
-        return [w for lv in self.levels() for w in lv if not cm[w]]
+        return [w for w, c in _counted(self, self.depth + 1) if not c]
 
     def level(self, n: int) -> frozenset[Word]:
         return frozenset(w for w in self.nodes if len(w) == n)
@@ -192,7 +209,9 @@ class FiniteTree:
         levels: list[list[Word]] = [[EMPTY]]
         for _ in range(d):
             levels.append([w + (i,) for w in levels[-1] for i in range(b)])
-        return cls.from_levels(levels, b)
+        tree = cls.from_levels(levels, b)
+        object.__setattr__(tree, "_counts", [[b] * len(lv) for lv in levels[:-1]] + [[0] * b**d])
+        return tree
 
     @classmethod
     def comb(cls, d: int, entry: int = 0) -> "FiniteTree":
@@ -203,17 +222,20 @@ class FiniteTree:
         )
 
 
+def _counted(t: FiniteTree, d: int) -> Iterator[tuple[Word, int]]:
+    """(node, number of children) for the nodes of length < d, in
+    shortest-then-lex order."""
+    d = max(d, 0)
+    return zip(chain.from_iterable(t.levels()[:d]), chain.from_iterable(t.counts()[:d]))
+
+
 def is_k_tree_to_depth(
     t: FiniteTree, k: int, d: int
 ) -> Optional[ShapeViolation]:
     """ok (None) iff every node of length < d has 1..k children."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cm = t.child_map()
-    for w in t.sorted_nodes():
-        if len(w) >= d:
-            continue
-        c = len(cm[w])
+    for w, c in _counted(t, d):
         if c == 0 or c > k:
             return ShapeViolation(w, c, f"between 1 and {k} successors")
     return None
@@ -225,11 +247,7 @@ def is_k_branching_to_depth(
     """ok (None) iff every node of length < d has exactly 1 or k children."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    cm = t.child_map()
-    for w in t.sorted_nodes():
-        if len(w) >= d:
-            continue
-        c = len(cm[w])
+    for w, c in _counted(t, d):
         if c not in (1, k):
             return ShapeViolation(w, c, f"exactly 1 or {k} successors")
     return None
@@ -294,42 +312,33 @@ def pushforward_preimage(t: FiniteTree, g: Surjection) -> FiniteTree:
     return FiniteTree(frozenset(nodes), g.domain_size)
 
 
-def levels_above(t: FiniteTree, node: Word) -> Iterator[list[Word]]:
-    """Per length from len(node) on, the sorted nodes of t extending node.
+def rows_above(t: FiniteTree, node: Word) -> Iterator[tuple[list[Word], list[int]]]:
+    """Per length from len(node) on, the sorted nodes of t extending node
+    and their child counts, as slices of t's levels and counts.
 
-    On each sorted level the extensions of node form one slice, from node
-    up to (not including) node with its last entry raised by one; the walk
-    ends at the first empty slice.  Nothing is yielded for a non-member.
-    The lists may be the tree's own cached levels: read them, never change
-    them.
+    On each level the slice starts where node would sort, and its width is
+    the sum of the counts above it; the walk ends after a slice of leaves.
+    Nothing is yielded for a non-member.
     """
     if node not in t.nodes:
         return
-    yield [node]
-    levels = t.levels()
-    if not node:
-        yield from levels[1:]
-        return
-    after = node[:-1] + (node[-1] + 1,)
-    for lv in levels[len(node) + 1:]:
-        lo = bisect_left(lv, node)
-        hi = bisect_left(lv, after, lo)
-        if lo == hi:
-            return
-        yield lv[lo:hi]
+    levels, counts = t.levels(), t.counts()
+    n, width = len(node), 1
+    while width:
+        lo = bisect_left(levels[n], node)
+        cs = counts[n][lo:lo + width]
+        yield levels[n][lo:lo + width], cs
+        n, width = n + 1, sum(cs)
 
 
 def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
-    """Nodes comparable with the stem (the restriction of a condition)."""
+    """Nodes comparable with the stem (the restriction of a condition), with
+    slices of t's levels and counts; its child map is built only if read."""
     if stem not in t.nodes:
         raise NotInTree(f"stem {stem} is not a member")
-    levels = [[stem[:n]] for n in range(len(stem))]
-    levels.extend(levels_above(t, stem))
+    above, counts = zip(*rows_above(t, stem))
+    levels = [[stem[:n]] for n in range(len(stem))] + list(above)
+    counts = [[1]] * len(stem) + list(counts)
     tree = FiniteTree.from_levels(levels, t.alphabet_bound)
-    if t._children is not None:
-        # t's child map restricted to the nodes above the stem, plus the
-        # stem's own entry under each proper stem prefix
-        cm = {w: t._children[w] for lv in levels[len(stem):] for w in lv}
-        cm.update((stem[:n], (stem[n],)) for n in range(len(stem)))
-        object.__setattr__(tree, "_children", cm)
+    object.__setattr__(tree, "_counts", counts)
     return tree

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from survtree import cover
+from survtree import cli, cover
 from survtree.cli import build_parser, main
 from survtree.engine import (
     accelerating_force,
@@ -19,7 +19,14 @@ from survtree.engine import (
     traceable_prune,
     verify_record,
 )
-from survtree.io_formats import dump_record, dump_tree, json_to_trace, load_record, load_tree
+from survtree.io_formats import (
+    TRACE_ENTRY_LIMIT,
+    dump_record,
+    dump_tree,
+    json_to_trace,
+    load_record,
+    load_tree,
+)
 from survtree.staged import standard_library
 from survtree.trees import FiniteTree
 
@@ -98,6 +105,31 @@ def test_bad_run_parameter_is_usage_error(tmp_path, capsys, engine, flag, value,
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+class _EngineCalled(Exception):
+    pass
+
+
+def _refuse_to_run(*args):
+    raise _EngineCalled(args)
+
+
+@pytest.mark.parametrize("k, fits, refused", [("2", "12", "13"), ("3", "10", "11")])
+def test_surviving_run_past_the_trace_limit_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, k, fits, refused
+):
+    monkeypatch.setattr(cli, "diagonalize_surviving", _refuse_to_run)
+    out = tmp_path / "rec.json"
+    argv = ["run", "--engine", "surviving", "--k", k, "--out", str(out), "--depth"]
+    assert main(argv + [refused]) == 2
+    err = capsys.readouterr().err
+    assert f"more than {TRACE_ENTRY_LIMIT} entries" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # one level less passes the guard and reaches the engine
+    with pytest.raises(_EngineCalled):
+        main(argv + [fits])
 
 
 def test_zero_run_parameters_are_accepted(tmp_path):

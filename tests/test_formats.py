@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tree
+from survtree import io_formats
 from survtree.io_formats import (
     FormatError,
     TRACE_ENTRY_LIMIT,
@@ -24,6 +25,7 @@ from survtree.io_formats import (
     payload_digest,
     record_digest_ok,
     trace_to_json,
+    trace_fits,
     tree_to_dot,
     tree_to_json,
 )
@@ -225,6 +227,33 @@ def test_deep_forged_comb_trace_is_refused_quickly():
     with pytest.raises(FormatError, match=f"more than {TRACE_ENTRY_LIMIT} entries"):
         json_to_trace(forged)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("base, fits, refused", [(3, 12, 13), (4, 10, 11)])
+def test_trace_fits_up_to_the_decode_limit(base, fits, refused):
+    # surviving traces at k = 2 and k = 3
+    assert trace_fits(base, fits)
+    assert not trace_fits(base, refused)
+    assert trace_fits(base, 0)
+    start = time.perf_counter()
+    assert not trace_fits(10**6, 10**9)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("base, depth", [(2, 4), (3, 3)])
+def test_a_full_trace_decodes_exactly_when_it_fits(monkeypatch, base, depth):
+    """The entries the guard counts are those json_to_trace counts: a full
+    trace at the limit decodes, and one entry less refuses it."""
+    full = {"bound": {"kind": "pow", "base": base}, "depth": depth,
+            "children": [[list(range(base))] * base**n for n in range(depth)]}
+    spelled = sum(n * base**n for n in range(1, depth + 1))
+    monkeypatch.setattr(io_formats, "TRACE_ENTRY_LIMIT", spelled)
+    assert trace_fits(base, depth)
+    assert json_to_trace(full).depth == depth
+    monkeypatch.setattr(io_formats, "TRACE_ENTRY_LIMIT", spelled - 1)
+    assert not trace_fits(base, depth)
+    with pytest.raises(FormatError, match=f"more than {spelled - 1} entries"):
+        json_to_trace(full)
 
 
 def test_trace_depth_other_than_the_record_depth_is_a_malformed_record():

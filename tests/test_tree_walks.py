@@ -31,7 +31,7 @@ from survtree.trees import (
     FiniteTree,
     Word,
     is_prefix,
-    levels_above,
+    rows_above,
     subtree_above,
     word_key,
 )
@@ -217,6 +217,7 @@ def test_levels_and_child_map_match_the_node_set(tree):
     for w in tree.nodes - {()}:
         kids[w[:-1]].append(w[-1])
     assert tree.child_map() == {w: tuple(sorted(c)) for w, c in kids.items()}
+    assert tree.counts() == [[len(kids[w]) for w in lv] for lv in levels]
     assert tree.leaves() == sorted((w for w in kids if not kids[w]), key=word_key)
 
 
@@ -226,6 +227,7 @@ def _assert_indexes_match_node_set(tree: FiniteTree) -> None:
     assert tree == fresh
     assert tree.levels() == fresh.levels()
     assert tree.child_map() == fresh.child_map()
+    assert tree.counts() == fresh.counts()
 
 
 @pytest.mark.parametrize("b, d", [(1, 0), (1, 3), (2, 4), (3, 3), (4, 2)])
@@ -263,25 +265,28 @@ def test_nodes_above_matches_breadth_first_walk(tree, probe):
     for node in tree.sorted_nodes() + [tuple(probe)]:
         expected = _reference_nodes_above(tree, node)
         assert list(nodes_above(tree, node)) == expected
-        slices = list(levels_above(tree, node))
-        assert [w for lv in slices for w in lv] == expected
+        rows = list(rows_above(tree, node))
+        assert [w for lv, _ in rows for w in lv] == expected
         assert all(
             lv and all(len(w) == len(node) + i for w in lv)
-            for i, lv in enumerate(slices)
+            for i, (lv, _) in enumerate(rows)
         )
+        cm = tree.child_map()
+        assert [c for _, cs in rows for c in cs] == [len(cm[w]) for w in expected]
 
 
 @settings(max_examples=200, deadline=None)
 @given(trees())
 def test_subtree_above_matches_prefix_filter(tree):
-    # a tree without a child map, then one whose map subtree_above restricts
+    # a tree without a child map, then one with one: either way the
+    # restriction builds its own map only when it is read
     bare = FiniteTree(tree.nodes, tree.alphabet_bound)
     tree.child_map()
     for t in (bare, tree):
         for stem in tree.sorted_nodes():
             sub = subtree_above(t, stem)
             assert sub == _reference_subtree_above(tree, stem)
-            assert (sub._children is not None) == (t is tree)
+            assert sub._children is None
             _assert_indexes_match_node_set(sub)
     assert bare._children is None
 
@@ -409,6 +414,62 @@ def test_singleton_pools_build_what_the_pool_walks_build(case, entry, fuel, stag
     assert table.evals <= ref.evals
     if staged:
         assert table.evals == ref.evals
+
+
+@st.composite
+def noisy_entry_functionals(draw, tree, stem):
+    """A closed-form prefix whose position i on sigma is sigma[i] under a
+    drawn permutation, or at a few drawn nodes w = sigma[:i + 1] above the
+    stem a drawn value or None.  It reads sigma[:i + 1] alone, so it is
+    use-monotone, and a noisy node makes its group of siblings fail on its
+    own, so a batched case C round can fail part of the way through a
+    level."""
+    perms = draw(st.lists(st.permutations(range(3)), min_size=6, max_size=6))
+    above = list(nodes_above(tree, stem))[1:] or [stem]
+    values = st.one_of(st.none(), st.integers(0, 2))
+    noise = draw(st.dictionaries(st.sampled_from(above), values, max_size=4))
+
+    def prefix(sigma, cap, fuel):
+        out = []
+        for i in range(max(0, min(len(sigma), cap, fuel))):
+            v = noise.get(sigma[:i + 1], perms[i][sigma[i]])
+            if v is None:
+                break
+            out.append(v)
+        return tuple(out)
+
+    def rule(sigma, n, fuel):
+        p = prefix(sigma, n + 1, fuel)
+        return p[n] if n < len(p) else None
+
+    return OracleFunctional(0, "noisy", rule, prefix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_trees_with_stems(), st.integers(0, 8), st.booleans(), st.data())
+def test_every_closed_form_prefix_call_is_a_counted_read(case, fuel, staged, data):
+    """The fold's leaf rows and case C's batched rounds call the closed-form
+    prefix only on nodes whose reads the table counts, and read what the
+    per-top search reads: the same nodes, marked the same."""
+    tree, stem = case
+    fn = data.draw(st.one_of(
+        closed_form_entries.map(lambda e: functional_from_config(e, 0)),
+        noisy_entry_functionals(tree, stem),
+    ))
+    called: set[Word] = set()
+
+    def recording(sigma, cap, fuel):
+        called.add(sigma)
+        return fn.prefix(sigma, cap, fuel)
+
+    table = OutputTable(OracleFunctional(fn.id, fn.kind, fn.rule, recording), fuel, tree.depth)
+    ref = OutputTable(fn, fuel, tree.depth)
+    if staged:
+        assert table.cases_a_b(stem, tree, 2) == ref.cases_a_b(stem, tree, 2)
+    assert _case_c(table, 2, stem, tree) == _reference_case_c(ref, 2, stem, tree)
+    assert called <= table._read.keys()
+    assert table._read == ref._read
+    assert table.evals == ref.evals
 
 
 @settings(max_examples=300, deadline=None)
