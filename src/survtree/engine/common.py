@@ -159,6 +159,8 @@ class OutputTable:
         self.depth = depth
         self.evals = 0
         self._full = (1 << depth) - 1
+        # the unconverged positions of a node whose prefix has length n
+        self._masks = [self._full ^ ((1 << n) - 1) for n in range(depth + 1)]
         self._rows: dict[Word, list] = {}
         self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
@@ -225,7 +227,7 @@ class OutputTable:
         # every mark is within full, so each node adds what it lacked of it
         self.evals += depth * len(ws) - sum(map(int.bit_count, map(read.get, ws, repeat(0))))
         read.update(dict.fromkeys(ws, full))
-        masks = [full ^ ((1 << n) - 1) for n in range(depth + 1)]
+        masks = self._masks
         return ps, [masks[len(p)] for p in ps]
 
     def converged(self, w: Word) -> Word:

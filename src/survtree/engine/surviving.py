@@ -40,24 +40,28 @@ def _case_c(
     b = k + 1
     depth = table.depth
     levels, counts = tree.levels(), tree.counts()
-    closed = table.functional.prefix is not None
     tops = [stem]
     outs: list[Word] = [()]
     m = 0
     while True:
-        chosen: list[tuple[Word, Word]] = []
         n, size = len(tops[0]), len(tops)
         lo = bisect_left(levels[n], tops[0])
-        if closed and levels[n][lo:lo + size] == tops and counts[n][lo:lo + size].count(b) == size:
+        if levels[n][lo:lo + size] == tops and counts[n][lo:lo + size].count(b) == size:
             # the tops are one run of a level, each with b children: their
-            # children are one slice of the level below
+            # children are one slice of the level below, b to a top
             start = bisect_left(levels[n + 1], tops[0])
-            chosen = _own_splits(table, levels[n + 1][start:start + b * size], b, m)
-        for top in tops[len(chosen) // b:]:
+            row = levels[n + 1][start:start + b * size]
+            found = (_assign_kids(table, tree, row[g:g + b], m) for g in range(0, len(row), b))
+        else:
             # the working tree is full above the stem, so the first node
             # with a complete set of b children is the split to use
-            q = next((w for row in rows_above(tree, top) for w, c in zip(*row) if c == b), None)
-            assigned = None if q is None else _assign_distinct(table, tree, q, m)
+            splits = (
+                next((w for row in rows_above(tree, top) for w, c in zip(*row) if c == b), None)
+                for top in tops
+            )
+            found = (None if q is None else _assign_distinct(table, tree, q, m) for q in splits)
+        chosen: list[tuple[Word, Word]] = []
+        for assigned in found:
             if assigned is None:
                 chosen = []
                 break
@@ -125,10 +129,17 @@ def _first_per_prefix(
 def _assign_distinct(
     table: OutputTable, tree: FiniteTree, q: Word, sigma_len: int
 ) -> Optional[list[tuple[Word, Word]]]:
-    """For each child of q, a node above it whose output prefix at some
-    common length n > sigma_len differs from all the siblings' prefixes."""
-    # q's children are the row after q's own
+    """``_assign_kids`` for the children of q: the row after q's own."""
     kids = next(islice(rows_above(tree, q), 1, None), ([],))[0]
+    return _assign_kids(table, tree, kids, sigma_len)
+
+
+def _assign_kids(
+    table: OutputTable, tree: FiniteTree, kids: list[Word], sigma_len: int
+) -> Optional[list[tuple[Word, Word]]]:
+    """For each of the sibling nodes kids, a node above it whose output
+    prefix at some common length n > sigma_len differs from all the
+    siblings' prefixes."""
     closed = table.functional.prefix is not None
     for n in range(sigma_len + 1, table.depth + 1):
         chosen = _own_prefixes(table, kids, n)
@@ -161,27 +172,6 @@ def _own_prefixes(
             return None
         seen.add(o)
         chosen.append((v, o))
-    return chosen
-
-
-def _own_splits(
-    table: OutputTable, kids: list[Word], b: int, sigma_len: int
-) -> list[tuple[Word, Word]]:
-    """The own-prefix steps of ``_assign_distinct`` under a closed-form
-    prefix, for the groups of b siblings in kids in turn: what each group
-    is assigned, up to the first group whose search would walk the pools."""
-    chosen: list[tuple[Word, Word]] = []
-    for g in range(0, len(kids), b):
-        group = kids[g:g + b]
-        for n in range(sigma_len + 1, table.depth + 1):
-            own = _own_prefixes(table, group, n)
-            if own is not None:
-                chosen += own
-                break
-            if not all(len(table.converged(v)) >= n for v in group):
-                return chosen
-        else:
-            return chosen
     return chosen
 
 
