@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, Word, is_prefix, prefixes, word_key
+from ..trees import FiniteTree, Word, children, is_prefix, prefixes, word_key
 from .common import (
     OutputTable,
     Run,
@@ -214,8 +214,7 @@ def _exits(run: Run, s: int, k: int) -> Iterator[Word]:
         if len(run.stem) < run.depth:
             yield from (run.stem + (i,) for i in range(run.query))
         return
-    cm = run.tree.child_map()
     for w in nodes_above(run.tree, run.stem):
-        if len(cm[w]) > k:
-            for c in cm[w]:
-                yield w + (c,)
+        kids = children(run.tree, w)
+        if len(kids) > k:
+            yield from kids

@@ -89,11 +89,8 @@ def build_3tree(
                 still_open.append(p)
         open_nodes = still_open
     tree = FiniteTree(frozenset(succ))
-    path: Word = ()
-    cm = tree.child_map()
-    while cm.get(path):
-        path = path + (max(cm[path]),)
-    return tree, path
+    # the lexicographically greatest node ends the rightmost path
+    return tree, max(tree.nodes)
 
 
 def build3_record(adversaries: AdversaryFamily, depth: int, stages: int) -> RunRecord:

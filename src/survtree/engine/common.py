@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
@@ -22,13 +23,15 @@ from ..trees import (
     FiniteTree,
     TriState,
     Word,
-    _last,
-    _parent,
     prefixes,
     rows_above,
     subtree_above,
     word_key,
 )
+
+
+_parent = itemgetter(slice(None, -1))
+_last = itemgetter(-1)
 
 
 def schedule(i: int) -> int:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
 from ..traces import TraceTable
-from ..trees import FiniteTree, Word, rows_above
+from ..trees import FiniteTree, Word, children, rows_above
 from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
 
 
@@ -59,7 +59,10 @@ def _case_c(
                 next((w for row in rows_above(tree, top) for w, c in zip(*row) if c == b), None)
                 for top in tops
             )
-            found = (None if q is None else _assign_distinct(table, tree, q, m) for q in splits)
+            found = (
+                None if q is None else _assign_kids(table, tree, children(tree, q), m)
+                for q in splits
+            )
         chosen: list[tuple[Word, Word]] = []
         for assigned in found:
             if assigned is None:
@@ -124,14 +127,6 @@ def _first_per_prefix(
         if len(o) >= n and o[:n] not in seen:
             seen.add(o[:n])
             yield v, o[:n]
-
-
-def _assign_distinct(
-    table: OutputTable, tree: FiniteTree, q: Word, sigma_len: int
-) -> Optional[list[tuple[Word, Word]]]:
-    """``_assign_kids`` for the children of q: the row after q's own."""
-    kids = next(islice(rows_above(tree, q), 1, None), ([],))[0]
-    return _assign_kids(table, tree, kids, sigma_len)
 
 
 def _assign_kids(

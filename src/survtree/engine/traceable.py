@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily, index_pair
-from ..trees import FiniteTree, Word, is_prefix, prefixes, word_key
+from ..trees import FiniteTree, Word, children, is_prefix, prefixes, word_key
 from .build3 import build_3tree
 from .common import (
     LabeledCondition,
@@ -73,11 +73,9 @@ class _LabeledRun(Run):
 def _exits(run: _LabeledRun, s: int, k: int) -> Iterator[Word]:
     """R_i's exit candidates, for i = s // 2: the children of the nodes
     above the stem labeled i+1, node by node."""
-    cm = run.tree.child_map()
     for tau in nodes_above(run.tree, run.stem):
         if run.labels[tau] == s // 2 + 1:
-            for c in cm[tau]:
-                yield tau + (c,)
+            yield from children(run.tree, tau)
 
 
 def _prune_once(
@@ -88,7 +86,6 @@ def _prune_once(
     depth: int,
 ) -> tuple[Word, FiniteTree, dict[Word, int], dict]:
     """Steps 1-8: admit labeled-node successors one at a time."""
-    cm = tree.child_map()
     p_next = next(
         (w for w in nodes_above(tree, stem) if labels[w] == 1), stem
     )
@@ -105,8 +102,7 @@ def _prune_once(
         for w in sorted(new_labels, key=word_key):
             if new_labels[w] == 0:
                 continue
-            for c in cm.get(w, ()):
-                q = w + (c,)
+            for q in children(tree, w):
                 if q not in new_labels and q not in rejected:
                     candidate = q
                     break
@@ -117,7 +113,7 @@ def _prune_once(
         q = candidate
         plan = _admission_plan(
             table.converged, tree, labels, new_labels, q, depth,
-            _members_leaves(new_labels, cm),
+            _members_leaves(new_labels, tree),
         )
         if plan is None:
             rejected.add(q)
@@ -140,13 +136,13 @@ def _prune_once(
 
     # every branch runs to the working depth, labels continuing the schedule
     final_labels = dict(new_labels)
-    for leaf in _members_leaves(final_labels, cm):
+    for leaf in _members_leaves(final_labels, tree):
         consumed = sum(
             1 for i in range(len(leaf) + 1) if final_labels[leaf[:i]] != 0
         )
         node = leaf
         while len(node) < depth:
-            nxt = node + (min(cm[node]),)
+            nxt = children(tree, node)[0]
             final_labels[nxt] = schedule(consumed)
             consumed += 1
             node = nxt
@@ -155,13 +151,9 @@ def _prune_once(
     return p_next, new_tree, final_labels, log
 
 
-def _members_leaves(members: dict[Word, int], cm: dict) -> list[Word]:
+def _members_leaves(members: dict[Word, int], tree: FiniteTree) -> list[Word]:
     return sorted(
-        (
-            w
-            for w in members
-            if not any(w + (c,) in members for c in cm.get(w, ()))
-        ),
+        (w for w in members if not any(c in members for c in children(tree, w))),
         key=word_key,
     )
 

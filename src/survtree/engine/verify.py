@@ -12,7 +12,7 @@ from typing import Optional
 
 from ..io_formats import json_to_trace, record_digest_ok
 from ..staged import AdversaryFamily, converged_prefix, shown_successors
-from ..traces import BoundExceeded, TraceTable, goes_through
+from ..traces import BoundExceeded, LevelBound, TraceTable, goes_through
 from ..trees import (
     FiniteTree,
     TriState,
@@ -49,6 +49,8 @@ def verify_record(payload: dict) -> list[str]:
         tree = tree_of_payload(payload)
         labels = labels_of_payload(payload)
         depth = int(payload["parameters"]["depth"])
+        # a surviving trace is a (k+1)-tree, with k from the parameters
+        base = int(payload["parameters"]["k"]) + 1 if payload["engine"] == "surviving" else None
         # every engine builds its traces at the record's depth; checking it
         # first keeps a forged depth from costing anything to decode
         for t in payload["traces"]:
@@ -68,13 +70,22 @@ def verify_record(payload: dict) -> list[str]:
     for i, cert in enumerate(payload.get("certificates", [])):
         try:
             msg = _check_certificate(
-                cert, family, stem, tree, leaves, traces, labels, depth, fuel_default
+                cert, family, stem, tree, leaves, traces, labels, depth, fuel_default, base
             )
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
         if msg is not None:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
     return defects
+
+
+def _row_width_defect(table: TraceTable, lo: int, hi: int, shape: str) -> Optional[str]:
+    """The first word of the trace with fewer than lo or more than hi children."""
+    for n, row in enumerate(table.children):
+        for i, es in enumerate(row):
+            if not lo <= len(es) <= hi:
+                return f"trace is not {shape}: level {n} word {i} has {len(es)} children"
+    return None
 
 
 def _by_id(adversaries, i: int):
@@ -92,6 +103,7 @@ def _check_certificate(
     labels: Optional[dict[Word, int]],
     depth: int,
     fuel_default: int,
+    base: Optional[int],
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind == "avoidance":
@@ -170,10 +182,17 @@ def _check_certificate(
         fuel = int(cert.get("fuel", fuel_default))
         if kind == "two_tree_trace":
             # every word below the trace's depth has 1 or 2 children
-            for n, row in enumerate(table.children):
-                for i, es in enumerate(row):
-                    if not 1 <= len(es) <= 2:
-                        return f"trace is not a 2-tree: level {n} word {i} has {len(es)} children"
+            msg = _row_width_defect(table, 1, 2, "a 2-tree")
+        elif base is not None:
+            # a surviving trace: at most base^n words on level n, and at
+            # most base children a word
+            if table.bound != LevelBound("pow", base):
+                return f"trace bound is {table.bound.base}^n, not {base}^n"
+            msg = _row_width_defect(table, 0, base, f"a {base}-tree")
+        else:
+            msg = None
+        if msg is not None:
+            return msg
         for L in leaves:
             o = converged_prefix(fn, L, table.depth, fuel)
             if not goes_through(o, table):

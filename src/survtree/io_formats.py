@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import chain
 from typing import Any, TextIO
 
 from .traces import LevelBound, TraceTable
@@ -63,17 +64,18 @@ def load_tree(fp: TextIO) -> FiniteTree:
 
 
 def tree_to_dot(t: FiniteTree, name: str = "tree") -> str:
-    """Graphviz rendering with splitting nodes drawn doubled."""
-    cm = t.child_map()
+    """Graphviz rendering with splitting nodes drawn doubled.  The edges
+    run from each non-root node's parent in node order: a sorted level
+    lists each parent's children together, the parents in order."""
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    ident = {w: f"n{i}" for i, w in enumerate(t.sorted_nodes())}
-    for w in t.sorted_nodes():
+    nodes = t.sorted_nodes()
+    ident = {w: f"n{i}" for i, w in enumerate(nodes)}
+    for w, c in zip(nodes, chain.from_iterable(t.counts())):
         label = "()" if not w else ".".join(map(str, w))
-        shape = "doublecircle" if len(cm.get(w, ())) > 1 else "circle"
+        shape = "doublecircle" if c > 1 else "circle"
         lines.append(f'  {ident[w]} [label="{label}" shape={shape}];')
-    for w in t.sorted_nodes():
-        for i in cm.get(w, ()):
-            lines.append(f'  {ident[w]} -> {ident[w + (i,)]} [label="{i}"];')
+    for w in nodes[1:]:
+        lines.append(f'  {ident[w[:-1]]} -> {ident[w]} [label="{w[-1]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

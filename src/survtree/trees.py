@@ -10,16 +10,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, groupby, repeat
-from operator import itemgetter, sub
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
-
-_parent = itemgetter(slice(None, -1))
-_last = itemgetter(-1)
 
 
 def prefixes(w: Word) -> Iterator[Word]:
@@ -86,9 +83,6 @@ class FiniteTree:
 
     nodes: frozenset[Word]
     alphabet_bound: Optional[int] = None
-    _children: dict = field(
-        default=None, compare=False, repr=False, hash=False
-    )
     _depth: Optional[int] = field(
         default=None, compare=False, repr=False, hash=False
     )
@@ -108,7 +102,6 @@ class FiniteTree:
                 raise ValueError(f"not prefix-closed at {w}")
             if w and bound is not None and w[-1] >= bound:
                 raise ValueError(f"entry out of alphabet bound in {w}")
-        object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_depth", None)
         object.__setattr__(self, "_levels", None)
         object.__setattr__(self, "_counts", None)
@@ -148,18 +141,6 @@ class FiniteTree:
             counts.append([0] * len(levels[-1]))
             object.__setattr__(self, "_counts", counts)
         return self._counts
-
-    def child_map(self) -> dict[Word, tuple[int, ...]]:
-        """Node -> sorted child entries, built once per tree."""
-        if self._children is None:
-            cm: dict[Word, tuple[int, ...]] = dict.fromkeys(self.nodes, ())
-            # on a sorted level, each node's children form one run, in
-            # entry order
-            for lv in self.levels()[1:]:
-                for parent, run in groupby(lv, _parent):
-                    cm[parent] = tuple(map(_last, run))
-            object.__setattr__(self, "_children", cm)
-        return self._children
 
     def sorted_nodes(self) -> list[Word]:
         """All nodes in shortest-then-lex (``word_key``) order."""
@@ -213,14 +194,6 @@ class FiniteTree:
         object.__setattr__(tree, "_counts", [[b] * len(lv) for lv in levels[:-1]] + [[0] * b**d])
         return tree
 
-    @classmethod
-    def comb(cls, d: int, entry: int = 0) -> "FiniteTree":
-        """The single path entry^n for n <= d."""
-        bound = entry + 1 if entry >= 0 else None
-        return cls(
-            frozenset(tuple([entry] * n) for n in range(d + 1)), bound
-        )
-
 
 def _counted(t: FiniteTree, d: int) -> Iterator[tuple[Word, int]]:
     """(node, number of children) for the nodes of length < d, in
@@ -260,22 +233,17 @@ def is_accelerating_to_depth(
 
     n counts the splitting proper initial segments of the node.  Nodes of
     length < d must keep at least one successor; depth-d leaves are exempt.
+    The levels are read in order, each node's split number carried down to
+    its children.
     """
-    cm = t.child_map()
-    for w in t.sorted_nodes():
-        if len(w) >= d:
-            continue
-        c = len(cm[w])
-        if c == 0:
-            return ShapeViolation(w, 0, "at least 1 successor below depth")
-        if c >= 2:
-            n = sum(
-                1 for i in range(len(w)) if len(cm[w[:i]]) >= 2
-            )
-            if c <= n + 2:
-                return ShapeViolation(
-                    w, c, f"more than {n + 2} successors (split number {n})"
-                )
+    splits = [0]  # per node of the level, its splitting proper prefixes
+    for lv, cs in zip(t.levels()[:max(d, 0)], t.counts()):
+        for w, c, n in zip(lv, cs, splits):
+            if c == 0:
+                return ShapeViolation(w, 0, "at least 1 successor below depth")
+            if 2 <= c <= n + 2:
+                return ShapeViolation(w, c, f"more than {n + 2} successors (split number {n})")
+        splits = [n + (c >= 2) for n, c in zip(splits, cs) for _ in range(c)]
     return None
 
 
@@ -331,9 +299,15 @@ def rows_above(t: FiniteTree, node: Word) -> Iterator[tuple[list[Word], list[int
         n, width = n + 1, sum(cs)
 
 
+def children(t: FiniteTree, node: Word) -> list[Word]:
+    """The children of node in t, in order: the row after node's own in
+    ``rows_above``; [] for a leaf or a non-member."""
+    return next(islice(rows_above(t, node), 1, None), ([],))[0]
+
+
 def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
     """Nodes comparable with the stem (the restriction of a condition), with
-    slices of t's levels and counts; its child map is built only if read."""
+    slices of t's levels and counts."""
     if stem not in t.nodes:
         raise NotInTree(f"stem {stem} is not a member")
     above, counts = zip(*rows_above(t, stem))

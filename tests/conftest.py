@@ -57,6 +57,15 @@ def make_tree(nodes, bound=None) -> FiniteTree:
     return FiniteTree(frozenset(nodes), alphabet_bound=bound)
 
 
+def child_map(tree: FiniteTree) -> dict[Word, tuple[int, ...]]:
+    """Node -> its children's last entries in increasing order, read from
+    the node set alone."""
+    kids: dict[Word, list[int]] = {w: [] for w in tree.nodes}
+    for w in tree.nodes - {()}:
+        kids[w[:-1]].append(w[-1])
+    return {w: tuple(sorted(es)) for w, es in kids.items()}
+
+
 LETTERS = 6  # staged-tree alphabets are drawn from 0..LETTERS-1
 
 

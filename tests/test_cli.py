@@ -360,7 +360,7 @@ def test_verify_missing_file_is_usage_error(tmp_path):
 
 def test_check_tree_accepts_comb(tmp_path, capsys):
     f = tmp_path / "comb.tree"
-    write_tree(f, FiniteTree.comb(3))
+    write_tree(f, FiniteTree.from_words([(0,) * 3], 1))
     assert main(
         ["check-tree", "--pred", "ktree", "--k", "2", "--d", "3", str(f)]
     ) == 0

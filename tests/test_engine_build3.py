@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import staged_tree_entries, unbounded_trees
+from conftest import child_map, staged_tree_entries, unbounded_trees
 from survtree.engine import build_3tree
 from survtree.engine.common import schedule
 from survtree.staged import (
@@ -68,7 +68,7 @@ def _reference_build_3tree(adversaries, depth, stages, level_code=index_pair):
                     nodes.add(cand)
     tree = FiniteTree.from_words(nodes)
     path = ()
-    cm = tree.child_map()
+    cm = child_map(tree)
     while cm.get(path):
         path = path + (max(cm[path]),)
     return tree, path
@@ -151,7 +151,7 @@ def test_child_growth_stops_at_three():
     # with an honest full claimant at the level code of the root, children
     # appear one at a time and never exceed three
     tree, _ = build_3tree(LIB, 6, 30)
-    assert all(len(c) <= 3 for c in tree.child_map().values())
+    assert all(len(c) <= 3 for c in child_map(tree).values())
 
 
 def test_rightmost_path_escapes_honest_claimants():

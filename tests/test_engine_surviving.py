@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from survtree.engine import diagonalize_surviving, verify_record
-from survtree.io_formats import json_to_tree
+from survtree.io_formats import json_to_tree, payload_digest
 from survtree.staged import (
     EMPTY_CONFIG,
     family_from_config,
@@ -105,3 +107,42 @@ def test_budget_exhaustion_marks_incomplete():
     # with no fuel at all, any functional stage must be inconclusive or
     # fall to presumed divergence; the record still verifies
     assert verify_record(rec.to_payload()) == []
+
+
+def _forged_trace(k, depth, edit):
+    """The defects of a re-signed record whose trace with the fewest words on
+    its last level (the one with room under (k+1)^depth) is edited, and the
+    index of that trace's certificate."""
+    payload = run(k=k, depth=depth).to_payload()
+    traces = payload["traces"]
+    ti = min(range(len(traces)), key=lambda t: sum(map(len, traces[t]["children"][-1])))
+    edit(traces[ti])
+    payload["digest"] = payload_digest(payload)
+    i = next(i for i, c in enumerate(payload["certificates"]) if c.get("trace_index") == ti)
+    return verify_record(payload), i
+
+
+@pytest.mark.parametrize("k, depth", [(2, 6), (3, 5)])
+def test_verifier_refuses_a_trace_word_with_k_plus_2_children(k, depth):
+    def widen(trace):
+        es = trace["children"][-1][0]
+        es += [max(es, default=-1) + 1 + j for j in range(k + 2 - len(es))]
+
+    defects, i = _forged_trace(k, depth, widen)
+    assert defects == [
+        f"certificate {i} (trace): trace is not a {k + 1}-tree: "
+        f"level {depth - 1} word 0 has {k + 2} children"
+    ]
+
+
+@pytest.mark.parametrize("k, depth", [(2, 6), (3, 5)])
+def test_verifier_refuses_a_trace_bound_other_than_k_plus_1(k, depth):
+    defects, i = _forged_trace(k, depth, lambda trace: trace["bound"].update(base=10**6))
+    assert defects == [f"certificate {i} (trace): trace bound is 1000000^n, not {k + 1}^n"]
+
+
+def test_a_record_without_k_is_malformed():
+    payload = run().to_payload()
+    del payload["parameters"]["k"]
+    payload["digest"] = payload_digest(payload)
+    assert verify_record(payload) == ["malformed record: 'k'"]

@@ -272,7 +272,7 @@ def test_dot_output_marks_splitting_nodes():
     dot = tree_to_dot(FiniteTree.full(2, 1))
     assert dot.startswith("digraph")
     assert "doublecircle" in dot
-    dot2 = tree_to_dot(FiniteTree.comb(2))
+    dot2 = tree_to_dot(FiniteTree.from_words([(0,) * 2], 1))
     assert "doublecircle" not in dot2
 
 

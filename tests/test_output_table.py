@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_map
 # the pinned family whose case C searches the pools above the children
 from test_record_stability import COMB_R1
 from survtree.engine import (
@@ -18,9 +19,9 @@ from survtree.engine import (
     traceable_prune,
 )
 from survtree.engine.common import OutputTable
-from survtree.engine.surviving import _assign_distinct
+from survtree.engine.surviving import _assign_kids
 from survtree.staged import AdversaryFamily, OracleFunctional, standard_library
-from survtree.trees import FiniteTree, Word, word_key
+from survtree.trees import FiniteTree, Word, children, word_key
 
 
 def _counting_family(
@@ -122,7 +123,7 @@ def test_table_serves_values_outputs_and_converged_prefixes():
 
 
 def _descendants_map(tree: FiniteTree) -> dict[Word, list[Word]]:
-    cm = tree.child_map()
+    cm = child_map(tree)
     desc: dict[Word, list[Word]] = {}
     for w in sorted(tree.nodes, key=word_key, reverse=True):
         bucket = [w]
@@ -181,7 +182,8 @@ def trees_with_outputs(draw):
         w: tuple(draw(st.lists(st.integers(0, 2), max_size=DEPTH)))
         for w in sorted(nodes, key=word_key)
     }
-    splits = sorted((w for w in nodes if tree.child_map()[w]), key=word_key)
+    cm = child_map(tree)
+    splits = sorted((w for w in nodes if cm[w]), key=word_key)
     q = draw(st.sampled_from(splits)) if splits else ()
     sigma_len = draw(st.integers(0, DEPTH - 1))
     return tree, outs, q, sigma_len
@@ -201,6 +203,6 @@ def test_lazy_candidate_search_matches_full_lists(case):
     table = OutputTable(OracleFunctional(0, "table", rule), 1, DEPTH)
     expected = _reference_assign_distinct(
         table.converged, _descendants_map(tree), q,
-        tree.child_map()[q], sigma_len, DEPTH,
+        child_map(tree)[q], sigma_len, DEPTH,
     )
-    assert _assign_distinct(table, tree, q, sigma_len) == expected
+    assert _assign_kids(table, tree, children(tree, q), sigma_len) == expected

@@ -40,7 +40,7 @@ def test_from_tree_binary_under_pow3():
 
 
 def test_from_tree_single_path():
-    tr = level_trace(FiniteTree.comb(4), LevelBound("pow", 1))
+    tr = level_trace(FiniteTree.from_words([(0,) * 4], 1), LevelBound("pow", 1))
     assert all(len(tr.levels[n]) == 1 for n in range(5))
 
 
@@ -63,7 +63,7 @@ def test_bound_exceeded_at_deeper_level():
 
 
 def test_goes_through_empty_prefix():
-    tr = level_trace(FiniteTree.comb(2), POW3)
+    tr = level_trace(FiniteTree.from_words([(0,) * 2], 1), POW3)
     assert goes_through((), tr)
 
 

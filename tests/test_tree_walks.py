@@ -3,8 +3,10 @@
 The references are the breadth-first ``nodes_above``, the dict-based case
 A/B folds, the prefix-testing ``subtree_above`` and the case C that
 rebuilt its tree from a node set and searched every top's children through
-``_assign_distinct``; the level walks replaced them, and they are kept
-here to check the level walks on random trees.
+``_assign_kids``; the level walks replaced them, and they are kept here to
+check the level walks on random trees.  Children come from the node set
+alone (``conftest.child_map``), and the DOT rendering that read a child
+map is kept to check ``tree_to_dot``.
 """
 
 from __future__ import annotations
@@ -17,19 +19,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_map
 from survtree.engine import diagonalize_surviving, surviving
 from survtree.engine.common import OutputTable, nodes_above, trace_from_outputs
 from survtree.engine.surviving import (
     _Drawn,
-    _assign_distinct,
+    _assign_kids,
     _case_c,
     _first_per_prefix,
     _pick_distinct,
 )
+from survtree.io_formats import tree_to_dot
 from survtree.staged import OracleFunctional, functional_from_config, standard_library
 from survtree.trees import (
     FiniteTree,
     Word,
+    children,
     is_prefix,
     rows_above,
     subtree_above,
@@ -42,7 +47,7 @@ DEPTH = 4
 def _reference_nodes_above(tree: FiniteTree, node: Word) -> list[Word]:
     if node not in tree.nodes:
         return []
-    cm = tree.child_map()
+    cm = child_map(tree)
     out, queue = [], deque([node])
     while queue:
         w = queue.popleft()
@@ -52,7 +57,7 @@ def _reference_nodes_above(tree: FiniteTree, node: Word) -> list[Word]:
 
 
 def _reference_divergence_escape(table, stem, tree):
-    cm = tree.child_map()
+    cm = child_map(tree)
     order = _reference_nodes_above(tree, stem)
     mask: dict[Word, int] = {}
     for w in reversed(order):
@@ -83,7 +88,7 @@ def _reference_widest_level(outs: set[Word]) -> int:
 
 
 def _reference_case_b(table, k, stem, tree) -> Optional[Word]:
-    cm = tree.child_map()
+    cm = child_map(tree)
     order = _reference_nodes_above(tree, stem)
     over: set[Word] = set()
     merged: dict[Word, set[Word]] = {}
@@ -108,7 +113,7 @@ def _reference_case_b(table, k, stem, tree) -> Optional[Word]:
 def _reference_case_c(table, k, stem, tree):
     b = k + 1
     depth = table.depth
-    cm = tree.child_map()
+    cm = child_map(tree)
     tops = [stem]
     outs: list[Word] = [()]
     m = 0
@@ -118,7 +123,7 @@ def _reference_case_c(table, k, stem, tree):
             q = top if len(cm[top]) == b else next(
                 (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
             )
-            assigned = None if q is None else _assign_distinct(table, tree, q, m)
+            assigned = None if q is None else _assign_kids(table, tree, children(tree, q), m)
             if assigned is None:
                 chosen = []
                 break
@@ -138,6 +143,23 @@ def _reference_case_c(table, k, stem, tree):
             p = p[:-1]
     new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
     return new_tree, trace_from_outputs(outs, depth, b)
+
+
+def _reference_dot(tree: FiniteTree, name: str = "tree") -> str:
+    """The rendering that walked each node's child map in node order."""
+    cm = child_map(tree)
+    order = sorted(tree.nodes, key=word_key)
+    ident = {w: f"n{i}" for i, w in enumerate(order)}
+    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    for w in order:
+        label = "()" if not w else ".".join(map(str, w))
+        shape = "doublecircle" if len(cm[w]) > 1 else "circle"
+        lines.append(f'  {ident[w]} [label="{label}" shape={shape}];')
+    for w in order:
+        for i in cm[w]:
+            lines.append(f'  {ident[w]} -> {ident[w + (i,)]} [label="{i}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _reference_subtree_above(tree: FiniteTree, stem: Word) -> FiniteTree:
@@ -208,17 +230,19 @@ def _table(outs: dict[Word, list], calls: Optional[Counter] = None) -> OutputTab
 
 
 @settings(max_examples=200, deadline=None)
-@given(trees())
-def test_levels_and_child_map_match_the_node_set(tree):
+@given(trees(), st.lists(st.integers(0, 3), max_size=3))
+def test_levels_and_child_map_match_the_node_set(tree, probe):
     levels = tree.levels()
     assert [w for lv in levels for w in lv] == sorted(tree.nodes, key=word_key)
     assert all(len(w) == n for n, lv in enumerate(levels) for w in lv)
-    kids: dict[Word, list[int]] = {w: [] for w in tree.nodes}
-    for w in tree.nodes - {()}:
-        kids[w[:-1]].append(w[-1])
-    assert tree.child_map() == {w: tuple(sorted(c)) for w, c in kids.items()}
-    assert tree.counts() == [[len(kids[w]) for w in lv] for lv in levels]
-    assert tree.leaves() == sorted((w for w in kids if not kids[w]), key=word_key)
+    cm = child_map(tree)
+    assert {w: children(tree, w) for w in tree.nodes} == {
+        w: [w + (i,) for i in es] for w, es in cm.items()
+    }
+    if tuple(probe) not in tree.nodes:
+        assert children(tree, tuple(probe)) == []
+    assert tree.counts() == [[len(cm[w]) for w in lv] for lv in levels]
+    assert tree.leaves() == sorted((w for w in cm if not cm[w]), key=word_key)
 
 
 def _assert_indexes_match_node_set(tree: FiniteTree) -> None:
@@ -226,7 +250,7 @@ def _assert_indexes_match_node_set(tree: FiniteTree) -> None:
     fresh = FiniteTree(tree.nodes, tree.alphabet_bound)
     assert tree == fresh
     assert tree.levels() == fresh.levels()
-    assert tree.child_map() == fresh.child_map()
+    assert [children(tree, w) for w in tree.nodes] == [children(fresh, w) for w in tree.nodes]
     assert tree.counts() == fresh.counts()
 
 
@@ -256,12 +280,13 @@ def test_from_levels_keeps_its_levels():
     levels = [[()], [(0,), (2,)], [(2, 1)]]
     tree = FiniteTree.from_levels(levels, 3)
     assert tree.levels() is levels
-    assert tree.child_map() == {(): (0, 2), (0,): (), (2,): (1,), (2, 1): ()}
+    assert [children(tree, w) for w in tree.sorted_nodes()] == [[(0,), (2,)], [], [(2, 1)], []]
 
 
 @settings(max_examples=200, deadline=None)
 @given(trees(), st.lists(st.integers(0, 3), max_size=3))
 def test_nodes_above_matches_breadth_first_walk(tree, probe):
+    cm = child_map(tree)
     for node in tree.sorted_nodes() + [tuple(probe)]:
         expected = _reference_nodes_above(tree, node)
         assert list(nodes_above(tree, node)) == expected
@@ -271,24 +296,27 @@ def test_nodes_above_matches_breadth_first_walk(tree, probe):
             lv and all(len(w) == len(node) + i for w in lv)
             for i, (lv, _) in enumerate(rows)
         )
-        cm = tree.child_map()
         assert [c for _, cs in rows for c in cs] == [len(cm[w]) for w in expected]
 
 
 @settings(max_examples=200, deadline=None)
 @given(trees())
 def test_subtree_above_matches_prefix_filter(tree):
-    # a tree without a child map, then one with one: either way the
-    # restriction builds its own map only when it is read
+    # a tree whose rows are built by the restriction, then one whose rows
+    # were built before
     bare = FiniteTree(tree.nodes, tree.alphabet_bound)
-    tree.child_map()
+    tree.counts()
     for t in (bare, tree):
         for stem in tree.sorted_nodes():
             sub = subtree_above(t, stem)
             assert sub == _reference_subtree_above(tree, stem)
-            assert sub._children is None
             _assert_indexes_match_node_set(sub)
-    assert bare._children is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(trees(), trees(b=5)), st.sampled_from(["tree", "g"]))
+def test_dot_matches_the_child_map_rendering(tree, name):
+    assert tree_to_dot(tree, name) == _reference_dot(tree, name)
 
 
 @settings(max_examples=300, deadline=None)
@@ -493,7 +521,7 @@ def _pool_search(table, tree, q, sigma_len):
     for n in range(sigma_len + 1, table.depth + 1):
         pools = [
             _Drawn(_first_per_prefix(table, tree, q + (i,), n))
-            for i in tree.child_map()[q]
+            for i in child_map(tree)[q]
         ]
         if any(p.get(0) is None for p in pools):
             continue
@@ -507,10 +535,10 @@ def _pool_search(table, tree, q, sigma_len):
 @given(trees_with_table(), st.integers(0, DEPTH - 1))
 def test_own_prefix_shortcut_reads_what_the_pool_search_reads(case, sigma_len):
     tree, outs, q = case
-    if not tree.child_map()[q]:
+    if not child_map(tree)[q]:
         return
     fast_calls: Counter = Counter()
     pool_calls: Counter = Counter()
-    fast = _assign_distinct(_table(outs, fast_calls), tree, q, sigma_len)
+    fast = _assign_kids(_table(outs, fast_calls), tree, children(tree, q), sigma_len)
     assert fast == _pool_search(_table(outs, pool_calls), tree, q, sigma_len)
     assert fast_calls == pool_calls

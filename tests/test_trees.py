@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_surjections, make_tree, subtree_nodesets
+from conftest import all_surjections, child_map, make_tree, subtree_nodesets
 from survtree.trees import (
     FiniteTree,
+    ShapeViolation,
     Surjection,
     is_accelerating_to_depth,
     is_k_branching_to_depth,
@@ -21,7 +22,7 @@ from survtree.trees import (
 )
 
 FULL33 = FiniteTree.full(3, 3)
-COMB5 = FiniteTree.comb(5)
+COMB5 = FiniteTree.from_words([(0,) * 5], 1)
 
 
 def test_word_key_orders_shortest_then_lex():
@@ -102,7 +103,7 @@ def test_k_tree_full_ternary_violates_k2():
 
 
 def test_k_tree_comb_ok():
-    assert is_k_tree_to_depth(FiniteTree.comb(4), 2, 4) is None
+    assert is_k_tree_to_depth(FiniteTree.from_words([(0,) * 4], 1), 2, 4) is None
 
 
 def test_k_branching_full_binary_subtree_ok():
@@ -233,6 +234,48 @@ def test_pushforward_preserves_prefix_closure_and_shape(t):
         for w in out.nodes:
             assert not w or w[:-1] in out.nodes
         assert is_k_tree_to_depth(out, 3, t.depth) is None
+
+
+def _reference_accelerating(t: FiniteTree, d: int):
+    """The node-by-node check over a child map, counting each node's
+    splitting prefixes afresh."""
+    cm = child_map(t)
+    for w in sorted(t.nodes, key=word_key):
+        if len(w) >= d:
+            continue
+        c = len(cm[w])
+        if c == 0:
+            return ShapeViolation(w, 0, "at least 1 successor below depth")
+        if c >= 2:
+            n = sum(1 for i in range(len(w)) if len(cm[w[:i]]) >= 2)
+            if c <= n + 2:
+                return ShapeViolation(w, c, f"more than {n + 2} successors (split number {n})")
+    return None
+
+
+@st.composite
+def mostly_accelerating_trees(draw, b=7, max_depth=4):
+    """Trees whose nodes mostly have one child or more than their split
+    number + 2, and now and then any number of children."""
+    nodes, frontier = {()}, [((), 0)]
+    while frontier:
+        w, n = frontier.pop()
+        if len(w) == max_depth:
+            continue
+        wide = st.integers(min(n + 3, b), b)
+        count = draw(st.one_of(st.just(1), wide, st.integers(0, b)))
+        entries = draw(st.sets(st.integers(0, b - 1), min_size=count, max_size=count))
+        nodes.update(w + (e,) for e in entries)
+        frontier.extend((w + (e,), n + (count >= 2)) for e in entries)
+    return FiniteTree(frozenset(nodes), alphabet_bound=b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mostly_accelerating_trees(), random_subtree(k=3)))
+@example(FiniteTree.full(3, 1))
+def test_accelerating_matches_the_child_map_check(t):
+    for d in range(-1, t.depth + 2):
+        assert is_accelerating_to_depth(t, d) == _reference_accelerating(t, d)
 
 
 def test_exhaustive_path_transfer_depth_2():
