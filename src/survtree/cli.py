@@ -147,12 +147,16 @@ def _cmd_check_tree(args) -> int:
     tree = _read_tree(args.file)
     if tree is None:
         return USAGE
-    if args.pred == "ktree":
-        bad = is_k_tree_to_depth(tree, args.k, args.d)
-    elif args.pred == "kbranching":
-        bad = is_k_branching_to_depth(tree, args.k, args.d)
-    else:
-        bad = is_accelerating_to_depth(tree, args.d)
+    try:
+        if args.pred == "ktree":
+            bad = is_k_tree_to_depth(tree, args.k, args.d)
+        elif args.pred == "kbranching":
+            bad = is_k_branching_to_depth(tree, args.k, args.d)
+        else:
+            bad = is_accelerating_to_depth(tree, args.d)
+    except ValueError as e:
+        print(f"--k {args.k}: {e}", file=sys.stderr)
+        return USAGE
     if bad is None:
         print("ok")
         return OK

@@ -142,18 +142,13 @@ def _avoidance(adv: StagedTree, witness: Word, query: int) -> dict:
             "stage": query}
 
 
-_UNSET = object()
-
-
 class OutputTable:
-    """One stage's outputs of a functional under a fixed fuel.
+    """One stage's outputs of a functional under a fixed fuel, read through
+    its use-monotone prefix.
 
     ``evals`` counts the distinct (node, position) pairs the stage has read.
-    A functional with a closed-form ``prefix`` keeps no rows: a node holds
-    its converged prefix, once read, and an int mask of the positions read,
-    and every position past the prefix is None.  A functional built from a
-    bare ``rule`` keeps a row per node, each position evaluated the first
-    time it is read and never again.
+    A node holds its converged prefix, once read, and an int mask of the
+    positions read; every position past the prefix is None.
     """
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
@@ -164,7 +159,6 @@ class OutputTable:
         self._full = (1 << depth) - 1
         # the unconverged positions of a node whose prefix has length n
         self._masks = [self._full ^ ((1 << n) - 1) for n in range(depth + 1)]
-        self._rows: dict[Word, list] = {}
         self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
 
@@ -176,53 +170,15 @@ class OutputTable:
             self.evals += (bits & ~old).bit_count()
 
     def value(self, w: Word, n: int) -> Optional[int]:
-        prefix = self.functional.prefix
-        if prefix is not None:
-            p = self._converged.get(w)
-            if p is None:
-                p = prefix(w, n + 1, self.fuel)
-            self._mark(w, 1 << n)
-            return p[n] if n < len(p) else None
-        row = self._rows.get(w)
-        if row is None:
-            row = self._rows[w] = [_UNSET] * self.depth
-        v = row[n]
-        if v is _UNSET:
-            v = row[n] = self.functional.eval(w, n, self.fuel)
-            self.evals += 1
-        return v
-
-    def outputs(self, w: Word) -> list[Optional[int]]:
-        """Positions 0..depth-1 of w, None where not yet converged."""
-        if self.functional.prefix is not None:
-            p, _ = self._leaf(w)
-            return [*p, *[None] * (self.depth - len(p))]
-        if w in self._rows:
-            return [self.value(w, n) for n in range(self.depth)]
-        ev, fuel = self.functional.eval, self.fuel
-        row = self._rows[w] = [ev(w, n, fuel) for n in range(self.depth)]
-        self.evals += self.depth
-        return row
-
-    def _leaf(self, w: Word) -> tuple[Word, int]:
-        """Every position of w read: its converged prefix and the mask of
-        its unconverged positions."""
-        if self.functional.prefix is not None:
-            (p,), (m,) = self._prefix_row([w])
-            return p, m
         p = self._converged.get(w)
-        row = self.outputs(w)
-        m = 0
-        for n, v in enumerate(row):
-            if v is None:
-                m |= 1 << n
         if p is None:
-            p = self._converged[w] = tuple(row[:row.index(None)] if m else row)
-        return p, m
+            p = self.functional.prefix(w, n + 1, self.fuel)
+        self._mark(w, 1 << n)
+        return p[n] if n < len(p) else None
 
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        """``_leaf`` of each node in ws under a closed-form prefix, in one
-        pass: the converged prefixes, the masks and the read marks."""
+        """Every position of each node in ws read, in one pass: their
+        converged prefixes and the masks of their unconverged positions."""
         conv, read, full = self._converged, self._read, self._full
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
         ps = [conv[w] if w in conv else prefix(w, depth, fuel) for w in ws]
@@ -236,28 +192,11 @@ class OutputTable:
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself."""
         out = self._converged.get(w)
-        if out is not None:
-            return out
-        prefix = self.functional.prefix
-        if prefix is not None:
-            out = prefix(w, self.depth, self.fuel)
-            # the positions the per-position loop below would read: the
-            # prefix and the first None after it
+        if out is None:
+            out = self._converged[w] = self.functional.prefix(w, self.depth, self.fuel)
+            # the positions a per-position read stops after: the prefix
+            # and the first None after it
             self._mark(w, (2 << len(out)) - 1 & self._full)
-        else:
-            row = self._rows.get(w)
-            if row is None:
-                row = self._rows[w] = [_UNSET] * self.depth
-            ev, fuel, n = self.functional.eval, self.fuel, 0
-            for v in row:
-                if v is _UNSET:
-                    v = row[n] = ev(w, n, fuel)
-                    self.evals += 1
-                if v is None:
-                    break
-                n += 1
-            out = tuple(row[:n])
-        self._converged[w] = out
         return out
 
     def cases_a_b(
@@ -280,9 +219,9 @@ class OutputTable:
         The fold reads ``rows_above``: a node's children are the next count
         of nodes of the row below.  A row of parents whose row below holds
         one mask (and one output set, while tau is looked for) repeats them,
-        so no set is merged above a row all over k.  Under a closed-form
-        prefix a row of leaves is read in one pass: else each leaf is read
-        once, whole, for its converged prefix and its mask.
+        so no set is merged above a row all over k.  A row of leaves is
+        read in one pass, and a leaf among parents alone, each read whole
+        for its converged prefix and its mask.
         """
         depth = tree.depth
         escape: Optional[tuple[Word, int]] = None
@@ -297,7 +236,7 @@ class OutputTable:
                 # alike children: the union of equal sets is each of them
                 row_masks = [masks[0]] * len(lv)
                 row_sets = [sets[0]] * len(lv) if few else []
-            elif self.functional.prefix is not None and not any(cs):
+            elif not any(cs):
                 outs, row_masks = self._prefix_row(lv)
                 row_sets = list(zip(outs)) if few else []
             else:
@@ -317,7 +256,7 @@ class OutputTable:
                                 row_sets.append(None if _more_than_k(outs, k) else outs)
                         j += c
                     else:
-                        o, m = self._leaf(w)
+                        (o,), (m,) = self._prefix_row([w])
                         if few:
                             row_sets.append((o,))
                     row_masks.append(m)

@@ -114,11 +114,12 @@ def _first_per_prefix(
     shortest-then-lex order, keeping the first node of each prefix: a later
     node with a prefix already offered can never be picked.
 
-    A closed-form prefix is use-monotone, so when top's own prefix reaches
-    n, every node above top shares its n-prefix and top is the only one.
+    A functional's prefix is use-monotone, so when top's own prefix
+    reaches n, every node above top shares its n-prefix and top is the
+    only one.
     """
     o = table.converged(top)
-    if len(o) >= n and table.functional.prefix is not None:
+    if len(o) >= n:
         yield top, o[:n]
         return
     seen: set[Word] = set()
@@ -135,12 +136,11 @@ def _assign_kids(
     """For each of the sibling nodes kids, a node above it whose output
     prefix at some common length n > sigma_len differs from all the
     siblings' prefixes."""
-    closed = table.functional.prefix is not None
     for n in range(sigma_len + 1, table.depth + 1):
         chosen = _own_prefixes(table, kids, n)
         if chosen is not None:
             return chosen
-        if closed and all(len(table.converged(v)) >= n for v in kids):
+        if all(len(table.converged(v)) >= n for v in kids):
             # every pool is its child alone (see _first_per_prefix), so the
             # search could only repeat the own-prefix check
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..io_formats import json_to_trace, record_digest_ok
-from ..staged import AdversaryFamily, converged_prefix, shown_successors
+from ..staged import AdversaryFamily, shown_successors
 from ..traces import BoundExceeded, LevelBound, TraceTable, goes_through
 from ..trees import (
     FiniteTree,
@@ -34,6 +34,10 @@ from .common import (
 )
 
 _ENGINES = {"surviving", "build3", "traceable", "accelerating"}
+# the certificates about a functional, each checked under the record's fuel
+_FUNCTIONAL_CERTS = {
+    "presumed_divergence", "value_witness", "constant_outputs", "trace", "two_tree_trace",
+}
 
 
 def verify_record(payload: dict) -> list[str]:
@@ -49,6 +53,8 @@ def verify_record(payload: dict) -> list[str]:
         tree = tree_of_payload(payload)
         labels = labels_of_payload(payload)
         depth = int(payload["parameters"]["depth"])
+        fuel = payload["parameters"].get("fuel")
+        fuel = None if fuel is None else int(fuel)
         # a surviving trace is a (k+1)-tree, with k from the parameters
         base = int(payload["parameters"]["k"]) + 1 if payload["engine"] == "surviving" else None
         # every engine builds its traces at the record's depth; checking it
@@ -65,12 +71,11 @@ def verify_record(payload: dict) -> list[str]:
         return [f"malformed record: {e}"]
     if stem not in tree:
         defects.append(f"final stem {stem} not in final tree")
-    fuel_default = int(payload["parameters"].get("fuel", 0))
     leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
     for i, cert in enumerate(payload.get("certificates", [])):
         try:
             msg = _check_certificate(
-                cert, family, stem, tree, leaves, traces, labels, depth, fuel_default, base
+                cert, family, stem, tree, leaves, traces, labels, depth, fuel, base
             )
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
@@ -102,10 +107,15 @@ def _check_certificate(
     traces: list[tuple[int, TraceTable]],
     labels: Optional[dict[Word, int]],
     depth: int,
-    fuel_default: int,
+    fuel: Optional[int],
     base: Optional[int],
 ) -> Optional[str]:
     kind = cert.get("kind")
+    if kind in _FUNCTIONAL_CERTS:
+        if fuel is None:
+            raise ValueError("the record has no fuel parameter")
+        if int(cert.get("fuel", fuel)) != fuel:
+            return f"fuel {cert['fuel']} differs from the record's fuel {fuel}"
     if kind == "avoidance":
         adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
@@ -133,7 +143,6 @@ def _check_certificate(
             return f"no functional with id {cert['functional']}"
         node = tuple(int(e) for e in cert["node"])
         n = int(cert["position"])
-        fuel = int(cert.get("fuel", fuel_default))
         if not (is_prefix(node, stem) or is_prefix(stem, node)):
             return f"node {node} incomparable with the stem"
         checked = [L for L in leaves if is_prefix(node, L) or is_prefix(L, node)]
@@ -148,7 +157,6 @@ def _check_certificate(
         node = tuple(int(e) for e in cert["node"])
         n = int(cert["position"])
         v = int(cert["value"])
-        fuel = int(cert.get("fuel", fuel_default))
         if v < 3:
             return f"claimed value {v} is below 3"
         if not is_prefix(node, stem):
@@ -160,9 +168,8 @@ def _check_certificate(
         fn = _by_id(family.functionals, int(cert["functional"]))
         if fn is None:
             return f"no functional with id {cert['functional']}"
-        fuel = int(cert.get("fuel", fuel_default))
         outs = [
-            converged_prefix(fn, tuple(int(e) for e in p), depth, fuel)
+            fn.prefix(tuple(int(e) for e in p), depth, fuel)
             for p in cert["probes"]
         ]
         if not pairwise_consistent(outs):
@@ -179,7 +186,6 @@ def _check_certificate(
         owner, table = traces[ti]
         if owner != fid:
             return f"trace {ti} belongs to functional {owner}"
-        fuel = int(cert.get("fuel", fuel_default))
         if kind == "two_tree_trace":
             # every word below the trace's depth has 1 or 2 children
             msg = _row_width_defect(table, 1, 2, "a 2-tree")
@@ -194,7 +200,7 @@ def _check_certificate(
         if msg is not None:
             return msg
         for L in leaves:
-            o = converged_prefix(fn, L, table.depth, fuel)
+            o = fn.prefix(L, table.depth, fuel)
             if not goes_through(o, table):
                 return f"branch {L} output {o} leaves the trace"
         return None

@@ -54,38 +54,21 @@ class StagedTree:
 class OracleFunctional:
     """Fuel-bounded model of phi_e^sigma(n); None means not-yet.
 
-    ``prefix(sigma, cap, fuel)``, when set, is the converged output prefix
-    of length at most cap in one call.  A kind may set it only when no
-    position after its first None converges and it is use-monotone:
-    ``prefix(sigma + tail, cap, fuel)`` starts with ``prefix(sigma, cap,
-    fuel)``.  The surviving engine's case C relies on the latter to take a
-    child whose prefix is long enough as its own pool alone.
+    ``prefix(sigma, cap, fuel)`` is the converged output prefix of length
+    at most cap, in one call.  No position after it converges, and it is
+    use-monotone: ``prefix(sigma + tail, cap, fuel)`` starts with
+    ``prefix(sigma, cap, fuel)``.  The surviving engine's case C relies on
+    the latter to take a child whose prefix is long enough as its own pool
+    alone.
     """
 
     id: int
     kind: str
-    rule: Callable[[Word, int, int], Optional[int]] = field(compare=False)
-    prefix: Optional[Callable[[Word, int, int], Word]] = field(
-        default=None, compare=False
-    )
+    prefix: Callable[[Word, int, int], Word] = field(compare=False)
 
     def eval(self, oracle_prefix: Word, n: int, fuel: int) -> Optional[int]:
-        return self.rule(oracle_prefix, n, fuel)
-
-
-def converged_prefix(
-    t: OracleFunctional, sigma: Word, cap: int, fuel: int
-) -> Word:
-    """Longest output prefix (up to cap) converged on sigma itself."""
-    if t.prefix is not None:
-        return t.prefix(sigma, cap, fuel)
-    out = []
-    for n in range(cap):
-        v = t.eval(sigma, n, fuel)
-        if v is None:
-            break
-        out.append(v)
-    return tuple(out)
+        p = self.prefix(oracle_prefix, n + 1, fuel)
+        return p[n] if n < len(p) else None
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +326,7 @@ def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
 def functional_from_config(entry: dict, index: int) -> OracleFunctional:
     where = f"functional entry {index}"
     kind = _checked_kind(entry, _FUNCTIONAL_KEYS, _FUNCTIONAL_COMMON, where)
-    prefix = _config_prefix(entry)
-
-    def rule(sigma: Word, n: int, fuel: int) -> Optional[int]:
-        p = prefix(sigma, n + 1, fuel)
-        return p[n] if n < len(p) else None
-
-    return OracleFunctional(entry.get("id", index), kind, rule, prefix)
+    return OracleFunctional(entry.get("id", index), kind, _config_prefix(entry))
 
 
 def family_from_config(config: dict) -> AdversaryFamily:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
-from survtree.staged import StagedTree
+from survtree.staged import OracleFunctional, StagedTree
 from survtree.trees import FiniteTree, Word
 
 
@@ -64,6 +64,46 @@ def child_map(tree: FiniteTree) -> dict[Word, tuple[int, ...]]:
     for w in tree.nodes - {()}:
         kids[w[:-1]].append(w[-1])
     return {w: tuple(sorted(es)) for w, es in kids.items()}
+
+
+def adding_functional(adds: dict[Word, Word]) -> OracleFunctional:
+    """A fuel-blind functional whose outputs on sigma are the outputs each
+    prefix of sigma adds in turn (a word missing from adds adds none):
+    extending sigma only appends, so its prefix is use-monotone."""
+
+    def prefix(sigma: Word, cap: int, fuel: int) -> Word:
+        out: Word = ()
+        for i in range(len(sigma) + 1):
+            out += adds.get(sigma[:i], ())
+        return out[:max(0, cap)]
+
+    return OracleFunctional(0, "adding", prefix)
+
+
+class PositionReader:
+    """The reference for ``OutputTable``: each read goes through
+    ``fn.eval`` position by position, with no cache, and ``evals`` counts
+    the distinct (node, position) pairs read."""
+
+    def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
+        self.functional = functional
+        self.fuel = fuel
+        self.depth = depth
+        self.reads: set[tuple[Word, int]] = set()
+
+    @property
+    def evals(self) -> int:
+        return len(self.reads)
+
+    def value(self, w: Word, n: int) -> Optional[int]:
+        self.reads.add((w, n))
+        return self.functional.eval(w, n, self.fuel)
+
+    def converged(self, w: Word) -> Word:
+        out: list[int] = []
+        while len(out) < self.depth and (v := self.value(w, len(out))) is not None:
+            out.append(v)
+        return tuple(out)
 
 
 LETTERS = 6  # staged-tree alphabets are drawn from 0..LETTERS-1

@@ -33,7 +33,6 @@ from survtree.io_formats import (
 )
 from survtree.staged import (
     EMPTY_CONFIG,
-    converged_prefix,
     family_from_config,
     standard_library,
 )
@@ -198,7 +197,7 @@ def test_acceptance_4_surviving_run_and_verify():
                     assert len(level) <= 3**n
                 fn = LIB.functionals[cert["functional"]]
                 for leaf in rec.final_tree.leaves():
-                    out = converged_prefix(fn, leaf, trace.depth, 10**4)
+                    out = fn.prefix(leaf, trace.depth, 10**4)
                     assert goes_through(out, trace)
         above = subtree_above(rec.final_tree, rec.final_stem)
         assert is_k_branching_to_depth(above, 3, 8) is None
@@ -245,7 +244,7 @@ def test_acceptance_6_traceable_schedule_labels_and_traces():
                 assert len(level) <= 3**n
             fn = LIB.functionals[fid]
             for leaf in rec.final_tree.leaves():
-                out = converged_prefix(fn, leaf, trace.depth, 10**4)
+                out = fn.prefix(leaf, trace.depth, 10**4)
                 assert goes_through(out, trace)
 
 
@@ -265,7 +264,7 @@ def test_acceptance_7_accelerating_shape_and_cases():
         trace = dict(rec.traces)[1]
         assert is_k_tree_to_depth(FiniteTree.from_levels(trace.levels), 2, trace.depth) is None
         for leaf in tree.leaves():
-            out = converged_prefix(LIB.functionals[1], leaf, trace.depth, 10**4)
+            out = LIB.functionals[1].prefix(leaf, trace.depth, 10**4)
             assert goes_through(out[: trace.depth], trace)
         # the constant-3 functional forces a large value at position 0
         values = [

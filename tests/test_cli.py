@@ -386,6 +386,19 @@ def test_check_tree_malformed_file_reports_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "pred, k", [("ktree", 0), ("kbranching", 1)], ids=["ktree-k0", "kbranching-k1"]
+)
+def test_check_tree_out_of_range_k_is_usage_error(tmp_path, capsys, pred, k):
+    f = tmp_path / "full.tree"
+    write_tree(f, FiniteTree.full(2, 1))
+    assert main(["check-tree", "--pred", pred, "--k", str(k), "--d", "1", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"--k {k}: k must be >=")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "text",
     [
         pytest.param("tree b=3 d=7\n0 1\n", id="no-prefixes"),

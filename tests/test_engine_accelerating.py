@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from survtree.engine import accelerating_force, verify_record
+from survtree.engine.accelerating import _exits
+from survtree.engine.common import Run
 from survtree.io_formats import payload_digest
-from survtree.staged import converged_prefix, family_from_config, standard_library
+from survtree.staged import family_from_config, standard_library
 from survtree.traces import goes_through
 from survtree.trees import (
     FiniteTree,
@@ -18,6 +20,14 @@ LIB = standard_library()
 
 def run(stages=8, depth=8, fuel=10000, family=LIB):
     return accelerating_force(family, stages, depth, fuel)
+
+
+def test_exits_pass_over_a_node_with_exactly_k_children():
+    # the root has k = 2 children and (1,) has three: only the children of
+    # (1,) can leave a 2-tree
+    tree = FiniteTree.from_words([(0, 0), (1, 0), (1, 1), (1, 2)], 3)
+    run = Run(LIB, 4, 2, 100, tree)
+    assert list(_exits(run, 0, 2)) == [(1, 0), (1, 1), (1, 2)]
 
 
 def test_final_tree_is_accelerating():
@@ -79,7 +89,7 @@ def test_two_tree_trace_branch_go_through():
     rec = run()
     trace = dict(rec.traces)[1]
     for leaf in rec.final_tree.leaves():
-        out = converged_prefix(LIB.functionals[1], leaf, trace.depth, 10000)
+        out = LIB.functionals[1].prefix(leaf, trace.depth, 10000)
         assert goes_through(out[: trace.depth], trace)
 
 

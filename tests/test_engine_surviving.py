@@ -146,3 +146,56 @@ def test_a_record_without_k_is_malformed():
     del payload["parameters"]["k"]
     payload["digest"] = payload_digest(payload)
     assert verify_record(payload) == ["malformed record: 'k'"]
+
+
+def _resigned(edit):
+    """The defects of a re-signed surviving d6 record (fuel 4000) after
+    edit(payload)."""
+    payload = run(fuel=4000).to_payload()
+    edit(payload)
+    payload["digest"] = payload_digest(payload)
+    return payload, verify_record(payload)
+
+
+def test_verifier_checks_a_divergence_under_the_record_fuel():
+    """The identity diverges at position 0 on the branches through the
+    final stem only at fuel 0, and the record's fuel is 4000."""
+    def add(**fuel):
+        return lambda payload: payload["certificates"].append({
+            "kind": "presumed_divergence", "functional": 0,
+            "node": payload["final_stem"], "position": 0, **fuel,
+        })
+
+    payload, defects = _resigned(add(fuel=0))
+    i = len(payload["certificates"]) - 1
+    assert defects == [
+        f"certificate {i} (presumed_divergence): fuel 0 differs from the record's fuel 4000"
+    ]
+    _, defects = _resigned(add())
+    assert len(defects) == 1 and defects[0].endswith("converges at position 0")
+
+
+def test_verifier_checks_a_trace_under_the_record_fuel():
+    def starve(payload):
+        next(c for c in payload["certificates"] if c["kind"] == "trace")["fuel"] = 0
+
+    payload, defects = _resigned(starve)
+    i = next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == "trace")
+    assert defects == [f"certificate {i} (trace): fuel 0 differs from the record's fuel 4000"]
+
+
+def test_a_functional_certificate_needs_the_record_fuel():
+    payload, defects = _resigned(lambda payload: payload["parameters"].pop("fuel"))
+    functional = [
+        i for i, c in enumerate(payload["certificates"]) if "functional" in c
+    ]
+    assert functional and defects == [
+        f"certificate {i} ({payload['certificates'][i]['kind']}): "
+        "malformed certificate: the record has no fuel parameter"
+        for i in functional
+    ]
+
+
+def test_a_record_with_a_fuel_that_is_no_integer_is_malformed():
+    _, defects = _resigned(lambda payload: payload["parameters"].update(fuel="x"))
+    assert defects == ["malformed record: invalid literal for int() with base 10: 'x'"]

@@ -13,11 +13,18 @@ from survtree.engine import (
     verify_record,
 )
 from survtree.engine.common import LabeledCondition, labels_of_payload
-from survtree.staged import converged_prefix, standard_library
+from survtree.engine.traceable import _members_leaves
+from survtree.staged import standard_library
 from survtree.traces import goes_through
-from survtree.trees import is_k_tree_to_depth
+from survtree.trees import FiniteTree, is_k_tree_to_depth
 
 LIB = standard_library()
+
+
+def test_a_member_with_a_member_child_past_its_first_is_no_leaf():
+    # the root's first child (0,) is no member, its second (1,) is
+    tree = FiniteTree.from_words([(0,), (1, 0)], 2)
+    assert _members_leaves({(): 1, (1,): 1}, tree) == [(1,)]
 
 
 def test_schedule_first_terms():
@@ -90,7 +97,7 @@ def test_trace_branch_go_through():
         fid = cert["functional"]
         trace = dict(rec.traces)[fid]
         for leaf in rec.final_tree.leaves():
-            out = converged_prefix(LIB.functionals[fid], leaf, trace.depth, 5000)
+            out = LIB.functionals[fid].prefix(leaf, trace.depth, 5000)
             assert goes_through(out, trace)
 
 

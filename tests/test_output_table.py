@@ -2,90 +2,21 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_map
-# the pinned family whose case C searches the pools above the children
-from test_record_stability import COMB_R1
-from survtree.engine import (
-    accelerating_force,
-    diagonalize_surviving,
-    initial_condition,
-    traceable_prune,
-)
+from conftest import PositionReader, adding_functional, child_map
 from survtree.engine.common import OutputTable
 from survtree.engine.surviving import _assign_kids
-from survtree.staged import AdversaryFamily, OracleFunctional, standard_library
+from survtree.staged import standard_library
 from survtree.trees import FiniteTree, Word, children, word_key
-
-
-def _counting_family(
-    calls: dict[int, Counter], lib: Optional[AdversaryFamily] = None
-) -> AdversaryFamily:
-    """lib (the standard library by default) with each functional rebuilt
-    from its bare rule, counting calls: no closed-form prefix."""
-    lib = lib or standard_library()
-
-    def counting(fn: OracleFunctional) -> OracleFunctional:
-        seen = calls.setdefault(fn.id, Counter())
-
-        def rule(sigma, n, fuel):
-            seen[sigma, n] += 1
-            return fn.rule(sigma, n, fuel)
-
-        return OracleFunctional(fn.id, fn.kind, rule)
-
-    return AdversaryFamily(
-        lib.staged_trees, tuple(counting(f) for f in lib.functionals), lib.config
-    )
-
-
-def test_each_node_position_is_evaluated_once_per_stage():
-    calls: dict[int, Counter] = {}
-    rec = diagonalize_surviving(2, _counting_family(calls), 8, 6, 4000)
-    spent = {
-        int(entry["requirement"][1:]): entry["fuel_spent"]
-        for entry in rec.stage_log
-        if "fuel_spent" in entry
-    }
-    # functional e is only read in stage 2e+1, so its calls are one stage's
-    assert set(spent) == set(calls) == {0, 1, 2, 3}
-    for fid, seen in calls.items():
-        assert max(seen.values()) == 1, f"functional {fid} re-evaluated"
-        assert spent[fid] == sum(seen.values())
-    assert sum(spent.values()) == sum(sum(c.values()) for c in calls.values())
-
-
-RUNS = {
-    "surviving-d6": lambda fam: diagonalize_surviving(2, fam, 8, 6, 4000),
-    "traceable-d8": lambda fam: traceable_prune(
-        initial_condition(fam, 8, 24), fam, 4, 8, 10**4
-    ),
-    "accelerating-d8": lambda fam: accelerating_force(fam, 8, 8, 10**4),
-    "surviving-d8-comb-r1": lambda fam: diagonalize_surviving(2, fam, 14, 8, 10**4),
-}
-
-
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_closed_form_prefixes_and_bare_rules_give_equal_records(name):
-    """Rows read through the closed-form prefixes and rows read position by
-    position give byte-equal payloads, fuel_spent included."""
-    lib = COMB_R1 if name.endswith("comb-r1") else standard_library()
-    bare = _counting_family({}, lib)
-    assert all(fn.prefix is not None for fn in lib.functionals)
-    assert all(fn.prefix is None for fn in bare.functionals)
-    run = RUNS[name]
-    assert run(lib).to_payload() == run(bare).to_payload()
 
 
 reads = st.lists(
     st.tuples(
-        st.sampled_from(["value", "outputs", "converged"]),
+        st.sampled_from(["value", "converged"]),
         # few words, so that reads of one row mix
         st.sampled_from([(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2), (4, 0, 1, 3, 2, 1)]),
         st.integers(0, 5),
@@ -98,10 +29,9 @@ reads = st.lists(
 @given(st.integers(0, 3), st.integers(0, 6), st.integers(-1, 7), reads)
 def test_prefix_rows_read_like_per_position_rows(fid, depth, fuel, ops):
     """Any sequence of reads returns the same and counts the same evals
-    whether rows come from the closed-form prefix or position by position."""
+    whether rows come from the prefix or position by position."""
     fn = standard_library().functionals[fid]
-    bare = OracleFunctional(fn.id, fn.kind, fn.rule)
-    fast, slow = OutputTable(fn, fuel, depth), OutputTable(bare, fuel, depth)
+    fast, slow = OutputTable(fn, fuel, depth), PositionReader(fn, fuel, depth)
     for op, w, n in ops:
         args = (w, n) if op == "value" else (w,)
         if op == "value" and n >= depth:
@@ -115,7 +45,7 @@ def test_table_serves_values_outputs_and_converged_prefixes():
     table = OutputTable(fn, 4000, 4)
     assert table.value((2, 1), 1) == 1
     assert table.converged((2, 1)) == (2, 1)
-    assert table.outputs((2, 1)) == [2, 1, None, None]
+    assert [table.value((2, 1), n) for n in range(4)] == [2, 1, None, None]
     assert table.evals == 4
 
 
@@ -178,15 +108,16 @@ def trees_with_outputs(draw):
             nodes.add(w + (i,))
             frontier.append(w + (i,))
     tree = FiniteTree(frozenset(nodes), 3)
-    outs = {
-        w: tuple(draw(st.lists(st.integers(0, 2), max_size=DEPTH)))
+    # the outputs each node adds to its parent's
+    adds = {
+        w: tuple(draw(st.lists(st.integers(0, 2), max_size=2)))
         for w in sorted(nodes, key=word_key)
     }
     cm = child_map(tree)
     splits = sorted((w for w in nodes if cm[w]), key=word_key)
     q = draw(st.sampled_from(splits)) if splits else ()
     sigma_len = draw(st.integers(0, DEPTH - 1))
-    return tree, outs, q, sigma_len
+    return tree, adds, q, sigma_len
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,13 +125,8 @@ def trees_with_outputs(draw):
 # a split node at the tree's depth, with no level below it
 @example((FiniteTree(frozenset({()}), 3), {(): ()}, (), 0))
 def test_lazy_candidate_search_matches_full_lists(case):
-    tree, outs, q, sigma_len = case
-
-    def rule(sigma, n, fuel):
-        o = outs[sigma]
-        return o[n] if n < len(o) else None
-
-    table = OutputTable(OracleFunctional(0, "table", rule), 1, DEPTH)
+    tree, adds, q, sigma_len = case
+    table = OutputTable(adding_functional(adds), 1, DEPTH)
     expected = _reference_assign_distinct(
         table.converged, _descendants_map(tree), q,
         child_map(tree)[q], sigma_len, DEPTH,

@@ -14,9 +14,7 @@ from survtree.staged import (
     _BFS_DEPTH_CAP,
     _BFS_NODE_BUDGET,
     ConfigError,
-    OracleFunctional,
     Verdict,
-    converged_prefix,
     family_from_config,
     functional_from_config,
     index_pair,
@@ -249,8 +247,8 @@ def test_probes_match_their_own_walks(t, root, stage, k):
 
 
 def test_converged_prefix_stops_at_first_gap():
-    assert converged_prefix(IDENTITY, (4, 4), 5, 100) == (4, 4)
-    assert converged_prefix(DIVERGING, (4, 4), 5, 100) == ()
+    assert IDENTITY.prefix((4, 4), 5, 100) == (4, 4)
+    assert DIVERGING.prefix((4, 4), 5, 100) == ()
 
 
 # the configured kinds written out position by position
@@ -283,15 +281,15 @@ functional_entries = st.one_of(
 def test_closed_form_prefix_matches_per_position_loop(entry, sigma, cap, fuel):
     fn = functional_from_config(entry, 0)
     reference = _REFERENCE_RULES[entry["kind"]](entry)
-    p = fn.prefix(sigma, cap, fuel)
-    # converged_prefix reads a functional built from a bare rule position
-    # by position
-    for rule in (reference, fn.rule):
-        assert converged_prefix(OracleFunctional(0, "bare", rule), sigma, cap, fuel) == p
-    assert converged_prefix(fn, sigma, cap, fuel) == p
+    # the prefix is the reference read position by position up to its
+    # first None
+    p = []
+    while len(p) < cap and (v := reference(sigma, len(p), fuel)) is not None:
+        p.append(v)
+    assert fn.prefix(sigma, cap, fuel) == tuple(p)
     for n in range(cap + 2):
         assert fn.eval(sigma, n, fuel) == reference(sigma, n, fuel)
-    # the field's contract: nothing converges after the first None
+    # the contract: nothing converges after the first None
     first = len(fn.prefix(sigma, 20, fuel))
     assert all(fn.eval(sigma, n, fuel) is None for n in range(first, 20))
 

@@ -5,21 +5,21 @@ A/B folds, the prefix-testing ``subtree_above`` and the case C that
 rebuilt its tree from a node set and searched every top's children through
 ``_assign_kids``; the level walks replaced them, and they are kept here to
 check the level walks on random trees.  Children come from the node set
-alone (``conftest.child_map``), and the DOT rendering that read a child
-map is kept to check ``tree_to_dot``.
+alone (``conftest.child_map``), outputs are read position by position
+(``conftest.PositionReader``), and the DOT rendering that read a child map
+is kept to check ``tree_to_dot``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from itertools import takewhile
+from collections import deque
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_map
+from conftest import PositionReader, adding_functional, child_map
 from survtree.engine import diagonalize_surviving, surviving
 from survtree.engine.common import OutputTable, nodes_above, trace_from_outputs
 from survtree.engine.surviving import (
@@ -27,6 +27,7 @@ from survtree.engine.surviving import (
     _assign_kids,
     _case_c,
     _first_per_prefix,
+    _own_prefixes,
     _pick_distinct,
 )
 from survtree.io_formats import tree_to_dot
@@ -68,8 +69,8 @@ def _reference_divergence_escape(table, stem, tree):
                 m &= mask[w + (i,)]
         else:
             m = 0
-            for n, v in enumerate(table.outputs(w)):
-                if v is None:
+            for n in range(table.depth):
+                if table.value(w, n) is None:
                     m |= 1 << n
         mask[w] = m
     for t in order:
@@ -110,7 +111,42 @@ def _reference_case_b(table, k, stem, tree) -> Optional[Word]:
     return next((t for t in order if len(t) < tree.depth and t not in over), None)
 
 
-def _reference_case_c(table, k, stem, tree):
+def _reference_cases_a_b(table, stem, tree, k=None):
+    """What ``cases_a_b`` answers: case B is looked for only when case A
+    finds nothing.  Case B reads no position case A has not read."""
+    hit = _reference_divergence_escape(table, stem, tree)
+    tau = None if k is None else _reference_case_b(table, k, stem, tree)
+    return hit, tau if hit is None else None
+
+
+def _walked_pool(table, tree, top, n):
+    """``_first_per_prefix`` without its use-monotone shortcut: every node
+    above top is walked."""
+    seen: set[Word] = set()
+    for v in nodes_above(tree, top):
+        o = table.converged(v)
+        if len(o) >= n and o[:n] not in seen:
+            seen.add(o[:n])
+            yield v, o[:n]
+
+
+def _walking_assign_kids(table, tree, kids, sigma_len):
+    """``_assign_kids`` with every pool walked, as it must read a functional
+    not known to be use-monotone."""
+    for n in range(sigma_len + 1, table.depth + 1):
+        chosen = _own_prefixes(table, kids, n)
+        if chosen is not None:
+            return chosen
+        pools = [_Drawn(_walked_pool(table, tree, v, n)) for v in kids]
+        if any(p.get(0) is None for p in pools):
+            continue
+        chosen = _pick_distinct(pools, [])
+        if chosen is not None:
+            return chosen
+    return None
+
+
+def _reference_case_c(table, k, stem, tree, assign_kids=_assign_kids):
     b = k + 1
     depth = table.depth
     cm = child_map(tree)
@@ -123,7 +159,7 @@ def _reference_case_c(table, k, stem, tree):
             q = top if len(cm[top]) == b else next(
                 (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
             )
-            assigned = None if q is None else _assign_kids(table, tree, children(tree, q), m)
+            assigned = None if q is None else assign_kids(table, tree, children(tree, q), m)
             if assigned is None:
                 chosen = []
                 break
@@ -186,47 +222,47 @@ def trees(draw, b=3):
 
 @st.composite
 def trees_with_table(draw):
-    """A tree, a node of it, and a functional read from a table of outputs
-    per (node, position): a value in 0..2 or None, in any pattern.  The
-    table repeats a drawn list of cells, so an example stays small.  Full
-    trees are drawn as well, as case C needs nodes with three children."""
+    """A tree, a node of it, and the outputs each node adds to its parent's
+    (see ``conftest.adding_functional``): a run of values in 0..2, often
+    none.  The nodes repeat a drawn list of runs, so an example stays
+    small.  Full trees are drawn as well, as case C needs nodes with three
+    children."""
     full = st.builds(FiniteTree.full, st.just(3), st.integers(1, DEPTH))
     tree = draw(st.one_of(trees(), full))
-    cell = st.one_of(st.none(), st.integers(0, 2))
-    cells = draw(st.lists(cell, min_size=1, max_size=3 * DEPTH))
+    run = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+    runs = draw(st.lists(run, min_size=1, max_size=DEPTH))
     nodes = tree.sorted_nodes()
-    outs = {
-        w: [cells[(i * DEPTH + n) % len(cells)] for n in range(DEPTH)]
-        for i, w in enumerate(nodes)
-    }
-    return tree, outs, draw(st.sampled_from(nodes))
+    adds = {w: runs[i % len(runs)] for i, w in enumerate(nodes)}
+    return tree, adds, draw(st.sampled_from(nodes))
 
 
 @st.composite
 def splitting_tables(draw):
-    """Like trees_with_table, but most nodes output their own entries
-    under a drawn permutation per position, so case C can split; the
-    others read the repeated cells, so its pool search has work."""
-    tree, cell_outs, stem = draw(trees_with_table())
+    """Like trees_with_table, but most nodes add their own last entry under
+    a drawn permutation per position, so case C can split; the others add
+    the repeated runs, so its pool search has work."""
+    tree, run_adds, stem = draw(trees_with_table())
     perms = draw(st.lists(st.permutations(range(3)), min_size=DEPTH, max_size=DEPTH))
     nodes = tree.sorted_nodes()
     noisy = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes) // 4))
-    outs = {
-        w: cell_outs[w] if w in noisy else [
-            perms[n][w[n]] if n < len(w) else cell_outs[w][n] for n in range(DEPTH)
-        ]
+    adds = {
+        w: run_adds[w] if w in noisy or not w else (perms[len(w) - 1][w[-1]],)
         for w in nodes
     }
-    return tree, outs, stem
+    return tree, adds, stem
 
 
-def _table(outs: dict[Word, list], calls: Optional[Counter] = None) -> OutputTable:
-    def rule(sigma, n, fuel):
-        if calls is not None:
-            calls[sigma, n] += 1
-        return outs[sigma][n]
+def _table(adds: dict[Word, Word]) -> OutputTable:
+    return OutputTable(adding_functional(adds), 1, DEPTH)
 
-    return OutputTable(OracleFunctional(0, "table", rule), 1, DEPTH)
+
+def _reader(adds: dict[Word, Word]) -> PositionReader:
+    return PositionReader(adding_functional(adds), 1, DEPTH)
+
+
+def table_reads(table: OutputTable) -> set[tuple[Word, int]]:
+    """The (node, position) pairs the table has read."""
+    return {(w, n) for w, m in table._read.items() for n in range(table.depth) if m >> n & 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,51 +358,40 @@ def test_dot_matches_the_child_map_rendering(tree, name):
 @settings(max_examples=300, deadline=None)
 @given(trees_with_table())
 def test_divergence_escape_matches_dict_fold(case):
-    tree, outs, stem = case
-    fold_calls: Counter = Counter()
-    ref_calls: Counter = Counter()
-    hit, tau = _table(outs, fold_calls).cases_a_b(stem, tree)
-    assert hit == _reference_divergence_escape(_table(outs, ref_calls), stem, tree)
+    tree, adds, stem = case
+    table, ref = _table(adds), _reader(adds)
+    hit, tau = table.cases_a_b(stem, tree)
+    assert hit == _reference_divergence_escape(ref, stem, tree)
     assert tau is None
-    assert fold_calls == ref_calls
+    assert table_reads(table) == ref.reads
 
 
 @settings(max_examples=300, deadline=None)
 @given(trees_with_table(), st.integers(1, 3))
 def test_case_b_matches_dict_fold(case, k):
-    tree, outs, stem = case
-    fold_calls: Counter = Counter()
-    ref_calls: Counter = Counter()
-    hit, tau = _table(outs, fold_calls).cases_a_b(stem, tree, k)
-    ref = _table(outs, ref_calls)
-    ref_hit = _reference_divergence_escape(ref, stem, tree)
-    ref_tau = _reference_case_b(ref, k, stem, tree)
-    assert hit == ref_hit
-    # case B is only looked for when case A finds nothing
-    assert tau == (ref_tau if ref_hit is None else None)
-    assert fold_calls == ref_calls
+    tree, adds, stem = case
+    table, ref = _table(adds), _reader(adds)
+    assert table.cases_a_b(stem, tree, k) == _reference_cases_a_b(ref, stem, tree, k)
+    assert table_reads(table) == ref.reads
 
 
-def _own_entry_outputs(tree: FiniteTree) -> dict[Word, list]:
+def _own_entry_adds(tree: FiniteTree) -> dict[Word, Word]:
     """Each node outputs its own entries, then nothing: every split's
     children carry distinct prefixes."""
-    return {w: [*w, *[None] * (DEPTH - len(w))] for w in tree.sorted_nodes()}
+    return {w: w[-1:] for w in tree.sorted_nodes()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(trees_with_table(), splitting_tables()))
 # a table deeper than the tree
-@example((FiniteTree.full(3, 1), _own_entry_outputs(FiniteTree.full(3, 1)), ()))
+@example((FiniteTree.full(3, 1), _own_entry_adds(FiniteTree.full(3, 1)), ()))
 def test_case_c_matches_node_set_rebuild(case):
-    tree, outs, stem = case
-    calls: Counter = Counter()
-    ref_calls: Counter = Counter()
-    table = _table(outs, calls)
-    ref = _table(outs, ref_calls)
+    tree, adds, stem = case
+    table, ref = _table(adds), _reader(adds)
     built = _case_c(table, 2, stem, tree)
     assert built == _reference_case_c(ref, 2, stem, tree)
     assert table.evals == ref.evals
-    assert calls == ref_calls
+    assert table_reads(table) == ref.reads
     if built is not None:
         _assert_indexes_match_node_set(built[0])
 
@@ -392,10 +417,10 @@ def test_case_c_rebuilds_a_tree_with_a_leaf_above_the_depth():
     bare = FiniteTree.from_words(chains, 3)
     tree = FiniteTree.from_words(chains + [(2, 1)], 3)
     assert tree.levels()[DEPTH] == bare.levels()[DEPTH]
-    assert _case_c(_table(_own_entry_outputs(bare)), 2, (), bare)[0] is bare
-    outs = _own_entry_outputs(tree)
-    built = _case_c(_table(outs), 2, (), tree)
-    assert built == _reference_case_c(_table(outs), 2, (), tree)
+    assert _case_c(_table(_own_entry_adds(bare)), 2, (), bare)[0] is bare
+    adds = _own_entry_adds(tree)
+    built = _case_c(_table(adds), 2, (), tree)
+    assert built == _reference_case_c(_reader(adds), 2, (), tree)
     assert built[0] == bare
     _assert_indexes_match_node_set(built[0])
 
@@ -421,9 +446,9 @@ def full_trees_with_stems(draw):
 @settings(max_examples=300, deadline=None)
 @given(full_trees_with_stems(), closed_form_entries, st.integers(0, 8), st.booleans())
 def test_singleton_pools_build_what_the_pool_walks_build(case, entry, fuel, staged):
-    """Case C read through a closed-form prefix, whose pools above a child
-    long enough are the child alone, against the reference case C read
-    through the bare rule, whose pools walk every node above each child.
+    """Case C, whose pools above a child long enough are the child alone,
+    against the reference case C read position by position, whose pools
+    walk every node above each child.
 
     Both build the same tree and trace.  The singleton pools read a subset
     of what the walks read.  Where the engine runs case C, after a fold
@@ -432,13 +457,14 @@ def test_singleton_pools_build_what_the_pool_walks_build(case, entry, fuel, stag
     tree, stem = case
     fn = functional_from_config(entry, 0)
     table = OutputTable(fn, fuel, tree.depth)
-    ref = OutputTable(OracleFunctional(fn.id, fn.kind, fn.rule), fuel, tree.depth)
+    ref = PositionReader(fn, fuel, tree.depth)
     if staged:
         cases = table.cases_a_b(stem, tree, 2)
-        assert cases == ref.cases_a_b(stem, tree, 2)
+        assert cases == _reference_cases_a_b(ref, stem, tree, 2)
         if cases != (None, None):
             return
-    assert _case_c(table, 2, stem, tree) == _reference_case_c(ref, 2, stem, tree)
+    built = _case_c(table, 2, stem, tree)
+    assert built == _reference_case_c(ref, 2, stem, tree, _walking_assign_kids)
     assert table.evals <= ref.evals
     if staged:
         assert table.evals == ref.evals
@@ -466,11 +492,7 @@ def noisy_entry_functionals(draw, tree, stem):
             out.append(v)
         return tuple(out)
 
-    def rule(sigma, n, fuel):
-        p = prefix(sigma, n + 1, fuel)
-        return p[n] if n < len(p) else None
-
-    return OracleFunctional(0, "noisy", rule, prefix)
+    return OracleFunctional(0, "noisy", prefix)
 
 
 @settings(max_examples=300, deadline=None)
@@ -490,7 +512,7 @@ def test_every_closed_form_prefix_call_is_a_counted_read(case, fuel, staged, dat
         called.add(sigma)
         return fn.prefix(sigma, cap, fuel)
 
-    table = OutputTable(OracleFunctional(fn.id, fn.kind, fn.rule, recording), fuel, tree.depth)
+    table = OutputTable(OracleFunctional(fn.id, fn.kind, recording), fuel, tree.depth)
     ref = OutputTable(fn, fuel, tree.depth)
     if staged:
         assert table.cases_a_b(stem, tree, 2) == ref.cases_a_b(stem, tree, 2)
@@ -498,22 +520,6 @@ def test_every_closed_form_prefix_call_is_a_counted_read(case, fuel, staged, dat
     assert called <= table._read.keys()
     assert table._read == ref._read
     assert table.evals == ref.evals
-
-
-@settings(max_examples=300, deadline=None)
-@given(trees_with_table(), st.lists(st.integers(0, DEPTH - 1), max_size=6))
-def test_converged_fills_rows_in_order_and_counts_each_eval_once(case, read):
-    tree, outs, _ = case
-    calls: Counter = Counter()
-    table = _table(outs, calls)
-    nodes = tree.sorted_nodes()
-    # read some single positions first, so rows are partly filled
-    for i, n in enumerate(read):
-        table.value(nodes[i % len(nodes)], n)
-    for w in nodes:
-        assert table.converged(w) == tuple(takewhile(lambda v: v is not None, outs[w]))
-    assert max(calls.values(), default=1) == 1
-    assert table.evals == len(calls)
 
 
 def _pool_search(table, tree, q, sigma_len):
@@ -534,11 +540,10 @@ def _pool_search(table, tree, q, sigma_len):
 @settings(max_examples=300, deadline=None)
 @given(trees_with_table(), st.integers(0, DEPTH - 1))
 def test_own_prefix_shortcut_reads_what_the_pool_search_reads(case, sigma_len):
-    tree, outs, q = case
+    tree, adds, q = case
     if not child_map(tree)[q]:
         return
-    fast_calls: Counter = Counter()
-    pool_calls: Counter = Counter()
-    fast = _assign_kids(_table(outs, fast_calls), tree, children(tree, q), sigma_len)
-    assert fast == _pool_search(_table(outs, pool_calls), tree, q, sigma_len)
-    assert fast_calls == pool_calls
+    fast, pool = _table(adds), _table(adds)
+    chosen = _assign_kids(fast, tree, children(tree, q), sigma_len)
+    assert chosen == _pool_search(pool, tree, q, sigma_len)
+    assert table_reads(fast) == table_reads(pool)
