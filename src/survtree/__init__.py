@@ -4,7 +4,6 @@ covers, and four deterministic condition-building engines with verifiable
 run records."""
 
 from .cover import (
-    CoverBudgetExceeded,
     CoverWitness,
     SizeGuard,
     min_cover,
@@ -41,7 +40,6 @@ from .trees import (
 __all__ = [
     "AdversaryFamily",
     "BoundExceeded",
-    "CoverBudgetExceeded",
     "CoverWitness",
     "FiniteTree",
     "LevelBound",

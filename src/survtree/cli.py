@@ -2,8 +2,7 @@
 
 Exit statuses: 0 all requested checks pass; 1 a verification defect;
 2 usage or parse error; 3 an engine ran out of budget (the record is still
-written, marked incomplete) or min-cover ran out of work and printed a
-bracket lower..upper.
+written, marked incomplete).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cover import CoverBudgetExceeded, SizeGuard, min_cover, verify_cover
+from .cover import SizeGuard, min_cover, verify_cover
 from .engine import (
     accelerating_force,
     build3_record,
@@ -23,6 +22,7 @@ from .engine import (
     traceable_prune,
     verify_record,
 )
+from .engine.accelerating import CASE4_CANDIDATE_LIMIT, case4_candidates
 from .io_formats import (
     TRACE_ENTRY_LIMIT,
     FormatError,
@@ -77,6 +77,10 @@ def _cmd_run(args) -> int:
         print(f"--k {args.k} --depth {args.depth}: a trace could spell out more than "
               f"{TRACE_ENTRY_LIMIT} entries, the most a record may hold", file=sys.stderr)
         return USAGE
+    if args.engine == "accelerating" and case4_candidates(args.depth) > CASE4_CANDIDATE_LIMIT:
+        print(f"--depth {args.depth}: case 4 could try more than {CASE4_CANDIDATE_LIMIT} "
+              "candidate extensions", file=sys.stderr)
+        return USAGE
     family = _load_family(args.family)
     if args.engine == "surviving":
         record = diagonalize_surviving(
@@ -113,10 +117,6 @@ def _cmd_verify(args) -> int:
 def _cmd_min_cover(args) -> int:
     try:
         value, witness = min_cover(args.b, args.k, args.d)
-    except CoverBudgetExceeded as e:
-        print(e.bracket)
-        print(str(e), file=sys.stderr)
-        return BUDGET
     except (SizeGuard, ValueError) as e:
         print(str(e), file=sys.stderr)
         return USAGE

@@ -27,6 +27,25 @@ from .common import (
 
 _PROBE_ENTRIES = 4
 _PROBE_LEN = 3
+# the most candidate extensions case 4 may try in a run `survtree run` starts:
+# depths 20 to 26 reach 278,082 (the standard family at d24 and 8 stages
+# runs in about 5 s on a 2-vCPU guest), and depth 27 reaches 5.8 million
+CASE4_CANDIDATE_LIMIT = 300_000
+
+
+def case4_candidates(depth: int) -> int:
+    """The most candidates case 4 can try below this depth, summed level by
+    level until the sum passes CASE4_CANDIDATE_LIMIT.  With the stem at the
+    root, the split nodes of level L have length sum_{i<L} (i+2), the level
+    fits while they have room for its L+2 rounds, and each of its
+    prod_{i<L} (i+3) split nodes tries 3^(L+2) extensions."""
+    total, nodes, length, level = 0, 1, 0, 0
+    while length + level + 2 <= depth and total <= CASE4_CANDIDATE_LIMIT:
+        total += nodes * 3 ** (level + 2)
+        nodes *= level + 3
+        length += level + 2
+        level += 1
+    return total
 
 
 def _probes(stem: Word, tree: Optional[FiniteTree], depth: int) -> list[Word]:

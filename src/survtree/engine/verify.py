@@ -34,6 +34,12 @@ from .common import (
 )
 
 _ENGINES = {"surviving", "build3", "traceable", "accelerating"}
+# (predicate, k) of the final tree's shape, for the engines whose k is fixed
+_SHAPES = {
+    "build3": ("ktree", 3),
+    "traceable": ("ktree", 3),
+    "accelerating": ("accelerating", None),
+}
 # the certificates about a functional, each checked under the record's fuel
 _FUNCTIONAL_CERTS = {
     "presumed_divergence", "value_witness", "constant_outputs", "trace", "two_tree_trace",
@@ -55,8 +61,12 @@ def verify_record(payload: dict) -> list[str]:
         depth = int(payload["parameters"]["depth"])
         fuel = payload["parameters"].get("fuel")
         fuel = None if fuel is None else int(fuel)
-        # a surviving trace is a (k+1)-tree, with k from the parameters
-        base = int(payload["parameters"]["k"]) + 1 if payload["engine"] == "surviving" else None
+        # the shape the engine promises, with k from the parameters, not
+        # from a certificate
+        if payload["engine"] == "surviving":
+            shape = ("kbranching", int(payload["parameters"]["k"]) + 1)
+        else:
+            shape = _SHAPES[payload["engine"]]
         # every engine builds its traces at the record's depth; checking it
         # first keeps a forged depth from costing anything to decode
         for t in payload["traces"]:
@@ -75,7 +85,7 @@ def verify_record(payload: dict) -> list[str]:
     for i, cert in enumerate(payload.get("certificates", [])):
         try:
             msg = _check_certificate(
-                cert, family, stem, tree, leaves, traces, labels, depth, fuel, base
+                cert, family, stem, tree, leaves, traces, labels, depth, fuel, shape
             )
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
@@ -108,7 +118,7 @@ def _check_certificate(
     labels: Optional[dict[Word, int]],
     depth: int,
     fuel: Optional[int],
-    base: Optional[int],
+    shape: tuple[str, Optional[int]],
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind in _FUNCTIONAL_CERTS:
@@ -189,9 +199,10 @@ def _check_certificate(
         if kind == "two_tree_trace":
             # every word below the trace's depth has 1 or 2 children
             msg = _row_width_defect(table, 1, 2, "a 2-tree")
-        elif base is not None:
-            # a surviving trace: at most base^n words on level n, and at
-            # most base children a word
+        elif shape[0] == "kbranching":
+            # a surviving trace, like its (k+1)-branching tree: at most
+            # (k+1)^n words on level n, and at most k+1 children a word
+            base = shape[1]
             if table.bound != LevelBound("pow", base):
                 return f"trace bound is {table.bound.base}^n, not {base}^n"
             msg = _row_width_defect(table, 0, base, f"a {base}-tree")
@@ -219,16 +230,17 @@ def _check_certificate(
         msg = check_label_invariants(cond)
         return msg
     if kind == "shape":
-        pred = cert.get("predicate")
+        pred, k = shape
+        if (cert.get("predicate"), cert.get("k")) != shape:
+            return (f"predicate {cert.get('predicate')!r} with k {cert.get('k')} is not "
+                    f"the engine's {pred!r} with k {k}")
         d = int(cert["depth"])
         if pred == "kbranching":
-            bad = is_k_branching_to_depth(tree, int(cert["k"]), d)
+            bad = is_k_branching_to_depth(tree, k, d)
         elif pred == "ktree":
-            bad = is_k_tree_to_depth(tree, int(cert["k"]), d)
-        elif pred == "accelerating":
-            bad = is_accelerating_to_depth(tree, d)
+            bad = is_k_tree_to_depth(tree, k, d)
         else:
-            return f"unknown predicate {pred!r}"
+            bad = is_accelerating_to_depth(tree, d)
         if bad is not None:
             return f"node {bad.node}: {bad.required}, saw {bad.observed_child_count}"
         return None

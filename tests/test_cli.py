@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from survtree import cli, cover
+from survtree import cli
 from survtree.cli import build_parser, main
 from survtree.engine import (
     accelerating_force,
@@ -48,12 +48,6 @@ def test_min_cover_out_of_guard_is_usage_error(capsys):
 def test_min_cover_k_below_two_is_usage_error(capsys):
     assert main(["min-cover", "--b", "3", "--k", "1", "--d", "2"]) == 2
     assert "2 <= k <= b" in capsys.readouterr().err
-
-
-def test_min_cover_out_of_work_prints_bracket(monkeypatch, capsys):
-    monkeypatch.setattr(cover, "WORK_BUDGET", 100)
-    assert main(["min-cover", "--b", "4", "--k", "3", "--d", "3"]) == 3
-    assert capsys.readouterr().out.strip() == "4..?"
 
 
 def test_run_build3_empty_family_then_verify(tmp_path, capsys):
@@ -130,6 +124,23 @@ def test_surviving_run_past_the_trace_limit_is_refused_before_any_work(
     # one level less passes the guard and reaches the engine
     with pytest.raises(_EngineCalled):
         main(argv + [fits])
+
+
+def test_accelerating_run_past_the_case4_limit_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "accelerating_force", _refuse_to_run)
+    out = tmp_path / "rec.json"
+    argv = ["run", "--engine", "accelerating", "--stages", "8", "--out", str(out), "--depth"]
+    assert main(argv + ["30"]) == 2
+    err = capsys.readouterr().err
+    assert "--depth 30: case 4 could try more than 300000 candidate extensions" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # the golden grid's and the benchmark's depths reach the engine
+    for depth in ("6", "8", "12", "26"):
+        with pytest.raises(_EngineCalled):
+            main(argv + [depth])
 
 
 def test_zero_run_parameters_are_accepted(tmp_path):

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import survtree.cover as cover
 from survtree.cover import (
-    CoverBudgetExceeded,
+    SIZE_LIMIT,
     CoverWitness,
     SizeGuard,
     min_cover,
@@ -21,6 +20,20 @@ from survtree.cover import (
     verify_cover,
 )
 from survtree.trees import FiniteTree, Word
+
+
+def _need(uncovered: int, b: int, k: int, d: int) -> int:
+    """Lower bound on the trees covering ``uncovered``: need(root), where a
+    leaf needs 1 if uncovered, else 0, and need(v) = max(max_c need(c),
+    ceil(sum_c need(c) / k)), as every k-branching tree through v passes
+    through at most k of v's children."""
+    level = [int(bit) for bit in reversed(format(uncovered, f"0{b ** d}b"))]
+    for _ in range(d):
+        level = [
+            max(max(group), -(-sum(group) // k))
+            for group in (level[i:i + b] for i in range(0, len(level), b))
+        ]
+    return level[0]
 
 
 def _reference_min_cover(b: int, k: int, d: int) -> int:
@@ -166,7 +179,41 @@ def test_min_cover_values_meet_the_need_bound(b, k, d, value):
     found, witness = min_cover(b, k, d)
     assert found == value == len(witness.trees)
     assert verify_cover(witness) is None
-    assert cover._need((1 << b**d) - 1, b, k, d) == value
+    assert _need((1 << b**d) - 1, b, k, d) == value
+
+
+IN_GUARD = [
+    (b, k, d)
+    for b in range(3, 10)
+    for d in range(1, 7)
+    if b**d <= SIZE_LIMIT
+    for k in range(2, b)
+]
+
+
+def test_min_cover_meets_the_need_bound_on_every_small_in_guard_triple():
+    assert len(IN_GUARD) == 92
+    for b, k, d in IN_GUARD:
+        value, witness = min_cover(b, k, d)
+        assert value == _need((1 << b**d) - 1, b, k, d), (b, k, d)
+        assert verify_cover(witness) is None, (b, k, d)
+
+
+def test_min_cover_5_3_2_deals_the_child_uses():
+    # n_1 = ceil(5/3) = 2 and n_2 = ceil(5*2/3) = 4.  At the root each child
+    # starts at n_1 = 2 uses, and the k*n_2 - b*n_1 = 2 spare uses go to
+    # child 0 (capped at n_2 = 4); each tree takes exactly k = 3 children
+    value, witness = min_cover(5, 3, 2)
+    assert value == 4
+    uses = [sum((c,) in t for t in witness.trees) for c in range(5)]
+    assert uses == [4, 2, 2, 2, 2]
+    assert all(len(t.level(1)) == 3 for t in witness.trees)
+    # child 1's two uses take both trees of its height-1 cover, whose own
+    # child uses [2, 1, 1, 1, 1] are dealt to its trees 0, 1, 0, 1, 0, 1
+    below = {
+        frozenset(L[1] for L in t.level(2) if L[0] == 1) for t in witness.trees if (1,) in t
+    }
+    assert below == {frozenset({0, 1, 3}), frozenset({0, 2, 4})}
 
 
 @pytest.mark.parametrize(
@@ -185,7 +232,7 @@ TREES_3_2_2 = _tree_masks(3, 2, 2)
 @given(st.integers(min_value=1, max_value=2**9 - 1))
 def test_need_bound_never_exceeds_brute_force_cover(uncovered):
     assert len(TREES_3_2_2) == 27
-    need = cover._need(uncovered, 3, 2, 2)
+    need = _need(uncovered, 3, 2, 2)
     size = next(
         m
         for m in itertools.count(1)
@@ -195,24 +242,6 @@ def test_need_bound_never_exceeds_brute_force_cover(uncovered):
         )
     )
     assert need <= size
-
-
-def test_budget_exhaustion_reports_the_need_bound(monkeypatch):
-    monkeypatch.setattr(cover, "WORK_BUDGET", 100)
-    with pytest.raises(CoverBudgetExceeded) as info:
-        min_cover(4, 3, 3)
-    assert info.value.lower == 4
-    assert info.value.upper is None
-
-
-def test_budget_exhaustion_after_a_cover_reports_its_size(monkeypatch):
-    # the first descent on (7,2,3) finds 53 trees; backtracking lowers that
-    # to the need bound 49 with about 13,000 candidate trees
-    monkeypatch.setattr(cover, "WORK_BUDGET", 10_000)
-    with pytest.raises(CoverBudgetExceeded) as info:
-        min_cover(7, 2, 3)
-    assert info.value.lower == 49 < info.value.upper <= 53
-    assert info.value.bracket == f"49..{info.value.upper}"
 
 
 def test_k_outside_2_to_b_is_rejected():

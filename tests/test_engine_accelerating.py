@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from survtree.engine import accelerating_force, verify_record
-from survtree.engine.accelerating import _exits
+from survtree.engine.accelerating import CASE4_CANDIDATE_LIMIT, _exits, case4_candidates
 from survtree.engine.common import Run
 from survtree.io_formats import payload_digest
 from survtree.staged import family_from_config, standard_library
@@ -20,6 +20,21 @@ LIB = standard_library()
 
 def run(stages=8, depth=8, fuel=10000, family=LIB):
     return accelerating_force(family, stages, depth, fuel)
+
+
+def test_case4_candidates_count_the_levels_that_fit_below_the_depth():
+    # level L needs L+2 rounds above its split nodes and tries 3^(L+2)
+    # extensions at each of its prod_{i<L} (i+3) split nodes
+    assert [case4_candidates(d) for d in (1, 2, 4, 5, 8, 11, 12, 16, 20, 26)] == [
+        0, 9, 9, 90, 90, 1_062, 1_062, 15_642, 278_082, 278_082,
+    ]
+    assert case4_candidates(27) == 9 + 81 + 972 + 14_580 + 262_440 + 2_520 * 3**7
+
+
+def test_case4_limit_admits_every_depth_up_to_26():
+    assert all(case4_candidates(d) <= CASE4_CANDIDATE_LIMIT for d in range(27))
+    # the sum stops once past the limit, so a huge depth costs no more
+    assert all(case4_candidates(d) > CASE4_CANDIDATE_LIMIT for d in (27, 30, 60, 10**18))
 
 
 def test_exits_pass_over_a_node_with_exactly_k_children():

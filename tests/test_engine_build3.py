@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_map, staged_tree_entries, unbounded_trees
-from survtree.engine import build_3tree
+from survtree.engine import build3_record, build_3tree, verify_record
 from survtree.engine.common import schedule
 from survtree.staged import (
     EMPTY_CONFIG,
@@ -19,6 +19,7 @@ from survtree.staged import (
     standard_library,
     staged_tree_from_config,
 )
+from survtree.io_formats import payload_digest
 from survtree.trees import FiniteTree, TriState, is_k_tree_to_depth, word_key
 
 LIB = standard_library()
@@ -182,3 +183,15 @@ def test_stage_budget_bounds_growth():
     small, _ = build_3tree(LIB, 8, 4)
     large, _ = build_3tree(LIB, 8, 24)
     assert small.nodes <= large.nodes
+
+
+def test_verifier_refuses_a_shape_k_other_than_the_promised_3():
+    payload = build3_record(LIB, 8, 24).to_payload()
+    assert verify_record(payload) == []
+    i = next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == "shape")
+    payload["certificates"][i]["k"] = 100
+    payload["digest"] = payload_digest(payload)
+    assert verify_record(payload) == [
+        f"certificate {i} (shape): predicate 'ktree' with k 100 is not "
+        "the engine's 'ktree' with k 3"
+    ]

@@ -14,6 +14,7 @@ from survtree.engine import (
 )
 from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.engine.traceable import _members_leaves
+from survtree.io_formats import payload_digest
 from survtree.staged import standard_library
 from survtree.traces import goes_through
 from survtree.trees import FiniteTree, is_k_tree_to_depth
@@ -103,6 +104,18 @@ def test_trace_branch_go_through():
 
 def test_record_verifies():
     assert verify_record(run().to_payload()) == []
+
+
+def test_verifier_refuses_a_shape_k_other_than_the_promised_3():
+    # a looser k would let a tree with 4 or more children at a node verify
+    payload = run().to_payload()
+    i = next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == "shape")
+    payload["certificates"][i]["k"] = 100
+    payload["digest"] = payload_digest(payload)
+    assert verify_record(payload) == [
+        f"certificate {i} (shape): predicate 'ktree' with k 100 is not "
+        "the engine's 'ktree' with k 3"
+    ]
 
 
 def test_determinism():
