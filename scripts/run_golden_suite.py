@@ -44,6 +44,7 @@ def main() -> int:
         ("surviving-d6", diagonalize_surviving(2, lib, 8, 6, 4000)),
         ("surviving-d8", diagonalize_surviving(2, lib, 14, 8, 10000)),
         ("surviving-d8-comb-r1", diagonalize_surviving(2, _comb_r1(), 14, 8, 10000)),
+        ("surviving-k3-d6", diagonalize_surviving(3, lib, 10, 6, 10000)),
         ("build3-d8", build3_record(lib, 8, 24)),
         ("build3-d12", build3_record(lib, 12, 36)),
         (

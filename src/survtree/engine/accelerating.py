@@ -220,9 +220,7 @@ def accelerating_force(
 
     if run.tree is None:
         run.tree = FiniteTree.from_words(prefixes(run.stem + (0,) * (depth - len(run.stem))))
-    return run.record(
-        "accelerating", {"kind": "shape", "predicate": "accelerating", "depth": depth}
-    )
+    return run.record("accelerating")
 
 
 def _exits(run: Run, s: int, k: int) -> Iterator[Word]:

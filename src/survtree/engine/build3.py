@@ -36,7 +36,7 @@ from ..staged import (
     shown_successors,
 )
 from ..trees import FiniteTree, TriState, Word
-from .common import RunRecord
+from .common import PROMISES, RunRecord
 
 LevelCode = Callable[[int], tuple[int, int]]
 
@@ -97,16 +97,15 @@ def build3_record(adversaries: AdversaryFamily, depth: int, stages: int) -> RunR
     """The run record of ``build_3tree``: its tree, with the rightmost path
     as the stem, and the 3-tree shape it promises."""
     tree, path = build_3tree(adversaries, depth, stages)
+    parameters = {"depth": depth, "stages": stages}
     return RunRecord(
         engine="build3",
-        parameters={"depth": depth, "stages": stages},
+        parameters=parameters,
         family_config=adversaries.config,
         stage_log=[],
         final_stem=path,
         final_tree=tree,
         traces=[],
-        certificates=[
-            {"kind": "shape", "predicate": "ktree", "k": 3, "depth": depth}
-        ],
+        certificates=[PROMISES["build3"](parameters).shape(depth)],
         status="complete",
     )

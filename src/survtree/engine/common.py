@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
 from ..staged import (
@@ -47,6 +47,11 @@ def schedule(i: int) -> int:
 
 def schedule_prefix(n: int) -> list[int]:
     return [schedule(i) for i in range(n)]
+
+
+def schedule_certificate(depth: int) -> dict:
+    """The schedule certificate of a traceable record at depth."""
+    return {"kind": "schedule", "terms": schedule_prefix(max(10, depth + 2))}
 
 
 def is_schedule_prefix(seq: list[int]) -> bool:
@@ -351,6 +356,33 @@ class RunRecord:
         return payload
 
 
+class Promise(NamedTuple):
+    """What an engine's records promise: a final tree that passes the shape
+    predicate with k, and traces with at most base^n words on level n and lo
+    to hi children a word below the depth (no traces when base is None)."""
+
+    predicate: str
+    k: Optional[int]
+    base: Optional[int] = None
+    lo: int = 0
+    hi: int = 0
+
+    def shape(self, depth: int) -> dict:
+        """The shape certificate of a record at depth."""
+        k = {} if self.k is None else {"k": self.k}
+        return {"kind": "shape", "predicate": self.predicate, **k, "depth": depth}
+
+
+# Each engine's promise, from its record's parameters.  The engines write
+# their shape certificates from it, and the verifier checks records against it.
+PROMISES: dict[str, Callable[[dict], Promise]] = {
+    "surviving": lambda p: Promise("kbranching", b := int(p["k"]) + 1, b, 0, b),
+    "build3": lambda p: Promise("ktree", 3),
+    "traceable": lambda p: Promise("ktree", 3, 3, 0, 3),
+    "accelerating": lambda p: Promise("accelerating", None, 2, 1, 2),
+}
+
+
 class Run:
     """One staged run: the stem and working tree it moves, and the stage
     log, traces and certificates it writes into its record.
@@ -438,7 +470,7 @@ class Run:
     def record(
         self, engine: str, *closing: dict, labels: Optional[dict[Word, int]] = None
     ) -> RunRecord:
-        """The run's record, its certificates followed by closing."""
+        """The run's record: its certificates, closing and the shape certificate."""
         parameters = {
             "depth": self.depth, "stages": self.stages, "fuel": self.fuel,
             "query_stage": self.query,
@@ -453,7 +485,9 @@ class Run:
             final_stem=self.stem,
             final_tree=self.tree,
             traces=self.traces,
-            certificates=self.certificates + list(closing),
+            certificates=[
+                *self.certificates, *closing, PROMISES[engine](parameters).shape(self.depth)
+            ],
             status="complete" if self.complete else "incomplete",
             labels=labels,
         )

@@ -221,6 +221,4 @@ def diagonalize_surviving(
             entry["case"] = "C"
         else:
             entry["case"] = "stuck"
-    return run.record(
-        "surviving", {"kind": "shape", "predicate": "kbranching", "k": b, "depth": depth}
-    )
+    return run.record("surviving")

@@ -25,7 +25,7 @@ from .common import (
     RunRecord,
     nodes_above,
     schedule,
-    schedule_prefix,
+    schedule_certificate,
     trace_from_outputs,
 )
 
@@ -230,9 +230,7 @@ def traceable_prune(
 ) -> RunRecord:
     run = _LabeledRun(adversaries, stages, depth, fuel, start.tree, start.stem)
     run.labels = dict(start.labels)
-    run.certificates.append(
-        {"kind": "schedule", "terms": schedule_prefix(max(10, depth + 2))}
-    )
+    run.certificates.append(schedule_certificate(depth))
     for table, entry in run.p_stages(_exits):
         hit, _ = table.cases_a_b(run.stem, run.tree)
         if hit is not None:
@@ -248,9 +246,4 @@ def traceable_prune(
             table.functional, trace_from_outputs(outs, depth, 3), kind="trace", case="prune"
         )
         entry.update(log)
-    return run.record(
-        "traceable",
-        {"kind": "labels"},
-        {"kind": "shape", "predicate": "ktree", "k": 3, "depth": depth},
-        labels=run.labels,
-    )
+    return run.record("traceable", {"kind": "labels"}, labels=run.labels)

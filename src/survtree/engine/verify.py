@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..io_formats import json_to_trace, record_digest_ok
+from ..io_formats import canonical_json, json_to_trace, record_digest_ok
 from ..staged import AdversaryFamily, shown_successors
 from ..traces import BoundExceeded, LevelBound, TraceTable, goes_through
 from ..trees import (
@@ -23,27 +23,21 @@ from ..trees import (
     is_prefix,
 )
 from .common import (
+    PROMISES,
     LabeledCondition,
+    Promise,
     check_label_invariants,
     family_of_payload,
     labels_of_payload,
     pairwise_consistent,
-    schedule_prefix,
+    schedule_certificate,
     stem_of_payload,
     tree_of_payload,
 )
 
-_ENGINES = {"surviving", "build3", "traceable", "accelerating"}
-# (predicate, k) of the final tree's shape, for the engines whose k is fixed
-_SHAPES = {
-    "build3": ("ktree", 3),
-    "traceable": ("ktree", 3),
-    "accelerating": ("accelerating", None),
-}
+_TRACE_CERTS = {"trace", "two_tree_trace"}
 # the certificates about a functional, each checked under the record's fuel
-_FUNCTIONAL_CERTS = {
-    "presumed_divergence", "value_witness", "constant_outputs", "trace", "two_tree_trace",
-}
+_FUNCTIONAL_CERTS = {"presumed_divergence", "value_witness", "constant_outputs", *_TRACE_CERTS}
 
 
 def verify_record(payload: dict) -> list[str]:
@@ -51,7 +45,7 @@ def verify_record(payload: dict) -> list[str]:
     defects: list[str] = []
     if not record_digest_ok(payload):
         return ["digest mismatch"]
-    if payload.get("engine") not in _ENGINES:
+    if payload.get("engine") not in PROMISES:
         return [f"unknown engine {payload.get('engine')!r}"]
     try:
         family = family_of_payload(payload)
@@ -61,12 +55,8 @@ def verify_record(payload: dict) -> list[str]:
         depth = int(payload["parameters"]["depth"])
         fuel = payload["parameters"].get("fuel")
         fuel = None if fuel is None else int(fuel)
-        # the shape the engine promises, with k from the parameters, not
-        # from a certificate
-        if payload["engine"] == "surviving":
-            shape = ("kbranching", int(payload["parameters"]["k"]) + 1)
-        else:
-            shape = _SHAPES[payload["engine"]]
+        # what the engine promises, from the parameters, not from a certificate
+        promise = PROMISES[payload["engine"]](payload["parameters"])
         # every engine builds its traces at the record's depth; checking it
         # first keeps a forged depth from costing anything to decode
         for t in payload["traces"]:
@@ -82,24 +72,27 @@ def verify_record(payload: dict) -> list[str]:
     if stem not in tree:
         defects.append(f"final stem {stem} not in final tree")
     leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
-    for i, cert in enumerate(payload.get("certificates", [])):
+    certs = payload.get("certificates", [])
+    for i, cert in enumerate(certs):
         try:
             msg = _check_certificate(
-                cert, family, stem, tree, leaves, traces, labels, depth, fuel, shape
+                cert, family, stem, tree, leaves, traces, labels, depth, fuel, promise
             )
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
         if msg is not None:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
+    if not any(cert.get("kind") == "shape" for cert in certs):
+        defects.append("no shape certificate")
     return defects
 
 
-def _row_width_defect(table: TraceTable, lo: int, hi: int, shape: str) -> Optional[str]:
+def _row_width_defect(table: TraceTable, lo: int, hi: int) -> Optional[str]:
     """The first word of the trace with fewer than lo or more than hi children."""
     for n, row in enumerate(table.children):
         for i, es in enumerate(row):
             if not lo <= len(es) <= hi:
-                return f"trace is not {shape}: level {n} word {i} has {len(es)} children"
+                return f"trace is not a {hi}-tree: level {n} word {i} has {len(es)} children"
     return None
 
 
@@ -118,18 +111,24 @@ def _check_certificate(
     labels: Optional[dict[Word, int]],
     depth: int,
     fuel: Optional[int],
-    shape: tuple[str, Optional[int]],
+    promise: Promise,
 ) -> Optional[str]:
     kind = cert.get("kind")
+    if kind in _TRACE_CERTS and promise.base is None:
+        return "the engine keeps no traces"
     if kind in _FUNCTIONAL_CERTS:
         if fuel is None:
             raise ValueError("the record has no fuel parameter")
         if int(cert.get("fuel", fuel)) != fuel:
             return f"fuel {cert['fuel']} differs from the record's fuel {fuel}"
-    if kind == "avoidance":
+        fn = _by_id(family.functionals, int(cert["functional"]))
+        if fn is None:
+            return f"no functional with id {cert['functional']}"
+    elif kind in ("avoidance", "vacuous_tree_requirement"):
         adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
             return f"no staged tree with id {cert['tree']}"
+    if kind == "avoidance":
         witness = tuple(int(e) for e in cert["witness"])
         if not is_prefix(witness, stem):
             return f"witness {witness} is not a prefix of the final stem"
@@ -137,9 +136,6 @@ def _check_certificate(
             return f"witness {witness} is not out of tree {adv.id}"
         return None
     if kind == "vacuous_tree_requirement":
-        adv = _by_id(family.staged_trees, int(cert["tree"]))
-        if adv is None:
-            return f"no staged tree with id {cert['tree']}"
         w = tuple(int(e) for e in cert["witness"])
         k = int(cert["k"])
         stage = int(cert["stage"])
@@ -148,9 +144,6 @@ def _check_certificate(
             return f"node {w} shows only {shown} successors, not more than {k}"
         return None
     if kind == "presumed_divergence":
-        fn = _by_id(family.functionals, int(cert["functional"]))
-        if fn is None:
-            return f"no functional with id {cert['functional']}"
         node = tuple(int(e) for e in cert["node"])
         n = int(cert["position"])
         if not (is_prefix(node, stem) or is_prefix(stem, node)):
@@ -161,9 +154,6 @@ def _check_certificate(
                 return f"branch {L} converges at position {n}"
         return None
     if kind == "value_witness":
-        fn = _by_id(family.functionals, int(cert["functional"]))
-        if fn is None:
-            return f"no functional with id {cert['functional']}"
         node = tuple(int(e) for e in cert["node"])
         n = int(cert["position"])
         v = int(cert["value"])
@@ -175,9 +165,6 @@ def _check_certificate(
             return f"functional does not output {v} at {n} on {node}"
         return None
     if kind == "constant_outputs":
-        fn = _by_id(family.functionals, int(cert["functional"]))
-        if fn is None:
-            return f"no functional with id {cert['functional']}"
         outs = [
             fn.prefix(tuple(int(e) for e in p), depth, fuel)
             for p in cert["probes"]
@@ -185,29 +172,17 @@ def _check_certificate(
         if not pairwise_consistent(outs):
             return "recorded probes disagree"
         return None
-    if kind in ("trace", "two_tree_trace"):
-        fid = int(cert["functional"])
-        fn = _by_id(family.functionals, fid)
-        if fn is None:
-            return f"no functional with id {fid}"
+    if kind in _TRACE_CERTS:
+        # checked against the engine's trace rule, whatever the kind says
         ti = int(cert["trace_index"])
         if not (0 <= ti < len(traces)):
             return f"trace index {ti} out of range"
         owner, table = traces[ti]
-        if owner != fid:
+        if owner != fn.id:
             return f"trace {ti} belongs to functional {owner}"
-        if kind == "two_tree_trace":
-            # every word below the trace's depth has 1 or 2 children
-            msg = _row_width_defect(table, 1, 2, "a 2-tree")
-        elif shape[0] == "kbranching":
-            # a surviving trace, like its (k+1)-branching tree: at most
-            # (k+1)^n words on level n, and at most k+1 children a word
-            base = shape[1]
-            if table.bound != LevelBound("pow", base):
-                return f"trace bound is {table.bound.base}^n, not {base}^n"
-            msg = _row_width_defect(table, 0, base, f"a {base}-tree")
-        else:
-            msg = None
+        if table.bound != LevelBound("pow", promise.base):
+            return f"trace bound is {table.bound.base}^n, not {promise.base}^n"
+        msg = _row_width_defect(table, promise.lo, promise.hi)
         if msg is not None:
             return msg
         for L in leaves:
@@ -216,9 +191,9 @@ def _check_certificate(
                 return f"branch {L} output {o} leaves the trace"
         return None
     if kind == "schedule":
-        terms = [int(t) for t in cert["terms"]]
-        if terms != schedule_prefix(len(terms)):
-            return f"terms {terms} do not match the task schedule"
+        want = schedule_certificate(depth)
+        if cert != want:
+            return f"terms {cert.get('terms')} are not the task schedule's {want['terms']}"
         return None
     if kind == "labels":
         if labels is None:
@@ -230,17 +205,18 @@ def _check_certificate(
         msg = check_label_invariants(cond)
         return msg
     if kind == "shape":
-        pred, k = shape
-        if (cert.get("predicate"), cert.get("k")) != shape:
+        pred, k, want = promise.predicate, promise.k, promise.shape(depth)
+        if (cert.get("predicate"), cert.get("k")) != (pred, k):
             return (f"predicate {cert.get('predicate')!r} with k {cert.get('k')} is not "
                     f"the engine's {pred!r} with k {k}")
-        d = int(cert["depth"])
+        if cert != want:
+            return f"{canonical_json(cert)} is not the engine's {canonical_json(want)}"
         if pred == "kbranching":
-            bad = is_k_branching_to_depth(tree, k, d)
+            bad = is_k_branching_to_depth(tree, k, depth)
         elif pred == "ktree":
-            bad = is_k_tree_to_depth(tree, k, d)
+            bad = is_k_tree_to_depth(tree, k, depth)
         else:
-            bad = is_accelerating_to_depth(tree, d)
+            bad = is_accelerating_to_depth(tree, depth)
         if bad is not None:
             return f"node {bad.node}: {bad.required}, saw {bad.observed_child_count}"
         return None

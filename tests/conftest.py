@@ -1,12 +1,14 @@
-"""Shared generators for the test suite."""
+"""Shared generators and record forgeries for the test suite."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from hypothesis import strategies as st
 
+from survtree.engine import verify_record
+from survtree.io_formats import payload_digest
 from survtree.staged import OracleFunctional, StagedTree
 from survtree.trees import FiniteTree, Word
 
@@ -51,6 +53,19 @@ def full_tree_words(b: int, d: int) -> frozenset[Word]:
     return frozenset(
         w for n in range(d + 1) for w in itertools.product(range(b), repeat=n)
     )
+
+
+def forged_defects(payload: dict, edit: Callable[[dict], object]) -> list[str]:
+    """The verifier's defects for payload after edit(payload), re-signed so
+    that only the checks of its content can see the edit."""
+    edit(payload)
+    payload["digest"] = payload_digest(payload)
+    return verify_record(payload)
+
+
+def cert_index(payload: dict, kind: str) -> int:
+    """The index of the payload's first certificate of the kind."""
+    return next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == kind)
 
 
 def make_tree(nodes, bound=None) -> FiniteTree:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from conftest import cert_index, forged_defects
 from survtree.engine import accelerating_force, verify_record
 from survtree.engine.accelerating import CASE4_CANDIDATE_LIMIT, _exits, case4_candidates
 from survtree.engine.common import Run
@@ -98,6 +99,31 @@ def test_verifier_refuses_a_two_tree_trace_with_a_third_child():
         f"certificate {i} (two_tree_trace): trace is not a 2-tree: "
         f"level {trace['depth'] - 1} word 0 has 3 children"
     ]
+
+
+def test_verifier_refuses_a_trace_bound_other_than_2():
+    payload = run().to_payload()
+    i = cert_index(payload, "two_tree_trace")
+    ti = payload["certificates"][i]["trace_index"]
+    defects = forged_defects(payload, lambda p: p["traces"][ti]["bound"].update(base=10**6))
+    assert defects == [f"certificate {i} (two_tree_trace): trace bound is 1000000^n, not 2^n"]
+
+
+def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    payload = run().to_payload()
+    i = cert_index(payload, "shape")
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
+    assert defects == [
+        f"certificate {i} (shape): "
+        '{"depth":0,"kind":"shape","predicate":"accelerating"} is not the engine\'s '
+        '{"depth":8,"kind":"shape","predicate":"accelerating"}'
+    ]
+
+
+def test_verifier_refuses_a_record_without_its_shape_certificate():
+    payload = run().to_payload()
+    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
+    assert defects == ["no shape certificate"]
 
 
 def test_two_tree_trace_branch_go_through():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_map, staged_tree_entries, unbounded_trees
+from conftest import cert_index, child_map, forged_defects, staged_tree_entries, unbounded_trees
 from survtree.engine import build3_record, build_3tree, verify_record
 from survtree.engine.common import schedule
 from survtree.staged import (
@@ -194,4 +194,31 @@ def test_verifier_refuses_a_shape_k_other_than_the_promised_3():
     assert verify_record(payload) == [
         f"certificate {i} (shape): predicate 'ktree' with k 100 is not "
         "the engine's 'ktree' with k 3"
+    ]
+
+
+def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    payload = build3_record(LIB, 8, 24).to_payload()
+    i = cert_index(payload, "shape")
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
+    assert defects == [
+        f"certificate {i} (shape): "
+        '{"depth":0,"k":3,"kind":"shape","predicate":"ktree"} is not the engine\'s '
+        '{"depth":8,"k":3,"kind":"shape","predicate":"ktree"}'
+    ]
+
+
+def test_verifier_refuses_a_record_without_its_shape_certificate():
+    payload = build3_record(LIB, 8, 24).to_payload()
+    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
+    assert defects == ["no shape certificate"]
+
+
+def test_verifier_refuses_a_trace_certificate_in_a_build3_record():
+    payload = build3_record(LIB, 8, 24).to_payload()
+    defects = forged_defects(payload, lambda p: p["certificates"].append(
+        {"kind": "trace", "functional": 0, "trace_index": 0}
+    ))
+    assert defects == [
+        f"certificate {len(payload['certificates']) - 1} (trace): the engine keeps no traces"
     ]

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from conftest import cert_index, forged_defects
 from survtree.engine import diagonalize_surviving, verify_record
 from survtree.io_formats import json_to_tree, payload_digest
 from survtree.staged import (
@@ -199,3 +200,20 @@ def test_a_functional_certificate_needs_the_record_fuel():
 def test_a_record_with_a_fuel_that_is_no_integer_is_malformed():
     _, defects = _resigned(lambda payload: payload["parameters"].update(fuel="x"))
     assert defects == ["malformed record: invalid literal for int() with base 10: 'x'"]
+
+
+def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    payload = run().to_payload()
+    i = cert_index(payload, "shape")
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
+    assert defects == [
+        f"certificate {i} (shape): "
+        '{"depth":0,"k":3,"kind":"shape","predicate":"kbranching"} is not the engine\'s '
+        '{"depth":6,"k":3,"kind":"shape","predicate":"kbranching"}'
+    ]
+
+
+def test_verifier_refuses_a_record_without_its_shape_certificate():
+    payload = run().to_payload()
+    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
+    assert defects == ["no shape certificate"]

@@ -12,6 +12,7 @@ from survtree.engine import (
     traceable_prune,
     verify_record,
 )
+from conftest import cert_index, forged_defects
 from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.engine.traceable import _members_leaves
 from survtree.io_formats import payload_digest
@@ -115,6 +116,55 @@ def test_verifier_refuses_a_shape_k_other_than_the_promised_3():
     assert verify_record(payload) == [
         f"certificate {i} (shape): predicate 'ktree' with k 100 is not "
         "the engine's 'ktree' with k 3"
+    ]
+
+
+def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    payload = run().to_payload()
+    i = cert_index(payload, "shape")
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
+    assert defects == [
+        f"certificate {i} (shape): "
+        '{"depth":0,"k":3,"kind":"shape","predicate":"ktree"} is not the engine\'s '
+        '{"depth":6,"k":3,"kind":"shape","predicate":"ktree"}'
+    ]
+
+
+def test_verifier_refuses_a_record_without_its_shape_certificate():
+    payload = run().to_payload()
+    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
+    assert defects == ["no shape certificate"]
+
+
+def test_verifier_refuses_a_trace_bound_other_than_3():
+    payload = run().to_payload()
+    i = cert_index(payload, "trace")
+    ti = payload["certificates"][i]["trace_index"]
+    defects = forged_defects(payload, lambda p: p["traces"][ti]["bound"].update(base=10**6))
+    assert defects == [f"certificate {i} (trace): trace bound is 1000000^n, not 3^n"]
+
+
+def test_verifier_refuses_a_trace_word_with_4_children():
+    # the traces are 3-trees, like the condition they trace
+    payload = run().to_payload()
+    i = cert_index(payload, "trace")
+    ti = payload["certificates"][i]["trace_index"]
+
+    def widen(p):
+        p["traces"][ti]["children"][-1][0] = [0, 1, 2, 3]
+
+    defects = forged_defects(payload, widen)
+    assert defects == [
+        f"certificate {i} (trace): trace is not a 3-tree: level 5 word 0 has 4 children"
+    ]
+
+
+def test_verifier_refuses_a_schedule_other_than_the_engine_writes():
+    payload = run().to_payload()
+    i = cert_index(payload, "schedule")
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(terms=[]))
+    assert defects == [
+        f"certificate {i} (schedule): terms [] are not the task schedule's {schedule_prefix(10)}"
     ]
 
 

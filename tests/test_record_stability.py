@@ -24,6 +24,10 @@ certificates and, for each trace read back through ``json_to_trace``, the
 functional, bound, depth and sorted words of every level.  These hashes were
 taken while traces were still written as word lists, before the level-order
 trace encoding, and hold across it.
+
+The surviving-k3-d6 pins, the one record at k = 3, came later: they were
+taken after the engines began writing their shape certificates from one
+promise table, and the record before that change has the same pins.
 """
 
 from __future__ import annotations
@@ -112,6 +116,10 @@ PINNED = {
         lambda: diagonalize_surviving(2, COMB_R1, 14, 8, 10**4),
         "a544641ed28aa802e18df28b9f4eb03c221b32c06c7e83fcc335ca1dfab2637a",
     ),
+    "surviving-k3-d6": (
+        lambda: diagonalize_surviving(3, LIB, 10, 6, 10**4),
+        "a8eb84c29e4a6abb8bac4e068e7d3d71112c95dfbd5f6c461a4b4c837defe005",
+    ),
     "build3-d12": (
         lambda: build3_record(LIB, 12, 36),
         "ff2bdc2984bd3c53221e669e9f73835aa347fe751c4ff069852606ce5f0618c1",
@@ -138,6 +146,7 @@ FUEL_SPENT = {
     "surviving-d8-entry-mod-4": [77091, 77091],
     "surviving-d8-constant-3": [52488, 52488],
     "surviving-d8-comb-r1": [77091, 25695, 5832, 1944],
+    "surviving-k3-d6": [8076, 1536, 24, 24],
 }
 
 
@@ -213,6 +222,9 @@ DECODED = {
     ),
     "surviving-d8-entry-mod-4": (
         "96ecc7333d505f46da2915e73b4b9661231bfd65e943fdd446b3252f2339970f"
+    ),
+    "surviving-k3-d6": (
+        "94a9041b69d41b3469c10ac80f12aec5e295934c04d9c5136af351dc502d0e9d"
     ),
     "traceable-d6": (
         "e539d1de0dd02999b3959c9a142362f317c1f23b69e504708bc63d34ed6c32f2"
