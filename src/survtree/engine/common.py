@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from operator import and_, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
 from ..staged import (
@@ -194,6 +194,23 @@ class OutputTable:
         masks = self._masks
         return ps, [masks[len(p)] for p in ps]
 
+    def known(self, ws: list[Word]) -> Optional[list[Word]]:
+        """The converged prefixes of ws if every node of it was read
+        before, so that reading them costs nothing, else None."""
+        ps = list(map(self._converged.get, ws))
+        return None if None in ps else ps
+
+    def converged_run(self, ws: list[Word], n: int) -> list[Word]:
+        """The converged prefixes of ws in order, each read as ``converged``
+        reads it, up to the first one shorter than n: no node past it is
+        read."""
+        run = []
+        for w in ws:
+            run.append(p := self.converged(w))
+            if len(p) < n:
+                break
+        return run
+
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself."""
         out = self._converged.get(w)
@@ -222,11 +239,11 @@ class OutputTable:
         over k in every ancestor, so a child over k needs no merge.
 
         The fold reads ``rows_above``: a node's children are the next count
-        of nodes of the row below.  A row of parents whose row below holds
-        one mask (and one output set, while tau is looked for) repeats them,
-        so no set is merged above a row all over k.  A row of leaves is
-        read in one pass, and a leaf among parents alone, each read whole
-        for its converged prefix and its mask.
+        of nodes of the row below.  A row of leaves is read in one pass,
+        and a leaf among parents alone, each read whole for its converged
+        prefix and its mask.  A row of parents with c children each takes
+        child i of every parent from column i of the row below, c masks and
+        sets to a parent.
         """
         depth = tree.depth
         escape: Optional[tuple[Word, int]] = None
@@ -235,15 +252,17 @@ class OutputTable:
         sets: list = []
         for lv, cs in reversed(list(rows_above(tree, stem))):
             few = k is not None and escape is None
-            if 0 not in cs and masks.count(masks[0]) == len(masks) and (
-                not few or sets.count(sets[0]) == len(sets)
-            ):
-                # alike children: the union of equal sets is each of them
-                row_masks = [masks[0]] * len(lv)
-                row_sets = [sets[0]] * len(lv) if few else []
-            elif not any(cs):
+            if not any(cs):
                 outs, row_masks = self._prefix_row(lv)
                 row_sets = list(zip(outs)) if few else []
+            elif cs.count(cs[0]) == len(cs):
+                # c children each: child i of every parent is column i
+                c = cs[0]
+                row_masks = masks[::c]
+                for i in range(1, c):
+                    row_masks = list(map(and_, row_masks, masks[i::c]))
+                kids = zip(*(sets[i::c] for i in range(c)))
+                row_sets = list(map(_merged, kids, repeat(k))) if few else []
             else:
                 row_masks, row_sets = [], []
                 j = 0
@@ -253,12 +272,7 @@ class OutputTable:
                         for x in masks[j + 1:j + c]:
                             m &= x
                         if few:
-                            kids = sets[j:j + c]
-                            if None in kids:
-                                row_sets.append(None)
-                            else:
-                                outs = set().union(*kids)
-                                row_sets.append(None if _more_than_k(outs, k) else outs)
+                            row_sets.append(_merged(sets[j:j + c], k))
                         j += c
                     else:
                         (o,), (m,) = self._prefix_row([w])
@@ -275,13 +289,25 @@ class OutputTable:
         return escape, None if escape is not None else tau
 
 
+def _merged(kids: Sequence, k: int) -> Optional[set[Word]]:
+    """The union of the children's output sets, or None once over k."""
+    if None in kids:
+        return None
+    outs = set().union(*kids)
+    return None if _more_than_k(outs, k) else outs
+
+
 def _more_than_k(outs: set[Word], k: int) -> bool:
     """Whether more than k distinct length-n prefixes of outs exist for
     some n >= 1, trying the longest n first."""
     if len(outs) <= k:
         return False
+    lengths = set(map(len, outs))
+    if len(lengths) == 1:
+        # more than k distinct outputs of one length
+        return True
     level: set[Word] = set()
-    for n in range(max(map(len, outs)), 0, -1):
+    for n in range(max(lengths), 0, -1):
         level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
         if len(level) > k:
             return True

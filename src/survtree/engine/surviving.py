@@ -10,13 +10,17 @@ the shortest-then-lexicographically-first node.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
+from operator import eq, itemgetter, lt
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
-from ..traces import TraceTable
+from ..traces import LevelBound, TraceTable
 from ..trees import FiniteTree, Word, children, rows_above
 from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
+
+_parent = itemgetter(slice(None, -1))
+_last = itemgetter(-1)
 
 
 def _case_c(
@@ -32,6 +36,14 @@ def _case_c(
     level in lex order too, and no map keyed by sigma is needed.  A
     split's children are the tree's own words.
 
+    A round whose children form one level slice, all read before (the leaf
+    row, once the case A/B fold has run), is tested in one pass
+    (``_sibling_row``).  Otherwise each group goes to ``_assign_kids`` in
+    turn, and the round ends at the first group with no split, so nothing
+    past it is read.  The trace is read off the rounds when each extends
+    the one before by one entry (``_trace``), and otherwise built by
+    ``trace_from_outputs``.
+
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
     and no leaf ends above the depth (the only outcome for configured
@@ -41,16 +53,24 @@ def _case_c(
     depth = table.depth
     levels, counts = tree.levels(), tree.counts()
     tops = [stem]
-    outs: list[Word] = [()]
-    m = 0
+    rounds: list[list[Word]] = []  # each round's outputs, in the order of its tops
+    trace_rows: list[Optional[_Row]] = []  # each round's trace row, if the row test found it
     while True:
-        n, size = len(tops[0]), len(tops)
+        m, n, size = len(rounds), len(tops[0]), len(tops)
         lo = bisect_left(levels[n], tops[0])
         if levels[n][lo:lo + size] == tops and counts[n][lo:lo + size].count(b) == size:
             # the tops are one run of a level, each with b children: their
             # children are one slice of the level below, b to a top
             start = bisect_left(levels[n + 1], tops[0])
             row = levels[n + 1][start:start + b * size]
+            ps = table.known(row)
+            found_row = None if ps is None else _sibling_row(ps, b, m)
+            if found_row is not None:
+                # each group splits at its own full length
+                tops = row
+                rounds.append(ps)
+                trace_rows.append(found_row)
+                continue
             found = (_assign_kids(table, tree, row[g:g + b], m) for g in range(0, len(row), b))
         else:
             # the working tree is full above the stem, so the first node
@@ -72,9 +92,9 @@ def _case_c(
         if not chosen:
             break
         tops = [v for v, _ in chosen]
-        outs += [o for _, o in chosen]
-        m += 1
-    if m == 0:
+        rounds.append([o for _, o in chosen])
+        trace_rows.append(None)
+    if not rounds:
         return None
     # the tops are pairwise incomparable and in lex order, so their
     # zero-paddings are too
@@ -88,7 +108,51 @@ def _case_c(
         while len(levels[-1][0]):
             levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
         new_tree = FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
-    return new_tree, trace_from_outputs(outs, depth, b)
+    trace = _trace(rounds, trace_rows, depth, b)
+    if trace is None:
+        trace = trace_from_outputs(chain([()], *rounds), depth, b)
+    return new_tree, trace
+
+
+# a row of sibling outputs: each group's shared head, and per group its last
+# entries, a row of a trace
+_Row = tuple[list[Word], tuple[tuple[int, ...], ...]]
+
+
+def _sibling_row(ps: list[Word], b: int, m: int) -> Optional[_Row]:
+    """The row of ps, in groups of b siblings, if they are all one length
+    n > m and each group shares all but its last entry, its last entries
+    increasing.  Each group then splits at n: its prefixes differ there and
+    agree one entry sooner."""
+    n = len(ps[0])
+    if n <= m or set(map(len, ps)) != {n}:
+        return None
+    heads = list(map(_parent, ps[::b]))
+    columns = [list(map(_last, ps[i::b])) for i in range(b)]
+    for i in range(1, b):
+        if not all(map(eq, map(_parent, ps[i::b]), heads)) or not all(
+            map(lt, columns[i - 1], columns[i])
+        ):
+            return None
+    return heads, tuple(zip(*columns))
+
+
+def _trace(
+    rounds: list[list[Word]], rows: list[Optional[_Row]], depth: int, b: int
+) -> Optional[TraceTable]:
+    """The trace of case C's outputs, with a row per round, or None unless
+    every round is a sibling row and each later round's groups extend the
+    outputs of the round before, in order: round 0's head is then a path
+    to its row, each later round's lasts are the next row, and the last
+    round's outputs have no children."""
+    rows = [row or _sibling_row(outs, b, 0) for row, outs in zip(rows, rounds)]
+    if None in rows or any(heads != before for (heads, _), before in zip(rows[1:], rounds)):
+        return None
+    (head,), _ = rows[0]
+    trace = [((e,),) for e in head] + [lasts for _, lasts in rows]
+    trace.append(((),) * len(rounds[-1]))
+    trace += [()] * (depth - len(trace))
+    return TraceTable(tuple(trace[:depth]), LevelBound("pow", b))
 
 
 class _Drawn:
@@ -135,15 +199,16 @@ def _assign_kids(
 ) -> Optional[list[tuple[Word, Word]]]:
     """For each of the sibling nodes kids, a node above it whose output
     prefix at some common length n > sigma_len differs from all the
-    siblings' prefixes."""
-    for n in range(sigma_len + 1, table.depth + 1):
-        chosen = _own_prefixes(table, kids, n)
-        if chosen is not None:
-            return chosen
-        if all(len(table.converged(v)) >= n for v in kids):
-            # every pool is its child alone (see _first_per_prefix), so the
-            # search could only repeat the own-prefix check
-            continue
+    siblings' prefixes: the kids themselves at their split length, if they
+    have one, and otherwise the first choice of the pool search."""
+    # a run cut short ends with a prefix too short to split
+    ps = table.converged_run(kids, sigma_len + 1)
+    n = _split_length(ps, sigma_len)
+    if n is not None:
+        return [(v, p[:n]) for v, p in zip(kids, ps)]
+    # up to the shortest prefix read, every pool is its child alone (see
+    # _first_per_prefix), so the search could only repeat the split test
+    for n in range(max(sigma_len, min(map(len, ps))) + 1, table.depth + 1):
         pools = [_Drawn(_first_per_prefix(table, tree, v, n)) for v in kids]
         if any(p.get(0) is None for p in pools):
             continue
@@ -153,21 +218,13 @@ def _assign_kids(
     return None
 
 
-def _own_prefixes(
-    table: OutputTable, kids: list[Word], n: int
-) -> Optional[list[tuple[Word, Word]]]:
-    """The first choice the pool search at length n tries: every child with
-    its own length-n output prefix, if each is long enough and no two are
-    equal.  It reads no output the pool search would not read."""
-    chosen: list[tuple[Word, Word]] = []
-    seen: set[Word] = set()
-    for v in kids:
-        o = table.converged(v)[:n]
-        if len(o) < n or o in seen:
-            return None
-        seen.add(o)
-        chosen.append((v, o))
-    return chosen
+def _split_length(ps: list[Word], m: int) -> Optional[int]:
+    """The least n > m at which every prefix in ps is at least n long and
+    their length-n prefixes are pairwise distinct, or None."""
+    for n in range(m + 1, min(map(len, ps), default=m + 1) + 1):
+        if len({p[:n] for p in ps}) == len(ps):
+            return n
+    return None
 
 
 def _pick_distinct(

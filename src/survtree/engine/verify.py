@@ -8,6 +8,7 @@ the semantic checks guard the content.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from ..io_formats import canonical_json, json_to_trace, record_digest_ok
@@ -30,6 +31,7 @@ from .common import (
     family_of_payload,
     labels_of_payload,
     pairwise_consistent,
+    requirement,
     schedule_certificate,
     stem_of_payload,
     tree_of_payload,
@@ -67,6 +69,7 @@ def verify_record(payload: dict) -> list[str]:
         traces = [
             (int(t["functional"]), json_to_trace(t)) for t in payload["traces"]
         ]
+        vacuous = _vacuous_requirements(payload, family)
     except (KeyError, ValueError, TypeError, BoundExceeded) as e:
         return [f"malformed record: {e}"]
     if stem not in tree:
@@ -76,7 +79,8 @@ def verify_record(payload: dict) -> list[str]:
     for i, cert in enumerate(certs):
         try:
             msg = _check_certificate(
-                cert, family, stem, tree, leaves, traces, labels, depth, fuel, promise
+                cert, family, stem, tree, leaves, traces, labels, depth, fuel, promise,
+                vacuous,
             )
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
@@ -84,7 +88,31 @@ def verify_record(payload: dict) -> list[str]:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
     if not any(cert.get("kind") == "shape" for cert in certs):
         defects.append("no shape certificate")
+    named = Counter(cert.get("trace_index") for cert in certs if cert.get("kind") in _TRACE_CERTS)
+    for ti in range(len(traces)):
+        if named[ti] != 1:
+            defects.append(f"trace {ti} is named by {named[ti]} trace certificates, not one")
     return defects
+
+
+def _vacuous_requirements(
+    payload: dict, family: AdversaryFamily
+) -> set[tuple[int, int, Word]]:
+    """(staged tree id, k, witness) for each stage the log marks vacuous:
+    the tree and k of the stage's requirement, with the engine's k from the
+    parameters, and the witness the log names.  Entry s of a log is stage
+    s, which bounds the stages looked up."""
+    k = payload["parameters"].get("k")
+    k = None if k is None else int(k)
+    out = set()
+    for s, entry in enumerate(payload["stage_log"]):
+        if entry.get("case") == "vacuous":
+            if int(entry["stage"]) != s:
+                raise ValueError(f"stage log entry {s} names stage {entry['stage']}")
+            req = requirement(s, family, k)
+            if req is not None and req[2] is not None:
+                out.add((req[1].id, req[2], tuple(int(e) for e in entry["witness"])))
+    return out
 
 
 def _row_width_defect(table: TraceTable, lo: int, hi: int) -> Optional[str]:
@@ -112,6 +140,7 @@ def _check_certificate(
     depth: int,
     fuel: Optional[int],
     promise: Promise,
+    vacuous: set[tuple[int, int, Word]],
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind in _TRACE_CERTS and promise.base is None:
@@ -138,6 +167,8 @@ def _check_certificate(
     if kind == "vacuous_tree_requirement":
         w = tuple(int(e) for e in cert["witness"])
         k = int(cert["k"])
+        if (adv.id, k, w) not in vacuous:
+            return f"no stage logged vacuous requires tree {adv.id} at k {k} with witness {w}"
         stage = int(cert["stage"])
         shown = shown_successors(adv, w, stage)
         if shown <= k:

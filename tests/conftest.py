@@ -8,9 +8,11 @@ from typing import Callable, Iterator, Optional
 from hypothesis import strategies as st
 
 from survtree.engine import verify_record
+from survtree.engine.common import nodes_above, trace_from_outputs
+from survtree.engine.surviving import _Drawn, _first_per_prefix, _pick_distinct
 from survtree.io_formats import payload_digest
 from survtree.staged import OracleFunctional, StagedTree
-from survtree.trees import FiniteTree, Word
+from survtree.trees import FiniteTree, Word, children
 
 
 def subtree_nodesets(
@@ -119,6 +121,82 @@ class PositionReader:
         while len(out) < self.depth and (v := self.value(w, len(out))) is not None:
             out.append(v)
         return tuple(out)
+
+
+def own_prefixes(table, kids: list[Word], n: int) -> Optional[list[tuple[Word, Word]]]:
+    """Every child with its own length-n output prefix, if each is long
+    enough and no two are equal, read child by child up to the first that
+    fails."""
+    chosen: list[tuple[Word, Word]] = []
+    seen: set[Word] = set()
+    for v in kids:
+        o = table.converged(v)[:n]
+        if len(o) < n or o in seen:
+            return None
+        seen.add(o)
+        chosen.append((v, o))
+    return chosen
+
+
+def reference_assign_kids(table, tree: FiniteTree, kids: list[Word], sigma_len: int):
+    """Case C's search for one group of siblings, length by length: the own
+    prefixes at n, else, once some child is shorter than n, the pool
+    search at n."""
+    for n in range(sigma_len + 1, table.depth + 1):
+        chosen = own_prefixes(table, kids, n)
+        if chosen is not None:
+            return chosen
+        if all(len(table.converged(v)) >= n for v in kids):
+            continue
+        pools = [_Drawn(_first_per_prefix(table, tree, v, n)) for v in kids]
+        if any(p.get(0) is None for p in pools):
+            continue
+        chosen = _pick_distinct(pools, [])
+        if chosen is not None:
+            return chosen
+    return None
+
+
+def reference_case_c(
+    table, k: int, stem: Word, tree: FiniteTree, assign_kids=reference_assign_kids
+):
+    """Case C top by top: each top's split is found from the node set, each
+    group goes through assign_kids in turn until one fails, the tree is
+    rebuilt from the last tops' zero-paddings and the trace is the
+    ``trace_from_outputs`` of every output.  It reads outputs only through
+    ``table.converged``, so a ``PositionReader`` can stand in for the table."""
+    b = k + 1
+    depth = table.depth
+    cm = child_map(tree)
+    tops = [stem]
+    outs: list[Word] = [()]
+    m = 0
+    while True:
+        chosen: list[tuple[Word, Word]] = []
+        for top in tops:
+            q = top if len(cm[top]) == b else next(
+                (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
+            )
+            assigned = None if q is None else assign_kids(table, tree, children(tree, q), m)
+            if assigned is None:
+                chosen = []
+                break
+            chosen += assigned
+        if not chosen:
+            break
+        tops = [v for v, _ in chosen]
+        outs += [o for _, o in chosen]
+        m += 1
+    if m == 0:
+        return None
+    nodes = {()}
+    for w in tops:
+        p = w + (0,) * (depth - len(w))
+        while p not in nodes:
+            nodes.add(p)
+            p = p[:-1]
+    new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
+    return new_tree, trace_from_outputs(outs, depth, b)
 
 
 LETTERS = 6  # staged-tree alphabets are drawn from 0..LETTERS-1

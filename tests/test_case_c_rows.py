@@ -1,0 +1,214 @@
+"""Case C's row passes against its per-group reference.
+
+``_case_c`` tests a row of siblings whose prefixes are all known in one
+pass, sends every other group to ``_assign_kids`` (which starts from the
+group's split length and falls back to the pool search), and reads its
+trace rows off the rounds when each round extends the last by one entry.
+The reference kept here, ``conftest.reference_case_c``, runs the per-group
+search of ``conftest.reference_assign_kids`` length by length for every
+group and builds its trace with ``trace_from_outputs``.  Both must give the
+same tree, the same trace rows and the same reads.
+"""
+
+from __future__ import annotations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import adding_functional, reference_case_c
+from survtree.engine import surviving
+from survtree.engine.common import OutputTable, _more_than_k
+from survtree.engine.surviving import _case_c
+from survtree.staged import OracleFunctional
+from survtree.trees import FiniteTree, Word
+
+
+def _pruned(b: int, depth: int, cut: set[Word]) -> FiniteTree:
+    """The full b-ary tree of the depth without the nodes above a cut node."""
+    full = FiniteTree.full(b, depth)
+    return FiniteTree(
+        frozenset(w for w in full.nodes if not any(w[:i] in cut for i in range(1, len(w) + 1))),
+        b,
+    )
+
+
+@st.composite
+def case_c_inputs(draw):
+    """(k, tree, stem, adds, preread): a full (k+1)-ary tree, perhaps with
+    subtrees cut away, so that some rounds are no level slice; a stem,
+    often below the root; the outputs each node adds to its parent's (see
+    ``conftest.adding_functional``); and which outputs are read before case
+    C runs.
+
+    Most nodes add their own last entry under a permutation per position,
+    so siblings split at their full length and rounds extend by one entry.
+    Noisy nodes add a drawn run instead: none (a short child), a repeated
+    value (duplicate prefixes, and rounds that fail) or two values (rounds
+    that extend by two, whose trace needs ``trace_from_outputs``)."""
+    k = draw(st.sampled_from([2, 3]))
+    b = k + 1
+    depth = draw(st.integers(1, 4 if b == 3 else 3))
+    full = FiniteTree.full(b, depth)
+    inner = [w for w in full.sorted_nodes() if w]
+    cut = draw(st.sets(st.sampled_from(inner), max_size=2)) if draw(st.booleans()) else set()
+    tree = _pruned(b, depth, cut)
+    nodes = tree.sorted_nodes()
+    stem = draw(st.sampled_from([w for w in nodes if len(w) < depth] or [()]))
+    perms = draw(st.lists(st.permutations(range(b)), min_size=depth, max_size=depth))
+    adds = {w: (perms[len(w) - 1][w[-1]],) for w in nodes if w}
+    adds[()] = draw(st.sampled_from([(), (0,)]))
+    runs = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+    adds.update(draw(st.dictionaries(st.sampled_from(nodes), runs, max_size=len(nodes) // 3)))
+    preread = draw(st.one_of(
+        st.just("fold"),
+        st.just(()),
+        st.lists(st.sampled_from(nodes), max_size=len(nodes)).map(tuple),
+    ))
+    return k, tree, stem, adds, preread
+
+
+def _tables(adds: dict[Word, Word], depth: int) -> tuple[OutputTable, OutputTable, set[Word]]:
+    """Two tables of the same functional, the first recording the nodes its
+    prefix is called on."""
+    fn = adding_functional(adds)
+    called: set[Word] = set()
+
+    def recording(sigma: Word, cap: int, fuel: int) -> Word:
+        called.add(sigma)
+        return fn.prefix(sigma, cap, fuel)
+
+    table = OutputTable(OracleFunctional(fn.id, fn.kind, recording), 1, depth)
+    return table, OutputTable(fn, 1, depth), called
+
+
+def _prepare(table: OutputTable, k: int, stem: Word, tree: FiniteTree, preread) -> None:
+    """Read outputs ahead of case C: the case A/B fold, as the engine runs
+    it first, or the given nodes."""
+    if preread == "fold":
+        table.cases_a_b(stem, tree, k)
+    else:
+        for w in preread:
+            table.converged(w)
+
+
+def _own_entries(tree: FiniteTree) -> dict[Word, Word]:
+    return {w: w[-1:] for w in tree.sorted_nodes()}
+
+
+_D2, _D3 = FiniteTree.full(3, 2), FiniteTree.full(3, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case_c_inputs())
+# the leaf row known, below a stem: every group splits past m + 1
+@example((2, _D3, (1,), _own_entries(_D3), "fold"))
+# a child that adds nothing, and its group's pool search
+@example((2, _D2, (), {**_own_entries(_D2), (1,): ()}, ()))
+# two siblings alike: round 1 fails at its first group, and the groups
+# after it stay unread
+@example((2, _D2, (), {**_own_entries(_D2), (0, 1): (0,)}, ()))
+def test_row_passes_match_the_per_group_search(case):
+    k, tree, stem, adds, preread = case
+    table, ref, called = _tables(adds, tree.depth)
+    _prepare(table, k, stem, tree, preread)
+    _prepare(ref, k, stem, tree, preread)
+    built = _case_c(table, k, stem, tree)
+    expected = reference_case_c(ref, k, stem, tree)
+    assert built == expected
+    if built is not None:
+        assert built[1].children == expected[1].children
+    assert table.evals == ref.evals
+    assert table._read == ref._read
+    # no prefix is computed on a node whose read goes uncounted
+    assert called <= table._read.keys()
+
+
+class _Spy:
+    """Counts the calls of ``_assign_kids`` and ``trace_from_outputs`` in a
+    case C run."""
+
+    def __init__(self, monkeypatch):
+        self.assigned = 0
+        self.traced = 0
+        assign, trace = surviving._assign_kids, surviving.trace_from_outputs
+
+        def assign_kids(*args):
+            self.assigned += 1
+            return assign(*args)
+
+        def trace_from_outputs(*args):
+            self.traced += 1
+            return trace(*args)
+
+        monkeypatch.setattr(surviving, "_assign_kids", assign_kids)
+        monkeypatch.setattr(surviving, "trace_from_outputs", trace_from_outputs)
+
+
+def _run(adds, tree, stem, preread, k=2):
+    table, ref, _ = _tables(adds, tree.depth)
+    _prepare(table, k, stem, tree, preread)
+    _prepare(ref, k, stem, tree, preread)
+    built = _case_c(table, k, stem, tree)
+    assert built == reference_case_c(ref, k, stem, tree)
+    assert table.evals == ref.evals
+    return built
+
+
+def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monkeypatch):
+    tree = FiniteTree.full(3, 4)
+    spy = _Spy(monkeypatch)
+    built = _run(_own_entries(tree), tree, (1,), "fold")
+    # rounds 0 and 1 read their unread children group by group: 1 + 3
+    # groups; the known leaf row's 9 groups pass without a call
+    assert spy.assigned == 4
+    assert spy.traced == 0
+    assert built[1].levels[4] == tree.levels()[4][27:54]
+
+
+def test_a_short_child_sends_its_group_to_the_pool_search(monkeypatch):
+    tree = FiniteTree.full(3, 2)
+    adds = {**_own_entries(tree), (1,): ()}
+    spy = _Spy(monkeypatch)
+    built = _run(adds, tree, (), "fold")
+    # round 0: (1,) has no output, so the pool search takes (1, 1) for it;
+    # round 1 splits (0,), finds no split above (1, 1) and fails, so the
+    # tree is the zero-paddings of round 0's tops
+    assert spy.assigned == 2
+    assert built[0] == FiniteTree.from_words([(0, 0), (1, 1), (2, 0)], 3)
+    assert spy.traced == 0
+
+
+def test_rounds_that_extend_by_two_entries_use_trace_from_outputs(monkeypatch):
+    tree = FiniteTree.full(3, 2)
+    adds = {w: w[-1:] * 2 for w in tree.sorted_nodes()}
+    spy = _Spy(monkeypatch)
+    table, ref, _ = _tables(adds, 4)
+    table.cases_a_b((), tree, 2)
+    ref.cases_a_b((), tree, 2)
+    built = _case_c(table, 2, (), tree)
+    assert built == reference_case_c(ref, 2, (), tree)
+    assert spy.traced == 1
+
+
+def _old_more_than_k(outs: set[Word], k: int) -> bool:
+    """``_more_than_k`` as it was: the levels from the longest down."""
+    if len(outs) <= k:
+        return False
+    level: set[Word] = set()
+    for n in range(max(map(len, outs)), 0, -1):
+        level = {p[:n] for p in level} | {o for o in outs if len(o) == n}
+        if len(level) > k:
+            return True
+    return False
+
+
+words = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sets(words, max_size=9), st.integers(1, 3))
+@example({(0,), (1,), (2,)}, 2)
+@example({(), (0,), (1,)}, 2)
+@example({(0, 0), (0, 1), (1,)}, 2)
+def test_more_than_k_matches_its_level_loop(outs, k):
+    assert _more_than_k(outs, k) == _old_more_than_k(outs, k)

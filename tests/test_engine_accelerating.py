@@ -148,3 +148,21 @@ def test_record_verifies():
 
 def test_determinism():
     assert run().to_payload() == run().to_payload()
+
+
+def test_verifier_takes_a_vacuous_requirement_k_from_the_stage_requirement():
+    """R0 asks whether staged tree 0 is a 3-tree (index_pair(0) = (0, 3)),
+    and the tree shows five successors at the root: more than 3, and more
+    than 4 as well."""
+    wide = family_from_config({
+        "staged_trees": [{"kind": "full_subtree", "alphabet": [0, 1, 2, 3, 4]}],
+        "functionals": [],
+    })
+    payload = run(stages=1, depth=4, family=wide).to_payload()
+    i = cert_index(payload, "vacuous_tree_requirement")
+    assert payload["certificates"][i]["k"] == 3 and verify_record(payload) == []
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(k=4))
+    assert defects == [
+        f"certificate {i} (vacuous_tree_requirement): "
+        "no stage logged vacuous requires tree 0 at k 4 with witness ()"
+    ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cert_index, child_map, forged_defects, staged_tree_entries, unbounded_trees
 from survtree.engine import build3_record, build_3tree, verify_record
-from survtree.engine.common import schedule
+from survtree.engine.common import schedule, trace_from_outputs
 from survtree.staged import (
     EMPTY_CONFIG,
     AdversaryFamily,
@@ -19,7 +19,7 @@ from survtree.staged import (
     standard_library,
     staged_tree_from_config,
 )
-from survtree.io_formats import payload_digest
+from survtree.io_formats import payload_digest, trace_to_json
 from survtree.trees import FiniteTree, TriState, is_k_tree_to_depth, word_key
 
 LIB = standard_library()
@@ -222,3 +222,10 @@ def test_verifier_refuses_a_trace_certificate_in_a_build3_record():
     assert defects == [
         f"certificate {len(payload['certificates']) - 1} (trace): the engine keeps no traces"
     ]
+
+
+def test_verifier_refuses_a_trace_that_no_certificate_names():
+    payload = build3_record(LIB, 8, 24).to_payload()
+    trace = trace_to_json(trace_from_outputs([(0,) * 8], 8, 2))
+    defects = forged_defects(payload, lambda p: p["traces"].append({"functional": 0, **trace}))
+    assert defects == ["trace 0 is named by 0 trace certificates, not one"]

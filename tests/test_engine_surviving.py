@@ -217,3 +217,56 @@ def test_verifier_refuses_a_record_without_its_shape_certificate():
     payload = run().to_payload()
     defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
     assert defects == ["no shape certificate"]
+
+
+def test_verifier_refuses_traces_that_no_certificate_names():
+    payload = run().to_payload()
+
+    def unname(p):
+        p["certificates"] = [c for c in p["certificates"] if c["kind"] != "trace"]
+
+    defects = forged_defects(payload, unname)
+    assert len(payload["traces"]) == 3
+    assert defects == [
+        f"trace {ti} is named by 0 trace certificates, not one" for ti in range(3)
+    ]
+
+
+def test_verifier_refuses_a_trace_that_two_certificates_name():
+    payload = run().to_payload()
+    i = cert_index(payload, "trace")
+    defects = forged_defects(payload, lambda p: p["certificates"].append(dict(p["certificates"][i])))
+    assert defects == ["trace 0 is named by 2 trace certificates, not one"]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_verifier_takes_a_vacuous_requirement_k_from_the_parameters(k):
+    """Trees 0 and 1 show three successors at the root, more than the
+    record's k of 2, and so more than any lower k too."""
+    payload = run().to_payload()
+    i = cert_index(payload, "vacuous_tree_requirement")
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update(k=k))
+    assert defects == [
+        f"certificate {i} (vacuous_tree_requirement): "
+        f"no stage logged vacuous requires tree 0 at k {k} with witness ()"
+    ]
+
+
+def test_verifier_refuses_a_vacuous_requirement_for_a_stage_that_was_not_vacuous():
+    payload = run().to_payload()
+    i = cert_index(payload, "vacuous_tree_requirement")
+
+    def relog(p):
+        p["stage_log"][0].update(case="exit")
+
+    defects = forged_defects(payload, relog)
+    assert defects == [
+        f"certificate {i} (vacuous_tree_requirement): "
+        "no stage logged vacuous requires tree 0 at k 2 with witness ()"
+    ]
+
+
+def test_a_vacuous_stage_logged_out_of_place_is_malformed():
+    payload = run().to_payload()
+    defects = forged_defects(payload, lambda p: p["stage_log"][0].update(stage=10**18))
+    assert defects == [f"malformed record: stage log entry 0 names stage {10**18}"]

@@ -2,12 +2,12 @@
 
 The references are the breadth-first ``nodes_above``, the dict-based case
 A/B folds, the prefix-testing ``subtree_above`` and the case C that
-rebuilt its tree from a node set and searched every top's children through
-``_assign_kids``; the level walks replaced them, and they are kept here to
-check the level walks on random trees.  Children come from the node set
-alone (``conftest.child_map``), outputs are read position by position
-(``conftest.PositionReader``), and the DOT rendering that read a child map
-is kept to check ``tree_to_dot``.
+rebuilt its tree from a node set and searched every top's children length
+by length (``conftest.reference_case_c``); the level walks replaced them,
+and they are kept to check the level walks on random trees.  Children come
+from the node set alone (``conftest.child_map``), outputs are read
+position by position (``conftest.PositionReader``), and the DOT rendering
+that read a child map is kept to check ``tree_to_dot``.
 """
 
 from __future__ import annotations
@@ -19,15 +19,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PositionReader, adding_functional, child_map
+from conftest import (
+    PositionReader,
+    adding_functional,
+    child_map,
+    own_prefixes,
+    reference_case_c,
+)
 from survtree.engine import diagonalize_surviving, surviving
-from survtree.engine.common import OutputTable, nodes_above, trace_from_outputs
+from survtree.engine.common import OutputTable, nodes_above
 from survtree.engine.surviving import (
     _Drawn,
     _assign_kids,
     _case_c,
     _first_per_prefix,
-    _own_prefixes,
     _pick_distinct,
 )
 from survtree.io_formats import tree_to_dot
@@ -134,7 +139,7 @@ def _walking_assign_kids(table, tree, kids, sigma_len):
     """``_assign_kids`` with every pool walked, as it must read a functional
     not known to be use-monotone."""
     for n in range(sigma_len + 1, table.depth + 1):
-        chosen = _own_prefixes(table, kids, n)
+        chosen = own_prefixes(table, kids, n)
         if chosen is not None:
             return chosen
         pools = [_Drawn(_walked_pool(table, tree, v, n)) for v in kids]
@@ -144,41 +149,6 @@ def _walking_assign_kids(table, tree, kids, sigma_len):
         if chosen is not None:
             return chosen
     return None
-
-
-def _reference_case_c(table, k, stem, tree, assign_kids=_assign_kids):
-    b = k + 1
-    depth = table.depth
-    cm = child_map(tree)
-    tops = [stem]
-    outs: list[Word] = [()]
-    m = 0
-    while True:
-        chosen: list[tuple[Word, Word]] = []
-        for top in tops:
-            q = top if len(cm[top]) == b else next(
-                (w for w in nodes_above(tree, top) if len(cm[w]) == b), None
-            )
-            assigned = None if q is None else assign_kids(table, tree, children(tree, q), m)
-            if assigned is None:
-                chosen = []
-                break
-            chosen += assigned
-        if not chosen:
-            break
-        tops = [v for v, _ in chosen]
-        outs += [o for _, o in chosen]
-        m += 1
-    if m == 0:
-        return None
-    nodes = {()}
-    for w in tops:
-        p = w + (0,) * (depth - len(w))
-        while p not in nodes:
-            nodes.add(p)
-            p = p[:-1]
-    new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
-    return new_tree, trace_from_outputs(outs, depth, b)
 
 
 def _reference_dot(tree: FiniteTree, name: str = "tree") -> str:
@@ -389,7 +359,7 @@ def test_case_c_matches_node_set_rebuild(case):
     tree, adds, stem = case
     table, ref = _table(adds), _reader(adds)
     built = _case_c(table, 2, stem, tree)
-    assert built == _reference_case_c(ref, 2, stem, tree)
+    assert built == reference_case_c(ref, 2, stem, tree)
     assert table.evals == ref.evals
     assert table_reads(table) == ref.reads
     if built is not None:
@@ -420,7 +390,7 @@ def test_case_c_rebuilds_a_tree_with_a_leaf_above_the_depth():
     assert _case_c(_table(_own_entry_adds(bare)), 2, (), bare)[0] is bare
     adds = _own_entry_adds(tree)
     built = _case_c(_table(adds), 2, (), tree)
-    assert built == _reference_case_c(_reader(adds), 2, (), tree)
+    assert built == reference_case_c(_reader(adds), 2, (), tree)
     assert built[0] == bare
     _assert_indexes_match_node_set(built[0])
 
@@ -464,7 +434,7 @@ def test_singleton_pools_build_what_the_pool_walks_build(case, entry, fuel, stag
         if cases != (None, None):
             return
     built = _case_c(table, 2, stem, tree)
-    assert built == _reference_case_c(ref, 2, stem, tree, _walking_assign_kids)
+    assert built == reference_case_c(ref, 2, stem, tree, _walking_assign_kids)
     assert table.evals <= ref.evals
     if staged:
         assert table.evals == ref.evals
@@ -516,7 +486,7 @@ def test_every_closed_form_prefix_call_is_a_counted_read(case, fuel, staged, dat
     ref = OutputTable(fn, fuel, tree.depth)
     if staged:
         assert table.cases_a_b(stem, tree, 2) == ref.cases_a_b(stem, tree, 2)
-    assert _case_c(table, 2, stem, tree) == _reference_case_c(ref, 2, stem, tree)
+    assert _case_c(table, 2, stem, tree) == reference_case_c(ref, 2, stem, tree)
     assert called <= table._read.keys()
     assert table._read == ref._read
     assert table.evals == ref.evals
