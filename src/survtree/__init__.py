@@ -20,7 +20,7 @@ from .staged import (
     pair_index,
     standard_library,
 )
-from .traces import BoundExceeded, LevelBound, TraceTable, goes_through
+from .traces import BoundExceeded, TraceTable, goes_through
 from .trees import (
     FiniteTree,
     NotInTree,
@@ -42,7 +42,6 @@ __all__ = [
     "BoundExceeded",
     "CoverWitness",
     "FiniteTree",
-    "LevelBound",
     "NotInTree",
     "OracleFunctional",
     "ShapeViolation",

@@ -39,13 +39,7 @@ from .staged import (
     ConfigError,
     family_from_config,
 )
-from .trees import (
-    Surjection,
-    is_accelerating_to_depth,
-    is_k_branching_to_depth,
-    is_k_tree_to_depth,
-    pushforward_preimage,
-)
+from .trees import SHAPES, Surjection, pushforward_preimage
 
 OK, DEFECT, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -148,12 +142,7 @@ def _cmd_check_tree(args) -> int:
     if tree is None:
         return USAGE
     try:
-        if args.pred == "ktree":
-            bad = is_k_tree_to_depth(tree, args.k, args.d)
-        elif args.pred == "kbranching":
-            bad = is_k_branching_to_depth(tree, args.k, args.d)
-        else:
-            bad = is_accelerating_to_depth(tree, args.d)
+        bad = SHAPES[args.pred](tree, args.k, args.d)
     except ValueError as e:
         print(f"--k {args.k}: {e}", file=sys.stderr)
         return USAGE
@@ -229,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_min_cover)
 
     p = sub.add_parser("check-tree", help="validate a tree file's shape")
-    p.add_argument("--pred", required=True,
-                   choices=["ktree", "kbranching", "accelerating"])
+    p.add_argument("--pred", required=True, choices=list(SHAPES))
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("file")

@@ -195,7 +195,7 @@ def accelerating_force(
                 run.move(node)
             run.certificates.append(
                 {"kind": "value_witness", "functional": fn.id,
-                 "node": list(node), "position": n, "value": v, "fuel": fuel}
+                 "node": list(node), "position": n, "value": v}
             )
             entry.update(case="2", position=n)
             continue
@@ -203,7 +203,7 @@ def accelerating_force(
         if pairwise_consistent(outs):
             run.certificates.append(
                 {"kind": "constant_outputs", "functional": fn.id,
-                 "probes": [list(p) for p in probes], "fuel": fuel}
+                 "probes": [list(p) for p in probes]}
             )
             entry["case"] = "3"
             continue

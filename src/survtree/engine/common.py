@@ -18,7 +18,7 @@ from ..staged import (
     index_pair,
     tree_bound_violation,
 )
-from ..traces import LevelBound, TraceTable
+from ..traces import TraceTable
 from ..trees import (
     FiniteTree,
     TriState,
@@ -47,11 +47,6 @@ def schedule(i: int) -> int:
 
 def schedule_prefix(n: int) -> list[int]:
     return [schedule(i) for i in range(n)]
-
-
-def schedule_certificate(depth: int) -> dict:
-    """The schedule certificate of a traceable record at depth."""
-    return {"kind": "schedule", "terms": schedule_prefix(max(10, depth + 2))}
 
 
 def is_schedule_prefix(seq: list[int]) -> bool:
@@ -124,16 +119,15 @@ def tree_stage(
 
     Returns (new stem or None, log, certificate or None) for the four
     outcomes: vacuous (adv shows a node with more than k children, so it is
-    no k-tree), already-out (the stem is decided out of adv), exit (the
-    first of the engine's exit candidates decided out becomes the stem) and
-    stuck (none is; no certificate).  The candidates are drawn only on exit
-    or stuck, and none past the first one out.
+    no k-tree; the log names that node, and no certificate restates the
+    stage), already-out (the stem is decided out of adv), exit (the first
+    of the engine's exit candidates decided out becomes the stem) and stuck
+    (none is; no certificate).  The candidates are drawn only on exit or
+    stuck, and none past the first one out.
     """
     witness = tree_bound_violation(adv, k, query)
     if witness is not None:
-        cert = {"kind": "vacuous_tree_requirement", "tree": adv.id, "k": k,
-                "witness": list(witness), "stage": query}
-        return None, {"case": "vacuous", "witness": list(witness)}, cert
+        return None, {"case": "vacuous", "witness": list(witness)}, None
     if adv.decide(stem, query) is TriState.OUT:
         return None, {"case": "already-out"}, _avoidance(adv, stem, query)
     for w in exits:
@@ -342,7 +336,7 @@ def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTabl
         runs = {p: tuple(map(_last, run)) for p, run in groupby(lv, _parent)}
         lv = list(runs) if levels[n - 1].keys() <= runs.keys() else sorted(levels[n - 1] | runs)
         rows.append(tuple(map(runs.get, lv, repeat(()))))
-    return TraceTable(tuple(rows[::-1]), LevelBound("pow", base))
+    return TraceTable(tuple(rows[::-1]), base)
 
 
 @dataclass
@@ -384,27 +378,25 @@ class RunRecord:
 
 class Promise(NamedTuple):
     """What an engine's records promise: a final tree that passes the shape
-    predicate with k, and traces with at most base^n words on level n and lo
-    to hi children a word below the depth (no traces when base is None)."""
+    predicate (``trees.SHAPES``) with k to the depth, traces with at most
+    base^n words on level n and lo to hi children a word below the depth (no
+    traces when base is None), and, with labels, task labels on every node
+    that read off the task schedule."""
 
     predicate: str
     k: Optional[int]
     base: Optional[int] = None
     lo: int = 0
     hi: int = 0
-
-    def shape(self, depth: int) -> dict:
-        """The shape certificate of a record at depth."""
-        k = {} if self.k is None else {"k": self.k}
-        return {"kind": "shape", "predicate": self.predicate, **k, "depth": depth}
+    labels: bool = False
 
 
-# Each engine's promise, from its record's parameters.  The engines write
-# their shape certificates from it, and the verifier checks records against it.
+# Each engine's promise, from its record's parameters.  No record restates
+# it: the verifier checks every record against it.
 PROMISES: dict[str, Callable[[dict], Promise]] = {
     "surviving": lambda p: Promise("kbranching", b := int(p["k"]) + 1, b, 0, b),
     "build3": lambda p: Promise("ktree", 3),
-    "traceable": lambda p: Promise("ktree", 3, 3, 0, 3),
+    "traceable": lambda p: Promise("ktree", 3, 3, 0, 3, labels=True),
     "accelerating": lambda p: Promise("accelerating", None, 2, 1, 2),
 }
 
@@ -481,7 +473,7 @@ class Run:
         through node."""
         self.certificates.append({
             "kind": "presumed_divergence", "functional": fn.id,
-            "node": list(node), "position": n, "fuel": self.fuel,
+            "node": list(node), "position": n,
         })
 
     def trace(self, fn: OracleFunctional, table: TraceTable, **cert) -> None:
@@ -490,13 +482,10 @@ class Run:
         self.traces.append((fn.id, table))
         self.certificates.append({
             **cert, "functional": fn.id, "trace_index": len(self.traces) - 1,
-            "fuel": self.fuel,
         })
 
-    def record(
-        self, engine: str, *closing: dict, labels: Optional[dict[Word, int]] = None
-    ) -> RunRecord:
-        """The run's record: its certificates, closing and the shape certificate."""
+    def record(self, engine: str, labels: Optional[dict[Word, int]] = None) -> RunRecord:
+        """The run's record."""
         parameters = {
             "depth": self.depth, "stages": self.stages, "fuel": self.fuel,
             "query_stage": self.query,
@@ -511,9 +500,7 @@ class Run:
             final_stem=self.stem,
             final_tree=self.tree,
             traces=self.traces,
-            certificates=[
-                *self.certificates, *closing, PROMISES[engine](parameters).shape(self.depth)
-            ],
+            certificates=self.certificates,
             status="complete" if self.complete else "incomplete",
             labels=labels,
         )

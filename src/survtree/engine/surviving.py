@@ -15,7 +15,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
-from ..traces import LevelBound, TraceTable
+from ..traces import TraceTable
 from ..trees import FiniteTree, Word, children, rows_above
 from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
 
@@ -152,7 +152,7 @@ def _trace(
     trace = [((e,),) for e in head] + [lasts for _, lasts in rows]
     trace.append(((),) * len(rounds[-1]))
     trace += [()] * (depth - len(trace))
-    return TraceTable(tuple(trace[:depth]), LevelBound("pow", b))
+    return TraceTable(tuple(trace[:depth]), b)
 
 
 class _Drawn:

@@ -25,7 +25,6 @@ from .common import (
     RunRecord,
     nodes_above,
     schedule,
-    schedule_certificate,
     trace_from_outputs,
 )
 
@@ -230,7 +229,6 @@ def traceable_prune(
 ) -> RunRecord:
     run = _LabeledRun(adversaries, stages, depth, fuel, start.tree, start.stem)
     run.labels = dict(start.labels)
-    run.certificates.append(schedule_certificate(depth))
     for table, entry in run.p_stages(_exits):
         hit, _ = table.cases_a_b(run.stem, run.tree)
         if hit is not None:
@@ -246,4 +244,4 @@ def traceable_prune(
             table.functional, trace_from_outputs(outs, depth, 3), kind="trace", case="prune"
         )
         entry.update(log)
-    return run.record("traceable", {"kind": "labels"}, labels=run.labels)
+    return run.record("traceable", labels=run.labels)

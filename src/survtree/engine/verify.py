@@ -2,8 +2,11 @@
 
 Every check works from the record alone: the adversary family is rebuilt
 from the embedded configuration, the final tree and traces are reloaded,
-and each certificate is tested against them.  The digest guards the bytes;
-the semantic checks guard the content.
+and each certificate is tested against them.  What the engine promises
+(``engine.common.PROMISES``) comes from its name and parameters, not from
+the record: the final tree's shape, the traces' depth and bound, the task
+labels and each stage the log marks vacuous are checked without being
+asked.  The digest guards the bytes; the semantic checks guard the content.
 """
 
 from __future__ import annotations
@@ -11,18 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..io_formats import canonical_json, json_to_trace, record_digest_ok
+from ..io_formats import json_to_trace, record_digest_ok
 from ..staged import AdversaryFamily, shown_successors
-from ..traces import BoundExceeded, LevelBound, TraceTable, goes_through
-from ..trees import (
-    FiniteTree,
-    TriState,
-    Word,
-    is_accelerating_to_depth,
-    is_k_branching_to_depth,
-    is_k_tree_to_depth,
-    is_prefix,
-)
+from ..traces import BoundExceeded, TraceTable, goes_through
+from ..trees import SHAPES, FiniteTree, TriState, Word, is_prefix
 from .common import (
     PROMISES,
     LabeledCondition,
@@ -32,7 +27,6 @@ from .common import (
     labels_of_payload,
     pairwise_consistent,
     requirement,
-    schedule_certificate,
     stem_of_payload,
     tree_of_payload,
 )
@@ -59,60 +53,92 @@ def verify_record(payload: dict) -> list[str]:
         fuel = None if fuel is None else int(fuel)
         # what the engine promises, from the parameters, not from a certificate
         promise = PROMISES[payload["engine"]](payload["parameters"])
-        # every engine builds its traces at the record's depth; checking it
-        # first keeps a forged depth from costing anything to decode
-        for t in payload["traces"]:
-            if int(t["depth"]) != depth:
-                raise ValueError(
-                    f"trace depth {t['depth']} differs from the record depth {depth}"
-                )
+        certs = _objects(payload.get("certificates", []), "certificates")
+        # each trace decodes at the record's depth under the promised bound;
+        # an engine without traces decodes none, so a trace it lists is
+        # named by no certificate or by one the engine cannot write
         traces = [
-            (int(t["functional"]), json_to_trace(t)) for t in payload["traces"]
-        ]
-        vacuous = _vacuous_requirements(payload, family)
+            (int(t["functional"]), json_to_trace(t, depth, promise.base))
+            for t in payload["traces"]
+        ] if promise.base is not None else []
+        bad = SHAPES[promise.predicate](tree, promise.k, depth)
+        vacuous = _vacuous_defects(payload, family)
     except (KeyError, ValueError, TypeError, BoundExceeded) as e:
         return [f"malformed record: {e}"]
     if stem not in tree:
         defects.append(f"final stem {stem} not in final tree")
+    if bad is not None:
+        defects.append(
+            f"final tree node {bad.node}: {bad.required}, saw {bad.observed_child_count}"
+        )
+    msg = _label_defect(promise, stem, tree, labels)
+    if msg is not None:
+        defects.append(f"labels: {msg}")
+    defects += vacuous
     leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
-    certs = payload.get("certificates", [])
     for i, cert in enumerate(certs):
         try:
-            msg = _check_certificate(
-                cert, family, stem, tree, leaves, traces, labels, depth, fuel, promise,
-                vacuous,
-            )
+            msg = _check_certificate(cert, family, stem, leaves, traces, depth, fuel, promise)
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
         if msg is not None:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
-    if not any(cert.get("kind") == "shape" for cert in certs):
-        defects.append("no shape certificate")
     named = Counter(cert.get("trace_index") for cert in certs if cert.get("kind") in _TRACE_CERTS)
-    for ti in range(len(traces)):
+    for ti in range(len(payload["traces"])):
         if named[ti] != 1:
             defects.append(f"trace {ti} is named by {named[ti]} trace certificates, not one")
     return defects
 
 
-def _vacuous_requirements(
-    payload: dict, family: AdversaryFamily
-) -> set[tuple[int, int, Word]]:
-    """(staged tree id, k, witness) for each stage the log marks vacuous:
-    the tree and k of the stage's requirement, with the engine's k from the
-    parameters, and the witness the log names.  Entry s of a log is stage
-    s, which bounds the stages looked up."""
-    k = payload["parameters"].get("k")
-    k = None if k is None else int(k)
-    out = set()
-    for s, entry in enumerate(payload["stage_log"]):
-        if entry.get("case") == "vacuous":
-            if int(entry["stage"]) != s:
-                raise ValueError(f"stage log entry {s} names stage {entry['stage']}")
-            req = requirement(s, family, k)
-            if req is not None and req[2] is not None:
-                out.add((req[1].id, req[2], tuple(int(e) for e in entry["witness"])))
-    return out
+def _objects(items, what: str) -> list[dict]:
+    """items, once checked to be a list of JSON objects."""
+    if type(items) is not list or any(type(x) is not dict for x in items):
+        raise ValueError(f"the {what} are not a list of objects")
+    return items
+
+
+def _vacuous_defects(payload: dict, family: AdversaryFamily) -> list[str]:
+    """A defect for each stage the log marks vacuous whose staged tree does
+    not show more than k successors at the logged witness by the query
+    stage, for the tree and k of the stage's requirement (the surviving
+    engine's k from the parameters; the others stage index pairs, whatever
+    k their parameters name).  Entry s of a log is stage s, which bounds
+    the stages looked up, and a vacuous stage must be a tree requirement."""
+    k = int(payload["parameters"]["k"]) if payload["engine"] == "surviving" else None
+    defects = []
+    for s, entry in enumerate(_objects(payload["stage_log"], "stage log entries")):
+        if entry.get("case") != "vacuous":
+            continue
+        if int(entry["stage"]) != s:
+            raise ValueError(f"stage log entry {s} names stage {entry['stage']}")
+        req = requirement(s, family, k)
+        if req is None or req[2] is None:
+            raise ValueError(f"stage {s} is logged vacuous but is no tree requirement")
+        _, adv, k_s = req
+        w = tuple(int(e) for e in entry["witness"])
+        shown = shown_successors(adv, w, int(payload["parameters"]["query_stage"]))
+        if shown <= k_s:
+            defects.append(
+                f"stage {s} (vacuous): node {w} of tree {adv.id} shows only {shown} "
+                f"successors, not more than {k_s}"
+            )
+    return defects
+
+
+def _label_defect(
+    promise: Promise, stem: Word, tree: FiniteTree, labels: Optional[dict[Word, int]]
+) -> Optional[str]:
+    """Why the record's labels break the promise, if they do: an engine that
+    keeps labels labels every node, reading off the task schedule, and any
+    other engine carries none."""
+    if not promise.labels:
+        return None if labels is None else "the engine keeps no labels"
+    if labels is None:
+        return "the record carries none"
+    try:
+        return check_label_invariants(LabeledCondition(stem, tree, labels))
+    except ValueError as e:
+        return str(e)
 
 
 def _row_width_defect(table: TraceTable, lo: int, hi: int) -> Optional[str]:
@@ -133,14 +159,11 @@ def _check_certificate(
     cert: dict,
     family: AdversaryFamily,
     stem: Word,
-    tree: FiniteTree,
     leaves: list[Word],
     traces: list[tuple[int, TraceTable]],
-    labels: Optional[dict[Word, int]],
     depth: int,
     fuel: Optional[int],
     promise: Promise,
-    vacuous: set[tuple[int, int, Word]],
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind in _TRACE_CERTS and promise.base is None:
@@ -153,26 +176,15 @@ def _check_certificate(
         fn = _by_id(family.functionals, int(cert["functional"]))
         if fn is None:
             return f"no functional with id {cert['functional']}"
-    elif kind in ("avoidance", "vacuous_tree_requirement"):
+    if kind == "avoidance":
         adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
             return f"no staged tree with id {cert['tree']}"
-    if kind == "avoidance":
         witness = tuple(int(e) for e in cert["witness"])
         if not is_prefix(witness, stem):
             return f"witness {witness} is not a prefix of the final stem"
         if adv.decide(witness, int(cert["stage"])) is not TriState.OUT:
             return f"witness {witness} is not out of tree {adv.id}"
-        return None
-    if kind == "vacuous_tree_requirement":
-        w = tuple(int(e) for e in cert["witness"])
-        k = int(cert["k"])
-        if (adv.id, k, w) not in vacuous:
-            return f"no stage logged vacuous requires tree {adv.id} at k {k} with witness {w}"
-        stage = int(cert["stage"])
-        shown = shown_successors(adv, w, stage)
-        if shown <= k:
-            return f"node {w} shows only {shown} successors, not more than {k}"
         return None
     if kind == "presumed_divergence":
         node = tuple(int(e) for e in cert["node"])
@@ -211,8 +223,6 @@ def _check_certificate(
         owner, table = traces[ti]
         if owner != fn.id:
             return f"trace {ti} belongs to functional {owner}"
-        if table.bound != LevelBound("pow", promise.base):
-            return f"trace bound is {table.bound.base}^n, not {promise.base}^n"
         msg = _row_width_defect(table, promise.lo, promise.hi)
         if msg is not None:
             return msg
@@ -220,35 +230,5 @@ def _check_certificate(
             o = fn.prefix(L, table.depth, fuel)
             if not goes_through(o, table):
                 return f"branch {L} output {o} leaves the trace"
-        return None
-    if kind == "schedule":
-        want = schedule_certificate(depth)
-        if cert != want:
-            return f"terms {cert.get('terms')} are not the task schedule's {want['terms']}"
-        return None
-    if kind == "labels":
-        if labels is None:
-            return "record carries no labels"
-        try:
-            cond = LabeledCondition(stem, tree, labels)
-        except ValueError as e:
-            return str(e)
-        msg = check_label_invariants(cond)
-        return msg
-    if kind == "shape":
-        pred, k, want = promise.predicate, promise.k, promise.shape(depth)
-        if (cert.get("predicate"), cert.get("k")) != (pred, k):
-            return (f"predicate {cert.get('predicate')!r} with k {cert.get('k')} is not "
-                    f"the engine's {pred!r} with k {k}")
-        if cert != want:
-            return f"{canonical_json(cert)} is not the engine's {canonical_json(want)}"
-        if pred == "kbranching":
-            bad = is_k_branching_to_depth(tree, k, depth)
-        elif pred == "ktree":
-            bad = is_k_tree_to_depth(tree, k, depth)
-        else:
-            bad = is_accelerating_to_depth(tree, depth)
-        if bad is not None:
-            return f"node {bad.node}: {bad.required}, saw {bad.observed_child_count}"
         return None
     return f"unknown certificate kind {kind!r}"

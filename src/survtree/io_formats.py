@@ -16,7 +16,7 @@ import re
 from itertools import chain
 from typing import Any, TextIO
 
-from .traces import LevelBound, TraceTable
+from .traces import TraceTable
 from .trees import FiniteTree, Word
 
 
@@ -166,14 +166,15 @@ def trace_fits(base: int, depth: int) -> bool:
 def trace_to_json(tr: TraceTable) -> dict:
     """Level-order form: ``children[n]`` lists, for each length-n word in
     lex order, the last entries of its children in increasing order."""
-    children = [list(map(list, row)) for row in tr.children]
-    bound = {"kind": tr.bound.kind, "base": tr.bound.base}
-    return {"bound": bound, "depth": tr.depth, "children": children}
+    return {"children": [list(map(list, row)) for row in tr.children]}
 
 
-def json_to_trace(data: dict) -> TraceTable:
-    """The table of the level-order rows as they stand: no word is spelled out."""
-    depth = int(data["depth"])
+def json_to_trace(data: dict, depth: int, base: int) -> TraceTable:
+    """The table of the level-order rows as they stand, at the depth and
+    bounded by base**n, which a record's parameters and engine fix: no word
+    is spelled out.  Besides its rows a record's trace names its functional."""
+    if type(data) is not dict or not data.keys() <= {"functional", "children"}:
+        raise FormatError("a trace is an object of only its functional and its children rows")
     rows = data.get("children")
     if type(rows) is not list or len(rows) != depth:
         raise FormatError(f"a trace of depth {depth} needs {depth} children rows")
@@ -185,4 +186,4 @@ def json_to_trace(data: dict) -> TraceTable:
         spelled += (n + 1) * size
     if spelled > TRACE_ENTRY_LIMIT:
         raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
-    return TraceTable(rows, LevelBound(data["bound"]["kind"], int(data["bound"]["base"])))
+    return TraceTable(rows, base)

@@ -1,4 +1,4 @@
-"""Level-indexed word sets with explicit size bounds (computable traces).
+"""Level-indexed word sets with a size bound base**n (computable traces).
 
 The canonical semantics is level sets of prefixes: level n holds the
 length-n words, and a function "goes through" the trace when each of its
@@ -26,31 +26,15 @@ class BoundExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class LevelBound:
-    """A machine-checkable bound descriptor: n -> base**n."""
-
-    kind: str
-    base: int
-
-    def __post_init__(self) -> None:
-        if self.kind != "pow":
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if self.base < 1:
-            raise ValueError("bound base must be >= 1")
-
-    def __call__(self, n: int) -> int:
-        return self.base**n
-
-
-@dataclass(frozen=True)
 class TraceTable:
     """A trace as its level-order rows (LOUDS-style), the form records store:
     level 0 is the empty word, and ``children[n]`` holds, per word of level n
     in lex order, the increasing tuple of its children's last entries; those
-    children, in that order, are level n+1.  No word is spelled out."""
+    children, in that order, are level n+1.  No word is spelled out.  Level
+    n holds at most base**n words."""
 
     children: tuple[tuple[tuple[int, ...], ...], ...]
-    bound: LevelBound
+    base: int
     # _offsets[n][i]: the index in level n+1 of word i's first child
     _offsets: tuple = field(default=(), init=False, compare=False, repr=False)
 
@@ -71,8 +55,8 @@ class TraceTable:
             size = offsets[-1][-1]
             # base**n >= 2**n exceeds size once n reaches its bit length,
             # so huge powers of deep, small levels are never computed
-            if (self.bound.base < 2 or n + 1 < size.bit_length()) and size > self.bound(n + 1):
-                raise BoundExceeded(n + 1, size, self.bound(n + 1))
+            if (self.base < 2 or n + 1 < size.bit_length()) and size > self.base ** (n + 1):
+                raise BoundExceeded(n + 1, size, self.base ** (n + 1))
         object.__setattr__(self, "children", rows)
         object.__setattr__(self, "_offsets", tuple(offsets))
 

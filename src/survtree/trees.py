@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice, repeat
 from operator import sub
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
 
@@ -245,6 +245,14 @@ def is_accelerating_to_depth(
                 return ShapeViolation(w, c, f"more than {n + 2} successors (split number {n})")
         splits = [n + (c >= 2) for n, c in zip(splits, cs) for _ in range(c)]
     return None
+
+
+# Each shape predicate by name, called as (tree, k, depth); accelerating takes no k.
+SHAPES: dict[str, Callable[[FiniteTree, Optional[int], int], Optional[ShapeViolation]]] = {
+    "ktree": is_k_tree_to_depth,
+    "kbranching": is_k_branching_to_depth,
+    "accelerating": lambda t, k, d: is_accelerating_to_depth(t, d),
+}
 
 
 def map_path(g: Surjection, a: Word) -> Word:

@@ -65,6 +65,14 @@ def forged_defects(payload: dict, edit: Callable[[dict], object]) -> list[str]:
     return verify_record(payload)
 
 
+def drop_children_of_last_parent(payload: dict) -> None:
+    """Delete the children of the parent of the final tree's last node,
+    leaving that parent a leaf one level short of the deepest."""
+    nodes = payload["final_tree"]["nodes"]
+    parent = nodes[-1][:-1]
+    nodes[:] = [w for w in nodes if w[:-1] != parent]
+
+
 def cert_index(payload: dict, kind: str) -> int:
     """The index of the payload's first certificate of the kind."""
     return next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == kind)

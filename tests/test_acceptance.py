@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 
 from conftest import all_surjections, make_tree, subtree_nodesets
 from survtree.cover import min_cover, monotonicity_table, verify_cover
@@ -233,10 +234,13 @@ def test_acceptance_6_traceable_schedule_labels_and_traces():
         rec = traceable_prune(start, LIB, 4, 8, 10**4)
         payload = rec.to_payload()
         assert verify_record(payload) == []
-        sched = [c for c in rec.certificates if c["kind"] == "schedule"]
-        assert sched and sched[0]["terms"][:10] == [1, 1, 2, 1, 2, 3, 1, 2, 3, 4]
         assert schedule_prefix(10) == [1, 1, 2, 1, 2, 3, 1, 2, 3, 4]
         labels = labels_of_payload(payload)
+        # the record keeps the schedule in its labels: along each branch
+        # the nonzero labels read off it
+        for leaf in rec.final_tree.leaves():
+            seq = [labels[leaf[:i]] for i in range(len(leaf) + 1) if labels[leaf[:i]]]
+            assert seq and seq == schedule_prefix(len(seq))
         final = LabeledCondition(rec.final_stem, rec.final_tree, labels)
         assert check_label_invariants(final) is None
         for fid, trace in rec.traces:
@@ -349,23 +353,23 @@ def _mutations(payload):
     variant(break_trace, resign=True)
 
     def break_shape(p):
-        for c in p["certificates"]:
-            if c["kind"] == "shape":
-                c["k"] = 1
-                return
-        raise AssertionError("no shape certificate to corrupt")
+        # the last child of a split loses its whole branch, so the split
+        # keeps fewer children than the engine's shape allows
+        nodes = [tuple(w) for w in p["final_tree"]["nodes"]]
+        kids = Counter(w[:-1] for w in nodes if w)
+        cut = max(w for w in nodes if w and kids[w[:-1]] > 1)
+        p["final_tree"]["nodes"] = [list(w) for w in nodes if w[:len(cut)] != cut]
 
     variant(break_shape, resign=True)
 
-    def break_schedule(p):
-        for c in p["certificates"]:
-            if c["kind"] == "schedule":
-                c["terms"][0] = 7
+    def break_vacuous_witness(p):
+        for entry in p["stage_log"]:
+            if entry.get("case") == "vacuous":
+                entry["witness"] = [9]
                 return
-        # fall back to k bump on shape for records without a schedule
-        break_shape(p)
+        raise AssertionError("no vacuous stage to corrupt")
 
-    variant(break_schedule, resign=True)
+    variant(break_vacuous_witness, resign=True)
 
     def break_family(p):
         p["family"]["staged_trees"] = []

@@ -272,7 +272,7 @@ def _surviving_d4_payload() -> dict:
 
 def _as_word_list(trace: dict) -> None:
     """Rewrite a trace in the word-list form records used to carry."""
-    levels = json_to_trace(trace).levels
+    levels = json_to_trace(trace, len(trace["children"]), 3).levels
     del trace["children"]
     trace["words"] = [list(w) for lv in levels for w in sorted(lv)]
 
@@ -363,6 +363,40 @@ def test_verify_reports_a_final_tree_that_is_not_its_node_list(
     assert message in defects[0]
     assert main(["verify", str(out)]) == 1
     assert capsys.readouterr().out == f"defect: {defects[0]}\n"
+
+
+def _set_first_certificate(p):
+    p["certificates"][0] = 5
+
+
+def _set_first_stage_log_entry(p):
+    p["stage_log"][0] = 5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set_first_certificate, "the certificates are not a list of objects",
+                     id="certificate-not-an-object"),
+        pytest.param(lambda p: p.update(certificates={"kind": "avoidance"}),
+                     "the certificates are not a list of objects", id="certificates-an-object"),
+        pytest.param(_set_first_stage_log_entry, "the stage log entries are not a list of objects",
+                     id="stage-log-entry-not-an-object"),
+    ],
+)
+def test_verify_reports_a_record_part_that_is_not_an_object_as_malformed(
+    tmp_path, capsys, edit, message
+):
+    payload = copy.deepcopy(_golden_payload("surviving-d6"))
+    edit(payload)
+    del payload["digest"]
+    out = tmp_path / "rec.json"
+    with open(out, "w") as fp:
+        dump_record(payload, fp)  # signed again, so only the shape of the part is wrong
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"defect: malformed record: {message}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_verify_missing_file_is_usage_error(tmp_path):

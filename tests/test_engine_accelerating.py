@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from conftest import cert_index, forged_defects
+import copy
+
+from conftest import cert_index, drop_children_of_last_parent, forged_defects
 from survtree.engine import accelerating_force, verify_record
 from survtree.engine.accelerating import CASE4_CANDIDATE_LIMIT, _exits, case4_candidates
 from survtree.engine.common import Run
@@ -97,33 +99,50 @@ def test_verifier_refuses_a_two_tree_trace_with_a_third_child():
     payload["digest"] = payload_digest(payload)
     assert verify_record(payload) == [
         f"certificate {i} (two_tree_trace): trace is not a 2-tree: "
-        f"level {trace['depth'] - 1} word 0 has 3 children"
+        f"level {payload['parameters']['depth'] - 1} word 0 has 3 children"
     ]
 
 
 def test_verifier_refuses_a_trace_bound_other_than_2():
+    """The bound is the promise's 2^n, read from no field: a trace with 3
+    words on level 1 is refused, and so is one that restates a bound."""
     payload = run().to_payload()
-    i = cert_index(payload, "two_tree_trace")
-    ti = payload["certificates"][i]["trace_index"]
-    defects = forged_defects(payload, lambda p: p["traces"][ti]["bound"].update(base=10**6))
-    assert defects == [f"certificate {i} (two_tree_trace): trace bound is 1000000^n, not 2^n"]
+    ti = payload["certificates"][cert_index(payload, "two_tree_trace")]["trace_index"]
+
+    def widen(p):
+        p["traces"][ti]["children"] = [[[0, 1, 2]] * 3**n for n in range(8)]
+
+    defects = forged_defects(copy.deepcopy(payload), widen)
+    assert defects == ["malformed record: level 1 has 3 words, bound allows 2"]
+    defects = forged_defects(payload, lambda p: p["traces"][ti].update(bound={"kind": "pow", "base": 2}))
+    assert defects == [
+        "malformed record: a trace is an object of only its functional and its children rows"
+    ]
 
 
 def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    # the shape holds to the record's depth: a branch one level short of it
     payload = run().to_payload()
-    i = cert_index(payload, "shape")
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
+    defects = forged_defects(payload, drop_children_of_last_parent)
     assert defects == [
-        f"certificate {i} (shape): "
-        '{"depth":0,"kind":"shape","predicate":"accelerating"} is not the engine\'s '
-        '{"depth":8,"kind":"shape","predicate":"accelerating"}'
+        "final tree node (3, 1, 3, 1, 9, 0, 1): at least 1 successor below depth, saw 0"
     ]
 
 
 def test_verifier_refuses_a_record_without_its_shape_certificate():
+    # no record carries a shape certificate; the verifier checks the
+    # promised shape on the final tree all the same: the first split,
+    # (3, 1), left with two of its three children
     payload = run().to_payload()
-    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
-    assert defects == ["no shape certificate"]
+    assert "shape" not in {c["kind"] for c in payload["certificates"]}
+
+    def cut(p):
+        p["final_tree"]["nodes"] = [w for w in p["final_tree"]["nodes"] if w[:3] != [3, 1, 3]]
+
+    defects = forged_defects(payload, cut)
+    assert defects == [
+        "final tree node (3, 1): more than 2 successors (split number 0), saw 2"
+    ]
 
 
 def test_two_tree_trace_branch_go_through():
@@ -151,18 +170,40 @@ def test_determinism():
 
 
 def test_verifier_takes_a_vacuous_requirement_k_from_the_stage_requirement():
-    """R0 asks whether staged tree 0 is a 3-tree (index_pair(0) = (0, 3)),
-    and the tree shows five successors at the root: more than 3, and more
-    than 4 as well."""
-    wide = family_from_config({
-        "staged_trees": [{"kind": "full_subtree", "alphabet": [0, 1, 2, 3, 4]}],
-        "functionals": [],
-    })
-    payload = run(stages=1, depth=4, family=wide).to_payload()
-    i = cert_index(payload, "vacuous_tree_requirement")
-    assert payload["certificates"][i]["k"] == 3 and verify_record(payload) == []
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(k=4))
-    assert defects == [
-        f"certificate {i} (vacuous_tree_requirement): "
-        "no stage logged vacuous requires tree 0 at k 4 with witness ()"
+    """R0 asks whether staged tree 0 is a 3-tree (index_pair(0) = (0, 3)).
+    A tree that shows five successors at the root is vacuous there; one
+    that shows three is not, so R0 relogged vacuous is a defect at the
+    stage's k of 3, with no k on record to forge."""
+    def family(alphabet):
+        return family_from_config({
+            "staged_trees": [{"kind": "full_subtree", "alphabet": alphabet}],
+            "functionals": [],
+        })
+
+    payload = run(stages=1, depth=4, family=family([0, 1, 2, 3, 4])).to_payload()
+    assert payload["stage_log"][0]["case"] == "vacuous" and verify_record(payload) == []
+    payload = run(stages=1, depth=4, family=family([0, 1, 2])).to_payload()
+    assert payload["stage_log"][0]["case"] == "exit" and verify_record(payload) == []
+
+    def relog(p):
+        p["stage_log"][0] = {"stage": 0, "requirement": "R0", "case": "vacuous", "witness": []}
+
+    assert forged_defects(payload, relog) == [
+        "stage 0 (vacuous): node () of tree 0 shows only 3 successors, not more than 3"
+    ]
+
+
+def test_a_k_parameter_does_not_change_the_staged_requirements():
+    """Accelerating stages R2 against index_pair(2) = (0, 4), and tree 0
+    shows three successors at the root; a k of 0 added to the parameters
+    does not make R2 relogged vacuous hold."""
+    payload = run().to_payload()
+    assert payload["stage_log"][4]["case"] == "already-out"
+
+    def relog(p):
+        p["stage_log"][4] = {"stage": 4, "requirement": "R2", "case": "vacuous", "witness": []}
+        p["parameters"]["k"] = 0
+
+    assert forged_defects(payload, relog) == [
+        "stage 4 (vacuous): node () of tree 0 shows only 3 successors, not more than 4"
     ]

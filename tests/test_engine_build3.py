@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cert_index, child_map, forged_defects, staged_tree_entries, unbounded_trees
+from conftest import child_map, forged_defects, staged_tree_entries, unbounded_trees
 from survtree.engine import build3_record, build_3tree, verify_record
 from survtree.engine.common import schedule, trace_from_outputs
 from survtree.staged import (
@@ -19,7 +19,7 @@ from survtree.staged import (
     standard_library,
     staged_tree_from_config,
 )
-from survtree.io_formats import payload_digest, trace_to_json
+from survtree.io_formats import trace_to_json
 from survtree.trees import FiniteTree, TriState, is_k_tree_to_depth, word_key
 
 LIB = standard_library()
@@ -186,32 +186,35 @@ def test_stage_budget_bounds_growth():
 
 
 def test_verifier_refuses_a_shape_k_other_than_the_promised_3():
+    # a looser k would let the root's three children and a fourth verify
     payload = build3_record(LIB, 8, 24).to_payload()
     assert verify_record(payload) == []
-    i = next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == "shape")
-    payload["certificates"][i]["k"] = 100
-    payload["digest"] = payload_digest(payload)
-    assert verify_record(payload) == [
-        f"certificate {i} (shape): predicate 'ktree' with k 100 is not "
-        "the engine's 'ktree' with k 3"
-    ]
+    defects = forged_defects(payload, lambda p: p["final_tree"]["nodes"].append([9]))
+    assert defects == ["final tree node (): between 1 and 3 successors, saw 4"]
 
 
 def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    # the branch of (0,)*7 stops one level short of the record's depth
     payload = build3_record(LIB, 8, 24).to_payload()
-    i = cert_index(payload, "shape")
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
-    assert defects == [
-        f"certificate {i} (shape): "
-        '{"depth":0,"k":3,"kind":"shape","predicate":"ktree"} is not the engine\'s '
-        '{"depth":8,"k":3,"kind":"shape","predicate":"ktree"}'
-    ]
+
+    def cut(p):
+        p["final_tree"]["nodes"] = [w for w in p["final_tree"]["nodes"] if w != [0] * 8]
+
+    defects = forged_defects(payload, cut)
+    assert defects == ["final tree node (0, 0, 0, 0, 0, 0, 0): between 1 and 3 successors, saw 0"]
 
 
 def test_verifier_refuses_a_record_without_its_shape_certificate():
+    # a build3 record carries no certificate at all; the verifier checks
+    # the promised shape on the final tree all the same
     payload = build3_record(LIB, 8, 24).to_payload()
-    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
-    assert defects == ["no shape certificate"]
+    assert payload["certificates"] == []
+
+    def cut(p):
+        p["final_tree"]["nodes"] = [w for w in p["final_tree"]["nodes"] if w[:2] != [2, 0] or len(w) == 2]
+
+    defects = forged_defects(payload, cut)
+    assert defects == ["final tree node (2, 0): between 1 and 3 successors, saw 0"]
 
 
 def test_verifier_refuses_a_trace_certificate_in_a_build3_record():

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import cert_index, forged_defects
+from conftest import cert_index, drop_children_of_last_parent, forged_defects
 from survtree.engine import diagonalize_surviving, verify_record
 from survtree.io_formats import json_to_tree, payload_digest
 from survtree.staged import (
@@ -99,7 +99,7 @@ def test_payload_round_trip_shapes():
     tree = json_to_tree(payload["final_tree"])
     assert tree.nodes == run(stages=4).final_tree.nodes
     for entry in payload["traces"]:
-        json_to_trace(entry)  # parses and validates bounds
+        json_to_trace(entry, 6, 3)  # parses and validates the 3^n bound
 
 
 def test_budget_exhaustion_marks_incomplete():
@@ -138,8 +138,17 @@ def test_verifier_refuses_a_trace_word_with_k_plus_2_children(k, depth):
 
 @pytest.mark.parametrize("k, depth", [(2, 6), (3, 5)])
 def test_verifier_refuses_a_trace_bound_other_than_k_plus_1(k, depth):
-    defects, i = _forged_trace(k, depth, lambda trace: trace["bound"].update(base=10**6))
-    assert defects == [f"certificate {i} (trace): trace bound is 1000000^n, not {k + 1}^n"]
+    """The bound is the promise's (k+1)^n, read from no field: a trace with
+    k+2 words on level 1 is refused, and so is one that restates a bound."""
+    def widen(trace):
+        trace["children"] = [[list(range(k + 2))] * (k + 2)**n for n in range(depth)]
+
+    defects, _ = _forged_trace(k, depth, widen)
+    assert defects == [f"malformed record: level 1 has {k + 2} words, bound allows {k + 1}"]
+    defects, _ = _forged_trace(k, depth, lambda trace: trace.update(bound={"kind": "pow", "base": 10**6}))
+    assert defects == [
+        "malformed record: a trace is an object of only its functional and its children rows"
+    ]
 
 
 def test_a_record_without_k_is_malformed():
@@ -203,20 +212,20 @@ def test_a_record_with_a_fuel_that_is_no_integer_is_malformed():
 
 
 def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    # the shape holds to the record's depth: a node one level short of it
+    # that loses its three children breaks it
     payload = run().to_payload()
-    i = cert_index(payload, "shape")
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
-    assert defects == [
-        f"certificate {i} (shape): "
-        '{"depth":0,"k":3,"kind":"shape","predicate":"kbranching"} is not the engine\'s '
-        '{"depth":6,"k":3,"kind":"shape","predicate":"kbranching"}'
-    ]
+    defects = forged_defects(payload, drop_children_of_last_parent)
+    assert defects == ["final tree node (2, 0, 2, 2, 2): exactly 1 or 3 successors, saw 0"]
 
 
 def test_verifier_refuses_a_record_without_its_shape_certificate():
+    # no record carries a shape certificate; the verifier checks the
+    # promised shape on the final tree all the same
     payload = run().to_payload()
-    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
-    assert defects == ["no shape certificate"]
+    assert not {"shape", "vacuous_tree_requirement"} & {c["kind"] for c in payload["certificates"]}
+    defects = forged_defects(payload, lambda p: p["final_tree"]["nodes"].pop())
+    assert defects == ["final tree node (2, 0, 2, 2, 2): exactly 1 or 3 successors, saw 2"]
 
 
 def test_verifier_refuses_traces_that_no_certificate_names():
@@ -239,31 +248,64 @@ def test_verifier_refuses_a_trace_that_two_certificates_name():
     assert defects == ["trace 0 is named by 2 trace certificates, not one"]
 
 
+def _relog_r2_vacuous(p):
+    """Stage 4, R2, logged vacuous at the root, where tree 2 shows two
+    successors (its exit's avoidance certificate still holds)."""
+    p["stage_log"][4] = {"stage": 4, "requirement": "R2", "case": "vacuous", "witness": []}
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_verifier_takes_a_vacuous_requirement_k_from_the_parameters(k):
-    """Trees 0 and 1 show three successors at the root, more than the
-    record's k of 2, and so more than any lower k too."""
+    """Two successors are not more than the record's k of 2, though more
+    than a k of 0 or 1: lowering the parameters' k to k as well, R2 still
+    relogged, breaks the promised trace bound (k+1)^n with it."""
     payload = run().to_payload()
-    i = cert_index(payload, "vacuous_tree_requirement")
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(k=k))
+    defects = forged_defects(payload, _relog_r2_vacuous)
     assert defects == [
-        f"certificate {i} (vacuous_tree_requirement): "
-        f"no stage logged vacuous requires tree 0 at k {k} with witness ()"
+        "stage 4 (vacuous): node () of tree 2 shows only 2 successors, not more than 2"
     ]
+    defects = forged_defects(payload, lambda p: p["parameters"].update(k=k))
+    assert defects == [f"malformed record: level 1 has 3 words, bound allows {k + 1}"]
 
 
 def test_verifier_refuses_a_vacuous_requirement_for_a_stage_that_was_not_vacuous():
     payload = run().to_payload()
-    i = cert_index(payload, "vacuous_tree_requirement")
-
-    def relog(p):
-        p["stage_log"][0].update(case="exit")
-
-    defects = forged_defects(payload, relog)
+    assert payload["stage_log"][4]["case"] == "exit"
+    defects = forged_defects(payload, _relog_r2_vacuous)
     assert defects == [
-        f"certificate {i} (vacuous_tree_requirement): "
-        "no stage logged vacuous requires tree 0 at k 2 with witness ()"
+        "stage 4 (vacuous): node () of tree 2 shows only 2 successors, not more than 2"
     ]
+
+
+def test_verifier_checks_each_vacuous_witness_from_the_log():
+    """The d8 record's vacuous stages with their witness moved to (9,),
+    where trees 0, 1 and 6 show no successor: each is a defect of its own,
+    with no certificate to ask for the check."""
+    payload = diagonalize_surviving(2, LIB, 14, 8, 10**4).to_payload()
+    vacuous = [e["stage"] for e in payload["stage_log"] if e["case"] == "vacuous"]
+    assert vacuous == [0, 2, 12] and verify_record(payload) == []
+
+    def move_witnesses(p):
+        for s in vacuous:
+            p["stage_log"][s]["witness"] = [9]
+
+    assert forged_defects(payload, move_witnesses) == [
+        f"stage {s} (vacuous): node (9,) of tree {s // 2} shows only 0 successors, "
+        "not more than 2"
+        for s in vacuous
+    ]
+
+
+def test_a_vacuous_entry_at_a_functional_stage_is_malformed():
+    payload = run().to_payload()
+    defects = forged_defects(payload, lambda p: p["stage_log"][1].update(case="vacuous", witness=[]))
+    assert defects == ["malformed record: stage 1 is logged vacuous but is no tree requirement"]
+
+
+def test_a_surviving_record_that_carries_labels_is_refused():
+    payload = run().to_payload()
+    defects = forged_defects(payload, lambda p: p.update(labels=[[[], 0]]))
+    assert defects == ["labels: the engine keeps no labels"]
 
 
 def test_a_vacuous_stage_logged_out_of_place_is_malformed():

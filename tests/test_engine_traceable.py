@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+from typing import Callable
+
 import pytest
 
 from survtree.engine import (
@@ -15,7 +18,6 @@ from survtree.engine import (
 from conftest import cert_index, forged_defects
 from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.engine.traceable import _members_leaves
-from survtree.io_formats import payload_digest
 from survtree.staged import standard_library
 from survtree.traces import goes_through
 from survtree.trees import FiniteTree, is_k_tree_to_depth
@@ -77,10 +79,13 @@ def test_final_labels_satisfy_invariants():
     assert check_label_invariants(cond) is None
 
 
-def test_schedule_certificate_emitted_first():
+def test_every_branch_reads_its_labels_off_the_schedule():
+    # the record carries the schedule in its labels, not in a certificate
     rec = run()
-    assert rec.certificates[0]["kind"] == "schedule"
-    assert rec.certificates[0]["terms"][:10] == schedule_prefix(10)
+    assert not {"schedule", "labels"} & {c["kind"] for c in rec.certificates}
+    for leaf in rec.final_tree.leaves():
+        seq = [rec.labels[leaf[:i]] for i in range(len(leaf) + 1) if rec.labels[leaf[:i]]]
+        assert seq and seq == schedule_prefix(len(seq))
 
 
 def test_traces_bounded_and_followed():
@@ -107,41 +112,55 @@ def test_record_verifies():
     assert verify_record(run().to_payload()) == []
 
 
+def _add_leaves(parent: list, entries) -> Callable[[dict], None]:
+    """An edit adding the children parent^e to the final tree, each labelled
+    with task 1, so that the labels still read off the schedule."""
+    def edit(p):
+        for e in entries:
+            p["final_tree"]["nodes"].append(parent + [e])
+            p["labels"].append([parent + [e], 1])
+    return edit
+
+
 def test_verifier_refuses_a_shape_k_other_than_the_promised_3():
-    # a looser k would let a tree with 4 or more children at a node verify
+    # a looser k would let a node with 4 children verify
     payload = run().to_payload()
-    i = next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == "shape")
-    payload["certificates"][i]["k"] = 100
-    payload["digest"] = payload_digest(payload)
-    assert verify_record(payload) == [
-        f"certificate {i} (shape): predicate 'ktree' with k 100 is not "
-        "the engine's 'ktree' with k 3"
-    ]
+    assert payload["final_stem"] == [3, 0, 5, 0, 0, 0]
+    defects = forged_defects(payload, _add_leaves([3, 0, 5, 0, 0], [7, 8, 9]))
+    assert defects == ["final tree node (3, 0, 5, 0, 0): between 1 and 3 successors, saw 4"]
 
 
 def test_verifier_refuses_a_shape_depth_other_than_the_record_depth():
+    # a branch that stops one level short of the record's depth
     payload = run().to_payload()
-    i = cert_index(payload, "shape")
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(depth=0))
-    assert defects == [
-        f"certificate {i} (shape): "
-        '{"depth":0,"k":3,"kind":"shape","predicate":"ktree"} is not the engine\'s '
-        '{"depth":6,"k":3,"kind":"shape","predicate":"ktree"}'
-    ]
+    defects = forged_defects(payload, _add_leaves([3, 0, 5, 0], [1]))
+    assert defects == ["final tree node (3, 0, 5, 0, 1): between 1 and 3 successors, saw 0"]
 
 
 def test_verifier_refuses_a_record_without_its_shape_certificate():
+    # no record carries a shape certificate; the verifier checks the
+    # promised shape on the final tree all the same
     payload = run().to_payload()
-    defects = forged_defects(payload, lambda p: p["certificates"].pop(cert_index(p, "shape")))
-    assert defects == ["no shape certificate"]
+    assert "shape" not in {c["kind"] for c in payload["certificates"]}
+    defects = forged_defects(payload, _add_leaves([], [4, 5, 6]))
+    assert defects == ["final tree node (): between 1 and 3 successors, saw 4"]
 
 
 def test_verifier_refuses_a_trace_bound_other_than_3():
+    """The bound is the promise's 3^n, read from no field: a trace with 4
+    words on level 1 is refused, and so is one that restates a bound."""
     payload = run().to_payload()
-    i = cert_index(payload, "trace")
-    ti = payload["certificates"][i]["trace_index"]
-    defects = forged_defects(payload, lambda p: p["traces"][ti]["bound"].update(base=10**6))
-    assert defects == [f"certificate {i} (trace): trace bound is 1000000^n, not 3^n"]
+    ti = payload["certificates"][cert_index(payload, "trace")]["trace_index"]
+
+    def widen(p):
+        p["traces"][ti]["children"] = [[[0, 1, 2, 3]] * 4**n for n in range(6)]
+
+    defects = forged_defects(copy.deepcopy(payload), widen)
+    assert defects == ["malformed record: level 1 has 4 words, bound allows 3"]
+    defects = forged_defects(payload, lambda p: p["traces"][ti].update(bound={"kind": "pow", "base": 3}))
+    assert defects == [
+        "malformed record: a trace is an object of only its functional and its children rows"
+    ]
 
 
 def test_verifier_refuses_a_trace_word_with_4_children():
@@ -160,12 +179,41 @@ def test_verifier_refuses_a_trace_word_with_4_children():
 
 
 def test_verifier_refuses_a_schedule_other_than_the_engine_writes():
+    # the stem's task 1 relabelled 2: its branch no longer reads off the schedule
     payload = run().to_payload()
-    i = cert_index(payload, "schedule")
-    defects = forged_defects(payload, lambda p: p["certificates"][i].update(terms=[]))
+
+    def relabel(p):
+        p["labels"] = [[w, 2 if w == p["final_stem"] else v] for w, v in p["labels"]]
+
+    defects = forged_defects(payload, relabel)
     assert defects == [
-        f"certificate {i} (schedule): terms [] are not the task schedule's {schedule_prefix(10)}"
+        "labels: branch (3, 0, 5, 0, 0, 0): nonzero labels [2] not a schedule prefix"
     ]
+
+
+def _d8_payload() -> dict:
+    start = initial_condition(LIB, 8, 24)
+    return traceable_prune(start, LIB, 4, 8, 10**4).to_payload()
+
+
+def test_verifier_checks_the_labels_without_a_labels_certificate():
+    """traceable-d8 with a leaf's label set to 7, or with its labels dropped:
+    the promise keeps labels, so each is a defect with no certificate to
+    ask for the check."""
+    payload = _d8_payload()
+    assert verify_record(payload) == [] and "labels" not in {
+        c["kind"] for c in payload["certificates"]
+    }
+    leaf = payload["final_tree"]["nodes"][-1]
+    assert leaf == [3, 0, 5, 0, 0, 0, 0, 0]
+
+    def relabel(p):
+        p["labels"] = [[w, 7 if w == leaf else v] for w, v in p["labels"]]
+
+    assert forged_defects(copy.deepcopy(payload), relabel) == [
+        "labels: branch (3, 0, 5, 0, 0, 0, 0, 0): nonzero labels [1, 1, 7] not a schedule prefix"
+    ]
+    assert forged_defects(payload, lambda p: p.pop("labels")) == ["labels: the record carries none"]
 
 
 def test_determinism():

@@ -32,7 +32,7 @@ from survtree.io_formats import (
 from survtree.engine import diagonalize_surviving, verify_record
 from survtree.engine.common import trace_from_outputs
 from survtree.staged import standard_library
-from survtree.traces import LevelBound, TraceTable
+from survtree.traces import TraceTable
 from survtree.trees import FiniteTree
 
 
@@ -104,14 +104,14 @@ def test_json_tree_round_trip():
 
 def test_json_trace_round_trip():
     tr = trace_from_outputs([(0, 0, 0)], 3, 2)
-    out = json_to_trace(trace_to_json(tr))
-    assert out.levels == tr.levels and out.bound == tr.bound
+    out = json_to_trace(trace_to_json(tr), 3, 2)
+    assert out.levels == tr.levels and out.base == tr.base
 
 
 def test_trace_without_the_empty_word_has_no_json_form():
     # level 0 is the empty word, so a first row without its list is refused
     with pytest.raises(ValueError, match="row 0 has 0 lists for 1 words"):
-        TraceTable(((),), LevelBound("pow", 2))
+        TraceTable(((),), 2)
 
 
 def test_canonical_json_is_key_sorted():
@@ -199,7 +199,7 @@ MALFORMED_ROW_1 = {
 @pytest.mark.parametrize("row, message", MALFORMED_ROW_1.values(), ids=MALFORMED_ROW_1)
 def test_malformed_row_is_refused_by_the_table_and_the_verifier(row, message):
     with pytest.raises(ValueError, match=message):
-        TraceTable(([[0, 1, 2]], row), LevelBound("pow", 3))
+        TraceTable(([[0, 1, 2]], row), 3)
     payload = surviving_d6_payload()
     assert payload["traces"][0]["children"][:2] == [[[0, 1, 2]], [[0, 1, 2]] * 3]
     payload["traces"][0]["children"][1] = row
@@ -212,9 +212,8 @@ def test_deep_forged_trace_decodes_quickly():
     # a few bytes declaring 100,000 levels: no level may cost a power of
     # the base that its size could not reach
     rows = [[[]]] + [[] for _ in range(99_999)]
-    forged = {"bound": {"kind": "pow", "base": 2}, "depth": 100_000, "children": rows}
     start = time.perf_counter()
-    table = json_to_trace(forged)
+    table = json_to_trace({"children": rows}, 100_000, 2)
     assert time.perf_counter() - start < 1.0
     assert table.depth == 100_000
 
@@ -222,10 +221,9 @@ def test_deep_forged_trace_decodes_quickly():
 def test_deep_forged_comb_trace_is_refused_quickly():
     # 100,000 one-entry rows stand for words of total length about 5 * 10**9
     rows = [[[0]] for _ in range(100_000)]
-    forged = {"bound": {"kind": "pow", "base": 2}, "depth": 100_000, "children": rows}
     start = time.perf_counter()
     with pytest.raises(FormatError, match=f"more than {TRACE_ENTRY_LIMIT} entries"):
-        json_to_trace(forged)
+        json_to_trace({"children": rows}, 100_000, 2)
     assert time.perf_counter() - start < 1.0
 
 
@@ -244,27 +242,40 @@ def test_trace_fits_up_to_the_decode_limit(base, fits, refused):
 def test_a_full_trace_decodes_exactly_when_it_fits(monkeypatch, base, depth):
     """The entries the guard counts are those json_to_trace counts: a full
     trace at the limit decodes, and one entry less refuses it."""
-    full = {"bound": {"kind": "pow", "base": base}, "depth": depth,
-            "children": [[list(range(base))] * base**n for n in range(depth)]}
+    full = {"children": [[list(range(base))] * base**n for n in range(depth)]}
     spelled = sum(n * base**n for n in range(1, depth + 1))
     monkeypatch.setattr(io_formats, "TRACE_ENTRY_LIMIT", spelled)
     assert trace_fits(base, depth)
-    assert json_to_trace(full).depth == depth
+    assert json_to_trace(full, depth, base).depth == depth
     monkeypatch.setattr(io_formats, "TRACE_ENTRY_LIMIT", spelled - 1)
     assert not trace_fits(base, depth)
     with pytest.raises(FormatError, match=f"more than {spelled - 1} entries"):
-        json_to_trace(full)
+        json_to_trace(full, depth, base)
 
 
 def test_trace_depth_other_than_the_record_depth_is_a_malformed_record():
+    # 100,000 rows where the record's depth allows 6, refused before any is read
     payload = surviving_d6_payload()
-    payload["traces"][0]["depth"] = 100_000
+    payload["traces"][0]["children"] = [[[]]] + [[] for _ in range(99_999)]
     payload["digest"] = payload_digest(payload)
     start = time.perf_counter()
     defects = verify_record(payload)
     assert time.perf_counter() - start < 1.0
-    assert defects == [
-        "malformed record: trace depth 100000 differs from the record depth 6"
+    assert defects == ["malformed record: a trace of depth 6 needs 6 children rows"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bound", {"kind": "pow", "base": 3}),
+    ("depth", 6),
+])
+def test_a_trace_that_restates_its_bound_or_depth_is_a_malformed_record(key, value):
+    # the record's depth and the engine's promise fix both, so a trace holds
+    # only its functional and its rows
+    payload = surviving_d6_payload()
+    payload["traces"][0][key] = value
+    payload["digest"] = payload_digest(payload)
+    assert verify_record(payload) == [
+        "malformed record: a trace is an object of only its functional and its children rows"
     ]
 
 
@@ -301,11 +312,11 @@ def test_tree_round_trip_property(t):
 def test_trace_json_is_level_order_and_round_trips(t):
     tr = trace_from_outputs(t.leaves(), t.depth, 4)
     data = trace_to_json(tr)
-    assert data["depth"] == tr.depth and len(data["children"]) == tr.depth
+    assert set(data) == {"children"} and len(data["children"]) == tr.depth
     for n, row in enumerate(data["children"]):
         parents = sorted(tr.levels[n])
         assert len(row) == len(parents)
         for w, es in zip(parents, row):
             assert es == sorted(c[-1] for c in tr.levels[n + 1] if c[:-1] == w)
-    out = json_to_trace(json.loads(canonical_json(data)))
-    assert out.levels == tr.levels and out.bound == tr.bound
+    out = json_to_trace(json.loads(canonical_json(data)), tr.depth, 4)
+    assert out.levels == tr.levels and out == tr

@@ -20,14 +20,18 @@ stage evaluates shows up there and nowhere else in the record.
 
 ``DECODED`` pins what each record means apart from how it is spelled: the
 sha256 of ``canonical_json`` of its final tree nodes, stem, labels, stage log,
-certificates and, for each trace read back through ``json_to_trace``, the
-functional, bound, depth and sorted words of every level.  These hashes were
-taken while traces were still written as word lists, before the level-order
-trace encoding, and hold across it.
+certificates and, for each trace read back through ``json_to_trace`` at the
+record's depth under the engine's promised base, the functional and the
+sorted words of every level.
 
-The surviving-k3-d6 pins, the one record at k = 3, came later: they were
-taken after the engines began writing their shape certificates from one
-promise table, and the record before that change has the same pins.
+Every hash, byte and ``DECODED`` alike, was re-taken when records stopped
+restating what the verifier derives: the ``shape``, ``schedule``, ``labels``
+and ``vacuous_tree_requirement`` certificates, the ``fuel`` of functional
+certificates and each trace's ``bound`` and ``depth`` were dropped.  The
+records before that change, with exactly those parts removed, equal the
+records after it, and hash to the same ``DECODED`` values; the fuel_spent
+lists did not move.  Before it, the ``DECODED`` hashes had held unedited
+from the word-list trace encoding through the level-order one.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from survtree.engine import (
     initial_condition,
     traceable_prune,
 )
-from survtree.engine.common import labels_of_payload, tree_of_payload
+from survtree.engine.common import PROMISES, labels_of_payload, tree_of_payload
 from survtree.io_formats import canonical_json, json_to_trace
 from survtree.staged import STANDARD_CONFIG, family_from_config, standard_library
 from survtree.trees import word_key
@@ -82,55 +86,55 @@ COMB_R1 = _comb_r1()
 PINNED = {
     "surviving-d6": (
         lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
-        "bb81d616a64cb4aff3bc0bb79fc6ffb0c6efaaadfb732a5f6b1107c797a95128",
+        "cfe80334252edc9970be9a6df105f9d2b48b53873d697150b08db80cec4db6e9",
     ),
     "surviving-d8": (
         lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4),
-        "345af49ae9fa78652afedd2bf24f5ae06ef866ec256294eb07a56a5bc2dcd95e",
+        "c5fa20f375fb9e7ea8600c59649fe119a3f6f9f18ddb6796b0ab794555c4f6d3",
     ),
     "traceable-d8": (
         lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
-        "7364a60a9400ba4695d326312dee183a3be4d25fd31037f12a4aacd19517032c",
+        "c24f344984d6486a1a6010ffe9ee98be146090d3164f0416c89bf34f328465fa",
     ),
     "traceable-d6": (
         lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
-        "3c47beaecff9e0f72e54cbdfa0f79abe883147d056f27211a8147f1821705881",
+        "ebb17dc1c0416ee59051648271531cdba8c31a9e81dcc60cf692a7bc8972cf3a",
     ),
     "accelerating-d6": (
         lambda: accelerating_force(LIB, 6, 6, 4000),
-        "93723c698ca5d5013bb0f0c30cdf954b3a53dfb09e32df63d37cb3f863c3b340",
+        "8e21615f36811cad5a2d9d55845feb63bc1be7c71e8511a972280b97f68ab02e",
     ),
     "accelerating-d8": (
         lambda: accelerating_force(LIB, 8, 8, 10**4),
-        "367855fd85cad4718e316381d66575868df707a5d4aa35cdb45df8dfa6c851fa",
+        "43b1c1547d02ddd1e6a02210429ab5a2ec0fc0bb96f8312176628717ec410bb3",
     ),
     "surviving-d8-entry-mod-4": (
         lambda: diagonalize_surviving(2, MOD4, 14, 8, 10**4),
-        "6cd803f76d5046030b88b67a6c5485e14e51fd569f2ad126e994b9754d153e01",
+        "4ff3dbc76b7d75886456eeac017c6a10c43efb0d9b34dd1dc52ba68e5b3b9df2",
     ),
     "surviving-d8-constant-3": (
         lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
-        "94c8bba4582af804440c4e4f69854cce2ac41a242f86d0b291b0bf18b3c44838",
+        "9778e56c067a53aecccb8f3b1acd4f883ea39febadb3c5da4f642164bdc7ab72",
     ),
     "surviving-d8-comb-r1": (
         lambda: diagonalize_surviving(2, COMB_R1, 14, 8, 10**4),
-        "a544641ed28aa802e18df28b9f4eb03c221b32c06c7e83fcc335ca1dfab2637a",
+        "6c8dc16af2b260b1465e3be3dfd73b3de46f4fa5d7e397fca00613c8d5a2e053",
     ),
     "surviving-k3-d6": (
         lambda: diagonalize_surviving(3, LIB, 10, 6, 10**4),
-        "a8eb84c29e4a6abb8bac4e068e7d3d71112c95dfbd5f6c461a4b4c837defe005",
+        "e6cd26abc150a8787fb8a500aec35132037d9cee830af11cbe9b093cf37c32c7",
     ),
     "build3-d12": (
         lambda: build3_record(LIB, 12, 36),
-        "ff2bdc2984bd3c53221e669e9f73835aa347fe751c4ff069852606ce5f0618c1",
+        "acb69a49d3660637f9a5a73a4ddec966d1c4564554a04f642553b36f28bb683e",
     ),
     "build3-d8": (
         lambda: build3_record(LIB, 8, 24),
-        "de4f1af66e50ad2a4319c649b8d5e0ece969f94d1bcb95678f71a4a4d7044b5f",
+        "88ef9aafd2ea4957a0d61a3147deda150955c9bb2fdf0f34a59aa95f9b1810d1",
     ),
     "build3-d16": (
         lambda: build3_record(LIB, 16, 48),
-        "ac48cc3cdf1a4ccbd60c4d95c225f765fd80688a5f54bb469a78d000d9bd3a80",
+        "821a5c99be5dcf8bfc22f4207535fa6e2730c256c615b26d2c513ceb2db24563",
     ),
 }
 
@@ -172,13 +176,13 @@ def test_record_bytes_pinned_apart_from_fuel_spent(name):
 
 def _decoded_hash(payload: dict) -> str:
     labels = labels_of_payload(payload)
+    parameters = payload["parameters"]
+    base = PROMISES[payload["engine"]](parameters).base
     traces = []
     for t in payload["traces"]:
-        table = json_to_trace(t)
+        table = json_to_trace(t, parameters["depth"], base)
         traces.append({
             "functional": t["functional"],
-            "bound": [table.bound.kind, table.bound.base],
-            "depth": table.depth,
             "levels": [sorted(lv) for lv in table.levels],
         })
     content = {
@@ -194,43 +198,43 @@ def _decoded_hash(payload: dict) -> str:
 
 DECODED = {
     "accelerating-d6": (
-        "46ba979bdd944c7a59f7c8cbc36232272b9563d03fd3699085880a8595843d3f"
+        "b908a174ee972ce0cfcb6133e3020af52c36f3ad584bbe19096337cdc1c06f21"
     ),
     "accelerating-d8": (
-        "211178ffdc6908266144ec68ba5a67ac906fe34966750dd2f86d02abf65e93f5"
+        "47a15fe0205db64cd2e9be92b4ef5a2fe7c3c09a0d2ebf400385393e1033a7bc"
     ),
     "build3-d12": (
-        "dace0d1dbbecf80d5527249ef725dfd666372fdcee0084ddc6c05d61489f4d57"
+        "1cb858dccb5a6dfb51ca745b20d69d53f155b2cca1bf6c1175d8fb48d200165e"
     ),
     "build3-d16": (
-        "de7ac18f76c1f532642ec17622f2c3e3933073f949741faf4b496d8911893bdb"
+        "7eadb55a3c081ee5b305242436c389f87f0de81cedc84a0487e2169f43f069fb"
     ),
     "build3-d8": (
-        "925c060d94191a59b082db43e5fab71da9d1f9edbda41dbe31d802e97949eb8b"
+        "6c2a82d9436c39353ec8c39bd8a74ac32c70b9122712b2d5aeac2566573edeb0"
     ),
     "surviving-d6": (
-        "96295c1bbd581c85d1356809032fdada654da36c111a1dd1b1804757c52a1546"
+        "324e198fffdcfbe21534a4932c04ed8d6604e6db00baf28263ace2ca5be1e2db"
     ),
     "surviving-d8": (
-        "02cba0fb6b89187f4a4adacd19f71f9504673567a8ebd8a207642f7e7e2ef297"
+        "057bcbadfa2bb880203767ea9dd8fbe07b5e8fc816b70f16483759efe323d8eb"
     ),
     "surviving-d8-comb-r1": (
-        "fb93c9bd304d9e16067ebbb6ca29d67203aeb61661f826b538cd6fad524c3f34"
+        "e24364308116f14818cfda6e54eebc9819d2e65470ff9d17ccb3165c97b5ea7d"
     ),
     "surviving-d8-constant-3": (
-        "688867f3acb63118f6fc80f142a5048352a9c6902abed27522869553dda5e5d2"
+        "7afb55ea4d1ccc0df0c74729ccd1bd8c784ce4c7d17d2a97b973b1a9ddd94612"
     ),
     "surviving-d8-entry-mod-4": (
-        "96ecc7333d505f46da2915e73b4b9661231bfd65e943fdd446b3252f2339970f"
+        "767ef5de0687e145c51039e7b49d95b982d1232ba95d005c5d166b2b7f28daa6"
     ),
     "surviving-k3-d6": (
-        "94a9041b69d41b3469c10ac80f12aec5e295934c04d9c5136af351dc502d0e9d"
+        "ee1775748828ac8878e0b4cd62c2dadb5d82769767d725e47a5a493d2153c4ff"
     ),
     "traceable-d6": (
-        "e539d1de0dd02999b3959c9a142362f317c1f23b69e504708bc63d34ed6c32f2"
+        "c03de6998a9b19801ec36046eb77af351e5e8b116d22c7a953cff8d31e1c96b4"
     ),
     "traceable-d8": (
-        "e3bf563d0ba8ae6813b27545a95f11b2b8214100cb88f62ee1425492b01ad936"
+        "de87afdbc45d5f2210927c0441ece6a325684d4067497a42a92b7a421bf6a40e"
     ),
 }
 

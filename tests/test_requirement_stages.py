@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from conftest import forged_defects
 from survtree.cli import main
 from survtree.engine import (
     accelerating_force,
+    build3_record,
     diagonalize_surviving,
     initial_condition,
     traceable_prune,
@@ -55,10 +57,9 @@ def test_vacuous_stage_reads_no_exit_candidate():
     new_stem, log, cert = tree_stage(adv, 3, (), exits, QUERY)
     assert new_stem is None
     assert log == {"case": "vacuous", "witness": []}
-    assert cert == {
-        "kind": "vacuous_tree_requirement", "tree": 0, "k": 3,
-        "witness": [], "stage": QUERY,
-    }
+    # the log names the witness; the verifier reads the tree and k from the
+    # stage's requirement, so no certificate restates them
+    assert cert is None
     assert exits.drawn == []
 
 
@@ -186,3 +187,35 @@ def test_stuck_stage_ends_the_run_in_every_engine(engine, tmp_path):
         "--depth", "4", "--fuel", "1000", "--out", str(tmp_path / "rec.json"),
     ]
     assert main(argv) == 3
+
+
+# the certificates records used to carry, each restating what the verifier
+# derives from the engine, the parameters or the stage log
+RESTATED = {
+    "shape": (
+        lambda: build3_record(LIB, 8, 24),
+        {"kind": "shape", "predicate": "ktree", "k": 3, "depth": 8},
+    ),
+    "schedule": (
+        lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
+        {"kind": "schedule", "terms": [1, 1, 2, 1, 2, 3, 1, 2, 3, 4]},
+    ),
+    "labels": (
+        lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
+        {"kind": "labels"},
+    ),
+    "vacuous_tree_requirement": (
+        lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
+        {"kind": "vacuous_tree_requirement", "tree": 0, "k": 2, "witness": [], "stage": 46},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESTATED))
+def test_a_certificate_that_restates_a_derived_fact_is_of_an_unknown_kind(kind):
+    build, cert = RESTATED[kind]
+    payload = build().to_payload()
+    assert verify_record(payload) == []
+    i = len(payload["certificates"])
+    defects = forged_defects(payload, lambda p: p["certificates"].append(cert))
+    assert defects == [f"certificate {i} ({kind}): unknown certificate kind {kind!r}"]

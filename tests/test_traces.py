@@ -12,21 +12,16 @@ from hypothesis import strategies as st
 from conftest import make_tree
 from survtree.engine.common import trace_from_outputs
 from survtree.io_formats import canonical_json, json_to_trace, trace_to_json
-from survtree.traces import (
-    BoundExceeded,
-    LevelBound,
-    TraceTable,
-    goes_through,
-)
+from survtree.traces import BoundExceeded, TraceTable, goes_through
 from survtree.trees import FiniteTree
 
-POW3 = LevelBound("pow", 3)
-POW2 = LevelBound("pow", 2)
+POW3 = 3
+POW2 = 2
 
 
-def level_trace(u: FiniteTree, bound: LevelBound) -> TraceTable:
-    """The trace whose level n is the tree's level n."""
-    return trace_from_outputs(u.nodes, u.depth, bound.base)
+def level_trace(u: FiniteTree, base: int) -> TraceTable:
+    """The trace whose level n is the tree's level n, bounded by base**n."""
+    return trace_from_outputs(u.nodes, u.depth, base)
 
 
 BINARY3 = make_tree(
@@ -40,7 +35,7 @@ def test_from_tree_binary_under_pow3():
 
 
 def test_from_tree_single_path():
-    tr = level_trace(FiniteTree.from_words([(0,) * 4], 1), LevelBound("pow", 1))
+    tr = level_trace(FiniteTree.from_words([(0,) * 4], 1), 1)
     assert all(len(tr.levels[n]) == 1 for n in range(5))
 
 
@@ -124,10 +119,10 @@ def test_bound_check_agrees_with_every_level_compared(t, base):
         (n for n in range(t.depth + 1) if len(t.level(n)) > base**n), None
     )
     if first_over is None:
-        assert level_trace(t, LevelBound("pow", base)).depth == t.depth
+        assert level_trace(t, base).depth == t.depth
     else:
         with pytest.raises(BoundExceeded) as e:
-            level_trace(t, LevelBound("pow", base))
+            level_trace(t, base)
         assert e.value.level == first_over
 
 
@@ -143,7 +138,7 @@ words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
 def test_goes_through_is_the_all_prefixes_check(members, probes):
     """On a trace whose branches end at any length, one lookup in the
     prefix's own level answers as the check of every initial segment."""
-    tr = level_trace(FiniteTree.from_words(members), LevelBound("pow", 4))
+    tr = level_trace(FiniteTree.from_words(members), 4)
     for w in [*members, *probes, *(m[:-1] + (3 - m[-1],) for m in members if m)]:
         if len(w) > tr.depth:
             with pytest.raises(ValueError, match="exceeds trace depth"):
@@ -156,7 +151,7 @@ class _WordSetTrace:
     """The reference semantics: a trace as a tuple of frozensets of words,
     checked word by word, and going through it as one lookup per level."""
 
-    def __init__(self, levels: tuple[frozenset, ...], bound: LevelBound):
+    def __init__(self, levels: tuple[frozenset, ...], base: int):
         above: frozenset = frozenset()
         for n, lv in enumerate(levels):
             for w in lv:
@@ -165,8 +160,8 @@ class _WordSetTrace:
                 if n > 0 and w[:-1] not in above:
                     raise ValueError(f"level {n} not prefix-coherent at {w}")
             above = lv
-            if len(lv) > bound(n):
-                raise BoundExceeded(n, len(lv), bound(n))
+            if len(lv) > base**n:
+                raise BoundExceeded(n, len(lv), base**n)
         self.levels = levels
 
     @classmethod
@@ -178,7 +173,7 @@ class _WordSetTrace:
         for n in range(depth, 0, -1):
             levels[n - 1].update(p[:-1] for p in levels[n])
         levels[0].add(())
-        return cls(tuple(frozenset(lv) for lv in levels), LevelBound("pow", base))
+        return cls(tuple(frozenset(lv) for lv in levels), base)
 
     def goes_through(self, prefix) -> bool:
         return prefix in self.levels[len(prefix)]
@@ -200,4 +195,4 @@ def test_rows_agree_with_the_word_set_reference(outs, depth, base):
     for n in range(depth + 1):
         for w in itertools.product(range(4), repeat=n):
             assert goes_through(w, tr) == ref.goes_through(w)
-    assert json_to_trace(json.loads(canonical_json(trace_to_json(tr)))) == tr
+    assert json_to_trace(json.loads(canonical_json(trace_to_json(tr))), depth, base) == tr
