@@ -52,7 +52,7 @@ def _load_family(name: str):
     with open(name) as fp:
         try:
             config = json.load(fp)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{name} is not JSON: {e}") from None
     return family_from_config(config)
 

@@ -38,11 +38,13 @@ def _case_c(
 
     A round whose children form one level slice, all read before (the leaf
     row, once the case A/B fold has run), is tested in one pass
-    (``_sibling_row``).  Otherwise each group goes to ``_assign_kids`` in
-    turn, and the round ends at the first group with no split, so nothing
-    past it is read.  The trace is read off the rounds when each extends
-    the one before by one entry (``_trace``), and otherwise built by
-    ``trace_from_outputs``.
+    (``_sibling_row``).  An unread slice is read group by group, each group
+    of sibling outputs taken as it is (``_kids_or_assigned``); any other
+    group, and every group of a round that is no slice, goes to
+    ``_assign_kids``.  The round ends at the first group with no split, so
+    nothing past it is read.  The trace is read off the rounds when each
+    extends the one before by one entry (``_trace``), and otherwise built
+    by ``trace_from_outputs``.
 
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
@@ -71,7 +73,8 @@ def _case_c(
                 rounds.append(ps)
                 trace_rows.append(found_row)
                 continue
-            found = (_assign_kids(table, tree, row[g:g + b], m) for g in range(0, len(row), b))
+            groups = (row[g:g + b] for g in range(0, len(row), b))
+            found = (_kids_or_assigned(table, tree, kids, m) for kids in groups)
         else:
             # the working tree is full above the stem, so the first node
             # with a complete set of b children is the split to use
@@ -216,6 +219,23 @@ def _assign_kids(
         if chosen is not None:
             return chosen
     return None
+
+
+def _kids_or_assigned(
+    table: OutputTable, tree: FiniteTree, kids: list[Word], sigma_len: int
+) -> Optional[list[tuple[Word, Word]]]:
+    """``_assign_kids`` for a group of a level slice, read as it reads
+    one: the kids with their own prefixes when these are one length
+    n > sigma_len, share all but their last entry and increase there (n is
+    then their split length), and otherwise the search."""
+    ps = table.converged_run(kids, sigma_len + 1)
+    n = len(ps[0])
+    if (
+        n > sigma_len and len(ps) == len(kids) and set(map(len, ps)) == {n}
+        and len(set(map(_parent, ps))) == 1 and all(map(lt, ps, ps[1:]))
+    ):
+        return list(zip(kids, ps))
+    return _assign_kids(table, tree, kids, sigma_len)
 
 
 def _split_length(ps: list[Word], m: int) -> Optional[int]:

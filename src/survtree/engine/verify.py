@@ -142,11 +142,12 @@ def _label_defect(
 
 
 def _row_width_defect(table: TraceTable, lo: int, hi: int) -> Optional[str]:
-    """The first word of the trace with fewer than lo or more than hi children."""
+    """The first word of the trace with fewer than lo or more than hi
+    children; each row's distinct widths are checked once."""
     for n, row in enumerate(table.children):
-        for i, es in enumerate(row):
-            if not lo <= len(es) <= hi:
-                return f"trace is not a {hi}-tree: level {n} word {i} has {len(es)} children"
+        if not all(lo <= w <= hi for w in set(map(len, row))):
+            i, w = next((i, w) for i, w in enumerate(map(len, row)) if not lo <= w <= hi)
+            return f"trace is not a {hi}-tree: level {n} word {i} has {w} children"
     return None
 
 

@@ -5,7 +5,8 @@ separated by spaces, the empty line after the header being the root),
 sorted shortest-first then lexicographically.  A run record is written as
 one line of canonical JSON (sorted keys, no whitespace) carrying a sha256
 digest of the canonical JSON of the rest, so byte-level tampering is cheap
-to detect.  Its traces are in level order: each word lists its children.
+to detect.  Its traces are in level order: each word lists its children,
+and each row is written as maximal runs of words with the same children.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from itertools import chain
+from itertools import chain, groupby, repeat
 from typing import Any, TextIO
 
-from .traces import TraceTable
+from .traces import TraceTable, check_level_size
 from .trees import FiniteTree, Word
 
 
@@ -119,7 +120,7 @@ def dump_record(payload: dict, fp: TextIO) -> None:
 def load_record(fp: TextIO) -> dict:
     try:
         payload = json.load(fp)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"record is not valid JSON: {e}")
     if not isinstance(payload, dict):
         raise FormatError("record is not a JSON object")
@@ -164,26 +165,44 @@ def trace_fits(base: int, depth: int) -> bool:
 
 
 def trace_to_json(tr: TraceTable) -> dict:
-    """Level-order form: ``children[n]`` lists, for each length-n word in
-    lex order, the last entries of its children in increasing order."""
-    return {"children": [list(map(list, row)) for row in tr.children]}
+    """Level-order form: ``children[n]`` lists, for the length-n words in
+    lex order, maximal runs ``[count, entries]``: count consecutive words
+    whose children have the last entries ``entries``, in increasing order."""
+    return {"children": [
+        [[len(list(run)), list(es)] for es, run in groupby(row)] for row in tr.children
+    ]}
 
 
 def json_to_trace(data: dict, depth: int, base: int) -> TraceTable:
     """The table of the level-order rows as they stand, at the depth and
     bounded by base**n, which a record's parameters and engine fix: no word
-    is spelled out.  Besides its rows a record's trace names its functional."""
+    is spelled out.  Besides its rows a record's trace names its functional.
+
+    Every row is checked from its run counts before any is expanded: the
+    runs are maximal and cover the level, and the level below stays within
+    the bound and the entry limit.  A word's children are then one tuple
+    shared along its run."""
     if type(data) is not dict or not data.keys() <= {"functional", "children"}:
         raise FormatError("a trace is an object of only its functional and its children rows")
     rows = data.get("children")
     if type(rows) is not list or len(rows) != depth:
         raise FormatError(f"a trace of depth {depth} needs {depth} children rows")
     size, spelled = 1, 0  # words on level n, entries on levels 1..n
-    for n, row in enumerate(rows):
-        if type(row) is not list or len(row) != size or any(type(es) is not list for es in row):
-            raise FormatError(f"children row {n} does not list one list per word of level {n}")
-        size = sum(map(len, row))
+    for n, runs in enumerate(rows):
+        if type(runs) is not list or any(
+            type(r) is not list or len(r) != 2 or type(r[0]) is not int or r[0] < 1
+            or type(r[1]) is not list for r in runs
+        ):
+            raise FormatError(f"children row {n} is not a list of [count >= 1, entries] runs")
+        if any(a[1] == b[1] for a, b in zip(runs, runs[1:])):
+            raise FormatError(f"children row {n} has two adjacent runs alike, so not maximal")
+        if (words := sum(c for c, _ in runs)) != size:
+            raise FormatError(f"children row {n} has runs of {words} words for {size} words")
+        size = sum(c * len(es) for c, es in runs)
+        check_level_size(n + 1, size, base)
         spelled += (n + 1) * size
-    if spelled > TRACE_ENTRY_LIMIT:
-        raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
-    return TraceTable(rows, base)
+        if spelled > TRACE_ENTRY_LIMIT:
+            raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
+    return TraceTable(tuple(
+        tuple(chain.from_iterable(repeat(tuple(es), c) for c, es in runs)) for runs in rows
+    ), base)

@@ -3,14 +3,15 @@
 The canonical semantics is level sets of prefixes: level n holds the
 length-n words, and a function "goes through" the trace when each of its
 prefixes lies in the matching level.  A table keeps the levels as
-level-order rows of child entries, the form a run record stores.
+level-order rows of child entries, the form a run record stores in runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, groupby
+from operator import lt
 
 from .trees import Word
 
@@ -30,8 +31,9 @@ class TraceTable:
     """A trace as its level-order rows (LOUDS-style), the form records store:
     level 0 is the empty word, and ``children[n]`` holds, per word of level n
     in lex order, the increasing tuple of its children's last entries; those
-    children, in that order, are level n+1.  No word is spelled out.  Level
-    n holds at most base**n words."""
+    children, in that order, are level n+1.  No word is spelled out, and
+    the words of a run may share one tuple.  Level n holds at most base**n
+    words."""
 
     children: tuple[tuple[tuple[int, ...], ...], ...]
     base: int
@@ -45,18 +47,16 @@ class TraceTable:
         for n, row in enumerate(rows):
             if len(row) != size:
                 raise ValueError(f"children row {n} has {len(row)} lists for {size} words")
-            for i, es in enumerate(row):
-                last = -1
-                for e in es:
-                    if type(e) is not int or e <= last:
-                        raise ValueError(f"level {n} word {i}: {list(es)} not increasing naturals")
-                    last = e
+            # a run of equal words is checked once; their entries' types,
+            # which equality does not tell apart (True == 1), for the whole row
+            if not all(_increasing(es) for es, _ in groupby(row)) or not (
+                set(map(type, chain.from_iterable(row))) <= {int}
+            ):
+                i, es = next((i, es) for i, es in enumerate(row) if not _increasing(es))
+                raise ValueError(f"level {n} word {i}: {list(es)} not increasing naturals")
             offsets.append(tuple(accumulate(map(len, row), initial=0)))
             size = offsets[-1][-1]
-            # base**n >= 2**n exceeds size once n reaches its bit length,
-            # so huge powers of deep, small levels are never computed
-            if (self.base < 2 or n + 1 < size.bit_length()) and size > self.base ** (n + 1):
-                raise BoundExceeded(n + 1, size, self.base ** (n + 1))
+            check_level_size(n + 1, size, self.base)
         object.__setattr__(self, "children", rows)
         object.__setattr__(self, "_offsets", tuple(offsets))
 
@@ -71,6 +71,19 @@ class TraceTable:
         for row in self.children:
             levels.append([w + (e,) for w, es in zip(levels[-1], row) for e in es])
         return levels
+
+
+def _increasing(es: tuple) -> bool:
+    """Whether es are naturals in increasing order."""
+    return all(type(e) is int for e in es) and all(map(lt, (-1, *es), es))
+
+
+def check_level_size(n: int, size: int, base: int) -> None:
+    """Raise BoundExceeded if level n's size is over base**n."""
+    # base**n >= 2**n exceeds size once n reaches its bit length, so huge
+    # powers of deep, small levels are never computed
+    if (base < 2 or n < size.bit_length()) and size > base**n:
+        raise BoundExceeded(n, size, base**n)
 
 
 def goes_through(prefix: Word, tr: TraceTable) -> bool:

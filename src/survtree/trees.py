@@ -79,6 +79,9 @@ class FiniteTree:
 
     Immutable after construction.  ``alphabet_bound`` of b restricts all
     entries to values < b; None means entries range over the naturals.
+    A tree given its sorted levels and their child counts, as ``full``
+    and ``subtree_above`` give rows that are prefix-closed and within the
+    bound by construction, is not checked node by node.
     """
 
     nodes: frozenset[Word]
@@ -94,6 +97,9 @@ class FiniteTree:
     )
 
     def __post_init__(self) -> None:
+        if self._levels is not None and self._counts is not None:
+            object.__setattr__(self, "_depth", len(self._levels) - 1)
+            return
         # every entry is the last entry of some node, since the nodes are
         # prefix-closed; so checking last entries checks them all
         bound = self.alphabet_bound
@@ -187,12 +193,13 @@ class FiniteTree:
     @classmethod
     def full(cls, b: int, d: int) -> "FiniteTree":
         """The full b-ary tree of depth d."""
+        if b < 1 and d > 0:
+            raise ValueError("a full tree of positive depth needs b >= 1")
         levels: list[list[Word]] = [[EMPTY]]
         for _ in range(d):
             levels.append([w + (i,) for w in levels[-1] for i in range(b)])
-        tree = cls.from_levels(levels, b)
-        object.__setattr__(tree, "_counts", [[b] * len(lv) for lv in levels[:-1]] + [[0] * b**d])
-        return tree
+        counts = [[b] * len(lv) for lv in levels[:-1]] + [[0] * b**d]
+        return cls(frozenset(chain.from_iterable(levels)), b, _levels=levels, _counts=counts)
 
 
 def _counted(t: FiniteTree, d: int) -> Iterator[tuple[Word, int]]:
@@ -321,6 +328,5 @@ def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
     above, counts = zip(*rows_above(t, stem))
     levels = [[stem[:n]] for n in range(len(stem))] + list(above)
     counts = [[1]] * len(stem) + list(counts)
-    tree = FiniteTree.from_levels(levels, t.alphabet_bound)
-    object.__setattr__(tree, "_counts", counts)
-    return tree
+    nodes = frozenset(chain.from_iterable(levels))
+    return FiniteTree(nodes, t.alphabet_bound, _levels=levels, _counts=counts)

@@ -73,6 +73,18 @@ def drop_children_of_last_parent(payload: dict) -> None:
     nodes[:] = [w for w in nodes if w[:-1] != parent]
 
 
+def set_first_word(row: list, entries: list[int]) -> None:
+    """Give word 0 of a run-coded trace row (``[count, entries]`` runs) the
+    children entries, as a run of its own; the other words keep theirs."""
+    count, es = row[0]
+    row[:1] = [[1, entries]] + ([[count - 1, es]] if count > 1 else [])
+
+
+def level_size(row: list) -> int:
+    """The words of the level below a run-coded trace row."""
+    return sum(count * len(es) for count, es in row)
+
+
 def cert_index(payload: dict, kind: str) -> int:
     """The index of the payload's first certificate of the kind."""
     return next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == kind)

@@ -1,8 +1,10 @@
 """Case C's row passes against its per-group reference.
 
 ``_case_c`` tests a row of siblings whose prefixes are all known in one
-pass, sends every other group to ``_assign_kids`` (which starts from the
-group's split length and falls back to the pool search), and reads its
+pass, reads an unread row group by group, taking a group of sibling
+outputs as it is and sending any other group to ``_assign_kids`` (which
+starts from the group's split length and falls back to the pool search),
+as it does every group of a round that is no level slice, and reads its
 trace rows off the rounds when each round extends the last by one entry.
 The reference kept here, ``conftest.reference_case_c``, runs the per-group
 search of ``conftest.reference_assign_kids`` length by length for every
@@ -158,9 +160,10 @@ def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monke
     tree = FiniteTree.full(3, 4)
     spy = _Spy(monkeypatch)
     built = _run(_own_entries(tree), tree, (1,), "fold")
-    # rounds 0 and 1 read their unread children group by group: 1 + 3
-    # groups; the known leaf row's 9 groups pass without a call
-    assert spy.assigned == 4
+    # rounds 0 and 1 read their unread children group by group, 1 + 3
+    # groups, each a sibling row taken as it is; the known leaf row's 9
+    # groups pass in one test: no group is searched
+    assert spy.assigned == 0
     assert spy.traced == 0
     assert built[1].levels[4] == tree.levels()[4][27:54]
 

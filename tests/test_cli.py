@@ -278,8 +278,9 @@ def _as_word_list(trace: dict) -> None:
 
 
 def _set_first_row1_entry(value):
+    """Set the children entries of row 1's first run to value."""
     def edit(trace):
-        trace["children"][1][0] = value
+        trace["children"][1][0][1] = value
     return edit
 
 
@@ -401,6 +402,26 @@ def test_verify_reports_a_record_part_that_is_not_an_object_as_malformed(
 
 def test_verify_missing_file_is_usage_error(tmp_path):
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
+
+
+# bytes that are no UTF-8 text, let alone JSON
+NOT_TEXT = b"\xff\xfe{"
+
+
+def test_verify_of_a_file_that_is_not_text_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_bytes(NOT_TEXT)
+    assert main(["verify", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("cannot read record: ")
+
+
+def test_run_with_a_family_file_that_is_not_text_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_bytes(NOT_TEXT)
+    out = tmp_path / "rec.json"
+    assert main(["run", "--engine", "surviving", "--family", str(f), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("bad family config: ")
+    assert not out.exists()
 
 
 def test_check_tree_accepts_comb(tmp_path, capsys):

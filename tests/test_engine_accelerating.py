@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 
-from conftest import cert_index, drop_children_of_last_parent, forged_defects
+from conftest import cert_index, drop_children_of_last_parent, forged_defects, set_first_word
 from survtree.engine import accelerating_force, verify_record
 from survtree.engine.accelerating import CASE4_CANDIDATE_LIMIT, _exits, case4_candidates
 from survtree.engine.common import Run
@@ -95,7 +95,7 @@ def test_verifier_refuses_a_two_tree_trace_with_a_third_child():
         i for i, c in enumerate(payload["certificates"]) if c["kind"] == "two_tree_trace"
     )
     trace = payload["traces"][payload["certificates"][i]["trace_index"]]
-    trace["children"][-1][0] = [0, 1, 2]
+    set_first_word(trace["children"][-1], [0, 1, 2])
     payload["digest"] = payload_digest(payload)
     assert verify_record(payload) == [
         f"certificate {i} (two_tree_trace): trace is not a 2-tree: "
@@ -110,7 +110,7 @@ def test_verifier_refuses_a_trace_bound_other_than_2():
     ti = payload["certificates"][cert_index(payload, "two_tree_trace")]["trace_index"]
 
     def widen(p):
-        p["traces"][ti]["children"] = [[[0, 1, 2]] * 3**n for n in range(8)]
+        p["traces"][ti]["children"] = [[[3**n, [0, 1, 2]]] for n in range(8)]
 
     defects = forged_defects(copy.deepcopy(payload), widen)
     assert defects == ["malformed record: level 1 has 3 words, bound allows 2"]

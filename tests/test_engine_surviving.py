@@ -6,7 +6,13 @@ import itertools
 
 import pytest
 
-from conftest import cert_index, drop_children_of_last_parent, forged_defects
+from conftest import (
+    cert_index,
+    drop_children_of_last_parent,
+    forged_defects,
+    level_size,
+    set_first_word,
+)
 from survtree.engine import diagonalize_surviving, verify_record
 from survtree.io_formats import json_to_tree, payload_digest
 from survtree.staged import (
@@ -116,7 +122,7 @@ def _forged_trace(k, depth, edit):
     index of that trace's certificate."""
     payload = run(k=k, depth=depth).to_payload()
     traces = payload["traces"]
-    ti = min(range(len(traces)), key=lambda t: sum(map(len, traces[t]["children"][-1])))
+    ti = min(range(len(traces)), key=lambda t: level_size(traces[t]["children"][-1]))
     edit(traces[ti])
     payload["digest"] = payload_digest(payload)
     i = next(i for i, c in enumerate(payload["certificates"]) if c.get("trace_index") == ti)
@@ -126,8 +132,9 @@ def _forged_trace(k, depth, edit):
 @pytest.mark.parametrize("k, depth", [(2, 6), (3, 5)])
 def test_verifier_refuses_a_trace_word_with_k_plus_2_children(k, depth):
     def widen(trace):
-        es = trace["children"][-1][0]
-        es += [max(es, default=-1) + 1 + j for j in range(k + 2 - len(es))]
+        _, es = trace["children"][-1][0]
+        wider = es + [max(es, default=-1) + 1 + j for j in range(k + 2 - len(es))]
+        set_first_word(trace["children"][-1], wider)
 
     defects, i = _forged_trace(k, depth, widen)
     assert defects == [
@@ -141,7 +148,7 @@ def test_verifier_refuses_a_trace_bound_other_than_k_plus_1(k, depth):
     """The bound is the promise's (k+1)^n, read from no field: a trace with
     k+2 words on level 1 is refused, and so is one that restates a bound."""
     def widen(trace):
-        trace["children"] = [[list(range(k + 2))] * (k + 2)**n for n in range(depth)]
+        trace["children"] = [[[(k + 2)**n, list(range(k + 2))]] for n in range(depth)]
 
     defects, _ = _forged_trace(k, depth, widen)
     assert defects == [f"malformed record: level 1 has {k + 2} words, bound allows {k + 1}"]

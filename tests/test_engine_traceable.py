@@ -15,7 +15,7 @@ from survtree.engine import (
     traceable_prune,
     verify_record,
 )
-from conftest import cert_index, forged_defects
+from conftest import cert_index, forged_defects, set_first_word
 from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.engine.traceable import _members_leaves
 from survtree.staged import standard_library
@@ -153,7 +153,7 @@ def test_verifier_refuses_a_trace_bound_other_than_3():
     ti = payload["certificates"][cert_index(payload, "trace")]["trace_index"]
 
     def widen(p):
-        p["traces"][ti]["children"] = [[[0, 1, 2, 3]] * 4**n for n in range(6)]
+        p["traces"][ti]["children"] = [[[4**n, [0, 1, 2, 3]]] for n in range(6)]
 
     defects = forged_defects(copy.deepcopy(payload), widen)
     assert defects == ["malformed record: level 1 has 4 words, bound allows 3"]
@@ -170,7 +170,7 @@ def test_verifier_refuses_a_trace_word_with_4_children():
     ti = payload["certificates"][i]["trace_index"]
 
     def widen(p):
-        p["traces"][ti]["children"][-1][0] = [0, 1, 2, 3]
+        set_first_word(p["traces"][ti]["children"][-1], [0, 1, 2, 3])
 
     defects = forged_defects(payload, widen)
     assert defects == [

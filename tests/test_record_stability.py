@@ -32,6 +32,12 @@ records before that change, with exactly those parts removed, equal the
 records after it, and hash to the same ``DECODED`` values; the fuel_spent
 lists did not move.  Before it, the ``DECODED`` hashes had held unedited
 from the word-list trace encoding through the level-order one.
+
+The byte hashes of the ten records with traces were re-taken when each
+trace row came to be written as maximal runs ``[count, entries]``: the
+records before that change, with each trace row run-coded, equal the
+records after it.  ``DECODED``, the fuel_spent lists and the build3 byte
+hashes did not move.
 """
 
 from __future__ import annotations
@@ -86,43 +92,43 @@ COMB_R1 = _comb_r1()
 PINNED = {
     "surviving-d6": (
         lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
-        "cfe80334252edc9970be9a6df105f9d2b48b53873d697150b08db80cec4db6e9",
+        "68c30988dd1ea1df92c903744d89567c53de19483b1dbdd77c9e57deb5888140",
     ),
     "surviving-d8": (
         lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4),
-        "c5fa20f375fb9e7ea8600c59649fe119a3f6f9f18ddb6796b0ab794555c4f6d3",
+        "635b824272af75e7bb356a029664af4905efff7a8b37d81dec71daaade8770fc",
     ),
     "traceable-d8": (
         lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
-        "c24f344984d6486a1a6010ffe9ee98be146090d3164f0416c89bf34f328465fa",
+        "6659caf5da6ddf0265e42e9f62a690f176a6cbc5b6eafc35f01e7c260fe5615d",
     ),
     "traceable-d6": (
         lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
-        "ebb17dc1c0416ee59051648271531cdba8c31a9e81dcc60cf692a7bc8972cf3a",
+        "fa2f865f10b1f719b9431aa14f30c0e9b4d4bbc311d152f3a797eadde3a573f2",
     ),
     "accelerating-d6": (
         lambda: accelerating_force(LIB, 6, 6, 4000),
-        "8e21615f36811cad5a2d9d55845feb63bc1be7c71e8511a972280b97f68ab02e",
+        "cb9072da5d725c523782aa114df8bb1747b5517cc164df7cce1dc9ddd5e6d9a5",
     ),
     "accelerating-d8": (
         lambda: accelerating_force(LIB, 8, 8, 10**4),
-        "43b1c1547d02ddd1e6a02210429ab5a2ec0fc0bb96f8312176628717ec410bb3",
+        "f364a7a539bc95ef10593e2771d605fe76ffbd7331f4e1bd5275ff3e302fa5df",
     ),
     "surviving-d8-entry-mod-4": (
         lambda: diagonalize_surviving(2, MOD4, 14, 8, 10**4),
-        "4ff3dbc76b7d75886456eeac017c6a10c43efb0d9b34dd1dc52ba68e5b3b9df2",
+        "b3aef724639c65e70072b8cb6d207d48b3ddab6ab4665dffe83945055f3da11e",
     ),
     "surviving-d8-constant-3": (
         lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
-        "9778e56c067a53aecccb8f3b1acd4f883ea39febadb3c5da4f642164bdc7ab72",
+        "665d44fc19c4dddbb78f37b45dc57443835d7270adce27dbe4306a9a83298c57",
     ),
     "surviving-d8-comb-r1": (
         lambda: diagonalize_surviving(2, COMB_R1, 14, 8, 10**4),
-        "6c8dc16af2b260b1465e3be3dfd73b3de46f4fa5d7e397fca00613c8d5a2e053",
+        "4c2ca9a82554d51c8ca7498283a179f79d924a24ee5ebfcd457738c6d8d5ba50",
     ),
     "surviving-k3-d6": (
         lambda: diagonalize_surviving(3, LIB, 10, 6, 10**4),
-        "e6cd26abc150a8787fb8a500aec35132037d9cee830af11cbe9b093cf37c32c7",
+        "9299084af872e812cf2e5cc5c83dcf84cdc29755eb0b57102ed9bac4c85faad5",
     ),
     "build3-d12": (
         lambda: build3_record(LIB, 12, 36),

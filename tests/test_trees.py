@@ -18,6 +18,7 @@ from survtree.trees import (
     is_k_tree_to_depth,
     map_path,
     pushforward_preimage,
+    subtree_above,
     word_key,
 )
 
@@ -224,6 +225,33 @@ def random_subtree(draw, b=3, k=2, max_depth=4):
                 nxt.append(w + (e,))
         frontier = nxt
     return FiniteTree(frozenset(nodes), alphabet_bound=b)
+
+
+def _same_as_checked(t: FiniteTree) -> None:
+    """t equals the tree checked node by node from its nodes, with the same
+    depth, levels and counts."""
+    checked = FiniteTree(frozenset(t.nodes), t.alphabet_bound)
+    assert t == checked and t.depth == checked.depth
+    assert t.levels() == checked.levels() and t.counts() == checked.counts()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4))
+def test_a_full_tree_built_from_its_rows_is_the_checked_one(b, d):
+    _same_as_checked(FiniteTree.full(b, d))
+
+
+def test_a_full_tree_of_positive_depth_needs_a_letter():
+    with pytest.raises(ValueError, match="needs b >= 1"):
+        FiniteTree.full(0, 1)
+    assert FiniteTree.full(0, 0).nodes == {()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_subtree(), random_subtree(b=4, k=3)), st.data())
+def test_a_subtree_built_from_its_rows_is_the_checked_one(t, data):
+    stem = data.draw(st.sampled_from(t.sorted_nodes()))
+    _same_as_checked(subtree_above(t, stem))
 
 
 @settings(max_examples=60, deadline=None)
