@@ -9,7 +9,7 @@ from itertools import chain, combinations, groupby, repeat
 from operator import and_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from ..io_formats import json_to_tree, payload_digest, trace_to_json, tree_to_json
+from ..io_formats import json_to_tree, json_to_word, payload_digest, trace_to_json, tree_to_json
 from ..staged import (
     AdversaryFamily,
     OracleFunctional,
@@ -156,8 +156,11 @@ class OutputTable:
         self.depth = depth
         self.evals = 0
         self._full = (1 << depth) - 1
-        # the unconverged positions of a node whose prefix has length n
+        # for a node whose prefix has length n: its unconverged positions,
+        # and the positions a per-position read stops after (the prefix
+        # and the first None after it)
         self._masks = [self._full ^ ((1 << n) - 1) for n in range(depth + 1)]
+        self._stops = [(2 << n) - 1 & self._full for n in range(depth + 1)]
         self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
 
@@ -205,14 +208,46 @@ class OutputTable:
                 break
         return run
 
+    def sibling_run(self, ws: list[Word], b: int, m: int) -> list[Word]:
+        """The converged prefixes of the leading groups of b nodes of ws
+        that are sibling outputs: one length n > m, all but the last entry
+        shared, the last entries increasing.  The nodes are read in order,
+        each as ``converged`` reads it, up to the first that breaks its
+        group, which ``converged_run(group, m + 1)`` would read too."""
+        conv, read, stops = self._converged, self._read, self._stops
+        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
+        run: list[Word] = []
+        group: list[Word] = []
+        evals = 0
+        for w in ws:
+            p = conv.get(w)
+            if p is None:
+                p = conv[w] = prefix(w, depth, fuel)
+                # _mark, inlined
+                old = read.get(w, 0)
+                if new := stops[len(p)] & ~old:
+                    read[w] = old | new
+                    evals += new.bit_count()
+            if group:
+                if len(p) != n or p[-1] <= group[-1][-1] or p[:-1] != head:
+                    break
+            elif (n := len(p)) > m:
+                head = p[:-1]
+            else:
+                break
+            group.append(p)
+            if len(group) == b:
+                run += group
+                group = []
+        self.evals += evals
+        return run
+
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself."""
         out = self._converged.get(w)
         if out is None:
             out = self._converged[w] = self.functional.prefix(w, self.depth, self.fuel)
-            # the positions a per-position read stops after: the prefix
-            # and the first None after it
-            self._mark(w, (2 << len(out)) - 1 & self._full)
+            self._mark(w, self._stops[len(out)])
         return out
 
     def cases_a_b(
@@ -511,7 +546,7 @@ def family_of_payload(payload: dict) -> AdversaryFamily:
 
 
 def stem_of_payload(payload: dict) -> Word:
-    return tuple(int(e) for e in payload["final_stem"])
+    return json_to_word(payload["final_stem"])
 
 
 def tree_of_payload(payload: dict) -> FiniteTree:
@@ -521,4 +556,4 @@ def tree_of_payload(payload: dict) -> FiniteTree:
 def labels_of_payload(payload: dict) -> Optional[dict[Word, int]]:
     if "labels" not in payload:
         return None
-    return {tuple(int(e) for e in w): int(v) for w, v in payload["labels"]}
+    return {json_to_word(w): int(v) for w, v in payload["labels"]}

@@ -38,13 +38,14 @@ def _case_c(
 
     A round whose children form one level slice, all read before (the leaf
     row, once the case A/B fold has run), is tested in one pass
-    (``_sibling_row``).  An unread slice is read group by group, each group
-    of sibling outputs taken as it is (``_kids_or_assigned``); any other
-    group, and every group of a round that is no slice, goes to
-    ``_assign_kids``.  The round ends at the first group with no split, so
-    nothing past it is read.  The trace is read off the rounds when each
-    extends the one before by one entry (``_trace``), and otherwise built
-    by ``trace_from_outputs``.
+    (``_sibling_row``).  An unread slice is read in one loop
+    (``OutputTable.sibling_run``), which takes its leading groups of
+    sibling outputs as they are and stops inside the first other group;
+    that group, every group after it, and every group of a round that is
+    no slice, goes to ``_assign_kids``.  The round ends at the first group
+    with no split, so nothing past it is read.  The trace is read off the
+    rounds when each extends the one before by one entry (``_trace``), and
+    otherwise built by ``trace_from_outputs``.
 
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
@@ -67,14 +68,20 @@ def _case_c(
             row = levels[n + 1][start:start + b * size]
             ps = table.known(row)
             found_row = None if ps is None else _sibling_row(ps, b, m)
-            if found_row is not None:
+            if found_row is None:
+                ps = table.sibling_run(row, b, m)
+            if len(ps) == len(row):
                 # each group splits at its own full length
                 tops = row
                 rounds.append(ps)
                 trace_rows.append(found_row)
                 continue
-            groups = (row[g:g + b] for g in range(0, len(row), b))
-            found = (_kids_or_assigned(table, tree, kids, m) for kids in groups)
+            # the leading sibling groups split at their full length, and
+            # the groups from the first other one on are searched
+            chosen: list[tuple[Word, Word]] = list(zip(row, ps))
+            found = (
+                _assign_kids(table, tree, row[g:g + b], m) for g in range(len(ps), len(row), b)
+            )
         else:
             # the working tree is full above the stem, so the first node
             # with a complete set of b children is the split to use
@@ -86,7 +93,7 @@ def _case_c(
                 None if q is None else _assign_kids(table, tree, children(tree, q), m)
                 for q in splits
             )
-        chosen: list[tuple[Word, Word]] = []
+            chosen = []
         for assigned in found:
             if assigned is None:
                 chosen = []
@@ -219,23 +226,6 @@ def _assign_kids(
         if chosen is not None:
             return chosen
     return None
-
-
-def _kids_or_assigned(
-    table: OutputTable, tree: FiniteTree, kids: list[Word], sigma_len: int
-) -> Optional[list[tuple[Word, Word]]]:
-    """``_assign_kids`` for a group of a level slice, read as it reads
-    one: the kids with their own prefixes when these are one length
-    n > sigma_len, share all but their last entry and increase there (n is
-    then their split length), and otherwise the search."""
-    ps = table.converged_run(kids, sigma_len + 1)
-    n = len(ps[0])
-    if (
-        n > sigma_len and len(ps) == len(kids) and set(map(len, ps)) == {n}
-        and len(set(map(_parent, ps))) == 1 and all(map(lt, ps, ps[1:]))
-    ):
-        return list(zip(kids, ps))
-    return _assign_kids(table, tree, kids, sigma_len)
 
 
 def _split_length(ps: list[Word], m: int) -> Optional[int]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..io_formats import json_to_trace, record_digest_ok
+from ..io_formats import json_to_trace, json_to_word, record_digest_ok
 from ..staged import AdversaryFamily, shown_successors
-from ..traces import BoundExceeded, TraceTable, goes_through
+from ..traces import BoundExceeded, TraceTable, first_outside
 from ..trees import SHAPES, FiniteTree, TriState, Word, is_prefix
 from .common import (
     PROMISES,
@@ -115,7 +115,7 @@ def _vacuous_defects(payload: dict, family: AdversaryFamily) -> list[str]:
         if req is None or req[2] is None:
             raise ValueError(f"stage {s} is logged vacuous but is no tree requirement")
         _, adv, k_s = req
-        w = tuple(int(e) for e in entry["witness"])
+        w = json_to_word(entry["witness"])
         shown = shown_successors(adv, w, int(payload["parameters"]["query_stage"]))
         if shown <= k_s:
             defects.append(
@@ -181,14 +181,14 @@ def _check_certificate(
         adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
             return f"no staged tree with id {cert['tree']}"
-        witness = tuple(int(e) for e in cert["witness"])
+        witness = json_to_word(cert["witness"])
         if not is_prefix(witness, stem):
             return f"witness {witness} is not a prefix of the final stem"
         if adv.decide(witness, int(cert["stage"])) is not TriState.OUT:
             return f"witness {witness} is not out of tree {adv.id}"
         return None
     if kind == "presumed_divergence":
-        node = tuple(int(e) for e in cert["node"])
+        node = json_to_word(cert["node"])
         n = int(cert["position"])
         if not (is_prefix(node, stem) or is_prefix(stem, node)):
             return f"node {node} incomparable with the stem"
@@ -198,7 +198,7 @@ def _check_certificate(
                 return f"branch {L} converges at position {n}"
         return None
     if kind == "value_witness":
-        node = tuple(int(e) for e in cert["node"])
+        node = json_to_word(cert["node"])
         n = int(cert["position"])
         v = int(cert["value"])
         if v < 3:
@@ -210,7 +210,7 @@ def _check_certificate(
         return None
     if kind == "constant_outputs":
         outs = [
-            fn.prefix(tuple(int(e) for e in p), depth, fuel)
+            fn.prefix(json_to_word(p), depth, fuel)
             for p in cert["probes"]
         ]
         if not pairwise_consistent(outs):
@@ -227,9 +227,10 @@ def _check_certificate(
         msg = _row_width_defect(table, promise.lo, promise.hi)
         if msg is not None:
             return msg
-        for L in leaves:
-            o = fn.prefix(L, table.depth, fuel)
-            if not goes_through(o, table):
-                return f"branch {L} output {o} leaves the trace"
+        d = table.depth
+        outs = [fn.prefix(L, d, fuel) for L in leaves]
+        i = first_outside(outs, table)
+        if i is not None:
+            return f"branch {leaves[i]} output {outs[i]} leaves the trace"
         return None
     return f"unknown certificate kind {kind!r}"

@@ -138,10 +138,22 @@ def tree_to_json(t: FiniteTree) -> dict:
     return {"alphabet_bound": t.alphabet_bound, "nodes": [list(w) for w in t.sorted_nodes()]}
 
 
+_INT = frozenset([int])
+
+
+def json_to_word(data: list) -> Word:
+    """The word of a list of ints, as a record or a tree file gives it.  Any
+    other entry, a bool or a float with an int's value included, is
+    refused, so that no two lists read as one word."""
+    if type(data) not in (list, tuple) or set(map(type, data)) - _INT:
+        raise FormatError(f"not a list of ints: {data!r}")
+    return tuple(data)
+
+
 def json_to_tree(data: dict) -> FiniteTree:
     """The tree of exactly the listed nodes, which must be prefix-closed
     and name each node once; no missing prefix is filled in."""
-    words = [tuple(map(int, w)) for w in data["nodes"]]
+    words = list(map(json_to_word, data["nodes"]))
     nodes = frozenset(words)
     if not nodes:
         raise FormatError("tree has no nodes")

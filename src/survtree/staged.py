@@ -306,20 +306,35 @@ def staged_tree_from_config(entry: dict, index: int) -> StagedTree:
     )
 
 
+def _first(sigma: Word, cap: int, fuel: int) -> Word:
+    """sigma's first min(cap, fuel) entries: the identity's prefix."""
+    n = cap if cap < fuel else fuel
+    return sigma[:n] if n > 0 else ()
+
+
 def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
     """The closed-form output prefix of a configured kind: its first
-    min(cap, fuel) outputs, after which no position converges."""
+    min(cap, fuel) outputs, after which no position converges.  A prefix
+    equal to a slice of sigma is that slice, so stored prefixes share
+    sigma's words."""
     kind = entry["kind"]
     if kind == "identity":
-        return lambda sigma, cap, fuel: sigma[:max(0, min(cap, fuel))]
+        return _first
     if kind == "entry_mod":
         m = entry["modulus"]
-        return lambda sigma, cap, fuel: tuple(
-            [e % m for e in sigma[:max(0, min(cap, fuel))]]
-        )
+        rmod = m.__rmod__
+
+        def entry_mod(sigma: Word, cap: int, fuel: int) -> Word:
+            n = cap if cap < fuel else fuel
+            s = sigma[:n] if n > 0 else ()
+            # a natural below m is its own residue
+            return s if not s or 0 <= min(s) and max(s) < m else tuple(map(rmod, s))
+
+        return entry_mod
     if kind == "constant":
         c = entry["value"]
-        return lambda sigma, cap, fuel: (c,) * max(0, min(cap, fuel))
+        # a count below 1 repeats c no times
+        return lambda sigma, cap, fuel: (c,) * (cap if cap < fuel else fuel)
     return lambda sigma, cap, fuel: ()
 
 

@@ -12,6 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, groupby
 from operator import lt
+from typing import Iterable, Optional
 
 from .trees import Word
 
@@ -86,16 +87,44 @@ def check_level_size(n: int, size: int, base: int) -> None:
         raise BoundExceeded(n, size, base**n)
 
 
-def goes_through(prefix: Word, tr: TraceTable) -> bool:
-    """True iff every initial segment of the prefix is in its level: the
-    prefix is followed down the rows, one child entry per position."""
-    if len(prefix) > tr.depth:
-        raise ValueError(f"prefix of length {len(prefix)} exceeds trace depth {tr.depth}")
-    i = 0  # index of the prefix so far in its level
-    for row, offsets, e in zip(tr.children, tr._offsets, prefix):
+def _index(word: Word, tr: TraceTable) -> Optional[int]:
+    """The index of word in its level, or None if it leaves the trace: the
+    word is followed down the rows, one child entry per position."""
+    i = 0  # index of the word so far in its level
+    for row, offsets, e in zip(tr.children, tr._offsets, word):
         es = row[i]
         j = bisect_left(es, e)
         if j == len(es) or es[j] != e:
-            return False
+            return None
         i = offsets[i] + j
-    return True
+    return i
+
+
+def goes_through(prefix: Word, tr: TraceTable) -> bool:
+    """True iff every initial segment of the prefix is in its level."""
+    return first_outside((prefix,), tr) is None
+
+
+def first_outside(prefixes: Iterable[Word], tr: TraceTable) -> Optional[int]:
+    """The index of the first prefix that does not go through the trace, or
+    None.  A prefix's head (all but its last entry) is followed from the
+    root unless it is the head just followed, so that sibling outputs in
+    level order share one walk and look up only their last entries."""
+    depth, rows = tr.depth, tr.children
+    head: Optional[Word] = None
+    at: Optional[int] = None  # the head's index in its level, if it is in it
+    for i, p in enumerate(prefixes):
+        if len(p) > depth:
+            raise ValueError(f"prefix of length {len(p)} exceeds trace depth {depth}")
+        if not p:
+            continue
+        if p[:-1] != head:
+            head = p[:-1]
+            at = _index(head, tr)
+        if at is None:
+            return i
+        es = rows[len(head)][at]
+        j = bisect_left(es, p[-1])
+        if j == len(es) or es[j] != p[-1]:
+            return i
+    return None

@@ -117,6 +117,24 @@ def adding_functional(adds: dict[Word, Word]) -> OracleFunctional:
     return OracleFunctional(0, "adding", prefix)
 
 
+def reference_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
+    """The closed-form prefix of a configured functional kind as first
+    written: every call clamps min(cap, fuel) at 0, and ``entry_mod``
+    builds a new word of residues."""
+    kind = entry["kind"]
+    if kind == "identity":
+        return lambda sigma, cap, fuel: sigma[:max(0, min(cap, fuel))]
+    if kind == "entry_mod":
+        m = entry["modulus"]
+        return lambda sigma, cap, fuel: tuple(
+            [e % m for e in sigma[:max(0, min(cap, fuel))]]
+        )
+    if kind == "constant":
+        c = entry["value"]
+        return lambda sigma, cap, fuel: (c,) * max(0, min(cap, fuel))
+    return lambda sigma, cap, fuel: ()
+
+
 class PositionReader:
     """The reference for ``OutputTable``: each read goes through
     ``fn.eval`` position by position, with no cache, and ``evals`` counts

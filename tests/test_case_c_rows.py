@@ -1,10 +1,11 @@
 """Case C's row passes against its per-group reference.
 
 ``_case_c`` tests a row of siblings whose prefixes are all known in one
-pass, reads an unread row group by group, taking a group of sibling
-outputs as it is and sending any other group to ``_assign_kids`` (which
-starts from the group's split length and falls back to the pool search),
-as it does every group of a round that is no level slice, and reads its
+pass, reads an unread row in one loop, taking its leading groups of
+sibling outputs as they are and sending the first other group and every
+group after it to ``_assign_kids`` (which starts from the group's split
+length and falls back to the pool search), as it does every group of a
+round that is no level slice, and reads its
 trace rows off the rounds when each round extends the last by one entry.
 The reference kept here, ``conftest.reference_case_c``, runs the per-group
 search of ``conftest.reference_assign_kids`` length by length for every
@@ -18,10 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import adding_functional, reference_case_c
-from survtree.engine import surviving
+from survtree.engine import diagonalize_surviving, surviving
 from survtree.engine.common import OutputTable, _more_than_k
 from survtree.engine.surviving import _case_c
-from survtree.staged import OracleFunctional
+from survtree.staged import OracleFunctional, standard_library
 from survtree.trees import FiniteTree, Word
 
 
@@ -191,6 +192,47 @@ def test_rounds_that_extend_by_two_entries_use_trace_from_outputs(monkeypatch):
     built = _case_c(table, 2, (), tree)
     assert built == reference_case_c(ref, 2, (), tree)
     assert spy.traced == 1
+
+
+def test_a_slice_read_stops_inside_its_first_group_of_equal_siblings():
+    tree = FiniteTree.full(3, 2)
+    # (1, 1) outputs (1, 0), as its sibling (1, 0) does
+    adds = {**_own_entries(tree), (1, 1): (0,)}
+    row = tree.levels()[2]
+    table, _, called = _tables(adds, 2)
+    # group 0 is a sibling run; group 1 breaks at its second node
+    assert table.sibling_run(row, 3, 1) == [(0, 0), (0, 1), (0, 2)]
+    assert list(table._read) == row[:5] and called == set(row[:5])
+    table, ref, called = _tables(adds, 2)
+    built = _case_c(table, 2, (), tree)
+    assert built == reference_case_c(ref, 2, (), tree)
+    # round 1 fails at group 1, whose search reads it whole; group 2 is
+    # never read
+    assert built[0] == FiniteTree.from_words([(0, 0), (1, 0), (2, 0)], 3)
+    assert not {(2, 0), (2, 1), (2, 2)} & table._read.keys()
+    assert table.evals == ref.evals
+    assert called <= table._read.keys()
+
+
+def test_standard_slices_are_read_without_a_search_or_a_group_run(monkeypatch):
+    """On the standard family every unread slice is sibling outputs, so
+    case C reads each in one ``sibling_run`` and searches no group."""
+    calls = {"assign": 0, "run": 0}
+    assign, converged_run = surviving._assign_kids, OutputTable.converged_run
+
+    def counted_assign(*args):
+        calls["assign"] += 1
+        return assign(*args)
+
+    def counted_run(*args):
+        calls["run"] += 1
+        return converged_run(*args)
+
+    monkeypatch.setattr(surviving, "_assign_kids", counted_assign)
+    monkeypatch.setattr(OutputTable, "converged_run", counted_run)
+    payload = diagonalize_surviving(2, standard_library(), 8, 6, 5000).to_payload()
+    assert [e["case"] for e in payload["stage_log"] if e["stage"] % 2] == ["C", "C", "B", "A"]
+    assert calls == {"assign": 0, "run": 0}
 
 
 def _old_more_than_k(outs: set[Word], k: int) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_tree
 from survtree.engine.common import trace_from_outputs
 from survtree.io_formats import canonical_json, json_to_trace, trace_to_json
-from survtree.traces import BoundExceeded, TraceTable, goes_through
+from survtree.traces import BoundExceeded, TraceTable, first_outside, goes_through
 from survtree.trees import FiniteTree
 
 POW3 = 3
@@ -145,6 +145,48 @@ def test_goes_through_is_the_all_prefixes_check(members, probes):
                 goes_through(w, tr)
         else:
             assert goes_through(w, tr) == _all_prefixes_in_levels(w, tr)
+
+
+@st.composite
+def trace_and_prefixes(draw):
+    """A trace over entries 0..3 and a list of prefixes to check against
+    it: runs of prefixes under one head, in it or not, single words of any
+    length (some past the depth) and empty prefixes."""
+    members = draw(st.lists(words, min_size=1, max_size=8))
+    tr = level_trace(FiniteTree.from_words(members), 4)
+    inside = sorted({m[:n] for m in members for n in range(len(m) + 1)})
+    heads = st.one_of(st.sampled_from(inside), words)
+    run = st.tuples(heads, st.lists(st.integers(0, 3), min_size=1, max_size=4)).map(
+        lambda t: [t[0] + (e,) for e in t[1]]
+    )
+    parts = st.lists(st.one_of(run, words.map(lambda w: [w]), st.just([()])), max_size=8)
+    return tr, [p for part in draw(parts) for p in part]
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_and_prefixes())
+def test_first_outside_agrees_with_goes_through_prefix_by_prefix(case):
+    tr, prefixes = case
+    for i, p in enumerate(prefixes):
+        if len(p) > tr.depth:
+            with pytest.raises(ValueError, match="exceeds trace depth"):
+                goes_through(p, tr)
+            with pytest.raises(ValueError, match="exceeds trace depth"):
+                first_outside(prefixes, tr)
+            return
+        if not goes_through(p, tr):
+            assert first_outside(prefixes, tr) == i
+            return
+    assert first_outside(prefixes, tr) is None
+
+
+def test_first_outside_walks_a_new_head_from_the_root():
+    tr = level_trace(BINARY3, POW3)
+    # (0, 1) shares no head with (2,), whose head () holds no 2
+    assert first_outside([(0, 1, 0), (0, 1, 1), (2,), (1, 1)], tr) == 2
+    # a head that leaves the trace refuses every prefix under it
+    assert first_outside([(), (0, 2, 0), (0, 2, 1)], tr) == 1
+    assert first_outside([(1, 0, 1), (), (1, 0, 0)], tr) is None
 
 
 class _WordSetTrace:

@@ -1,0 +1,94 @@
+"""What the verifier reads off a record: words that are lists of ints, and
+leaves' outputs checked against their trace.
+
+Each record here is re-signed after its edit (``conftest.forged_defects``),
+so only the checks of its content can see the edit."""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import cert_index, forged_defects
+from survtree.engine import diagonalize_surviving, initial_condition, traceable_prune
+from survtree.staged import standard_library
+
+LIB = standard_library()
+
+
+def _surviving_d6() -> dict:
+    return diagonalize_surviving(2, LIB, 8, 6, 5000).to_payload()
+
+
+def _set_node(old: list, new: list):
+    def edit(p):
+        nodes = p["final_tree"]["nodes"]
+        nodes[nodes.index(old)] = new
+
+    return edit
+
+
+@pytest.mark.parametrize("edit, defect", [
+    (_set_node([2], ["2"]), "not a list of ints: ['2']"),
+    (_set_node([2, 0, 1], [2, 0, True]), "not a list of ints: [2, 0, True]"),
+    (lambda p: p.update(final_stem=[2, 0.0]), "not a list of ints: [2, 0.0]"),
+    (lambda p: p.update(final_stem="20"), "not a list of ints: '20'"),
+])
+def test_a_tree_node_or_stem_entry_that_is_no_int_is_malformed(edit, defect):
+    # int() would read each of these as the record's own word
+    assert forged_defects(_surviving_d6(), edit) == [f"malformed record: {defect}"]
+
+
+def test_a_label_word_entry_that_is_no_int_is_malformed():
+    payload = traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 5000).to_payload()
+    w, _ = payload["labels"][1]
+    assert w == [3]
+
+    def edit(p):
+        p["labels"][1][0] = ["3"]
+
+    assert forged_defects(payload, edit) == ["malformed record: not a list of ints: ['3']"]
+
+
+def test_a_vacuous_witness_entry_that_is_no_int_is_malformed():
+    payload = _surviving_d6()
+    assert payload["stage_log"][0]["case"] == "vacuous"
+    defects = forged_defects(payload, lambda p: p["stage_log"][0].update(witness=[False]))
+    assert defects == ["malformed record: not a list of ints: [False]"]
+
+
+@pytest.mark.parametrize("kind, key", [("avoidance", "witness"), ("presumed_divergence", "node")])
+def test_a_certificate_word_entry_that_is_no_int_is_malformed(kind, key):
+    payload = _surviving_d6()
+    i = cert_index(payload, kind)
+    word = payload["certificates"][i][key]
+    forged = [str(e) for e in word]
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update({key: forged}))
+    assert defects == [
+        f"certificate {i} ({kind}): malformed certificate: not a list of ints: {forged!r}"
+    ]
+
+
+def _set_run(row: int, runs: list):
+    """Replace run-coded row ``row`` of trace 0 (the identity's, a full
+    ternary trace) by runs of the same level and widths."""
+    def edit(p):
+        p["traces"][0]["children"][row] = runs
+
+    return edit
+
+
+@pytest.mark.parametrize("edit, leaf", [
+    # word (2, 0, 0, 0, 1) of level 5, index 163, with children 0, 2, 3:
+    # the leaves (2, 0, 0, 0, 1, 1) and (2, 0, 0, 0, 1, 2) leave the trace
+    (_set_run(5, [[163, [0, 1, 2]], [1, [0, 2, 3]], [79, [0, 1, 2]]]), (2, 0, 0, 0, 1, 1)),
+    # word (2, 0, 1) of level 3, index 19, with children 0, 1, 3: every
+    # leaf above (2, 0, 1, 2) leaves it, at a position below its last
+    (_set_run(3, [[19, [0, 1, 2]], [1, [0, 1, 3]], [7, [0, 1, 2]]]), (2, 0, 1, 2, 0, 0)),
+])
+def test_the_first_leaf_whose_output_leaves_its_trace_is_named(edit, leaf):
+    payload = _surviving_d6()
+    assert payload["final_stem"] == [2, 0]
+    assert payload["traces"][0]["functional"] == 0
+    assert forged_defects(payload, edit) == [
+        f"certificate 0 (trace): branch {leaf} output {leaf} leaves the trace"
+    ]
