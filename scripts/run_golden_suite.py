@@ -57,12 +57,13 @@ def main() -> int:
         ),
         ("accelerating-d6", accelerating_force(lib, 6, 6, 4000)),
         ("accelerating-d8", accelerating_force(lib, 8, 8, 10000)),
+        ("accelerating-d12", accelerating_force(lib, 12, 12, 10000)),
     ]
     failed = 0
     for name, record in grid:
         path = out_dir / f"{name}.json"
         with open(path, "w") as fp:
-            dump_record(record.to_payload(), fp)
+            dump_record(record.body(), fp)
         with open(path) as fp:
             defects = verify_record(load_record(fp))
         status = "ok" if not defects else f"DEFECTS: {defects}"

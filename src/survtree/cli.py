@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     else:
         record = accelerating_force(family, args.stages, args.depth, args.fuel)
     with open(args.out, "w") as fp:
-        dump_record(record.to_payload(), fp)
+        dump_record(record.body(), fp)
     print(f"{args.engine}: status {record.status}, stem {list(record.final_stem)}")
     return OK if record.status == "complete" else BUDGET
 

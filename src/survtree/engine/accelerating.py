@@ -10,7 +10,7 @@ time Case 4 prunes it.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, islice, product
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
@@ -29,7 +29,7 @@ _PROBE_ENTRIES = 4
 _PROBE_LEN = 3
 # the most candidate extensions case 4 may try in a run `survtree run` starts:
 # depths 20 to 26 reach 278,082 (the standard family at d24 and 8 stages
-# runs in about 5 s on a 2-vCPU guest), and depth 27 reaches 5.8 million
+# runs in about 1.8 s on a 2-vCPU guest), and depth 27 reaches 5.8 million
 CASE4_CANDIDATE_LIMIT = 300_000
 
 
@@ -63,8 +63,13 @@ def _probes(stem: Word, tree: Optional[FiniteTree], depth: int) -> list[Word]:
     return sorted(padded, key=word_key)
 
 
-def _digits(j: int, count: int) -> Word:
-    return tuple((j // 3 ** t) % 3 for t in range(1, count + 1))
+def _suffixes(rounds: int) -> list[Word]:
+    """The 3^rounds candidate extensions of a split node, in order: j, then
+    j's base-3 digits 1 to rounds - 1."""
+    return [
+        (j,) + tuple((j // 3 ** t) % 3 for t in range(1, rounds))
+        for j in range(3 ** rounds)
+    ]
 
 
 def _case4(
@@ -72,47 +77,55 @@ def _case4(
 ) -> tuple[Optional[FiniteTree], Optional[TraceTable], dict]:
     """Majority-vote prune: the i-th split level keeps i+3 successors whose
     outputs disagree pairwise at staged positions, so output prefixes form
-    a 2-tree."""
+    a 2-tree.
+
+    The tree's sorted levels and child counts are its own rows: the stem's
+    path; per split level the split nodes, the kept words' intermediate
+    nodes and the kept words, in order since each split keeps its words in
+    order; then the last split nodes padded with 0s to the depth."""
+    levels = [[stem[:n]] for n in range(len(stem))]
+    counts = [[1] for _ in stem]
     split_nodes = [stem]
-    all_nodes: set[Word] = set(prefixes(stem))
     log_levels = []
     shortage = None
     level = 0
     while True:
-        width = level + 3  # successors required at the level-th split
-        rounds = width - 1
-        if split_nodes and len(split_nodes[0]) + rounds > depth:
-            shortage = {
-                "level": level,
-                "need": rounds,
-                "room": depth - len(split_nodes[0]),
-            }
+        rounds = level + 2  # the level-th split keeps rounds + 1 successors
+        length = len(split_nodes[0])
+        if length + rounds > depth:
+            shortage = {"level": level, "need": rounds, "room": depth - length}
             break
-        next_nodes = []
-        failed = False
+        suffixes = _suffixes(rounds)
+        kept_lists = []
         for sigma in split_nodes:
-            kept, positions = _prune_split(table, sigma, rounds)
+            kept, positions = _prune_split(table, sigma, suffixes)
             if kept is None:
-                failed = True
                 break
-            next_nodes.extend(kept)
+            kept_lists.append(kept)
             log_levels.append(
                 {"split": list(sigma), "kept": [list(w) for w in kept],
                  "positions": positions}
             )
-        if failed:
+        if len(kept_lists) < len(split_nodes):
             if level == 0:
                 return None, None, {"case": "no-disagreement"}
             shortage = {"level": level, "reason": "no disagreement"}
             break
-        for w in next_nodes:
-            all_nodes.update(prefixes(w))
-        split_nodes = sorted(next_nodes, key=word_key)
+        levels.append(split_nodes)
+        counts.append(list(map(len, kept_lists)))
+        split_nodes = list(chain.from_iterable(kept_lists))
+        for n in range(length + 1, length + rounds):
+            levels.append([w[:n] for w in split_nodes])
+            counts.append([1] * len(split_nodes))
         level += 1
-    for w in split_nodes:
-        all_nodes.update(prefixes(w + (0,) * (depth - len(w))))
-    tree = FiniteTree.from_words(all_nodes)
-    trace = trace_from_outputs(map(table.converged, tree.nodes), depth, 2)
+    for _ in range(len(split_nodes[0]), depth):
+        levels.append(split_nodes)
+        counts.append([1] * len(split_nodes))
+        split_nodes = [w + (0,) for w in split_nodes]
+    levels.append(split_nodes)
+    counts.append([0] * len(split_nodes))
+    tree = FiniteTree(frozenset(chain.from_iterable(levels)), _levels=levels, _counts=counts)
+    trace = trace_from_outputs(table.converged_run(tree.sorted_nodes(), 0), depth, 2)
     log = {"case": "4", "levels": log_levels}
     if shortage is not None:
         log["shortage"] = shortage
@@ -120,40 +133,35 @@ def _case4(
 
 
 def _prune_split(
-    table: OutputTable, sigma: Word, rounds: int
+    table: OutputTable, sigma: Word, suffixes: list[Word]
 ) -> tuple[Optional[list[Word]], list[int]]:
-    """From 3^rounds candidate extensions of sigma, keep a survivor plus one
-    dissenter per round; kept nodes take distinct first entries and their
-    outputs pairwise disagree at the recorded positions."""
-    n_cand = 3 ** rounds
-    cands = {
-        j: sigma + (j,) + _digits(j, rounds - 1) for j in range(n_cand)
-    }
-    outs = {j: table.converged(w) for j, w in cands.items()}
-    alive = sorted(cands)
+    """From the candidate extensions sigma + suffix, keep a survivor plus
+    one dissenter per round; kept nodes take distinct first entries and
+    their outputs pairwise disagree at the recorded positions.
+
+    The candidates' outputs are read in one row.  A round's position is
+    the first column past the last round's, and short of the shortest live
+    output, with two values; the majority is its most common value, the
+    least of those tied, and the dissenter the first live candidate off it."""
+    cands = [sigma + x for x in suffixes]
+    outs = table.converged_run(cands, 0)
+    alive = range(len(cands))
     reps: list[int] = []
     positions: list[int] = []
     m = -1
-    for _ in range(rounds):
-        found = None
-        probe = m + 1
-        while found is None:
-            if any(len(outs[j]) <= probe for j in alive):
-                return None, positions
-            values = {outs[j][probe] for j in alive}
-            if len(values) > 1:
-                found = probe
-            probe += 1
-        m = found
-        counts: dict[int, int] = {}
-        for j in alive:
-            counts[outs[j][m]] = counts.get(outs[j][m], 0) + 1
-        best = max(counts.values())
-        majority = min(v for v, c in counts.items() if c == best)
-        rep = next(j for j in alive if outs[j][m] != majority)
-        reps.append(rep)
+    for _ in range(len(suffixes[0])):
+        # zip stops at the shortest live output
+        cols = islice(zip(*[outs[j] for j in alive]), m + 1, None)
+        found = next(((n, c) for n, c in enumerate(cols, m + 1) if c.count(c[0]) < len(c)), None)
+        if found is None:
+            return None, positions
+        m, col = found
+        tally = {v: col.count(v) for v in set(col)}
+        best = max(tally.values())
+        majority = min(v for v, c in tally.items() if c == best)
+        reps.append(next(j for j, v in zip(alive, col) if v != majority))
         positions.append(m)
-        alive = [j for j in alive if outs[j][m] == majority]
+        alive = [j for j, v in zip(alive, col) if v == majority]
     kept = sorted({*reps, alive[0]})
     return [cands[j] for j in kept], positions
 

@@ -163,19 +163,20 @@ class OutputTable:
         self._stops = [(2 << n) - 1 & self._full for n in range(depth + 1)]
         self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
-
-    def _mark(self, w: Word, bits: int) -> None:
-        """Count the positions in bits that w has not had read."""
-        old = self._read.get(w, 0)
-        if bits & ~old:
-            self._read[w] = old | bits
-            self.evals += (bits & ~old).bit_count()
+        self._values: dict[Word, Word] = {}  # prefixes ``value`` took alone
 
     def value(self, w: Word, n: int) -> Optional[int]:
+        """Position n < depth of w, served from w's prefix: the converged
+        one, or one taken to the depth on w's first read here."""
         p = self._converged.get(w)
         if p is None:
-            p = self.functional.prefix(w, n + 1, self.fuel)
-        self._mark(w, 1 << n)
+            p = self._values.get(w)
+            if p is None:
+                p = self._values[w] = self.functional.prefix(w, self.depth, self.fuel)
+        old = self._read.get(w, 0)
+        if not old >> n & 1:
+            self._read[w] = old | 1 << n
+            self.evals += 1
         return p[n] if n < len(p) else None
 
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
@@ -198,14 +199,27 @@ class OutputTable:
         return None if None in ps else ps
 
     def converged_run(self, ws: list[Word], n: int) -> list[Word]:
-        """The converged prefixes of ws in order, each read as ``converged``
-        reads it, up to the first one shorter than n: no node past it is
-        read."""
+        """The converged prefixes of ws in order, up to the first one
+        shorter than n: no node past it is read, and with n = 0 every node
+        is.  A node's first read takes its prefix to the depth and charges
+        the positions a per-position read stops after."""
+        conv, read, stops = self._converged, self._read, self._stops
+        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
         run = []
+        evals = 0
         for w in ws:
-            run.append(p := self.converged(w))
+            p = conv.get(w)
+            if p is None:
+                p = conv[w] = prefix(w, depth, fuel)
+                # charge the stop positions not read before
+                old = read.get(w, 0)
+                if new := stops[len(p)] & ~old:
+                    read[w] = old | new
+                    evals += new.bit_count()
+            run.append(p)
             if len(p) < n:
                 break
+        self.evals += evals
         return run
 
     def sibling_run(self, ws: list[Word], b: int, m: int) -> list[Word]:
@@ -223,7 +237,7 @@ class OutputTable:
             p = conv.get(w)
             if p is None:
                 p = conv[w] = prefix(w, depth, fuel)
-                # _mark, inlined
+                # charged as converged_run charges it
                 old = read.get(w, 0)
                 if new := stops[len(p)] & ~old:
                     read[w] = old | new
@@ -243,11 +257,15 @@ class OutputTable:
         return run
 
     def converged(self, w: Word) -> Word:
-        """Longest output prefix (up to depth) converged on w itself."""
+        """Longest output prefix (up to depth) converged on w itself, read
+        as ``converged_run`` reads it."""
         out = self._converged.get(w)
         if out is None:
             out = self._converged[w] = self.functional.prefix(w, self.depth, self.fuel)
-            self._mark(w, self._stops[len(out)])
+            old = self._read.get(w, 0)
+            if new := self._stops[len(out)] & ~old:
+                self._read[w] = old | new
+                self.evals += new.bit_count()
         return out
 
     def cases_a_b(
@@ -387,7 +405,8 @@ class RunRecord:
     status: str  # "complete" | "incomplete"
     labels: Optional[dict[Word, int]] = None
 
-    def to_payload(self) -> dict:
+    def body(self) -> dict:
+        """The payload without its digest, as ``dump_record`` takes it."""
         payload = {
             "engine": self.engine,
             "parameters": self.parameters,
@@ -407,6 +426,11 @@ class RunRecord:
                 [list(w), v]
                 for w, v in sorted(self.labels.items(), key=lambda p: word_key(p[0]))
             ]
+        return payload
+
+    def to_payload(self) -> dict:
+        """The payload, signed with its digest."""
+        payload = self.body()
         payload["digest"] = payload_digest(payload)
         return payload
 
@@ -554,6 +578,12 @@ def tree_of_payload(payload: dict) -> FiniteTree:
 
 
 def labels_of_payload(payload: dict) -> Optional[dict[Word, int]]:
+    """The record's labels, if any; a value that is no int (a bool or a
+    float included) is refused, as ``json_to_word`` refuses such entries."""
     if "labels" not in payload:
         return None
-    return {json_to_word(w): int(v) for w, v in payload["labels"]}
+    labels = {json_to_word(w): v for w, v in payload["labels"]}
+    for w, v in labels.items():
+        if type(v) is not int:
+            raise ValueError(f"label of {w} is not an int: {v!r}")
+    return labels

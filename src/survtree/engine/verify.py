@@ -33,7 +33,8 @@ from .common import (
 
 _TRACE_CERTS = {"trace", "two_tree_trace"}
 # the certificates about a functional, each checked under the record's fuel
-_FUNCTIONAL_CERTS = {"presumed_divergence", "value_witness", "constant_outputs", *_TRACE_CERTS}
+_POSITION_CERTS = {"presumed_divergence", "value_witness"}
+_FUNCTIONAL_CERTS = {*_POSITION_CERTS, "constant_outputs", *_TRACE_CERTS}
 
 
 def verify_record(payload: dict) -> list[str]:
@@ -177,6 +178,12 @@ def _check_certificate(
         fn = _by_id(family.functionals, int(cert["functional"]))
         if fn is None:
             return f"no functional with id {cert['functional']}"
+    if kind in _POSITION_CERTS:
+        # the engines certify positions below the depth; a position past it
+        # would have the functional spell out that many outputs
+        n = int(cert["position"])
+        if not 0 <= n < depth:
+            return f"position {n} is outside [0, {depth})"
     if kind == "avoidance":
         adv = _by_id(family.staged_trees, int(cert["tree"]))
         if adv is None:
@@ -189,7 +196,6 @@ def _check_certificate(
         return None
     if kind == "presumed_divergence":
         node = json_to_word(cert["node"])
-        n = int(cert["position"])
         if not (is_prefix(node, stem) or is_prefix(stem, node)):
             return f"node {node} incomparable with the stem"
         checked = [L for L in leaves if is_prefix(node, L) or is_prefix(L, node)]
@@ -199,7 +205,6 @@ def _check_certificate(
         return None
     if kind == "value_witness":
         node = json_to_word(cert["node"])
-        n = int(cert["position"])
         v = int(cert["value"])
         if v < 3:
             return f"claimed value {v} is below 3"

@@ -45,7 +45,7 @@ class StagedTree:
     def decide(self, w: Word, stage: int) -> TriState:
         if stage < self.delay:
             return TriState.UNDECIDED
-        if len(w) >= stage or any(e >= stage for e in w):
+        if len(w) >= stage or w and max(w) >= stage:
             return TriState.UNDECIDED
         return TriState.IN if self.member(w) else TriState.OUT
 
@@ -264,7 +264,7 @@ def _checked_kind(entry: dict, kinds: dict, common: dict, where: str) -> str:
 
 
 def _subtree_member(alphabet: frozenset[int]) -> Callable[[Word], bool]:
-    return lambda w: all(e in alphabet for e in w)
+    return alphabet.issuperset
 
 
 def _subtree_plus_member(
@@ -275,7 +275,7 @@ def _subtree_plus_member(
 
 
 def _comb_member(entry: int) -> Callable[[Word], bool]:
-    return lambda w: all(e == entry for e in w)
+    return lambda w: w.count(entry) == len(w)
 
 
 def staged_tree_from_config(entry: dict, index: int) -> StagedTree:

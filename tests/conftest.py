@@ -160,6 +160,14 @@ class PositionReader:
             out.append(v)
         return tuple(out)
 
+    def converged_run(self, ws: list[Word], n: int) -> list[Word]:
+        run = []
+        for w in ws:
+            run.append(p := self.converged(w))
+            if len(p) < n:
+                break
+        return run
+
 
 def own_prefixes(table, kids: list[Word], n: int) -> Optional[list[tuple[Word, Word]]]:
     """Every child with its own length-n output prefix, if each is long

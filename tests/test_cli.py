@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from survtree import cli
+from survtree import cli, io_formats
 from survtree.cli import build_parser, main
 from survtree.engine import (
     accelerating_force,
@@ -21,6 +21,7 @@ from survtree.engine import (
 )
 from survtree.io_formats import (
     TRACE_ENTRY_LIMIT,
+    canonical_json,
     dump_record,
     dump_tree,
     json_to_trace,
@@ -76,6 +77,20 @@ def test_run_surviving_then_verify(tmp_path):
         ]
     ) == 0
     assert main(["verify", str(out)]) == 0
+
+
+def test_run_signs_its_record_once(tmp_path, monkeypatch):
+    """``survtree run`` encodes the payload once, for the digest and the file
+    text alike, and writes what ``to_payload`` signs."""
+    signed = []
+    sign = io_formats._signed
+    monkeypatch.setattr(io_formats, "_signed", lambda p: signed.append(p) or sign(p))
+    out = tmp_path / "acc.json"
+    argv = ["run", "--engine", "accelerating", "--depth", "8", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(signed) == 1 and "digest" not in signed[0]
+    payload = accelerating_force(standard_library(), 8, 8, 10000).to_payload()
+    assert out.read_text() == canonical_json(payload) + "\n"
 
 
 @pytest.mark.parametrize(

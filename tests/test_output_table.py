@@ -10,34 +10,57 @@ from hypothesis import strategies as st
 from conftest import PositionReader, adding_functional, child_map
 from survtree.engine.common import OutputTable
 from survtree.engine.surviving import _assign_kids
-from survtree.staged import standard_library
+from survtree.staged import OracleFunctional, standard_library
 from survtree.trees import FiniteTree, Word, children, word_key
 
 
+# few words, so that reads of one row mix
+words = st.sampled_from([(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2), (4, 0, 1, 3, 2, 1)])
 reads = st.lists(
-    st.tuples(
-        st.sampled_from(["value", "converged"]),
-        # few words, so that reads of one row mix
-        st.sampled_from([(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2), (4, 0, 1, 3, 2, 1)]),
-        st.integers(0, 5),
+    st.one_of(
+        st.tuples(st.sampled_from(["value", "converged"]), words, st.integers(0, 5)),
+        # a row read in order, whole at n = 0
+        st.tuples(st.just("converged_run"), st.lists(words, max_size=4), st.integers(0, 6)),
     ),
     max_size=12,
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 6), st.integers(-1, 7), reads)
+# a node's positions read one by one, again, then its row and a whole row
+@example(0, 6, 7, [
+    ("value", (4, 0, 1, 3, 2, 1), 3), ("value", (4, 0, 1, 3, 2, 1), 0),
+    ("converged", (4, 0, 1, 3, 2, 1), 0), ("converged_run", [(4, 2), (), (1,)], 0),
+    ("value", (4, 2), 5),
+])
 def test_prefix_rows_read_like_per_position_rows(fid, depth, fuel, ops):
     """Any sequence of reads returns the same and counts the same evals
-    whether rows come from the prefix or position by position."""
+    whether rows come from the prefix or position by position; a value
+    read twice counts once."""
     fn = standard_library().functionals[fid]
     fast, slow = OutputTable(fn, fuel, depth), PositionReader(fn, fuel, depth)
     for op, w, n in ops:
-        args = (w, n) if op == "value" else (w,)
         if op == "value" and n >= depth:
             continue
-        assert getattr(fast, op)(*args) == getattr(slow, op)(*args)
-        assert fast.evals == slow.evals
+        args = (w,) if op == "converged" else (w, n)
+        for _ in range(2 if op == "value" else 1):
+            assert getattr(fast, op)(*args) == getattr(slow, op)(*args)
+            assert fast.evals == slow.evals
+
+
+def test_value_takes_a_node_prefix_once_on_its_first_read():
+    mod3 = standard_library().functionals[1]
+    calls = []
+
+    def prefix(sigma, cap, fuel):
+        calls.append((sigma, cap))
+        return mod3.prefix(sigma, cap, fuel)
+
+    table = OutputTable(OracleFunctional(1, "entry_mod", prefix), 100, 5)
+    assert [table.value((4, 2, 7), n) for n in (2, 0, 1, 4, 2)] == [1, 1, 2, None, 1]
+    assert calls == [((4, 2, 7), 5)]
+    assert table.evals == 4
 
 
 def test_table_serves_values_outputs_and_converged_prefixes():

@@ -38,6 +38,10 @@ trace row came to be written as maximal runs ``[count, entries]``: the
 records before that change, with each trace row run-coded, equal the
 records after it.  ``DECODED``, the fuel_spent lists and the build3 byte
 hashes did not move.
+
+The accelerating-d12 record (three case-4 split levels, then padding) was
+pinned, bytes, ``DECODED`` and fuel_spent alike, while case 4 still read
+its candidates and built its tree node by node.
 """
 
 from __future__ import annotations
@@ -114,6 +118,10 @@ PINNED = {
         lambda: accelerating_force(LIB, 8, 8, 10**4),
         "f364a7a539bc95ef10593e2771d605fe76ffbd7331f4e1bd5275ff3e302fa5df",
     ),
+    "accelerating-d12": (
+        lambda: accelerating_force(LIB, 12, 12, 10**4),
+        "1f7ad4a5508e2ed64b66305e1ccbf05b9829edf09a836b6e613745334dad41fa",
+    ),
     "surviving-d8-entry-mod-4": (
         lambda: diagonalize_surviving(2, MOD4, 14, 8, 10**4),
         "b3aef724639c65e70072b8cb6d207d48b3ddab6ab4665dffe83945055f3da11e",
@@ -153,6 +161,7 @@ FUEL_SPENT = {
     "traceable-d8": [152, 44],
     "accelerating-d6": [6, 465, 6],
     "accelerating-d8": [8, 1427, 8, 12],
+    "accelerating-d12": [12, 15747, 12, 60],
     "surviving-d8-entry-mod-4": [77091, 77091],
     "surviving-d8-constant-3": [52488, 52488],
     "surviving-d8-comb-r1": [77091, 25695, 5832, 1944],
@@ -203,6 +212,9 @@ def _decoded_hash(payload: dict) -> str:
 
 
 DECODED = {
+    "accelerating-d12": (
+        "5f1a19910f53128cf23f45c99b10224c2ab8df80286c4622dcb233927ab764a7"
+    ),
     "accelerating-d6": (
         "b908a174ee972ce0cfcb6133e3020af52c36f3ad584bbe19096337cdc1c06f21"
     ),

@@ -243,6 +243,42 @@ def test_probes_match_their_own_walks(t, root, stage, k):
     assert new.calls == ref.calls
 
 
+def _reference_member(entry: dict):
+    """A configured staged tree's membership as first written: a generator
+    over the word's entries."""
+    if entry["kind"] == "comb":
+        e = entry.get("entry", 0)
+        return lambda w: all(x == e for x in w)
+    alphabet = frozenset(entry["alphabet"])
+    extra = frozenset(map(tuple, entry.get("extra", [])))
+    return lambda w: all(x in alphabet for x in w) or w in extra
+
+
+def _reference_decide(t, member, w, stage) -> TriState:
+    """``StagedTree.decide`` as first written, freshness tested entry by entry."""
+    if stage < t.delay:
+        return TriState.UNDECIDED
+    if len(w) >= stage or any(e >= stage for e in w):
+        return TriState.UNDECIDED
+    return TriState.IN if member(w) else TriState.OUT
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    staged_tree_entries(),
+    st.lists(st.integers(0, 10), max_size=6).map(tuple),
+    st.integers(0, 10),
+)
+# an entry at the stage, and one past it, in a word shorter than the stage
+@example({"kind": "full_subtree", "alphabet": [0, 4], "delay": 0}, (0, 4), 4)
+@example({"kind": "comb", "entry": 2, "delay": 0}, (2, 2, 9), 5)
+# a member decided only once the delay has passed
+@example({"kind": "comb", "entry": 0, "delay": 3}, (0,), 2)
+def test_decide_matches_the_entrywise_decide(entry, w, stage):
+    t = staged_tree_from_config(entry, 0)
+    assert t.decide(w, stage) is _reference_decide(t, _reference_member(entry), w, stage)
+
+
 # --- functionals ------------------------------------------------------------
 
 

@@ -6,10 +6,17 @@ so only the checks of its content can see the edit."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from conftest import cert_index, forged_defects
-from survtree.engine import diagonalize_surviving, initial_condition, traceable_prune
+from survtree.engine import (
+    accelerating_force,
+    diagonalize_surviving,
+    initial_condition,
+    traceable_prune,
+)
 from survtree.staged import standard_library
 
 LIB = standard_library()
@@ -47,6 +54,20 @@ def test_a_label_word_entry_that_is_no_int_is_malformed():
         p["labels"][1][0] = ["3"]
 
     assert forged_defects(payload, edit) == ["malformed record: not a list of ints: ['3']"]
+
+
+@pytest.mark.parametrize("value", [0.0, False, "0", None])
+def test_a_label_value_that_is_no_int_is_malformed(value):
+    # int() would read 0.0, False and "0" as the record's own label 0
+    payload = traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 5000).to_payload()
+    assert payload["labels"][1] == [[3], 0]
+
+    def edit(p):
+        p["labels"][1][1] = value
+
+    assert forged_defects(payload, edit) == [
+        f"malformed record: label of (3,) is not an int: {value!r}"
+    ]
 
 
 def test_a_vacuous_witness_entry_that_is_no_int_is_malformed():
@@ -92,3 +113,31 @@ def test_the_first_leaf_whose_output_leaves_its_trace_is_named(edit, leaf):
     assert forged_defects(payload, edit) == [
         f"certificate 0 (trace): branch {leaf} output {leaf} leaves the trace"
     ]
+
+
+@pytest.mark.parametrize("i, kind, repoint", [
+    (5, "value_witness", {}),
+    # re-pointed at the constant functional, whose prefix spells out every
+    # position up to the fuel
+    (7, "presumed_divergence", {"functional": 2}),
+])
+@pytest.mark.parametrize("position", [10**7, 8, -1])
+def test_a_position_outside_the_depth_is_a_defect_found_before_any_eval(
+    i, kind, repoint, position
+):
+    payload = accelerating_force(LIB, 8, 8, 10**4).to_payload()
+    assert payload["certificates"][i]["kind"] == kind
+
+    def edit(p):
+        p["parameters"]["fuel"] = 10**7
+        p["certificates"][i].update(repoint, position=position)
+
+    tracemalloc.start()
+    try:
+        defects = forged_defects(payload, edit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defects == [f"certificate {i} ({kind}): position {position} is outside [0, 8)"]
+    # an eval at position 10**7 under fuel 10**7 would hold 10**7 outputs
+    assert peak < 1 << 20
