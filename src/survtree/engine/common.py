@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, repeat
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..io_formats import json_to_tree, json_to_word, payload_digest, trace_to_json, tree_to_json
@@ -163,7 +163,10 @@ class OutputTable:
         self._stops = [(2 << n) - 1 & self._full for n in range(depth + 1)]
         self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
-        self._values: dict[Word, Word] = {}  # prefixes ``value`` took alone
+        # prefixes ``value`` took, of nodes no converged read has charged:
+        # taken to the same depth and fuel, so the first converged read
+        # moves them to ``_converged``
+        self._values: dict[Word, Word] = {}
 
     def value(self, w: Word, n: int) -> Optional[int]:
         """Position n < depth of w, served from w's prefix: the converged
@@ -179,18 +182,38 @@ class OutputTable:
             self.evals += 1
         return p[n] if n < len(p) else None
 
+    def _charge(self, fresh: list[Word]) -> None:
+        """Charge the first converged reads of the distinct nodes fresh,
+        whose prefixes are stored: each node gains the stop positions of
+        its prefix it lacked.  At depth 0 there is no position to mark."""
+        if self._full:
+            read = self._read
+            old = list(map(read.get, fresh, repeat(0)))
+            stops = map(self._stops.__getitem__, map(len, map(self._converged.__getitem__, fresh)))
+            new = list(map(or_, old, stops))
+            read.update(zip(fresh, new))
+            self.evals += sum(map(int.bit_count, new)) - sum(map(int.bit_count, old))
+
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        """Every position of each node in ws read, in one pass: their
-        converged prefixes and the masks of their unconverged positions."""
-        conv, read, full = self._converged, self._read, self._full
+        """Every position of each of the distinct nodes ws read, in one
+        pass: their converged prefixes and the masks of their unconverged
+        positions."""
+        conv, values, read = self._converged, self._values, self._read
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        ps = [conv[w] if w in conv else prefix(w, depth, fuel) for w in ws]
+        if conv or values:
+            ps = [
+                conv[w] if w in conv else values.pop(w) if w in values else prefix(w, depth, fuel)
+                for w in ws
+            ]
+            # every mark is within full, so each node adds what it lacked of it
+            self.evals += depth * len(ws) - sum(map(int.bit_count, map(read.get, ws, repeat(0))))
+        else:
+            # no node is read yet, so each adds every position
+            ps = list(map(prefix, ws, repeat(depth), repeat(fuel)))
+            self.evals += depth * len(ws)
         conv.update(zip(ws, ps))
-        # every mark is within full, so each node adds what it lacked of it
-        self.evals += depth * len(ws) - sum(map(int.bit_count, map(read.get, ws, repeat(0))))
-        read.update(dict.fromkeys(ws, full))
-        masks = self._masks
-        return ps, [masks[len(p)] for p in ps]
+        read.update(dict.fromkeys(ws, self._full))
+        return ps, list(map(self._masks.__getitem__, map(len, ps)))
 
     def known(self, ws: list[Word]) -> Optional[list[Word]]:
         """The converged prefixes of ws if every node of it was read
@@ -201,25 +224,22 @@ class OutputTable:
     def converged_run(self, ws: list[Word], n: int) -> list[Word]:
         """The converged prefixes of ws in order, up to the first one
         shorter than n: no node past it is read, and with n = 0 every node
-        is.  A node's first read takes its prefix to the depth and charges
-        the positions a per-position read stops after."""
-        conv, read, stops = self._converged, self._read, self._stops
+        is.  A node's first read takes its prefix to the depth, or the one
+        ``value`` took, and charges the positions a per-position read stops
+        after; the row's first reads are charged in one step."""
+        conv, values = self._converged, self._values
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        run = []
-        evals = 0
+        run, fresh = [], []
         for w in ws:
             p = conv.get(w)
             if p is None:
-                p = conv[w] = prefix(w, depth, fuel)
-                # charge the stop positions not read before
-                old = read.get(w, 0)
-                if new := stops[len(p)] & ~old:
-                    read[w] = old | new
-                    evals += new.bit_count()
+                p = values.pop(w, None)
+                p = conv[w] = prefix(w, depth, fuel) if p is None else p
+                fresh.append(w)
             run.append(p)
             if len(p) < n:
                 break
-        self.evals += evals
+        self._charge(fresh)
         return run
 
     def sibling_run(self, ws: list[Word], b: int, m: int) -> list[Word]:
@@ -228,20 +248,17 @@ class OutputTable:
         shared, the last entries increasing.  The nodes are read in order,
         each as ``converged`` reads it, up to the first that breaks its
         group, which ``converged_run(group, m + 1)`` would read too."""
-        conv, read, stops = self._converged, self._read, self._stops
+        conv, values = self._converged, self._values
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
         run: list[Word] = []
         group: list[Word] = []
-        evals = 0
+        fresh = []
         for w in ws:
             p = conv.get(w)
             if p is None:
-                p = conv[w] = prefix(w, depth, fuel)
-                # charged as converged_run charges it
-                old = read.get(w, 0)
-                if new := stops[len(p)] & ~old:
-                    read[w] = old | new
-                    evals += new.bit_count()
+                p = values.pop(w, None)
+                p = conv[w] = prefix(w, depth, fuel) if p is None else p
+                fresh.append(w)
             if group:
                 if len(p) != n or p[-1] <= group[-1][-1] or p[:-1] != head:
                     break
@@ -253,20 +270,14 @@ class OutputTable:
             if len(group) == b:
                 run += group
                 group = []
-        self.evals += evals
+        self._charge(fresh)
         return run
 
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself, read
         as ``converged_run`` reads it."""
-        out = self._converged.get(w)
-        if out is None:
-            out = self._converged[w] = self.functional.prefix(w, self.depth, self.fuel)
-            old = self._read.get(w, 0)
-            if new := self._stops[len(out)] & ~old:
-                self._read[w] = old | new
-                self.evals += new.bit_count()
-        return out
+        p = self._converged.get(w)
+        return self.converged_run([w], 0)[0] if p is None else p
 
     def cases_a_b(
         self, stem: Word, tree: FiniteTree, k: Optional[int] = None
@@ -290,18 +301,24 @@ class OutputTable:
         and a leaf among parents alone, each read whole for its converged
         prefix and its mask.  A row of parents with c children each takes
         child i of every parent from column i of the row below, c masks and
-        sets to a parent.
+        sets to a parent.  Its sets are decided for the whole row when its
+        children are all over k (so is every parent), or a row of leaves
+        whose outputs have one length (a parent is over k when more than k
+        of its children's outputs differ).
         """
         depth = tree.depth
         escape: Optional[tuple[Word, int]] = None
         tau: Optional[Word] = None
         masks: list[int] = []
         sets: list = []
+        flat = False  # sets holds a leaf row's outputs, all of one length
         for lv, cs in reversed(list(rows_above(tree, stem))):
             few = k is not None and escape is None
+            row_flat = False
             if not any(cs):
                 outs, row_masks = self._prefix_row(lv)
-                row_sets = list(zip(outs)) if few else []
+                row_flat = few and len(set(map(len, outs))) == 1
+                row_sets = outs if row_flat else list(zip(outs)) if few else []
             elif cs.count(cs[0]) == len(cs):
                 # c children each: child i of every parent is column i
                 c = cs[0]
@@ -309,8 +326,18 @@ class OutputTable:
                 for i in range(1, c):
                     row_masks = list(map(and_, row_masks, masks[i::c]))
                 kids = zip(*(sets[i::c] for i in range(c)))
-                row_sets = list(map(_merged, kids, repeat(k))) if few else []
+                if not few:
+                    row_sets = []
+                elif flat:
+                    # outputs of one length: over k is more than k of them
+                    row_sets = [s if len(s) <= k else None for s in map(set, kids)]
+                elif sets.count(None) == len(sets):
+                    row_sets = [None] * len(lv)
+                else:
+                    row_sets = list(map(_merged, kids, repeat(k)))
             else:
+                if flat:
+                    sets = list(zip(sets))
                 row_masks, row_sets = [], []
                 j = 0
                 for w, c in zip(lv, cs):
@@ -332,7 +359,7 @@ class OutputTable:
                 escape = lv[hit], (m & -m).bit_length() - 1
             elif few and len(lv[0]) < depth:
                 tau = next((w for w, o in zip(lv, row_sets) if o is not None), tau)
-            masks, sets = row_masks, row_sets
+            masks, sets, flat = row_masks, row_sets, row_flat
         return escape, None if escape is not None else tau
 
 

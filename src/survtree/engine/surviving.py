@@ -45,7 +45,9 @@ def _case_c(
     no slice, goes to ``_assign_kids``.  The round ends at the first group
     with no split, so nothing past it is read.  The trace is read off the
     rounds when each extends the one before by one entry (``_trace``), and
-    otherwise built by ``trace_from_outputs``.
+    otherwise built by ``trace_from_outputs``.  A round taken whole as
+    sibling groups keeps its row, read off its outputs, so ``_trace``
+    tests only the other rounds.
 
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
@@ -57,7 +59,7 @@ def _case_c(
     levels, counts = tree.levels(), tree.counts()
     tops = [stem]
     rounds: list[list[Word]] = []  # each round's outputs, in the order of its tops
-    trace_rows: list[Optional[_Row]] = []  # each round's trace row, if the row test found it
+    trace_rows: list[Optional[_Row]] = []  # each round's trace row, if it is one
     while True:
         m, n, size = len(rounds), len(tops[0]), len(tops)
         lo = bisect_left(levels[n], tops[0])
@@ -70,7 +72,9 @@ def _case_c(
             found_row = None if ps is None else _sibling_row(ps, b, m)
             if found_row is None:
                 ps = table.sibling_run(row, b, m)
-            if len(ps) == len(row):
+                if len(ps) == len(row):
+                    found_row = _row(ps, b)
+            if found_row is not None:
                 # each group splits at its own full length
                 tops = row
                 rounds.append(ps)
@@ -107,8 +111,8 @@ def _case_c(
     if not rounds:
         return None
     # the tops are pairwise incomparable and in lex order, so their
-    # zero-paddings are too
-    padded = [w + (0,) * (depth - len(w)) for w in tops]
+    # zero-paddings are too; tops of the depth's length are their own
+    padded = tops if min(map(len, tops)) >= depth else [w + (0,) * (depth - len(w)) for w in tops]
     if tree.depth == depth and padded == levels[depth] and all(map(all, counts[:depth])):
         new_tree = tree
     else:
@@ -129,6 +133,12 @@ def _case_c(
 _Row = tuple[list[Word], tuple[tuple[int, ...], ...]]
 
 
+def _row(ps: list[Word], b: int) -> _Row:
+    """The row of ps, in groups of b sibling outputs: each group's head
+    from its first output, and its last entries."""
+    return list(map(_parent, ps[::b])), tuple(zip(*(map(_last, ps[i::b]) for i in range(b))))
+
+
 def _sibling_row(ps: list[Word], b: int, m: int) -> Optional[_Row]:
     """The row of ps, in groups of b siblings, if they are all one length
     n > m and each group shares all but its last entry, its last entries
@@ -137,14 +147,13 @@ def _sibling_row(ps: list[Word], b: int, m: int) -> Optional[_Row]:
     n = len(ps[0])
     if n <= m or set(map(len, ps)) != {n}:
         return None
-    heads = list(map(_parent, ps[::b]))
-    columns = [list(map(_last, ps[i::b])) for i in range(b)]
+    row = heads, _ = _row(ps, b)
     for i in range(1, b):
         if not all(map(eq, map(_parent, ps[i::b]), heads)) or not all(
-            map(lt, columns[i - 1], columns[i])
+            map(lt, map(_last, ps[i - 1::b]), map(_last, ps[i::b]))
         ):
             return None
-    return heads, tuple(zip(*columns))
+    return row
 
 
 def _trace(

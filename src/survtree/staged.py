@@ -323,12 +323,14 @@ def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
     if kind == "entry_mod":
         m = entry["modulus"]
         rmod = m.__rmod__
+        # the naturals below m are their own residues; the set of them is
+        # capped, as m may be any natural, and min and max test the rest
+        own = frozenset(range(min(m, 256))).issuperset
 
         def entry_mod(sigma: Word, cap: int, fuel: int) -> Word:
             n = cap if cap < fuel else fuel
             s = sigma[:n] if n > 0 else ()
-            # a natural below m is its own residue
-            return s if not s or 0 <= min(s) and max(s) < m else tuple(map(rmod, s))
+            return s if own(s) or 0 <= min(s) and max(s) < m else tuple(map(rmod, s))
 
         return entry_mod
     if kind == "constant":

@@ -15,6 +15,7 @@ same tree, the same trace rows and the same reads.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,19 @@ def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monke
     assert spy.assigned == 0
     assert spy.traced == 0
     assert built[1].levels[4] == tree.levels()[4][27:54]
+
+
+@pytest.mark.parametrize("preread", [(), "fold"])
+def test_rounds_taken_whole_keep_their_rows_group_by_group(monkeypatch, preread):
+    # a node's output entry is its own entry plus its parent's entry sum,
+    # so each group of a round has last entries of its own
+    tree = FiniteTree.full(3, 3)
+    adds = {w: (w[-1] + sum(w[:-1]),) for w in tree.sorted_nodes() if w}
+    spy = _Spy(monkeypatch)
+    _, trace = _run(adds, tree, (), preread)
+    assert spy.assigned == 0
+    assert spy.traced == 0
+    assert trace.children[2][:3] == ((0, 1, 2), (1, 2, 3), (2, 3, 4))
 
 
 def test_a_short_child_sends_its_group_to_the_pool_search(monkeypatch):

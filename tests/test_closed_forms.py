@@ -4,6 +4,8 @@ entry plain ints, whatever the word, the cap and the fuel."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,3 +41,35 @@ def test_each_kind_eval_reads_the_reference_prefix(entry, sigma, n, fuel):
     assert functional_from_config(entry, 0).eval(sigma, n, fuel) == (
         ref[n] if n < len(ref) else None
     )
+
+
+# moduli about the size of the residue set entry_mod keeps, and far past it
+large_moduli = st.sampled_from([255, 256, 257, 300, 10**12])
+
+
+@settings(max_examples=500, deadline=None)
+@given(large_moduli, st.data())
+def test_entry_mod_past_its_residue_set_equals_the_reference(m, data):
+    near = st.integers(-2, 2).map(lambda e: m + e) | st.integers(254, 258) | st.integers(-3, 3)
+    sigma = tuple(data.draw(st.lists(near | st.integers(), max_size=6)))
+    entry = {"kind": "entry_mod", "modulus": m}
+    cap, fuel = data.draw(bounds), data.draw(bounds)
+    assert functional_from_config(entry, 0).prefix(sigma, cap, fuel) == reference_prefix(entry)(
+        sigma, cap, fuel
+    )
+
+
+def test_a_huge_modulus_loads_and_evaluates_in_bounded_memory():
+    m = 10**12
+    entry = {"kind": "entry_mod", "modulus": m}
+    # below m, equal to it, above it and negative
+    words = [(), (0, 1, 2), (255, 256, m - 1), (m,), (m + 7, 3), (2 * m + 1, -1), (-m, 5)]
+    tracemalloc.start()
+    try:
+        fn = functional_from_config(entry, 0)
+        got = [fn.prefix(w, 5, 5) for w in words]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == [reference_prefix(entry)(w, 5, 5) for w in words]

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PositionReader, adding_functional, child_map
+from survtree.engine import accelerating_force
 from survtree.engine.common import OutputTable
 from survtree.engine.surviving import _assign_kids
-from survtree.staged import OracleFunctional, standard_library
+from survtree.staged import AdversaryFamily, OracleFunctional, standard_library
 from survtree.trees import FiniteTree, Word, children, word_key
 
 
@@ -155,3 +156,145 @@ def test_lazy_candidate_search_matches_full_lists(case):
         child_map(tree)[q], sigma_len, DEPTH,
     )
     assert _assign_kids(table, tree, children(tree, q), sigma_len) == expected
+
+
+# -- one charge step against per-node reads -----------------------------------
+
+
+class NodeReader:
+    """The reference for ``OutputTable``'s row reads: every node read one
+    at a time, its prefix taken on its first read and each read charged on
+    its own, as the reads were first written."""
+
+    def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
+        self.functional = functional
+        self.fuel = fuel
+        self.depth = depth
+        self.evals = 0
+        self._full = (1 << depth) - 1
+        self._read: dict[Word, int] = {}
+        self._prefixes: dict[Word, Word] = {}
+
+    def _prefix(self, w: Word) -> Word:
+        if w not in self._prefixes:
+            self._prefixes[w] = self.functional.prefix(w, self.depth, self.fuel)
+        return self._prefixes[w]
+
+    def _mark(self, w: Word, mask: int) -> None:
+        old = self._read.get(w, 0)
+        if new := mask & ~old:
+            self._read[w] = old | new
+            self.evals += new.bit_count()
+
+    def value(self, w: Word, n: int) -> Optional[int]:
+        p = self._prefix(w)
+        self._mark(w, 1 << n)
+        return p[n] if n < len(p) else None
+
+    def converged(self, w: Word) -> Word:
+        p = self._prefix(w)
+        # the prefix and the first None after it
+        self._mark(w, (2 << len(p)) - 1 & self._full)
+        return p
+
+    def converged_run(self, ws: list[Word], n: int) -> list[Word]:
+        run = []
+        for w in ws:
+            run.append(p := self.converged(w))
+            if len(p) < n:
+                break
+        return run
+
+    def sibling_run(self, ws: list[Word], b: int, m: int) -> list[Word]:
+        run: list[Word] = []
+        for g in range(0, len(ws), b):
+            group: list[Word] = []
+            for w in ws[g:g + b]:
+                p = self.converged(w)
+                first = group[0] if group else None
+                if first is None and len(p) <= m or first is not None and (
+                    len(p) != len(first) or p[:-1] != first[:-1] or p[-1] <= group[-1][-1]
+                ):
+                    return run
+                group.append(p)
+            if len(group) == b:
+                run += group
+        return run
+
+    def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
+        ps = []
+        for w in ws:
+            ps.append(self._prefix(w))
+            self.evals += (self._full & ~self._read.get(w, 0)).bit_count()
+            self._read[w] = self._full
+        return ps, [self._full ^ ((1 << len(p)) - 1) for p in ps]
+
+
+# siblings under identity and entry_mod, so that groups are taken
+siblings = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+row_words = st.sampled_from(siblings + [(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2)])
+rows = st.one_of(st.lists(row_words, max_size=7), st.just(siblings), st.just(siblings[:3]))
+row_reads = st.lists(
+    st.one_of(
+        st.tuples(st.just("value"), row_words, st.integers(0, 4)),
+        st.tuples(st.just("converged"), row_words),
+        st.tuples(st.just("converged_run"), rows, st.integers(0, 3)),
+        st.tuples(st.just("sibling_run"), rows, st.integers(1, 3), st.integers(0, 3)),
+        st.tuples(st.just("_prefix_row"), st.lists(row_words, max_size=5, unique=True)),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(-1, 6), row_reads)
+# a node read by value, then in a row naming it twice, then whole
+@example(1, 3, 6, [
+    ("value", (1, 2), 1), ("converged_run", [(1, 2), (4, 2), (1, 2)], 0),
+    ("sibling_run", siblings, 3, 0), ("_prefix_row", [(1, 2), (2, 2)]),
+])
+# depth 0: no position exists, so no read is marked
+@example(0, 0, 6, [("converged_run", [(), (1,), ()], 0), ("sibling_run", siblings, 3, 0)])
+def test_row_reads_charge_like_per_node_reads(fid, depth, fuel, ops):
+    """Any interleaving of reads returns, counts and marks what reading
+    every node on its own does; each node's prefix is taken once, and at a
+    positive depth only on a node whose read is marked."""
+    fn = standard_library().functionals[fid]
+    calls: list[Word] = []
+
+    def prefix(sigma, cap, fuel):
+        calls.append(sigma)
+        return fn.prefix(sigma, cap, fuel)
+
+    table = OutputTable(OracleFunctional(fn.id, fn.kind, prefix), fuel, depth)
+    ref = NodeReader(fn, fuel, depth)
+    for op, *args in ops:
+        if op == "value" and args[1] >= depth:
+            continue
+        assert getattr(table, op)(*args) == getattr(ref, op)(*args)
+        assert table.evals == ref.evals
+        assert table._read == ref._read
+    assert len(calls) == len(set(calls))
+    if depth:
+        assert set(calls) <= table._read.keys()
+
+
+def test_an_accelerating_stage_takes_each_prefix_once():
+    """A stage that reads probes position by position (cases 1 and 2) and
+    then whole (case 3 and case 4's tree) takes each node's prefix once."""
+    lib = standard_library()
+    calls: dict[int, list[Word]] = {}
+
+    def spied(fn: OracleFunctional) -> OracleFunctional:
+        def prefix(sigma, cap, fuel):
+            calls.setdefault(fn.id, []).append(sigma)
+            return fn.prefix(sigma, cap, fuel)
+
+        return OracleFunctional(fn.id, fn.kind, prefix)
+
+    family = AdversaryFamily(lib.staged_trees, tuple(map(spied, lib.functionals)), lib.config)
+    rec = accelerating_force(family, 12, 12, 10**4)
+    assert [e["case"] for e in rec.stage_log if e["requirement"] == "P1"] == ["4"]
+    assert calls[1]
+    for called in calls.values():
+        assert len(called) == len(set(called))

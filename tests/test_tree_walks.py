@@ -345,6 +345,39 @@ def test_case_b_matches_dict_fold(case, k):
     assert table_reads(table) == ref.reads
 
 
+@st.composite
+def one_length_leaf_rows(draw):
+    """A full tree with c in {k, k + 1} children a node, a stem, and leaf
+    outputs of one drawn length n from a drawn number of values, so that
+    parents fall on both sides of more than k distinct outputs; the table
+    is n deep, or as deep as the tree."""
+    k = draw(st.integers(1, 3))
+    c = draw(st.sampled_from([k, k + 1]))
+    d = draw(st.integers(1, 4 if c < 4 else 3))
+    tree = FiniteTree.full(c, d)
+    n = draw(st.integers(0, d))
+    values = st.integers(0, draw(st.integers(0, c)))
+    adds = {leaf: tuple(draw(st.lists(values, min_size=n, max_size=n))) for leaf in tree.leaves()}
+    depth = draw(st.sampled_from([n, d]))
+    stem = draw(st.sampled_from(tree.sorted_nodes()))
+    return k, tree, adds, depth, stem
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_length_leaf_rows())
+# every parent over k, so every row above is too
+@example((1, FiniteTree.full(2, 3), {w: w for w in FiniteTree.full(2, 3).leaves()}, 3, ()))
+# a diverging functional: length-0 outputs, at depth 0 and past it
+@example((2, FiniteTree.full(3, 2), {}, 0, ()))
+@example((2, FiniteTree.full(3, 2), {}, 2, (1,)))
+def test_one_length_leaf_rows_decide_sets_as_the_dict_fold(case):
+    k, tree, adds, depth, stem = case
+    table = OutputTable(adding_functional(adds), 1, depth)
+    ref = PositionReader(adding_functional(adds), 1, depth)
+    assert table.cases_a_b(stem, tree, k) == _reference_cases_a_b(ref, stem, tree, k)
+    assert table_reads(table) == ref.reads
+
+
 def _own_entry_adds(tree: FiniteTree) -> dict[Word, Word]:
     """Each node outputs its own entries, then nothing: every split's
     children carry distinct prefixes."""
