@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, repeat
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..io_formats import json_to_tree, json_to_word, payload_digest, trace_to_json, tree_to_json
@@ -142,77 +142,40 @@ def _avoidance(adv: StagedTree, witness: Word, query: int) -> dict:
 
 
 class OutputTable:
-    """One stage's outputs of a functional under a fixed fuel, read through
-    its use-monotone prefix.
-
-    ``evals`` counts the distinct (node, position) pairs the stage has read.
-    A node holds its converged prefix, once read, and an int mask of the
-    positions read; every position past the prefix is None.
-    """
+    """One stage's outputs of a functional under a fixed fuel: a memo of
+    each node's use-monotone prefix, taken to the depth on the node's first
+    read.  ``evals`` is the number of nodes read, the stage's distinct
+    prefix calls."""
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
         self.functional = functional
         self.fuel = fuel
         self.depth = depth
-        self.evals = 0
-        self._full = (1 << depth) - 1
-        # for a node whose prefix has length n: its unconverged positions,
-        # and the positions a per-position read stops after (the prefix
-        # and the first None after it)
-        self._masks = [self._full ^ ((1 << n) - 1) for n in range(depth + 1)]
-        self._stops = [(2 << n) - 1 & self._full for n in range(depth + 1)]
-        self._read: dict[Word, int] = {}
         self._converged: dict[Word, Word] = {}
-        # prefixes ``value`` took, of nodes no converged read has charged:
-        # taken to the same depth and fuel, so the first converged read
-        # moves them to ``_converged``
-        self._values: dict[Word, Word] = {}
+        # the unconverged positions of a node whose prefix has length n
+        self._masks = [(1 << depth) - (1 << n) for n in range(depth + 1)]
+
+    @property
+    def evals(self) -> int:
+        return len(self._converged)
+
+    def converged(self, w: Word) -> Word:
+        """Longest output prefix (up to depth) converged on w itself."""
+        p = self._converged.get(w)
+        return self.converged_run([w], 0)[0] if p is None else p
 
     def value(self, w: Word, n: int) -> Optional[int]:
-        """Position n < depth of w, served from w's prefix: the converged
-        one, or one taken to the depth on w's first read here."""
-        p = self._converged.get(w)
-        if p is None:
-            p = self._values.get(w)
-            if p is None:
-                p = self._values[w] = self.functional.prefix(w, self.depth, self.fuel)
-        old = self._read.get(w, 0)
-        if not old >> n & 1:
-            self._read[w] = old | 1 << n
-            self.evals += 1
+        """Position n < depth of w, or None past its converged prefix."""
+        p = self.converged(w)
         return p[n] if n < len(p) else None
 
-    def _charge(self, fresh: list[Word]) -> None:
-        """Charge the first converged reads of the distinct nodes fresh,
-        whose prefixes are stored: each node gains the stop positions of
-        its prefix it lacked.  At depth 0 there is no position to mark."""
-        if self._full:
-            read = self._read
-            old = list(map(read.get, fresh, repeat(0)))
-            stops = map(self._stops.__getitem__, map(len, map(self._converged.__getitem__, fresh)))
-            new = list(map(or_, old, stops))
-            read.update(zip(fresh, new))
-            self.evals += sum(map(int.bit_count, new)) - sum(map(int.bit_count, old))
-
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        """Every position of each of the distinct nodes ws read, in one
-        pass: their converged prefixes and the masks of their unconverged
-        positions."""
-        conv, values, read = self._converged, self._values, self._read
+        """The converged prefixes of the distinct nodes ws, read in one
+        pass, and the masks of their unconverged positions."""
+        conv = self._converged
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        if conv or values:
-            ps = [
-                conv[w] if w in conv else values.pop(w) if w in values else prefix(w, depth, fuel)
-                for w in ws
-            ]
-            # every mark is within full, so each node adds what it lacked of it
-            self.evals += depth * len(ws) - sum(map(int.bit_count, map(read.get, ws, repeat(0))))
-        else:
-            # no node is read yet, so each adds every position
-            ps = list(map(prefix, ws, repeat(depth), repeat(fuel)))
-            self.evals += depth * len(ws)
+        ps = [conv[w] if w in conv else prefix(w, depth, fuel) for w in ws]
         conv.update(zip(ws, ps))
-        read.update(dict.fromkeys(ws, self._full))
         return ps, list(map(self._masks.__getitem__, map(len, ps)))
 
     def known(self, ws: list[Word]) -> Optional[list[Word]]:
@@ -224,41 +187,31 @@ class OutputTable:
     def converged_run(self, ws: list[Word], n: int) -> list[Word]:
         """The converged prefixes of ws in order, up to the first one
         shorter than n: no node past it is read, and with n = 0 every node
-        is.  A node's first read takes its prefix to the depth, or the one
-        ``value`` took, and charges the positions a per-position read stops
-        after; the row's first reads are charged in one step."""
-        conv, values = self._converged, self._values
+        is."""
+        conv = self._converged
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        run, fresh = [], []
+        run = []
         for w in ws:
-            p = conv.get(w)
-            if p is None:
-                p = values.pop(w, None)
-                p = conv[w] = prefix(w, depth, fuel) if p is None else p
-                fresh.append(w)
+            if (p := conv.get(w)) is None:
+                p = conv[w] = prefix(w, depth, fuel)
             run.append(p)
             if len(p) < n:
                 break
-        self._charge(fresh)
         return run
 
     def sibling_run(self, ws: list[Word], b: int, m: int) -> list[Word]:
         """The converged prefixes of the leading groups of b nodes of ws
         that are sibling outputs: one length n > m, all but the last entry
-        shared, the last entries increasing.  The nodes are read in order,
-        each as ``converged`` reads it, up to the first that breaks its
-        group, which ``converged_run(group, m + 1)`` would read too."""
-        conv, values = self._converged, self._values
+        shared, the last entries increasing.  The nodes are read in order
+        up to the first that breaks its group, which
+        ``converged_run(group, m + 1)`` would read too."""
+        conv = self._converged
         prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
         run: list[Word] = []
         group: list[Word] = []
-        fresh = []
         for w in ws:
-            p = conv.get(w)
-            if p is None:
-                p = values.pop(w, None)
-                p = conv[w] = prefix(w, depth, fuel) if p is None else p
-                fresh.append(w)
+            if (p := conv.get(w)) is None:
+                p = conv[w] = prefix(w, depth, fuel)
             if group:
                 if len(p) != n or p[-1] <= group[-1][-1] or p[:-1] != head:
                     break
@@ -270,14 +223,7 @@ class OutputTable:
             if len(group) == b:
                 run += group
                 group = []
-        self._charge(fresh)
         return run
-
-    def converged(self, w: Word) -> Word:
-        """Longest output prefix (up to depth) converged on w itself, read
-        as ``converged_run`` reads it."""
-        p = self._converged.get(w)
-        return self.converged_run([w], 0)[0] if p is None else p
 
     def cases_a_b(
         self, stem: Word, tree: FiniteTree, k: Optional[int] = None
@@ -487,6 +433,12 @@ PROMISES: dict[str, Callable[[dict], Promise]] = {
 }
 
 
+def query_stage(depth: int, stages: int) -> int:
+    """The stage at which a run of the given depth and stages queries its
+    staged trees, the one its record's ``query_stage`` must name."""
+    return depth + stages + 32
+
+
 class Run:
     """One staged run: the stem and working tree it moves, and the stage
     log, traces and certificates it writes into its record.
@@ -505,7 +457,7 @@ class Run:
         self.depth = depth
         self.fuel = fuel
         self.k = k
-        self.query = depth + stages + 32
+        self.query = query_stage(depth, stages)
         self.stem = stem
         self.tree = tree
         self.stage_log: list[dict] = []

@@ -26,6 +26,7 @@ from .common import (
     family_of_payload,
     labels_of_payload,
     pairwise_consistent,
+    query_stage,
     requirement,
     stem_of_payload,
     tree_of_payload,
@@ -104,8 +105,17 @@ def _vacuous_defects(payload: dict, family: AdversaryFamily) -> list[str]:
     stage, for the tree and k of the stage's requirement (the surviving
     engine's k from the parameters; the others stage index pairs, whatever
     k their parameters name).  Entry s of a log is stage s, which bounds
-    the stages looked up, and a vacuous stage must be a tree requirement."""
-    k = int(payload["parameters"]["k"]) if payload["engine"] == "surviving" else None
+    the stages looked up, and a vacuous stage must be a tree requirement.
+    The query stage is the run's own (``common.query_stage``), which the
+    parameters must name unless the record is build3's, which no ``Run``
+    writes."""
+    params = payload["parameters"]
+    query = query_stage(int(params["depth"]), int(params["stages"]))
+    named = params.get("query_stage")
+    want = None if payload["engine"] == "build3" else query
+    if type(named) is not type(want) or named != want:
+        raise ValueError(f"query_stage {named!r} is not the run's {want}")
+    k = int(params["k"]) if payload["engine"] == "surviving" else None
     defects = []
     for s, entry in enumerate(_objects(payload["stage_log"], "stage log entries")):
         if entry.get("case") != "vacuous":
@@ -117,7 +127,7 @@ def _vacuous_defects(payload: dict, family: AdversaryFamily) -> list[str]:
             raise ValueError(f"stage {s} is logged vacuous but is no tree requirement")
         _, adv, k_s = req
         w = json_to_word(entry["witness"])
-        shown = shown_successors(adv, w, int(payload["parameters"]["query_stage"]))
+        shown = shown_successors(adv, w, query)
         if shown <= k_s:
             defects.append(
                 f"stage {s} (vacuous): node {w} of tree {adv.id} shows only {shown} "

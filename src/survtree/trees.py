@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from operator import sub
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -195,9 +195,7 @@ class FiniteTree:
         """The full b-ary tree of depth d."""
         if b < 1 and d > 0:
             raise ValueError("a full tree of positive depth needs b >= 1")
-        levels: list[list[Word]] = [[EMPTY]]
-        for _ in range(d):
-            levels.append([w + (i,) for w in levels[-1] for i in range(b)])
+        levels = [list(product(range(b), repeat=n)) for n in range(d + 1)]
         counts = [[b] * len(lv) for lv in levels[:-1]] + [[0] * b**d]
         return cls(frozenset(chain.from_iterable(levels)), b, _levels=levels, _counts=counts)
 

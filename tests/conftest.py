@@ -138,25 +138,26 @@ def reference_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
 class PositionReader:
     """The reference for ``OutputTable``: each read goes through
     ``fn.eval`` position by position, with no cache, and ``evals`` counts
-    the distinct (node, position) pairs read."""
+    the distinct nodes read."""
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
         self.functional = functional
         self.fuel = fuel
         self.depth = depth
-        self.reads: set[tuple[Word, int]] = set()
+        self.reads: set[Word] = set()
 
     @property
     def evals(self) -> int:
         return len(self.reads)
 
     def value(self, w: Word, n: int) -> Optional[int]:
-        self.reads.add((w, n))
+        self.reads.add(w)
         return self.functional.eval(w, n, self.fuel)
 
     def converged(self, w: Word) -> Word:
-        out: list[int] = []
-        while len(out) < self.depth and (v := self.value(w, len(out))) is not None:
+        self.reads.add(w)
+        fn, out = self.functional, []
+        while len(out) < self.depth and (v := fn.eval(w, len(out), self.fuel)) is not None:
             out.append(v)
         return tuple(out)
 
@@ -167,6 +168,11 @@ class PositionReader:
             if len(p) < n:
                 break
         return run
+
+
+def read_nodes(table) -> set[Word]:
+    """The nodes an ``OutputTable`` has read: those it took a prefix of."""
+    return set(table._converged)
 
 
 def own_prefixes(table, kids: list[Word], n: int) -> Optional[list[tuple[Word, Word]]]:

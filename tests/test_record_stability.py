@@ -15,8 +15,8 @@ trees from sorted levels.  The surviving, traceable and accelerating hashes
 were re-taken when record traces moved from word lists to the level-order
 ``children`` form, which changed only how traces are spelled (``DECODED``
 below did not move).  The other fuel_spent lists were taken with the
-output tables in place; a change to the set of (node, position) pairs a
-stage evaluates shows up there and nowhere else in the record.
+output tables in place; a change to the set of nodes a stage evaluates
+shows up there and nowhere else in the record.
 
 ``DECODED`` pins what each record means apart from how it is spelled: the
 sha256 of ``canonical_json`` of its final tree nodes, stem, labels, stage log,
@@ -42,13 +42,24 @@ hashes did not move.
 The accelerating-d12 record (three case-4 split levels, then padding) was
 pinned, bytes, ``DECODED`` and fuel_spent alike, while case 4 still read
 its candidates and built its tree node by node.
+
+The fuel_spent lists, and with them the ``DECODED`` hashes of the eleven
+records with functional stages (``DECODED`` hashes the stage log), were
+re-taken when a stage's fuel_spent came to count the distinct nodes its
+output table reads, one prefix call each, where it had counted the
+distinct (node, position) pairs read.  The records before that change,
+with each stage's fuel_spent replaced by the number of distinct nodes its
+table took a prefix of, equal the records after it.  The byte hashes and
+the build3 ``DECODED`` hashes did not move.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import hashlib
+import sys
 
 import pytest
 
@@ -155,17 +166,17 @@ PINNED = {
 
 # the fuel_spent of each functional stage, in stage order
 FUEL_SPENT = {
-    "surviving-d6": [6378, 6378, 1458, 486],
-    "surviving-d8": [77091, 77091, 17496, 5832],
-    "traceable-d6": [81, 27],
-    "traceable-d8": [152, 44],
-    "accelerating-d6": [6, 465, 6],
-    "accelerating-d8": [8, 1427, 8, 12],
-    "accelerating-d12": [12, 15747, 12, 60],
-    "surviving-d8-entry-mod-4": [77091, 77091],
-    "surviving-d8-constant-3": [52488, 52488],
-    "surviving-d8-comb-r1": [77091, 25695, 5832, 1944],
-    "surviving-k3-d6": [8076, 1536, 24, 24],
+    "surviving-d6": [1092, 1092, 243, 81],
+    "surviving-d8": [9840, 9840, 2187, 729],
+    "traceable-d6": [17, 7],
+    "traceable-d8": [25, 9],
+    "accelerating-d6": [1, 82, 1],
+    "accelerating-d8": [1, 190, 1, 12],
+    "accelerating-d12": [1, 1390, 1, 60],
+    "surviving-d8-entry-mod-4": [9840, 9840],
+    "surviving-d8-constant-3": [6561, 6561],
+    "surviving-d8-comb-r1": [9840, 3279, 729, 243],
+    "surviving-k3-d6": [1364, 256, 4, 4],
 }
 
 
@@ -213,13 +224,13 @@ def _decoded_hash(payload: dict) -> str:
 
 DECODED = {
     "accelerating-d12": (
-        "5f1a19910f53128cf23f45c99b10224c2ab8df80286c4622dcb233927ab764a7"
+        "63139d56c112d31194f5f2cfc3a0cf632f8ead6c2bcac44cbad8ada172906c91"
     ),
     "accelerating-d6": (
-        "b908a174ee972ce0cfcb6133e3020af52c36f3ad584bbe19096337cdc1c06f21"
+        "0e39bd5f82b7a5d246219c66de046c9111d6e4c8dacbf82707ac96b72baf4d57"
     ),
     "accelerating-d8": (
-        "47a15fe0205db64cd2e9be92b4ef5a2fe7c3c09a0d2ebf400385393e1033a7bc"
+        "f95f46c35df73b936b79c2585feab784383f0f09c9c3b95a274396d744f230bd"
     ),
     "build3-d12": (
         "1cb858dccb5a6dfb51ca745b20d69d53f155b2cca1bf6c1175d8fb48d200165e"
@@ -231,28 +242,28 @@ DECODED = {
         "6c2a82d9436c39353ec8c39bd8a74ac32c70b9122712b2d5aeac2566573edeb0"
     ),
     "surviving-d6": (
-        "324e198fffdcfbe21534a4932c04ed8d6604e6db00baf28263ace2ca5be1e2db"
+        "ba6c0346770a8c598f36390b8b1a27cb7e476800e2d4fe02eeb9270833fb908d"
     ),
     "surviving-d8": (
-        "057bcbadfa2bb880203767ea9dd8fbe07b5e8fc816b70f16483759efe323d8eb"
+        "bc5c4f65e2b67f58ca560709cde83c6bb547109e4422180fa22d00174bf2e72a"
     ),
     "surviving-d8-comb-r1": (
-        "e24364308116f14818cfda6e54eebc9819d2e65470ff9d17ccb3165c97b5ea7d"
+        "647074853f720ee7000d35d55847d64c953b6d6cc19657a511a5736327ff18df"
     ),
     "surviving-d8-constant-3": (
-        "7afb55ea4d1ccc0df0c74729ccd1bd8c784ce4c7d17d2a97b973b1a9ddd94612"
+        "bd8d810643cdf417e582f29324318c14735ddbe1f8ede39dffb9ed96354c0903"
     ),
     "surviving-d8-entry-mod-4": (
-        "767ef5de0687e145c51039e7b49d95b982d1232ba95d005c5d166b2b7f28daa6"
+        "0901e8834daa73c1618ca9b134cf2a36555e83821ca3ca704969e277ead4c185"
     ),
     "surviving-k3-d6": (
-        "ee1775748828ac8878e0b4cd62c2dadb5d82769767d725e47a5a493d2153c4ff"
+        "743a679e937ff43a0d94f05727ed0818036e747aea0276d5c8705f22b4e64350"
     ),
     "traceable-d6": (
-        "c03de6998a9b19801ec36046eb77af351e5e8b116d22c7a953cff8d31e1c96b4"
+        "dbcbd34d1273893463dce187f970d6bdc3ca9ecefc98dd989cb149ba5372338a"
     ),
     "traceable-d8": (
-        "de87afdbc45d5f2210927c0441ece6a325684d4067497a42a92b7a421bf6a40e"
+        "4d0512a1f97518491f9484b7e31fba277c851877b7b87963a51eb9977c10bb86"
     ),
 }
 
@@ -281,3 +292,57 @@ def test_initial_condition_pinned():
 def test_stage_fuel_spent_pinned(name):
     spent = [e["fuel_spent"] for e in _payload(name)["stage_log"] if "fuel_spent" in e]
     assert spent == FUEL_SPENT[name]
+
+
+def _logged(family, calls: dict[int, list]):
+    """family with each functional's prefix logging the words it is called
+    on, in calls under the functional's index."""
+    def logged(i, fn):
+        def prefix(sigma, cap, fuel):
+            calls.setdefault(i, []).append(sigma)
+            return fn.prefix(sigma, cap, fuel)
+
+        return dataclasses.replace(fn, prefix=prefix)
+
+    return dataclasses.replace(
+        family, functionals=tuple(logged(i, fn) for i, fn in enumerate(family.functionals))
+    )
+
+
+@pytest.fixture
+def prefix_calls(monkeypatch) -> dict[int, list]:
+    """The words each functional's prefix is called on, by the functional's
+    index, while the module's families stand logged for themselves."""
+    calls: dict[int, list] = {}
+    module = sys.modules[__name__]
+    for name in ("LIB", "MOD4", "CONST3", "COMB_R1"):
+        monkeypatch.setattr(module, name, _logged(getattr(module, name), calls))
+    return calls
+
+
+def _checked_fuel_spent(payload: dict, calls: dict[int, list]) -> list[int]:
+    """Each functional stage's fuel_spent, once checked to be the number of
+    distinct words its functional's prefix was called on, none twice."""
+    spent = []
+    for entry in payload["stage_log"]:
+        if "fuel_spent" in entry:
+            called = calls.pop(int(entry["requirement"][1:]), [])
+            assert len(called) == len(set(called))
+            assert entry["fuel_spent"] == len(called)
+            spent.append(entry["fuel_spent"])
+    # no functional is called outside its stage
+    assert not calls
+    return spent
+
+
+@pytest.mark.parametrize("name", sorted(FUEL_SPENT))
+def test_fuel_spent_counts_the_words_a_stage_calls_its_functional_on(prefix_calls, name):
+    build, _ = PINNED[name]
+    assert _checked_fuel_spent(build().to_payload(), prefix_calls) == FUEL_SPENT[name]
+
+
+def test_a_depth_0_stage_counts_the_node_it_reads(prefix_calls):
+    """At depth 0 a node's prefix is empty, and reading it still calls the
+    functional: the surviving P0 reads the root."""
+    payload = diagonalize_surviving(2, LIB, 8, 0, 4000).to_payload()
+    assert _checked_fuel_spent(payload, prefix_calls) == [1]

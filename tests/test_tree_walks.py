@@ -24,6 +24,7 @@ from conftest import (
     adding_functional,
     child_map,
     own_prefixes,
+    read_nodes,
     reference_case_c,
 )
 from survtree.engine import diagonalize_surviving, surviving
@@ -73,10 +74,10 @@ def _reference_divergence_escape(table, stem, tree):
             for i in kids:
                 m &= mask[w + (i,)]
         else:
+            # a leaf is read whole: its positions past its prefix
             m = 0
-            for n in range(table.depth):
-                if table.value(w, n) is None:
-                    m |= 1 << n
+            for n in range(len(table.converged(w)), table.depth):
+                m |= 1 << n
         mask[w] = m
     for t in order:
         if mask[t]:
@@ -230,11 +231,6 @@ def _reader(adds: dict[Word, Word]) -> PositionReader:
     return PositionReader(adding_functional(adds), 1, DEPTH)
 
 
-def table_reads(table: OutputTable) -> set[tuple[Word, int]]:
-    """The (node, position) pairs the table has read."""
-    return {(w, n) for w, m in table._read.items() for n in range(table.depth) if m >> n & 1}
-
-
 @settings(max_examples=200, deadline=None)
 @given(trees(), st.lists(st.integers(0, 3), max_size=3))
 def test_levels_and_child_map_match_the_node_set(tree, probe):
@@ -333,7 +329,7 @@ def test_divergence_escape_matches_dict_fold(case):
     hit, tau = table.cases_a_b(stem, tree)
     assert hit == _reference_divergence_escape(ref, stem, tree)
     assert tau is None
-    assert table_reads(table) == ref.reads
+    assert read_nodes(table) == ref.reads
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,7 +338,7 @@ def test_case_b_matches_dict_fold(case, k):
     tree, adds, stem = case
     table, ref = _table(adds), _reader(adds)
     assert table.cases_a_b(stem, tree, k) == _reference_cases_a_b(ref, stem, tree, k)
-    assert table_reads(table) == ref.reads
+    assert read_nodes(table) == ref.reads
 
 
 @st.composite
@@ -375,7 +371,7 @@ def test_one_length_leaf_rows_decide_sets_as_the_dict_fold(case):
     table = OutputTable(adding_functional(adds), 1, depth)
     ref = PositionReader(adding_functional(adds), 1, depth)
     assert table.cases_a_b(stem, tree, k) == _reference_cases_a_b(ref, stem, tree, k)
-    assert table_reads(table) == ref.reads
+    assert read_nodes(table) == ref.reads
 
 
 def _own_entry_adds(tree: FiniteTree) -> dict[Word, Word]:
@@ -394,7 +390,7 @@ def test_case_c_matches_node_set_rebuild(case):
     built = _case_c(table, 2, stem, tree)
     assert built == reference_case_c(ref, 2, stem, tree)
     assert table.evals == ref.evals
-    assert table_reads(table) == ref.reads
+    assert read_nodes(table) == ref.reads
     if built is not None:
         _assert_indexes_match_node_set(built[0])
 
@@ -503,7 +499,7 @@ def noisy_entry_functionals(draw, tree, stem):
 def test_every_closed_form_prefix_call_is_a_counted_read(case, fuel, staged, data):
     """The fold's leaf rows and case C's batched rounds call the closed-form
     prefix only on nodes whose reads the table counts, and read what the
-    per-top search reads: the same nodes, marked the same."""
+    per-top search reads: the same nodes."""
     tree, stem = case
     fn = data.draw(st.one_of(
         closed_form_entries.map(lambda e: functional_from_config(e, 0)),
@@ -520,8 +516,7 @@ def test_every_closed_form_prefix_call_is_a_counted_read(case, fuel, staged, dat
     if staged:
         assert table.cases_a_b(stem, tree, 2) == ref.cases_a_b(stem, tree, 2)
     assert _case_c(table, 2, stem, tree) == reference_case_c(ref, 2, stem, tree)
-    assert called <= table._read.keys()
-    assert table._read == ref._read
+    assert called == read_nodes(ref)
     assert table.evals == ref.evals
 
 
@@ -549,4 +544,4 @@ def test_own_prefix_shortcut_reads_what_the_pool_search_reads(case, sigma_len):
     fast, pool = _table(adds), _table(adds)
     chosen = _assign_kids(fast, tree, children(tree, q), sigma_len)
     assert chosen == _pool_search(pool, tree, q, sigma_len)
-    assert table_reads(fast) == table_reads(pool)
+    assert read_nodes(fast) == read_nodes(pool)

@@ -16,6 +16,8 @@ from survtree.engine import (
     diagonalize_surviving,
     initial_condition,
     traceable_prune,
+    verify,
+    verify_record,
 )
 from survtree.staged import standard_library
 
@@ -141,3 +143,37 @@ def test_a_position_outside_the_depth_is_a_defect_found_before_any_eval(
     assert defects == [f"certificate {i} ({kind}): position {position} is outside [0, 8)"]
     # an eval at position 10**7 under fuel 10**7 would hold 10**7 outputs
     assert peak < 1 << 20
+
+
+# golden records of the three engines that run staged (see
+# scripts/run_golden_suite.py)
+GOLDEN_STAGED = {
+    "surviving-d8": lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4),
+    "traceable-d8": lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
+    "accelerating-d8": lambda: accelerating_force(LIB, 8, 8, 10**4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAGED))
+def test_a_query_stage_other_than_the_runs_is_malformed_before_any_successor_count(
+    monkeypatch, name
+):
+    """A record's vacuous stages are checked at its query stage, so a forged
+    huge one would have ``shown_successors`` count for that many stages; the
+    run's own query stage is depth + stages + 32, and any other is refused
+    before any count."""
+    payload = GOLDEN_STAGED[name]().to_payload()
+    params = payload["parameters"]
+    right = params["depth"] + params["stages"] + 32
+    assert params["query_stage"] == right
+    counted = []
+    shown = verify.shown_successors
+    monkeypatch.setattr(verify, "shown_successors", lambda *a: counted.append(a) or shown(*a))
+    assert verify_record(payload) == []
+    vacuous = [e for e in payload["stage_log"] if e["case"] == "vacuous"]
+    assert len(counted) == len(vacuous)
+    for query in (10**12, right + 1):
+        counted.clear()
+        defects = forged_defects(payload, lambda p: p["parameters"].update(query_stage=query))
+        assert defects == [f"malformed record: query_stage {query} is not the run's {right}"]
+        assert counted == []
