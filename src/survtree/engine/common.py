@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, repeat
-from operator import and_, itemgetter
+from operator import and_, eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..io_formats import json_to_tree, json_to_word, payload_digest, trace_to_json, tree_to_json
@@ -170,48 +170,46 @@ class OutputTable:
         return p[n] if n < len(p) else None
 
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        """The converged prefixes of the distinct nodes ws, read in one
-        pass, and the masks of their unconverged positions."""
-        conv = self._converged
-        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        ps = [conv[w] if w in conv else prefix(w, depth, fuel) for w in ws]
-        conv.update(zip(ws, ps))
+        """The converged prefixes of the nodes ws, read in one pass, and
+        the masks of their unconverged positions."""
+        ps = list(self._reads(ws))
         return ps, list(map(self._masks.__getitem__, map(len, ps)))
 
-    def known(self, ws: list[Word]) -> Optional[list[Word]]:
-        """The converged prefixes of ws if every node of it was read
-        before, so that reading them costs nothing, else None."""
-        ps = list(map(self._converged.get, ws))
-        return None if None in ps else ps
+    def _reads(self, ws: Iterable[Word]) -> Iterator[Word]:
+        """The converged prefixes of ws in order, each node read as it is
+        drawn: no node past the last one drawn is read."""
+        conv = self._converged
+        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
+        for w in ws:
+            if (p := conv.get(w)) is None:
+                p = conv[w] = prefix(w, depth, fuel)
+            yield p
 
     def converged_run(self, ws: list[Word], n: int) -> list[Word]:
         """The converged prefixes of ws in order, up to the first one
         shorter than n: no node past it is read, and with n = 0 every node
         is."""
-        conv = self._converged
-        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
         run = []
-        for w in ws:
-            if (p := conv.get(w)) is None:
-                p = conv[w] = prefix(w, depth, fuel)
+        for p in self._reads(ws):
             run.append(p)
             if len(p) < n:
                 break
         return run
 
-    def sibling_run(self, ws: list[Word], b: int, m: int) -> list[Word]:
+    def own_row(self, ws: list[Word]) -> bool:
+        """Whether every node of ws is its own converged prefix, read in
+        order up to the first that is not."""
+        return all(map(eq, self._reads(ws), ws))
+
+    def sibling_run(self, ws: list[Word], b: int, m: int) -> tuple[list[Word], tuple]:
         """The converged prefixes of the leading groups of b nodes of ws
-        that are sibling outputs: one length n > m, all but the last entry
-        shared, the last entries increasing.  The nodes are read in order
-        up to the first that breaks its group, which
+        that are sibling outputs (one length n > m, all but the last entry
+        shared, the last entries increasing), with their row: each group's
+        shared head and its last entries.  The nodes are read in order up
+        to the first that breaks its group, which
         ``converged_run(group, m + 1)`` would read too."""
-        conv = self._converged
-        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        run: list[Word] = []
-        group: list[Word] = []
-        for w in ws:
-            if (p := conv.get(w)) is None:
-                p = conv[w] = prefix(w, depth, fuel)
+        run, heads, lasts, group = [], [], [], []
+        for p in self._reads(ws):
             if group:
                 if len(p) != n or p[-1] <= group[-1][-1] or p[:-1] != head:
                     break
@@ -222,8 +220,10 @@ class OutputTable:
             group.append(p)
             if len(group) == b:
                 run += group
+                heads.append(head)
+                lasts.append(tuple(map(_last, group)))
                 group = []
-        return run
+        return run, (heads, tuple(lasts))
 
     def cases_a_b(
         self, stem: Word, tree: FiniteTree, k: Optional[int] = None

@@ -36,18 +36,18 @@ def _case_c(
     level in lex order too, and no map keyed by sigma is needed.  A
     split's children are the tree's own words.
 
-    A round whose children form one level slice, all read before (the leaf
-    row, once the case A/B fold has run), is tested in one pass
-    (``_sibling_row``).  An unread slice is read in one loop
-    (``OutputTable.sibling_run``), which takes its leading groups of
-    sibling outputs as they are and stops inside the first other group;
-    that group, every group after it, and every group of a round that is
-    no slice, goes to ``_assign_kids``.  The round ends at the first group
-    with no split, so nothing past it is read.  The trace is read off the
-    rounds when each extends the one before by one entry (``_trace``), and
-    otherwise built by ``trace_from_outputs``.  A round taken whole as
-    sibling groups keeps its row, read off its outputs, so ``_trace``
-    tests only the other rounds.
+    A round whose children form one level slice reads them in order up to
+    the first whose output is not the child itself (``OutputTable.own_row``).
+    If there is none, the round is a row of siblings taken from the tree:
+    the tops are its heads, and the children's last entries its row.
+    Otherwise ``OutputTable.sibling_run`` reads the slice through the memo,
+    takes its leading groups of sibling outputs with their row and stops
+    inside the first other group; that group, every group after it, and
+    every group of a round that is no slice, goes to ``_assign_kids``.  The
+    round ends at the first group with no split, so nothing past it is
+    read.  The trace is read off the rounds when each extends the one
+    before by one entry (``_trace``), and otherwise built by
+    ``trace_from_outputs``; only the rounds not taken whole are tested.
 
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
@@ -68,13 +68,13 @@ def _case_c(
             # children are one slice of the level below, b to a top
             start = bisect_left(levels[n + 1], tops[0])
             row = levels[n + 1][start:start + b * size]
-            ps = table.known(row)
-            found_row = None if ps is None else _sibling_row(ps, b, m)
-            if found_row is None:
-                ps = table.sibling_run(row, b, m)
-                if len(ps) == len(row):
-                    found_row = _row(ps, b)
-            if found_row is not None:
+            # own outputs are sibling outputs once longer than m: test
+            # that first, so no node sibling_run would not read is read
+            if len(row[0]) > m and table.own_row(row):
+                ps, found_row = row, (tops, _lasts(row, b))
+            else:
+                ps, found_row = table.sibling_run(row, b, m)
+            if len(ps) == len(row):
                 # each group splits at its own full length
                 tops = row
                 rounds.append(ps)
@@ -133,10 +133,10 @@ def _case_c(
 _Row = tuple[list[Word], tuple[tuple[int, ...], ...]]
 
 
-def _row(ps: list[Word], b: int) -> _Row:
-    """The row of ps, in groups of b sibling outputs: each group's head
-    from its first output, and its last entries."""
-    return list(map(_parent, ps[::b])), tuple(zip(*(map(_last, ps[i::b]) for i in range(b))))
+def _lasts(ps: list[Word], b: int) -> tuple[tuple[int, ...], ...]:
+    """The last entries of ps, in groups of b; equal groups share a tuple."""
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return tuple([seen.setdefault(g, g) for g in zip(*[map(_last, ps)] * b)])
 
 
 def _sibling_row(ps: list[Word], b: int, m: int) -> Optional[_Row]:
@@ -147,13 +147,13 @@ def _sibling_row(ps: list[Word], b: int, m: int) -> Optional[_Row]:
     n = len(ps[0])
     if n <= m or set(map(len, ps)) != {n}:
         return None
-    row = heads, _ = _row(ps, b)
+    heads = list(map(_parent, ps[::b]))
     for i in range(1, b):
         if not all(map(eq, map(_parent, ps[i::b]), heads)) or not all(
             map(lt, map(_last, ps[i - 1::b]), map(_last, ps[i::b]))
         ):
             return None
-    return row
+    return heads, _lasts(ps, b)
 
 
 def _trace(

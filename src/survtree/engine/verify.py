@@ -5,8 +5,9 @@ from the embedded configuration, the final tree and traces are reloaded,
 and each certificate is tested against them.  What the engine promises
 (``engine.common.PROMISES``) comes from its name and parameters, not from
 the record: the final tree's shape, the traces' depth and bound, the task
-labels and each stage the log marks vacuous are checked without being
-asked.  The digest guards the bytes; the semantic checks guard the content.
+labels, the stage log against the stage schedule and each stage it marks
+vacuous are checked without being asked.  The digest guards the bytes; the
+semantic checks guard the content.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ _TRACE_CERTS = {"trace", "two_tree_trace"}
 # the certificates about a functional, each checked under the record's fuel
 _POSITION_CERTS = {"presumed_divergence", "value_witness"}
 _FUNCTIONAL_CERTS = {*_POSITION_CERTS, "constant_outputs", *_TRACE_CERTS}
+# the cases that leave a run incomplete, at the stage that ends its log
+_FAILED = {"stuck", "no-disagreement"}
 
 
 def verify_record(payload: dict) -> list[str]:
@@ -64,7 +67,8 @@ def verify_record(payload: dict) -> list[str]:
             for t in payload["traces"]
         ] if promise.base is not None else []
         bad = SHAPES[promise.predicate](tree, promise.k, depth)
-        vacuous = _vacuous_defects(payload, family)
+        query = query_stage(depth, int(payload["parameters"]["stages"]))
+        logged = _stage_log_defects(payload, family, query)
     except (KeyError, ValueError, TypeError, BoundExceeded) as e:
         return [f"malformed record: {e}"]
     if stem not in tree:
@@ -76,11 +80,11 @@ def verify_record(payload: dict) -> list[str]:
     msg = _label_defect(promise, stem, tree, labels)
     if msg is not None:
         defects.append(f"labels: {msg}")
-    defects += vacuous
+    defects += logged
     leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
     for i, cert in enumerate(certs):
         try:
-            msg = _check_certificate(cert, family, stem, leaves, traces, depth, fuel, promise)
+            msg = _check_certificate(cert, family, stem, leaves, traces, depth, fuel, promise, query)
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
         if msg is not None:
@@ -99,30 +103,50 @@ def _objects(items, what: str) -> list[dict]:
     return items
 
 
-def _vacuous_defects(payload: dict, family: AdversaryFamily) -> list[str]:
-    """A defect for each stage the log marks vacuous whose staged tree does
-    not show more than k successors at the logged witness by the query
-    stage, for the tree and k of the stage's requirement (the surviving
-    engine's k from the parameters; the others stage index pairs, whatever
-    k their parameters name).  Entry s of a log is stage s, which bounds
-    the stages looked up, and a vacuous stage must be a tree requirement.
-    The query stage is the run's own (``common.query_stage``), which the
-    parameters must name unless the record is build3's, which no ``Run``
-    writes."""
+def _stage_log_defects(payload: dict, family: AdversaryFamily, query: int) -> list[str]:
+    """A defect for a status the stage log does not bear out, for each
+    entry off the stage schedule, and for each stage the log marks vacuous
+    whose staged tree does not show more than k successors at the logged
+    witness by the query stage.  build3 runs no schedule, so it logs no
+    stage and is complete.  Entry s of any other log is stage s, names the
+    requirement ``requirement`` gives s (the surviving engine's k from the
+    parameters; the others stage index pairs, whatever k their parameters
+    name) and is a skip exactly when that is None.  A complete run logs
+    every stage, none stuck or without a disagreement; an incomplete log
+    ends at its first such stage.  A vacuous stage must be a tree
+    requirement.  The query stage is the run's own (``common.query_stage``),
+    which the parameters must name unless the record is build3's, which no
+    ``Run`` writes."""
     params = payload["parameters"]
-    query = query_stage(int(params["depth"]), int(params["stages"]))
     named = params.get("query_stage")
     want = None if payload["engine"] == "build3" else query
     if type(named) is not type(want) or named != want:
         raise ValueError(f"query_stage {named!r} is not the run's {want}")
+    log = _objects(payload["stage_log"], "stage log entries")
+    status = payload["status"]
+    stages = 0 if payload["engine"] == "build3" else int(params["stages"])
+    failed = [s for s, entry in enumerate(log) if entry.get("case") in _FAILED]
+    fits = {
+        "complete": len(log) == stages and not failed,
+        "incomplete": len(log) <= stages and failed == [len(log) - 1],
+    }
+    defects = [] if fits.get(status) else [
+        f"status {status!r} with {len(log)} of {stages} stages logged, "
+        f"{len(failed)} of them stuck or without a disagreement"
+    ]
     k = int(params["k"]) if payload["engine"] == "surviving" else None
-    defects = []
-    for s, entry in enumerate(_objects(payload["stage_log"], "stage log entries")):
+    for s, entry in enumerate(log):
+        if entry.get("stage") != s:
+            raise ValueError(f"stage log entry {s} names stage {entry.get('stage')}")
+        req = requirement(s, family, k)
+        name = req and req[0]
+        if entry.get("requirement") != name or (entry.get("case") == "skip") != (req is None):
+            defects.append(
+                f"stage {s} is {name or 'a skip'}, logged {entry.get('requirement')!r} "
+                f"as {entry.get('case')!r}"
+            )
         if entry.get("case") != "vacuous":
             continue
-        if int(entry["stage"]) != s:
-            raise ValueError(f"stage log entry {s} names stage {entry['stage']}")
-        req = requirement(s, family, k)
         if req is None or req[2] is None:
             raise ValueError(f"stage {s} is logged vacuous but is no tree requirement")
         _, adv, k_s = req
@@ -176,6 +200,7 @@ def _check_certificate(
     depth: int,
     fuel: Optional[int],
     promise: Promise,
+    query: int,
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind in _TRACE_CERTS and promise.base is None:
@@ -201,7 +226,9 @@ def _check_certificate(
         witness = json_to_word(cert["witness"])
         if not is_prefix(witness, stem):
             return f"witness {witness} is not a prefix of the final stem"
-        if adv.decide(witness, int(cert["stage"])) is not TriState.OUT:
+        if cert["stage"] != query:
+            return f"stage {cert['stage']!r} is not the run's query stage {query}"
+        if adv.decide(witness, query) is not TriState.OUT:
             return f"witness {witness} is not out of tree {adv.id}"
         return None
     if kind == "presumed_divergence":

@@ -1,7 +1,7 @@
 """Case C's row passes against its per-group reference.
 
-``_case_c`` tests a row of siblings whose prefixes are all known in one
-pass, reads an unread row in one loop, taking its leading groups of
+``_case_c`` takes a row whose outputs are its own nodes straight from the
+tree, reads any other row in one loop, taking its leading groups of
 sibling outputs as they are and sending the first other group and every
 group after it to ``_assign_kids`` (which starts from the group's split
 length and falls back to the pool search), as it does every group of a
@@ -111,6 +111,15 @@ _D2, _D3 = FiniteTree.full(3, 2), FiniteTree.full(3, 3)
 # two siblings alike: round 1 fails at its first group, and the groups
 # after it stay unread
 @example((2, _D2, (), {**_own_entries(_D2), (0, 1): (0,)}, ()))
+# own rows with one node that is not its own output: the first of a group
+# (short, so the group is searched), one in the middle of a group (its
+# next sibling breaks the group), one in the last group (still a sibling
+# output, so the row is taken whole from sibling_run), and one below a
+# stem, in a leaf row the fold has read
+@example((2, _D2, (), {**_own_entries(_D2), (1, 0): ()}, ()))
+@example((2, _D2, (), {**_own_entries(_D2), (1, 1): (4,)}, ()))
+@example((2, _D2, (), {**_own_entries(_D2), (2, 2): (5,)}, ()))
+@example((2, _D3, (1,), {**_own_entries(_D3), (1, 2, 2): (3,)}, "fold"))
 def test_row_passes_match_the_per_group_search(case):
     k, tree, stem, adds, preread = case
     table, ref, called = _tables(adds, tree.depth)
@@ -161,9 +170,9 @@ def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monke
     tree = FiniteTree.full(3, 4)
     spy = _Spy(monkeypatch)
     built = _run(_own_entries(tree), tree, (1,), "fold")
-    # rounds 0 and 1 read their unread children group by group, 1 + 3
-    # groups, each a sibling row taken as it is; the known leaf row's 9
-    # groups pass in one test: no group is searched
+    # every round is an own row, read once: rounds 0 and 1 read their
+    # unread children, 1 + 3 groups, and round 2 the leaf row's 9 groups,
+    # which the fold has read; no group is searched
     assert spy.assigned == 0
     assert spy.traced == 0
     assert built[1].levels[4] == tree.levels()[4][27:54]
@@ -213,8 +222,9 @@ def test_a_slice_read_stops_inside_its_first_group_of_equal_siblings():
     adds = {**_own_entries(tree), (1, 1): (0,)}
     row = tree.levels()[2]
     table, _, called = _tables(adds, 2)
-    # group 0 is a sibling run; group 1 breaks at its second node
-    assert table.sibling_run(row, 3, 1) == [(0, 0), (0, 1), (0, 2)]
+    # group 0 is a sibling run, handed back with its row; group 1 breaks
+    # at its second node
+    assert table.sibling_run(row, 3, 1) == ([(0, 0), (0, 1), (0, 2)], ([(0,)], ((0, 1, 2),)))
     assert read_nodes(table) == called == set(row[:5])
     table, ref, called = _tables(adds, 2)
     built = _case_c(table, 2, (), tree)
@@ -228,8 +238,8 @@ def test_a_slice_read_stops_inside_its_first_group_of_equal_siblings():
 
 
 def test_standard_slices_are_read_without_a_search_or_a_group_run(monkeypatch):
-    """On the standard family every unread slice is sibling outputs, so
-    case C reads each in one ``sibling_run`` and searches no group."""
+    """On the standard family every slice is its nodes' own outputs, so
+    case C reads each in one ``own_row`` and searches no group."""
     calls = {"assign": 0, "run": 0}
     assign, converged_run = surviving._assign_kids, OutputTable.converged_run
 
@@ -246,6 +256,27 @@ def test_standard_slices_are_read_without_a_search_or_a_group_run(monkeypatch):
     payload = diagonalize_surviving(2, standard_library(), 8, 6, 5000).to_payload()
     assert [e["case"] for e in payload["stage_log"] if e["stage"] % 2] == ["C", "C", "B", "A"]
     assert calls == {"assign": 0, "run": 0}
+
+
+def test_standard_case_c_rounds_are_own_rows_and_run_no_sibling_run(monkeypatch):
+    """The standard family's functionals, the identity and entry_mod with
+    modulus k + 1, output each node's own word, so every case C round is an
+    own row, decided from the tree without a ``sibling_run``."""
+    owns: list[bool] = []
+    own_row = OutputTable.own_row
+
+    def spied_own_row(self, ws):
+        owns.append(own_row(self, ws))
+        return owns[-1]
+
+    def no_sibling_run(*args):
+        raise AssertionError("sibling_run called")
+
+    monkeypatch.setattr(OutputTable, "own_row", spied_own_row)
+    monkeypatch.setattr(OutputTable, "sibling_run", no_sibling_run)
+    payload = diagonalize_surviving(2, standard_library(), 14, 8, 10**4).to_payload()
+    assert [e["case"] for e in payload["stage_log"] if e["stage"] % 2][:2] == ["C", "C"]
+    assert owns and all(owns)
 
 
 def _old_more_than_k(outs: set[Word], k: int) -> bool:

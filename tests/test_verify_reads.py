@@ -6,6 +6,7 @@ so only the checks of its content can see the edit."""
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from conftest import cert_index, forged_defects
 from survtree.engine import (
     accelerating_force,
+    build3_record,
     diagonalize_surviving,
     initial_condition,
     traceable_prune,
@@ -177,3 +179,115 @@ def test_a_query_stage_other_than_the_runs_is_malformed_before_any_successor_cou
         defects = forged_defects(payload, lambda p: p["parameters"].update(query_stage=query))
         assert defects == [f"malformed record: query_stage {query} is not the run's {right}"]
         assert counted == []
+
+
+# -- the stage log's skeleton ------------------------------------------------
+
+
+def _empty_log(p):
+    p["stage_log"].clear()
+    p["traces"].clear()
+    p["certificates"].clear()
+
+
+def _all_skips(p):
+    for entry in p["stage_log"]:
+        entry["case"] = "skip"
+
+
+def _no_stages(p):
+    params = p["parameters"]
+    params["query_stage"] -= params["stages"]
+    params["stages"] = 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAGED))
+@pytest.mark.parametrize("edit, defect", [
+    pytest.param(_empty_log, "status 'complete' with 0 of {stages} stages logged", id="emptied"),
+    pytest.param(lambda p: p.update(stage_log=p["stage_log"][:1]),
+                 "status 'complete' with 1 of {stages} stages logged", id="cut"),
+    pytest.param(lambda p: p.update(status="incomplete"),
+                 "status 'incomplete' with {stages} of {stages} stages logged", id="incomplete"),
+    pytest.param(_no_stages, "status 'complete' with {stages} of 0 stages logged", id="no-stages"),
+])
+def test_a_status_the_stage_log_does_not_bear_out_is_a_defect(name, edit, defect):
+    payload = GOLDEN_STAGED[name]().to_payload()
+    stages = payload["parameters"]["stages"]
+    assert len(payload["stage_log"]) == stages and verify_record(payload) == []
+    expected = defect.format(stages=stages) + ", 0 of them stuck or without a disagreement"
+    assert expected in forged_defects(payload, edit)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAGED))
+def test_every_stage_relogged_a_skip_is_a_defect_at_each_stage(name):
+    payload = GOLDEN_STAGED[name]().to_payload()
+    named = [(e["stage"], e["requirement"], e["case"]) for e in payload["stage_log"]]
+    defects = forged_defects(payload, _all_skips)
+    assert defects == [
+        f"stage {s} is {req}, logged {req!r} as 'skip'" for s, req, case in named if case != "skip"
+    ]
+
+
+def test_a_stage_logged_as_another_requirement_or_a_skip_as_a_stage_is_a_defect():
+    payload = GOLDEN_STAGED["surviving-d8"]().to_payload()
+    case = payload["stage_log"][0]["case"]
+
+    def edit(p):
+        p["stage_log"][0]["requirement"] = "R1"
+        p["stage_log"][1] = {"stage": 1, "requirement": None, "case": "skip"}
+
+    assert forged_defects(payload, edit) == [
+        f"stage 0 is R0, logged 'R1' as {case!r}", "stage 1 is P0, logged None as 'skip'",
+    ]
+
+
+def test_an_incomplete_log_ends_at_its_first_stuck_stage():
+    payload = GOLDEN_STAGED["surviving-d8"]().to_payload()
+
+    def stuck_at(*stages):
+        def edit(p):
+            p["status"] = "incomplete"
+            for s in stages:
+                p["stage_log"][s].update(case="stuck")
+            del p["stage_log"][stages[-1] + 1:]
+
+        return edit
+
+    def status_defects(edit):
+        return [d for d in forged_defects(copy.deepcopy(payload), edit) if d.startswith("status")]
+
+    assert status_defects(stuck_at(3)) == []
+    assert status_defects(stuck_at(1, 3)) == [
+        "status 'incomplete' with 4 of 14 stages logged, 2 of them stuck or without a disagreement"
+    ]
+
+
+@pytest.mark.parametrize("edit, defect", [
+    (lambda p: p["stage_log"].append({"stage": 0, "requirement": "R0", "case": "exit"}),
+     "status 'complete' with 1 of 0 stages logged, 0 of them stuck or without a disagreement"),
+    (lambda p: p.update(status="incomplete"),
+     "status 'incomplete' with 0 of 0 stages logged, 0 of them stuck or without a disagreement"),
+    (lambda p: p.update(status="done"),
+     "status 'done' with 0 of 0 stages logged, 0 of them stuck or without a disagreement"),
+])
+def test_a_build3_record_is_complete_with_an_empty_stage_log(edit, defect):
+    payload = build3_record(LIB, 6, 12).to_payload()
+    assert payload["stage_log"] == [] and verify_record(payload) == []
+    assert defect in forged_defects(payload, edit)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAGED))
+def test_an_avoidance_certificate_at_another_stage_than_the_query_stage_is_a_defect(name):
+    payload = GOLDEN_STAGED[name]().to_payload()
+    query = payload["parameters"]["query_stage"]
+    avoid = [i for i, c in enumerate(payload["certificates"]) if c["kind"] == "avoidance"]
+    assert avoid
+
+    def edit(p):
+        for i in avoid:
+            p["certificates"][i]["stage"] = 10**6
+
+    assert forged_defects(payload, edit) == [
+        f"certificate {i} (avoidance): stage 1000000 is not the run's query stage {query}"
+        for i in avoid
+    ]
