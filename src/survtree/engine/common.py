@@ -201,30 +201,6 @@ class OutputTable:
         order up to the first that is not."""
         return all(map(eq, self._reads(ws), ws))
 
-    def sibling_run(self, ws: list[Word], b: int, m: int) -> tuple[list[Word], tuple]:
-        """The converged prefixes of the leading groups of b nodes of ws
-        that are sibling outputs (one length n > m, all but the last entry
-        shared, the last entries increasing), with their row: each group's
-        shared head and its last entries.  The nodes are read in order up
-        to the first that breaks its group, which
-        ``converged_run(group, m + 1)`` would read too."""
-        run, heads, lasts, group = [], [], [], []
-        for p in self._reads(ws):
-            if group:
-                if len(p) != n or p[-1] <= group[-1][-1] or p[:-1] != head:
-                    break
-            elif (n := len(p)) > m:
-                head = p[:-1]
-            else:
-                break
-            group.append(p)
-            if len(group) == b:
-                run += group
-                heads.append(head)
-                lasts.append(tuple(map(_last, group)))
-                group = []
-        return run, (heads, tuple(lasts))
-
     def cases_a_b(
         self, stem: Word, tree: FiniteTree, k: Optional[int] = None
     ) -> tuple[Optional[tuple[Word, int]], Optional[Word]]:

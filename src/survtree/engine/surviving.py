@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, groupby, islice
-from operator import eq, itemgetter, lt
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
@@ -19,7 +19,6 @@ from ..traces import TraceTable
 from ..trees import FiniteTree, Word, children, rows_above
 from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
 
-_parent = itemgetter(slice(None, -1))
 _last = itemgetter(-1)
 
 
@@ -36,18 +35,19 @@ def _case_c(
     level in lex order too, and no map keyed by sigma is needed.  A
     split's children are the tree's own words.
 
-    A round whose children form one level slice reads them in order up to
-    the first whose output is not the child itself (``OutputTable.own_row``).
-    If there is none, the round is a row of siblings taken from the tree:
-    the tops are its heads, and the children's last entries its row.
-    Otherwise ``OutputTable.sibling_run`` reads the slice through the memo,
-    takes its leading groups of sibling outputs with their row and stops
-    inside the first other group; that group, every group after it, and
-    every group of a round that is no slice, goes to ``_assign_kids``.  The
-    round ends at the first group with no split, so nothing past it is
-    read.  The trace is read off the rounds when each extends the one
-    before by one entry (``_trace``), and otherwise built by
-    ``trace_from_outputs``; only the rounds not taken whole are tested.
+    A round is read one of two ways.  When its tops are one run of a level,
+    each with b children, and those children are their own outputs
+    (``OutputTable.own_row``, read in order up to the first that is not),
+    the round is the children themselves: each group shares its top and
+    increases in its last entry, so it splits at its full length.  Any
+    other round, an own row that fails included, goes through
+    ``_search_round``.  The search ends at the first top with no split, so
+    nothing past it is read.
+
+    The trace is read straight off the rounds when every round is an own
+    row: the stem is a path to round 0's row, each round's last entries
+    are the next row, and the last round's outputs have no children.
+    Otherwise it is ``trace_from_outputs`` of every output.
 
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
@@ -59,55 +59,26 @@ def _case_c(
     levels, counts = tree.levels(), tree.counts()
     tops = [stem]
     rounds: list[list[Word]] = []  # each round's outputs, in the order of its tops
-    trace_rows: list[Optional[_Row]] = []  # each round's trace row, if it is one
+    own = True  # every round so far is an own row
     while True:
-        m, n, size = len(rounds), len(tops[0]), len(tops)
+        n, size = len(tops[0]), len(tops)
         lo = bisect_left(levels[n], tops[0])
         if levels[n][lo:lo + size] == tops and counts[n][lo:lo + size].count(b) == size:
-            # the tops are one run of a level, each with b children: their
-            # children are one slice of the level below, b to a top
+            # the tops' children are one slice of the level below, b to a
+            # top; a top is at least as long as the round number, so its
+            # own children split past it
             start = bisect_left(levels[n + 1], tops[0])
             row = levels[n + 1][start:start + b * size]
-            # own outputs are sibling outputs once longer than m: test
-            # that first, so no node sibling_run would not read is read
-            if len(row[0]) > m and table.own_row(row):
-                ps, found_row = row, (tops, _lasts(row, b))
-            else:
-                ps, found_row = table.sibling_run(row, b, m)
-            if len(ps) == len(row):
-                # each group splits at its own full length
+            if table.own_row(row):
                 tops = row
-                rounds.append(ps)
-                trace_rows.append(found_row)
+                rounds.append(row)
                 continue
-            # the leading sibling groups split at their full length, and
-            # the groups from the first other one on are searched
-            chosen: list[tuple[Word, Word]] = list(zip(row, ps))
-            found = (
-                _assign_kids(table, tree, row[g:g + b], m) for g in range(len(ps), len(row), b)
-            )
-        else:
-            # the working tree is full above the stem, so the first node
-            # with a complete set of b children is the split to use
-            splits = (
-                next((w for row in rows_above(tree, top) for w, c in zip(*row) if c == b), None)
-                for top in tops
-            )
-            found = (
-                None if q is None else _assign_kids(table, tree, children(tree, q), m)
-                for q in splits
-            )
-            chosen = []
-        for assigned in found:
-            if assigned is None:
-                chosen = []
-                break
-            chosen += assigned
-        if not chosen:
+        chosen = _search_round(table, tree, tops, len(rounds), b)
+        if chosen is None:
             break
+        own = False
         tops = [v for v, _ in chosen]
         rounds.append([o for _, o in chosen])
-        trace_rows.append(None)
     if not rounds:
         return None
     # the tops are pairwise incomparable and in lex order, so their
@@ -122,15 +93,11 @@ def _case_c(
         while len(levels[-1][0]):
             levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
         new_tree = FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
-    trace = _trace(rounds, trace_rows, depth, b)
-    if trace is None:
-        trace = trace_from_outputs(chain([()], *rounds), depth, b)
-    return new_tree, trace
-
-
-# a row of sibling outputs: each group's shared head, and per group its last
-# entries, a row of a trace
-_Row = tuple[list[Word], tuple[tuple[int, ...], ...]]
+    if not own:
+        return new_tree, trace_from_outputs(chain([()], *rounds), depth, b)
+    rows = [((e,),) for e in stem] + [_lasts(r, b) for r in rounds] + [((),) * len(rounds[-1])]
+    rows += [()] * (depth - len(rows))
+    return new_tree, TraceTable(tuple(rows[:depth]), b)
 
 
 def _lasts(ps: list[Word], b: int) -> tuple[tuple[int, ...], ...]:
@@ -139,39 +106,21 @@ def _lasts(ps: list[Word], b: int) -> tuple[tuple[int, ...], ...]:
     return tuple([seen.setdefault(g, g) for g in zip(*[map(_last, ps)] * b)])
 
 
-def _sibling_row(ps: list[Word], b: int, m: int) -> Optional[_Row]:
-    """The row of ps, in groups of b siblings, if they are all one length
-    n > m and each group shares all but its last entry, its last entries
-    increasing.  Each group then splits at n: its prefixes differ there and
-    agree one entry sooner."""
-    n = len(ps[0])
-    if n <= m or set(map(len, ps)) != {n}:
-        return None
-    heads = list(map(_parent, ps[::b]))
-    for i in range(1, b):
-        if not all(map(eq, map(_parent, ps[i::b]), heads)) or not all(
-            map(lt, map(_last, ps[i - 1::b]), map(_last, ps[i::b]))
-        ):
+def _search_round(
+    table: OutputTable, tree: FiniteTree, tops: list[Word], m: int, b: int
+) -> Optional[list[tuple[Word, Word]]]:
+    """Round m's (node, output) pairs, top by top: each top's split is the
+    first node above it with b children (the working tree is full above the
+    stem), and its children go to ``_assign_kids``.  None at the first top
+    with no split or no assignment."""
+    chosen: list[tuple[Word, Word]] = []
+    for top in tops:
+        q = next((w for row in rows_above(tree, top) for w, c in zip(*row) if c == b), None)
+        assigned = None if q is None else _assign_kids(table, tree, children(tree, q), m)
+        if assigned is None:
             return None
-    return heads, _lasts(ps, b)
-
-
-def _trace(
-    rounds: list[list[Word]], rows: list[Optional[_Row]], depth: int, b: int
-) -> Optional[TraceTable]:
-    """The trace of case C's outputs, with a row per round, or None unless
-    every round is a sibling row and each later round's groups extend the
-    outputs of the round before, in order: round 0's head is then a path
-    to its row, each later round's lasts are the next row, and the last
-    round's outputs have no children."""
-    rows = [row or _sibling_row(outs, b, 0) for row, outs in zip(rows, rounds)]
-    if None in rows or any(heads != before for (heads, _), before in zip(rows[1:], rounds)):
-        return None
-    (head,), _ = rows[0]
-    trace = [((e,),) for e in head] + [lasts for _, lasts in rows]
-    trace.append(((),) * len(rounds[-1]))
-    trace += [()] * (depth - len(trace))
-    return TraceTable(tuple(trace[:depth]), b)
+        chosen += assigned
+    return chosen
 
 
 class _Drawn:

@@ -5,9 +5,10 @@ from the embedded configuration, the final tree and traces are reloaded,
 and each certificate is tested against them.  What the engine promises
 (``engine.common.PROMISES``) comes from its name and parameters, not from
 the record: the final tree's shape, the traces' depth and bound, the task
-labels, the stage log against the stage schedule and each stage it marks
-vacuous are checked without being asked.  The digest guards the bytes; the
-semantic checks guard the content.
+labels, the stage log against the stage schedule, each stage it marks
+vacuous and the certificate each logged case calls for are checked without
+being asked.  The digest guards the bytes; the semantic checks guard the
+content.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ _POSITION_CERTS = {"presumed_divergence", "value_witness"}
 _FUNCTIONAL_CERTS = {*_POSITION_CERTS, "constant_outputs", *_TRACE_CERTS}
 # the cases that leave a run incomplete, at the stage that ends its log
 _FAILED = {"stuck", "no-disagreement"}
+# the certificate each logged case calls for, of the stage's adversary
+_CASE_CERTS = {
+    **dict.fromkeys(["A", "escape", "1"], "presumed_divergence"),
+    "2": "value_witness",
+    "3": "constant_outputs",
+    **dict.fromkeys(["B", "C", "prune"], "trace"),
+    "4": "two_tree_trace",
+    **dict.fromkeys(["exit", "already-out"], "avoidance"),
+}
+# a certificate of any other kind is refused as unknown, so it is not counted
+_CALLED_KINDS = set(_CASE_CERTS.values())
 
 
 def verify_record(payload: dict) -> list[str]:
@@ -68,7 +80,7 @@ def verify_record(payload: dict) -> list[str]:
         ] if promise.base is not None else []
         bad = SHAPES[promise.predicate](tree, promise.k, depth)
         query = query_stage(depth, int(payload["parameters"]["stages"]))
-        logged = _stage_log_defects(payload, family, query)
+        logged, called = _stage_log_defects(payload, family, query)
     except (KeyError, ValueError, TypeError, BoundExceeded) as e:
         return [f"malformed record: {e}"]
     if stem not in tree:
@@ -82,8 +94,12 @@ def verify_record(payload: dict) -> list[str]:
         defects.append(f"labels: {msg}")
     defects += logged
     leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
+    held: Counter = Counter()
     for i, cert in enumerate(certs):
         try:
+            kind = cert.get("kind")
+            if kind in _CALLED_KINDS:
+                held[kind, cert.get("tree" if kind == "avoidance" else "functional")] += 1
             msg = _check_certificate(cert, family, stem, leaves, traces, depth, fuel, promise, query)
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
@@ -93,6 +109,13 @@ def verify_record(payload: dict) -> list[str]:
     for ti in range(len(payload["traces"])):
         if named[ti] != 1:
             defects.append(f"trace {ti} is named by {named[ti]} trace certificates, not one")
+    for kind, adv in dict.fromkeys([*called, *held]):
+        if called[kind, adv] != held[kind, adv]:
+            defects.append(
+                f"{kind} certificates of {'tree' if kind == 'avoidance' else 'functional'} "
+                f"{adv}: the stage log calls for {called[kind, adv]}, the record holds "
+                f"{held[kind, adv]}"
+            )
     return defects
 
 
@@ -103,15 +126,19 @@ def _objects(items, what: str) -> list[dict]:
     return items
 
 
-def _stage_log_defects(payload: dict, family: AdversaryFamily, query: int) -> list[str]:
+def _stage_log_defects(
+    payload: dict, family: AdversaryFamily, query: int
+) -> tuple[list[str], Counter]:
     """A defect for a status the stage log does not bear out, for each
     entry off the stage schedule, and for each stage the log marks vacuous
     whose staged tree does not show more than k successors at the logged
-    witness by the query stage.  build3 runs no schedule, so it logs no
-    stage and is complete.  Entry s of any other log is stage s, names the
-    requirement ``requirement`` gives s (the surviving engine's k from the
-    parameters; the others stage index pairs, whatever k their parameters
-    name) and is a skip exactly when that is None.  A complete run logs
+    witness by the query stage; and the certificates the log calls for, as
+    (kind, adversary id) counts: one of the stage's adversary for each
+    stage whose case ``_CASE_CERTS`` names.  build3 runs no schedule, so it
+    logs no stage and is complete.  Entry s of any other log is stage s,
+    names the requirement ``requirement`` gives s (the surviving engine's k
+    from the parameters; the others stage index pairs, whatever k their
+    parameters name) and is a skip exactly when that is None.  A complete run logs
     every stage, none stuck or without a disagreement; an incomplete log
     ends at its first such stage.  A vacuous stage must be a tree
     requirement.  The query stage is the run's own (``common.query_stage``),
@@ -135,6 +162,7 @@ def _stage_log_defects(payload: dict, family: AdversaryFamily, query: int) -> li
         f"{len(failed)} of them stuck or without a disagreement"
     ]
     k = int(params["k"]) if payload["engine"] == "surviving" else None
+    called: Counter = Counter()
     for s, entry in enumerate(log):
         if entry.get("stage") != s:
             raise ValueError(f"stage log entry {s} names stage {entry.get('stage')}")
@@ -145,6 +173,9 @@ def _stage_log_defects(payload: dict, family: AdversaryFamily, query: int) -> li
                 f"stage {s} is {name or 'a skip'}, logged {entry.get('requirement')!r} "
                 f"as {entry.get('case')!r}"
             )
+        kind = _CASE_CERTS.get(entry.get("case"))
+        if kind is not None and req is not None:
+            called[kind, req[1].id] += 1
         if entry.get("case") != "vacuous":
             continue
         if req is None or req[2] is None:
@@ -157,7 +188,7 @@ def _stage_log_defects(payload: dict, family: AdversaryFamily, query: int) -> li
                 f"stage {s} (vacuous): node {w} of tree {adv.id} shows only {shown} "
                 f"successors, not more than {k_s}"
             )
-    return defects
+    return defects, called
 
 
 def _label_defect(

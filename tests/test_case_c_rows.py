@@ -1,19 +1,21 @@
-"""Case C's row passes against its per-group reference.
+"""Case C's two paths against its per-group reference.
 
-``_case_c`` takes a row whose outputs are its own nodes straight from the
-tree, reads any other row in one loop, taking its leading groups of
-sibling outputs as they are and sending the first other group and every
-group after it to ``_assign_kids`` (which starts from the group's split
-length and falls back to the pool search), as it does every group of a
-round that is no level slice, and reads its
-trace rows off the rounds when each round extends the last by one entry.
-The reference kept here, ``conftest.reference_case_c``, runs the per-group
-search of ``conftest.reference_assign_kids`` length by length for every
-group and builds its trace with ``trace_from_outputs``.  Both must give the
-same tree, the same trace rows and the same reads.
+``_case_c`` takes a round whose children are their own outputs straight
+from the tree (``OutputTable.own_row``), and sends every other round, an
+own row that fails included, to the split search: each top's first node
+with k+1 children, whose children go to ``_assign_kids`` (which starts from
+the group's split length and falls back to the pool search).  Its trace is
+read off the rounds when every round is an own row, and is otherwise
+``trace_from_outputs`` of every output.  The reference kept here,
+``conftest.reference_case_c``, runs the per-group search of
+``conftest.reference_assign_kids`` length by length for every group and
+builds its trace with ``trace_from_outputs``.  Both must give the same
+tree, the same trace rows and the same reads.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import adding_functional, read_nodes, reference_case_c
 from survtree.engine import diagonalize_surviving, surviving
-from survtree.engine.common import OutputTable, _more_than_k
+from survtree.engine.common import OutputTable, _more_than_k, trace_from_outputs
 from survtree.engine.surviving import _case_c
 from survtree.staged import OracleFunctional, standard_library
 from survtree.trees import FiniteTree, Word
@@ -114,12 +116,21 @@ _D2, _D3 = FiniteTree.full(3, 2), FiniteTree.full(3, 3)
 # own rows with one node that is not its own output: the first of a group
 # (short, so the group is searched), one in the middle of a group (its
 # next sibling breaks the group), one in the last group (still a sibling
-# output, so the row is taken whole from sibling_run), and one below a
+# output, so every group splits at its full length), and one below a
 # stem, in a leaf row the fold has read
 @example((2, _D2, (), {**_own_entries(_D2), (1, 0): ()}, ()))
 @example((2, _D2, (), {**_own_entries(_D2), (1, 1): (4,)}, ()))
 @example((2, _D2, (), {**_own_entries(_D2), (2, 2): (5,)}, ()))
 @example((2, _D3, (1,), {**_own_entries(_D3), (1, 2, 2): (3,)}, "fold"))
+# two own rounds and then a searched one, whose outputs are no longer the
+# tree's words
+@example((2, _D3, (), {**_own_entries(_D3), (2, 1, 0): (4,)}, ()))
+# a searched round (the root has one child) and then an own row: the trace
+# is not read off the rounds, whose first is no row of the root's
+@example((2, _pruned(3, 3, {(1,), (2,)}), (), _own_entries(_D3), ()))
+# only level 1 adds an entry: round 0 is an own row and round 1 finds no
+# output longer than one entry, so the trace ends in empty rows
+@example((2, FiniteTree.full(3, 4), (), {(0,): (0,), (1,): (1,), (2,): (2,)}, ()))
 def test_row_passes_match_the_per_group_search(case):
     k, tree, stem, adds, preread = case
     table, ref, called = _tables(adds, tree.depth)
@@ -179,15 +190,17 @@ def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monke
 
 
 @pytest.mark.parametrize("preread", [(), "fold"])
-def test_rounds_taken_whole_keep_their_rows_group_by_group(monkeypatch, preread):
+def test_sibling_rounds_are_searched_and_keep_their_rows_group_by_group(monkeypatch, preread):
     # a node's output entry is its own entry plus its parent's entry sum,
     # so each group of a round has last entries of its own
     tree = FiniteTree.full(3, 3)
     adds = {w: (w[-1] + sum(w[:-1]),) for w in tree.sorted_nodes() if w}
     spy = _Spy(monkeypatch)
     _, trace = _run(adds, tree, (), preread)
-    assert spy.assigned == 0
-    assert spy.traced == 0
+    # round 0 is an own row; rounds 1 and 2 are not, and search their 3
+    # and 9 groups, each of which splits at its full length
+    assert spy.assigned == 12
+    assert spy.traced == 1
     assert trace.children[2][:3] == ((0, 1, 2), (1, 2, 3), (2, 3, 4))
 
 
@@ -201,7 +214,8 @@ def test_a_short_child_sends_its_group_to_the_pool_search(monkeypatch):
     # tree is the zero-paddings of round 0's tops
     assert spy.assigned == 2
     assert built[0] == FiniteTree.from_words([(0, 0), (1, 1), (2, 0)], 3)
-    assert spy.traced == 0
+    # round 0 was searched, so its trace is built from the outputs
+    assert spy.traced == 1
 
 
 def test_rounds_that_extend_by_two_entries_use_trace_from_outputs(monkeypatch):
@@ -216,22 +230,17 @@ def test_rounds_that_extend_by_two_entries_use_trace_from_outputs(monkeypatch):
     assert spy.traced == 1
 
 
-def test_a_slice_read_stops_inside_its_first_group_of_equal_siblings():
+def test_a_round_stops_at_its_first_group_of_equal_siblings():
     tree = FiniteTree.full(3, 2)
     # (1, 1) outputs (1, 0), as its sibling (1, 0) does
     adds = {**_own_entries(tree), (1, 1): (0,)}
-    row = tree.levels()[2]
-    table, _, called = _tables(adds, 2)
-    # group 0 is a sibling run, handed back with its row; group 1 breaks
-    # at its second node
-    assert table.sibling_run(row, 3, 1) == ([(0, 0), (0, 1), (0, 2)], ([(0,)], ((0, 1, 2),)))
-    assert read_nodes(table) == called == set(row[:5])
     table, ref, called = _tables(adds, 2)
     built = _case_c(table, 2, (), tree)
     assert built == reference_case_c(ref, 2, (), tree)
-    # round 1 fails at group 1, whose search reads it whole; group 2 is
-    # never read
+    # round 1 is no own row and fails at group 1, whose search reads it
+    # whole; group 2 is never read
     assert built[0] == FiniteTree.from_words([(0, 0), (1, 0), (2, 0)], 3)
+    assert set(tree.levels()[2][3:6]) <= called
     assert not {(2, 0), (2, 1), (2, 2)} & called
     assert table.evals == ref.evals
     assert called == read_nodes(ref)
@@ -258,10 +267,11 @@ def test_standard_slices_are_read_without_a_search_or_a_group_run(monkeypatch):
     assert calls == {"assign": 0, "run": 0}
 
 
-def test_standard_case_c_rounds_are_own_rows_and_run_no_sibling_run(monkeypatch):
+def test_standard_case_c_rounds_are_own_rows_and_run_no_search(monkeypatch):
     """The standard family's functionals, the identity and entry_mod with
     modulus k + 1, output each node's own word, so every case C round is an
-    own row, decided from the tree without a ``sibling_run``."""
+    own row, decided from the tree with no group searched, and its trace
+    is read off the rounds."""
     owns: list[bool] = []
     own_row = OutputTable.own_row
 
@@ -269,14 +279,36 @@ def test_standard_case_c_rounds_are_own_rows_and_run_no_sibling_run(monkeypatch)
         owns.append(own_row(self, ws))
         return owns[-1]
 
-    def no_sibling_run(*args):
-        raise AssertionError("sibling_run called")
-
     monkeypatch.setattr(OutputTable, "own_row", spied_own_row)
-    monkeypatch.setattr(OutputTable, "sibling_run", no_sibling_run)
+    spy = _Spy(monkeypatch)
     payload = diagonalize_surviving(2, standard_library(), 14, 8, 10**4).to_payload()
-    assert [e["case"] for e in payload["stage_log"] if e["stage"] % 2][:2] == ["C", "C"]
+    cases = [e["case"] for e in payload["stage_log"] if e["stage"] % 2]
+    assert cases[:2] == ["C", "C"]
     assert owns and all(owns)
+    # case B builds its trace with trace_from_outputs; case C never does
+    assert spy.assigned == 0
+    assert spy.traced == cases.count("B")
+
+
+@pytest.mark.parametrize("preread", [(), "fold"])
+@pytest.mark.parametrize("depth, stem_level", [(d, n) for d in range(1, 6) for n in range(d)])
+@pytest.mark.parametrize("b", [3, 4])
+def test_own_rounds_trace_is_the_trace_of_their_outputs(b, depth, stem_level, preread):
+    """Over a full tree, with every node its own output, the trace read off
+    the rounds is ``trace_from_outputs`` of the rounds' outputs: the nodes
+    above the stem, level by level."""
+    tree = FiniteTree.full(b, depth)
+    levels = tree.levels()
+    stem = levels[stem_level][len(levels[stem_level]) // 2]
+    table = OutputTable(adding_functional(_own_entries(tree)), 1, depth)
+    _prepare(table, b - 1, stem, tree, preread)
+    _, trace = _case_c(table, b - 1, stem, tree)
+    rounds = [
+        [w for w in levels[n] if w[:len(stem)] == stem] for n in range(stem_level + 1, depth + 1)
+    ]
+    expected = trace_from_outputs(chain([()], *rounds), depth, b)
+    assert trace == expected
+    assert trace.children == expected.children
 
 
 def _old_more_than_k(outs: set[Word], k: int) -> bool:

@@ -188,8 +188,10 @@ def test_verifier_takes_a_vacuous_requirement_k_from_the_stage_requirement():
     def relog(p):
         p["stage_log"][0] = {"stage": 0, "requirement": "R0", "case": "vacuous", "witness": []}
 
+    # the exit's avoidance certificate stays, which no vacuous stage calls for
     assert forged_defects(payload, relog) == [
-        "stage 0 (vacuous): node () of tree 0 shows only 3 successors, not more than 3"
+        "stage 0 (vacuous): node () of tree 0 shows only 3 successors, not more than 3",
+        "avoidance certificates of tree 0: the stage log calls for 0, the record holds 1",
     ]
 
 
@@ -205,5 +207,6 @@ def test_a_k_parameter_does_not_change_the_staged_requirements():
         p["parameters"]["k"] = 0
 
     assert forged_defects(payload, relog) == [
-        "stage 4 (vacuous): node () of tree 0 shows only 3 successors, not more than 4"
+        "stage 4 (vacuous): node () of tree 0 shows only 3 successors, not more than 4",
+        "avoidance certificates of tree 0: the stage log calls for 1, the record holds 2",
     ]

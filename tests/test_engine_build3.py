@@ -223,7 +223,8 @@ def test_verifier_refuses_a_trace_certificate_in_a_build3_record():
         {"kind": "trace", "functional": 0, "trace_index": 0}
     ))
     assert defects == [
-        f"certificate {len(payload['certificates']) - 1} (trace): the engine keeps no traces"
+        f"certificate {len(payload['certificates']) - 1} (trace): the engine keeps no traces",
+        "trace certificates of functional 0: the stage log calls for 0, the record holds 1",
     ]
 
 

@@ -185,11 +185,18 @@ def test_verifier_checks_a_divergence_under_the_record_fuel():
 
     payload, defects = _resigned(add(fuel=0))
     i = len(payload["certificates"]) - 1
+    # no stage calls for the added certificate
+    extra = (
+        "presumed_divergence certificates of functional 0: the stage log calls for 0, "
+        "the record holds 1"
+    )
     assert defects == [
-        f"certificate {i} (presumed_divergence): fuel 0 differs from the record's fuel 4000"
+        f"certificate {i} (presumed_divergence): fuel 0 differs from the record's fuel 4000",
+        extra,
     ]
     _, defects = _resigned(add())
-    assert len(defects) == 1 and defects[0].endswith("converges at position 0")
+    assert len(defects) == 2 and defects[0].endswith("converges at position 0")
+    assert defects[1] == extra
 
 
 def test_verifier_checks_a_trace_under_the_record_fuel():
@@ -242,9 +249,12 @@ def test_verifier_refuses_traces_that_no_certificate_names():
         p["certificates"] = [c for c in p["certificates"] if c["kind"] != "trace"]
 
     defects = forged_defects(payload, unname)
-    assert len(payload["traces"]) == 3
+    assert [t["functional"] for t in payload["traces"]] == [0, 1, 2]
     assert defects == [
         f"trace {ti} is named by 0 trace certificates, not one" for ti in range(3)
+    ] + [
+        f"trace certificates of functional {fid}: the stage log calls for 1, the record holds 0"
+        for fid in range(3)
     ]
 
 
@@ -252,13 +262,21 @@ def test_verifier_refuses_a_trace_that_two_certificates_name():
     payload = run().to_payload()
     i = cert_index(payload, "trace")
     defects = forged_defects(payload, lambda p: p["certificates"].append(dict(p["certificates"][i])))
-    assert defects == ["trace 0 is named by 2 trace certificates, not one"]
+    assert defects == [
+        "trace 0 is named by 2 trace certificates, not one",
+        "trace certificates of functional 0: the stage log calls for 1, the record holds 2",
+    ]
 
 
 def _relog_r2_vacuous(p):
     """Stage 4, R2, logged vacuous at the root, where tree 2 shows two
-    successors (its exit's avoidance certificate still holds)."""
+    successors (its exit's avoidance certificate still holds, and no stage
+    calls for it)."""
     p["stage_log"][4] = {"stage": 4, "requirement": "R2", "case": "vacuous", "witness": []}
+
+
+_R2_VACUOUS = "stage 4 (vacuous): node () of tree 2 shows only 2 successors, not more than 2"
+_R2_AVOIDANCE = "avoidance certificates of tree 2: the stage log calls for 0, the record holds 1"
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -268,9 +286,7 @@ def test_verifier_takes_a_vacuous_requirement_k_from_the_parameters(k):
     relogged, breaks the promised trace bound (k+1)^n with it."""
     payload = run().to_payload()
     defects = forged_defects(payload, _relog_r2_vacuous)
-    assert defects == [
-        "stage 4 (vacuous): node () of tree 2 shows only 2 successors, not more than 2"
-    ]
+    assert defects == [_R2_VACUOUS, _R2_AVOIDANCE]
     defects = forged_defects(payload, lambda p: p["parameters"].update(k=k))
     assert defects == [f"malformed record: level 1 has 3 words, bound allows {k + 1}"]
 
@@ -279,9 +295,7 @@ def test_verifier_refuses_a_vacuous_requirement_for_a_stage_that_was_not_vacuous
     payload = run().to_payload()
     assert payload["stage_log"][4]["case"] == "exit"
     defects = forged_defects(payload, _relog_r2_vacuous)
-    assert defects == [
-        "stage 4 (vacuous): node () of tree 2 shows only 2 successors, not more than 2"
-    ]
+    assert defects == [_R2_VACUOUS, _R2_AVOIDANCE]
 
 
 def test_verifier_checks_each_vacuous_witness_from_the_log():

@@ -198,34 +198,12 @@ class NodeReader:
                 return False
         return True
 
-    def sibling_run(self, ws: list[Word], b: int, m: int):
-        run: list[Word] = []
-        for g in range(0, len(ws), b):
-            group: list[Word] = []
-            for w in ws[g:g + b]:
-                p = self.converged(w)
-                first = group[0] if group else None
-                if first is None and len(p) <= m or first is not None and (
-                    len(p) != len(first) or p[:-1] != first[:-1] or p[-1] <= group[-1][-1]
-                ):
-                    return _with_row(run, b)
-                group.append(p)
-            if len(group) == b:
-                run += group
-        return _with_row(run, b)
-
     def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
         ps = [self.converged(w) for w in ws]
         return ps, [sum(1 << n for n in range(len(p), self.depth)) for p in ps]
 
 
-def _with_row(run: list[Word], b: int):
-    """run with its row: each group's head and its last entries."""
-    groups = [run[g:g + b] for g in range(0, len(run), b)]
-    return run, ([g[0][:-1] for g in groups], tuple(tuple(p[-1] for p in g) for g in groups))
-
-
-# siblings under identity and entry_mod, so that groups are taken
+# siblings under identity and entry_mod, so that own rows are read whole
 siblings = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 row_words = st.sampled_from(siblings + [(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2)])
 rows = st.one_of(st.lists(row_words, max_size=7), st.just(siblings), st.just(siblings[:3]))
@@ -235,7 +213,6 @@ row_reads = st.lists(
         st.tuples(st.just("converged"), row_words),
         st.tuples(st.just("converged_run"), rows, st.integers(0, 3)),
         st.tuples(st.just("own_row"), rows),
-        st.tuples(st.just("sibling_run"), rows, st.integers(1, 3), st.integers(0, 3)),
         st.tuples(st.just("_prefix_row"), st.lists(row_words, max_size=5, unique=True)),
     ),
     max_size=10,
@@ -247,13 +224,13 @@ row_reads = st.lists(
 # a node read by value, then in a row naming it twice, then whole
 @example(1, 3, 6, [
     ("value", (1, 2), 1), ("converged_run", [(1, 2), (4, 2), (1, 2)], 0),
-    ("sibling_run", siblings, 3, 0), ("_prefix_row", [(1, 2), (2, 2)]),
+    ("converged_run", siblings, 2), ("_prefix_row", [(1, 2), (2, 2)]),
 ])
 # an own row read whole, then one that stops at (4, 2), whose residues
 # (1, 2) are not its own entries, leaving (2, 2) unread
 @example(1, 3, 6, [("own_row", siblings[:3]), ("own_row", [(1, 0), (4, 2), (2, 2)])])
 # depth 0: no position exists, and still every node read counts
-@example(0, 0, 6, [("converged_run", [(), (1,), ()], 0), ("sibling_run", siblings, 3, 0)])
+@example(0, 0, 6, [("converged_run", [(), (1,), ()], 0), ("converged_run", siblings, 0)])
 def test_row_reads_charge_like_per_node_reads(fid, depth, fuel, ops):
     """Any interleaving of reads returns and reads what reading every node
     on its own, in order, does: a row read stops where the per-node reads

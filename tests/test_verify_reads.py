@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -142,7 +143,14 @@ def test_a_position_outside_the_depth_is_a_defect_found_before_any_eval(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert defects == [f"certificate {i} ({kind}): position {position} is outside [0, 8)"]
+    # a re-pointed certificate is no longer the one its stage calls for
+    moved = [
+        "presumed_divergence certificates of functional 3: the stage log calls for 1, "
+        "the record holds 0",
+        "presumed_divergence certificates of functional 2: the stage log calls for 0, "
+        "the record holds 1",
+    ] if repoint else []
+    assert defects == [f"certificate {i} ({kind}): position {position} is outside [0, 8)"] + moved
     # an eval at position 10**7 under fuel 10**7 would hold 10**7 outputs
     assert peak < 1 << 20
 
@@ -222,9 +230,15 @@ def test_a_status_the_stage_log_does_not_bear_out_is_a_defect(name, edit, defect
 def test_every_stage_relogged_a_skip_is_a_defect_at_each_stage(name):
     payload = GOLDEN_STAGED[name]().to_payload()
     named = [(e["stage"], e["requirement"], e["case"]) for e in payload["stage_log"]]
+    certs = Counter((c["kind"], c.get("tree", c.get("functional"))) for c in payload["certificates"])
     defects = forged_defects(payload, _all_skips)
+    # and no stage is left to call for a certificate
     assert defects == [
         f"stage {s} is {req}, logged {req!r} as 'skip'" for s, req, case in named if case != "skip"
+    ] + [
+        f"{kind} certificates of {'tree' if kind == 'avoidance' else 'functional'} {i}: "
+        f"the stage log calls for 0, the record holds {n}"
+        for (kind, i), n in certs.items()
     ]
 
 
@@ -238,6 +252,7 @@ def test_a_stage_logged_as_another_requirement_or_a_skip_as_a_stage_is_a_defect(
 
     assert forged_defects(payload, edit) == [
         f"stage 0 is R0, logged 'R1' as {case!r}", "stage 1 is P0, logged None as 'skip'",
+        "trace certificates of functional 0: the stage log calls for 0, the record holds 1",
     ]
 
 
@@ -290,4 +305,48 @@ def test_an_avoidance_certificate_at_another_stage_than_the_query_stage_is_a_def
     assert forged_defects(payload, edit) == [
         f"certificate {i} (avoidance): stage 1000000 is not the run's query stage {query}"
         for i in avoid
+    ]
+
+
+# -- the certificates the stage log calls for --------------------------------
+
+
+@pytest.mark.parametrize("name, kind, adversary", [
+    *[(name, "avoidance", "tree") for name in sorted(GOLDEN_STAGED)],
+    ("accelerating-d8", "presumed_divergence", "functional"),
+    ("surviving-d8", "presumed_divergence", "functional"),
+])
+def test_a_record_with_every_certificate_of_a_kind_deleted_is_refused(name, kind, adversary):
+    """Each exit or already-out stage calls for an avoidance certificate of
+    its tree, and each case A, escape or case 1 stage a presumed divergence
+    of its functional: with them all deleted, nothing else is left to refuse
+    the record."""
+    payload = GOLDEN_STAGED[name]().to_payload()
+    called = Counter(c[adversary] for c in payload["certificates"] if c["kind"] == kind)
+    assert called
+
+    def edit(p):
+        p["certificates"] = [c for c in p["certificates"] if c["kind"] != kind]
+
+    assert forged_defects(payload, edit) == [
+        f"{kind} certificates of {adversary} {i}: the stage log calls for {n}, the record holds 0"
+        for i, n in called.items()
+    ]
+
+
+def test_a_case_c_stage_with_its_trace_and_certificate_deleted_is_refused():
+    """P0's trace and its certificate deleted, the later trace certificates
+    renumbered to match, while the log still says P0 went through case C."""
+    payload = GOLDEN_STAGED["surviving-d8"]().to_payload()
+    assert payload["stage_log"][1]["case"] == "C" and payload["traces"][0]["functional"] == 0
+
+    def edit(p):
+        del p["traces"][0]
+        p["certificates"] = [c for c in p["certificates"] if c.get("trace_index") != 0]
+        for c in p["certificates"]:
+            if "trace_index" in c:
+                c["trace_index"] -= 1
+
+    assert forged_defects(payload, edit) == [
+        "trace certificates of functional 0: the stage log calls for 1, the record holds 0"
     ]
