@@ -4,9 +4,10 @@ run records and the run driver the staged engines share."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby, repeat
-from operator import and_, eq, itemgetter
+from itertools import chain, combinations, compress, count, groupby, repeat
+from operator import and_, eq, is_not, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..io_formats import json_to_tree, json_to_word, payload_digest, trace_to_json, tree_to_json
@@ -142,47 +143,97 @@ def _avoidance(adv: StagedTree, witness: Word, query: int) -> dict:
 
 
 class OutputTable:
-    """One stage's outputs of a functional under a fixed fuel: a memo of
-    each node's use-monotone prefix, taken to the depth on the node's first
-    read.  ``evals`` is the number of nodes read, the stage's distinct
-    prefix calls."""
+    """One stage's outputs of a functional under a fixed fuel: each node's
+    use-monotone prefix, taken to the depth on the node's first read.
+
+    The stage's tree, the one ``cases_a_b`` is handed first, before any
+    read, has a slot per node, aligned with its sorted levels; a run of a
+    level or a node is found by bisection, and any other word is kept in a
+    dict.  ``evals``, the filled slots and the dict's entries, is the
+    number of nodes read, the stage's distinct prefix calls."""
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
         self.functional = functional
         self.fuel = fuel
         self.depth = depth
+        self._levels: list[list[Word]] = []  # the stage tree's
+        self._slots: list[list[Optional[Word]]] = []
         self._converged: dict[Word, Word] = {}
         # the unconverged positions of a node whose prefix has length n
         self._masks = [(1 << depth) - (1 << n) for n in range(depth + 1)]
 
     @property
     def evals(self) -> int:
-        return len(self._converged)
+        return sum(len(s) - s.count(None) for s in self._slots) + len(self._converged)
+
+    def _take_tree(self, tree: FiniteTree) -> None:
+        """Make tree the stage's tree, its nodes' slots all unread."""
+        self._levels = tree.levels()
+        self._slots = [[None] * len(lv) for lv in self._levels]
+
+    def _slot(self, w: Word) -> Optional[tuple[int, int]]:
+        """(n, i) when w is node i of level n of the stage's tree."""
+        n = len(w)
+        if n < len(self._levels):
+            lv = self._levels[n]
+            i = bisect_left(lv, w)
+            if i < len(lv) and lv[i] == w:
+                return n, i
+        return None
+
+    def _span(self, ws: list[Word]) -> Optional[tuple[int, int]]:
+        """(n, lo) when ws is the run of level n of the stage's tree from
+        node lo on."""
+        if ws and (at := self._slot(ws[0])) is not None:
+            n, lo = at
+            if self._levels[n][lo:lo + len(ws)] == ws:
+                return at
+        return None
 
     def converged(self, w: Word) -> Word:
         """Longest output prefix (up to depth) converged on w itself."""
-        p = self._converged.get(w)
-        return self.converged_run([w], 0)[0] if p is None else p
+        at = self._slot(w) if self._levels else None
+        if at is None:
+            p = self._converged.get(w)
+            if p is None:
+                p = self._converged[w] = self.functional.prefix(w, self.depth, self.fuel)
+            return p
+        slots, i = self._slots[at[0]], at[1]
+        if slots[i] is None:
+            slots[i] = self.functional.prefix(w, self.depth, self.fuel)
+        return slots[i]
 
     def value(self, w: Word, n: int) -> Optional[int]:
         """Position n < depth of w, or None past its converged prefix."""
         p = self.converged(w)
         return p[n] if n < len(p) else None
 
-    def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        """The converged prefixes of the nodes ws, read in one pass, and
-        the masks of their unconverged positions."""
-        ps = list(self._reads(ws))
-        return ps, list(map(self._masks.__getitem__, map(len, ps)))
+    def row(self, ws: list[Word]) -> list[Word]:
+        """The converged prefixes of ws: a run of the stage's tree none of
+        which was read is read in one ``prefix_row`` call."""
+        at = self._span(ws)
+        if at is None:
+            return list(map(self.converged, ws))
+        n, lo = at
+        slots = self._slots[n]
+        ps = slots[lo:lo + len(ws)]
+        if ps.count(None) == len(ps):
+            ps = slots[lo:lo + len(ws)] = self.functional.prefix_row(ws, self.depth, self.fuel)
+        elif None in ps:
+            ps = list(self._reads(ws, at))
+        return ps
 
-    def _reads(self, ws: Iterable[Word]) -> Iterator[Word]:
-        """The converged prefixes of ws in order, each node read as it is
-        drawn: no node past the last one drawn is read."""
-        conv = self._converged
-        prefix, depth, fuel = self.functional.prefix, self.depth, self.fuel
-        for w in ws:
-            if (p := conv.get(w)) is None:
-                p = conv[w] = prefix(w, depth, fuel)
+    def _reads(self, ws: list[Word], at: Optional[tuple[int, int]]) -> Iterator[Word]:
+        """The converged prefixes of ws in order (ws the run at, if not
+        None), each node read as it is drawn."""
+        if at is None:
+            yield from map(self.converged, ws)
+            return
+        n, lo = at
+        slots, prefix, depth, fuel = self._slots[n], self.functional.prefix, self.depth, self.fuel
+        for i, w in enumerate(ws, lo):
+            if (p := slots[i]) is None:
+                p = slots[i] = prefix(w, depth, fuel)
             yield p
 
     def converged_run(self, ws: list[Word], n: int) -> list[Word]:
@@ -190,7 +241,7 @@ class OutputTable:
         shorter than n: no node past it is read, and with n = 0 every node
         is."""
         run = []
-        for p in self._reads(ws):
+        for p in self._reads(ws, self._span(ws)):
             run.append(p)
             if len(p) < n:
                 break
@@ -199,7 +250,10 @@ class OutputTable:
     def own_row(self, ws: list[Word]) -> bool:
         """Whether every node of ws is its own converged prefix, read in
         order up to the first that is not."""
-        return all(map(eq, self._reads(ws), ws))
+        at = self._span(ws)
+        if at is not None and self._slots[at[0]][at[1]:at[1] + len(ws)] == ws:
+            return True
+        return all(map(eq, self._reads(ws, at), ws))
 
     def cases_a_b(
         self, stem: Word, tree: FiniteTree, k: Optional[int] = None
@@ -219,27 +273,35 @@ class OutputTable:
         over k in every ancestor, so a child over k needs no merge.
 
         The fold reads ``rows_above``: a node's children are the next count
-        of nodes of the row below.  A row of leaves is read in one pass,
-        and a leaf among parents alone, each read whole for its converged
-        prefix and its mask.  A row of parents with c children each takes
-        child i of every parent from column i of the row below, c masks and
-        sets to a parent.  Its sets are decided for the whole row when its
-        children are all over k (so is every parent), or a row of leaves
-        whose outputs have one length (a parent is over k when more than k
-        of its children's outputs differ).
+        of nodes of the row below.  A row of leaves is read in one ``row``
+        call, and a leaf among parents alone, each read whole for its
+        converged prefix and its mask.  A row of parents with c
+        children each takes child i of every parent from column i of the
+        row below, c masks and sets to a parent.  Its sets are decided for
+        the whole row when its children are all over k (so is every
+        parent), or a row of leaves whose outputs have one length (a parent
+        is over k when more than k of its children's outputs differ, and
+        with more than k children when the outputs are the leaves' own
+        words, no two alike).
         """
+        if not self._levels and not self._converged:
+            self._take_tree(tree)
         depth = tree.depth
+        masks_of = self._masks.__getitem__
         escape: Optional[tuple[Word, int]] = None
         tau: Optional[Word] = None
         masks: list[int] = []
         sets: list = []
         flat = False  # sets holds a leaf row's outputs, all of one length
+        own = False  # those outputs are the leaves themselves
         for lv, cs in reversed(list(rows_above(tree, stem))):
             few = k is not None and escape is None
-            row_flat = False
+            row_flat = row_own = False
             if not any(cs):
-                outs, row_masks = self._prefix_row(lv)
+                outs = self.row(lv)
+                row_masks = list(map(masks_of, map(len, outs)))
                 row_flat = few and len(set(map(len, outs))) == 1
+                row_own = row_flat and outs == lv
                 row_sets = outs if row_flat else list(zip(outs)) if few else []
             elif cs.count(cs[0]) == len(cs):
                 # c children each: child i of every parent is column i
@@ -250,10 +312,10 @@ class OutputTable:
                 kids = zip(*(sets[i::c] for i in range(c)))
                 if not few:
                     row_sets = []
-                elif flat:
+                elif flat and not (own and c > k):
                     # outputs of one length: over k is more than k of them
                     row_sets = [s if len(s) <= k else None for s in map(set, kids)]
-                elif sets.count(None) == len(sets):
+                elif own or sets.count(None) == len(sets):
                     row_sets = [None] * len(lv)
                 else:
                     row_sets = list(map(_merged, kids, repeat(k)))
@@ -271,17 +333,18 @@ class OutputTable:
                             row_sets.append(_merged(sets[j:j + c], k))
                         j += c
                     else:
-                        (o,), (m,) = self._prefix_row([w])
+                        o = self.converged(w)
+                        m = masks_of(len(o))
                         if few:
                             row_sets.append((o,))
                     row_masks.append(m)
-            hit = next((i for i, m in enumerate(row_masks) if m), None)
+            hit = next(compress(count(), row_masks), None)
             if hit is not None:
                 m = row_masks[hit]
                 escape = lv[hit], (m & -m).bit_length() - 1
             elif few and len(lv[0]) < depth:
-                tau = next((w for w, o in zip(lv, row_sets) if o is not None), tau)
-            masks, sets, flat = row_masks, row_sets, row_flat
+                tau = next(compress(lv, map(is_not, row_sets, repeat(None))), tau)
+            masks, sets, flat, own = row_masks, row_sets, row_flat, row_own
         return escape, None if escape is not None else tau
 
 

@@ -10,8 +10,8 @@ the shortest-then-lexicographically-first node.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from itertools import chain, compress, groupby, islice
+from operator import itemgetter, not_
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
@@ -103,7 +103,8 @@ def _case_c(
 def _lasts(ps: list[Word], b: int) -> tuple[tuple[int, ...], ...]:
     """The last entries of ps, in groups of b; equal groups share a tuple."""
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    return tuple([seen.setdefault(g, g) for g in zip(*[map(_last, ps)] * b)])
+    groups = list(zip(*[map(_last, ps)] * b))
+    return tuple(map(seen.setdefault, groups, groups))
 
 
 def _search_round(
@@ -237,7 +238,10 @@ def diagonalize_surviving(
             entry["case"] = "A"
         elif tau is not None:
             run.move(tau)
-            outs = map(table.converged, run.tree.leaves())
+            # the leaves row by row: a row of leaves is a run of a level
+            outs = chain.from_iterable(
+                table.row(list(compress(lv, map(not_, cs)))) for lv, cs in rows_above(run.tree, tau)
+            )
             run.trace(fn, trace_from_outputs(outs, depth, b), kind="trace", case="B")
             entry["case"] = "B"
         elif (built := _case_c(table, k, run.stem, run.tree)) is not None:

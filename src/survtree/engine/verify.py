@@ -75,7 +75,7 @@ def verify_record(payload: dict) -> list[str]:
         # an engine without traces decodes none, so a trace it lists is
         # named by no certificate or by one the engine cannot write
         traces = [
-            (int(t["functional"]), json_to_trace(t, depth, promise.base))
+            (_int(t, "functional"), json_to_trace(t, depth, promise.base))
             for t in payload["traces"]
         ] if promise.base is not None else []
         bad = SHAPES[promise.predicate](tree, promise.k, depth)
@@ -105,7 +105,11 @@ def verify_record(payload: dict) -> list[str]:
             msg = f"malformed certificate: {e}"
         if msg is not None:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
-    named = Counter(cert.get("trace_index") for cert in certs if cert.get("kind") in _TRACE_CERTS)
+    # a trace_index that is no int names no trace (and is malformed above)
+    named = Counter(
+        c.get("trace_index") for c in certs
+        if c.get("kind") in _TRACE_CERTS and type(c.get("trace_index")) is int
+    )
     for ti in range(len(payload["traces"])):
         if named[ti] != 1:
             defects.append(f"trace {ti} is named by {named[ti]} trace certificates, not one")
@@ -222,6 +226,15 @@ def _by_id(adversaries, i: int):
     return next((a for a in adversaries if a.id == i), None)
 
 
+def _int(cert: dict, key: str, default: Optional[int] = None) -> int:
+    """The int under key (default if given and key is absent); a bool or a
+    float is refused, as ``json_to_word`` refuses them."""
+    v = cert[key] if default is None else cert.get(key, default)
+    if type(v) is not int:
+        raise ValueError(f"{key} is not an int: {v!r}")
+    return v
+
+
 def _check_certificate(
     cert: dict,
     family: AdversaryFamily,
@@ -239,25 +252,25 @@ def _check_certificate(
     if kind in _FUNCTIONAL_CERTS:
         if fuel is None:
             raise ValueError("the record has no fuel parameter")
-        if int(cert.get("fuel", fuel)) != fuel:
+        if _int(cert, "fuel", fuel) != fuel:
             return f"fuel {cert['fuel']} differs from the record's fuel {fuel}"
-        fn = _by_id(family.functionals, int(cert["functional"]))
+        fn = _by_id(family.functionals, _int(cert, "functional"))
         if fn is None:
             return f"no functional with id {cert['functional']}"
     if kind in _POSITION_CERTS:
         # the engines certify positions below the depth; a position past it
         # would have the functional spell out that many outputs
-        n = int(cert["position"])
+        n = _int(cert, "position")
         if not 0 <= n < depth:
             return f"position {n} is outside [0, {depth})"
     if kind == "avoidance":
-        adv = _by_id(family.staged_trees, int(cert["tree"]))
+        adv = _by_id(family.staged_trees, _int(cert, "tree"))
         if adv is None:
             return f"no staged tree with id {cert['tree']}"
         witness = json_to_word(cert["witness"])
         if not is_prefix(witness, stem):
             return f"witness {witness} is not a prefix of the final stem"
-        if cert["stage"] != query:
+        if _int(cert, "stage") != query:
             return f"stage {cert['stage']!r} is not the run's query stage {query}"
         if adv.decide(witness, query) is not TriState.OUT:
             return f"witness {witness} is not out of tree {adv.id}"
@@ -273,7 +286,7 @@ def _check_certificate(
         return None
     if kind == "value_witness":
         node = json_to_word(cert["node"])
-        v = int(cert["value"])
+        v = _int(cert, "value")
         if v < 3:
             return f"claimed value {v} is below 3"
         if not is_prefix(node, stem):
@@ -291,7 +304,7 @@ def _check_certificate(
         return None
     if kind in _TRACE_CERTS:
         # checked against the engine's trace rule, whatever the kind says
-        ti = int(cert["trace_index"])
+        ti = _int(cert, "trace_index")
         if not (0 <= ti < len(traces)):
             return f"trace index {ti} out of range"
         owner, table = traces[ti]
@@ -301,7 +314,7 @@ def _check_certificate(
         if msg is not None:
             return msg
         d = table.depth
-        outs = [fn.prefix(L, d, fuel) for L in leaves]
+        outs = fn.prefix_row(leaves, d, fuel)
         i = first_outside(outs, table)
         if i is not None:
             return f"branch {leaves[i]} output {outs[i]} leaves the trace"

@@ -200,7 +200,9 @@ def json_to_trace(data: dict, depth: int, base: int) -> TraceTable:
     if type(rows) is not list or len(rows) != depth:
         raise FormatError(f"a trace of depth {depth} needs {depth} children rows")
     size, spelled = 1, 0  # words on level n, entries on levels 1..n
-    for n, runs in enumerate(rows):
+    n = full = 0  # full: the rows down to the first empty level
+    while n < depth:
+        runs = rows[n]
         if type(runs) is not list or any(
             type(r) is not list or len(r) != 2 or type(r[0]) is not int or r[0] < 1
             or type(r[1]) is not list for r in runs
@@ -215,6 +217,14 @@ def json_to_trace(data: dict, depth: int, base: int) -> TraceTable:
         spelled += (n + 1) * size
         if spelled > TRACE_ENTRY_LIMIT:
             raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
+        n = full = n + 1
+        if not size:
+            # below an empty level every row is [], in one count; the loop
+            # goes on from the first row that is not, which it refuses
+            tail = rows[n:]
+            n += len(tail) if tail.count([]) == len(tail) else next(
+                i for i, r in enumerate(tail) if r != []
+            )
     return TraceTable(tuple(
-        tuple(chain.from_iterable(repeat(tuple(es), c) for c, es in runs)) for runs in rows
-    ), base)
+        tuple(chain.from_iterable(repeat(tuple(es), c) for c, es in runs)) for runs in rows[:full]
+    ) + ((),) * (depth - full), base)

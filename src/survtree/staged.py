@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .trees import TriState, Word
@@ -69,6 +70,12 @@ class OracleFunctional:
     def eval(self, oracle_prefix: Word, n: int, fuel: int) -> Optional[int]:
         p = self.prefix(oracle_prefix, n + 1, fuel)
         return p[n] if n < len(p) else None
+
+    def prefix_row(self, ws: list[Word], cap: int, fuel: int) -> list[Word]:
+        """``[prefix(w, cap, fuel) for w in ws]``, by the prefix's row form
+        (its ``row`` attribute) if it has one."""
+        row = getattr(self.prefix, "row", None)
+        return row(ws, cap, fuel) if row is not None else [self.prefix(w, cap, fuel) for w in ws]
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +319,27 @@ def _first(sigma: Word, cap: int, fuel: int) -> Word:
     return sigma[:n] if n > 0 else ()
 
 
+def _word_row(prefix: Callable, own: Optional[Callable] = None) -> Callable:
+    """The row form of a prefix that is the word itself when the word is
+    no longer than min(cap, fuel) and own holds of its entries."""
+
+    def row(ws: list[Word], cap: int, fuel: int) -> list[Word]:
+        n = cap if cap < fuel else fuel
+        if max(map(len, ws), default=0) <= n and (own is None or own(chain.from_iterable(ws))):
+            return list(ws)
+        return [prefix(w, cap, fuel) for w in ws]
+
+    return row
+
+
+_first.row = _word_row(_first)
+
+
 def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
     """The closed-form output prefix of a configured kind: its first
     min(cap, fuel) outputs, after which no position converges.  A prefix
     equal to a slice of sigma is that slice, so stored prefixes share
-    sigma's words."""
+    sigma's words.  Each has a row form, its ``row`` attribute."""
     kind = entry["kind"]
     if kind == "identity":
         return _first
@@ -332,12 +355,23 @@ def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
             s = sigma[:n] if n > 0 else ()
             return s if own(s) or 0 <= min(s) and max(s) < m else tuple(map(rmod, s))
 
+        entry_mod.row = _word_row(entry_mod, own)
         return entry_mod
     if kind == "constant":
         c = entry["value"]
-        # a count below 1 repeats c no times
-        return lambda sigma, cap, fuel: (c,) * (cap if cap < fuel else fuel)
-    return lambda sigma, cap, fuel: ()
+
+        def constant(sigma: Word, cap: int, fuel: int) -> Word:
+            # a count below 1 repeats c no times
+            return (c,) * (cap if cap < fuel else fuel)
+
+        constant.row = lambda ws, cap, fuel: [constant((), cap, fuel)] * len(ws)
+        return constant
+
+    def diverging(sigma: Word, cap: int, fuel: int) -> Word:
+        return ()
+
+    diverging.row = lambda ws, cap, fuel: [()] * len(ws)
+    return diverging
 
 
 def functional_from_config(entry: dict, index: int) -> OracleFunctional:

@@ -58,6 +58,14 @@ class TraceTable:
             offsets.append(tuple(accumulate(map(len, row), initial=0)))
             size = offsets[-1][-1]
             check_level_size(n + 1, size, self.base)
+            if not size:
+                # below an empty level every row is empty, in one count
+                tail = rows[n + 1:]
+                if tail.count(()) < len(tail):
+                    m, row = next((m, r) for m, r in enumerate(tail, n + 1) if r)
+                    raise ValueError(f"children row {m} has {len(row)} lists for 0 words")
+                offsets += [(0,)] * len(tail)
+                break
         object.__setattr__(self, "children", rows)
         object.__setattr__(self, "_offsets", tuple(offsets))
 

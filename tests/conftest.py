@@ -171,8 +171,11 @@ class PositionReader:
 
 
 def read_nodes(table) -> set[Word]:
-    """The nodes an ``OutputTable`` has read: those it took a prefix of."""
-    return set(table._converged)
+    """The nodes an ``OutputTable`` has read: those it took a prefix of,
+    the filled slots of its stage's tree and the words of its dict."""
+    chain = itertools.chain.from_iterable
+    slotted = zip(chain(table._levels), chain(table._slots))
+    return {w for w, p in slotted if p is not None} | table._converged.keys()
 
 
 def own_prefixes(table, kids: list[Word], n: int) -> Optional[list[tuple[Word, Word]]]:

@@ -1,7 +1,8 @@
 """Case C's two paths against its per-group reference.
 
 ``_case_c`` takes a round whose children are their own outputs straight
-from the tree (``OutputTable.own_row``), and sends every other round, an
+from the tree (``OutputTable.own_row``, which reads the slots of the
+stage's tree), and sends every other round, an
 own row that fails included, to the split search: each top's first node
 with k+1 children, whose children go to ``_assign_kids`` (which starts from
 the group's split length and falls back to the pool search).  Its trace is
@@ -270,12 +271,14 @@ def test_standard_slices_are_read_without_a_search_or_a_group_run(monkeypatch):
 def test_standard_case_c_rounds_are_own_rows_and_run_no_search(monkeypatch):
     """The standard family's functionals, the identity and entry_mod with
     modulus k + 1, output each node's own word, so every case C round is an
-    own row, decided from the tree with no group searched, and its trace
-    is read off the rounds."""
+    own row, read from the slots of the stage's tree with no group
+    searched, and its trace is read off the rounds."""
     owns: list[bool] = []
     own_row = OutputTable.own_row
 
     def spied_own_row(self, ws):
+        # a run of a level of the tree the fold was handed
+        assert self._span(ws) is not None
         owns.append(own_row(self, ws))
         return owns[-1]
 

@@ -232,6 +232,27 @@ def test_deep_forged_trace_decodes_quickly():
     assert table.depth == 100_000
 
 
+# below the empty level 2 every row must be empty: a row after a run of
+# empty rows that is not is refused with the message the row check gives it
+EMPTY_TAIL = {
+    "a-run": ([[1, [0]]], "row 5 has runs of 1 words for 0 words"),
+    "no-list": ({}, "row 5 is not a list of"),
+    "an-empty-run": ([[1, []]], "row 5 has runs of 1 words for 0 words"),
+}
+
+
+@pytest.mark.parametrize("row, message", EMPTY_TAIL.values(), ids=EMPTY_TAIL)
+def test_a_row_below_an_empty_level_that_is_not_empty_is_refused(row, message):
+    rows = [[[1, [3]]], [[1, []]], [], [], [], row, []]
+    with pytest.raises(FormatError, match=message):
+        json_to_trace({"children": rows}, 7, 2)
+    words = [[[3]], [[]], [], [], [], _words(row) if row else [[]], []]
+    with pytest.raises(ValueError, match="row 5 has 1 lists for 0 words"):
+        TraceTable(words, 2)
+    rows[5] = []
+    assert json_to_trace({"children": rows}, 7, 2).children == (((3,),), ((),)) + ((),) * 5
+
+
 def test_deep_forged_comb_trace_is_refused_quickly():
     # 100,000 one-entry rows stand for words of total length about 5 * 10**9
     rows = [[[1, [0]]] for _ in range(100_000)]

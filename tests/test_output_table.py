@@ -198,13 +198,14 @@ class NodeReader:
                 return False
         return True
 
-    def _prefix_row(self, ws: list[Word]) -> tuple[list[Word], list[int]]:
-        ps = [self.converged(w) for w in ws]
-        return ps, [sum(1 << n for n in range(len(p), self.depth)) for p in ps]
+    def row(self, ws: list[Word]) -> list[Word]:
+        return [self.converged(w) for w in ws]
 
 
+# the stage tree a table may be handed: its level 2 is siblings, below
+STAGE_TREE = FiniteTree.full(3, 2)
 # siblings under identity and entry_mod, so that own rows are read whole
-siblings = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+siblings = STAGE_TREE.levels()[2][3:]
 row_words = st.sampled_from(siblings + [(), (1,), (4, 2), (0, 3, 1), (2, 2, 2, 2, 2)])
 rows = st.one_of(st.lists(row_words, max_size=7), st.just(siblings), st.just(siblings[:3]))
 row_reads = st.lists(
@@ -213,29 +214,38 @@ row_reads = st.lists(
         st.tuples(st.just("converged"), row_words),
         st.tuples(st.just("converged_run"), rows, st.integers(0, 3)),
         st.tuples(st.just("own_row"), rows),
-        st.tuples(st.just("_prefix_row"), st.lists(row_words, max_size=5, unique=True)),
+        st.tuples(st.just("row"), rows),
     ),
     max_size=10,
 )
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 5), st.integers(-1, 6), row_reads)
+# whether the table takes STAGE_TREE as its stage's tree before its reads
+@given(st.booleans(), st.integers(0, 3), st.integers(0, 5), st.integers(-1, 6), row_reads)
 # a node read by value, then in a row naming it twice, then whole
-@example(1, 3, 6, [
+@example(True, 1, 3, 6, [
     ("value", (1, 2), 1), ("converged_run", [(1, 2), (4, 2), (1, 2)], 0),
-    ("converged_run", siblings, 2), ("_prefix_row", [(1, 2), (2, 2)]),
+    ("converged_run", siblings, 2), ("row", [(1, 2), (2, 2)]),
 ])
 # an own row read whole, then one that stops at (4, 2), whose residues
 # (1, 2) are not its own entries, leaving (2, 2) unread
-@example(1, 3, 6, [("own_row", siblings[:3]), ("own_row", [(1, 0), (4, 2), (2, 2)])])
+@example(False, 1, 3, 6, [("own_row", siblings[:3]), ("own_row", [(1, 0), (4, 2), (2, 2)])])
 # depth 0: no position exists, and still every node read counts
-@example(0, 0, 6, [("converged_run", [(), (1,), ()], 0), ("converged_run", siblings, 0)])
-def test_row_reads_charge_like_per_node_reads(fid, depth, fuel, ops):
+@example(True, 0, 0, 6, [("converged_run", [(), (1,), ()], 0), ("converged_run", siblings, 0)])
+# slots: a run half read is completed node by node, a run not read at all
+# is one row call, and a word off the tree goes to the dict
+@example(True, 1, 3, 6, [
+    ("converged", (1, 1)), ("row", siblings[:3]), ("row", siblings),
+    ("own_row", siblings), ("converged_run", siblings[3:], 3), ("row", [(1,), (4, 2)]),
+])
+# an own row of the tree that stops inside its run, then the whole run
+@example(True, 2, 3, 6, [("own_row", siblings), ("row", siblings)])
+def test_row_reads_charge_like_per_node_reads(staged, fid, depth, fuel, ops):
     """Any interleaving of reads returns and reads what reading every node
-    on its own, in order, does: a row read stops where the per-node reads
-    stop, and the prefix is called once on each node they read, on no
-    other."""
+    on its own, in order, does, whether or not the table has a stage tree:
+    a row read stops where the per-node reads stop, and the prefix, or its
+    row form, is called once on each node they read, on no other."""
     fn = standard_library().functionals[fid]
     calls: list[Word] = []
 
@@ -243,7 +253,14 @@ def test_row_reads_charge_like_per_node_reads(fid, depth, fuel, ops):
         calls.append(sigma)
         return fn.prefix(sigma, cap, fuel)
 
+    def row(ws, cap, fuel):
+        calls.extend(ws)
+        return fn.prefix_row(ws, cap, fuel)
+
+    prefix.row = row
     table = OutputTable(OracleFunctional(fn.id, fn.kind, prefix), fuel, depth)
+    if staged:
+        table._take_tree(STAGE_TREE)
     ref = NodeReader(fn, fuel, depth)
     for op, *args in ops:
         if op == "value" and args[1] >= depth:
@@ -274,3 +291,22 @@ def test_an_accelerating_stage_takes_each_prefix_once():
     assert calls[1]
     for called in calls.values():
         assert len(called) == len(set(called))
+
+
+def test_a_table_that_read_before_its_fold_reads_each_node_once():
+    """The fold's tree becomes the stage's tree only on a table that has
+    read nothing: a node read before the fold is not read again."""
+    fn = standard_library().functionals[0]
+    calls: list[Word] = []
+
+    def prefix(sigma, cap, fuel):
+        calls.append(sigma)
+        return fn.prefix(sigma, cap, fuel)
+
+    tree = FiniteTree.full(3, 2)
+    table = OutputTable(OracleFunctional(fn.id, fn.kind, prefix), 10, 2)
+    table.converged((0, 0))
+    assert table.cases_a_b((), tree, 2) == (None, None)
+    assert sorted(calls) == tree.levels()[2]
+    assert table.evals == 9
+    assert read_nodes(table) == set(tree.levels()[2])

@@ -294,14 +294,21 @@ def test_stage_fuel_spent_pinned(name):
     assert spent == FUEL_SPENT[name]
 
 
-def _logged(family, calls: dict[int, list]):
+def _logged(family, calls: dict[int, list], rows: list):
     """family with each functional's prefix logging the words it is called
-    on, in calls under the functional's index."""
+    on, in calls under the functional's index, and carrying a row form
+    that logs the words of its rows there too, and each row in rows."""
     def logged(i, fn):
         def prefix(sigma, cap, fuel):
             calls.setdefault(i, []).append(sigma)
             return fn.prefix(sigma, cap, fuel)
 
+        def row(ws, cap, fuel):
+            calls.setdefault(i, []).extend(ws)
+            rows.append(ws)
+            return fn.prefix_row(ws, cap, fuel)
+
+        prefix.row = row
         return dataclasses.replace(fn, prefix=prefix)
 
     return dataclasses.replace(
@@ -309,15 +316,20 @@ def _logged(family, calls: dict[int, list]):
     )
 
 
+FAMILIES = ("LIB", "MOD4", "CONST3", "COMB_R1")
+
+
 @pytest.fixture
-def prefix_calls(monkeypatch) -> dict[int, list]:
-    """The words each functional's prefix is called on, by the functional's
-    index, while the module's families stand logged for themselves."""
+def prefix_calls(monkeypatch) -> tuple[dict[int, list], list]:
+    """The words each functional's prefix or row form is called on, by the
+    functional's index, and the rows its row form is called on, while the
+    module's families stand logged for themselves."""
     calls: dict[int, list] = {}
+    rows: list = []
     module = sys.modules[__name__]
-    for name in ("LIB", "MOD4", "CONST3", "COMB_R1"):
-        monkeypatch.setattr(module, name, _logged(getattr(module, name), calls))
-    return calls
+    for name in FAMILIES:
+        monkeypatch.setattr(module, name, _logged(getattr(module, name), calls, rows))
+    return calls, rows
 
 
 def _checked_fuel_spent(payload: dict, calls: dict[int, list]) -> list[int]:
@@ -337,12 +349,35 @@ def _checked_fuel_spent(payload: dict, calls: dict[int, list]) -> list[int]:
 
 @pytest.mark.parametrize("name", sorted(FUEL_SPENT))
 def test_fuel_spent_counts_the_words_a_stage_calls_its_functional_on(prefix_calls, name):
+    calls, rows = prefix_calls
     build, _ = PINNED[name]
-    assert _checked_fuel_spent(build().to_payload(), prefix_calls) == FUEL_SPENT[name]
+    assert _checked_fuel_spent(build().to_payload(), calls) == FUEL_SPENT[name]
+    # the surviving and traceable engines' case A/B fold reads its leaf
+    # rows through the row form; the accelerating engine runs no fold
+    assert bool(rows) == (not name.startswith("accelerating"))
 
 
 def test_a_depth_0_stage_counts_the_node_it_reads(prefix_calls):
     """At depth 0 a node's prefix is empty, and reading it still calls the
     functional: the surviving P0 reads the root."""
+    calls, _ = prefix_calls
     payload = diagonalize_surviving(2, LIB, 8, 0, 4000).to_payload()
-    assert _checked_fuel_spent(payload, prefix_calls) == [1]
+    assert _checked_fuel_spent(payload, calls) == [1]
+
+
+def _without_rows(family):
+    """family with each functional's prefix a plain function of the one it
+    had, which carries no row form: every row is read word by word."""
+    def plain(fn):
+        return dataclasses.replace(fn, prefix=lambda sigma, cap, fuel: fn.prefix(sigma, cap, fuel))
+
+    return dataclasses.replace(family, functionals=tuple(map(plain, family.functionals)))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_records_built_without_row_forms_are_the_same_bytes(monkeypatch, name):
+    module = sys.modules[__name__]
+    for family in FAMILIES:
+        monkeypatch.setattr(module, family, _without_rows(getattr(module, family)))
+    build, _ = PINNED[name]
+    assert canonical_json(build().to_payload()) == canonical_json(_payload(name))

@@ -94,6 +94,52 @@ def test_a_certificate_word_entry_that_is_no_int_is_malformed(kind, key):
     ]
 
 
+@pytest.mark.parametrize("engine, kind, key, forged", [
+    ("surviving", "trace", "functional", False),
+    ("surviving", "trace", "functional", 0.0),
+    ("surviving", "trace", "trace_index", False),
+    ("surviving", "trace", "trace_index", 0.0),
+    ("surviving", "trace", "fuel", 5000.0),
+    ("surviving", "avoidance", "tree", 2.0),
+    ("surviving", "avoidance", "stage", 46.0),
+    ("surviving", "presumed_divergence", "position", False),
+    ("accelerating", "value_witness", "value", 3.0),
+])
+def test_a_certificate_number_that_is_no_int_is_malformed(engine, kind, key, forged):
+    # each forged value equals the int the record holds (for the fuel, the
+    # record's fuel), so int() would read it as that int
+    if engine == "surviving":
+        payload = _surviving_d6()
+    else:
+        payload = accelerating_force(LIB, 8, 8, 10**4).to_payload()
+    i = cert_index(payload, kind)
+    assert payload["certificates"][i].get(key, payload["parameters"]["fuel"]) == forged
+    defects = forged_defects(payload, lambda p: p["certificates"][i].update({key: forged}))
+    # a trace index that is no int names no trace
+    unnamed = ["trace 0 is named by 0 trace certificates, not one"] if key == "trace_index" else []
+    assert defects == [
+        f"certificate {i} ({kind}): malformed certificate: {key} is not an int: {forged!r}"
+    ] + unnamed
+
+
+def test_a_trace_index_that_cannot_be_counted_is_a_defect_not_an_error():
+    # a list is unhashable, so counting the traces it names once raised
+    payload = _surviving_d6()
+    defects = forged_defects(payload, lambda p: p["certificates"][0].update(trace_index=[0]))
+    assert defects == [
+        "certificate 0 (trace): malformed certificate: trace_index is not an int: [0]",
+        "trace 0 is named by 0 trace certificates, not one",
+    ]
+
+
+@pytest.mark.parametrize("forged", [False, 0.0])
+def test_a_trace_functional_that_is_no_int_is_malformed(forged):
+    payload = _surviving_d6()
+    assert payload["traces"][0]["functional"] == 0
+    defects = forged_defects(payload, lambda p: p["traces"][0].update(functional=forged))
+    assert defects == [f"malformed record: functional is not an int: {forged!r}"]
+
+
 def _set_run(row: int, runs: list):
     """Replace run-coded row ``row`` of trace 0 (the identity's, a full
     ternary trace) by runs of the same level and widths."""
