@@ -124,7 +124,7 @@ def _case4(
         split_nodes = [w + (0,) for w in split_nodes]
     levels.append(split_nodes)
     counts.append([0] * len(split_nodes))
-    tree = FiniteTree(frozenset(chain.from_iterable(levels)), _levels=levels, _counts=counts)
+    tree = FiniteTree(None, None, levels, counts)
     trace = trace_from_outputs(table.converged_run(tree.sorted_nodes(), 0), depth, 2)
     log = {"case": "4", "levels": log_levels}
     if shortage is not None:

@@ -65,9 +65,9 @@ class LabeledCondition:
     def __post_init__(self) -> None:
         if self.stem not in self.tree:
             raise ValueError("stem must be a node of the tree")
-        missing = [w for w in self.tree.nodes if w not in self.labels]
-        if missing:
-            raise ValueError(f"unlabeled node {min(missing, key=word_key)}")
+        missing = next((w for w in self.tree.sorted_nodes() if w not in self.labels), None)
+        if missing is not None:
+            raise ValueError(f"unlabeled node {missing}")
 
 
 def check_label_invariants(c: LabeledCondition) -> Optional[str]:
@@ -448,11 +448,11 @@ class RunRecord:
 
 
 class Promise(NamedTuple):
-    """What an engine's records promise: a final tree that passes the shape
-    predicate (``trees.SHAPES``) with k to the depth, traces with at most
-    base^n words on level n and lo to hi children a word below the depth (no
-    traces when base is None), and, with labels, task labels on every node
-    that read off the task schedule."""
+    """What an engine's records promise: a final tree with alphabet bound
+    ``alphabet`` that passes the shape predicate (``trees.SHAPES``) with k to
+    the depth, traces with at most base^n words on level n and lo to hi
+    children a word below the depth (no traces when base is None), and, with
+    labels, task labels on every node that read off the task schedule."""
 
     predicate: str
     k: Optional[int]
@@ -460,12 +460,13 @@ class Promise(NamedTuple):
     lo: int = 0
     hi: int = 0
     labels: bool = False
+    alphabet: Optional[int] = None
 
 
 # Each engine's promise, from its record's parameters.  No record restates
 # it: the verifier checks every record against it.
 PROMISES: dict[str, Callable[[dict], Promise]] = {
-    "surviving": lambda p: Promise("kbranching", b := int(p["k"]) + 1, b, 0, b),
+    "surviving": lambda p: Promise("kbranching", b := int(p["k"]) + 1, b, 0, b, alphabet=b),
     "build3": lambda p: Promise("ktree", 3),
     "traceable": lambda p: Promise("ktree", 3, 3, 0, 3, labels=True),
     "accelerating": lambda p: Promise("accelerating", None, 2, 1, 2),

@@ -19,7 +19,7 @@ from typing import Optional
 from ..io_formats import json_to_trace, json_to_word, record_digest_ok
 from ..staged import AdversaryFamily, shown_successors
 from ..traces import BoundExceeded, TraceTable, first_outside
-from ..trees import SHAPES, FiniteTree, TriState, Word, is_prefix
+from ..trees import SHAPES, FiniteTree, TriState, Word, is_prefix, rows_above
 from .common import (
     PROMISES,
     LabeledCondition,
@@ -81,6 +81,9 @@ def verify_record(payload: dict) -> list[str]:
         bad = SHAPES[promise.predicate](tree, promise.k, depth)
         query = query_stage(depth, int(payload["parameters"]["stages"]))
         logged, called = _stage_log_defects(payload, family, query)
+        # the tree's entries were checked against its own bound: the promised one
+        if (ab := tree.alphabet_bound) != promise.alphabet or type(ab) is not type(promise.alphabet):
+            raise ValueError(f"final tree alphabet bound {ab!r} is not {promise.alphabet!r}")
     except (KeyError, ValueError, TypeError, BoundExceeded) as e:
         return [f"malformed record: {e}"]
     if stem not in tree:
@@ -93,7 +96,8 @@ def verify_record(payload: dict) -> list[str]:
     if msg is not None:
         defects.append(f"labels: {msg}")
     defects += logged
-    leaves = [L for L in tree.leaves() if is_prefix(stem, L) or is_prefix(L, stem)]
+    # the leaves above the stem, row by row (none if the stem is no node)
+    leaves = [w for lv, cs in rows_above(tree, stem) for w, c in zip(lv, cs) if not c]
     held: Counter = Counter()
     for i, cert in enumerate(certs):
         try:

@@ -152,15 +152,13 @@ def json_to_word(data: list) -> Word:
 
 def json_to_tree(data: dict) -> FiniteTree:
     """The tree of exactly the listed nodes, which must be prefix-closed
-    and name each node once; no missing prefix is filled in."""
+    and name each node once; no missing prefix is filled in.  The nodes
+    are sorted into levels and checked there, with no node set built."""
     words = list(map(json_to_word, data["nodes"]))
-    nodes = frozenset(words)
-    if not nodes:
+    if not words:
         raise FormatError("tree has no nodes")
-    if len(nodes) != len(words):
-        raise FormatError("a tree node is listed twice")
     try:
-        return FiniteTree(nodes, alphabet_bound=data.get("alphabet_bound"))
+        return FiniteTree(words, alphabet_bound=data.get("alphabet_bound"))
     except ValueError as e:
         raise FormatError(str(e)) from None
 

@@ -8,6 +8,7 @@ level-order rows of child entries, the form a run record stores in runs.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, groupby
@@ -38,12 +39,12 @@ class TraceTable:
 
     children: tuple[tuple[tuple[int, ...], ...], ...]
     base: int
-    # _offsets[n][i]: the index in level n+1 of word i's first child
-    _offsets: tuple = field(default=(), init=False, compare=False, repr=False)
+    # _offsets[n][i]: the index in level n+1 of word i's first child, built
+    # by the first ``_index`` lookup
+    _offsets: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(map(tuple, row)) for row in self.children)
-        offsets = []
         size = 1  # words on level n
         for n, row in enumerate(rows):
             if len(row) != size:
@@ -55,8 +56,7 @@ class TraceTable:
             ):
                 i, es = next((i, es) for i, es in enumerate(row) if not _increasing(es))
                 raise ValueError(f"level {n} word {i}: {list(es)} not increasing naturals")
-            offsets.append(tuple(accumulate(map(len, row), initial=0)))
-            size = offsets[-1][-1]
+            size = sum(map(len, row))
             check_level_size(n + 1, size, self.base)
             if not size:
                 # below an empty level every row is empty, in one count
@@ -64,10 +64,8 @@ class TraceTable:
                 if tail.count(()) < len(tail):
                     m, row = next((m, r) for m, r in enumerate(tail, n + 1) if r)
                     raise ValueError(f"children row {m} has {len(row)} lists for 0 words")
-                offsets += [(0,)] * len(tail)
                 break
         object.__setattr__(self, "children", rows)
-        object.__setattr__(self, "_offsets", tuple(offsets))
 
     @property
     def depth(self) -> int:
@@ -97,7 +95,11 @@ def check_level_size(n: int, size: int, base: int) -> None:
 
 def _index(word: Word, tr: TraceTable) -> Optional[int]:
     """The index of word in its level, or None if it leaves the trace: the
-    word is followed down the rows, one child entry per position."""
+    word is followed down the rows, one child entry per position.  The
+    first lookup builds the table's offsets, as compact int rows."""
+    if tr._offsets is None:
+        rows = [array("q", accumulate(map(len, row), initial=0)) for row in tr.children]
+        object.__setattr__(tr, "_offsets", rows)
     i = 0  # index of the word so far in its level
     for row, offsets, e in zip(tr.children, tr._offsets, word):
         es = row[i]

@@ -11,12 +11,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice, product, repeat
-from operator import sub
-from typing import Callable, Iterable, Iterator, Optional
+from operator import itemgetter, lt, ne, sub
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
+
+_parent = itemgetter(slice(None, -1))
+_last = itemgetter(-1)
 
 
 def prefixes(w: Word) -> Iterator[Word]:
@@ -73,101 +76,88 @@ class Surjection:
         return self.table[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteTree:
     """An explicit, rooted, prefix-closed finite set of words.
 
     Immutable after construction.  ``alphabet_bound`` of b restricts all
     entries to values < b; None means entries range over the naturals.
-    A tree given its sorted levels and their child counts, as ``full``
-    and ``subtree_above`` give rows that are prefix-closed and within the
-    bound by construction, is not checked node by node.
+    Kept as its sorted levels and child counts (LOUDS, Jacobson 1989):
+    nodes given as a collection are sorted into levels and checked one
+    level at a time (``_level_counts``); levels and counts handed over, as
+    ``full`` and ``subtree_above`` build them, are not.  Membership bisects
+    a level, and the node set is built only when ``nodes`` is read.
     """
 
-    nodes: frozenset[Word]
+    _nodes: Optional[Iterable[Word]] = field(default=None, repr=False)
     alphabet_bound: Optional[int] = None
-    _depth: Optional[int] = field(
-        default=None, compare=False, repr=False, hash=False
-    )
-    _levels: Optional[list] = field(
-        default=None, compare=False, repr=False, hash=False
-    )
-    _counts: Optional[list] = field(
-        default=None, compare=False, repr=False, hash=False
-    )
+    _levels: Optional[list] = None
+    _counts: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self._levels is not None and self._counts is not None:
-            object.__setattr__(self, "_depth", len(self._levels) - 1)
-            return
-        # every entry is the last entry of some node, since the nodes are
-        # prefix-closed; so checking last entries checks them all
-        bound = self.alphabet_bound
-        for w in self.nodes:
-            if w and w[:-1] not in self.nodes:
-                raise ValueError(f"not prefix-closed at {w}")
-            if w and bound is not None and w[-1] >= bound:
-                raise ValueError(f"entry out of alphabet bound in {w}")
-        object.__setattr__(self, "_depth", None)
-        object.__setattr__(self, "_levels", None)
-        object.__setattr__(self, "_counts", None)
-
-    @property
-    def depth(self) -> int:
-        if self._depth is None:
-            object.__setattr__(
-                self, "_depth", max(map(len, self.nodes), default=0)
-            )
-        return self._depth
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.nodes
-
-    def levels(self) -> list[list[Word]]:
-        """Per length n = 0..depth, the sorted nodes of length n, built once."""
-        if self._levels is None:
-            levels: list[list[Word]] = [[] for _ in range(self.depth + 1)]
-            for w in self.nodes:
+        if self._counts is None:
+            given = self._nodes
+            levels: list[list[Word]] = [[] for _ in range(max(map(len, given), default=0) + 1)]
+            for w in given:
                 levels[len(w)].append(w)
             for lv in levels:
                 lv.sort()
             object.__setattr__(self, "_levels", levels)
+            object.__setattr__(self, "_counts", _level_counts(levels, self.alphabet_bound))
+            object.__setattr__(self, "_nodes", given if type(given) is frozenset else None)
+
+    @property
+    def nodes(self) -> frozenset[Word]:
+        """All nodes, as a set built on the first read."""
+        if self._nodes is None:
+            object.__setattr__(self, "_nodes", frozenset(chain.from_iterable(self._levels)))
+        return self._nodes
+
+    def __eq__(self, other: object) -> bool:
+        """The same bound and the same nodes, level by level."""
+        same = isinstance(other, FiniteTree) and self.alphabet_bound == other.alphabet_bound
+        return same and self._levels == other._levels
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet_bound, *map(tuple, self._levels)))
+
+    @property
+    def depth(self) -> int:
+        return len(self._levels) - 1
+
+    def __contains__(self, w: Word) -> bool:
+        lv = self._levels[len(w)] if len(w) < len(self._levels) else ()
+        i = bisect_left(lv, w)
+        return i < len(lv) and lv[i] == w
+
+    def levels(self) -> list[list[Word]]:
+        """Per length n = 0..depth, the sorted nodes of length n."""
         return self._levels
 
     def counts(self) -> list[list[int]]:
-        """Per level, each node's number of children, built once: a node's
-        children are the next that many nodes of the level below."""
-        if self._counts is None:
-            levels = self.levels()
-            counts = []
-            for lv, below in zip(levels, levels[1:]):
-                # a node's children start where it would sort in the level below
-                starts = [*map(bisect_left, repeat(below), lv), len(below)]
-                counts.append(list(map(sub, starts[1:], starts)))
-            counts.append([0] * len(levels[-1]))
-            object.__setattr__(self, "_counts", counts)
+        """Per level, each node's number of children: a node's children
+        are the next that many nodes of the level below."""
         return self._counts
 
     def sorted_nodes(self) -> list[Word]:
         """All nodes in shortest-then-lex (``word_key``) order."""
-        return [w for lv in self.levels() for w in lv]
+        return [w for lv in self._levels for w in lv]
 
     def leaves(self) -> list[Word]:
-        return [w for w, c in _counted(self, self.depth + 1) if not c]
+        return [w for lv, cs in zip(self._levels, self._counts) for w, c in zip(lv, cs) if not c]
 
     def level(self, n: int) -> frozenset[Word]:
-        return frozenset(w for w in self.nodes if len(w) == n)
+        return frozenset(self._levels[n] if 0 <= n <= self.depth else ())
 
     @classmethod
     def from_words(
         cls, words: Iterable[Word], alphabet_bound: Optional[int] = None
     ) -> "FiniteTree":
-        """Prefix closure of the given words (plus the root)."""
-        nodes: set[Word] = {EMPTY}
-        for w in words:
-            w = tuple(w)
-            for p in prefixes(w):
-                nodes.add(p)
+        """Prefix closure of the given words and the root, parents added until none is new."""
+        nodes: set[Word] = {EMPTY, *map(tuple, words)}
+        new = nodes
+        while new := set(map(_parent, filter(None, new))) - nodes:
+            nodes |= new
         return cls(frozenset(nodes), alphabet_bound)
 
     @classmethod
@@ -176,19 +166,15 @@ class FiniteTree:
     ) -> "FiniteTree":
         """The tree whose nodes of length n are levels[n].
 
-        Checked like any tree (prefix closure, alphabet bound), and each
-        level must be strictly increasing.  The lists become the tree's
-        sorted levels, so the caller must not change them afterwards.
+        Each level must be sorted words of length n, checked then like any
+        tree's levels.  The lists become the tree's sorted levels, so the
+        caller must not change them afterwards.
         """
-        tree = cls(frozenset(chain.from_iterable(levels)), alphabet_bound)
         for n, lv in enumerate(levels):
             # a sorted copy of a sorted list is one linear run
             if lv != sorted(lv) or set(map(len, lv)) != {n}:
                 raise ValueError(f"level {n} is not sorted words of length {n}")
-        if len(tree.nodes) != sum(map(len, levels)):
-            raise ValueError("a node is listed twice")
-        object.__setattr__(tree, "_levels", levels)
-        return tree
+        return cls(None, alphabet_bound, levels, _level_counts(levels, alphabet_bound))
 
     @classmethod
     def full(cls, b: int, d: int) -> "FiniteTree":
@@ -197,14 +183,44 @@ class FiniteTree:
             raise ValueError("a full tree of positive depth needs b >= 1")
         levels = [list(product(range(b), repeat=n)) for n in range(d + 1)]
         counts = [[b] * len(lv) for lv in levels[:-1]] + [[0] * b**d]
-        return cls(frozenset(chain.from_iterable(levels)), b, _levels=levels, _counts=counts)
+        return cls(None, b, levels, counts)
 
 
-def _counted(t: FiniteTree, d: int) -> Iterator[tuple[Word, int]]:
-    """(node, number of children) for the nodes of length < d, in
-    shortest-then-lex order."""
-    d = max(d, 0)
-    return zip(chain.from_iterable(t.levels()[:d]), chain.from_iterable(t.counts()[:d]))
+def _level_counts(levels: list[list[Word]], bound: Optional[int]) -> list[list[int]]:
+    """The child counts of sorted levels, which are checked one level at a
+    time: no node twice, no entry at or over the bound (one max a level),
+    and each node counted under its own parent on the level above."""
+    counts = []
+    for n, lv in enumerate(levels):
+        if not all(map(lt, lv, lv[1:])):
+            raise ValueError("a tree node is listed twice")
+        if n and lv and bound is not None and max(map(_last, lv)) >= bound:
+            w = next(w for w in lv if w[-1] >= bound)
+            raise ValueError(f"entry out of alphabet bound in {w}")
+        if n:
+            # each node's children start where it sorts in the level below
+            above = levels[n - 1]
+            starts = [*map(bisect_left, repeat(lv), above), len(lv)]
+            counts.append(list(map(sub, starts[1:], starts)))
+            counted_under = chain.from_iterable(map(repeat, above, counts[-1]))
+            if starts[0] or any(map(ne, map(_parent, lv), counted_under)):
+                have = set(above)
+                w = next(w for w in lv if w[:-1] not in have)
+                raise ValueError(f"not prefix-closed at {w}")
+    counts.append([0] * len(levels[-1]))
+    return counts
+
+
+def _first_bad_count(
+    t: FiniteTree, d: int, allowed: Container[int]
+) -> Optional[tuple[Word, int]]:
+    """The first (node, number of children) of length < d whose number is
+    not allowed, or None.  Each count row is tested as a set first, and
+    only a row that fails is walked node by node."""
+    for lv, cs in zip(t.levels()[:max(d, 0)], t.counts()):
+        if not all(map(allowed.__contains__, set(cs))):
+            return next((w, c) for w, c in zip(lv, cs) if c not in allowed)
+    return None
 
 
 def is_k_tree_to_depth(
@@ -213,10 +229,8 @@ def is_k_tree_to_depth(
     """ok (None) iff every node of length < d has 1..k children."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for w, c in _counted(t, d):
-        if c == 0 or c > k:
-            return ShapeViolation(w, c, f"between 1 and {k} successors")
-    return None
+    bad = _first_bad_count(t, d, range(1, k + 1))
+    return bad and ShapeViolation(*bad, f"between 1 and {k} successors")
 
 
 def is_k_branching_to_depth(
@@ -225,10 +239,8 @@ def is_k_branching_to_depth(
     """ok (None) iff every node of length < d has exactly 1 or k children."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    for w, c in _counted(t, d):
-        if c not in (1, k):
-            return ShapeViolation(w, c, f"exactly 1 or {k} successors")
-    return None
+    bad = _first_bad_count(t, d, (1, k))
+    return bad and ShapeViolation(*bad, f"exactly 1 or {k} successors")
 
 
 def is_accelerating_to_depth(
@@ -239,15 +251,18 @@ def is_accelerating_to_depth(
     n counts the splitting proper initial segments of the node.  Nodes of
     length < d must keep at least one successor; depth-d leaves are exempt.
     The levels are read in order, each node's split number carried down to
-    its children.
+    its children.  A row whose counts, as a set, are all 1 or over the
+    row's greatest split number + 2 is not walked.
     """
     splits = [0]  # per node of the level, its splitting proper prefixes
     for lv, cs in zip(t.levels()[:max(d, 0)], t.counts()):
-        for w, c, n in zip(lv, cs, splits):
-            if c == 0:
-                return ShapeViolation(w, 0, "at least 1 successor below depth")
-            if 2 <= c <= n + 2:
-                return ShapeViolation(w, c, f"more than {n + 2} successors (split number {n})")
+        top = max(splits) + 2
+        if not all(c == 1 or c > top for c in set(cs)):
+            for w, c, n in zip(lv, cs, splits):
+                if c == 0:
+                    return ShapeViolation(w, 0, "at least 1 successor below depth")
+                if 2 <= c <= n + 2:
+                    return ShapeViolation(w, c, f"more than {n + 2} successors (split number {n})")
         splits = [n + (c >= 2) for n, c in zip(splits, cs) for _ in range(c)]
     return None
 
@@ -272,11 +287,11 @@ def pushforward_preimage(t: FiniteTree, g: Surjection) -> FiniteTree:
     """Inverse image {w over k+1 : g*(w) in T} of a tree over s+1."""
     if t.alphabet_bound is not None and t.alphabet_bound > g.codomain_size:
         raise ValueError("tree alphabet exceeds surjection codomain")
-    for w in t.nodes:
+    for w in t.sorted_nodes():
         if any(e >= g.codomain_size for e in w):
             raise ValueError("tree entry outside surjection codomain")
     nodes: set[Word] = set()
-    frontier = [EMPTY] if EMPTY in t.nodes else []
+    frontier = [EMPTY] if EMPTY in t else []
     nodes.update(frontier)
     depth = t.depth
     while frontier:
@@ -286,7 +301,7 @@ def pushforward_preimage(t: FiniteTree, g: Surjection) -> FiniteTree:
                 continue
             img = map_path(g, w)
             for i in range(g.domain_size):
-                if img + (g(i),) in t.nodes:
+                if img + (g(i),) in t:
                     new.append(w + (i,))
         nodes.update(new)
         frontier = new
@@ -301,7 +316,7 @@ def rows_above(t: FiniteTree, node: Word) -> Iterator[tuple[list[Word], list[int
     the sum of the counts above it; the walk ends after a slice of leaves.
     Nothing is yielded for a non-member.
     """
-    if node not in t.nodes:
+    if node not in t:
         return
     levels, counts = t.levels(), t.counts()
     n, width = len(node), 1
@@ -321,10 +336,9 @@ def children(t: FiniteTree, node: Word) -> list[Word]:
 def subtree_above(t: FiniteTree, stem: Word) -> FiniteTree:
     """Nodes comparable with the stem (the restriction of a condition), with
     slices of t's levels and counts."""
-    if stem not in t.nodes:
+    if stem not in t:
         raise NotInTree(f"stem {stem} is not a member")
     above, counts = zip(*rows_above(t, stem))
     levels = [[stem[:n]] for n in range(len(stem))] + list(above)
     counts = [[1]] * len(stem) + list(counts)
-    nodes = frozenset(chain.from_iterable(levels))
-    return FiniteTree(nodes, t.alphabet_bound, _levels=levels, _counts=counts)
+    return FiniteTree(None, t.alphabet_bound, levels, counts)

@@ -22,7 +22,7 @@ from survtree.engine import (
     verify,
     verify_record,
 )
-from survtree.staged import standard_library
+from survtree.staged import family_from_config, standard_library
 
 LIB = standard_library()
 
@@ -396,3 +396,54 @@ def test_a_case_c_stage_with_its_trace_and_certificate_deleted_is_refused():
     assert forged_defects(payload, edit) == [
         "trace certificates of functional 0: the stage log calls for 1, the record holds 0"
     ]
+
+
+# one full staged 3-tree and one functional, entry mod 3, that cannot tell
+# an entry 2 from an entry 5
+_MOD3 = family_from_config({
+    "staged_trees": [{"id": 0, "kind": "full_subtree", "alphabet": [0, 1, 2],
+                      "claim": ["branching", 3]}],
+    "functionals": [{"id": 0, "kind": "entry_mod", "modulus": 3}],
+})
+
+
+def _leaves_2_to_5(bound):
+    """Set the final tree's alphabet bound and move every depth-4 leaf
+    ending in 2 to end in 5: the same output under entry mod 3, the same
+    number of children on every parent, and the same sort order."""
+    def edit(p):
+        p["final_tree"]["alphabet_bound"] = bound
+        moved = [w for w in p["final_tree"]["nodes"] if len(w) == 4 and w[-1] == 2]
+        assert moved
+        for w in moved:
+            w[-1] = 5
+
+    return edit
+
+
+@pytest.mark.parametrize("bound, defect", [
+    # a bound dropped from the record no longer hides out-of-alphabet entries
+    (None, "final tree alphabet bound None is not 3"),
+    (3, "entry out of alphabet bound in (0, 0, 0, 5)"),
+])
+def test_a_surviving_tree_is_checked_against_the_promised_alphabet(bound, defect):
+    payload = diagonalize_surviving(2, _MOD3, 2, 4, 10000).to_payload()
+    assert verify_record(payload) == []
+    assert [e["case"] for e in payload["stage_log"]] == ["vacuous", "C"]
+    assert forged_defects(payload, _leaves_2_to_5(bound)) == [f"malformed record: {defect}"]
+
+
+@pytest.mark.parametrize("name, bound", [
+    *[(name, 10**9) for name in ["build3-d8", *GOLDEN_STAGED]],
+    # equal to the promised 3, but no int
+    ("surviving-d8", 3.0),
+])
+def test_an_alphabet_bound_other_than_the_promised_one_is_malformed(name, bound):
+    """Only surviving promises a bound, k + 1; every entry of these records
+    is below 10**9, so only the promise refuses that bound."""
+    record = build3_record(LIB, 8, 24) if name == "build3-d8" else GOLDEN_STAGED[name]()
+    payload = record.to_payload()
+    want = 3 if name == "surviving-d8" else None
+    assert payload["final_tree"]["alphabet_bound"] == want
+    defects = forged_defects(payload, lambda p: p["final_tree"].update(alphabet_bound=bound))
+    assert defects == [f"malformed record: final tree alphabet bound {bound!r} is not {want}"]
