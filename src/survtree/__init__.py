@@ -1,13 +1,12 @@
 """Finite, fuel-bounded combinatorics of branching trees: shape predicates,
-alphabet pushforwards, staged adversary oracles, trace tables, exact leaf
-covers, and four deterministic condition-building engines with verifiable
-run records."""
+alphabet pushforwards, staged adversary oracles, output tries of bounded
+width, exact leaf covers, and four deterministic condition-building engines
+with verifiable run records."""
 
 from .cover import (
     CoverWitness,
     SizeGuard,
     min_cover,
-    monotonicity_table,
     verify_cover,
 )
 from .staged import (
@@ -17,10 +16,9 @@ from .staged import (
     Verdict,
     family_from_config,
     index_pair,
-    pair_index,
     standard_library,
 )
-from .traces import BoundExceeded, TraceTable, goes_through
+from .traces import BoundExceeded, TraceTable
 from .trees import (
     FiniteTree,
     NotInTree,
@@ -53,15 +51,12 @@ __all__ = [
     "Verdict",
     "Word",
     "family_from_config",
-    "goes_through",
     "index_pair",
     "is_accelerating_to_depth",
     "is_k_branching_to_depth",
     "is_k_tree_to_depth",
     "map_path",
     "min_cover",
-    "monotonicity_table",
-    "pair_index",
     "pushforward_preimage",
     "standard_library",
     "subtree_above",

@@ -23,14 +23,13 @@ from .engine import (
     verify_record,
 )
 from .engine.accelerating import CASE4_CANDIDATE_LIMIT, case4_candidates
+from .engine.surviving import TREE_ENTRY_LIMIT, tree_fits
 from .io_formats import (
-    TRACE_ENTRY_LIMIT,
     FormatError,
     dump_record,
     dump_tree,
     load_record,
     load_tree,
-    trace_fits,
     tree_to_dot,
 )
 from .staged import (
@@ -67,9 +66,9 @@ def _cmd_run(args) -> int:
     if args.engine == "surviving" and args.k < 2:
         print("--k must be >= 2 for the surviving engine", file=sys.stderr)
         return USAGE
-    if args.engine == "surviving" and not trace_fits(args.k + 1, args.depth):
-        print(f"--k {args.k} --depth {args.depth}: a trace could spell out more than "
-              f"{TRACE_ENTRY_LIMIT} entries, the most a record may hold", file=sys.stderr)
+    if args.engine == "surviving" and not tree_fits(args.k + 1, args.depth):
+        print(f"--k {args.k} --depth {args.depth}: the final tree could spell out more than "
+              f"{TREE_ENTRY_LIMIT} entries, the most a record may hold", file=sys.stderr)
         return USAGE
     if args.engine == "accelerating" and case4_candidates(args.depth) > CASE4_CANDIDATE_LIMIT:
         print(f"--depth {args.depth}: case 4 could try more than {CASE4_CANDIDATE_LIMIT} "

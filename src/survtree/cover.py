@@ -121,16 +121,3 @@ def verify_cover(w: CoverWitness) -> Optional[str]:
     if set(w.covered) != full:
         return f"claimed cover misses {min(full - set(w.covered))}"
     return None
-
-
-def monotonicity_table(b: int, d: int, k_range: range) -> list[tuple[int, int]]:
-    """(k, min cover size) rows; sizes never increase as k grows."""
-    rows = []
-    for k in k_range:
-        if not 2 <= k < b:
-            raise ValueError(f"k={k} outside 2 <= k < b={b}")
-        value, _ = min_cover(b, k, d)
-        rows.append((k, value))
-    for (_, a), (_, c) in zip(rows, rows[1:]):
-        assert c <= a, "cover sizes must be non-increasing in k"
-    return rows

@@ -5,7 +5,6 @@ from .common import (
     RunRecord,
     check_label_invariants,
     schedule,
-    schedule_prefix,
 )
 from .surviving import diagonalize_surviving
 from .traceable import initial_condition, traceable_prune
@@ -21,7 +20,6 @@ __all__ = [
     "diagonalize_surviving",
     "initial_condition",
     "schedule",
-    "schedule_prefix",
     "traceable_prune",
     "verify_record",
 ]

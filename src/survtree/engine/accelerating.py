@@ -14,7 +14,6 @@ from itertools import chain, islice, product
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
-from ..traces import TraceTable
 from ..trees import FiniteTree, Word, children, is_prefix, prefixes, word_key
 from .common import (
     OutputTable,
@@ -22,7 +21,6 @@ from .common import (
     RunRecord,
     nodes_above,
     pairwise_consistent,
-    trace_from_outputs,
 )
 
 _PROBE_ENTRIES = 4
@@ -72,9 +70,7 @@ def _suffixes(rounds: int) -> list[Word]:
     ]
 
 
-def _case4(
-    table: OutputTable, stem: Word, depth: int
-) -> tuple[Optional[FiniteTree], Optional[TraceTable], dict]:
+def _case4(table: OutputTable, stem: Word, depth: int) -> tuple[Optional[FiniteTree], dict]:
     """Majority-vote prune: the i-th split level keeps i+3 successors whose
     outputs disagree pairwise at staged positions, so output prefixes form
     a 2-tree.
@@ -108,7 +104,7 @@ def _case4(
             )
         if len(kept_lists) < len(split_nodes):
             if level == 0:
-                return None, None, {"case": "no-disagreement"}
+                return None, {"case": "no-disagreement"}
             shortage = {"level": level, "reason": "no disagreement"}
             break
         levels.append(split_nodes)
@@ -124,12 +120,10 @@ def _case4(
         split_nodes = [w + (0,) for w in split_nodes]
     levels.append(split_nodes)
     counts.append([0] * len(split_nodes))
-    tree = FiniteTree(None, None, levels, counts)
-    trace = trace_from_outputs(table.converged_run(tree.sorted_nodes(), 0), depth, 2)
     log = {"case": "4", "levels": log_levels}
     if shortage is not None:
         log["shortage"] = shortage
-    return tree, trace, log
+    return FiniteTree(None, None, levels, counts), log
 
 
 def _prune_split(
@@ -218,13 +212,12 @@ def accelerating_force(
         if run.tree is not None:
             entry["case"] = "stuck"
             continue
-        new_tree, trace, log = _case4(table, run.stem, depth)
+        new_tree, log = _case4(table, run.stem, depth)
         entry.update(log)
         if new_tree is None:
             run.complete = False
             continue
         run.tree = new_tree
-        run.trace(fn, trace, kind="two_tree_trace")
 
     if run.tree is None:
         run.tree = FiniteTree.from_words(prefixes(run.stem + (0,) * (depth - len(run.stem))))

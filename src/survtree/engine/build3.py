@@ -104,7 +104,6 @@ def build3_record(adversaries: AdversaryFamily, depth: int, stages: int) -> RunR
         stage_log=[],
         final_stem=path,
         final_tree=tree,
-        traces=[],
         certificates=[],
         status="complete",
     )

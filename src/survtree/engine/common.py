@@ -1,16 +1,16 @@
 """Shared condition types, the task schedule, the stage schedule and the
-tree-requirement stage, per-stage output tables, tree walks, trace building,
-run records and the run driver the staged engines share."""
+tree-requirement stage, per-stage output tables, tree walks, run records
+and the run driver the staged engines share."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, count, groupby, repeat
-from operator import and_, eq, is_not, itemgetter
+from itertools import chain, combinations, compress, count, repeat
+from operator import and_, eq, is_not
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from ..io_formats import json_to_tree, json_to_word, payload_digest, trace_to_json, tree_to_json
+from ..io_formats import json_to_tree, json_to_word, payload_digest, tree_to_json
 from ..staged import (
     AdversaryFamily,
     OracleFunctional,
@@ -19,7 +19,6 @@ from ..staged import (
     index_pair,
     tree_bound_violation,
 )
-from ..traces import TraceTable
 from ..trees import (
     FiniteTree,
     TriState,
@@ -31,10 +30,6 @@ from ..trees import (
 )
 
 
-_parent = itemgetter(slice(None, -1))
-_last = itemgetter(-1)
-
-
 def schedule(i: int) -> int:
     """Term i of 1,1,2,1,2,3,1,2,3,4,...: block m lists 1..m."""
     if i < 0:
@@ -44,10 +39,6 @@ def schedule(i: int) -> int:
         i -= m
         m += 1
     return i + 1
-
-
-def schedule_prefix(n: int) -> list[int]:
-    return [schedule(i) for i in range(n)]
 
 
 def is_schedule_prefix(seq: list[int]) -> bool:
@@ -387,23 +378,6 @@ def nodes_above(tree: FiniteTree, node: Word) -> Iterator[Word]:
     return chain.from_iterable(lv for lv, _ in rows_above(tree, node))
 
 
-def trace_from_outputs(outs: Iterable[Word], depth: int, base: int) -> TraceTable:
-    """The levelwise prefixes of the outputs, bounded by base^n, as level-order
-    rows, read bottom-up: the parents of a sorted level come in sorted order, so
-    a level is sorted only when some output ends on it.  Each level keeps its
-    outputs in arrival order, so outputs that come sorted sort in one run."""
-    levels: list[dict[Word, None]] = [{(): None}] + [{} for _ in range(depth)]
-    for o in outs:
-        o = o[:depth]
-        levels[len(o)][o] = None
-    lv, rows = sorted(levels[depth]), []
-    for n in range(depth, 0, -1):
-        runs = {p: tuple(map(_last, run)) for p, run in groupby(lv, _parent)}
-        lv = list(runs) if levels[n - 1].keys() <= runs.keys() else sorted(levels[n - 1] | runs)
-        rows.append(tuple(map(runs.get, lv, repeat(()))))
-    return TraceTable(tuple(rows[::-1]), base)
-
-
 @dataclass
 class RunRecord:
     engine: str
@@ -412,7 +386,6 @@ class RunRecord:
     stage_log: list[dict]
     final_stem: Word
     final_tree: FiniteTree
-    traces: list[tuple[int, TraceTable]]  # (functional id, table)
     certificates: list[dict]
     status: str  # "complete" | "incomplete"
     labels: Optional[dict[Word, int]] = None
@@ -426,10 +399,6 @@ class RunRecord:
             "stage_log": self.stage_log,
             "final_stem": list(self.final_stem),
             "final_tree": tree_to_json(self.final_tree),
-            "traces": [
-                {"functional": fid, **trace_to_json(tr)}
-                for fid, tr in self.traces
-            ],
             "certificates": self.certificates,
             "status": self.status,
         }
@@ -450,15 +419,14 @@ class RunRecord:
 class Promise(NamedTuple):
     """What an engine's records promise: a final tree with alphabet bound
     ``alphabet`` that passes the shape predicate (``trees.SHAPES``) with k to
-    the depth, traces with at most base^n words on level n and lo to hi
-    children a word below the depth (no traces when base is None), and, with
-    labels, task labels on every node that read off the task schedule."""
+    the depth; for each stage that tames a functional by its outputs, their
+    trie on the final leaves above the stem at most ``width`` children wide
+    (``traces.trace_from_outputs``); and, with labels, task labels on every
+    node that read off the task schedule."""
 
     predicate: str
     k: Optional[int]
-    base: Optional[int] = None
-    lo: int = 0
-    hi: int = 0
+    width: Optional[int] = None
     labels: bool = False
     alphabet: Optional[int] = None
 
@@ -466,10 +434,10 @@ class Promise(NamedTuple):
 # Each engine's promise, from its record's parameters.  No record restates
 # it: the verifier checks every record against it.
 PROMISES: dict[str, Callable[[dict], Promise]] = {
-    "surviving": lambda p: Promise("kbranching", b := int(p["k"]) + 1, b, 0, b, alphabet=b),
+    "surviving": lambda p: Promise("kbranching", b := int(p["k"]) + 1, b, alphabet=b),
     "build3": lambda p: Promise("ktree", 3),
-    "traceable": lambda p: Promise("ktree", 3, 3, 0, 3, labels=True),
-    "accelerating": lambda p: Promise("accelerating", None, 2, 1, 2),
+    "traceable": lambda p: Promise("ktree", 3, 3, labels=True),
+    "accelerating": lambda p: Promise("accelerating", None, 2),
 }
 
 
@@ -481,7 +449,7 @@ def query_stage(depth: int, stages: int) -> int:
 
 class Run:
     """One staged run: the stem and working tree it moves, and the stage
-    log, traces and certificates it writes into its record.
+    log and certificates it writes into its record.
 
     A tree of None stands for an implicit tree, which moving the stem
     leaves as it is.  ``k``, when given, is the k of every tree
@@ -501,7 +469,6 @@ class Run:
         self.stem = stem
         self.tree = tree
         self.stage_log: list[dict] = []
-        self.traces: list[tuple[int, TraceTable]] = []
         self.certificates: list[dict] = []
         self.complete = True
 
@@ -554,14 +521,6 @@ class Run:
             "node": list(node), "position": n,
         })
 
-    def trace(self, fn: OracleFunctional, table: TraceTable, **cert) -> None:
-        """Keep table as fn's trace, certified by cert (its kind and any
-        further fields) that the outputs of fn on every branch go through it."""
-        self.traces.append((fn.id, table))
-        self.certificates.append({
-            **cert, "functional": fn.id, "trace_index": len(self.traces) - 1,
-        })
-
     def record(self, engine: str, labels: Optional[dict[Word, int]] = None) -> RunRecord:
         """The run's record."""
         parameters = {
@@ -577,7 +536,6 @@ class Run:
             stage_log=self.stage_log,
             final_stem=self.stem,
             final_tree=self.tree,
-            traces=self.traces,
             certificates=self.certificates,
             status="complete" if self.complete else "incomplete",
             labels=labels,

@@ -2,32 +2,38 @@
 
 The run alternates tree requirements (exit the e-th adversary k-tree) with
 functional requirements (force the e-th functional to be partial, to take
-few values, or to go through a (k+1)^n-bounded trace built by simultaneous
-splitting).  Everything is deterministic: ties break to the least entry and
-the shortest-then-lexicographically-first node.
+few values, or to have its outputs on the leaves lie on a (k+1)-tree, by
+simultaneous splitting).  Everything is deterministic: ties break to the
+least entry and the shortest-then-lexicographically-first node.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, groupby, islice
-from operator import itemgetter, not_
+from itertools import groupby, islice
 from typing import Iterator, Optional
 
 from ..staged import AdversaryFamily
-from ..traces import TraceTable
 from ..trees import FiniteTree, Word, children, rows_above
-from .common import OutputTable, Run, RunRecord, nodes_above, trace_from_outputs
+from .common import OutputTable, Run, RunRecord, nodes_above
 
-_last = itemgetter(-1)
+# the most entries the final tree of a run ``survtree run`` starts may spell
+# out: the full (k+1)-ary tree to the depth, which admits k = 2 up to depth 12
+# and k = 3 up to depth 10
+TREE_ENTRY_LIMIT = 1 << 24
 
 
-def _case_c(
-    table: OutputTable, k: int, stem: Word, tree: FiniteTree
-) -> Optional[tuple[FiniteTree, TraceTable]]:
+def tree_fits(b: int, depth: int) -> bool:
+    """Whether the full b-ary tree to the depth (b >= 2) spells out at most
+    TREE_ENTRY_LIMIT entries: the sum of n * b^n over n = 1..depth."""
+    n_max = min(depth, TREE_ENTRY_LIMIT.bit_length())  # 2**n_max alone is over
+    return sum(n * b**n for n in range(1, n_max + 1)) <= TREE_ENTRY_LIMIT
+
+
+def _case_c(table: OutputTable, k: int, stem: Word, tree: FiniteTree) -> Optional[FiniteTree]:
     """Simultaneous splitting: the condition whose sibling subtrees carry
-    pairwise distinct output prefixes, with those prefixes collected into a
-    trace bounded by (k+1)^n.
+    pairwise distinct output prefixes, so that the outputs on its leaves
+    lie on a (k+1)-tree; None when not even round 0 splits.
 
     Level m lists the nodes t(sigma) for the length-m words sigma in lex
     order.  The b nodes assigned above t(sigma) are t(sigma 0) ...
@@ -44,11 +50,6 @@ def _case_c(
     ``_search_round``.  The search ends at the first top with no split, so
     nothing past it is read.
 
-    The trace is read straight off the rounds when every round is an own
-    row: the stem is a path to round 0's row, each round's last entries
-    are the next row, and the last round's outputs have no children.
-    Otherwise it is ``trace_from_outputs`` of every output.
-
     The condition is the prefix closure of the last level's zero-paddings:
     the tree itself, handed back as it is, when those are its depth level
     and no leaf ends above the depth (the only outcome for configured
@@ -58,8 +59,7 @@ def _case_c(
     depth = table.depth
     levels, counts = tree.levels(), tree.counts()
     tops = [stem]
-    rounds: list[list[Word]] = []  # each round's outputs, in the order of its tops
-    own = True  # every round so far is an own row
+    m = 0  # the rounds so far
     while True:
         n, size = len(tops[0]), len(tops)
         lo = bisect_left(levels[n], tops[0])
@@ -71,40 +71,26 @@ def _case_c(
             row = levels[n + 1][start:start + b * size]
             if table.own_row(row):
                 tops = row
-                rounds.append(row)
+                m += 1
                 continue
-        chosen = _search_round(table, tree, tops, len(rounds), b)
+        chosen = _search_round(table, tree, tops, m, b)
         if chosen is None:
             break
-        own = False
         tops = [v for v, _ in chosen]
-        rounds.append([o for _, o in chosen])
-    if not rounds:
+        m += 1
+    if not m:
         return None
     # the tops are pairwise incomparable and in lex order, so their
     # zero-paddings are too; tops of the depth's length are their own
     padded = tops if min(map(len, tops)) >= depth else [w + (0,) * (depth - len(w)) for w in tops]
     if tree.depth == depth and padded == levels[depth] and all(map(all, counts[:depth])):
-        new_tree = tree
-    else:
-        # each shorter level is the run of the distinct parents of the
-        # level above it
-        levels = [padded]
-        while len(levels[-1][0]):
-            levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
-        new_tree = FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
-    if not own:
-        return new_tree, trace_from_outputs(chain([()], *rounds), depth, b)
-    rows = [((e,),) for e in stem] + [_lasts(r, b) for r in rounds] + [((),) * len(rounds[-1])]
-    rows += [()] * (depth - len(rows))
-    return new_tree, TraceTable(tuple(rows[:depth]), b)
-
-
-def _lasts(ps: list[Word], b: int) -> tuple[tuple[int, ...], ...]:
-    """The last entries of ps, in groups of b; equal groups share a tuple."""
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    groups = list(zip(*[map(_last, ps)] * b))
-    return tuple(map(seen.setdefault, groups, groups))
+        return tree
+    # each shorter level is the run of the distinct parents of the level
+    # above it
+    levels = [padded]
+    while len(levels[-1][0]):
+        levels.append([p for p, _ in groupby(w[:-1] for w in levels[-1])])
+    return FiniteTree.from_levels(levels[::-1], tree.alphabet_bound)
 
 
 def _search_round(
@@ -227,26 +213,18 @@ def diagonalize_surviving(
 ) -> RunRecord:
     if k < 2:
         raise ValueError("k must be >= 2")
-    b = k + 1
-    run = Run(adversaries, stages, depth, fuel, FiniteTree.full(b, depth), k=k)
+    run = Run(adversaries, stages, depth, fuel, FiniteTree.full(k + 1, depth), k=k)
     for table, entry in run.p_stages(_exits):
-        fn = table.functional
         hit, tau = table.cases_a_b(run.stem, run.tree, k)
         if hit is not None:
             run.move(hit[0])
-            run.diverge(fn, *hit)
+            run.diverge(table.functional, *hit)
             entry["case"] = "A"
         elif tau is not None:
             run.move(tau)
-            # the leaves row by row: a row of leaves is a run of a level
-            outs = chain.from_iterable(
-                table.row(list(compress(lv, map(not_, cs)))) for lv, cs in rows_above(run.tree, tau)
-            )
-            run.trace(fn, trace_from_outputs(outs, depth, b), kind="trace", case="B")
             entry["case"] = "B"
         elif (built := _case_c(table, k, run.stem, run.tree)) is not None:
-            run.tree, trace = built
-            run.trace(fn, trace, kind="trace", case="C")
+            run.tree = built
             entry["case"] = "C"
         else:
             entry["case"] = "stuck"

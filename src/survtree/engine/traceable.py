@@ -1,5 +1,5 @@
 """Labeled pruning engine: a 3-tree condition whose branches escape claimed
-branching trees and whose functional outputs go through 3^n-bounded traces.
+branching trees and whose functional outputs on its leaves lie on 3-trees.
 
 Nodes carry task labels; the nonzero labels along any branch always read
 off an initial segment of the task schedule 1,1,2,1,2,3,...  Even stages
@@ -25,7 +25,6 @@ from .common import (
     RunRecord,
     nodes_above,
     schedule,
-    trace_from_outputs,
 )
 
 
@@ -238,10 +237,6 @@ def traceable_prune(
             continue
         run.stem, run.tree, run.labels, log = _prune_once(
             table, run.stem, run.tree, run.labels, depth
-        )
-        outs = map(table.converged, run.tree.nodes)
-        run.trace(
-            table.functional, trace_from_outputs(outs, depth, 3), kind="trace", case="prune"
         )
         entry.update(log)
     return run.record("traceable", labels=run.labels)

@@ -1,14 +1,15 @@
 """Re-checks a run record's certificates without re-running the engine.
 
 Every check works from the record alone: the adversary family is rebuilt
-from the embedded configuration, the final tree and traces are reloaded,
-and each certificate is tested against them.  What the engine promises
+from the embedded configuration, the final tree is reloaded, and each
+certificate is tested against them.  What the engine promises
 (``engine.common.PROMISES``) comes from its name and parameters, not from
-the record: the final tree's shape, the traces' depth and bound, the task
-labels, the stage log against the stage schedule, each stage it marks
-vacuous and the certificate each logged case calls for are checked without
-being asked.  The digest guards the bytes; the semantic checks guard the
-content.
+the record: the final tree's shape, the task labels, the stage log against
+the stage schedule and the cases each stage may log, each stage it marks
+vacuous, the certificate each logged case calls for, and, for each stage
+that tames its functional by its outputs, the width of their trie on the
+final leaves are checked without being asked.  The digest guards the
+bytes; the semantic checks guard the content.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..io_formats import json_to_trace, json_to_word, record_digest_ok
-from ..staged import AdversaryFamily, shown_successors
-from ..traces import BoundExceeded, TraceTable, first_outside
+from ..io_formats import json_to_word, record_digest_ok
+from ..staged import AdversaryFamily, OracleFunctional, shown_successors
+from ..traces import BoundExceeded, trace_from_outputs
 from ..trees import SHAPES, FiniteTree, TriState, Word, is_prefix, rows_above
 from .common import (
     PROMISES,
@@ -34,19 +35,28 @@ from .common import (
     tree_of_payload,
 )
 
-_TRACE_CERTS = {"trace", "two_tree_trace"}
 # the certificates about a functional, each checked under the record's fuel
 _POSITION_CERTS = {"presumed_divergence", "value_witness"}
-_FUNCTIONAL_CERTS = {*_POSITION_CERTS, "constant_outputs", *_TRACE_CERTS}
+_FUNCTIONAL_CERTS = {*_POSITION_CERTS, "constant_outputs"}
 # the cases that leave a run incomplete, at the stage that ends its log
 _FAILED = {"stuck", "no-disagreement"}
+_TREE_CASES = {"vacuous", "already-out", "exit", "stuck"}
+# the cases each engine's stages may log: its tree stages', then its
+# functional stages'; build3 logs no stage
+_CASES = {
+    "surviving": (_TREE_CASES, {"A", "B", "C", "stuck"}),
+    "build3": (set(), set()),
+    "traceable": (_TREE_CASES, {"escape", "prune"}),
+    "accelerating": (_TREE_CASES, {"1", "2", "3", "4", "no-disagreement", "stuck"}),
+}
+# the cases whose functional's outputs on the final leaves must lie on a tree
+# of the promised width, which the verifier derives
+_TRIE_CASES = {"B", "C", "prune", "4"}
 # the certificate each logged case calls for, of the stage's adversary
 _CASE_CERTS = {
     **dict.fromkeys(["A", "escape", "1"], "presumed_divergence"),
     "2": "value_witness",
     "3": "constant_outputs",
-    **dict.fromkeys(["B", "C", "prune"], "trace"),
-    "4": "two_tree_trace",
     **dict.fromkeys(["exit", "already-out"], "avoidance"),
 }
 # a certificate of any other kind is refused as unknown, so it is not counted
@@ -60,6 +70,9 @@ def verify_record(payload: dict) -> list[str]:
         return ["digest mismatch"]
     if payload.get("engine") not in PROMISES:
         return [f"unknown engine {payload.get('engine')!r}"]
+    if (old := _earlier_format(payload)) is not None:
+        return [f"a record of an earlier format: it {old}, which the verifier now derives; "
+                "re-run the engine to write it anew"]
     try:
         family = family_of_payload(payload)
         stem = stem_of_payload(payload)
@@ -71,20 +84,19 @@ def verify_record(payload: dict) -> list[str]:
         # what the engine promises, from the parameters, not from a certificate
         promise = PROMISES[payload["engine"]](payload["parameters"])
         certs = _objects(payload.get("certificates", []), "certificates")
-        # each trace decodes at the record's depth under the promised bound;
-        # an engine without traces decodes none, so a trace it lists is
-        # named by no certificate or by one the engine cannot write
-        traces = [
-            (_int(t, "functional"), json_to_trace(t, depth, promise.base))
-            for t in payload["traces"]
-        ] if promise.base is not None else []
         bad = SHAPES[promise.predicate](tree, promise.k, depth)
         query = query_stage(depth, int(payload["parameters"]["stages"]))
-        logged, called = _stage_log_defects(payload, family, query)
+        # the depth sizes the derived tries and the outputs read, so it is
+        # bounded by the tree the record spells out before either is built
+        if tree.depth != depth:
+            raise ValueError(f"final tree depth {tree.depth} is not the record's depth {depth}")
+        logged, called, tamed = _stage_log_defects(payload, family, query)
+        if tamed and fuel is None:
+            raise ValueError("the record has no fuel parameter")
         # the tree's entries were checked against its own bound: the promised one
         if (ab := tree.alphabet_bound) != promise.alphabet or type(ab) is not type(promise.alphabet):
             raise ValueError(f"final tree alphabet bound {ab!r} is not {promise.alphabet!r}")
-    except (KeyError, ValueError, TypeError, BoundExceeded) as e:
+    except (KeyError, ValueError, TypeError) as e:
         return [f"malformed record: {e}"]
     if stem not in tree:
         defects.append(f"final stem {stem} not in final tree")
@@ -104,19 +116,20 @@ def verify_record(payload: dict) -> list[str]:
             kind = cert.get("kind")
             if kind in _CALLED_KINDS:
                 held[kind, cert.get("tree" if kind == "avoidance" else "functional")] += 1
-            msg = _check_certificate(cert, family, stem, leaves, traces, depth, fuel, promise, query)
+            msg = _check_certificate(cert, family, stem, leaves, depth, fuel, query)
         except (KeyError, ValueError, TypeError, IndexError) as e:
             msg = f"malformed certificate: {e}"
         if msg is not None:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
-    # a trace_index that is no int names no trace (and is malformed above)
-    named = Counter(
-        c.get("trace_index") for c in certs
-        if c.get("kind") in _TRACE_CERTS and type(c.get("trace_index")) is int
-    )
-    for ti in range(len(payload["traces"])):
-        if named[ti] != 1:
-            defects.append(f"trace {ti} is named by {named[ti]} trace certificates, not one")
+    for s, case, fn in tamed:
+        # the trie of the outputs is the tightest trace they lie on
+        try:
+            trace_from_outputs(fn.prefix_row(leaves, depth, fuel), depth, promise.width)
+        except BoundExceeded as e:
+            defects.append(
+                f"stage {s} ({case}): the outputs of functional {fn.id} on the leaves fork "
+                f"{e.children} ways at {e.word}, more than {e.width}"
+            )
     for kind, adv in dict.fromkeys([*called, *held]):
         if called[kind, adv] != held[kind, adv]:
             defects.append(
@@ -125,6 +138,19 @@ def verify_record(payload: dict) -> list[str]:
                 f"{held[kind, adv]}"
             )
     return defects
+
+
+def _earlier_format(payload: dict) -> Optional[str]:
+    """What the payload stores that records stopped storing when the
+    verifier came to derive each functional's trace, if anything."""
+    if "traces" in payload:
+        return "stores traces"
+    certs = payload.get("certificates")
+    if type(certs) is list and any(
+        type(c) is dict and c.get("kind") in ("trace", "two_tree_trace") for c in certs
+    ):
+        return "holds trace certificates"
+    return None
 
 
 def _objects(items, what: str) -> list[dict]:
@@ -136,22 +162,24 @@ def _objects(items, what: str) -> list[dict]:
 
 def _stage_log_defects(
     payload: dict, family: AdversaryFamily, query: int
-) -> tuple[list[str], Counter]:
+) -> tuple[list[str], Counter, list[tuple[int, str, OracleFunctional]]]:
     """A defect for a status the stage log does not bear out, for each
     entry off the stage schedule, and for each stage the log marks vacuous
     whose staged tree does not show more than k successors at the logged
-    witness by the query stage; and the certificates the log calls for, as
+    witness by the query stage; the certificates the log calls for, as
     (kind, adversary id) counts: one of the stage's adversary for each
-    stage whose case ``_CASE_CERTS`` names.  build3 runs no schedule, so it
-    logs no stage and is complete.  Entry s of any other log is stage s,
-    names the requirement ``requirement`` gives s (the surviving engine's k
-    from the parameters; the others stage index pairs, whatever k their
-    parameters name) and is a skip exactly when that is None.  A complete run logs
-    every stage, none stuck or without a disagreement; an incomplete log
-    ends at its first such stage.  A vacuous stage must be a tree
-    requirement.  The query stage is the run's own (``common.query_stage``),
-    which the parameters must name unless the record is build3's, which no
-    ``Run`` writes."""
+    stage whose case ``_CASE_CERTS`` names; and (stage, case, functional)
+    for each stage whose case is one of ``_TRIE_CASES``.  build3 runs no
+    schedule, so it logs no stage and is complete.  Entry s of any other log
+    is stage s, names the requirement ``requirement`` gives s (the surviving
+    engine's k from the parameters; the others stage index pairs, whatever
+    k their parameters name), and logs a skip exactly when that is None,
+    and otherwise a case ``_CASES`` lets the engine's tree or functional
+    stages log; an entry that does not calls for nothing more.  A complete
+    run logs every stage, none stuck or without a disagreement; an
+    incomplete log ends at its first such stage.  The query stage is the
+    run's own (``common.query_stage``), which the parameters must name
+    unless the record is build3's, which no ``Run`` writes."""
     params = payload["parameters"]
     named = params.get("query_stage")
     want = None if payload["engine"] == "build3" else query
@@ -170,25 +198,29 @@ def _stage_log_defects(
         f"{len(failed)} of them stuck or without a disagreement"
     ]
     k = int(params["k"]) if payload["engine"] == "surviving" else None
+    tree_cases, functional_cases = _CASES[payload["engine"]]
     called: Counter = Counter()
+    tamed = []
     for s, entry in enumerate(log):
         if entry.get("stage") != s:
             raise ValueError(f"stage log entry {s} names stage {entry.get('stage')}")
         req = requirement(s, family, k)
-        name = req and req[0]
-        if entry.get("requirement") != name or (entry.get("case") == "skip") != (req is None):
+        name, case = req and req[0], entry.get("case")
+        cases = {"skip"} if req is None else functional_cases if req[2] is None else tree_cases
+        if entry.get("requirement") != name or case not in cases:
             defects.append(
-                f"stage {s} is {name or 'a skip'}, logged {entry.get('requirement')!r} "
-                f"as {entry.get('case')!r}"
+                f"stage {s} is {name or 'a skip'}, logged {entry.get('requirement')!r} as {case!r}"
             )
-        kind = _CASE_CERTS.get(entry.get("case"))
-        if kind is not None and req is not None:
-            called[kind, req[1].id] += 1
-        if entry.get("case") != "vacuous":
             continue
-        if req is None or req[2] is None:
-            raise ValueError(f"stage {s} is logged vacuous but is no tree requirement")
+        if req is None:
+            continue
         _, adv, k_s = req
+        if case in _CASE_CERTS:
+            called[_CASE_CERTS[case], adv.id] += 1
+        if case in _TRIE_CASES:
+            tamed.append((s, case, adv))
+        if case != "vacuous":
+            continue
         w = json_to_word(entry["witness"])
         shown = shown_successors(adv, w, query)
         if shown <= k_s:
@@ -196,7 +228,7 @@ def _stage_log_defects(
                 f"stage {s} (vacuous): node {w} of tree {adv.id} shows only {shown} "
                 f"successors, not more than {k_s}"
             )
-    return defects, called
+    return defects, called, tamed
 
 
 def _label_defect(
@@ -213,16 +245,6 @@ def _label_defect(
         return check_label_invariants(LabeledCondition(stem, tree, labels))
     except ValueError as e:
         return str(e)
-
-
-def _row_width_defect(table: TraceTable, lo: int, hi: int) -> Optional[str]:
-    """The first word of the trace with fewer than lo or more than hi
-    children; each row's distinct widths are checked once."""
-    for n, row in enumerate(table.children):
-        if not all(lo <= w <= hi for w in set(map(len, row))):
-            i, w = next((i, w) for i, w in enumerate(map(len, row)) if not lo <= w <= hi)
-            return f"trace is not a {hi}-tree: level {n} word {i} has {w} children"
-    return None
 
 
 def _by_id(adversaries, i: int):
@@ -244,15 +266,11 @@ def _check_certificate(
     family: AdversaryFamily,
     stem: Word,
     leaves: list[Word],
-    traces: list[tuple[int, TraceTable]],
     depth: int,
     fuel: Optional[int],
-    promise: Promise,
     query: int,
 ) -> Optional[str]:
     kind = cert.get("kind")
-    if kind in _TRACE_CERTS and promise.base is None:
-        return "the engine keeps no traces"
     if kind in _FUNCTIONAL_CERTS:
         if fuel is None:
             raise ValueError("the record has no fuel parameter")
@@ -305,22 +323,5 @@ def _check_certificate(
         ]
         if not pairwise_consistent(outs):
             return "recorded probes disagree"
-        return None
-    if kind in _TRACE_CERTS:
-        # checked against the engine's trace rule, whatever the kind says
-        ti = _int(cert, "trace_index")
-        if not (0 <= ti < len(traces)):
-            return f"trace index {ti} out of range"
-        owner, table = traces[ti]
-        if owner != fn.id:
-            return f"trace {ti} belongs to functional {owner}"
-        msg = _row_width_defect(table, promise.lo, promise.hi)
-        if msg is not None:
-            return msg
-        d = table.depth
-        outs = fn.prefix_row(leaves, d, fuel)
-        i = first_outside(outs, table)
-        if i is not None:
-            return f"branch {leaves[i]} output {outs[i]} leaves the trace"
         return None
     return f"unknown certificate kind {kind!r}"

@@ -1,12 +1,11 @@
-"""Plain-text interchange for trees, and JSON for trees, traces and run records.
+"""Plain-text interchange for trees, and JSON for trees and run records.
 
 Tree files are a one-line header followed by one node per line (entries
 separated by spaces, the empty line after the header being the root),
 sorted shortest-first then lexicographically.  A run record is written as
 one line of canonical JSON (sorted keys, no whitespace) carrying a sha256
 digest of the canonical JSON of the rest, so byte-level tampering is cheap
-to detect.  Its traces are in level order: each word lists its children,
-and each row is written as maximal runs of words with the same children.
+to detect.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from itertools import chain, groupby, repeat
+from itertools import chain
 from typing import Any, TextIO
 
-from .traces import TraceTable, check_level_size
 from .trees import FiniteTree, Word
 
 
@@ -131,7 +129,7 @@ def record_digest_ok(payload: dict) -> bool:
     return payload.get("digest") == payload_digest(payload)
 
 
-# JSON-friendly encodings of trees and traces used inside records.
+# The JSON encoding of trees inside records.
 
 
 def tree_to_json(t: FiniteTree) -> dict:
@@ -161,68 +159,3 @@ def json_to_tree(data: dict) -> FiniteTree:
         return FiniteTree(words, alphabet_bound=data.get("alphabet_bound"))
     except ValueError as e:
         raise FormatError(str(e)) from None
-
-
-# Most entries the words of a decoded trace may spell out: n rows can stand for n**2 / 2.
-TRACE_ENTRY_LIMIT = 1 << 24
-
-
-def trace_fits(base: int, depth: int) -> bool:
-    """Whether every trace bounded by base^n (base >= 2) to the depth decodes:
-    its words spell out at most the sum of n * base^n over n = 1..depth."""
-    n_max = min(depth, TRACE_ENTRY_LIMIT.bit_length())  # 2**n_max alone is over
-    return sum(n * base**n for n in range(1, n_max + 1)) <= TRACE_ENTRY_LIMIT
-
-
-def trace_to_json(tr: TraceTable) -> dict:
-    """Level-order form: ``children[n]`` lists, for the length-n words in
-    lex order, maximal runs ``[count, entries]``: count consecutive words
-    whose children have the last entries ``entries``, in increasing order."""
-    return {"children": [
-        [[len(list(run)), list(es)] for es, run in groupby(row)] for row in tr.children
-    ]}
-
-
-def json_to_trace(data: dict, depth: int, base: int) -> TraceTable:
-    """The table of the level-order rows as they stand, at the depth and
-    bounded by base**n, which a record's parameters and engine fix: no word
-    is spelled out.  Besides its rows a record's trace names its functional.
-
-    Every row is checked from its run counts before any is expanded: the
-    runs are maximal and cover the level, and the level below stays within
-    the bound and the entry limit.  A word's children are then one tuple
-    shared along its run."""
-    if type(data) is not dict or not data.keys() <= {"functional", "children"}:
-        raise FormatError("a trace is an object of only its functional and its children rows")
-    rows = data.get("children")
-    if type(rows) is not list or len(rows) != depth:
-        raise FormatError(f"a trace of depth {depth} needs {depth} children rows")
-    size, spelled = 1, 0  # words on level n, entries on levels 1..n
-    n = full = 0  # full: the rows down to the first empty level
-    while n < depth:
-        runs = rows[n]
-        if type(runs) is not list or any(
-            type(r) is not list or len(r) != 2 or type(r[0]) is not int or r[0] < 1
-            or type(r[1]) is not list for r in runs
-        ):
-            raise FormatError(f"children row {n} is not a list of [count >= 1, entries] runs")
-        if any(a[1] == b[1] for a, b in zip(runs, runs[1:])):
-            raise FormatError(f"children row {n} has two adjacent runs alike, so not maximal")
-        if (words := sum(c for c, _ in runs)) != size:
-            raise FormatError(f"children row {n} has runs of {words} words for {size} words")
-        size = sum(c * len(es) for c, es in runs)
-        check_level_size(n + 1, size, base)
-        spelled += (n + 1) * size
-        if spelled > TRACE_ENTRY_LIMIT:
-            raise FormatError(f"trace spells out more than {TRACE_ENTRY_LIMIT} entries")
-        n = full = n + 1
-        if not size:
-            # below an empty level every row is [], in one count; the loop
-            # goes on from the first row that is not, which it refuses
-            tail = rows[n:]
-            n += len(tail) if tail.count([]) == len(tail) else next(
-                i for i, r in enumerate(tail) if r != []
-            )
-    return TraceTable(tuple(
-        tuple(chain.from_iterable(repeat(tuple(es), c) for c, es in runs)) for runs in rows[:full]
-    ) + ((),) * (depth - full), base)

@@ -82,13 +82,6 @@ class OracleFunctional:
 # Pairing of naturals with <e, k> pairs, k > 2 (Cantor pairing on (e, k-3)).
 
 
-def pair_index(e: int, k: int) -> int:
-    if k <= 2:
-        raise ValueError("pairs require k > 2")
-    j = k - 3
-    return (e + j) * (e + j + 1) // 2 + j
-
-
 def index_pair(i: int) -> tuple[int, int]:
     s = 0
     while (s + 1) * (s + 2) // 2 <= i:

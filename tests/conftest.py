@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Callable, Iterator, Optional
 
 from hypothesis import strategies as st
 
-from survtree.engine import verify_record
-from survtree.engine.common import nodes_above, trace_from_outputs
+from survtree.cover import min_cover
+from survtree.engine import verify, verify_record
+from survtree.engine.common import nodes_above, schedule
 from survtree.engine.surviving import _Drawn, _first_per_prefix, _pick_distinct
 from survtree.io_formats import payload_digest
 from survtree.staged import OracleFunctional, StagedTree
@@ -73,16 +75,49 @@ def drop_children_of_last_parent(payload: dict) -> None:
     nodes[:] = [w for w in nodes if w[:-1] != parent]
 
 
-def set_first_word(row: list, entries: list[int]) -> None:
-    """Give word 0 of a run-coded trace row (``[count, entries]`` runs) the
-    children entries, as a run of its own; the other words keep theirs."""
-    count, es = row[0]
-    row[:1] = [[1, entries]] + ([[count - 1, es]] if count > 1 else [])
+def forked_defects(
+    monkeypatch, payload: dict, fid: int, adds: dict[Word, Word],
+    edit: Callable[[dict], object] = lambda p: None,
+) -> list[str]:
+    """The verifier's defects for payload after edit(payload), re-signed,
+    with functional fid of the family it rebuilds replaced by
+    ``adding_functional(adds)``.
+    Every configured kind is entrywise, and a final tree that passes the
+    shape check bounds their outputs' fork to its own, so only a functional
+    of another kind makes the outputs fork wider than the promise allows."""
+    rebuild = verify.family_of_payload
+
+    def family_of_payload(p):
+        family = rebuild(p)
+        fns = list(family.functionals)
+        fns[fid] = dataclasses.replace(adding_functional(adds), id=fid)
+        return dataclasses.replace(family, functionals=tuple(fns))
+
+    monkeypatch.setattr(verify, "family_of_payload", family_of_payload)
+    return forged_defects(payload, edit)
 
 
-def level_size(row: list) -> int:
-    """The words of the level below a run-coded trace row."""
-    return sum(count * len(es) for count, es in row)
+def schedule_prefix(n: int) -> list[int]:
+    """The first n terms of the task schedule."""
+    return [schedule(i) for i in range(n)]
+
+
+def pair_index(e: int, k: int) -> int:
+    """The index i with ``index_pair(i) == (e, k)``, for k > 2."""
+    if k <= 2:
+        raise ValueError("pairs require k > 2")
+    j = k - 3
+    return (e + j) * (e + j + 1) // 2 + j
+
+
+def monotonicity_table(b: int, d: int, k_range: range) -> list[tuple[int, int]]:
+    """(k, min cover size) rows, for 2 <= k < b."""
+    rows = []
+    for k in k_range:
+        if not 2 <= k < b:
+            raise ValueError(f"k={k} outside 2 <= k < b={b}")
+        rows.append((k, min_cover(b, k, d)[0]))
+    return rows
 
 
 def cert_index(payload: dict, kind: str) -> int:
@@ -216,15 +251,14 @@ def reference_case_c(
     table, k: int, stem: Word, tree: FiniteTree, assign_kids=reference_assign_kids
 ):
     """Case C top by top: each top's split is found from the node set, each
-    group goes through assign_kids in turn until one fails, the tree is
-    rebuilt from the last tops' zero-paddings and the trace is the
-    ``trace_from_outputs`` of every output.  It reads outputs only through
-    ``table.converged``, so a ``PositionReader`` can stand in for the table."""
+    group goes through assign_kids in turn until one fails, and the tree is
+    rebuilt from the last tops' zero-paddings.  It reads outputs only
+    through ``table.converged``, so a ``PositionReader`` can stand in for
+    the table."""
     b = k + 1
     depth = table.depth
     cm = child_map(tree)
     tops = [stem]
-    outs: list[Word] = [()]
     m = 0
     while True:
         chosen: list[tuple[Word, Word]] = []
@@ -240,7 +274,6 @@ def reference_case_c(
         if not chosen:
             break
         tops = [v for v, _ in chosen]
-        outs += [o for _, o in chosen]
         m += 1
     if m == 0:
         return None
@@ -250,8 +283,7 @@ def reference_case_c(
         while p not in nodes:
             nodes.add(p)
             p = p[:-1]
-    new_tree = FiniteTree(frozenset(nodes), tree.alphabet_bound)
-    return new_tree, trace_from_outputs(outs, depth, b)
+    return FiniteTree(frozenset(nodes), tree.alphabet_bound)
 
 
 LETTERS = 6  # staged-tree alphabets are drawn from 0..LETTERS-1

@@ -14,15 +14,20 @@ import random
 import time
 from collections import Counter
 
-from conftest import all_surjections, make_tree, subtree_nodesets
-from survtree.cover import min_cover, monotonicity_table, verify_cover
+from conftest import (
+    all_surjections,
+    make_tree,
+    monotonicity_table,
+    schedule_prefix,
+    subtree_nodesets,
+)
+from survtree.cover import min_cover, verify_cover
 from survtree.engine import (
     accelerating_force,
     build_3tree,
     check_label_invariants,
     diagonalize_surviving,
     initial_condition,
-    schedule_prefix,
     traceable_prune,
     verify_record,
 )
@@ -37,7 +42,7 @@ from survtree.staged import (
     family_from_config,
     standard_library,
 )
-from survtree.traces import goes_through
+from survtree.traces import trace_from_outputs
 from survtree.trees import (
     FiniteTree,
     Surjection,
@@ -188,20 +193,28 @@ def test_acceptance_4_surviving_run_and_verify():
                 w = tuple(cert["witness"])
                 assert w == rec.final_stem[: len(w)]
                 assert adv.decide(w, cert["stage"]) is TriState.OUT
-        # tracing: every splitting-case trace is bounded by 3^n and every
-        # final-tree branch goes through it
-        traced = dict(rec.traces)
-        for cert in rec.certificates:
-            if cert["kind"] == "trace" and cert.get("case") == "C":
-                trace = traced[cert["functional"]]
-                for n, level in enumerate(trace.levels):
-                    assert len(level) <= 3**n
-                fn = LIB.functionals[cert["functional"]]
-                for leaf in rec.final_tree.leaves():
-                    out = fn.prefix(leaf, trace.depth, 10**4)
-                    assert goes_through(out, trace)
+        # tracing: for every splitting case, the trie of the functional's
+        # outputs on the final leaves is a 3-tree, bounded by 3^n
+        split = [int(e["requirement"][1:]) for e in rec.stage_log if e["case"] in ("B", "C")]
+        assert split
+        for fid in split:
+            _assert_trie_width(LIB.functionals[fid], rec, 3)
         above = subtree_above(rec.final_tree, rec.final_stem)
         assert is_k_branching_to_depth(above, 3, 8) is None
+
+
+def _assert_trie_width(fn, rec, width):
+    """The trie of fn's outputs on the record's final leaves above its stem
+    has at most width children a word, and so at most width^n words on
+    level n; every output's prefixes are words of it."""
+    leaves = [w for w in rec.final_tree.leaves() if w[:len(rec.final_stem)] == rec.final_stem]
+    depth = rec.final_tree.depth
+    outs = [fn.prefix(leaf, depth, 10**4) for leaf in leaves]
+    levels = trace_from_outputs(outs, depth, width).levels
+    for n, level in enumerate(levels):
+        assert len(level) <= width**n
+    for out in outs:
+        assert all(out[:n] in levels[n] for n in range(len(out) + 1))
 
 
 # -- 5. the staged 3-tree builder ---------------------------------------------
@@ -243,13 +256,10 @@ def test_acceptance_6_traceable_schedule_labels_and_traces():
             assert seq and seq == schedule_prefix(len(seq))
         final = LabeledCondition(rec.final_stem, rec.final_tree, labels)
         assert check_label_invariants(final) is None
-        for fid, trace in rec.traces:
-            for n, level in enumerate(trace.levels):
-                assert len(level) <= 3**n
-            fn = LIB.functionals[fid]
-            for leaf in rec.final_tree.leaves():
-                out = fn.prefix(leaf, trace.depth, 10**4)
-                assert goes_through(out, trace)
+        pruned = [int(e["requirement"][1:]) for e in rec.stage_log if e["case"] == "prune"]
+        assert pruned
+        for fid in pruned:
+            _assert_trie_width(LIB.functionals[fid], rec, 3)
 
 
 # -- 7. the widening-splits engine --------------------------------------------
@@ -262,14 +272,13 @@ def test_acceptance_7_accelerating_shape_and_cases():
         assert verify_record(payload) == []
         tree = json_to_tree(payload["final_tree"])
         assert is_accelerating_to_depth(tree, tree.depth) is None
-        # the value-bounded functional routes to the two-tree prune
-        two = [c for c in rec.certificates if c["kind"] == "two_tree_trace"]
-        assert any(c["functional"] == 1 for c in two)
-        trace = dict(rec.traces)[1]
-        assert is_k_tree_to_depth(FiniteTree.from_levels(trace.levels), 2, trace.depth) is None
-        for leaf in tree.leaves():
-            out = LIB.functionals[1].prefix(leaf, trace.depth, 10**4)
-            assert goes_through(out[: trace.depth], trace)
+        # the value-bounded functional routes to the two-tree prune, and
+        # its outputs on the leaves lie on a 2-tree
+        assert [e["requirement"] for e in rec.stage_log if e["case"] == "4"] == ["P1"]
+        _assert_trie_width(LIB.functionals[1], rec, 2)
+        outs = [LIB.functionals[1].prefix(leaf, tree.depth, 10**4) for leaf in tree.leaves()]
+        trie = trace_from_outputs(outs, tree.depth, 2)
+        assert is_k_tree_to_depth(FiniteTree.from_levels(trie.levels), 2, trie.depth) is None
         # the constant-3 functional forces a large value at position 0
         values = [
             c
@@ -343,14 +352,11 @@ def _mutations(payload):
 
     variant(break_avoidance, resign=True)
 
-    def break_trace(p):
-        if not p["traces"]:
-            raise AssertionError("no trace to corrupt")
-        # the root row loses the root's entry, so the rows no longer
-        # cohere with the levels they extend
-        p["traces"][0]["children"][0] = []
+    def add_trace(p):
+        # a stored trace, which the verifier derives and no record carries
+        p["traces"] = [{"functional": 0, "children": [[[1, [0, 1, 2]]]]}]
 
-    variant(break_trace, resign=True)
+    variant(add_trace, resign=True)
 
     def break_shape(p):
         # the last child of a split loses its whole branch, so the split

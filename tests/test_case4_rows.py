@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import read_nodes
 from survtree.engine.accelerating import _case4, _prune_split, _suffixes
-from survtree.engine.common import OutputTable, trace_from_outputs
+from survtree.engine.common import OutputTable
 from survtree.staged import OracleFunctional, functional_from_config
 from survtree.trees import FiniteTree, Word, prefixes, word_key
 
@@ -98,7 +98,7 @@ def _reference_prune_split(
 def _reference_case4(table: OutputTable, stem: Word, depth: int):
     """Case 4 as first written: the split nodes pruned one by one, the
     tree the prefix closure of the stem, the kept words and the padded
-    final split nodes, its outputs read node by node."""
+    final split nodes."""
     split_nodes = [stem]
     all_nodes: set[Word] = set(prefixes(stem))
     log_levels = []
@@ -122,7 +122,7 @@ def _reference_case4(table: OutputTable, stem: Word, depth: int):
             )
         if failed:
             if level == 0:
-                return None, None, {"case": "no-disagreement"}
+                return None, {"case": "no-disagreement"}
             shortage = {"level": level, "reason": "no disagreement"}
             break
         for w in next_nodes:
@@ -132,11 +132,10 @@ def _reference_case4(table: OutputTable, stem: Word, depth: int):
     for w in split_nodes:
         all_nodes.update(prefixes(w + (0,) * (depth - len(w))))
     tree = FiniteTree.from_words(all_nodes)
-    trace = trace_from_outputs(map(table.converged, tree.nodes), depth, 2)
     log = {"case": "4", "levels": log_levels}
     if shortage is not None:
         log["shortage"] = shortage
-    return tree, trace, log
+    return tree, log
 
 
 def _tables(fn: OracleFunctional, fuel: int, depth: int) -> tuple[OutputTable, OutputTable]:
@@ -189,14 +188,13 @@ def case4_inputs(draw):
 @example(((1,), 7, 3, functional_from_config({"kind": "identity"}, 0)))
 def test_row_built_case4_matches_the_prefix_closure(case):
     """The tree from case 4's own rows has the nodes, sorted levels and
-    child counts of the prefix closure ``from_words`` builds; the trace,
-    the log and every read agree with the node-by-node case 4."""
+    child counts of the prefix closure ``from_words`` builds; the log and
+    every read agree with the node-by-node case 4."""
     stem, depth, fuel, fn = case
     table, ref = _tables(fn, fuel, depth)
-    tree, trace, log = _case4(table, stem, depth)
-    ref_tree, ref_trace, ref_log = _reference_case4(ref, stem, depth)
+    tree, log = _case4(table, stem, depth)
+    ref_tree, ref_log = _reference_case4(ref, stem, depth)
     assert log == ref_log
-    assert trace == ref_trace
     if ref_tree is None:
         assert tree is None
     else:
@@ -212,7 +210,7 @@ def test_case4_tree_levels_at_d12():
     and 5 successors from the root, then the 60 kept words padded."""
     fn = functional_from_config({"kind": "entry_mod", "modulus": 3}, 1)
     table = OutputTable(fn, 10**4, 12)
-    tree, _, log = _case4(table, (), 12)
+    tree, log = _case4(table, (), 12)
     assert log["shortage"] == {"level": 3, "need": 5, "room": 3}
     assert [len(lv) for lv in tree.levels()] == [1, 3, 3, 12, 12, 12] + [60] * 7
     assert tree.counts()[0] == [3]

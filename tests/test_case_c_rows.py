@@ -5,18 +5,15 @@ from the tree (``OutputTable.own_row``, which reads the slots of the
 stage's tree), and sends every other round, an
 own row that fails included, to the split search: each top's first node
 with k+1 children, whose children go to ``_assign_kids`` (which starts from
-the group's split length and falls back to the pool search).  Its trace is
-read off the rounds when every round is an own row, and is otherwise
-``trace_from_outputs`` of every output.  The reference kept here,
-``conftest.reference_case_c``, runs the per-group search of
-``conftest.reference_assign_kids`` length by length for every group and
-builds its trace with ``trace_from_outputs``.  Both must give the same
-tree, the same trace rows and the same reads.
+the group's split length and falls back to the pool search).  The
+reference kept here, ``conftest.reference_case_c``, runs the per-group
+search of ``conftest.reference_assign_kids`` length by length for every
+group.  Both must give the same tree and the same reads, and the outputs on
+the tree's leaves must lie on a (k+1)-tree: their trie, which the verifier
+derives, forks at most k+1 ways.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +21,10 @@ from hypothesis import strategies as st
 
 from conftest import adding_functional, read_nodes, reference_case_c
 from survtree.engine import diagonalize_surviving, surviving
-from survtree.engine.common import OutputTable, _more_than_k, trace_from_outputs
+from survtree.engine.common import OutputTable, _more_than_k
 from survtree.engine.surviving import _case_c
 from survtree.staged import OracleFunctional, standard_library
+from survtree.traces import TraceTable, trace_from_outputs
 from survtree.trees import FiniteTree, Word
 
 
@@ -51,7 +49,7 @@ def case_c_inputs(draw):
     so siblings split at their full length and rounds extend by one entry.
     Noisy nodes add a drawn run instead: none (a short child), a repeated
     value (duplicate prefixes, and rounds that fail) or two values (rounds
-    that extend by two, whose trace needs ``trace_from_outputs``)."""
+    that extend by two)."""
     k = draw(st.sampled_from([2, 3]))
     b = k + 1
     depth = draw(st.integers(1, 4 if b == 3 else 3))
@@ -98,6 +96,11 @@ def _prepare(table: OutputTable, k: int, stem: Word, tree: FiniteTree, preread) 
             table.converged(w)
 
 
+def _leaf_trie(table: OutputTable, tree: FiniteTree, k: int) -> TraceTable:
+    """The trie of the outputs on the tree's leaves, at most k+1 wide."""
+    return trace_from_outputs(map(table.converged, tree.leaves()), table.depth, k + 1)
+
+
 def _own_entries(tree: FiniteTree) -> dict[Word, Word]:
     return {w: w[-1:] for w in tree.sorted_nodes()}
 
@@ -126,11 +129,11 @@ _D2, _D3 = FiniteTree.full(3, 2), FiniteTree.full(3, 3)
 # two own rounds and then a searched one, whose outputs are no longer the
 # tree's words
 @example((2, _D3, (), {**_own_entries(_D3), (2, 1, 0): (4,)}, ()))
-# a searched round (the root has one child) and then an own row: the trace
-# is not read off the rounds, whose first is no row of the root's
+# a searched round (the root has one child) and then an own row, whose
+# first is no row of the root's
 @example((2, _pruned(3, 3, {(1,), (2,)}), (), _own_entries(_D3), ()))
 # only level 1 adds an entry: round 0 is an own row and round 1 finds no
-# output longer than one entry, so the trace ends in empty rows
+# output longer than one entry
 @example((2, FiniteTree.full(3, 4), (), {(0,): (0,), (1,): (1,), (2,): (2,)}, ()))
 def test_row_passes_match_the_per_group_search(case):
     k, tree, stem, adds, preread = case
@@ -140,32 +143,25 @@ def test_row_passes_match_the_per_group_search(case):
     built = _case_c(table, k, stem, tree)
     expected = reference_case_c(ref, k, stem, tree)
     assert built == expected
-    if built is not None:
-        assert built[1].children == expected[1].children
     assert table.evals == ref.evals
     # the prefix is called on exactly the nodes the per-group search reads
     assert called == read_nodes(ref)
+    if built is not None:
+        _leaf_trie(ref, built, k)
 
 
 class _Spy:
-    """Counts the calls of ``_assign_kids`` and ``trace_from_outputs`` in a
-    case C run."""
+    """Counts the calls of ``_assign_kids`` in a case C run."""
 
     def __init__(self, monkeypatch):
         self.assigned = 0
-        self.traced = 0
-        assign, trace = surviving._assign_kids, surviving.trace_from_outputs
+        assign = surviving._assign_kids
 
         def assign_kids(*args):
             self.assigned += 1
             return assign(*args)
 
-        def trace_from_outputs(*args):
-            self.traced += 1
-            return trace(*args)
-
         monkeypatch.setattr(surviving, "_assign_kids", assign_kids)
-        monkeypatch.setattr(surviving, "trace_from_outputs", trace_from_outputs)
 
 
 def _run(adds, tree, stem, preread, k=2):
@@ -178,7 +174,7 @@ def _run(adds, tree, stem, preread, k=2):
     return built
 
 
-def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monkeypatch):
+def test_a_known_leaf_row_passes_in_one_pass(monkeypatch):
     tree = FiniteTree.full(3, 4)
     spy = _Spy(monkeypatch)
     built = _run(_own_entries(tree), tree, (1,), "fold")
@@ -186,8 +182,7 @@ def test_a_known_leaf_row_passes_in_one_pass_and_its_trace_rows_are_direct(monke
     # unread children, 1 + 3 groups, and round 2 the leaf row's 9 groups,
     # which the fold has read; no group is searched
     assert spy.assigned == 0
-    assert spy.traced == 0
-    assert built[1].levels[4] == tree.levels()[4][27:54]
+    assert built.levels()[4] == tree.levels()[4][27:54]
 
 
 @pytest.mark.parametrize("preread", [(), "fold"])
@@ -197,12 +192,12 @@ def test_sibling_rounds_are_searched_and_keep_their_rows_group_by_group(monkeypa
     tree = FiniteTree.full(3, 3)
     adds = {w: (w[-1] + sum(w[:-1]),) for w in tree.sorted_nodes() if w}
     spy = _Spy(monkeypatch)
-    _, trace = _run(adds, tree, (), preread)
+    built = _run(adds, tree, (), preread)
     # round 0 is an own row; rounds 1 and 2 are not, and search their 3
     # and 9 groups, each of which splits at its full length
     assert spy.assigned == 12
-    assert spy.traced == 1
-    assert trace.children[2][:3] == ((0, 1, 2), (1, 2, 3), (2, 3, 4))
+    table, _, _ = _tables(adds, 3)
+    assert _leaf_trie(table, built, 2).children[2][:3] == ((0, 1, 2), (1, 2, 3), (2, 3, 4))
 
 
 def test_a_short_child_sends_its_group_to_the_pool_search(monkeypatch):
@@ -214,21 +209,18 @@ def test_a_short_child_sends_its_group_to_the_pool_search(monkeypatch):
     # round 1 splits (0,), finds no split above (1, 1) and fails, so the
     # tree is the zero-paddings of round 0's tops
     assert spy.assigned == 2
-    assert built[0] == FiniteTree.from_words([(0, 0), (1, 1), (2, 0)], 3)
-    # round 0 was searched, so its trace is built from the outputs
-    assert spy.traced == 1
+    assert built == FiniteTree.from_words([(0, 0), (1, 1), (2, 0)], 3)
 
 
-def test_rounds_that_extend_by_two_entries_use_trace_from_outputs(monkeypatch):
+def test_rounds_that_extend_by_two_entries_keep_a_3_tree_of_outputs():
     tree = FiniteTree.full(3, 2)
     adds = {w: w[-1:] * 2 for w in tree.sorted_nodes()}
-    spy = _Spy(monkeypatch)
     table, ref, _ = _tables(adds, 4)
     table.cases_a_b((), tree, 2)
     ref.cases_a_b((), tree, 2)
     built = _case_c(table, 2, (), tree)
     assert built == reference_case_c(ref, 2, (), tree)
-    assert spy.traced == 1
+    assert [len(lv) for lv in _leaf_trie(ref, built, 2).levels] == [1, 3, 3, 9, 9]
 
 
 def test_a_round_stops_at_its_first_group_of_equal_siblings():
@@ -240,7 +232,7 @@ def test_a_round_stops_at_its_first_group_of_equal_siblings():
     assert built == reference_case_c(ref, 2, (), tree)
     # round 1 is no own row and fails at group 1, whose search reads it
     # whole; group 2 is never read
-    assert built[0] == FiniteTree.from_words([(0, 0), (1, 0), (2, 0)], 3)
+    assert built == FiniteTree.from_words([(0, 0), (1, 0), (2, 0)], 3)
     assert set(tree.levels()[2][3:6]) <= called
     assert not {(2, 0), (2, 1), (2, 2)} & called
     assert table.evals == ref.evals
@@ -272,7 +264,7 @@ def test_standard_case_c_rounds_are_own_rows_and_run_no_search(monkeypatch):
     """The standard family's functionals, the identity and entry_mod with
     modulus k + 1, output each node's own word, so every case C round is an
     own row, read from the slots of the stage's tree with no group
-    searched, and its trace is read off the rounds."""
+    searched."""
     owns: list[bool] = []
     own_row = OutputTable.own_row
 
@@ -288,30 +280,26 @@ def test_standard_case_c_rounds_are_own_rows_and_run_no_search(monkeypatch):
     cases = [e["case"] for e in payload["stage_log"] if e["stage"] % 2]
     assert cases[:2] == ["C", "C"]
     assert owns and all(owns)
-    # case B builds its trace with trace_from_outputs; case C never does
     assert spy.assigned == 0
-    assert spy.traced == cases.count("B")
 
 
 @pytest.mark.parametrize("preread", [(), "fold"])
 @pytest.mark.parametrize("depth, stem_level", [(d, n) for d in range(1, 6) for n in range(d)])
 @pytest.mark.parametrize("b", [3, 4])
-def test_own_rounds_trace_is_the_trace_of_their_outputs(b, depth, stem_level, preread):
-    """Over a full tree, with every node its own output, the trace read off
-    the rounds is ``trace_from_outputs`` of the rounds' outputs: the nodes
-    above the stem, level by level."""
+def test_own_rounds_keep_the_tree_above_the_stem(b, depth, stem_level, preread):
+    """Over a full tree, with every node its own output, case C's rounds
+    are the levels above the stem: it keeps the tree above the stem, and
+    the trie of the outputs on its leaves is that tree, b-ary above the
+    stem."""
     tree = FiniteTree.full(b, depth)
     levels = tree.levels()
     stem = levels[stem_level][len(levels[stem_level]) // 2]
     table = OutputTable(adding_functional(_own_entries(tree)), 1, depth)
     _prepare(table, b - 1, stem, tree, preread)
-    _, trace = _case_c(table, b - 1, stem, tree)
-    rounds = [
-        [w for w in levels[n] if w[:len(stem)] == stem] for n in range(stem_level + 1, depth + 1)
-    ]
-    expected = trace_from_outputs(chain([()], *rounds), depth, b)
-    assert trace == expected
-    assert trace.children == expected.children
+    built = _case_c(table, b - 1, stem, tree)
+    above = [[w for w in lv if w[:len(stem)] == stem] for lv in levels[stem_level:]]
+    assert built.levels()[stem_level:] == above
+    assert _leaf_trie(table, built, b - 1).levels == built.levels()
 
 
 def _old_more_than_k(outs: set[Word], k: int) -> bool:

@@ -19,12 +19,11 @@ from survtree.engine import (
     traceable_prune,
     verify_record,
 )
+from survtree.engine.surviving import TREE_ENTRY_LIMIT, tree_fits
 from survtree.io_formats import (
-    TRACE_ENTRY_LIMIT,
     canonical_json,
     dump_record,
     dump_tree,
-    json_to_trace,
     load_record,
     load_tree,
 )
@@ -125,7 +124,7 @@ def _refuse_to_run(*args):
 
 
 @pytest.mark.parametrize("k, fits, refused", [("2", "12", "13"), ("3", "10", "11")])
-def test_surviving_run_past_the_trace_limit_is_refused_before_any_work(
+def test_surviving_run_past_the_tree_limit_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch, k, fits, refused
 ):
     monkeypatch.setattr(cli, "diagonalize_surviving", _refuse_to_run)
@@ -133,12 +132,34 @@ def test_surviving_run_past_the_trace_limit_is_refused_before_any_work(
     argv = ["run", "--engine", "surviving", "--k", k, "--out", str(out), "--depth"]
     assert main(argv + [refused]) == 2
     err = capsys.readouterr().err
-    assert f"more than {TRACE_ENTRY_LIMIT} entries" in err
+    assert f"the final tree could spell out more than {TREE_ENTRY_LIMIT} entries" in err
     assert "Traceback" not in err
     assert not out.exists()
     # one level less passes the guard and reaches the engine
     with pytest.raises(_EngineCalled):
         main(argv + [fits])
+
+
+@pytest.mark.parametrize("b, fits, refused", [(3, 12, 13), (4, 10, 11)])
+def test_tree_fits_up_to_the_entry_limit(b, fits, refused):
+    """The guard admits k = 2 up to depth 12 and k = 3 up to depth 10,
+    called at the boundary with no tree built, and a huge depth is refused
+    at once."""
+    assert tree_fits(b, fits) and not tree_fits(b, refused) and tree_fits(b, 0)
+    assert not tree_fits(10**6, 10**9)
+
+
+@pytest.mark.parametrize("b, depth", [(2, 4), (3, 3)])
+def test_tree_fits_counts_the_entries_of_the_full_tree(monkeypatch, b, depth):
+    """The entries the guard counts are those the full tree's words spell
+    out: a limit of exactly that many admits the depth, one less refuses it."""
+    from survtree.engine import surviving
+
+    spelled = sum(map(len, FiniteTree.full(b, depth).nodes))
+    monkeypatch.setattr(surviving, "TREE_ENTRY_LIMIT", spelled)
+    assert tree_fits(b, depth)
+    monkeypatch.setattr(surviving, "TREE_ENTRY_LIMIT", spelled - 1)
+    assert not tree_fits(b, depth)
 
 
 def test_accelerating_run_past_the_case4_limit_is_refused_before_any_work(
@@ -285,50 +306,44 @@ def _surviving_d4_payload() -> dict:
     return diagonalize_surviving(2, standard_library(), 8, 4, 4000).to_payload()
 
 
-def _as_word_list(trace: dict) -> None:
-    """Rewrite a trace in the word-list form records used to carry."""
-    levels = json_to_trace(trace, len(trace["children"]), 3).levels
-    del trace["children"]
-    trace["words"] = [list(w) for lv in levels for w in sorted(lv)]
+def _stored_traces(p: dict) -> None:
+    p["traces"] = [{"functional": 0, "children": [[[1, [0, 1, 2]]]] * 4}]
 
 
-def _set_first_row1_entry(value):
-    """Set the children entries of row 1's first run to value."""
-    def edit(trace):
-        trace["children"][1][0][1] = value
+def _trace_certificate(kind: str):
+    def edit(p):
+        p["certificates"].append({"kind": kind, "functional": 0, "trace_index": 0})
     return edit
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, what",
     [
-        pytest.param(lambda t: t["children"].pop(), id="too-few-rows"),
-        pytest.param(lambda t: t["children"].append([]), id="too-many-rows"),
-        pytest.param(lambda t: t["children"][2].pop(), id="short-row"),
-        pytest.param(lambda t: t["children"][2].append([0]), id="long-row"),
-        pytest.param(lambda t: t.update(children=None), id="rows-not-a-list"),
-        pytest.param(lambda t: t["children"].__setitem__(1, {}), id="row-not-a-list"),
-        pytest.param(_set_first_row1_entry([0, 0, 1]), id="duplicate-entry"),
-        pytest.param(_set_first_row1_entry([0, 2, 1]), id="non-increasing-entry"),
-        pytest.param(_set_first_row1_entry([-1, 0, 1]), id="negative-entry"),
-        pytest.param(_set_first_row1_entry([0, True, 2]), id="bool-entry"),
-        pytest.param(_set_first_row1_entry([0, 1.0, 2]), id="float-entry"),
-        pytest.param(_set_first_row1_entry([0, "1", 2]), id="string-entry"),
-        pytest.param(_set_first_row1_entry([0, [1], 2]), id="list-entry"),
-        pytest.param(_set_first_row1_entry(3), id="int-for-entry-list"),
-        pytest.param(_as_word_list, id="word-list-trace"),
+        pytest.param(_stored_traces, "stores traces", id="traces"),
+        pytest.param(lambda p: p.update(traces=[]), "stores traces", id="no-traces"),
+        pytest.param(_trace_certificate("trace"), "holds trace certificates", id="trace"),
+        pytest.param(
+            _trace_certificate("two_tree_trace"), "holds trace certificates", id="two_tree_trace"
+        ),
     ],
 )
-def test_verify_reports_bad_trace_rows_as_one_malformed_defect(tmp_path, capsys, edit):
+def test_verify_refuses_a_record_of_the_format_with_traces(tmp_path, capsys, edit, what):
+    """A record written while records stored traces, signed as it was, is
+    refused with one defect that says to re-run it: its traces are never
+    read, so they cannot pass unchecked."""
     payload = copy.deepcopy(_surviving_d4_payload())
-    edit(payload["traces"][0])
+    assert verify_record(payload) == []
+    edit(payload)
     del payload["digest"]
     out = tmp_path / "rec.json"
     with open(out, "w") as fp:
-        dump_record(payload, fp)  # signed again, so only the trace is wrong
+        dump_record(payload, fp)
     with open(out) as fp:
         defects = verify_record(load_record(fp))
-    assert len(defects) == 1 and defects[0].startswith("malformed record: ")
+    assert defects == [
+        f"a record of an earlier format: it {what}, which the verifier now derives; "
+        "re-run the engine to write it anew"
+    ]
     assert main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"defect: {defects[0]}\n"

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import monotonicity_table
 from survtree.cover import (
     SIZE_LIMIT,
     CoverWitness,
     SizeGuard,
     min_cover,
-    monotonicity_table,
     verify_cover,
 )
 from survtree.trees import FiniteTree, Word

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import copy
 
-from conftest import cert_index, drop_children_of_last_parent, forged_defects, set_first_word
+from conftest import drop_children_of_last_parent, forged_defects
 from survtree.engine import accelerating_force, verify_record
 from survtree.engine.accelerating import CASE4_CANDIDATE_LIMIT, _exits, case4_candidates
 from survtree.engine.common import Run
-from survtree.io_formats import payload_digest
 from survtree.staged import family_from_config, standard_library
-from survtree.traces import goes_through
+from survtree.traces import trace_from_outputs
 from survtree.trees import (
     FiniteTree,
     TriState,
@@ -81,42 +80,37 @@ def test_constant_three_forces_value_at_zero():
     assert certs[0]["value"] >= 3
 
 
-def test_mod_functional_yields_two_tree_trace():
+def test_mod_functional_outputs_lie_on_a_2_tree():
     rec = run()
-    certs = [c for c in rec.certificates if c["kind"] == "two_tree_trace"]
-    assert any(c["functional"] == 1 for c in certs)
-    trace = dict(rec.traces)[1]
-    assert is_k_tree_to_depth(FiniteTree.from_levels(trace.levels), 2, trace.depth) is None
+    assert [e["requirement"] for e in rec.stage_log if e["case"] == "4"] == ["P1"]
+    outs = [LIB.functionals[1].prefix(leaf, 8, 10000) for leaf in rec.final_tree.leaves()]
+    trie = trace_from_outputs(outs, 8, 2)
+    assert is_k_tree_to_depth(FiniteTree.from_levels(trie.levels), 2, trie.depth) is None
+    assert all(o[:n] in trie.levels[n] for o in outs for n in range(len(o) + 1))
 
 
-def test_verifier_refuses_a_two_tree_trace_with_a_third_child():
+def _move_branch(old: list, new: list):
+    """An edit moving the final tree's branch through old to new: every node
+    from old on gets new in its place."""
+    def edit(p):
+        n = len(old)
+        p["final_tree"]["nodes"] = [
+            new + w[n:] if w[:n] == old else w for w in p["final_tree"]["nodes"]
+        ]
+    return edit
+
+
+def test_verifier_refuses_outputs_that_fork_3_ways():
+    """Case 4 keeps (3, 1, 0), (3, 1, 1) and (3, 1, 3) at its first split,
+    whose entries mod 3 take two values.  Moved to (3, 1, 6) the last keeps
+    them two; moved to (3, 1, 2) it makes P1's outputs fork 3 ways at
+    (0, 1), which the defect names with the stage and the functional."""
     payload = run().to_payload()
-    i = next(
-        i for i, c in enumerate(payload["certificates"]) if c["kind"] == "two_tree_trace"
-    )
-    trace = payload["traces"][payload["certificates"][i]["trace_index"]]
-    set_first_word(trace["children"][-1], [0, 1, 2])
-    payload["digest"] = payload_digest(payload)
-    assert verify_record(payload) == [
-        f"certificate {i} (two_tree_trace): trace is not a 2-tree: "
-        f"level {payload['parameters']['depth'] - 1} word 0 has 3 children"
-    ]
-
-
-def test_verifier_refuses_a_trace_bound_other_than_2():
-    """The bound is the promise's 2^n, read from no field: a trace with 3
-    words on level 1 is refused, and so is one that restates a bound."""
-    payload = run().to_payload()
-    ti = payload["certificates"][cert_index(payload, "two_tree_trace")]["trace_index"]
-
-    def widen(p):
-        p["traces"][ti]["children"] = [[[3**n, [0, 1, 2]]] for n in range(8)]
-
-    defects = forged_defects(copy.deepcopy(payload), widen)
-    assert defects == ["malformed record: level 1 has 3 words, bound allows 2"]
-    defects = forged_defects(payload, lambda p: p["traces"][ti].update(bound={"kind": "pow", "base": 2}))
-    assert defects == [
-        "malformed record: a trace is an object of only its functional and its children rows"
+    assert payload["stage_log"][3]["case"] == "4"
+    assert forged_defects(copy.deepcopy(payload), _move_branch([3, 1, 3], [3, 1, 6])) == []
+    assert forged_defects(payload, _move_branch([3, 1, 3], [3, 1, 2])) == [
+        "stage 3 (4): the outputs of functional 1 on the leaves fork 3 ways at (0, 1), "
+        "more than 2"
     ]
 
 
@@ -143,14 +137,6 @@ def test_verifier_refuses_a_record_without_its_shape_certificate():
     assert defects == [
         "final tree node (3, 1): more than 2 successors (split number 0), saw 2"
     ]
-
-
-def test_two_tree_trace_branch_go_through():
-    rec = run()
-    trace = dict(rec.traces)[1]
-    for leaf in rec.final_tree.leaves():
-        out = LIB.functionals[1].prefix(leaf, trace.depth, 10000)
-        assert goes_through(out[: trace.depth], trace)
 
 
 def test_diverging_functional_presumed_divergent():

@@ -1,4 +1,4 @@
-"""The alternating avoid/trace engine over (k+1)-branching conditions."""
+"""The alternating avoid/tame engine over (k+1)-branching conditions."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import itertools
 import pytest
 
 from conftest import (
-    cert_index,
     drop_children_of_last_parent,
     forged_defects,
-    level_size,
-    set_first_word,
+    forked_defects,
 )
 from survtree.engine import diagonalize_surviving, verify_record
 from survtree.io_formats import json_to_tree, payload_digest
@@ -20,8 +18,7 @@ from survtree.staged import (
     family_from_config,
     standard_library,
 )
-from survtree.io_formats import json_to_trace
-from survtree.traces import goes_through
+from survtree.traces import trace_from_outputs
 from survtree.trees import TriState, is_k_branching_to_depth, subtree_above
 
 LIB = standard_library()
@@ -57,20 +54,20 @@ def test_single_honest_binary_adversary_exits_right():
     assert adv.decide(rec.final_stem[:1], 100) is TriState.OUT
 
 
-def test_identity_functional_traces_tree_levels():
+def test_identity_functional_outputs_lie_on_a_3_tree():
     config = {
         "staged_trees": [],
         "functionals": [{"id": 0, "kind": "identity"}],
     }
     rec = run(family=family_from_config(config), stages=2, depth=5)
-    assert len(rec.traces) == 1
-    _, trace = rec.traces[0]
+    assert rec.stage_log[1]["case"] == "C"
+    # the identity's outputs on the leaves are the leaves, and their trie
+    # the final tree itself
+    leaves = list(rec.final_tree.leaves())
+    trace = trace_from_outputs(leaves, 5, 3)
+    assert trace.levels == rec.final_tree.levels()
     for n, level in enumerate(trace.levels):
         assert len(level) <= 3**n
-    # every branch of the final tree goes through the trace
-    for leaf in rec.final_tree.leaves():
-        if len(leaf) <= trace.depth:
-            assert goes_through(leaf, trace)
 
 
 def test_final_tree_branching_above_stem():
@@ -104,8 +101,7 @@ def test_payload_round_trip_shapes():
     payload = run(stages=4).to_payload()
     tree = json_to_tree(payload["final_tree"])
     assert tree.nodes == run(stages=4).final_tree.nodes
-    for entry in payload["traces"]:
-        json_to_trace(entry, 6, 3)  # parses and validates the 3^n bound
+    assert "traces" not in payload
 
 
 def test_budget_exhaustion_marks_incomplete():
@@ -116,45 +112,31 @@ def test_budget_exhaustion_marks_incomplete():
     assert verify_record(rec.to_payload()) == []
 
 
-def _forged_trace(k, depth, edit):
-    """The defects of a re-signed record whose trace with the fewest words on
-    its last level (the one with room under (k+1)^depth) is edited, and the
-    index of that trace's certificate."""
-    payload = run(k=k, depth=depth).to_payload()
-    traces = payload["traces"]
-    ti = min(range(len(traces)), key=lambda t: level_size(traces[t]["children"][-1]))
-    edit(traces[ti])
-    payload["digest"] = payload_digest(payload)
-    i = next(i for i, c in enumerate(payload["certificates"]) if c.get("trace_index") == ti)
-    return verify_record(payload), i
+def _fork(payload: dict, width: int) -> tuple[int, str, int, dict]:
+    """The first stage logged B or C, its case and functional, and what
+    that functional adds to make its outputs fork width ways at (7,): the
+    first width leaves above the stem each add (7, i)."""
+    s, case, req = next(
+        (e["stage"], e["case"], e["requirement"]) for e in payload["stage_log"] if e["case"] in "BC"
+    )
+    tree, stem = json_to_tree(payload["final_tree"]), tuple(payload["final_stem"])
+    leaves = [w for w in tree.leaves() if w[:len(stem)] == stem]
+    assert len(leaves) >= width
+    return s, case, int(req[1:]), {leaf: (7, i) for i, leaf in enumerate(leaves[:width])}
 
 
-@pytest.mark.parametrize("k, depth", [(2, 6), (3, 5)])
-def test_verifier_refuses_a_trace_word_with_k_plus_2_children(k, depth):
-    def widen(trace):
-        _, es = trace["children"][-1][0]
-        wider = es + [max(es, default=-1) + 1 + j for j in range(k + 2 - len(es))]
-        set_first_word(trace["children"][-1], wider)
-
-    defects, i = _forged_trace(k, depth, widen)
-    assert defects == [
-        f"certificate {i} (trace): trace is not a {k + 1}-tree: "
-        f"level {depth - 1} word 0 has {k + 2} children"
-    ]
-
-
-@pytest.mark.parametrize("k, depth", [(2, 6), (3, 5)])
-def test_verifier_refuses_a_trace_bound_other_than_k_plus_1(k, depth):
-    """The bound is the promise's (k+1)^n, read from no field: a trace with
-    k+2 words on level 1 is refused, and so is one that restates a bound."""
-    def widen(trace):
-        trace["children"] = [[[(k + 2)**n, list(range(k + 2))]] for n in range(depth)]
-
-    defects, _ = _forged_trace(k, depth, widen)
-    assert defects == [f"malformed record: level 1 has {k + 2} words, bound allows {k + 1}"]
-    defects, _ = _forged_trace(k, depth, lambda trace: trace.update(bound={"kind": "pow", "base": 10**6}))
-    assert defects == [
-        "malformed record: a trace is an object of only its functional and its children rows"
+@pytest.mark.parametrize("k, depth, stages", [(2, 6, 8), (3, 5, 2)])
+def test_verifier_refuses_outputs_that_fork_k_plus_2_ways(monkeypatch, k, depth, stages):
+    """The trie of a B or C stage's outputs on the final leaves may fork
+    k+1 ways, the promise's width, and not k+2: the defect names the stage,
+    the functional and the node."""
+    payload = run(k=k, depth=depth, stages=stages).to_payload()
+    s, case, fid, adds = _fork(payload, k + 1)
+    assert forked_defects(monkeypatch, payload, fid, adds) == []
+    s, case, fid, adds = _fork(payload, k + 2)
+    assert forked_defects(monkeypatch, payload, fid, adds) == [
+        f"stage {s} ({case}): the outputs of functional {fid} on the leaves fork {k + 2} ways "
+        f"at (7,), more than {k + 1}"
     ]
 
 
@@ -199,25 +181,10 @@ def test_verifier_checks_a_divergence_under_the_record_fuel():
     assert defects[1] == extra
 
 
-def test_verifier_checks_a_trace_under_the_record_fuel():
-    def starve(payload):
-        next(c for c in payload["certificates"] if c["kind"] == "trace")["fuel"] = 0
-
-    payload, defects = _resigned(starve)
-    i = next(i for i, c in enumerate(payload["certificates"]) if c["kind"] == "trace")
-    assert defects == [f"certificate {i} (trace): fuel 0 differs from the record's fuel 4000"]
-
-
-def test_a_functional_certificate_needs_the_record_fuel():
-    payload, defects = _resigned(lambda payload: payload["parameters"].pop("fuel"))
-    functional = [
-        i for i, c in enumerate(payload["certificates"]) if "functional" in c
-    ]
-    assert functional and defects == [
-        f"certificate {i} ({payload['certificates'][i]['kind']}): "
-        "malformed certificate: the record has no fuel parameter"
-        for i in functional
-    ]
+def test_a_record_with_functional_stages_needs_its_fuel():
+    # the outputs' trie of a B or C stage is derived under the record's fuel
+    _, defects = _resigned(lambda payload: payload["parameters"].pop("fuel"))
+    assert defects == ["malformed record: the record has no fuel parameter"]
 
 
 def test_a_record_with_a_fuel_that_is_no_integer_is_malformed():
@@ -242,32 +209,6 @@ def test_verifier_refuses_a_record_without_its_shape_certificate():
     assert defects == ["final tree node (2, 0, 2, 2, 2): exactly 1 or 3 successors, saw 2"]
 
 
-def test_verifier_refuses_traces_that_no_certificate_names():
-    payload = run().to_payload()
-
-    def unname(p):
-        p["certificates"] = [c for c in p["certificates"] if c["kind"] != "trace"]
-
-    defects = forged_defects(payload, unname)
-    assert [t["functional"] for t in payload["traces"]] == [0, 1, 2]
-    assert defects == [
-        f"trace {ti} is named by 0 trace certificates, not one" for ti in range(3)
-    ] + [
-        f"trace certificates of functional {fid}: the stage log calls for 1, the record holds 0"
-        for fid in range(3)
-    ]
-
-
-def test_verifier_refuses_a_trace_that_two_certificates_name():
-    payload = run().to_payload()
-    i = cert_index(payload, "trace")
-    defects = forged_defects(payload, lambda p: p["certificates"].append(dict(p["certificates"][i])))
-    assert defects == [
-        "trace 0 is named by 2 trace certificates, not one",
-        "trace certificates of functional 0: the stage log calls for 1, the record holds 2",
-    ]
-
-
 def _relog_r2_vacuous(p):
     """Stage 4, R2, logged vacuous at the root, where tree 2 shows two
     successors (its exit's avoidance certificate still holds, and no stage
@@ -283,12 +224,16 @@ _R2_AVOIDANCE = "avoidance certificates of tree 2: the stage log calls for 0, th
 def test_verifier_takes_a_vacuous_requirement_k_from_the_parameters(k):
     """Two successors are not more than the record's k of 2, though more
     than a k of 0 or 1: lowering the parameters' k to k as well, R2 still
-    relogged, breaks the promised trace bound (k+1)^n with it."""
+    relogged, breaks the promise that k fixes, k >= 2 and the alphabet
+    bound k+1, with it."""
     payload = run().to_payload()
     defects = forged_defects(payload, _relog_r2_vacuous)
     assert defects == [_R2_VACUOUS, _R2_AVOIDANCE]
     defects = forged_defects(payload, lambda p: p["parameters"].update(k=k))
-    assert defects == [f"malformed record: level 1 has 3 words, bound allows {k + 1}"]
+    assert defects == [
+        "malformed record: k must be >= 2" if k == 0
+        else "malformed record: final tree alphabet bound 3 is not 2"
+    ]
 
 
 def test_verifier_refuses_a_vacuous_requirement_for_a_stage_that_was_not_vacuous():
@@ -317,10 +262,11 @@ def test_verifier_checks_each_vacuous_witness_from_the_log():
     ]
 
 
-def test_a_vacuous_entry_at_a_functional_stage_is_malformed():
+def test_a_vacuous_entry_at_a_functional_stage_is_a_defect():
+    # a functional stage logs one of its engine's own cases, never a tree case
     payload = run().to_payload()
     defects = forged_defects(payload, lambda p: p["stage_log"][1].update(case="vacuous", witness=[]))
-    assert defects == ["malformed record: stage 1 is logged vacuous but is no tree requirement"]
+    assert defects == ["stage 1 is P0, logged 'P0' as 'vacuous'"]
 
 
 def test_a_surviving_record_that_carries_labels_is_refused():

@@ -11,16 +11,16 @@ from survtree.engine import (
     check_label_invariants,
     initial_condition,
     schedule,
-    schedule_prefix,
     traceable_prune,
     verify_record,
 )
-from conftest import cert_index, forged_defects, set_first_word
+from conftest import forged_defects, forked_defects, schedule_prefix
 from survtree.engine.common import LabeledCondition, labels_of_payload
 from survtree.engine.traceable import _members_leaves
+from survtree.io_formats import json_to_tree
 from survtree.staged import standard_library
-from survtree.traces import goes_through
-from survtree.trees import FiniteTree, is_k_tree_to_depth
+from survtree.traces import trace_from_outputs
+from survtree.trees import FiniteTree, children, is_k_tree_to_depth
 
 LIB = standard_library()
 
@@ -88,24 +88,17 @@ def test_every_branch_reads_its_labels_off_the_schedule():
         assert seq and seq == schedule_prefix(len(seq))
 
 
-def test_traces_bounded_and_followed():
+def test_prune_outputs_lie_on_3_trees():
     rec = run()
-    assert rec.traces, "prune stages must emit traces"
-    for _, trace in rec.traces:
-        for n, level in enumerate(trace.levels):
+    pruned = [int(e["requirement"][1:]) for e in rec.stage_log if e["case"] == "prune"]
+    assert pruned, "the run must prune"
+    leaves = [w for w in rec.final_tree.leaves() if w[:len(rec.final_stem)] == rec.final_stem]
+    for fid in pruned:
+        outs = [LIB.functionals[fid].prefix(leaf, 6, 5000) for leaf in leaves]
+        levels = trace_from_outputs(outs, 6, 3).levels
+        for n, level in enumerate(levels):
             assert len(level) <= 3**n
-
-
-def test_trace_branch_go_through():
-    rec = run()
-    for cert in rec.certificates:
-        if cert["kind"] != "trace" or cert.get("case") != "prune":
-            continue
-        fid = cert["functional"]
-        trace = dict(rec.traces)[fid]
-        for leaf in rec.final_tree.leaves():
-            out = LIB.functionals[fid].prefix(leaf, trace.depth, 5000)
-            assert goes_through(out, trace)
+        assert all(o[:n] in levels[n] for o in outs for n in range(len(o) + 1))
 
 
 def test_record_verifies():
@@ -146,35 +139,31 @@ def test_verifier_refuses_a_record_without_its_shape_certificate():
     assert defects == ["final tree node (): between 1 and 3 successors, saw 4"]
 
 
-def test_verifier_refuses_a_trace_bound_other_than_3():
-    """The bound is the promise's 3^n, read from no field: a trace with 4
-    words on level 1 is refused, and so is one that restates a bound."""
-    payload = run().to_payload()
-    ti = payload["certificates"][cert_index(payload, "trace")]["trace_index"]
+def test_verifier_refuses_outputs_that_fork_4_ways(monkeypatch):
+    """The two-stage record keeps 3 leaves above its stem, on which P0's
+    outputs may fork 3 ways.  With a fourth leaf, a sibling of a leaf that
+    has room, labelled as that leaf, the final tree is still a 3-tree whose
+    labels read off the schedule, and outputs that fork 4 ways are refused:
+    the defect names the stage, the functional and the node."""
+    payload = run(stages=2).to_payload()
+    assert [e["case"] for e in payload["stage_log"]] == ["exit", "prune"]
+    tree, stem = json_to_tree(payload["final_tree"]), tuple(payload["final_stem"])
+    leaves = [w for w in tree.leaves() if w[:len(stem)] == stem]
+    assert len(leaves) == 3
+    adds = {leaf: (7, i) for i, leaf in enumerate(leaves)}
+    assert forked_defects(monkeypatch, copy.deepcopy(payload), 0, adds) == []
+    leaf = next(w for w in leaves if len(children(tree, w[:-1])) < 3)
+    extra = leaf[:-1] + (children(tree, leaf[:-1])[-1][-1] + 1,)
+    label = dict((tuple(w), v) for w, v in payload["labels"])[leaf]
 
-    def widen(p):
-        p["traces"][ti]["children"] = [[[4**n, [0, 1, 2, 3]]] for n in range(6)]
+    def add_leaf(p):
+        p["final_tree"]["nodes"].append(list(extra))
+        p["labels"].append([list(extra), label])
 
-    defects = forged_defects(copy.deepcopy(payload), widen)
-    assert defects == ["malformed record: level 1 has 4 words, bound allows 3"]
-    defects = forged_defects(payload, lambda p: p["traces"][ti].update(bound={"kind": "pow", "base": 3}))
+    defects = forked_defects(monkeypatch, payload, 0, {**adds, extra: (7, 3)}, add_leaf)
     assert defects == [
-        "malformed record: a trace is an object of only its functional and its children rows"
-    ]
-
-
-def test_verifier_refuses_a_trace_word_with_4_children():
-    # the traces are 3-trees, like the condition they trace
-    payload = run().to_payload()
-    i = cert_index(payload, "trace")
-    ti = payload["certificates"][i]["trace_index"]
-
-    def widen(p):
-        set_first_word(p["traces"][ti]["children"][-1], [0, 1, 2, 3])
-
-    defects = forged_defects(payload, widen)
-    assert defects == [
-        f"certificate {i} (trace): trace is not a 3-tree: level 5 word 0 has 4 children"
+        "stage 1 (prune): the outputs of functional 0 on the leaves fork 4 ways at (7,), "
+        "more than 3"
     ]
 
 

@@ -1,9 +1,9 @@
-"""Trees kept as sorted level rows and child counts, traces as their rows.
+"""Trees kept as sorted level rows and child counts.
 
 A tree given as a collection of nodes is sorted into levels and checked
 there, one level at a time; it matches a reference read off the node set.
 The surviving engine and its record's encoding build no node set and no
-trace offsets, and the verifier builds each trace's offsets once."""
+trace, and the verifier builds one output trie per stage that owes one."""
 
 from __future__ import annotations
 
@@ -147,12 +147,11 @@ def test_a_count_row_tested_as_a_set_gives_the_first_bad_node(case, k, d):
 
 def _spy(monkeypatch):
     """Counters of the node sets read, the trees sorted from a node
-    collection, and, per trace table, the offset tables built."""
+    collection and the trace tables built."""
     seen = Counter()
-    builds: Counter = Counter()
     read_nodes = FiniteTree.nodes.fget
     post_init = FiniteTree.__post_init__
-    index = traces._index
+    table_init = traces.TraceTable.__post_init__
 
     def nodes(tree):
         seen["node sets"] += 1
@@ -162,37 +161,36 @@ def _spy(monkeypatch):
         seen["trees from nodes"] += tree._counts is None
         post_init(tree)
 
-    def looked_up(word, table):
-        builds[id(table)] += table._offsets is None
-        return index(word, table)
+    def table_built(table):
+        seen["trace tables"] += 1
+        table_init(table)
 
     monkeypatch.setattr(FiniteTree, "nodes", property(nodes))
     monkeypatch.setattr(FiniteTree, "__post_init__", sorted_from_nodes)
-    monkeypatch.setattr(traces, "_index", looked_up)
-    return seen, builds
+    monkeypatch.setattr(traces.TraceTable, "__post_init__", table_built)
+    return seen
 
 
-def test_the_surviving_engine_and_its_encoding_build_no_node_set_and_no_offsets(monkeypatch):
-    seen, builds = _spy(monkeypatch)
+def test_the_surviving_engine_and_its_encoding_build_no_node_set_and_no_trace(monkeypatch):
+    seen = _spy(monkeypatch)
     record = diagonalize_surviving(2, LIB, 14, 8, 10_000)
     buf = io.StringIO()
     dump_record(record.to_payload(), buf)
-    assert record.traces and record.final_tree.depth == 8
-    assert seen == Counter() and builds == Counter()
-    assert all(table._offsets is None for _, table in record.traces)
+    assert record.final_tree.depth == 8
+    assert seen == Counter()
 
     payload = record.to_payload()
     assert verify_record(payload) == []
     # the final tree is read from the record as a node list, and its set is
-    # never built; each trace's offsets are built on its first lookup only
-    assert seen == Counter({"trees from nodes": 1})
-    assert 1 <= len(builds) <= len(payload["traces"])
-    assert set(builds.values()) == {1}
+    # never built; one output trie is derived per stage logged B or C
+    tamed = [e for e in payload["stage_log"] if e["case"] in ("B", "C")]
+    assert len(tamed) == 3
+    assert seen == Counter({"trees from nodes": 1, "trace tables": 3})
 
 
 def test_a_depth_9_surviving_run_stays_under_6_mib():
-    """Without the node sets and offsets of its trees and traces the run
-    peaks near 5 MiB (8.1 MiB with them), on Python 3.10 and 3.11."""
+    """Without the node sets of its trees the run peaks near 5 MiB (8.1 MiB
+    with them and the traces' offsets), on Python 3.10 and 3.11."""
     tracemalloc.start()
     try:
         record = diagonalize_surviving(2, LIB, 14, 9, 10_000)

@@ -19,10 +19,10 @@ output tables in place; a change to the set of nodes a stage evaluates
 shows up there and nowhere else in the record.
 
 ``DECODED`` pins what each record means apart from how it is spelled: the
-sha256 of ``canonical_json`` of its final tree nodes, stem, labels, stage log,
-certificates and, for each trace read back through ``json_to_trace`` at the
-record's depth under the engine's promised base, the functional and the
-sorted words of every level.
+sha256 of ``canonical_json`` of its final tree nodes, stem, labels, stage log
+and certificates.  Until records stopped storing traces (last paragraph) it
+also hashed, for each trace read back at the record's depth under the
+engine's promised base, the functional and the sorted words of every level.
 
 Every hash, byte and ``DECODED`` alike, was re-taken when records stopped
 restating what the verifier derives: the ``shape``, ``schedule``, ``labels``
@@ -51,6 +51,21 @@ distinct (node, position) pairs read.  The records before that change,
 with each stage's fuel_spent replaced by the number of distinct nodes its
 table took a prefix of, equal the records after it.  The byte hashes and
 the build3 ``DECODED`` hashes did not move.
+
+Every byte and ``DECODED`` hash was re-taken when records stopped storing
+traces, which the verifier now derives from the final tree: the payload lost
+its ``traces`` field and the ``trace`` and ``two_tree_trace`` certificates.
+The records before that change, with exactly those parts dropped, equal the
+records after it, apart from five fuel_spent lists.  The surviving lists did
+not move: case B's trace read leaves the case A/B fold had read, and case C
+read its trace off the rounds.  The traceable and accelerating trace builds
+read every node of the stage's new tree, and the nodes no other step of the
+stage reads are gone from the count: traceable-d6 [17, 7] -> [13, 1],
+traceable-d8 [25, 9] -> [21, 1], accelerating-d6 [1, 82, 1] -> [1, 73, 1],
+accelerating-d8 [1, 190, 1, 12] -> [1, 154, 1, 12] and accelerating-d12
+[1, 1390, 1, 60] -> [1, 1126, 1, 60].  A spy on each functional's prefix
+showed each stage's reads now to be the first ones of its reads before, the
+rest distinct nodes the trace build alone read.
 """
 
 from __future__ import annotations
@@ -70,8 +85,8 @@ from survtree.engine import (
     initial_condition,
     traceable_prune,
 )
-from survtree.engine.common import PROMISES, labels_of_payload, tree_of_payload
-from survtree.io_formats import canonical_json, json_to_trace
+from survtree.engine.common import labels_of_payload, tree_of_payload
+from survtree.io_formats import canonical_json
 from survtree.staged import STANDARD_CONFIG, family_from_config, standard_library
 from survtree.trees import word_key
 
@@ -107,59 +122,59 @@ COMB_R1 = _comb_r1()
 PINNED = {
     "surviving-d6": (
         lambda: diagonalize_surviving(2, LIB, 8, 6, 4000),
-        "68c30988dd1ea1df92c903744d89567c53de19483b1dbdd77c9e57deb5888140",
+        "423abbd0afe8efbe6b679d769cc7c83fa5b742fc1d9fd1843ce7620361b6b81f",
     ),
     "surviving-d8": (
         lambda: diagonalize_surviving(2, LIB, 14, 8, 10**4),
-        "635b824272af75e7bb356a029664af4905efff7a8b37d81dec71daaade8770fc",
+        "440540bc6a969349c130ea8d810b2e71898c7cf6ccbf236c9bd692aba8733dfb",
     ),
     "traceable-d8": (
         lambda: traceable_prune(initial_condition(LIB, 8, 24), LIB, 4, 8, 10**4),
-        "6659caf5da6ddf0265e42e9f62a690f176a6cbc5b6eafc35f01e7c260fe5615d",
+        "9387023009c3778e7422d65024ee7c46349af54b2db96ed838c57e8e35d024df",
     ),
     "traceable-d6": (
         lambda: traceable_prune(initial_condition(LIB, 6, 20), LIB, 4, 6, 4000),
-        "fa2f865f10b1f719b9431aa14f30c0e9b4d4bbc311d152f3a797eadde3a573f2",
+        "85b6f6873eefdde7bc846a459c114385879aeea2d40dd69570a0cdb87ff1728d",
     ),
     "accelerating-d6": (
         lambda: accelerating_force(LIB, 6, 6, 4000),
-        "cb9072da5d725c523782aa114df8bb1747b5517cc164df7cce1dc9ddd5e6d9a5",
+        "912d11270db5a5cff2bafcaee222201eace595f73b522a408112a2518fe0b49d",
     ),
     "accelerating-d8": (
         lambda: accelerating_force(LIB, 8, 8, 10**4),
-        "f364a7a539bc95ef10593e2771d605fe76ffbd7331f4e1bd5275ff3e302fa5df",
+        "67b61fb064d795572dcbca4ef75d3d86b938930259092e76de1d21f4f38af8e4",
     ),
     "accelerating-d12": (
         lambda: accelerating_force(LIB, 12, 12, 10**4),
-        "1f7ad4a5508e2ed64b66305e1ccbf05b9829edf09a836b6e613745334dad41fa",
+        "713e622b4844a2b278937e7b4f0061b7caaf245e0ddc33aaefbe084500a448d7",
     ),
     "surviving-d8-entry-mod-4": (
         lambda: diagonalize_surviving(2, MOD4, 14, 8, 10**4),
-        "b3aef724639c65e70072b8cb6d207d48b3ddab6ab4665dffe83945055f3da11e",
+        "09a7e4193f265f9024be1cf586d29eab0854f62f18c2d52317f9d0b5684fb871",
     ),
     "surviving-d8-constant-3": (
         lambda: diagonalize_surviving(2, CONST3, 14, 8, 10**4),
-        "665d44fc19c4dddbb78f37b45dc57443835d7270adce27dbe4306a9a83298c57",
+        "9a10b4a3c4d2dfff2e026ad864c6074270855e113f98b2bb4e2c2a67850b4229",
     ),
     "surviving-d8-comb-r1": (
         lambda: diagonalize_surviving(2, COMB_R1, 14, 8, 10**4),
-        "4c2ca9a82554d51c8ca7498283a179f79d924a24ee5ebfcd457738c6d8d5ba50",
+        "1fb83d85db9d6718ad6cab18a60ca19534fae11fd6eb6b3dbaaece13f825a0fe",
     ),
     "surviving-k3-d6": (
         lambda: diagonalize_surviving(3, LIB, 10, 6, 10**4),
-        "9299084af872e812cf2e5cc5c83dcf84cdc29755eb0b57102ed9bac4c85faad5",
+        "72c1a5c2cae1c7857b15ae3e3ab5e09cba075581803b714ebd1ef933aeb9ef49",
     ),
     "build3-d12": (
         lambda: build3_record(LIB, 12, 36),
-        "acb69a49d3660637f9a5a73a4ddec966d1c4564554a04f642553b36f28bb683e",
+        "7eb1d7e6389bf070a56a08966616f8f952c4ffb283f4ddadfa8f99ede84e466e",
     ),
     "build3-d8": (
         lambda: build3_record(LIB, 8, 24),
-        "88ef9aafd2ea4957a0d61a3147deda150955c9bb2fdf0f34a59aa95f9b1810d1",
+        "37bfd4f35d2d8eb18a3e700d22d4a0563c57f33ead84b37327bfa58d872b9875",
     ),
     "build3-d16": (
         lambda: build3_record(LIB, 16, 48),
-        "821a5c99be5dcf8bfc22f4207535fa6e2730c256c615b26d2c513ceb2db24563",
+        "0bc69bbcecb790c85e66df26afb69d995b0744265e740d9a6e592603b19328c7",
     ),
 }
 
@@ -168,11 +183,11 @@ PINNED = {
 FUEL_SPENT = {
     "surviving-d6": [1092, 1092, 243, 81],
     "surviving-d8": [9840, 9840, 2187, 729],
-    "traceable-d6": [17, 7],
-    "traceable-d8": [25, 9],
-    "accelerating-d6": [1, 82, 1],
-    "accelerating-d8": [1, 190, 1, 12],
-    "accelerating-d12": [1, 1390, 1, 60],
+    "traceable-d6": [13, 1],
+    "traceable-d8": [21, 1],
+    "accelerating-d6": [1, 73, 1],
+    "accelerating-d8": [1, 154, 1, 12],
+    "accelerating-d12": [1, 1126, 1, 60],
     "surviving-d8-entry-mod-4": [9840, 9840],
     "surviving-d8-constant-3": [6561, 6561],
     "surviving-d8-comb-r1": [9840, 3279, 729, 243],
@@ -202,68 +217,58 @@ def test_record_bytes_pinned_apart_from_fuel_spent(name):
 
 def _decoded_hash(payload: dict) -> str:
     labels = labels_of_payload(payload)
-    parameters = payload["parameters"]
-    base = PROMISES[payload["engine"]](parameters).base
-    traces = []
-    for t in payload["traces"]:
-        table = json_to_trace(t, parameters["depth"], base)
-        traces.append({
-            "functional": t["functional"],
-            "levels": [sorted(lv) for lv in table.levels],
-        })
     content = {
         "final_tree": sorted(tree_of_payload(payload).nodes, key=word_key),
         "final_stem": payload["final_stem"],
         "labels": None if labels is None else sorted(labels.items()),
         "stage_log": payload["stage_log"],
         "certificates": payload["certificates"],
-        "traces": traces,
     }
     return hashlib.sha256(canonical_json(content).encode()).hexdigest()
 
 
 DECODED = {
     "accelerating-d12": (
-        "63139d56c112d31194f5f2cfc3a0cf632f8ead6c2bcac44cbad8ada172906c91"
+        "ecf126d8e04497416e55a43e160f533db082972ab658665e9f7e4450efcce204"
     ),
     "accelerating-d6": (
-        "0e39bd5f82b7a5d246219c66de046c9111d6e4c8dacbf82707ac96b72baf4d57"
+        "65dc76867b1eee39d0c7da4e201fb04c1cc9768574290f7f67d9b92d9c06fb98"
     ),
     "accelerating-d8": (
-        "f95f46c35df73b936b79c2585feab784383f0f09c9c3b95a274396d744f230bd"
+        "6e0803dccd442be69b9bc8d4524945b21b6ffb3733c3e7c95f4f7d3dfc361603"
     ),
     "build3-d12": (
-        "1cb858dccb5a6dfb51ca745b20d69d53f155b2cca1bf6c1175d8fb48d200165e"
+        "ae0105ee4c81c3aef9b268f1fcd235c249947f4a05a977e54b7f1d14e4dadee6"
     ),
     "build3-d16": (
-        "7eadb55a3c081ee5b305242436c389f87f0de81cedc84a0487e2169f43f069fb"
+        "fe78f70ca7eed9bc3ed9bf8b19e2c38c5a2cf91695ab3a5d3f81de5d456b2fe4"
     ),
     "build3-d8": (
-        "6c2a82d9436c39353ec8c39bd8a74ac32c70b9122712b2d5aeac2566573edeb0"
+        "cc085eaccf1c76968a179ccbe91abf5e4c1feb85cea469e189d956486b68074b"
     ),
     "surviving-d6": (
-        "ba6c0346770a8c598f36390b8b1a27cb7e476800e2d4fe02eeb9270833fb908d"
+        "b318e7393b7a6339a83bfbe7d135b03720aa30ca18dd726d0bdee11e9efcbca1"
     ),
     "surviving-d8": (
-        "bc5c4f65e2b67f58ca560709cde83c6bb547109e4422180fa22d00174bf2e72a"
+        "c40ed33c3b3875f6149dac2e5d741ae2ad61a19ac57b88e379c00150d31f6871"
     ),
     "surviving-d8-comb-r1": (
-        "647074853f720ee7000d35d55847d64c953b6d6cc19657a511a5736327ff18df"
+        "6e2899df0cbdfc83acea97641734f9e21a3e033d4e2d078b9d636ce924f5b8b2"
     ),
     "surviving-d8-constant-3": (
-        "bd8d810643cdf417e582f29324318c14735ddbe1f8ede39dffb9ed96354c0903"
+        "ffa071aec2d846adc3e617338447fb61af99988f12f1e9e2972912ae282a1b54"
     ),
     "surviving-d8-entry-mod-4": (
-        "0901e8834daa73c1618ca9b134cf2a36555e83821ca3ca704969e277ead4c185"
+        "c2c18a6f0ee1a376c56f0d3f1b92c74c88a929be17653aee8090bd3cc2a928d6"
     ),
     "surviving-k3-d6": (
-        "743a679e937ff43a0d94f05727ed0818036e747aea0276d5c8705f22b4e64350"
+        "9b4d5c1f3637841ff63006d785d10dbc34cfa4735e8b47eeb7d1f25753ae82ed"
     ),
     "traceable-d6": (
-        "dbcbd34d1273893463dce187f970d6bdc3ca9ecefc98dd989cb149ba5372338a"
+        "340b5bae32836467ffe8d5fed23d00bd52c0a909f9561216f030f620022a766f"
     ),
     "traceable-d8": (
-        "4d0512a1f97518491f9484b7e31fba277c851877b7b87963a51eb9977c10bb86"
+        "ce2abf92fe1d134a24d31b12c53f6fc775890cace192402b639b39c60e6b9c90"
     ),
 }
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LETTERS, staged_tree_entries, unbounded_trees
+from conftest import LETTERS, pair_index, staged_tree_entries, unbounded_trees
 from survtree.staged import (
     _BFS_DEPTH_CAP,
     _BFS_NODE_BUDGET,
@@ -19,7 +19,6 @@ from survtree.staged import (
     functional_from_config,
     index_pair,
     looks_like_branching,
-    pair_index,
     probe_settled,
     shown_successors,
     staged_tree_from_config,

@@ -392,7 +392,7 @@ def test_case_c_matches_node_set_rebuild(case):
     assert table.evals == ref.evals
     assert read_nodes(table) == ref.reads
     if built is not None:
-        _assert_indexes_match_node_set(built[0])
+        _assert_indexes_match_node_set(built)
 
 
 def test_case_c_hands_back_the_working_tree_on_the_standard_record(monkeypatch):
@@ -400,7 +400,7 @@ def test_case_c_hands_back_the_working_tree_on_the_standard_record(monkeypatch):
 
     def recording_case_c(table, k, stem, tree):
         built = _case_c(table, k, stem, tree)
-        handed.append((tree, built[0]))
+        handed.append((tree, built))
         return built
 
     monkeypatch.setattr(surviving, "_case_c", recording_case_c)
@@ -416,12 +416,12 @@ def test_case_c_rebuilds_a_tree_with_a_leaf_above_the_depth():
     bare = FiniteTree.from_words(chains, 3)
     tree = FiniteTree.from_words(chains + [(2, 1)], 3)
     assert tree.levels()[DEPTH] == bare.levels()[DEPTH]
-    assert _case_c(_table(_own_entry_adds(bare)), 2, (), bare)[0] is bare
+    assert _case_c(_table(_own_entry_adds(bare)), 2, (), bare) is bare
     adds = _own_entry_adds(tree)
     built = _case_c(_table(adds), 2, (), tree)
     assert built == reference_case_c(_reader(adds), 2, (), tree)
-    assert built[0] == bare
-    _assert_indexes_match_node_set(built[0])
+    assert built == bare
+    _assert_indexes_match_node_set(built)
 
 
 # the configured kinds, with the moduli whose outputs repeat among three
@@ -449,7 +449,7 @@ def test_singleton_pools_build_what_the_pool_walks_build(case, entry, fuel, stag
     against the reference case C read position by position, whose pools
     walk every node above each child.
 
-    Both build the same tree and trace.  The singleton pools read a subset
+    Both build the same tree.  The singleton pools read a subset
     of what the walks read.  Where the engine runs case C, after a fold
     that found neither case A nor case B, every node the walks read is
     read by a later round anyway, so the counts are equal."""

@@ -1,5 +1,5 @@
-"""What the verifier reads off a record: words that are lists of ints, and
-leaves' outputs checked against their trace.
+"""What the verifier reads off a record: words that are lists of ints, the
+stage log and the cases it may log, and the trie of the leaves' outputs.
 
 Each record here is re-signed after its edit (``conftest.forged_defects``),
 so only the checks of its content can see the edit."""
@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import cert_index, forged_defects
+from conftest import cert_index, forged_defects, forked_defects
 from survtree.engine import (
     accelerating_force,
     build3_record,
@@ -95,11 +95,11 @@ def test_a_certificate_word_entry_that_is_no_int_is_malformed(kind, key):
 
 
 @pytest.mark.parametrize("engine, kind, key, forged", [
-    ("surviving", "trace", "functional", False),
-    ("surviving", "trace", "functional", 0.0),
-    ("surviving", "trace", "trace_index", False),
-    ("surviving", "trace", "trace_index", 0.0),
-    ("surviving", "trace", "fuel", 5000.0),
+    ("accelerating", "value_witness", "functional", False),
+    ("accelerating", "value_witness", "functional", 0.0),
+    ("accelerating", "value_witness", "position", False),
+    ("accelerating", "value_witness", "position", 0.0),
+    ("surviving", "presumed_divergence", "fuel", 5000.0),
     ("surviving", "avoidance", "tree", 2.0),
     ("surviving", "avoidance", "stage", 46.0),
     ("surviving", "presumed_divergence", "position", False),
@@ -115,62 +115,45 @@ def test_a_certificate_number_that_is_no_int_is_malformed(engine, kind, key, for
     i = cert_index(payload, kind)
     assert payload["certificates"][i].get(key, payload["parameters"]["fuel"]) == forged
     defects = forged_defects(payload, lambda p: p["certificates"][i].update({key: forged}))
-    # a trace index that is no int names no trace
-    unnamed = ["trace 0 is named by 0 trace certificates, not one"] if key == "trace_index" else []
     assert defects == [
         f"certificate {i} ({kind}): malformed certificate: {key} is not an int: {forged!r}"
-    ] + unnamed
-
-
-def test_a_trace_index_that_cannot_be_counted_is_a_defect_not_an_error():
-    # a list is unhashable, so counting the traces it names once raised
-    payload = _surviving_d6()
-    defects = forged_defects(payload, lambda p: p["certificates"][0].update(trace_index=[0]))
-    assert defects == [
-        "certificate 0 (trace): malformed certificate: trace_index is not an int: [0]",
-        "trace 0 is named by 0 trace certificates, not one",
     ]
 
 
-@pytest.mark.parametrize("forged", [False, 0.0])
-def test_a_trace_functional_that_is_no_int_is_malformed(forged):
-    payload = _surviving_d6()
-    assert payload["traces"][0]["functional"] == 0
-    defects = forged_defects(payload, lambda p: p["traces"][0].update(functional=forged))
-    assert defects == [f"malformed record: functional is not an int: {forged!r}"]
+def _forks(fork_at: list[tuple[int, ...]]):
+    """What the first leaves above surviving-d6's stem (2, 0) add, leaf by
+    leaf, so that the outputs fork 4 ways at each node of fork_at: leaves
+    0-3 add (5, 6, i), and with (5,) in fork_at leaves 4-6 add (5, 10 + i),
+    giving (5,) the children 6, 10, 11 and 12."""
+    def adds(leaves):
+        out = {leaves[i]: (5, 6, i) for i in range(4)}
+        if (5,) in fork_at:
+            out.update({leaves[4 + i]: (5, 10 + i) for i in range(3)})
+        return out
+    return adds
 
 
-def _set_run(row: int, runs: list):
-    """Replace run-coded row ``row`` of trace 0 (the identity's, a full
-    ternary trace) by runs of the same level and widths."""
-    def edit(p):
-        p["traces"][0]["children"][row] = runs
-
-    return edit
-
-
-@pytest.mark.parametrize("edit, leaf", [
-    # word (2, 0, 0, 0, 1) of level 5, index 163, with children 0, 2, 3:
-    # the leaves (2, 0, 0, 0, 1, 1) and (2, 0, 0, 0, 1, 2) leave the trace
-    (_set_run(5, [[163, [0, 1, 2]], [1, [0, 2, 3]], [79, [0, 1, 2]]]), (2, 0, 0, 0, 1, 1)),
-    # word (2, 0, 1) of level 3, index 19, with children 0, 1, 3: every
-    # leaf above (2, 0, 1, 2) leaves it, at a position below its last
-    (_set_run(3, [[19, [0, 1, 2]], [1, [0, 1, 3]], [7, [0, 1, 2]]]), (2, 0, 1, 2, 0, 0)),
+@pytest.mark.parametrize("fork_at, named", [
+    ([(5, 6)], (5, 6)),
+    # two nodes fork 4 ways: the first in level order is named
+    ([(5, 6), (5,)], (5,)),
 ])
-def test_the_first_leaf_whose_output_leaves_its_trace_is_named(edit, leaf):
+def test_the_first_node_whose_outputs_fork_too_wide_is_named(monkeypatch, fork_at, named):
     payload = _surviving_d6()
-    assert payload["final_stem"] == [2, 0]
-    assert payload["traces"][0]["functional"] == 0
-    assert forged_defects(payload, edit) == [
-        f"certificate 0 (trace): branch {leaf} output {leaf} leaves the trace"
+    assert payload["final_stem"] == [2, 0] and payload["stage_log"][1]["case"] == "C"
+    tree = verify.tree_of_payload(payload)
+    leaves = [w for w in tree.leaves() if w[:2] == (2, 0)]
+    assert forked_defects(monkeypatch, payload, 0, _forks(fork_at)(leaves)) == [
+        f"stage 1 (C): the outputs of functional 0 on the leaves fork 4 ways at {named}, "
+        "more than 3"
     ]
 
 
 @pytest.mark.parametrize("i, kind, repoint", [
-    (5, "value_witness", {}),
+    (4, "value_witness", {}),
     # re-pointed at the constant functional, whose prefix spells out every
     # position up to the fuel
-    (7, "presumed_divergence", {"functional": 2}),
+    (6, "presumed_divergence", {"functional": 2}),
 ])
 @pytest.mark.parametrize("position", [10**7, 8, -1])
 def test_a_position_outside_the_depth_is_a_defect_found_before_any_eval(
@@ -235,12 +218,36 @@ def test_a_query_stage_other_than_the_runs_is_malformed_before_any_successor_cou
         assert counted == []
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAGED))
+@pytest.mark.parametrize("depth", [10**6, 7])
+def test_a_depth_other_than_the_final_trees_is_malformed_before_any_trie(name, depth):
+    """The record's depth sizes each derived trie, one level per unit, and
+    the outputs read; a forged depth of a million, its query stage forged
+    to match, would cost seconds and tens of MiB, and is refused from the
+    tree the record spells out before either is built."""
+    payload = GOLDEN_STAGED[name]().to_payload()
+
+    def edit(p):
+        p["parameters"]["query_stage"] += depth - p["parameters"]["depth"]
+        p["parameters"]["depth"] = depth
+
+    tracemalloc.start()
+    try:
+        defects = forged_defects(payload, edit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defects == [f"malformed record: final tree depth 8 is not the record's depth {depth}"]
+    # re-signing and reading the d8 tree peak under 1 MiB; a million levels
+    # of trie would take over 60
+    assert peak < 8 << 20
+
+
 # -- the stage log's skeleton ------------------------------------------------
 
 
 def _empty_log(p):
     p["stage_log"].clear()
-    p["traces"].clear()
     p["certificates"].clear()
 
 
@@ -298,7 +305,6 @@ def test_a_stage_logged_as_another_requirement_or_a_skip_as_a_stage_is_a_defect(
 
     assert forged_defects(payload, edit) == [
         f"stage 0 is R0, logged 'R1' as {case!r}", "stage 1 is P0, logged None as 'skip'",
-        "trace certificates of functional 0: the stage log calls for 0, the record holds 1",
     ]
 
 
@@ -380,22 +386,67 @@ def test_a_record_with_every_certificate_of_a_kind_deleted_is_refused(name, kind
     ]
 
 
-def test_a_case_c_stage_with_its_trace_and_certificate_deleted_is_refused():
-    """P0's trace and its certificate deleted, the later trace certificates
-    renumbered to match, while the log still says P0 went through case C."""
-    payload = GOLDEN_STAGED["surviving-d8"]().to_payload()
-    assert payload["stage_log"][1]["case"] == "C" and payload["traces"][0]["functional"] == 0
+# -- the case table ----------------------------------------------------------
 
+
+def _relogged(name: str, stage: int, case: str, tree_stage: int, drop: str = ""):
+    """An edit relogging a functional stage as the case a tree stage logs,
+    its certificate of kind drop deleted, and the tree stage's avoidance
+    certificate duplicated: staged tree i and functional i share the id i,
+    so the avoidance counts keyed by (kind, id) balance."""
     def edit(p):
-        del p["traces"][0]
-        p["certificates"] = [c for c in p["certificates"] if c.get("trace_index") != 0]
-        for c in p["certificates"]:
-            if "trace_index" in c:
-                c["trace_index"] -= 1
+        assert p["stage_log"][tree_stage]["case"] in ("exit", "already-out")
+        witness = p["stage_log"][tree_stage].get("witness")
+        p["stage_log"][stage]["case"] = case
+        if case == "exit":
+            p["stage_log"][stage]["witness"] = witness
+        fid = int(p["stage_log"][stage]["requirement"][1:])
+        p["certificates"] = [
+            c for c in p["certificates"] if not (c["kind"] == drop and c.get("functional") == fid)
+        ]
+        p["certificates"].append(next(
+            dict(c) for c in p["certificates"] if c["kind"] == "avoidance" and c["tree"] == fid
+        ))
+    return edit
 
-    assert forged_defects(payload, edit) == [
-        "trace certificates of functional 0: the stage log calls for 1, the record holds 0"
+
+@pytest.mark.parametrize("name, stage, case, tree_stage, drop, was", [
+    # F3: P2's case B relogged exit, as R2 logs it
+    ("surviving-d8", 5, "exit", 4, "", "B"),
+    # F4: P3's case A relogged already-out, its divergence deleted
+    ("surviving-d8", 7, "already-out", 6, "presumed_divergence", "A"),
+    # F5: P1's prune relogged exit, as R1 logs it
+    ("traceable-d8", 3, "exit", 2, "", "prune"),
+], ids=["F3", "F4", "F5"])
+def test_a_functional_stage_relogged_as_a_tree_case_is_refused(
+    name, stage, case, tree_stage, drop, was
+):
+    """A functional stage logs only its engine's own cases.  Without the
+    case table each of these verified clean: the duplicated avoidance
+    certificate stood for the relogged stage's."""
+    payload = GOLDEN_STAGED[name]().to_payload()
+    req = payload["stage_log"][stage]["requirement"]
+    assert payload["stage_log"][stage]["case"] == was and verify_record(payload) == []
+    assert forged_defects(payload, _relogged(name, stage, case, tree_stage, drop)) == [
+        f"stage {stage} is {req}, logged {req!r} as {case!r}",
+        f"avoidance certificates of tree {req[1:]}: the stage log calls for 1, the record holds 2",
     ]
+
+
+@pytest.mark.parametrize("name, stage, case", [
+    # another engine's functional case, and a tree case at a tree stage's
+    # place in another engine
+    ("surviving-d8", 1, "prune"),
+    ("traceable-d8", 1, "C"),
+    ("accelerating-d8", 3, "B"),
+    ("accelerating-d8", 0, "A"),
+    ("surviving-d8", 0, "4"),
+])
+def test_a_case_no_stage_of_the_engine_logs_is_refused(name, stage, case):
+    payload = GOLDEN_STAGED[name]().to_payload()
+    req = payload["stage_log"][stage]["requirement"]
+    defects = forged_defects(payload, lambda p: p["stage_log"][stage].update(case=case))
+    assert defects[0] == f"stage {stage} is {req}, logged {req!r} as {case!r}"
 
 
 # one full staged 3-tree and one functional, entry mod 3, that cannot tell
