@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import io
+import itertools
 import json
 
 import pytest
@@ -348,6 +349,86 @@ def test_verify_refuses_a_record_of_the_format_with_traces(tmp_path, capsys, edi
     captured = capsys.readouterr()
     assert captured.out == f"defect: {defects[0]}\n"
     assert "Traceback" not in captured.err
+
+
+def _full_3_trace() -> dict:
+    """A stored trace in the level-order form records used to carry: the
+    full 3-ary trie to depth 4, each row one run ``[count, entries]``."""
+    return {"functional": 0, "children": [[[3**n, [0, 1, 2]]] for n in range(4)]}
+
+
+def _as_word_list(trace: dict) -> None:
+    """Rewrite a trace in the word-list form records carried before rows."""
+    del trace["children"]
+    trace["words"] = [list(w) for n in range(5) for w in itertools.product(range(3), repeat=n)]
+
+
+def _set_first_row1_entry(value):
+    """Set the children entries of row 1's first run to value."""
+    def edit(trace):
+        trace["children"][1][0][1] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda t: t["children"].pop(), id="too-few-rows"),
+        pytest.param(lambda t: t["children"].append([]), id="too-many-rows"),
+        pytest.param(lambda t: t["children"][2].pop(), id="short-row"),
+        pytest.param(lambda t: t["children"][2].append([0]), id="long-row"),
+        pytest.param(lambda t: t.update(children=None), id="rows-not-a-list"),
+        pytest.param(lambda t: t["children"].__setitem__(1, {}), id="row-not-a-list"),
+        pytest.param(_set_first_row1_entry([0, 0, 1]), id="duplicate-entry"),
+        pytest.param(_set_first_row1_entry([0, 2, 1]), id="non-increasing-entry"),
+        pytest.param(_set_first_row1_entry([-1, 0, 1]), id="negative-entry"),
+        pytest.param(_set_first_row1_entry([0, True, 2]), id="bool-entry"),
+        pytest.param(_set_first_row1_entry([0, 1.0, 2]), id="float-entry"),
+        pytest.param(_set_first_row1_entry([0, "1", 2]), id="string-entry"),
+        pytest.param(_set_first_row1_entry([0, [1], 2]), id="list-entry"),
+        pytest.param(_set_first_row1_entry(3), id="int-for-entry-list"),
+        pytest.param(_as_word_list, id="word-list-trace"),
+    ],
+)
+def test_stored_trace_rows_of_any_form_are_refused_unread(tmp_path, capsys, edit):
+    """Whatever a stored trace's rows hold, well formed or not, the record
+    is refused as an earlier format with its one defect: no row is read."""
+    payload = copy.deepcopy(_surviving_d4_payload())
+    trace = _full_3_trace()
+    edit(trace)
+    payload["traces"] = [trace]
+    del payload["digest"]
+    out = tmp_path / "rec.json"
+    with open(out, "w") as fp:
+        dump_record(payload, fp)
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "defect: a record of an earlier format: it stores traces, which the verifier now "
+        "derives; re-run the engine to write it anew\n"
+    )
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"functional": 0, "trace_index": "0"}, id="index-not-an-int"),
+        pytest.param({"functional": True, "trace_index": 10**9}, id="bool-functional"),
+        pytest.param({}, id="no-fields"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["trace", "two_tree_trace"])
+def test_a_trace_certificate_of_any_fields_is_refused_unread(kind, fields):
+    """A trace certificate is refused as of the earlier format before any
+    of its fields, or any other certificate, is read."""
+    payload = copy.deepcopy(_surviving_d4_payload())
+    payload["certificates"] += [{"kind": kind, **fields}, "not an object"]
+    payload["digest"] = io_formats.payload_digest(payload)
+    assert verify_record(payload) == [
+        "a record of an earlier format: it holds trace certificates, which the verifier "
+        "now derives; re-run the engine to write it anew"
+    ]
 
 
 @functools.lru_cache(maxsize=None)

@@ -105,3 +105,47 @@ def test_rows_agree_with_the_word_set_reference(outs, depth, width):
     for n, lv in enumerate(levels):
         assert len(lv) <= width**n
         assert [tr.word(n, i) for i in range(len(lv))] == lv
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_a_full_tree_of_outputs_fits_its_own_width_and_no_narrower(width, depth):
+    """The leaves of the full width-ary tree to the depth, as outputs, make
+    a trie with width^n words on level n; one narrower, the root is named."""
+    leaves = list(itertools.product(range(width), repeat=depth))
+    tr = trace_from_outputs(leaves, depth, width)
+    assert [len(lv) for lv in tr.levels] == [width**n for n in range(depth + 1)]
+    assert tr.levels[depth] == leaves
+    if width > 1:
+        with pytest.raises(BoundExceeded) as e:
+            trace_from_outputs(leaves, depth, width - 1)
+        assert (e.value.word, e.value.children, e.value.width) == ((), width, width - 1)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_no_outputs_or_only_empty_ones_leave_the_root_alone(depth):
+    for outs in ([], [()], [(), ()]):
+        tr = trace_from_outputs(outs, depth, 1)
+        assert tr.depth == depth
+        assert tr.levels == [[()]] + [[] for _ in range(depth)]
+
+
+def test_a_table_of_rows_wider_than_its_width_is_refused_as_built():
+    # level 1 is (0,), (1,); (1,) has 3 children, over a width of 2
+    with pytest.raises(BoundExceeded) as e:
+        TraceTable((((0, 1),), ((0,), (0, 1, 2))), 2)
+    assert (e.value.word, e.value.children, e.value.width) == ((1,), 3, 2)
+    assert TraceTable((((0, 1),), ((0,), (0, 1, 2))), 3).levels[2] == [
+        (0, 0), (1, 0), (1, 1), (1, 2)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(words, max_size=10), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_the_trie_does_not_depend_on_the_order_or_repeats_of_the_outputs(outs, depth, rnd):
+    """The verifier reads outputs leaf by leaf in tree order; any order, with
+    any output repeated, makes the same rows."""
+    shuffled = outs + outs[: len(outs) // 2]
+    rnd.shuffle(shuffled)
+    wide = 5  # no word of these outputs has more than 4 children
+    assert trace_from_outputs(shuffled, depth, wide) == trace_from_outputs(outs, depth, wide)

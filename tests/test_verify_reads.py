@@ -498,3 +498,70 @@ def test_an_alphabet_bound_other_than_the_promised_one_is_malformed(name, bound)
     assert payload["final_tree"]["alphabet_bound"] == want
     defects = forged_defects(payload, lambda p: p["final_tree"].update(alphabet_bound=bound))
     assert defects == [f"malformed record: final tree alphabet bound {bound!r} is not {want}"]
+
+
+# -- the case table, stage kind by stage kind ---------------------------------
+
+_ALL_CASES = [
+    "vacuous", "already-out", "exit", "stuck", "A", "B", "C", "escape", "prune",
+    "1", "2", "3", "4", "no-disagreement", "skip",
+]
+# what a tree stage of any engine may log, and a functional stage of each
+_TREE_STAGE_CASES = {"vacuous", "already-out", "exit", "stuck"}
+_FUNCTIONAL_STAGE_CASES = {
+    "surviving": {"A", "B", "C", "stuck"},
+    "traceable": {"escape", "prune"},
+    "accelerating": {"1", "2", "3", "4", "no-disagreement", "stuck"},
+}
+
+
+@pytest.mark.parametrize("case", _ALL_CASES)
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAGED))
+def test_each_kind_of_stage_logs_exactly_its_engines_cases(name, case):
+    """Stage 0 of each golden record is a tree stage and stage 1 a
+    functional one, and surviving-d8's stage 9 is a skip: a case relogged
+    there is refused exactly when the engine's stages of that kind never
+    log it."""
+    payload = GOLDEN_STAGED[name]().to_payload()
+    kinds = [(0, _TREE_STAGE_CASES), (1, _FUNCTIONAL_STAGE_CASES[payload["engine"]])]
+    if name == "surviving-d8":
+        kinds.append((9, {"skip"}))
+    for stage, allowed in kinds:
+        entry = payload["stage_log"][stage]
+        assert entry["case"] in allowed
+        req = entry.get("requirement")
+        defects = forged_defects(
+            copy.deepcopy(payload), lambda p: p["stage_log"][stage].update(case=case)
+        )
+        refused = f"stage {stage} is {req or 'a skip'}, logged {req!r} as {case!r}"
+        assert (refused in defects) == (case not in allowed), (stage, defects)
+
+
+# -- each tamed stage's trie --------------------------------------------------
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-width", "one-wider"])
+@pytest.mark.parametrize("name, stage, case, width", [
+    ("surviving-d8", 1, "C", 3),
+    ("surviving-d8", 3, "C", 3),
+    ("surviving-d8", 5, "B", 3),
+    ("accelerating-d8", 3, "4", 2),
+])
+def test_each_tamed_stage_checks_its_functionals_outputs_against_the_width(
+    monkeypatch, name, stage, case, width, extra
+):
+    """The functional of each stage logged B, C or 4, made to add (9, i) on
+    the i-th leaf above the stem for width + extra leaves, forks width +
+    extra ways at (9,): at the promised width the record verifies, one
+    wider the defect names that stage and functional."""
+    payload = GOLDEN_STAGED[name]().to_payload()
+    entry = payload["stage_log"][stage]
+    assert entry["case"] == case and entry["requirement"][0] == "P"
+    fid = int(entry["requirement"][1:])
+    tree, stem = verify.tree_of_payload(payload), tuple(payload["final_stem"])
+    leaves = [w for w in tree.leaves() if w[:len(stem)] == stem]
+    adds = {leaves[i]: (9, i) for i in range(width + extra)}
+    assert forked_defects(monkeypatch, payload, fid, adds) == ([
+        f"stage {stage} ({case}): the outputs of functional {fid} on the leaves fork "
+        f"{width + 1} ways at (9,), more than {width}"
+    ] if extra else [])
