@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
         return USAGE
     if args.engine == "surviving" and not tree_fits(args.k + 1, args.depth):
         print(f"--k {args.k} --depth {args.depth}: the final tree could spell out more than "
-              f"{TREE_ENTRY_LIMIT} entries, the most a record may hold", file=sys.stderr)
+              f"{TREE_ENTRY_LIMIT} entries, the most `survtree run` builds", file=sys.stderr)
         return USAGE
     if args.engine == "accelerating" and case4_candidates(args.depth) > CASE4_CANDIDATE_LIMIT:
         print(f"--depth {args.depth}: case 4 could try more than {CASE4_CANDIDATE_LIMIT} "

@@ -91,7 +91,8 @@ def verify_record(payload: dict) -> list[str]:
         if tree.depth != depth:
             raise ValueError(f"final tree depth {tree.depth} is not the record's depth {depth}")
         logged, called, tamed = _stage_log_defects(payload, family, query)
-        if tamed and fuel is None:
+        # every engine with functional stages evaluates them under its fuel
+        if promise.width is not None and fuel is None:
             raise ValueError("the record has no fuel parameter")
         # the tree's entries were checked against its own bound: the promised one
         if (ab := tree.alphabet_bound) != promise.alphabet or type(ab) is not type(promise.alphabet):
@@ -272,8 +273,7 @@ def _check_certificate(
 ) -> Optional[str]:
     kind = cert.get("kind")
     if kind in _FUNCTIONAL_CERTS:
-        if fuel is None:
-            raise ValueError("the record has no fuel parameter")
+        # a build3 record has no fuel, so any fuel, or none, is refused here
         if _int(cert, "fuel", fuel) != fuel:
             return f"fuel {cert['fuel']} differs from the record's fuel {fuel}"
         fn = _by_id(family.functionals, _int(cert, "functional"))

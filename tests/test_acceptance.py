@@ -204,17 +204,17 @@ def test_acceptance_4_surviving_run_and_verify():
 
 
 def _assert_trie_width(fn, rec, width):
-    """The trie of fn's outputs on the record's final leaves above its stem
+    """The trie of fn's outputs on every leaf of the record's final tree
     has at most width children a word, and so at most width^n words on
-    level n; every output's prefixes are words of it."""
-    leaves = [w for w in rec.final_tree.leaves() if w[:len(rec.final_stem)] == rec.final_stem]
+    level n; every output's prefixes are words of it.  Returns its levels."""
     depth = rec.final_tree.depth
-    outs = [fn.prefix(leaf, depth, 10**4) for leaf in leaves]
+    outs = [fn.prefix(leaf, depth, 10**4) for leaf in rec.final_tree.leaves()]
     levels = trace_from_outputs(outs, depth, width).levels
     for n, level in enumerate(levels):
         assert len(level) <= width**n
     for out in outs:
         assert all(out[:n] in levels[n] for n in range(len(out) + 1))
+    return levels
 
 
 # -- 5. the staged 3-tree builder ---------------------------------------------
@@ -275,10 +275,8 @@ def test_acceptance_7_accelerating_shape_and_cases():
         # the value-bounded functional routes to the two-tree prune, and
         # its outputs on the leaves lie on a 2-tree
         assert [e["requirement"] for e in rec.stage_log if e["case"] == "4"] == ["P1"]
-        _assert_trie_width(LIB.functionals[1], rec, 2)
-        outs = [LIB.functionals[1].prefix(leaf, tree.depth, 10**4) for leaf in tree.leaves()]
-        trie = trace_from_outputs(outs, tree.depth, 2)
-        assert is_k_tree_to_depth(FiniteTree.from_levels(trie.levels), 2, trie.depth) is None
+        levels = _assert_trie_width(LIB.functionals[1], rec, 2)
+        assert is_k_tree_to_depth(FiniteTree.from_levels(levels), 2, tree.depth) is None
         # the constant-3 functional forces a large value at position 0
         values = [
             c

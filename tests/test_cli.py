@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import functools
 import io
-import itertools
 import json
 
 import pytest
@@ -357,37 +356,11 @@ def _full_3_trace() -> dict:
     return {"functional": 0, "children": [[[3**n, [0, 1, 2]]] for n in range(4)]}
 
 
-def _as_word_list(trace: dict) -> None:
-    """Rewrite a trace in the word-list form records carried before rows."""
-    del trace["children"]
-    trace["words"] = [list(w) for n in range(5) for w in itertools.product(range(3), repeat=n)]
-
-
-def _set_first_row1_entry(value):
-    """Set the children entries of row 1's first run to value."""
-    def edit(trace):
-        trace["children"][1][0][1] = value
-    return edit
-
-
 @pytest.mark.parametrize(
     "edit",
     [
-        pytest.param(lambda t: t["children"].pop(), id="too-few-rows"),
-        pytest.param(lambda t: t["children"].append([]), id="too-many-rows"),
-        pytest.param(lambda t: t["children"][2].pop(), id="short-row"),
-        pytest.param(lambda t: t["children"][2].append([0]), id="long-row"),
+        pytest.param(lambda t: None, id="well-formed"),
         pytest.param(lambda t: t.update(children=None), id="rows-not-a-list"),
-        pytest.param(lambda t: t["children"].__setitem__(1, {}), id="row-not-a-list"),
-        pytest.param(_set_first_row1_entry([0, 0, 1]), id="duplicate-entry"),
-        pytest.param(_set_first_row1_entry([0, 2, 1]), id="non-increasing-entry"),
-        pytest.param(_set_first_row1_entry([-1, 0, 1]), id="negative-entry"),
-        pytest.param(_set_first_row1_entry([0, True, 2]), id="bool-entry"),
-        pytest.param(_set_first_row1_entry([0, 1.0, 2]), id="float-entry"),
-        pytest.param(_set_first_row1_entry([0, "1", 2]), id="string-entry"),
-        pytest.param(_set_first_row1_entry([0, [1], 2]), id="list-entry"),
-        pytest.param(_set_first_row1_entry(3), id="int-for-entry-list"),
-        pytest.param(_as_word_list, id="word-list-trace"),
     ],
 )
 def test_stored_trace_rows_of_any_form_are_refused_unread(tmp_path, capsys, edit):

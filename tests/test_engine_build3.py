@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -233,3 +235,17 @@ def test_verifier_refuses_a_build3_record_that_stores_traces():
     payload = build3_record(LIB, 8, 24).to_payload()
     defects = forged_defects(payload, lambda p: p.update(traces=[]))
     assert defects == [_EARLIER.format("stores traces")]
+
+
+def test_verifier_refuses_a_functional_certificate_in_a_build3_record():
+    # build3 evaluates no functional and its record names no fuel, so a
+    # certificate about a functional is refused, with or without a fuel
+    payload = build3_record(LIB, 8, 24).to_payload()
+    cert = {"kind": "value_witness", "functional": 2, "node": [], "position": 0, "value": 3}
+    extra = "value_witness certificates of functional 2: the stage log calls for 0, the record holds 1"
+    defects = forged_defects(copy.deepcopy(payload), lambda p: p["certificates"].append(cert))
+    assert defects == ["certificate 0 (value_witness): malformed certificate: 'fuel'", extra]
+    defects = forged_defects(payload, lambda p: p["certificates"].append({**cert, "fuel": 10}))
+    assert defects == [
+        "certificate 0 (value_witness): fuel 10 differs from the record's fuel None", extra
+    ]

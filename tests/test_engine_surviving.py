@@ -182,7 +182,9 @@ def test_verifier_checks_a_divergence_under_the_record_fuel():
 
 
 def test_a_record_with_functional_stages_needs_its_fuel():
-    # the outputs' trie of a B or C stage is derived under the record's fuel
+    # every certificate about a functional, and the outputs' trie of a B or
+    # C stage, is checked under the record's fuel, so a record without one
+    # is refused once, whatever its stages log
     _, defects = _resigned(lambda payload: payload["parameters"].pop("fuel"))
     assert defects == ["malformed record: the record has no fuel parameter"]
 

@@ -92,9 +92,8 @@ def test_prune_outputs_lie_on_3_trees():
     rec = run()
     pruned = [int(e["requirement"][1:]) for e in rec.stage_log if e["case"] == "prune"]
     assert pruned, "the run must prune"
-    leaves = [w for w in rec.final_tree.leaves() if w[:len(rec.final_stem)] == rec.final_stem]
     for fid in pruned:
-        outs = [LIB.functionals[fid].prefix(leaf, 6, 5000) for leaf in leaves]
+        outs = [LIB.functionals[fid].prefix(leaf, 6, 5000) for leaf in rec.final_tree.leaves()]
         levels = trace_from_outputs(outs, 6, 3).levels
         for n, level in enumerate(levels):
             assert len(level) <= 3**n
