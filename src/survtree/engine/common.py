@@ -23,6 +23,7 @@ from ..trees import (
     FiniteTree,
     TriState,
     Word,
+    full_rows,
     prefixes,
     rows_above,
     subtree_above,
@@ -141,7 +142,12 @@ class OutputTable:
     read, has a slot per node, aligned with its sorted levels; a run of a
     level or a node is found by bisection, and any other word is kept in a
     dict.  ``evals``, the filled slots and the dict's entries, is the
-    number of nodes read, the stage's distinct prefix calls."""
+    number of nodes read, the stage's distinct prefix calls.
+
+    A functional with a letter map (``OracleFunctional.letter_map``) is
+    decided a level at a time where that is exact: ``cases_a_b`` on a tree
+    full above the stem, and ``own_row`` on a run of the stage's tree whose
+    letters the map fixes.  Each fills the slots a per-node read fills."""
 
     def __init__(self, functional: OracleFunctional, fuel: int, depth: int):
         self.functional = functional
@@ -152,6 +158,9 @@ class OutputTable:
         self._converged: dict[Word, Word] = {}
         # the unconverged positions of a node whose prefix has length n
         self._masks = [(1 << depth) - (1 << n) for n in range(depth + 1)]
+        self._letters = functional.letter_map(depth, fuel)
+        # the longest words of the stage's tree that are their own outputs
+        self._own_up_to = -1
 
     @property
     def evals(self) -> int:
@@ -161,6 +170,14 @@ class OutputTable:
         """Make tree the stage's tree, its nodes' slots all unread."""
         self._levels = tree.levels()
         self._slots = [[None] * len(lv) for lv in self._levels]
+        # a map that fixes each of b >= 2 letters maps every word entrywise,
+        # so a word of the tree is its own output up to the output length;
+        # b is no more than the leaves when it is tried
+        f, n = self._letters or (None, 0)
+        b = tree.alphabet_bound
+        if f is not None and b is not None and 2 <= b <= len(self._levels[-1]):
+            if all(f(x) == x for x in range(b)):
+                self._own_up_to = n
 
     def _slot(self, w: Word) -> Optional[tuple[int, int]]:
         """(n, i) when w is node i of level n of the stage's tree."""
@@ -242,7 +259,9 @@ class OutputTable:
         """Whether every node of ws is its own converged prefix, read in
         order up to the first that is not."""
         at = self._span(ws)
-        if at is not None and self._slots[at[0]][at[1]:at[1] + len(ws)] == ws:
+        if at is not None and len(ws[0]) <= self._own_up_to:
+            # every node is read, and is its own prefix
+            self._slots[at[0]][at[1]:at[1] + len(ws)] = ws
             return True
         return all(map(eq, self._reads(ws, at), ws))
 
@@ -268,32 +287,29 @@ class OutputTable:
         call, and a leaf among parents alone, each read whole for its
         converged prefix and its mask.  A row of parents with c
         children each takes child i of every parent from column i of the
-        row below, c masks and sets to a parent.  Its sets are decided for
-        the whole row when its children are all over k (so is every
-        parent), or a row of leaves whose outputs have one length (a parent
-        is over k when more than k of its children's outputs differ, and
-        with more than k children when the outputs are the leaves' own
-        words, no two alike).
+        row below, c masks and sets to a parent.
+
+        A tree full above the stem, read for a functional with a letter
+        map, is decided a level at a time instead (``_cases_by_level``).
         """
         if not self._levels and not self._converged:
             self._take_tree(tree)
+        rows = None if self._letters is None else full_rows(tree, stem)
+        # the map gives the outputs of leaves at least the output length long
+        if rows is not None and self._letters[1] <= tree.depth:
+            return self._cases_by_level(stem, tree, k, rows[-1][0])
         depth = tree.depth
         masks_of = self._masks.__getitem__
         escape: Optional[tuple[Word, int]] = None
         tau: Optional[Word] = None
         masks: list[int] = []
         sets: list = []
-        flat = False  # sets holds a leaf row's outputs, all of one length
-        own = False  # those outputs are the leaves themselves
         for lv, cs in reversed(list(rows_above(tree, stem))):
             few = k is not None and escape is None
-            row_flat = row_own = False
             if not any(cs):
                 outs = self.row(lv)
                 row_masks = list(map(masks_of, map(len, outs)))
-                row_flat = few and len(set(map(len, outs))) == 1
-                row_own = row_flat and outs == lv
-                row_sets = outs if row_flat else list(zip(outs)) if few else []
+                row_sets = list(zip(outs)) if few else []
             elif cs.count(cs[0]) == len(cs):
                 # c children each: child i of every parent is column i
                 c = cs[0]
@@ -301,18 +317,8 @@ class OutputTable:
                 for i in range(1, c):
                     row_masks = list(map(and_, row_masks, masks[i::c]))
                 kids = zip(*(sets[i::c] for i in range(c)))
-                if not few:
-                    row_sets = []
-                elif flat and not (own and c > k):
-                    # outputs of one length: over k is more than k of them
-                    row_sets = [s if len(s) <= k else None for s in map(set, kids)]
-                elif own or sets.count(None) == len(sets):
-                    row_sets = [None] * len(lv)
-                else:
-                    row_sets = list(map(_merged, kids, repeat(k)))
+                row_sets = list(map(_merged, kids, repeat(k))) if few else []
             else:
-                if flat:
-                    sets = list(zip(sets))
                 row_masks, row_sets = [], []
                 j = 0
                 for w, c in zip(lv, cs):
@@ -335,8 +341,31 @@ class OutputTable:
                 escape = lv[hit], (m & -m).bit_length() - 1
             elif few and len(lv[0]) < depth:
                 tau = next(compress(lv, map(is_not, row_sets, repeat(None))), tau)
-            masks, sets, flat, own = row_masks, row_sets, row_flat, row_own
+            masks, sets = row_masks, row_sets
         return escape, None if escape is not None else tau
+
+    def _cases_by_level(
+        self, stem: Word, tree: FiniteTree, k: Optional[int], leaves: list[Word]
+    ) -> tuple[Optional[tuple[Word, int]], Optional[Word]]:
+        """``cases_a_b`` on a tree full above the stem, for a functional
+        whose letter map f gives each leaf's output as f's image of its
+        first L entries.  The leaves are read, as the fold reads them, in
+        one ``row`` call.  Every output is L long, so every node's mask is
+        the same: the escape, if L is below the depth, is (stem, L).  The
+        outputs above a node of level j take r^(L - j) values at length L,
+        and fewer at any other, r being the number of letter images: tau
+        is the first node of the shallowest level below the tree's depth
+        where that is at most k."""
+        self.row(leaves)
+        f, n = self._letters
+        if n < self.depth:
+            return (stem, n), None
+        levels = range(len(stem), tree.depth)
+        if k is None or not levels:
+            return None, None
+        r = len(set(map(f, range(tree.alphabet_bound)))) if f is not None else 0
+        j = next((j for j in levels if r ** max(n - j, 0) <= k), None)
+        return None, None if j is None else stem + (0,) * (j - len(stem))
 
 
 def _merged(kids: Sequence, k: int) -> Optional[set[Word]]:

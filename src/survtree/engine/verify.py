@@ -20,7 +20,7 @@ from typing import Optional
 from ..io_formats import json_to_word, record_digest_ok
 from ..staged import AdversaryFamily, OracleFunctional, shown_successors
 from ..traces import BoundExceeded, trace_from_outputs
-from ..trees import SHAPES, FiniteTree, TriState, Word, is_prefix, rows_above
+from ..trees import SHAPES, FiniteTree, TriState, Word, full_rows, is_prefix, rows_above
 from .common import (
     PROMISES,
     LabeledCondition,
@@ -122,7 +122,13 @@ def verify_record(payload: dict) -> list[str]:
             msg = f"malformed certificate: {e}"
         if msg is not None:
             defects.append(f"certificate {i} ({cert.get('kind')}): {msg}")
+    # on a tree full above the stem the trie's width is read a level at a
+    # time; one over the promise goes through the trie, to name its word
+    full = full_rows(tree, stem) is not None
     for s, case, fn in tamed:
+        w = level_width(fn, tree.alphabet_bound, stem, depth, fuel) if full else None
+        if w is not None and w <= promise.width:
+            continue
         # the trie of the outputs is the tightest trace they lie on
         try:
             trace_from_outputs(fn.prefix_row(leaves, depth, fuel), depth, promise.width)
@@ -139,6 +145,22 @@ def verify_record(payload: dict) -> list[str]:
                 f"{held[kind, adv]}"
             )
     return defects
+
+
+def level_width(
+    fn: OracleFunctional, b: int, stem: Word, depth: int, fuel: int
+) -> Optional[int]:
+    """The widest word of the trie of fn's outputs on the leaves of a tree
+    full above the stem to the depth, b its alphabet bound, level by level,
+    when fn has a letter map f (``OracleFunctional.letter_map``); None when
+    it has none.  Each output is f's image of its leaf's first L entries,
+    so the trie's words shorter than the stem have one child and the longer
+    ones, below L, one per letter image."""
+    letters = fn.letter_map(depth, fuel)
+    if letters is None:
+        return None
+    f, n = letters
+    return len(set(map(f, range(b)))) if n > len(stem) else min(n, 1)
 
 
 def _earlier_format(payload: dict) -> Optional[str]:
@@ -317,10 +339,11 @@ def _check_certificate(
             return f"functional does not output {v} at {n} on {node}"
         return None
     if kind == "constant_outputs":
-        outs = [
-            fn.prefix(json_to_word(p), depth, fuel)
-            for p in cert["probes"]
-        ]
+        # an empty list is pairwise consistent, and the engine's probes always
+        # hold the padded stem or a leaf above it
+        outs = [fn.prefix(json_to_word(p), depth, fuel) for p in cert["probes"]]
+        if not outs:
+            return "no probes recorded"
         if not pairwise_consistent(outs):
             return "recorded probes disagree"
         return None

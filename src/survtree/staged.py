@@ -77,6 +77,17 @@ class OracleFunctional:
         row = getattr(self.prefix, "row", None)
         return row(ws, cap, fuel) if row is not None else [self.prefix(w, cap, fuel) for w in ws]
 
+    def letter_map(self, cap: int, fuel: int) -> Optional[tuple[Optional[Callable[[int], int]], int]]:
+        """(f, n) when the prefix has a per-letter map f (its ``letter``
+        attribute): ``prefix(w, cap, fuel)`` is then ``tuple(map(f,
+        w[:n]))`` for every w of at least n = min(cap, fuel) entries, and
+        for every w when f fixes two letters.  A kind with no outputs has f
+        None and n 0.  None when the prefix has no letter map."""
+        if not hasattr(self.prefix, "letter"):
+            return None
+        f = self.prefix.letter
+        return f, 0 if f is None else max(0, min(cap, fuel))
+
 
 # ---------------------------------------------------------------------------
 # Pairing of naturals with <e, k> pairs, k > 2 (Cantor pairing on (e, k-3)).
@@ -326,13 +337,15 @@ def _word_row(prefix: Callable, own: Optional[Callable] = None) -> Callable:
 
 
 _first.row = _word_row(_first)
+_first.letter = lambda x: x
 
 
 def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
     """The closed-form output prefix of a configured kind: its first
     min(cap, fuel) outputs, after which no position converges.  A prefix
     equal to a slice of sigma is that slice, so stored prefixes share
-    sigma's words.  Each has a row form, its ``row`` attribute."""
+    sigma's words.  Each has a row form, its ``row`` attribute, and a
+    per-letter map, its ``letter`` attribute (``letter_map``)."""
     kind = entry["kind"]
     if kind == "identity":
         return _first
@@ -349,6 +362,7 @@ def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
             return s if own(s) or 0 <= min(s) and max(s) < m else tuple(map(rmod, s))
 
         entry_mod.row = _word_row(entry_mod, own)
+        entry_mod.letter = rmod
         return entry_mod
     if kind == "constant":
         c = entry["value"]
@@ -358,12 +372,14 @@ def _config_prefix(entry: dict) -> Callable[[Word, int, int], Word]:
             return (c,) * (cap if cap < fuel else fuel)
 
         constant.row = lambda ws, cap, fuel: [constant((), cap, fuel)] * len(ws)
+        constant.letter = lambda x: c
         return constant
 
     def diverging(sigma: Word, cap: int, fuel: int) -> Word:
         return ()
 
     diverging.row = lambda ws, cap, fuel: [()] * len(ws)
+    diverging.letter = None
     return diverging
 
 

@@ -327,6 +327,16 @@ def rows_above(t: FiniteTree, node: Word) -> Iterator[tuple[list[Word], list[int
         n, width = n + 1, sum(cs)
 
 
+def full_rows(t: FiniteTree, node: Word) -> Optional[list[tuple[list[Word], list[int]]]]:
+    """The rows above node (``rows_above``) when t above node is the full
+    b-ary tree to t's depth, b its alphabet bound: every node of them but
+    the last row's has b children, and the last row is t's depth level.
+    None otherwise, a non-member included."""
+    rows, b = list(rows_above(t, node)), t.alphabet_bound
+    full = rows and len(rows) == t.depth - len(node) + 1 and b is not None
+    return rows if full and all(cs.count(b) == len(cs) for _, cs in rows[:-1]) else None
+
+
 def children(t: FiniteTree, node: Word) -> list[Word]:
     """The children of node in t, in order: the row after node's own in
     ``rows_above``; [] for a leaf or a non-member."""

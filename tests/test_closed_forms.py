@@ -1,18 +1,27 @@
 """The configured functional kinds' closed-form prefixes against the forms
 first written (``conftest.reference_prefix``): the same outputs, entry for
-entry plain ints, whatever the word, the cap and the fuel; and each kind's
-row form against its prefix read word by word."""
+entry plain ints, whatever the word, the cap and the fuel; each kind's
+row form against its prefix read word by word; each kind's letter map
+against its prefix; and the verifier's trie width read a level at a time
+from the letter map against the trie of the outputs."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import tracemalloc
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_prefix
-from survtree.staged import functional_from_config
+from survtree.engine import diagonalize_surviving, verify, verify_record
+from survtree.engine.common import PROMISES
+from survtree.staged import functional_from_config, standard_library
+from survtree.traces import BoundExceeded, trace_from_outputs
+from survtree.trees import FiniteTree
 
 entries = st.one_of(
     st.just({"kind": "identity"}),
@@ -136,3 +145,110 @@ def test_a_replaced_prefix_is_read_word_by_word():
     spied = dataclasses.replace(fn, prefix=prefix)
     assert spied.prefix_row([(0,), (1, 2)], 3, 3) == [(0,), (1, 2)]
     assert calls == [(0,), (1, 2)]
+
+
+# -- letter maps ---------------------------------------------------------------
+
+letter_kinds = st.one_of(
+    st.just({"kind": "identity"}),
+    st.builds(lambda m: {"kind": "entry_mod", "modulus": m}, st.integers(1, 8) | row_moduli),
+    st.builds(lambda c: {"kind": "constant", "value": c}, st.integers(0, 9)),
+    st.just({"kind": "diverging"}),
+)
+
+
+def _image(fn, w, cap, fuel):
+    """w's first min(cap, fuel) entries under fn's letter map."""
+    f, n = fn.letter_map(cap, fuel)
+    assert n == max(0, min(cap, fuel)) or f is None and n == 0
+    return tuple(map(f, w[:n])) if n else ()
+
+
+@settings(max_examples=400, deadline=None)
+@given(letter_kinds, bounds, bounds, st.data())
+@example({"kind": "constant", "value": 3}, 4, 9, None)
+@example({"kind": "entry_mod", "modulus": 2}, 3, 3, None)
+def test_each_kind_letter_map_agrees_with_its_prefix_on_long_enough_words(
+    entry, cap, fuel, data
+):
+    """On every word of at least min(cap, fuel) entries the prefix, and the
+    row form on rows of them, is the letter map's image of that many."""
+    fn = functional_from_config(entry, 0)
+    n = max(0, min(cap, fuel))
+    long_words = st.lists(row_entries, min_size=n, max_size=n + 3).map(tuple)
+    ws = [(7,) * n, tuple(range(n))] if data is None else data.draw(st.lists(long_words, max_size=5))
+    images = [_image(fn, w, cap, fuel) for w in ws]
+    assert [fn.prefix(w, cap, fuel) for w in ws] == images
+    assert fn.prefix_row(ws, cap, fuel) == images
+
+
+@settings(max_examples=500, deadline=None)
+@given(letter_kinds, bounds, bounds, st.lists(row_entries, max_size=9).map(tuple))
+@example({"kind": "identity"}, 5, 9, (0, 1))
+@example({"kind": "constant", "value": 0}, 5, 9, (0, 0))
+def test_a_letter_map_that_fixes_two_letters_maps_every_word(entry, cap, fuel, sigma):
+    """A map that fixes two letters, identity's and entry_mod's past 1, is
+    the prefix on words of any length; constant's fixes one letter at most,
+    and a word shorter than min(cap, fuel) still gets that many outputs."""
+    fn = functional_from_config(entry, 0)
+    f, _ = fn.letter_map(cap, fuel)
+    fixed = f is not None and sum(f(x) == x for x in range(-3, 12)) >= 2
+    assert fixed == (entry["kind"] == "identity" or entry.get("modulus", 0) >= 2)
+    if fixed:
+        assert fn.prefix(sigma, cap, fuel) == _image(fn, sigma, cap, fuel)
+
+
+def test_a_prefix_without_a_letter_map_has_none():
+    fn = functional_from_config({"kind": "identity"}, 0)
+    assert dataclasses.replace(fn, prefix=lambda sigma, cap, fuel: sigma).letter_map(3, 3) is None
+    assert functional_from_config({"kind": "diverging"}, 0).letter_map(3, 3) == (None, 0)
+
+
+# -- the verifier's level widths against the output trie ----------------------
+
+
+def _trie_width(outs, depth) -> int:
+    """The most children of a word of the outputs' trie."""
+    rows = trace_from_outputs(outs, depth, 10**9).children
+    return max((len(es) for row in rows for es in row), default=0)
+
+
+@pytest.mark.parametrize("b, depth", [(2, 4), (3, 4), (4, 3), (3, 0)])
+def test_the_level_width_on_a_full_tree_is_the_trie_width(b, depth):
+    """For every kind, stem and fuel, the width read off the letter map is
+    the widest word of the trie of the outputs on the leaves above the
+    stem, so the trie fits under a promise exactly when that width does,
+    and one that does not fork that many ways."""
+    full = FiniteTree.full(b, depth)
+    kinds = [{"kind": "identity"}, {"kind": "constant", "value": 2}, {"kind": "diverging"}]
+    kinds += [{"kind": "entry_mod", "modulus": m} for m in range(1, 6)]
+    for entry, stem, fuel in itertools.product(
+        kinds, full.sorted_nodes(), [0, 1, 2, depth, 10**4]
+    ):
+        fn = functional_from_config(entry, 0)
+        leaves = [w for w in full.levels()[depth] if w[:len(stem)] == stem]
+        outs = fn.prefix_row(leaves, depth, fuel)
+        width = verify.level_width(fn, b, stem, depth, fuel)
+        assert width == _trie_width(outs, depth), (entry, stem, fuel)
+        for promised in range(4):
+            try:
+                trace_from_outputs(outs, depth, promised)
+            except BoundExceeded:
+                assert width > promised
+            else:
+                assert width <= promised
+
+
+@pytest.mark.parametrize("width", range(4))
+@pytest.mark.parametrize("k, depth", [(2, 6), (2, 8), (3, 5)])
+def test_the_verdict_a_level_at_a_time_is_the_tries(monkeypatch, width, k, depth):
+    """Under any promised width, a surviving record verifies with the same
+    defects, each naming the same word and child count, whether its tamed
+    stages are checked a level at a time or through the trie."""
+    payload = diagonalize_surviving(k, standard_library(), 14, depth, 10**4).to_payload()
+    promise = PROMISES["surviving"]
+    monkeypatch.setitem(PROMISES, "surviving", lambda p: promise(p)._replace(width=width))
+    by_level = verify_record(payload)
+    monkeypatch.setattr(verify, "level_width", lambda *args: None)
+    assert by_level == verify_record(payload)
+    assert (by_level == []) == (width >= k + 1)

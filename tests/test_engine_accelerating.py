@@ -196,3 +196,21 @@ def test_a_k_parameter_does_not_change_the_staged_requirements():
         "stage 4 (vacuous): node () of tree 0 shows only 3 successors, not more than 4",
         "avoidance certificates of tree 0: the stage log calls for 1, the record holds 2",
     ]
+
+
+def test_a_constancy_certificate_with_no_probes_is_a_defect():
+    """P1 of the depth-8 record relogged from case 4 to case 3, with a
+    constancy certificate that records no probes, re-signed: an empty
+    probe list is pairwise consistent, but it shows no output at all."""
+    payload = run().to_payload()
+
+    def edit(p):
+        entry = p["stage_log"][3]
+        assert entry["requirement"] == "P1" and entry["case"] == "4"
+        p["stage_log"][3] = {**entry, "case": "3"}
+        del p["stage_log"][3]["levels"], p["stage_log"][3]["shortage"]
+        p["certificates"].append({"kind": "constant_outputs", "functional": 1, "probes": []})
+
+    assert forged_defects(payload, edit) == [
+        "certificate 7 (constant_outputs): no probes recorded"
+    ]

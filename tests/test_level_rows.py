@@ -3,7 +3,9 @@
 A tree given as a collection of nodes is sorted into levels and checked
 there, one level at a time; it matches a reference read off the node set.
 The surviving engine and its record's encoding build no node set and no
-trace, and the verifier builds one output trie per stage that owes one."""
+trace, and the verifier checks each stage that owes an output trie a level
+at a time on a full final tree, building the trie only for a functional
+with no letter map."""
 
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import forked_defects
 from survtree import traces
-from survtree.engine import diagonalize_surviving, verify_record
+from survtree.engine import diagonalize_surviving, verify, verify_record
 from survtree.io_formats import dump_record
 from survtree.staged import standard_library
 from survtree.trees import (
@@ -173,6 +176,14 @@ def _spy(monkeypatch):
 
 def test_the_surviving_engine_and_its_encoding_build_no_node_set_and_no_trace(monkeypatch):
     seen = _spy(monkeypatch)
+    widths = []
+    level_width = verify.level_width
+
+    def spied(*args):
+        widths.append(w := level_width(*args))
+        return w
+
+    monkeypatch.setattr(verify, "level_width", spied)
     record = diagonalize_surviving(2, LIB, 14, 8, 10_000)
     buf = io.StringIO()
     dump_record(record.to_payload(), buf)
@@ -182,10 +193,31 @@ def test_the_surviving_engine_and_its_encoding_build_no_node_set_and_no_trace(mo
     payload = record.to_payload()
     assert verify_record(payload) == []
     # the final tree is read from the record as a node list, and its set is
-    # never built; one output trie is derived per stage logged B or C
+    # never built; each stage logged B or C is checked a level at a time on
+    # the final tree, full above the stem, and no output trie is built
     tamed = [e for e in payload["stage_log"] if e["case"] in ("B", "C")]
     assert len(tamed) == 3
-    assert seen == Counter({"trees from nodes": 1, "trace tables": 3})
+    # identity and entry_mod 3 map the 3 letters apart, the constant to one
+    assert widths == [3, 3, 1]
+    assert seen == Counter({"trees from nodes": 1})
+
+
+def test_a_forked_functional_still_builds_the_output_trie_and_names_the_word(monkeypatch):
+    """A functional with no letter map, here forking k+2 ways above the
+    stem of the standard depth-8 record, goes through the trie."""
+    seen = _spy(monkeypatch)
+    payload = diagonalize_surviving(2, LIB, 14, 8, 10_000).to_payload()
+    stem = tuple(payload["final_stem"])
+    leaves = [w for w in verify.tree_of_payload(payload).leaves() if w[:len(stem)] == stem]
+    fid, stage = next(
+        (int(e["requirement"][1:]), e["stage"]) for e in payload["stage_log"] if e["case"] == "C"
+    )
+    adds = {leaves[i]: (9, i) for i in range(4)}
+    assert forked_defects(monkeypatch, payload, fid, adds) == [
+        f"stage {stage} (C): the outputs of functional {fid} on the leaves fork 4 ways at (9,), "
+        "more than 3"
+    ]
+    assert seen["trace tables"] == 1
 
 
 def test_a_depth_9_surviving_run_stays_under_6_mib():
